@@ -155,10 +155,35 @@ def recipe_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int):
             carrier=parse_exponent(sec.get("carrier", "20")),
             width=parse_exponent(sec.get("width", str(grid.L / 21))),
             count=int(sec.get("count", 3)),
+            spread=parse_exponent(sec["spread"]) if "spread" in sec else None,
         )
     if name == "windowed_powerlaw":
         return WindowedPowerlaw(decay=parse_exponent(sec.get("decay", "1.0")))
     raise PreconditionError(f"unknown data recipe {name!r}")
+
+
+def field_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int) -> Field:
+    """The [data] field_file (on exactly the config [grid]) or else the recipe."""
+    path = cfg.get("data", "field_file")
+    if not path:
+        return synthesize_field(grid, recipe_from_config(cfg, grid, seed))
+    f = read_field(path)
+    if f.grid != grid:
+        raise PreconditionError(
+            f"field file {path} is on grid {f.grid} but the config [grid] is {grid}"
+        )
+    return f
+
+
+def parse_lambdas(text: str) -> list[int]:
+    """Comma-separated dilation factors; each must be a positive integer."""
+    try:
+        lambdas = [int(x) for x in text.split(",")]
+        if min(lambdas) >= 1:
+            return lambdas
+    except ValueError:
+        pass
+    raise PreconditionError(f"lambdas = {text}: dilation factors must be positive integers")
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +236,21 @@ def _base_payload(command: str, cfg: ExperimentConfig | None, args) -> dict:
 
 def cmd_propagate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    grid = grid_from_config(cfg)
-    field_file = cfg.get("data", "field_file")
-    if field_file:
-        f = read_field(field_file)
-    else:
-        f = synthesize_field(grid, recipe_from_config(cfg, grid, args.seed))
+    f = field_from_config(cfg, grid_from_config(cfg), args.seed)
     alpha = cfg.getfloat("solver", "alpha", 1.0)
     T = cfg.getfloat("solver", "T", 1.0)
     m = cfg.getint("solver", "nodes", 32)
     times = uniform_times(T, m)
     series = semigroup_series(f, times, alpha)
+    snaps = series.snapshots
     rows = [
         {"t": t, "l2": lp_norm(s, 2), "linf": lp_norm(s, INF)}
-        for t, s in zip(series.times, series.snapshots)
+        for t, s in zip(series.times, snaps)
     ]
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    write_field(series.snapshots[-1].to_physical(), final_path)
+    write_field(snaps[-1].to_physical(), final_path)
     payload = _base_payload("propagate", cfg, args)
     payload["results"] = {
         "alpha": alpha,
@@ -244,12 +265,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_norm(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    grid = grid_from_config(cfg)
-    field_file = cfg.get("data", "field_file")
-    if field_file:
-        f = read_field(field_file)
-    else:
-        f = synthesize_field(grid, recipe_from_config(cfg, grid, args.seed))
+    f = field_from_config(cfg, grid_from_config(cfg), args.seed)
     sec = cfg.sections.get("norm", {})
     spec = NormSpec(
         kind=sec.get("kind", "lebesgue"),
@@ -270,7 +286,7 @@ def cmd_verify(args) -> int:
     grid = grid_from_config(cfg)
     sweep = cfg.sections.get("sweep", {})
     estimate = args.estimate or sweep.get("estimate", "homogeneous")
-    lambdas = [int(x) for x in sweep.get("lambdas", "1,2,4").split(",")]
+    lambdas = parse_lambdas(sweep.get("lambdas", "1,2,4"))
     alpha = parse_exponent(sweep.get("alpha", "1.0"))
     params = {
         "alpha": alpha,

@@ -30,12 +30,11 @@ from .grid import (
 )
 from .norms import (
     DyadicPartition,
-    bmo_norm,
+    NormSpec,
     besov_norm,
     default_partition,
     lp_norm,
     mixed_norm,
-    sobolev_norm,
 )
 from .semigroup import (
     Alpha,
@@ -97,18 +96,6 @@ def check_scaling_relation(
 # ---------------------------------------------------------------------------
 
 
-def _spatial_norm(f, kind: str, p: float, s: float, partition) -> float:
-    if kind == "lebesgue":
-        return lp_norm(f, p)
-    if kind == "sobolev":
-        return sobolev_norm(f, s, p, homogeneous=True)
-    if kind == "besov":
-        return besov_norm(f, s, p, 2.0, homogeneous=True, partition=partition)
-    if kind == "bmo":
-        return bmo_norm(f)
-    raise PreconditionError(f"unknown norm kind {kind!r}")
-
-
 def default_time_grid(T: float, n_nodes: int = 40, ratio: float = 1.25) -> np.ndarray:
     """[0] followed by a geometric refinement toward 0 on (0, T]."""
     ts = geometric_times(T * 1e-3, T, ratio=ratio, include_zero=True)
@@ -152,20 +139,15 @@ def homogeneous_ratio(
     if kind == "besov" and partition is None:
         partition = default_partition(g)
 
-    if kind == "lebesgue" or kind == "bmo":
-        denom = lp_norm(f, 2)
-    elif kind == "sobolev":
-        denom = sobolev_norm(f, s, 2, homogeneous=True)
-    else:
-        denom = besov_norm(f, s, 2, 2.0, homogeneous=True, partition=partition)
+    denom_kind = "lebesgue" if kind == "bmo" else kind
+    denom = NormSpec(denom_kind, p=2, s=s).compute(f, partition)
     if denom == 0.0:
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
     series = semigroup_series(f, ts, a)
-    num = mixed_norm(
-        series, q, spatial=lambda u: _spatial_norm(u, kind, p, s, partition)
-    )
+    spec = NormSpec(kind, p=p, s=s)
+    num = mixed_norm(series, q, spatial=lambda u: spec.compute(u, partition))
     return num / denom
 
 
@@ -208,16 +190,13 @@ def inhomogeneous_ratio(
         partition = default_partition(g)
 
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
-    den_kind = kind
-    denom = mixed_norm(
-        F, q1c, spatial=lambda u: _spatial_norm(u, den_kind, p1c, s, partition)
-    )
+    den_spec = NormSpec(kind, p=p1c, s=s)
+    denom = mixed_norm(F, q1c, spatial=lambda u: den_spec.compute(u, partition))
     if denom == 0.0:
         raise PreconditionError("zero forcing: ratio undefined")
     sol = duhamel(F, F.times, alpha)
-    num = mixed_norm(
-        sol, q, spatial=lambda u: _spatial_norm(u, num_kind, p, s, partition)
-    )
+    num_spec = NormSpec(num_kind, p=p, s=s)
+    num = mixed_norm(sol, q, spatial=lambda u: num_spec.compute(u, partition))
     return num / denom
 
 
@@ -477,8 +456,9 @@ def _nyquist_tail(f: Field) -> float:
 
 
 def _separable_series(grid, f: Field, profile, times) -> TimeSeries:
-    snaps = [Field(grid, profile(t) * f.data, f.representation) for t in times]
-    return TimeSeries(times, snaps)
+    """profile(t) * f at each time, kept in f's representation."""
+    amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * grid.n)
+    return TimeSeries.from_data(grid, times, amp * f.data, f.representation)
 
 
 def dilation_sweep(

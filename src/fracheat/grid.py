@@ -144,23 +144,63 @@ class Field:
         return float(np.max(np.abs(phys.imag))) <= tol * scale
 
 
+def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
+    """Unitary DFT over the trailing grid.n axes of `data` (see `transform`)."""
+    axes = tuple(range(-grid.n, 0))
+    scale = grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
+    if direction == "forward":
+        return np.fft.fftn(data, axes=axes) * scale
+    return np.fft.ifftn(data, axes=axes) / scale
+
+
 def transform(f: Field, direction: str) -> Field:
     """Unitary DFT between physical and spectral representations.
 
     forward : fhat = fftn(f) * h^n / (2*pi)^(n/2)
     inverse : f = ifftn(fhat) * (2*pi)^(n/2) / h^n
     """
-    g = f.grid
-    scale = g.cell_volume / (2 * np.pi) ** (g.n / 2)
-    if direction == "forward":
-        if f.representation != PHYSICAL:
-            raise RepresentationError("forward transform requires a physical field")
-        return Field(g, np.fft.fftn(f.data) * scale, SPECTRAL)
-    if direction == "inverse":
-        if f.representation != SPECTRAL:
-            raise RepresentationError("inverse transform requires a spectral field")
-        return Field(g, np.fft.ifftn(f.data) / scale, PHYSICAL)
-    raise PreconditionError(f"unknown transform direction {direction!r}")
+    if direction not in ("forward", "inverse"):
+        raise PreconditionError(f"unknown transform direction {direction!r}")
+    source, target = (PHYSICAL, SPECTRAL) if direction == "forward" else (SPECTRAL, PHYSICAL)
+    if f.representation != source:
+        raise RepresentationError(f"{direction} transform requires a {source} field")
+    return Field(f.grid, _dft(f.data, f.grid, direction), target)
+
+
+@dataclass
+class VectorField:
+    """n scalar fields sharing one grid and representation."""
+
+    components: tuple[Field, ...]
+
+    def __post_init__(self):
+        self.components = tuple(self.components)
+        grids = {c.grid for c in self.components}
+        reps = {c.representation for c in self.components}
+        if len(grids) != 1 or len(reps) != 1:
+            raise PreconditionError("components must share grid and representation")
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.components[0].grid
+
+    @property
+    def representation(self) -> str:
+        return self.components[0].representation
+
+    @property
+    def data(self) -> np.ndarray:
+        """Components stacked along a leading axis, shape (c, *grid.shape)."""
+        return np.stack([c.data for c in self.components])
+
+    def to_physical(self) -> "VectorField":
+        return VectorField(tuple(c.to_physical() for c in self.components))
+
+    def to_spectral(self) -> "VectorField":
+        return VectorField(tuple(c.to_spectral() for c in self.components))
+
+    def copy(self) -> "VectorField":
+        return VectorField(tuple(c.copy() for c in self.components))
 
 
 def inner_product(f: Field, g: Field) -> complex:
@@ -507,25 +547,48 @@ def dilate_spectrum(f: Field, factor: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TimeSeries:
-    """Snapshots of a Field (or vector field) on a strictly increasing time grid."""
+    """A scalar or vector field sampled on a strictly increasing time grid.
 
-    times: np.ndarray
-    snapshots: list
-    grading: str = "custom"
+    `data` stacks the samples on axis 0, shape (m, *grid.shape) for a scalar
+    and (m, c, *grid.shape) for a c-component series, in one `representation`.
+    The constructor stacks `Field`/`VectorField` snapshots (spectral if their
+    representations differ); `from_data` wraps a stacked array.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) != len(self.snapshots):
+    def __init__(self, times, snapshots, grading: str = "custom"):
+        snaps = list(snapshots)
+        if not snaps:
+            raise PreconditionError("a time series needs at least one snapshot")
+        if len({s.grid for s in snaps}) > 1:
+            raise PreconditionError("snapshots must share one grid")
+        rep = PHYSICAL if all(s.representation == PHYSICAL for s in snaps) else SPECTRAL
+        datas = [(s if rep == PHYSICAL else s.to_spectral()).data for s in snaps]
+        self._set(snaps[0].grid, times, np.stack(datas), rep, grading)
+
+    @classmethod
+    def from_data(
+        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom"
+    ) -> "TimeSeries":
+        """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape)."""
+        series = cls.__new__(cls)
+        series._set(grid, times, data, representation, grading)
+        return series
+
+    def _set(self, grid, times, data, representation, grading) -> None:
+        self.grid, self.representation, self.grading = grid, representation, grading
+        self.times = np.asarray(times, dtype=float)
+        self.data = np.asarray(data, dtype=np.complex128)
+        if representation not in (PHYSICAL, SPECTRAL):
+            raise RepresentationError(f"unknown representation {representation!r}")
+        if self.times.ndim != 1 or len(self.times) != len(self.data):
             raise PreconditionError("times and snapshots must have equal length")
+        if self.data.shape[-grid.n :] != grid.shape or self.data.ndim > grid.n + 2:
+            raise PreconditionError(f"series data shape {self.data.shape} off grid {grid}")
         if len(self.times) and self.times[0] < 0:
             raise PreconditionError("times must be nonnegative")
         if np.any(np.diff(self.times) <= 0):
             raise PreconditionError("times must be strictly increasing")
-        grids = {s.grid for s in self.snapshots}
-        if len(grids) > 1:
-            raise PreconditionError("snapshots must share one grid")
         if self.grading == "geometric" and len(self.times) >= 3:
             dt = np.diff(self.times)
             ratios = dt[1:] / dt[:-1]
@@ -536,8 +599,42 @@ class TimeSeries:
         return len(self.times)
 
     @property
-    def grid(self) -> GridSpec:
-        return self.snapshots[0].grid
+    def snapshots(self) -> list:
+        """Per-sample `Field` (scalar) or `VectorField` (vector) views of `data`."""
+        g, rep = self.grid, self.representation
+        if self.data.ndim == g.n + 1:
+            return [Field(g, d, rep) for d in self.data]
+        return [VectorField(tuple(Field(g, c, rep) for c in d)) for d in self.data]
+
+    def to_physical(self) -> "TimeSeries":
+        return self._as(PHYSICAL, "inverse")
+
+    def to_spectral(self) -> "TimeSeries":
+        return self._as(SPECTRAL, "forward")
+
+    def _as(self, representation: str, direction: str) -> "TimeSeries":
+        if self.representation == representation:
+            return self
+        data = _dft(self.data, self.grid, direction)
+        return TimeSeries.from_data(self.grid, self.times, data, representation)
+
+    def physical_data(self):
+        """Each sample's physical data, transformed one sample at a time."""
+        for d in self.data:
+            yield d if self.representation == PHYSICAL else _dft(d, self.grid, "inverse")
+
+    def __add__(self, other: "TimeSeries") -> "TimeSeries":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "TimeSeries") -> "TimeSeries":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
+        """Sample-wise op of two series on one time grid, in spectral form."""
+        if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
+            raise PreconditionError("time grids do not match")
+        data = op(self.to_spectral().data, other.to_spectral().data)
+        return TimeSeries.from_data(self.grid, self.times, data)
 
 
 def uniform_times(T: float, m: int, t0: float = 0.0) -> np.ndarray:
@@ -587,14 +684,25 @@ def write_field(f: Field, path) -> None:
 
 
 def read_field(path) -> Field:
+    """Load an FRSF file, rejecting a truncated payload or non-finite values."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise PreconditionError(f"field file {path} is shorter than its header")
     magic, version, n, N, L, rep = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
         raise PreconditionError(f"bad magic {magic!r} in field file")
     if version != _VERSION:
         raise PreconditionError(f"unsupported field file version {version}")
     grid = GridSpec(n=n, N=N, L=L)
+    payload = len(raw) - _HEADER.size
+    if payload != 16 * N**n:
+        raise PreconditionError(
+            f"field file {path} holds {payload} payload bytes; its header grid "
+            f"(n={n}, N={N}) needs {16 * N**n}"
+        )
     inter = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    if not np.all(np.isfinite(inter)):
+        raise PreconditionError(f"field file {path} holds non-finite values")
     data = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
     return Field(grid, data, PHYSICAL if rep == 0 else SPECTRAL)

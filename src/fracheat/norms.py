@@ -54,22 +54,24 @@ class NormSpec:
         return bmo_norm(f)
 
 
-def _magnitude(snapshot) -> tuple[np.ndarray, GridSpec]:
-    """Pointwise |snapshot| in physical space; handles scalar and vector."""
-    if hasattr(snapshot, "components"):
-        comps = [c.to_physical().data for c in snapshot.components]
-        return np.sqrt(sum(np.abs(c) ** 2 for c in comps)), snapshot.grid
-    return np.abs(snapshot.to_physical().data), snapshot.grid
-
-
-def lp_norm(f, p: float) -> float:
-    """Cell-volume-weighted L^p norm; p = inf is the max over grid points."""
+def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> float:
+    """L^p norm of physical data: one field, or c components stacked on a
+    leading axis, measured by their pointwise Euclidean magnitude."""
     if not p >= 1:
         raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
-    mag, grid = _magnitude(f)
+    if phys.ndim == grid.n:
+        mag = np.abs(phys)
+    else:
+        mag = np.sqrt(sum(np.abs(c) ** 2 for c in phys))
     if p == INF:
         return float(mag.max())
     return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+
+
+def lp_norm(f, p: float) -> float:
+    """Cell-volume-weighted L^p norm of a Field or VectorField; p = inf is
+    the max over grid points."""
+    return _lp(f.to_physical().data, f.grid, p)
 
 
 def mixed_norm(
@@ -83,8 +85,10 @@ def mixed_norm(
         raise PreconditionError("mixed norm needs at least two time samples")
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
-    fn = spatial if spatial is not None else (lambda s: lp_norm(s, p))
-    vals = np.array([fn(s) for s in u.snapshots])
+    if spatial is None:
+        vals = np.array([_lp(d, u.grid, p) for d in u.physical_data()])
+    else:
+        vals = np.array([spatial(s) for s in u.snapshots])
     if q == INF:
         return float(vals.max())
     return float(np.trapezoid(vals**q, u.times) ** (1.0 / q))
@@ -237,7 +241,7 @@ def bmo_norm(f: Field) -> float:
 
     The all-offsets family is symmetric under whole-cell translations and
     maps into itself under dyadic dilation, which keeps the norm exactly
-    translation invariant and dilation-robust.
+    translation invariant and dilation-robust.  Non-finite data gives NaN.
     """
     data = f.to_physical().data
     N = f.grid.N
@@ -248,6 +252,6 @@ def bmo_norm(f: Field) -> float:
         means = _box_sums(data, m) / cells
         sq = _box_sums(np.abs(data) ** 2, m) / cells
         osc2 = np.maximum(sq - np.abs(means) ** 2, 0.0)
-        best = max(best, float(osc2.max()))
+        best = float(np.maximum(best, osc2.max()))  # NaN propagates
         m += 1
     return float(np.sqrt(best))

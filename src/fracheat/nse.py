@@ -28,72 +28,12 @@ from .grid import (
     SPECTRAL,
     RandomBandlimited,
     TimeSeries,
+    VectorField,
     synthesize_field,
     uniform_times,
 )
 from .norms import lp_norm, mixed_norm
-from .semigroup import apply_symbol, duhamel, semigroup_series
-
-
-@dataclass
-class VectorField:
-    """n scalar fields sharing one grid and representation."""
-
-    components: tuple[Field, ...]
-
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        grids = {c.grid for c in self.components}
-        reps = {c.representation for c in self.components}
-        if len(grids) != 1 or len(reps) != 1:
-            raise PreconditionError("components must share grid and representation")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.components[0].grid
-
-    @property
-    def representation(self) -> str:
-        return self.components[0].representation
-
-    def to_physical(self) -> "VectorField":
-        return VectorField(tuple(c.to_physical() for c in self.components))
-
-    def to_spectral(self) -> "VectorField":
-        return VectorField(tuple(c.to_spectral() for c in self.components))
-
-    def copy(self) -> "VectorField":
-        return VectorField(tuple(c.copy() for c in self.components))
-
-
-def _vmap(u: VectorField, fn) -> VectorField:
-    return VectorField(tuple(fn(c) for c in u.components))
-
-
-def _vadd(u: VectorField, v: VectorField, a: float = 1.0) -> VectorField:
-    return VectorField(
-        tuple(
-            Field(x.grid, x.data + a * y.data, x.representation)
-            for x, y in zip(u.components, v.components)
-        )
-    )
-
-
-def _series_map(series: TimeSeries, fn) -> TimeSeries:
-    return TimeSeries(series.times, [fn(s) for s in series.snapshots])
-
-
-def _series_add(a: TimeSeries, b: TimeSeries, coeff: float = 1.0) -> TimeSeries:
-    if len(a) != len(b) or np.max(np.abs(a.times - b.times)) > 1e-12:
-        raise PreconditionError("time grids do not match")
-    snaps = []
-    for x, y in zip(a.snapshots, b.snapshots):
-        if hasattr(x, "components"):
-            snaps.append(_vadd(x.to_spectral(), y.to_spectral(), coeff))
-        else:
-            xs, ys = x.to_spectral(), y.to_spectral()
-            snaps.append(Field(xs.grid, xs.data + coeff * ys.data, SPECTRAL))
-    return TimeSeries(a.times, snaps)
+from .semigroup import duhamel, semigroup_series
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> VectorField:
@@ -210,30 +150,11 @@ def bilinear_form(
         raise PreconditionError("bilinear form needs matching time grids")
     if t_eval is None:
         t_eval = u.times
-    W = TimeSeries(
-        u.times,
-        [
-            projected_tensor_divergence(a, b)
-            for a, b in zip(u.snapshots, v.snapshots)
-        ],
-    )
+    data = np.empty(u.data.shape, dtype=np.complex128)
+    for out, a, b in zip(data, u.snapshots, v.snapshots):
+        out[...] = projected_tensor_divergence(a, b).data
+    W = TimeSeries.from_data(u.grid, u.times, data, SPECTRAL)
     return duhamel(W, t_eval, alpha)
-
-
-def vector_semigroup_series(g: VectorField, times, alpha) -> TimeSeries:
-    comp_series = [semigroup_series(c, times, alpha) for c in g.components]
-    snaps = [
-        VectorField(tuple(cs.snapshots[i] for cs in comp_series))
-        for i in range(len(times))
-    ]
-    return TimeSeries(np.asarray(times, dtype=float), snaps)
-
-
-def _zero_series(grid: GridSpec, n: int, times) -> TimeSeries:
-    zero = VectorField(
-        tuple(Field(grid, np.zeros(grid.shape, np.complex128), SPECTRAL) for _ in range(n))
-    )
-    return TimeSeries(times, [zero.copy() for _ in times])
 
 
 def estimate_bilinear_constant(
@@ -259,7 +180,7 @@ def estimate_bilinear_constant(
             for c in range(grid.n)
         ]
         w = leray_project(VectorField(tuple(comps)))
-        samples.append(vector_semigroup_series(w, times, alpha))
+        samples.append(semigroup_series(w, times, alpha))
     best = 0.0
     for a, b in itertools.combinations_with_replacement(samples, 2):
         bb = bilinear_form(a, b, alpha)
@@ -343,12 +264,12 @@ def solve_nse_picard(
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
 
     times = uniform_times(T, nodes)
-    free = vector_semigroup_series(g, times, alpha)
+    free = semigroup_series(g, times, alpha)
     if h is not None:
-        hP = _series_map(h, leray_project)
+        hP = TimeSeries(h.times, [leray_project(s) for s in h.snapshots])
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
-        base = _series_add(free, forced)
+        base = free + forced
     else:
         a_val = mixed_norm(free, q, p)
         base = free
@@ -365,11 +286,9 @@ def solve_nse_picard(
     residuals = []
     converged = False
     for it in range(1, max_iter + 1):
-        Bvv = bilinear_form(v, v, alpha)
-        v_next = _series_add(base, Bvv, -1.0)
-        diff = _series_add(v_next, v, -1.0)
+        v_next = base - bilinear_form(v, v, alpha)
         denom = mixed_norm(v_next, q, p)
-        res = mixed_norm(diff, q, p) / denom if denom > 0 else 0.0
+        res = mixed_norm(v_next - v, q, p) / denom if denom > 0 else 0.0
         residuals.append(float(res))
         v = v_next
         if res < tol:
@@ -413,18 +332,22 @@ class PotentialReport:
         }
 
 
-def _sample_series(series: TimeSeries, t: float) -> Field:
-    """Linear-in-time interpolation of a scalar series."""
+def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> np.ndarray:
+    """Linear-in-time interpolation of a series at the nodes t: spectral in
+    the interior; nodes at or beyond either end take the stored end sample
+    as it is, so a physical series keeps its exact values there."""
     ts = series.times
-    if t <= ts[0]:
-        return series.snapshots[0]
-    if t >= ts[-1]:
-        return series.snapshots[-1]
-    i = int(np.searchsorted(ts, t) - 1)
-    w = (t - ts[i]) / (ts[i + 1] - ts[i])
-    a = series.snapshots[i].to_spectral()
-    b = series.snapshots[i + 1].to_spectral()
-    return Field(a.grid, (1 - w) * a.data + w * b.data, SPECTRAL)
+    spec = series.to_spectral().data
+    ends = series.to_physical().data if representation == PHYSICAL else spec
+    inner = (t > ts[0]) & (t < ts[-1])
+    i = np.searchsorted(ts, t[inner]) - 1
+    w = ((t[inner] - ts[i]) / (ts[i + 1] - ts[i])).reshape((-1,) + (1,) * (spec.ndim - 1))
+    mid = TimeSeries.from_data(series.grid, t[inner], (1 - w) * spec[i] + w * spec[i + 1])
+    out = np.empty((len(t), *spec.shape[1:]), dtype=np.complex128)
+    out[inner] = mid.to_physical().data if representation == PHYSICAL else mid.data
+    out[t <= ts[0]] = ends[0]
+    out[t >= ts[-1]] = ends[-1]
+    return out
 
 
 def solve_potential_eq(
@@ -463,11 +386,10 @@ def solve_potential_eq(
                 raise PreconditionError("potential must be real-valued")
 
     all_times: list[np.ndarray] = []
-    all_snaps: list[Field] = []
+    all_data: list[np.ndarray] = []
     subreports = []
     t0 = 0.0
     f_cur = f.to_spectral()
-    first = True
     while t0 < T - 1e-14:
         t1 = T
         while True:
@@ -479,34 +401,23 @@ def solve_potential_eq(
             m = max(8, int(round(nodes * length / T)))
             loc = np.linspace(0.0, length, m + 1)
             base = semigroup_series(f_cur, loc, alpha)
-
-            def rhs_series(v: TimeSeries) -> TimeSeries:
-                snaps = []
-                for i, tau in enumerate(loc):
-                    acc = Field(grid, np.zeros(grid.shape, np.complex128), SPECTRAL)
-                    if F is not None:
-                        acc = Field(
-                            grid,
-                            acc.data + _sample_series(F, t0 + tau).to_spectral().data,
-                            SPECTRAL,
-                        )
-                    if V is not None:
-                        Vt = _sample_series(V, t0 + tau).to_physical().data.real
-                        vt = v.snapshots[i].to_physical().data
-                        prod = Field(grid, Vt * vt).to_spectral()
-                        acc = Field(grid, acc.data - prod.data, SPECTRAL)
-                    snaps.append(acc)
-                return TimeSeries(loc, snaps)
+            forcing = np.zeros((len(loc), *grid.shape), dtype=np.complex128)
+            if F is not None:
+                forcing += _at_nodes(F, t0 + loc, SPECTRAL)
+            if V is not None:
+                V_nodes = _at_nodes(V, t0 + loc, PHYSICAL).real
 
             def apply_map(v: TimeSeries) -> TimeSeries:
-                forcing = rhs_series(v)
-                integ = duhamel(forcing, loc, alpha)
-                return _series_add(base, integ)
+                rhs = forcing
+                if V is not None:
+                    prod = TimeSeries.from_data(
+                        grid, loc, V_nodes * v.to_physical().data, PHYSICAL
+                    )
+                    rhs = forcing - prod.to_spectral().data
+                integ = duhamel(TimeSeries.from_data(grid, loc, rhs), loc, alpha)
+                return base + integ
 
-            zero = TimeSeries(
-                loc,
-                [Field(grid, np.zeros(grid.shape, np.complex128), SPECTRAL) for _ in loc],
-            )
+            zero = TimeSeries.from_data(grid, loc, np.zeros_like(forcing))
             v = apply_map(zero)
             factor = 0.0
             converged = False
@@ -514,9 +425,8 @@ def solve_potential_eq(
             prev_res = None
             for it in range(1, max_iter + 1):
                 v_next = apply_map(v)
-                diff = _series_add(v_next, v, -1.0)
                 denom = mixed_norm(v_next, q, p) or 1.0
-                resid = mixed_norm(diff, q, p) / denom
+                resid = mixed_norm(v_next - v, q, p) / denom
                 iters = it
                 if prev_res is not None and prev_res > 0:
                     factor = max(factor, resid / prev_res)
@@ -532,14 +442,13 @@ def solve_potential_eq(
                 break
             t1 = t0 + length / 2  # not contractive enough: halve and retry
         subreports.append((t0, t1, float(measured), iters))
-        start = 1 if not first else 0
+        start = 1 if all_data else 0
         all_times.extend(t0 + loc[start:])
-        all_snaps.extend(v.snapshots[start:])
-        f_cur = v.snapshots[-1]
+        all_data.append(v.data[start:])
+        f_cur = Field(grid, v.data[-1], SPECTRAL)
         t0 = t1
-        first = False
 
-    solution = TimeSeries(np.asarray(all_times), all_snaps)
+    solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data))
     num = mixed_norm(solution, q, p)
     data_norm = lp_norm(f, 2)
     if F is not None:
@@ -575,19 +484,14 @@ def regularity_check(
         raise PreconditionError("derivative order capped at 4")
     grid = v.grid
     xi = grid.deriv_frequencies
+    spec = v.to_spectral()
     out: dict[tuple[int, ...], float] = {}
     for multi in _multi_indices(grid.n, max_order):
         sym = np.ones(grid.shape, dtype=np.complex128)
         for ax, m in enumerate(multi):
             if m:
                 sym = sym * (1j * xi[ax]) ** m
-
-        def deriv(snapshot):
-            if hasattr(snapshot, "components"):
-                return _vmap(snapshot, lambda c: apply_symbol(c, sym))
-            return apply_symbol(snapshot, sym)
-
-        series = _series_map(v, deriv)
+        series = TimeSeries.from_data(grid, v.times, spec.data * sym)
         val = mixed_norm(series, q, p)
         if not np.isfinite(val):
             raise ConvergenceError(f"derivative {multi}: non-finite mixed norm")

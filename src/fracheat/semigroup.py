@@ -80,13 +80,15 @@ def apply_semigroup(f: Field, t: float, alpha) -> Field:
     return apply_symbol(f, dissipation_symbol(f.grid, t, alpha))
 
 
-def semigroup_series(f: Field, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
-    """Free evolution of f sampled on a time grid (spectral snapshots)."""
+def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
+    """Free evolution of a Field or VectorField sampled on a time grid (spectral)."""
     fh = f.to_spectral()
     a = _alpha_value(alpha)
     lam = fh.grid.abs_freq ** (2 * a)
-    snaps = [Field(fh.grid, fh.data * np.exp(-t * lam), SPECTRAL) for t in times]
-    return TimeSeries(np.asarray(times, dtype=float), snaps, grading=grading)
+    data = np.empty((len(times), *fh.data.shape), dtype=np.complex128)
+    for out, t in zip(data, times):
+        np.multiply(fh.data, np.exp(-t * lam), out=out)
+    return TimeSeries.from_data(fh.grid, times, data, SPECTRAL, grading)
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -199,8 +201,8 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     """int_0^t exp(-(t-s) (-Lap)^alpha) F(s) ds at each requested time.
 
     F must be sampled on a grid starting at 0 that covers max(t_eval); F is
-    treated as piecewise linear in s between snapshots.  Works for scalar
-    and vector snapshots.
+    treated as piecewise linear in s between snapshots.  The march runs on
+    the whole sample stack, so scalar and vector series share it.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
@@ -210,31 +212,16 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     if t_eval.min() < -1e-14 or t_eval.max() > F.times[-1] + 1e-12:
         raise PreconditionError("t_eval outside the forcing series coverage")
 
-    first = F.snapshots[0]
-    if hasattr(first, "components"):  # vector series: integrate per component
-        from .nse import VectorField
-
-        comp_series = []
-        for c in range(len(first.components)):
-            sub = TimeSeries(F.times, [s.components[c] for s in F.snapshots])
-            comp_series.append(duhamel(sub, t_eval, alpha))
-        snaps = [
-            VectorField(tuple(cs.snapshots[i] for cs in comp_series))
-            for i in range(len(t_eval))
-        ]
-        return TimeSeries(t_eval, snaps)
-
     g = F.grid
     a = _alpha_value(alpha)
     lam = g.abs_freq ** (2 * a)
-    Fhat = [s.to_spectral().data for s in F.snapshots]
-    order = np.argsort(t_eval)
-    results: dict[int, np.ndarray] = {}
+    Fhat = F.to_spectral().data
+    out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
 
-    I = np.zeros(g.shape, dtype=np.complex128)
+    I = np.zeros(Fhat.shape[1:], dtype=np.complex128)
     seg = 0  # F-interval index such that F.times[seg] <= current position
     pos = 0.0
-    for idx in order:
+    for idx in np.argsort(t_eval):
         t = t_eval[idx]
         # advance over whole intervals ending before t
         while seg + 1 < len(F.times) and F.times[seg + 1] <= t + 1e-15:
@@ -247,8 +234,7 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
             h_full = F.times[seg + 1] - F.times[seg]
             w = (t - F.times[seg]) / h_full
             Ft = (1 - w) * Fhat[seg] + w * Fhat[seg + 1]
-            results[idx] = _step(I, lam, delta, Fhat[seg], Ft)
+            out[idx] = _step(I, lam, delta, Fhat[seg], Ft)
         else:
-            results[idx] = I.copy()
-    snaps = [Field(g, results[i], SPECTRAL) for i in range(len(t_eval))]
-    return TimeSeries(t_eval, snaps)
+            out[idx] = I
+    return TimeSeries.from_data(g, t_eval, out, SPECTRAL)

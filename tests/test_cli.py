@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from fracheat import GaussianBump, make_grid, synthesize_field, write_field
 from fracheat.cli import ExperimentConfig, main, parse_exponent
+from fracheat.cli import grid_from_config, recipe_from_config
 
 
 BASE_CFG = """\
@@ -176,3 +179,53 @@ class TestDeterminism:
             assert rc == 0
             outs.append((out / "verify.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestInputValidation:
+    def _field_file(self, tmp_path, N):
+        g = make_grid(2, N, 6.283185307179586)
+        path = tmp_path / f"f{N}.frsf"
+        write_field(synthesize_field(g, GaussianBump(width=0.3)), path)
+        return path
+
+    def _config(self, tmp_path, field_path, N=32):
+        cfg = tmp_path / "field.cfg"
+        cfg.write_text(
+            f"[grid]\nn = 2\nN = {N}\nL = 6.283185307179586\n\n"
+            f"[data]\nfield_file = {field_path}\n\n[norm]\nkind = lebesgue\np = 2\n"
+        )
+        return cfg
+
+    def test_truncated_field_file_exit_2(self, tmp_path, capsys):
+        path = self._field_file(tmp_path, 32)
+        path.write_bytes(path.read_bytes()[:-5])
+        cfg = self._config(tmp_path, path)
+        rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)])
+        assert rc == 2
+        assert "payload" in capsys.readouterr().err
+
+    def test_field_file_grid_mismatch_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, self._field_file(tmp_path, 16), N=32)
+        for command in ("norm", "propagate"):
+            rc = main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "N=16" in err and "N=32" in err  # names both grids
+
+    def test_non_integer_lambdas_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(BASE_CFG.replace("lambdas = 1,2", "lambdas = 1,1.5"))
+        rc = main(["--out", str(tmp_path / "o"), "verify", "--config", str(cfg)])
+        assert rc == 2
+        assert "positive integers" in capsys.readouterr().err
+
+    def test_wave_packet_spread_is_honoured(self):
+        grid_text = "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n"
+        fields = []
+        for spread in ("0.01", "2.0"):
+            cfg = ExperimentConfig.parse(
+                grid_text + f"[data]\nrecipe = wave_packets\nseed = 3\nspread = {spread}\n"
+            )
+            grid = grid_from_config(cfg)
+            fields.append(synthesize_field(grid, recipe_from_config(cfg, grid, 0)).data)
+        assert not np.allclose(fields[0], fields[1])

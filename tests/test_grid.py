@@ -24,6 +24,7 @@ from fracheat import (
     write_field,
 )
 from fracheat.grid import TimeSeries, geometric_times, mean_mode
+from fracheat import VectorField
 
 
 class TestMakeGrid:
@@ -250,3 +251,49 @@ def test_inner_product_matches_l2(seed):
     g = make_grid(1, 64, 2 * np.pi)
     f = synthesize_field(g, RandomBandlimited(seed=seed, j_min=1, j_max=3))
     assert np.isclose(inner_product(f, f).real, lp_norm(f, 2) ** 2, rtol=1e-12)
+
+
+class TestArrayBackedSeries:
+    def test_stacked_list_round_trips_snapshots(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=2, j_min=1, j_max=2))
+        times = np.array([0.0, 0.1, 0.3])
+        scalars = [Field(g, (k + 1.0) * f.data) for k in range(3)]
+        vectors = [
+            VectorField((s.to_spectral(), Field(g, -s.data).to_spectral()))
+            for s in scalars
+        ]
+        for snaps in (scalars, vectors):
+            series = TimeSeries(times, snaps)
+            assert series.representation == snaps[0].representation
+            assert series.data.shape == (3, *snaps[0].data.shape)
+            for got, want in zip(series.snapshots, snaps):
+                assert type(got) is type(want)
+                assert got.representation == want.representation
+                assert np.array_equal(got.data, want.data)
+
+    def test_mixed_representations_stack_spectral(self):
+        g = make_grid(1, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=2))
+        series = TimeSeries(np.array([0.0, 1.0]), [f, f.to_spectral()])
+        assert series.representation == "spectral"
+        assert np.array_equal(series.data[0], f.to_spectral().data)
+
+
+class TestFieldFileValidation:
+    def test_truncated_payload_rejected(self, tmp_path):
+        g = make_grid(2, 16, 3.5)
+        path = tmp_path / "f.frsf"
+        write_field(synthesize_field(g, GaussianBump(width=0.3)), path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(PreconditionError, match="payload"):
+            read_field(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        g = make_grid(1, 8, 2.0)
+        data = np.arange(8, dtype=complex)
+        data[3] = np.nan
+        path = tmp_path / "f.frsf"
+        write_field(Field(g, data), path)
+        with pytest.raises(PreconditionError, match="non-finite"):
+            read_field(path)

@@ -329,3 +329,11 @@ def test_hoelder_monotonicity(seed, p1, dp):
     rhs = g.L ** (-1 / p2) * lp_norm(f, p2)
     assert lhs <= rhs * (1 + 1e-12)
     assert rhs <= g.L ** (-0.0) * lp_norm(f, INF) * (1 + 1e-12)
+
+
+def test_bmo_norm_propagates_nan():
+    # Python's max() skips NaN; the norm must not report 0 for non-finite data
+    g = make_grid(2, 32, 2 * np.pi)
+    data = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2)).data.copy()
+    data[3, 5] = np.nan
+    assert np.isnan(bmo_norm(Field(g, data)))

@@ -25,7 +25,6 @@ from fracheat import (
     taylor_green,
 )
 from fracheat.grid import uniform_times
-from fracheat.nse import vector_semigroup_series
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
 
 
@@ -118,7 +117,7 @@ class TestBilinear:
     def test_output_divergence_free(self):
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 8)
-        u = vector_semigroup_series(leray_project(random_vector(g, 7)), times, 1.0)
+        u = semigroup_series(leray_project(random_vector(g, 7)), times, 1.0)
         B = bilinear_form(u, u, 1.0)
         for s in B.snapshots:
             assert lp_norm(divergence(s), 2) < 1e-12
@@ -143,10 +142,10 @@ class TestBilinearBound:
         c = estimate_bilinear_constant(g, alpha, T, q, p, times=times)
         assert np.isfinite(c) and c > 0
         for seed in (901, 902):
-            u = vector_semigroup_series(
+            u = semigroup_series(
                 leray_project(random_vector(g, seed)), times, alpha
             )
-            v = vector_semigroup_series(
+            v = semigroup_series(
                 leray_project(random_vector(g, seed + 50)), times, alpha
             )
             val = mixed_norm(bilinear_form(u, v, alpha), q, p)
@@ -191,7 +190,7 @@ class TestPicard:
         def first_correction(amp):
             g0 = perturbed_taylor_green(g, amp)
             times = uniform_times(T, 16)
-            base = vector_semigroup_series(g0, times, alpha)
+            base = semigroup_series(g0, times, alpha)
             B = bilinear_form(base, base, alpha)
             return mixed_norm(B, q, p)
 

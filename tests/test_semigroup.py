@@ -22,6 +22,8 @@ from fracheat import (
     synthesize_field,
 )
 from fracheat.semigroup import duhamel, semigroup_series
+from fracheat import VectorField
+from fracheat.grid import uniform_times
 
 
 def random_field(g, seed, j_max=2):
@@ -298,3 +300,16 @@ def test_semigroup_series_matches_pointwise():
     for t, snap in zip(ts, series.snapshots):
         direct = apply_semigroup(f, t, 1.1)
         assert np.max(np.abs(snap.to_physical().data - direct.data)) < 1e-13
+
+
+def test_vector_series_match_components_bitwise():
+    g = make_grid(2, 32, 2 * np.pi)
+    comps = [random_field(g, seed) for seed in (3, 4)]
+    times = uniform_times(0.5, 8)
+    t_eval = [0.0, 0.1, 0.26, 0.5]
+    free = semigroup_series(VectorField(tuple(comps)), times, 1.0)
+    duh = duhamel(free, t_eval, 1.0)
+    for c, comp in enumerate(comps):
+        free_c = semigroup_series(comp, times, 1.0)
+        assert np.array_equal(free.data[:, c], free_c.data)
+        assert np.array_equal(duh.data[:, c], duhamel(free_c, t_eval, 1.0).data)
