@@ -102,7 +102,7 @@ class ExperimentConfig:
 
     def getint(self, section, key, default=None):
         v = self.get(section, key)
-        return default if v is None else int(v)
+        return default if v is None else parse_int(key, v)
 
     def as_dict(self) -> dict:
         return {s: dict(kv) for s, kv in self.sections.items()}
@@ -115,6 +115,15 @@ def parse_exponent(text: str) -> float:
     return float(t)
 
 
+def parse_int(key: str, text) -> int:
+    """An integer config value; anything else is a precondition violation
+    naming the key and the value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(f"{key} = {text}: expected an integer") from None
+
+
 def _exp_str(x: float) -> str:
     return "inf" if x == INF else repr(float(x))
 
@@ -124,7 +133,9 @@ def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
     if not sec:
         raise PreconditionError("config is missing a [grid] section")
     return GridSpec(
-        n=int(sec.get("n", 2)), N=int(sec.get("N", 64)), L=parse_exponent(sec.get("L", "6.283185307179586"))
+        n=parse_int("n", sec.get("n", 2)),
+        N=parse_int("N", sec.get("N", 64)),
+        L=parse_exponent(sec.get("L", "6.283185307179586")),
     )
 
 
@@ -134,27 +145,28 @@ def recipe_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int):
     if name == "gaussian_bump":
         return GaussianBump(width=parse_exponent(sec.get("width", str(grid.L / 21))))
     if name == "plane_wave":
-        k = tuple(int(x) for x in sec.get("k", "1" + ",0" * (grid.n - 1)).split(","))
+        k_text = sec.get("k", "1" + ",0" * (grid.n - 1))
+        k = tuple(parse_int("k", x) for x in k_text.split(","))
         return PlaneWave(k=k)
     if name == "random_bandlimited":
         return RandomBandlimited(
-            seed=int(sec.get("seed", seed)),
-            j_min=int(sec.get("j_min", 1)),
-            j_max=int(sec.get("j_max", 3)),
+            seed=parse_int("seed", sec.get("seed", seed)),
+            j_min=parse_int("j_min", sec.get("j_min", 1)),
+            j_max=parse_int("j_max", sec.get("j_max", 3)),
         )
     if name == "random_bumps":
         return RandomBumps(
-            seed=int(sec.get("seed", seed)),
+            seed=parse_int("seed", sec.get("seed", seed)),
             width=parse_exponent(sec.get("width", str(grid.L / 26))),
             spread=parse_exponent(sec.get("spread", str(grid.L / 20))),
-            count=int(sec.get("count", 4)),
+            count=parse_int("count", sec.get("count", 4)),
         )
     if name == "wave_packets":
         return WavePackets(
-            seed=int(sec.get("seed", seed)),
+            seed=parse_int("seed", sec.get("seed", seed)),
             carrier=parse_exponent(sec.get("carrier", "20")),
             width=parse_exponent(sec.get("width", str(grid.L / 21))),
-            count=int(sec.get("count", 3)),
+            count=parse_int("count", sec.get("count", 3)),
             spread=parse_exponent(sec["spread"]) if "spread" in sec else None,
         )
     if name == "windowed_powerlaw":
@@ -376,8 +388,8 @@ def cmd_nse_solve(args) -> int:
     q = parse_exponent(sol.get("q", "4"))
     p = parse_exponent(sol.get("p", "4"))
     tol = parse_exponent(sol.get("tol", "1e-6"))
-    max_iter = int(sol.get("max_iter", 20))
-    nodes = int(sol.get("nodes", 64))
+    max_iter = parse_int("max_iter", sol.get("max_iter", 20))
+    nodes = parse_int("nodes", sol.get("nodes", 64))
     data = cfg.sections.get("data", {})
     amplitude = parse_exponent(data.get("amplitude", "1.0"))
     if data.get("recipe", "perturbed_taylor_green") == "taylor_green":
@@ -409,8 +421,8 @@ def cmd_potential_solve(args) -> int:
     r = sol.get("r")
     s = sol.get("s")
     tol = parse_exponent(sol.get("tol", "1e-10"))
-    nodes = int(sol.get("nodes", 64))
-    f = synthesize_field(grid, recipe_from_config(cfg, grid, args.seed))
+    nodes = parse_int("nodes", sol.get("nodes", 64))
+    f = field_from_config(cfg, grid, args.seed)
     pot = cfg.sections.get("potential", {})
     V = None
     if "constant" in pot:

@@ -20,6 +20,7 @@ map to real fields without asymmetric-mode artifacts.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -149,8 +150,25 @@ def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
     axes = tuple(range(-grid.n, 0))
     scale = grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
     if direction == "forward":
-        return np.fft.fftn(data, axes=axes) * scale
-    return np.fft.ifftn(data, axes=axes) / scale
+        out = np.fft.fftn(data, axes=axes)
+        out *= scale
+    else:
+        out = np.fft.ifftn(data, axes=axes)
+        out /= scale
+    return out
+
+
+# Batched kernels work on this many bytes of input samples at a time: large
+# enough to amortise the per-call cost over small grids, small enough that
+# their temporaries stay near cache size and peak memory stays flat.
+CHUNK_BYTES = 1 << 20
+
+
+def sample_chunks(data: np.ndarray):
+    """Slices of the leading sample axis of `data`, each about CHUNK_BYTES."""
+    sample_bytes = data.itemsize * math.prod(data.shape[1:])
+    step = max(1, CHUNK_BYTES // max(1, sample_bytes))
+    return [slice(i, i + step) for i in range(0, len(data), step)]
 
 
 def transform(f: Field, direction: str) -> Field:
@@ -179,6 +197,11 @@ class VectorField:
         reps = {c.representation for c in self.components}
         if len(grids) != 1 or len(reps) != 1:
             raise PreconditionError("components must share grid and representation")
+
+    @classmethod
+    def from_data(cls, grid: GridSpec, data, representation=PHYSICAL) -> "VectorField":
+        """Split a stacked array (c, *grid.shape) into c component fields."""
+        return cls(tuple(Field(grid, c, representation) for c in data))
 
     @property
     def grid(self) -> GridSpec:
@@ -604,7 +627,7 @@ class TimeSeries:
         g, rep = self.grid, self.representation
         if self.data.ndim == g.n + 1:
             return [Field(g, d, rep) for d in self.data]
-        return [VectorField(tuple(Field(g, c, rep) for c in d)) for d in self.data]
+        return [VectorField.from_data(g, d, rep) for d in self.data]
 
     def to_physical(self) -> "TimeSeries":
         return self._as(PHYSICAL, "inverse")
@@ -618,9 +641,11 @@ class TimeSeries:
         data = _dft(self.data, self.grid, direction)
         return TimeSeries.from_data(self.grid, self.times, data, representation)
 
-    def physical_data(self):
-        """Each sample's physical data, transformed one sample at a time."""
-        for d in self.data:
+    def physical_chunks(self):
+        """Physical data of consecutive sample chunks (see `sample_chunks`),
+        so a reduction never holds a whole-stack physical copy."""
+        for chunk in sample_chunks(self.data):
+            d = self.data[chunk]
             yield d if self.representation == PHYSICAL else _dft(d, self.grid, "inverse")
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":
@@ -684,9 +709,15 @@ def write_field(f: Field, path) -> None:
 
 
 def read_field(path) -> Field:
-    """Load an FRSF file, rejecting a truncated payload or non-finite values."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Load an FRSF file, rejecting a missing or unreadable file, a truncated
+    payload or non-finite values."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise PreconditionError(
+            f"cannot read field file {path}: {exc.strerror}"
+        ) from exc
     if len(raw) < _HEADER.size:
         raise PreconditionError(f"field file {path} is shorter than its header")
     magic, version, n, N, L, rep = _HEADER.unpack_from(raw, 0)

@@ -54,24 +54,29 @@ class NormSpec:
         return bmo_norm(f)
 
 
-def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> float:
-    """L^p norm of physical data: one field, or c components stacked on a
-    leading axis, measured by their pointwise Euclidean magnitude."""
+def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
+    """L^p norms of a stack of physical samples, shape (m, *grid.shape) or
+    (m, c, *grid.shape); c components are measured by their pointwise
+    Euclidean magnitude.  Returns the m norms."""
     if not p >= 1:
         raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
-    if phys.ndim == grid.n:
+    if phys.ndim == grid.n + 1:
         mag = np.abs(phys)
     else:
-        mag = np.sqrt(sum(np.abs(c) ** 2 for c in phys))
+        mag = np.sqrt(sum(np.abs(phys[:, c]) ** 2 for c in range(phys.shape[1])))
+    mag = mag.reshape(len(mag), -1)
     if p == INF:
-        return float(mag.max())
-    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+        return mag.max(axis=1)
+    sums = np.sum(mag**p, axis=1) * grid.cell_volume
+    # the root is taken sample by sample: numpy's vectorised pow can differ
+    # from the scalar one in the last bit, which would move reported norms
+    return np.array([s ** (1.0 / p) for s in sums])
 
 
 def lp_norm(f, p: float) -> float:
     """Cell-volume-weighted L^p norm of a Field or VectorField; p = inf is
     the max over grid points."""
-    return _lp(f.to_physical().data, f.grid, p)
+    return float(_lp(f.to_physical().data[None], f.grid, p)[0])
 
 
 def mixed_norm(
@@ -86,7 +91,7 @@ def mixed_norm(
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
     if spatial is None:
-        vals = np.array([_lp(d, u.grid, p) for d in u.physical_data()])
+        vals = np.concatenate([_lp(d, u.grid, p) for d in u.physical_chunks()])
     else:
         vals = np.array([spatial(s) for s in u.snapshots])
     if q == INF:

@@ -229,3 +229,71 @@ class TestInputValidation:
             grid = grid_from_config(cfg)
             fields.append(synthesize_field(grid, recipe_from_config(cfg, grid, 0)).data)
         assert not np.allclose(fields[0], fields[1])
+
+    POTENTIAL_CFG = (
+        "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n"
+        "[solver]\nalpha = 1.0\nT = 0.5\nq = 4\np = 4\nnodes = 16\ntol = 1e-9\n\n"
+        "[potential]\nconstant = 2.0\n\n"
+    )
+
+    def _potential_bound(self, tmp_path, name, data):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(self.POTENTIAL_CFG + data)
+        out = tmp_path / name
+        rc = main(["--out", str(out), "potential-solve", "--config", str(cfg)])
+        assert rc == 0
+        return json.loads((out / "potential_solve.json").read_text())["results"]["bound_constant"]
+
+    def test_potential_solve_reads_field_file(self, tmp_path, capsys):
+        prop = tmp_path / "prop.cfg"
+        prop.write_text(
+            "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n"
+            "[data]\nrecipe = random_bandlimited\nseed = 3\nj_min = 1\nj_max = 2\n\n"
+            "[solver]\nalpha = 1.0\nT = 0.1\nnodes = 4\n"
+        )
+        assert main(["--out", str(tmp_path / "p"), "propagate", "--config", str(prop)]) == 0
+        field = tmp_path / "p" / "final_field.frsf"
+        default = self._potential_bound(tmp_path, "default", "")
+        from_file = self._potential_bound(tmp_path, "file", f"[data]\nfield_file = {field}\n")
+        assert from_file != default
+        cfg = self._config(tmp_path, self._field_file(tmp_path, 16), N=32)
+        rc = main(["--out", str(tmp_path / "o"), "potential-solve", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "N=16" in err and "N=32" in err
+
+    @pytest.mark.parametrize("command", ["norm", "propagate", "potential-solve"])
+    def test_missing_field_file_exit_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.frsf"
+        cfg = self._config(tmp_path, missing)
+        rc = main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "recipe, key, value",
+        [
+            ("plane_wave", "k", "1.5,0"),
+            ("random_bandlimited", "seed", "1.5"),
+            ("random_bumps", "count", "2.5"),
+            ("random_bandlimited", "j_min", "one"),
+            ("random_bandlimited", "j_max", "3.0"),
+        ],
+    )
+    def test_non_integer_recipe_key_exit_2(self, tmp_path, capsys, recipe, key, value):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text(
+            "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n"
+            f"[data]\nrecipe = {recipe}\n{key} = {value}\n\n[norm]\nkind = lebesgue\n"
+        )
+        rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and value.split(",")[0] in err
+
+    def test_non_integer_grid_size_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("[grid]\nn = 2\nN = 32.0\nL = 6.283185307179586\n")
+        rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)])
+        assert rc == 2
+        assert "N = 32.0" in capsys.readouterr().err

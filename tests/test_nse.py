@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracheat import (
     ConvergenceError,
@@ -24,13 +25,14 @@ from fracheat import (
     synthesize_field,
     taylor_green,
 )
-from fracheat.grid import uniform_times
+from fracheat.grid import CHUNK_BYTES, uniform_times
+from fracheat.nse import _leray, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
 
 
-def random_vector(g, seed):
+def random_vector(g, seed, j_max=2):
     comps = [
-        synthesize_field(g, RandomBandlimited(seed=seed + 11 * c, j_min=1, j_max=2))
+        synthesize_field(g, RandomBandlimited(seed=seed + 11 * c, j_min=1, j_max=j_max))
         for c in range(g.n)
     ]
     return VectorField(tuple(comps))
@@ -129,6 +131,79 @@ class TestBilinear:
         B = TimeSeries(uniform_times(2.0, 4), [z.copy() for _ in range(5)])
         with pytest.raises(PreconditionError):
             bilinear_form(A, B, 1.0)
+
+
+def _tensor_divergence_oracle(u, v):
+    """Per-snapshot spectral P div(u x v) by the direct physical-space
+    recipe: every factor transformed separately, all n^2 products formed,
+    the divergence assembled in physical space and projected per mode
+    (about 20 transforms per snapshot for n = 2)."""
+    g = u.grid
+    mask = dealias_mask(g)
+    xi = g.deriv_frequencies
+    uphys = [np.fft.ifftn(np.fft.fftn(c.to_physical().data) * mask) for c in u.components]
+    vphys = [np.fft.ifftn(np.fft.fftn(c.to_physical().data) * mask) for c in v.components]
+    out = []
+    for j in range(g.n):
+        acc = np.zeros(g.shape, dtype=np.complex128)
+        for k in range(g.n):
+            acc += 1j * xi[k] * np.fft.fftn(uphys[k] * vphys[j]) * mask
+        out.append(Field(g, np.fft.ifftn(acc), "physical").to_spectral().data)
+    q2 = sum(x**2 for x in xi)
+    dot = sum(x * d for x, d in zip(xi, out))
+    factor = np.where(q2 > 0, dot / np.where(q2 > 0, q2, 1.0), 0.0)
+    return np.stack([d - x * factor for d, x in zip(out, xi)])
+
+
+class TestStackedNonlinearity:
+    @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_matches_per_snapshot_oracle(self, n, N, same):
+        g = make_grid(n, N, 2 * np.pi)
+        times = uniform_times(0.5, 40)
+        u = semigroup_series(leray_project(random_vector(g, 3, j_max=1)), times, 1.0)
+        v = u if same else semigroup_series(
+            leray_project(random_vector(g, 8, j_max=1)), times, 1.0
+        )
+        per_chunk = CHUNK_BYTES // u.data[0].nbytes
+        assert 1 < per_chunk < len(u) and len(u) % per_chunk  # a ragged last chunk
+        W = TimeSeries.from_data(g, times, [
+            _tensor_divergence_oracle(a, b) for a, b in zip(u.snapshots, v.snapshots)
+        ])
+        want = duhamel(W, times, 1.0).data
+        got = bilinear_form(u, v, 1.0).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("same, budget", [(True, 5), (False, 8)])
+    def test_fft_budget(self, fft_count, same, budget):
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 40)
+        u = semigroup_series(leray_project(random_vector(g, 3)), times, 1.0)
+        v = u if same else semigroup_series(leray_project(random_vector(g, 8)), times, 1.0)
+        fft_count.clear()
+        bilinear_form(u, v, 1.0)
+        assert 0 < fft_count["points"] <= budget * len(times) * g.N**2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        N=st.sampled_from([8, 16]),
+        m=st.integers(1, 3),
+        L=st.floats(0.5, 20.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_leray_on_stacks(self, n, N, m, L, seed):
+        g = make_grid(n, N, L)
+        rng = np.random.default_rng(seed)
+        shape = (m, n, *g.shape)
+        uh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        once = _leray(uh, g)
+        scale = np.max(np.abs(uh))
+        assert np.max(np.abs(_leray(once, g) - once)) <= 1e-13 * scale
+        div = sum(1j * x * once[:, k] for k, x in enumerate(g.deriv_frequencies))
+        assert np.max(np.abs(div)) <= 1e-13 * scale * g.nyquist
+        zero = (slice(None), slice(None)) + (0,) * n
+        assert np.array_equal(once[zero], uh[zero])
 
 
 class TestBilinearBound:

@@ -1,5 +1,7 @@
 """Propagator algebra, kernel facts, fractional derivatives, Duhamel quadrature."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from fracheat import (
     riesz_transform,
     synthesize_field,
 )
-from fracheat.semigroup import duhamel, semigroup_series
+from fracheat.semigroup import _phi1, _phi2, duhamel, semigroup_series
 from fracheat import VectorField
 from fracheat.grid import uniform_times
 
@@ -313,3 +315,43 @@ def test_vector_series_match_components_bitwise():
         free_c = semigroup_series(comp, times, 1.0)
         assert np.array_equal(free.data[:, c], free_c.data)
         assert np.array_equal(duh.data[:, c], duhamel(free_c, t_eval, 1.0).data)
+
+
+def _phi2_exact(z: float) -> float:
+    """(e^z - 1 - z)/z^2 = sum_k z^k/(k+2)! in exact rational arithmetic."""
+    zf, term, total, k = Fraction(z), Fraction(1, 2), Fraction(0), 0
+    while abs(term) > Fraction(1, 10**30):
+        total += term
+        k += 1
+        term = term * zf / (k + 2)
+    return float(total)
+
+
+def test_phi2_matches_exact_series():
+    # expm1(z) - z cancels for small |z|: the closed form alone is off by
+    # about 2 eps/|z| there (1e-11 near |z| = 1e-5)
+    zs = np.concatenate([-np.logspace(-7, 0, 300), [-1.0001e-5, -1e-5, -0.05]])
+    got = _phi2(zs)
+    ref = np.array([_phi2_exact(float(z)) for z in zs])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_duhamel_reuses_coefficients_per_step():
+    # uneven steps exercise several cached step sizes; the march must equal
+    # the step-by-step ETD2 update
+    g = make_grid(1, 16, 2 * np.pi)
+    times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])
+    rng = np.random.default_rng(4)
+    Fhat = rng.standard_normal((len(times), 16)) + 1j * rng.standard_normal((len(times), 16))
+    F = TimeSeries.from_data(g, times, Fhat)
+    lam = g.abs_freq**2
+    I = np.zeros(16, complex)
+    expected = [I]
+    for i in range(len(times) - 1):
+        h = times[i + 1] - times[i]
+        z = -lam * h
+        p1, p2 = _phi1(z), _phi2(z)
+        I = np.exp(z) * I + h * (Fhat[i] * (p1 - p2) + Fhat[i + 1] * p2)
+        expected.append(I)
+    got = duhamel(F, times, 1.0).data
+    assert np.array_equal(got, np.array(expected))
