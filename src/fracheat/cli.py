@@ -39,7 +39,7 @@ from .grid import (
     uniform_times,
     write_field,
 )
-from .norms import NormSpec, lp_norm
+from .norms import NormSpec, lp_norms
 from .semigroup import semigroup_series
 from .estimates import (
     DECAY_BATTERY,
@@ -96,9 +96,7 @@ class ExperimentConfig:
 
     def getfloat(self, section, key, default=None):
         v = self.get(section, key)
-        if v is None:
-            return default
-        return parse_exponent(v)
+        return default if v is None else parse_exponent(v, key)
 
     def getint(self, section, key, default=None):
         v = self.get(section, key)
@@ -108,11 +106,16 @@ class ExperimentConfig:
         return {s: dict(kv) for s, kv in self.sections.items()}
 
 
-def parse_exponent(text: str) -> float:
+def parse_exponent(text: str, key: str = "exponent") -> float:
+    """A real config value or flag, "inf" included; anything else is a
+    precondition violation naming the key and the value."""
     t = str(text).strip().lower()
     if t in ("inf", "infinity", "oo"):
         return INF
-    return float(t)
+    try:
+        return float(t)
+    except ValueError:
+        raise PreconditionError(f"{key} = {text}: expected a number or inf") from None
 
 
 def parse_int(key: str, text) -> int:
@@ -129,48 +132,46 @@ def _exp_str(x: float) -> str:
 
 
 def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
-    sec = cfg.sections.get("grid")
-    if not sec:
+    if not cfg.sections.get("grid"):
         raise PreconditionError("config is missing a [grid] section")
     return GridSpec(
-        n=parse_int("n", sec.get("n", 2)),
-        N=parse_int("N", sec.get("N", 64)),
-        L=parse_exponent(sec.get("L", "6.283185307179586")),
+        n=cfg.getint("grid", "n", 2),
+        N=cfg.getint("grid", "N", 64),
+        L=cfg.getfloat("grid", "L", 6.283185307179586),
     )
 
 
 def recipe_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int):
-    sec = cfg.sections.get("data", {})
-    name = sec.get("recipe", "gaussian_bump")
+    name = cfg.get("data", "recipe", "gaussian_bump")
+    get, getint = cfg.getfloat, cfg.getint
     if name == "gaussian_bump":
-        return GaussianBump(width=parse_exponent(sec.get("width", str(grid.L / 21))))
+        return GaussianBump(width=get("data", "width", grid.L / 21))
     if name == "plane_wave":
-        k_text = sec.get("k", "1" + ",0" * (grid.n - 1))
-        k = tuple(parse_int("k", x) for x in k_text.split(","))
-        return PlaneWave(k=k)
+        k_text = cfg.get("data", "k", "1" + ",0" * (grid.n - 1))
+        return PlaneWave(k=tuple(parse_int("k", x) for x in k_text.split(",")))
     if name == "random_bandlimited":
         return RandomBandlimited(
-            seed=parse_int("seed", sec.get("seed", seed)),
-            j_min=parse_int("j_min", sec.get("j_min", 1)),
-            j_max=parse_int("j_max", sec.get("j_max", 3)),
+            seed=getint("data", "seed", seed),
+            j_min=getint("data", "j_min", 1),
+            j_max=getint("data", "j_max", 3),
         )
     if name == "random_bumps":
         return RandomBumps(
-            seed=parse_int("seed", sec.get("seed", seed)),
-            width=parse_exponent(sec.get("width", str(grid.L / 26))),
-            spread=parse_exponent(sec.get("spread", str(grid.L / 20))),
-            count=parse_int("count", sec.get("count", 4)),
+            seed=getint("data", "seed", seed),
+            width=get("data", "width", grid.L / 26),
+            spread=get("data", "spread", grid.L / 20),
+            count=getint("data", "count", 4),
         )
     if name == "wave_packets":
         return WavePackets(
-            seed=parse_int("seed", sec.get("seed", seed)),
-            carrier=parse_exponent(sec.get("carrier", "20")),
-            width=parse_exponent(sec.get("width", str(grid.L / 21))),
-            count=parse_int("count", sec.get("count", 3)),
-            spread=parse_exponent(sec["spread"]) if "spread" in sec else None,
+            seed=getint("data", "seed", seed),
+            carrier=get("data", "carrier", 20.0),
+            width=get("data", "width", grid.L / 21),
+            count=getint("data", "count", 3),
+            spread=get("data", "spread"),
         )
     if name == "windowed_powerlaw":
-        return WindowedPowerlaw(decay=parse_exponent(sec.get("decay", "1.0")))
+        return WindowedPowerlaw(decay=get("data", "decay", 1.0))
     raise PreconditionError(f"unknown data recipe {name!r}")
 
 
@@ -242,96 +243,78 @@ def _base_payload(command: str, cfg: ExperimentConfig | None, args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (config or None, args) and returns (results, csv rows);
+# `main` writes <command>.json and, for rows, <command>.csv
 # ---------------------------------------------------------------------------
 
 
-def cmd_propagate(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
     alpha = cfg.getfloat("solver", "alpha", 1.0)
     T = cfg.getfloat("solver", "T", 1.0)
-    m = cfg.getint("solver", "nodes", 32)
-    times = uniform_times(T, m)
+    times = uniform_times(T, cfg.getint("solver", "nodes", 32))
     series = semigroup_series(f, times, alpha)
-    snaps = series.snapshots
+    l2, linf = lp_norms(series, 2).tolist(), lp_norms(series, INF).tolist()
     rows = [
-        {"t": t, "l2": lp_norm(s, 2), "linf": lp_norm(s, INF)}
-        for t, s in zip(series.times, snaps)
+        {"t": t, "l2": a, "linf": b} for t, a, b in zip(series.times.tolist(), l2, linf)
     ]
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    write_field(snaps[-1].to_physical(), final_path)
-    payload = _base_payload("propagate", cfg, args)
-    payload["results"] = {
+    write_field(series.snapshots[-1].to_physical(), final_path)
+    results = {
         "alpha": alpha,
         "T": T,
         "final_l2": rows[-1]["l2"],
         "final_field": str(final_path),
     }
-    write_report(out, "propagate", payload)
-    write_csv(out, "propagate", rows)
-    return 0
+    return results, rows
 
 
-def cmd_norm(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+def cmd_norm(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
-    sec = cfg.sections.get("norm", {})
     spec = NormSpec(
-        kind=sec.get("kind", "lebesgue"),
-        p=parse_exponent(sec.get("p", "2")),
-        s=parse_exponent(sec.get("s", "0")),
-        q=parse_exponent(sec.get("q", "2")),
-        homogeneous=sec.get("homogeneous", "true").lower() != "false",
+        kind=cfg.get("norm", "kind", "lebesgue"),
+        p=cfg.getfloat("norm", "p", 2.0),
+        s=cfg.getfloat("norm", "s", 0.0),
+        q=cfg.getfloat("norm", "q", 2.0),
+        homogeneous=cfg.get("norm", "homogeneous", "true").lower() != "false",
     )
-    value = spec.compute(f)
-    payload = _base_payload("norm", cfg, args)
-    payload["results"] = {"kind": spec.kind, "value": value}
-    write_report(Path(args.out), "norm", payload)
-    return 0
+    return {"kind": spec.kind, "value": spec.compute(f)}, []
 
 
-def cmd_verify(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+def cmd_verify(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     grid = grid_from_config(cfg)
-    sweep = cfg.sections.get("sweep", {})
-    estimate = args.estimate or sweep.get("estimate", "homogeneous")
-    lambdas = parse_lambdas(sweep.get("lambdas", "1,2,4"))
-    alpha = parse_exponent(sweep.get("alpha", "1.0"))
+    get = cfg.getfloat
+    estimate = args.estimate or cfg.get("sweep", "estimate", "homogeneous")
+    lambdas = parse_lambdas(cfg.get("sweep", "lambdas", "1,2,4"))
     params = {
-        "alpha": alpha,
-        "q": parse_exponent(sweep.get("q", "4")),
-        "p": parse_exponent(sweep.get("p", "4")),
-        "T": parse_exponent(sweep.get("T", "0.05")),
-        "kind": sweep.get("kind", "lebesgue"),
-        "s": parse_exponent(sweep.get("s", "0")),
+        "alpha": get("sweep", "alpha", 1.0),
+        "q": get("sweep", "q", 4.0),
+        "p": get("sweep", "p", 4.0),
+        "T": get("sweep", "T", 0.05),
+        "kind": cfg.get("sweep", "kind", "lebesgue"),
+        "s": get("sweep", "s", 0.0),
     }
     if estimate == "parabolic":
-        params["s_min"] = parse_exponent(sweep.get("s_min", "1e-6"))
-        params["s_max"] = parse_exponent(sweep.get("s_max", "6.0"))
+        params["s_min"] = get("sweep", "s_min", 1e-6)
+        params["s_max"] = get("sweep", "s_max", 6.0)
     if estimate == "inhomogeneous":
-        params["q1"] = parse_exponent(sweep.get("q1", "4"))
-        params["p1"] = parse_exponent(sweep.get("p1", "4"))
+        params["q1"] = get("sweep", "q1", 4.0)
+        params["p1"] = get("sweep", "p1", 4.0)
         T = params["T"]
         params["times"] = uniform_times(T, cfg.getint("sweep", "nodes", 48))
         tau = T / 3.0
         params["profile"] = lambda t: (t / tau) * np.exp(-t / tau)
     recipe = recipe_from_config(cfg, grid, args.seed)
-    drift_tol = parse_exponent(sweep.get("drift_tol", "0.01"))
+    drift_tol = get("sweep", "drift_tol", 0.01)
     report = dilation_sweep(recipe, grid, lambdas, estimate, params, drift_tol=drift_tol)
-    payload = _base_payload("verify", cfg, args)
-    payload["results"] = report.to_json_dict()
-    out = Path(args.out)
-    write_report(out, "verify", payload)
-    write_csv(out, "verify", report.csv_rows())
-    return 0
+    return report.to_json_dict(), report.csv_rows()
 
 
-def cmd_decay_fit(args) -> int:
+def cmd_decay_fit(cfg: None, args) -> tuple[dict, list]:
     n, alpha = args.n, args.alpha
-    r, p = parse_exponent(args.r), parse_exponent(args.p)
+    r, p = parse_exponent(args.r, "--r"), parse_exponent(args.p, "--p")
     key = (n, alpha, r, p)
     if key not in DECAY_BATTERY:
         raise PreconditionError(
@@ -339,8 +322,7 @@ def cmd_decay_fit(args) -> int:
             f"available: {sorted(DECAY_BATTERY)}"
         )
     fit = run_decay_case(n, alpha, r, p, gradient=args.gradient)
-    payload = _base_payload("decay-fit", None, args)
-    payload["results"] = {
+    results = {
         "n": n,
         "alpha": alpha,
         "r": _exp_str(r),
@@ -351,109 +333,93 @@ def cmd_decay_fit(args) -> int:
         "relative_error": fit.relative_error,
         "contamination": fit.contamination,
     }
-    out = Path(args.out)
-    write_report(out, "decay_fit", payload)
     rows = [
         {"t": t, "norm": v} for t, v in zip(fit.times.tolist(), fit.norms.tolist())
     ]
-    write_csv(out, "decay_fit", rows)
-    return 0
+    return results, rows
 
 
-def cmd_kernel_norm(args) -> int:
+def cmd_kernel_norm(cfg: None, args) -> tuple[dict, list]:
     fit = kernel_mixed_norm_fit(
         alpha=args.alpha,
-        h=parse_exponent(args.h),
-        r=parse_exponent(args.r),
+        h=parse_exponent(args.h, "--h"),
+        r=parse_exponent(args.r, "--r"),
         T=args.T,
         n=args.n,
     )
-    payload = _base_payload("kernel-norm", None, args)
-    payload["results"] = {
+    results = {
         "norm_T": fit.norm_T,
         "fitted_exponent": fit.fitted_exponent,
         "predicted_exponent": fit.predicted_exponent,
         "window_value": fit.window_value,
     }
-    write_report(Path(args.out), "kernel_norm", payload)
-    return 0
+    return results, []
 
 
-def cmd_nse_solve(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+_NSE_RECIPES = {
+    "taylor_green": taylor_green,
+    "perturbed_taylor_green": perturbed_taylor_green,
+}
+
+
+def cmd_nse_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     grid = grid_from_config(cfg)
-    sol = cfg.sections.get("solver", {})
-    alpha = parse_exponent(sol.get("alpha", "1.0"))
-    T = parse_exponent(sol.get("T", "1.0"))
-    q = parse_exponent(sol.get("q", "4"))
-    p = parse_exponent(sol.get("p", "4"))
-    tol = parse_exponent(sol.get("tol", "1e-6"))
-    max_iter = parse_int("max_iter", sol.get("max_iter", 20))
-    nodes = parse_int("nodes", sol.get("nodes", 64))
-    data = cfg.sections.get("data", {})
-    amplitude = parse_exponent(data.get("amplitude", "1.0"))
-    if data.get("recipe", "perturbed_taylor_green") == "taylor_green":
-        g0 = taylor_green(grid, amplitude)
-    else:
-        g0 = perturbed_taylor_green(grid, amplitude)
+    get = cfg.getfloat
+    if cfg.get("data", "field_file"):
+        raise PreconditionError("nse-solve takes no [data] field_file; set a recipe")
+    recipe = cfg.get("data", "recipe", "perturbed_taylor_green")
+    if recipe not in _NSE_RECIPES:
+        raise PreconditionError(
+            f"nse-solve data recipe {recipe!r} is not one of {sorted(_NSE_RECIPES)}"
+        )
+    g0 = _NSE_RECIPES[recipe](grid, get("data", "amplitude", 1.0))
     v, report = solve_nse_picard(
-        g0, None, alpha, T, q, p, tol=tol, max_iter=max_iter, nodes=nodes
+        g0,
+        None,
+        get("solver", "alpha", 1.0),
+        get("solver", "T", 1.0),
+        get("solver", "q", 4.0),
+        get("solver", "p", 4.0),
+        tol=get("solver", "tol", 1e-6),
+        max_iter=cfg.getint("solver", "max_iter", 20),
+        nodes=cfg.getint("solver", "nodes", 64),
     )
-    payload = _base_payload("nse-solve", cfg, args)
-    payload["results"] = report.to_json_dict()
-    out = Path(args.out)
-    write_report(out, "nse_solve", payload)
     rows = [
-        {"t": t, "l2": lp_norm(s, 2)} for t, s in zip(v.times, v.snapshots)
+        {"t": t, "l2": l2} for t, l2 in zip(v.times.tolist(), lp_norms(v, 2).tolist())
     ]
-    write_csv(out, "nse_solve", rows)
-    return 0
+    return report.to_json_dict(), rows
 
 
-def cmd_potential_solve(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+def cmd_potential_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     grid = grid_from_config(cfg)
-    sol = cfg.sections.get("solver", {})
-    alpha = parse_exponent(sol.get("alpha", "1.0"))
-    T = parse_exponent(sol.get("T", "1.0"))
-    q = parse_exponent(sol.get("q", "4"))
-    p = parse_exponent(sol.get("p", "4"))
-    r = sol.get("r")
-    s = sol.get("s")
-    tol = parse_exponent(sol.get("tol", "1e-10"))
-    nodes = parse_int("nodes", sol.get("nodes", 64))
+    get = cfg.getfloat
+    T = get("solver", "T", 1.0)
     f = field_from_config(cfg, grid, args.seed)
-    pot = cfg.sections.get("potential", {})
     V = None
-    if "constant" in pot:
-        c = parse_exponent(pot["constant"])
+    c = get("potential", "constant")
+    if c is not None:
         V = TimeSeries(
             np.array([0.0, T]),
             [Field(grid, np.full(grid.shape, c, dtype=np.complex128))] * 2,
         )
-    solution, report = solve_potential_eq(
+    _, report = solve_potential_eq(
         f,
         None,
         V,
-        alpha=alpha,
+        alpha=get("solver", "alpha", 1.0),
         T=T,
-        q=q,
-        p=p,
-        r=parse_exponent(r) if r else None,
-        s=parse_exponent(s) if s else None,
-        tol=tol,
-        nodes=nodes,
+        q=get("solver", "q", 4.0),
+        p=get("solver", "p", 4.0),
+        r=get("solver", "r"),
+        s=get("solver", "s"),
+        tol=get("solver", "tol", 1e-10),
+        nodes=cfg.getint("solver", "nodes", 64),
     )
-    payload = _base_payload("potential-solve", cfg, args)
-    payload["results"] = report.to_json_dict()
-    out = Path(args.out)
-    write_report(out, "potential_solve", payload)
     rows = [
         {"t0": a, "t1": b, "factor": fac, "iterations": it}
         for a, b, fac, it in report.subintervals
     ]
-    write_csv(out, "potential_solve", rows)
-    return 0
+    return report.to_json_dict(), rows
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", default=None)
 
     p = sub.add_parser("decay-fit")
+    p.set_defaults(config=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--r", required=True)
@@ -492,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gradient", action="store_true")
 
     p = sub.add_parser("kernel-norm")
+    p.set_defaults(config=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h", required=True)
@@ -514,7 +482,14 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        cfg = None if args.config is None else ExperimentConfig.load(args.config)
+        results, rows = _DISPATCH[args.command](cfg, args)
+        payload = _base_payload(args.command, cfg, args)
+        payload["results"] = results
+        out, stem = Path(args.out), args.command.replace("-", "_")
+        write_report(out, stem, payload)
+        write_csv(out, stem, rows)
+        return 0
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2

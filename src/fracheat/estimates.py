@@ -147,7 +147,7 @@ def homogeneous_ratio(
     ts = times if times is not None else default_time_grid(T)
     series = semigroup_series(f, ts, a)
     spec = NormSpec(kind, p=p, s=s)
-    num = mixed_norm(series, q, spatial=lambda u: spec.compute(u, partition))
+    num = mixed_norm(series, q, spec, partition)
     return num / denom
 
 
@@ -191,12 +191,12 @@ def inhomogeneous_ratio(
 
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
     den_spec = NormSpec(kind, p=p1c, s=s)
-    denom = mixed_norm(F, q1c, spatial=lambda u: den_spec.compute(u, partition))
+    denom = mixed_norm(F, q1c, den_spec, partition)
     if denom == 0.0:
         raise PreconditionError("zero forcing: ratio undefined")
     sol = duhamel(F, F.times, alpha)
     num_spec = NormSpec(num_kind, p=p, s=s)
-    num = mixed_norm(sol, q, spatial=lambda u: num_spec.compute(u, partition))
+    num = mixed_norm(sol, q, num_spec, partition)
     return num / denom
 
 

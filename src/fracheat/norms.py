@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -79,21 +78,30 @@ def lp_norm(f, p: float) -> float:
     return float(_lp(f.to_physical().data[None], f.grid, p)[0])
 
 
+def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
+    """L^p norm of every sample of a series, one chunk of samples at a time."""
+    return np.concatenate([_lp(d, u.grid, p) for d in u.physical_chunks()])
+
+
 def mixed_norm(
     u: TimeSeries,
     q: float,
-    p: float | None = None,
-    spatial: Callable | None = None,
+    p: "float | NormSpec",
+    partition: "DyadicPartition | None" = None,
 ) -> float:
-    """L^q in time of a spatial norm (L^p by default) over the sample grid."""
+    """L^q in time over the sample grid of a spatial norm: L^p for a number
+    p, or the norm a NormSpec selects (its Lebesgue kind reduces chunks of
+    samples; the others are computed sample by sample)."""
     if len(u) < 2:
         raise PreconditionError("mixed norm needs at least two time samples")
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
-    if spatial is None:
-        vals = np.concatenate([_lp(d, u.grid, p) for d in u.physical_chunks()])
+    if not isinstance(p, NormSpec):
+        vals = lp_norms(u, p)
+    elif p.kind == "lebesgue":
+        vals = lp_norms(u, p.p)
     else:
-        vals = np.array([spatial(s) for s in u.snapshots])
+        vals = np.array([p.compute(s, partition) for s in u.snapshots])
     if q == INF:
         return float(vals.max())
     return float(np.trapezoid(vals**q, u.times) ** (1.0 / q))

@@ -227,6 +227,37 @@ def estimate_bilinear_constant(
     return best
 
 
+def _contraction_ratios(residuals: list) -> list:
+    """Ratios of consecutive fixed-point residuals (zero residuals skipped)."""
+    return [b / a for a, b in zip(residuals, residuals[1:]) if a > 0]
+
+
+def _factor(residuals: list) -> float:
+    """Measured contraction factor: the largest ratio, 0 before there is one."""
+    return max(_contraction_ratios(residuals), default=0.0)
+
+
+def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None):
+    """Iterate v -> apply_map(v) from v0 until the relative step
+    ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x falls below tol.
+
+    With max_factor, gives up from the third iterate on once a contraction
+    ratio exceeds it.  Returns the last iterate, the residuals, whether tol
+    was reached and the last iterate's mixed norm.
+    """
+    v, norm, residuals = v0, None, []
+    for it in range(1, max_iter + 1):
+        v_next = apply_map(v)
+        norm = mixed_norm(v_next, q, p)
+        residuals.append(mixed_norm(v_next - v, q, p) / (norm or 1.0))
+        v = v_next
+        if residuals[-1] < tol:
+            return v, residuals, True, norm
+        if max_factor is not None and it >= 3 and _factor(residuals) > max_factor:
+            break
+    return v, residuals, False, norm
+
+
 @dataclass
 class PicardReport:
     """Convergence record of one mild-solution fixed-point solve."""
@@ -241,11 +272,7 @@ class PicardReport:
 
     @property
     def contraction_ratios(self) -> list:
-        return [
-            self.residuals[i + 1] / self.residuals[i]
-            for i in range(len(self.residuals) - 1)
-            if self.residuals[i] > 0
-        ]
+        return _contraction_ratios(self.residuals)
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,23 +347,14 @@ def solve_nse_picard(
             f"(a={a_val:.3e}, C_est={c_est:.3e})"
         )
 
-    v = base
-    residuals = []
-    converged = False
-    for it in range(1, max_iter + 1):
-        v_next = base - bilinear_form(v, v, alpha)
-        denom = mixed_norm(v_next, q, p)
-        res = mixed_norm(v_next - v, q, p) / denom if denom > 0 else 0.0
-        residuals.append(float(res))
-        v = v_next
-        if res < tol:
-            converged = True
-            break
+    v, residuals, converged, final_norm = _fixed_point(
+        lambda v: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter
+    )
     report = PicardReport(
         residuals=residuals,
         converged=converged,
         iterations=len(residuals),
-        final_norm=float(mixed_norm(v, q, p)),
+        final_norm=final_norm,
         radius=float(2 * a_val),
         data_functional=float(a_val),
         bilinear_constant=float(c_est),
@@ -407,12 +425,19 @@ def solve_potential_eq(
 
     [0, T] is split adaptively until the measured contraction factor on
     each subinterval is <= 1/2; the solution is assembled by restarting
-    from the subinterval endpoint.  When the integrability pair (r, s) of
-    the potential is declared it must satisfy 1/r + n/(2 alpha s) = 1.
+    from the subinterval endpoint.  The integrability pair (r, s) of the
+    potential is declared whole or not at all; declared, it must satisfy
+    1/r + n/(2 alpha s) = 1.
     """
     grid = f.grid
     n = grid.n
-    if r is not None and s is not None:
+    if (r is None) != (s is None):
+        missing = "s" if s is None else "r"
+        raise PreconditionError(
+            f"potential integrability pair (r, s) is half-declared: "
+            f"{missing} is missing"
+        )
+    if r is not None:
         res = 1.0 / r + n / (2 * alpha * s) - 1.0
         if abs(res) > 1e-9:
             raise PreconditionError(
@@ -456,30 +481,14 @@ def solve_potential_eq(
                 return base + integ
 
             zero = TimeSeries.from_data(grid, loc, np.zeros_like(forcing))
-            v = apply_map(zero)
-            factor = 0.0
-            converged = False
-            iters = 0
-            prev_res = None
-            for it in range(1, max_iter + 1):
-                v_next = apply_map(v)
-                denom = mixed_norm(v_next, q, p) or 1.0
-                resid = mixed_norm(v_next - v, q, p) / denom
-                iters = it
-                if prev_res is not None and prev_res > 0:
-                    factor = max(factor, resid / prev_res)
-                prev_res = resid
-                v = v_next
-                if resid < tol:
-                    converged = True
-                    break
-                if it >= 3 and factor > 0.5:
-                    break  # not contractive enough; halve the interval
-            measured = factor
+            v, residuals, converged, _ = _fixed_point(
+                apply_map, apply_map(zero), q, p, tol, max_iter, max_factor=0.5
+            )
+            measured = _factor(residuals)
             if converged and measured <= 0.5 + 1e-9:
                 break
             t1 = t0 + length / 2  # not contractive enough: halve and retry
-        subreports.append((t0, t1, float(measured), iters))
+        subreports.append((t0, t1, float(measured), len(residuals)))
         start = 1 if all_data else 0
         all_times.extend(t0 + loc[start:])
         all_data.append(v.data[start:])

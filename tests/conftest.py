@@ -21,3 +21,22 @@ def fft_count(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return count
+
+
+@pytest.fixture
+def call_count(monkeypatch):
+    """call_count(module, name) counts the calls made through the attribute
+    `name` of `module` during the test; returns a Counter keyed by name."""
+    count = Counter()
+
+    def wrap(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            count[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return count
+
+    return wrap

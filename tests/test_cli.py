@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fracheat import GaussianBump, make_grid, synthesize_field, write_field
+from fracheat import GaussianBump, __version__, make_grid, synthesize_field, write_field
 from fracheat.cli import ExperimentConfig, main, parse_exponent
 from fracheat.cli import grid_from_config, recipe_from_config
 
@@ -165,6 +165,47 @@ class TestCommands:
         assert rc == 2
 
 
+class TestCommandSkeleton:
+    """Every command goes through one report path in `main`."""
+
+    TINY_GRID = "[grid]\nn = 1\nN = 16\nL = 6.283185307179586\n\n"
+    CONFIGS = {
+        "propagate": TINY_GRID + "[solver]\nT = 0.1\nnodes = 4\n",
+        "norm": TINY_GRID + "[norm]\nkind = lebesgue\np = 4\n",
+        "verify": BASE_CFG,
+        "nse-solve": (
+            "[grid]\nn = 2\nN = 16\nL = 6.283185307179586\n\n"
+            "[solver]\nT = 0.2\nnodes = 8\n\n[data]\namplitude = 0.2\n"
+        ),
+        "potential-solve": TINY_GRID + "[solver]\nT = 0.2\nnodes = 16\n",
+    }
+    FLAGS = {
+        "decay-fit": ["--n", "1", "--alpha", "1", "--r", "1", "--p", "inf"],
+        "kernel-norm": ["--n", "2", "--alpha", "1", "--h", "1", "--r", "2"],
+    }
+    WITH_CSV = {"propagate", "verify", "decay-fit", "nse-solve", "potential-solve"}
+
+    @pytest.mark.parametrize("command", sorted([*CONFIGS, *FLAGS]))
+    def test_report_and_csv(self, tmp_path, command):
+        text = self.CONFIGS.get(command)
+        if text is None:
+            argv = self.FLAGS[command]
+        else:
+            (tmp_path / "run.cfg").write_text(text)
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "o"
+        assert main(["--seed", "5", "--out", str(out), command, *argv]) == 0
+        stem = command.replace("-", "_")
+        report = json.loads((out / f"{stem}.json").read_text())
+        assert report["command"] == command
+        assert report["version"] == __version__
+        assert report["seed"] == 5
+        assert report["deterministic"] is False
+        config = ExperimentConfig.parse(text).as_dict() if text else {}
+        assert report["config"] == config
+        assert (out / f"{stem}.csv").exists() == (command in self.WITH_CSV)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -290,6 +331,44 @@ class TestInputValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert key in err and value.split(",")[0] in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["propagate", "--config", "{cfg}"], "alpha = one"),
+            (["decay-fit", "--n", "1", "--alpha", "1", "--r", "x", "--p", "2"], "--r = x"),
+        ],
+    )
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys, argv, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TestCommandSkeleton.TINY_GRID + "[solver]\nalpha = one\n")
+        argv = [a.format(cfg=cfg) for a in argv]
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ("recipe = gaussian_bump", "gaussian_bump"),
+            ("field_file = f.frsf", "field_file"),
+        ],
+    )
+    def test_nse_solve_rejects_other_data_exit_2(self, tmp_path, capsys, data, named):
+        cfg = tmp_path / "nse.cfg"
+        cfg.write_text(
+            "[grid]\nn = 2\nN = 16\nL = 6.283185307179586\n\n"
+            f"[solver]\nT = 0.2\nnodes = 8\n\n[data]\n{data}\n"
+        )
+        rc = main(["--out", str(tmp_path / "o"), "nse-solve", "--config", str(cfg)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_potential_solve_half_declared_pair_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "pot.cfg"
+        cfg.write_text(self.POTENTIAL_CFG.replace("nodes = 16", "r = 4\nnodes = 16"))
+        argv = ["--out", str(tmp_path / "o"), "potential-solve", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert "s is missing" in capsys.readouterr().err
 
     def test_non_integer_grid_size_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

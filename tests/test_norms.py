@@ -8,20 +8,25 @@ from fracheat import (
     DyadicPartition,
     Field,
     GaussianBump,
+    NormSpec,
     PlaneWave,
     PreconditionError,
     RandomBandlimited,
     TimeSeries,
+    VectorField,
     besov_norm,
     bmo_norm,
     default_partition,
     lp_block,
     lp_norm,
+    lp_norms,
     make_grid,
     mixed_norm,
+    semigroup_series,
     sobolev_norm,
     synthesize_field,
 )
+from fracheat.grid import uniform_times
 
 INF = float("inf")
 
@@ -92,6 +97,35 @@ class TestMixedNorm:
         got = mixed_norm(u, q, p)
         expect = g.L ** (1 / p) * ((1 - np.exp(-q * T * mu)) / (q * mu)) ** (1 / q)
         assert abs(got - expect) < 1e-6 * expect
+
+    def series(self, N, m, vector=False):
+        """Free evolution of zero-mean data; 40 samples of 64^2 span three
+        sample chunks."""
+        g = make_grid(2, N, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=4, j_min=1, j_max=2))
+        if vector:
+            g2 = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=2))
+            f = VectorField((f, g2))
+        return semigroup_series(f, uniform_times(0.5, m), 1.0)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_lp_norms_equal_per_sample_lp_norm(self, vector):
+        u = self.series(64, 40, vector)
+        for p in (2, 3.5, INF):
+            assert lp_norms(u, p).tolist() == [lp_norm(s, p) for s in u.snapshots]
+
+    def test_lebesgue_spec_equals_exponent(self):
+        u = self.series(64, 40)
+        for q, p in ((4, 2), (2, 3.5), (INF, INF)):
+            assert mixed_norm(u, q, NormSpec("lebesgue", p=p)) == mixed_norm(u, q, p)
+
+    def test_besov_spec_is_per_sample(self):
+        u = self.series(32, 9)
+        spec = NormSpec("besov", p=4, s=0.5, q=2)
+        part = default_partition(u.grid)
+        vals = np.array([spec.compute(s, part) for s in u.snapshots])
+        expect = float(np.trapezoid(vals**4, u.times) ** 0.25)
+        assert mixed_norm(u, 4, spec, part) == expect
 
     def test_needs_two_samples(self):
         g = make_grid(1, 8, 1.0)

@@ -26,7 +26,8 @@ from fracheat import (
     taylor_green,
 )
 from fracheat.grid import CHUNK_BYTES, uniform_times
-from fracheat.nse import _leray, dealias_mask
+from fracheat import nse
+from fracheat.nse import _fixed_point, _leray, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
 
 
@@ -228,7 +229,73 @@ class TestBilinearBound:
             assert val <= 3.0 * bound
 
 
+class TestFixedPoint:
+    """The one fixed-point loop on the scalar affine map v -> b + c v,
+    started from 0: v_k = (1 - c^k) / (1 - c) b, so the k-th residual is
+    c^(k-1) (1 - c) / (1 - c^k) and each contraction ratio is
+    c (1 - c^k) / (1 - c^(k+1))."""
+
+    def affine(self, c):
+        g = make_grid(1, 8, 2 * np.pi)
+        times = uniform_times(1.0, 6)
+        pw = synthesize_field(g, PlaneWave(k=(1,)))
+        b = TimeSeries(times, [Field(g, np.exp(-t) * pw.data) for t in times])
+
+        def apply_map(v):
+            return b + TimeSeries.from_data(g, times, c * v.to_spectral().data)
+
+        return apply_map, TimeSeries.from_data(g, times, np.zeros_like(b.data))
+
+    def test_ratios_approach_c(self):
+        c = 0.5
+        apply_map, zero = self.affine(c)
+        v, residuals, converged, norm = _fixed_point(apply_map, zero, 4, 4, 1e-8, 60)
+        assert converged
+        assert norm == mixed_norm(v, 4, 4)
+        k = np.arange(1, len(residuals) + 1)
+        # a step of size c^k is a difference of O(1) iterates: relative
+        # rounding ~1e-16 / c^k, below 1e-7 while the residual exceeds 1e-8
+        assert np.allclose(residuals, c ** (k - 1) * (1 - c) / (1 - c**k), rtol=1e-6)
+        ratios = nse._contraction_ratios(residuals)
+        k = k[:-1]
+        assert np.allclose(ratios, c * (1 - c**k) / (1 - c ** (k + 1)), rtol=1e-6)
+        assert abs(ratios[-1] - c) < 1e-6
+
+    def test_max_factor_gives_up_at_third_iterate(self):
+        apply_map, zero = self.affine(0.8)
+        _, residuals, converged, _ = _fixed_point(
+            apply_map, zero, 4, 4, 1e-12, 40, max_factor=0.5
+        )
+        assert not converged
+        assert len(residuals) == 3
+        _, residuals, _, _ = _fixed_point(apply_map, zero, 4, 4, 1e-12, 5)
+        assert len(residuals) == 5  # no max_factor: runs on
+
+    def test_zero_step_target_is_not_converged(self):
+        apply_map, zero = self.affine(0.0)
+        v0 = apply_map(zero)
+
+        def to_zero(v):
+            return TimeSeries.from_data(v.grid, v.times, np.zeros_like(v.data))
+
+        _, residuals, converged, norm = _fixed_point(to_zero, v0, 4, 4, 1e-6, 1)
+        assert not converged
+        assert norm == 0.0
+        assert residuals == [mixed_norm(v0, 4, 4)]
+
+
 class TestPicard:
+    def test_final_norm_is_last_iterate_norm(self, call_count):
+        g = make_grid(2, 16, 2 * np.pi)
+        g0 = perturbed_taylor_green(g, 0.3)
+        calls = call_count(nse, "mixed_norm")
+        v, rep = solve_nse_picard(
+            g0, None, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=12, c_est=0.2
+        )
+        # one norm of the data, then a step norm and an iterate norm per iteration
+        assert calls["mixed_norm"] == 2 * rep.iterations + 1
+        assert rep.final_norm == mixed_norm(v, 4.0, 4.0)
+
     def test_zero_data_zero_solution(self):
         g = make_grid(2, 16, 2 * np.pi)
         z = VectorField(tuple(Field(g, np.zeros(g.shape)) for _ in range(2)))
@@ -358,6 +425,13 @@ class TestPotential:
         f = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2))
         with pytest.raises(PreconditionError):
             solve_potential_eq(f, None, None, alpha=1.0, T=0.5, r=4, s=2)
+
+    @pytest.mark.parametrize("r, s, missing", [(4.0, None, "s"), (None, 4 / 3, "r")])
+    def test_half_declared_pair_rejected(self, r, s, missing):
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2))
+        with pytest.raises(PreconditionError, match=f"{missing} is missing"):
+            solve_potential_eq(f, None, None, alpha=1.0, T=0.5, r=r, s=s)
 
     def test_complex_potential_rejected(self):
         g = make_grid(2, 32, 2 * np.pi)
