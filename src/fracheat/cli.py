@@ -80,7 +80,13 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise PreconditionError(f"cannot read config {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(f"cannot read config {path}: {exc.reason}") from exc
+        return cls.parse(text)
 
     def serialize(self) -> str:
         out = io.StringIO()

@@ -34,16 +34,10 @@ from .norms import (
     besov_norm,
     default_partition,
     lp_norm,
+    lp_norms,
     mixed_norm,
 )
-from .semigroup import (
-    Alpha,
-    apply_semigroup,
-    duhamel,
-    gradient_magnitude,
-    kernel,
-    semigroup_series,
-)
+from .semigroup import Alpha, duhamel, kernel, semigroup_series
 
 INF = float("inf")
 
@@ -229,7 +223,7 @@ def parabolic_ratio(
         if not p > 2:
             raise PreconditionError(f"b-form requires 2 < p <= inf, got p={p}")
         ss = geometric_times(s_min, s_max, ratio=ratio)
-        vals = np.array([lp_norm(apply_semigroup(f, s, alpha), p) for s in ss])
+        vals = lp_norms(semigroup_series(f, ss, alpha), p)
         w = 2.0 / p if p != INF else 0.0
         integrand = ss ** (-w) * vals**2
         # head: ||e^{-sL}f||_p ~ ||f||_p below s_min, integrable weight
@@ -254,7 +248,7 @@ def parabolic_ratio(
             raise PreconditionError(f"a-form requires 1 <= r <= p, got r={r}, p={p}")
         e0 = g.n * r / (2 * p * alpha) if p != INF else 0.0
         ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
-        vals = np.array([lp_norm(apply_semigroup(f, s, alpha), p) for s in ss])
+        vals = lp_norms(semigroup_series(f, ss, alpha), p)
         integrand = ss ** (-e0) * vals**r
         head = ss[0] ** (1 - e0) / (1 - e0) * lp_norm(f, p) ** r
         total = head + float(np.trapezoid(integrand, ss))
@@ -304,13 +298,11 @@ def decay_fit(
             f"data mass outside the central half-box is {cont:.3e} >= 1e-6"
         )
     times = np.asarray(times, dtype=float)
-    vals = []
-    for t in times:
-        u = apply_semigroup(f, t, alpha)
-        if gradient:
-            u = gradient_magnitude(u)
-        vals.append(lp_norm(u, p))
-    vals = np.asarray(vals)
+    u = semigroup_series(f, times, alpha)
+    if gradient:  # (m, n, *grid.shape) stack of d_j u; its L^p is of |grad u|
+        grad = np.stack([u.data * (1j * x) for x in g.deriv_frequencies], axis=1)
+        u = TimeSeries.from_data(g, times, grad)
+    vals = lp_norms(u, p)
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
     predicted = -(g.n / (2 * alpha)) * (_inv(r) - _inv(p))
     if gradient:

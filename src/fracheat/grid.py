@@ -115,7 +115,9 @@ def make_grid(n: int, N: int, L: float) -> GridSpec:
 
 @dataclass
 class Field:
-    """Complex scalar data on a grid, in physical or spectral representation."""
+    """Complex data on a grid, in physical or spectral representation: a
+    scalar of shape grid.shape or a c-component vector of shape
+    (c, *grid.shape), exactly one sample of `TimeSeries.data`."""
 
     grid: GridSpec
     data: np.ndarray
@@ -125,10 +127,16 @@ class Field:
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {self.representation!r}")
         self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.shape != self.grid.shape:
+        shape, n = self.data.shape, self.grid.n
+        if shape[-n:] != self.grid.shape or len(shape) not in (n, n + 1):
             raise PreconditionError(
-                f"data shape {self.data.shape} does not match grid {self.grid.shape}"
+                f"data shape {shape} does not match grid {self.grid.shape}"
             )
+
+    @property
+    def components(self) -> tuple["Field", ...]:
+        """Per-component views of a vector field's data."""
+        return tuple(Field(self.grid, d, self.representation) for d in self.data)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.data.copy(), self.representation)
@@ -185,45 +193,13 @@ def transform(f: Field, direction: str) -> Field:
     return Field(f.grid, _dft(f.data, f.grid, direction), target)
 
 
-@dataclass
-class VectorField:
-    """n scalar fields sharing one grid and representation."""
-
-    components: tuple[Field, ...]
-
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        grids = {c.grid for c in self.components}
-        reps = {c.representation for c in self.components}
-        if len(grids) != 1 or len(reps) != 1:
-            raise PreconditionError("components must share grid and representation")
-
-    @classmethod
-    def from_data(cls, grid: GridSpec, data, representation=PHYSICAL) -> "VectorField":
-        """Split a stacked array (c, *grid.shape) into c component fields."""
-        return cls(tuple(Field(grid, c, representation) for c in data))
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.components[0].grid
-
-    @property
-    def representation(self) -> str:
-        return self.components[0].representation
-
-    @property
-    def data(self) -> np.ndarray:
-        """Components stacked along a leading axis, shape (c, *grid.shape)."""
-        return np.stack([c.data for c in self.components])
-
-    def to_physical(self) -> "VectorField":
-        return VectorField(tuple(c.to_physical() for c in self.components))
-
-    def to_spectral(self) -> "VectorField":
-        return VectorField(tuple(c.to_spectral() for c in self.components))
-
-    def copy(self) -> "VectorField":
-        return VectorField(tuple(c.copy() for c in self.components))
+def VectorField(components) -> Field:
+    """Stack component fields sharing one grid and representation into one
+    vector `Field` of shape (c, *grid.shape)."""
+    comps = list(components)
+    if len({c.grid for c in comps}) != 1 or len({c.representation for c in comps}) != 1:
+        raise PreconditionError("components must share grid and representation")
+    return Field(comps[0].grid, np.stack([c.data for c in comps]), comps[0].representation)
 
 
 def inner_product(f: Field, g: Field) -> complex:
@@ -247,7 +223,7 @@ def contamination(f: Field) -> float:
         return 0.0
     N = f.grid.N
     sl = (slice(N // 4, 3 * N // 4),) * f.grid.n
-    inside = float(data[sl].sum())
+    inside = float(data[(..., *sl)].sum())
     return max((total - inside) / total, 0.0)
 
 
@@ -259,7 +235,7 @@ def mean_mode(f: Field) -> complex:
 def require_zero_mean(f: Field, what: str) -> None:
     fh = f.to_spectral().data
     scale = np.max(np.abs(fh)) or 1.0
-    if abs(fh[(0,) * f.grid.n]) > 1e-12 * scale:
+    if np.max(np.abs(fh[(..., *(0,) * f.grid.n)])) > 1e-12 * scale:
         raise PreconditionError(f"{what} requires a zero-mean field")
 
 
@@ -575,7 +551,7 @@ class TimeSeries:
 
     `data` stacks the samples on axis 0, shape (m, *grid.shape) for a scalar
     and (m, c, *grid.shape) for a c-component series, in one `representation`.
-    The constructor stacks `Field`/`VectorField` snapshots (spectral if their
+    The constructor stacks `Field` snapshots (spectral if their
     representations differ); `from_data` wraps a stacked array.
     """
 
@@ -622,12 +598,9 @@ class TimeSeries:
         return len(self.times)
 
     @property
-    def snapshots(self) -> list:
-        """Per-sample `Field` (scalar) or `VectorField` (vector) views of `data`."""
-        g, rep = self.grid, self.representation
-        if self.data.ndim == g.n + 1:
-            return [Field(g, d, rep) for d in self.data]
-        return [VectorField.from_data(g, d, rep) for d in self.data]
+    def snapshots(self) -> list[Field]:
+        """Per-sample `Field` views of `data`."""
+        return [Field(self.grid, d, self.representation) for d in self.data]
 
     def to_physical(self) -> "TimeSeries":
         return self._as(PHYSICAL, "inverse")
@@ -664,6 +637,8 @@ class TimeSeries:
 
 def uniform_times(T: float, m: int, t0: float = 0.0) -> np.ndarray:
     """m+1 equispaced samples on [t0, T]."""
+    if m < 1:
+        raise PreconditionError(f"uniform time grid needs m >= 1 intervals, got m={m}")
     return np.linspace(t0, T, m + 1)
 
 
@@ -697,6 +672,8 @@ _VERSION = 1
 
 
 def write_field(f: Field, path) -> None:
+    if f.data.shape != f.grid.shape:
+        raise PreconditionError("a field file holds one scalar field")
     rep = 0 if f.representation == PHYSICAL else 1
     header = _HEADER.pack(_MAGIC, _VERSION, f.grid.n, f.grid.N, f.grid.L, rep)
     flat = np.ascontiguousarray(f.data, dtype=np.complex128).ravel()

@@ -73,8 +73,8 @@ def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
 
 
 def lp_norm(f, p: float) -> float:
-    """Cell-volume-weighted L^p norm of a Field or VectorField; p = inf is
-    the max over grid points."""
+    """Cell-volume-weighted L^p norm of a scalar or vector Field (a vector by
+    its pointwise Euclidean magnitude); p = inf is the max over grid points."""
     return float(_lp(f.to_physical().data[None], f.grid, p)[0])
 
 

@@ -28,35 +28,34 @@ from .grid import (
     SPECTRAL,
     RandomBandlimited,
     TimeSeries,
-    VectorField,
+    VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
     sample_chunks,
-    synthesize_field,
     uniform_times,
 )
 from .norms import lp_norm, mixed_norm
 from .semigroup import duhamel, semigroup_series
 
 
-def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> VectorField:
+def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> Field:
     """Classical divergence-free cellular vortex on the periodic box."""
     k0 = 2 * np.pi / grid.L
     X = grid.coordinates
     if grid.n == 2:
         u = amplitude * np.cos(k0 * X[0]) * np.sin(k0 * X[1])
         v = -amplitude * np.sin(k0 * X[0]) * np.cos(k0 * X[1])
-        return VectorField((Field(grid, u), Field(grid, v)))
+        return Field(grid, np.stack((u, v)))
     if grid.n == 3:
         u = amplitude * np.sin(k0 * X[0]) * np.cos(k0 * X[1]) * np.cos(k0 * X[2])
         v = -amplitude * np.cos(k0 * X[0]) * np.sin(k0 * X[1]) * np.cos(k0 * X[2])
         w = np.zeros(grid.shape)
-        return VectorField((Field(grid, u), Field(grid, v), Field(grid, w)))
+        return Field(grid, np.stack((u, v, w)))
     raise PreconditionError("Taylor-Green data needs n in {2, 3}")
 
 
 def perturbed_taylor_green(
     grid: GridSpec, amplitude: float, secondary: float = 0.5
-) -> VectorField:
+) -> Field:
     """Taylor-Green vortex plus a phase-shifted second-shell vortex.
 
     The pure vortex is a fixed point of the projected nonlinearity in 2-D
@@ -74,7 +73,7 @@ def perturbed_taylor_green(
     v = -amplitude * np.sin(k0 * X) * np.cos(k0 * Y) - b * np.sin(
         2 * k0 * X + 0.7
     ) * np.cos(2 * k0 * Y + 0.3)
-    return VectorField((Field(grid, u), Field(grid, v)))
+    return Field(grid, np.stack((u, v)))
 
 
 def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -86,23 +85,22 @@ def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.stack([uh[:, k] - x * factor for k, x in enumerate(xi)], axis=1)
 
 
-def leray_project(u: VectorField) -> VectorField:
+def leray_project(u: Field) -> Field:
     """Remove the gradient part: per mode, delta_jk - xi_j xi_k / |xi|^2.
 
     Built on the Nyquist-zeroed lattice so the projector is exactly
     idempotent; the xi = 0 mode passes through.
     """
     g = u.grid
-    res = VectorField.from_data(g, _leray(u.to_spectral().data[None], g)[0], SPECTRAL)
+    res = Field(g, _leray(u.to_spectral().data[None], g)[0], SPECTRAL)
     return res if u.representation == SPECTRAL else res.to_physical()
 
 
-def divergence(u: VectorField) -> Field:
+def divergence(u: Field) -> Field:
     """Spectral divergence sum_j i xi_j u_j on the Nyquist-zeroed lattice."""
     g = u.grid
-    xi = g.deriv_frequencies
-    uh = [c.to_spectral().data for c in u.components]
-    div = sum(1j * x * d for x, d in zip(xi, uh))
+    uh = u.to_spectral().data
+    div = sum(1j * x * d for x, d in zip(g.deriv_frequencies, uh))
     out = Field(g, div, SPECTRAL)
     return out if u.representation == SPECTRAL else out.to_physical()
 
@@ -154,7 +152,7 @@ def _tensor_divergence(
     return _leray(out, grid)
 
 
-def projected_tensor_divergence(u: VectorField, v: VectorField) -> VectorField:
+def projected_tensor_divergence(u: Field, v: Field) -> Field:
     """P div(u x v): dealiased quadratic term of the mild formulation, for
     one snapshot pair (spectral result)."""
     g = u.grid
@@ -163,7 +161,7 @@ def projected_tensor_divergence(u: VectorField, v: VectorField) -> VectorField:
     uh = u.to_spectral().data[None]
     vh = None if v is u else v.to_spectral().data[None]
     out = _tensor_divergence(uh, vh, g, dealias_mask(g))[0]
-    return VectorField.from_data(g, out, SPECTRAL)
+    return Field(g, out, SPECTRAL)
 
 
 def bilinear_form(
@@ -214,10 +212,9 @@ def estimate_bilinear_constant(
     samples = []
     for seed in seeds:
         comps = [
-            synthesize_field(grid, RandomBandlimited(seed + 7 * c, 1, j_max))
-            for c in range(grid.n)
+            RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
-        w = leray_project(VectorField(tuple(comps)))
+        w = leray_project(Field(grid, np.stack(comps)))
         samples.append(semigroup_series(w, times, alpha))
     measured = [(a, mixed_norm(a, q, p)) for a in samples]
     best = 0.0
@@ -245,6 +242,8 @@ def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None):
     ratio exceeds it.  Returns the last iterate, the residuals, whether tol
     was reached and the last iterate's mixed norm.
     """
+    if max_iter < 1:
+        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
     v, norm, residuals = v0, None, []
     for it in range(1, max_iter + 1):
         v_next = apply_map(v)
@@ -288,7 +287,7 @@ class PicardReport:
 
 
 def solve_nse_picard(
-    g: VectorField,
+    g: Field,
     h: TimeSeries | None,
     alpha: float,
     T: float,
@@ -437,6 +436,8 @@ def solve_potential_eq(
             f"potential integrability pair (r, s) is half-declared: "
             f"{missing} is missing"
         )
+    if nodes < 1:
+        raise PreconditionError(f"nodes={nodes} must be >= 1")
     if r is not None:
         res = 1.0 / r + n / (2 * alpha * s) - 1.0
         if abs(res) > 1e-9:

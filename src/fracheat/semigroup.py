@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,17 +51,6 @@ def _alpha_value(alpha) -> float:
     return alpha.alpha if isinstance(alpha, Alpha) else float(alpha)
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Labelled Fourier multiplier: symbol(grid) -> complex array on the lattice."""
-
-    label: str
-    symbol: Callable[[GridSpec], np.ndarray]
-
-    def apply(self, f: Field) -> Field:
-        return apply_symbol(f, self.symbol(f.grid))
-
-
 def apply_symbol(f: Field, sym: np.ndarray) -> Field:
     """Multiply spectral data by `sym`, preserving the input representation."""
     fh = f.to_spectral()
@@ -82,7 +71,7 @@ def apply_semigroup(f: Field, t: float, alpha) -> Field:
 
 
 def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
-    """Free evolution of a Field or VectorField sampled on a time grid (spectral)."""
+    """Free evolution of a scalar or vector Field sampled on a time grid (spectral)."""
     fh = f.to_spectral()
     a = _alpha_value(alpha)
     lam = fh.grid.abs_freq ** (2 * a)
@@ -153,13 +142,6 @@ def axis_derivative(f: Field, axis: int, order: int = 1) -> Field:
     if not 0 <= axis < g.n:
         raise PreconditionError(f"axis {axis} out of range for dimension {g.n}")
     return apply_symbol(f, (1j * g.deriv_frequencies[axis]) ** order)
-
-
-def gradient_magnitude(f: Field) -> Field:
-    """Physical field sqrt(sum_j |d_j f|^2)."""
-    parts = [axis_derivative(f, j).to_physical().data for j in range(f.grid.n)]
-    mag = np.sqrt(sum(np.abs(p) ** 2 for p in parts))
-    return Field(f.grid, mag)
 
 
 # ---------------------------------------------------------------------------

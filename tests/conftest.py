@@ -8,14 +8,16 @@ import pytest
 
 @pytest.fixture
 def fft_count(monkeypatch):
-    """Counts the calls and the points transformed by the numpy.fft entry
-    points behind `fracheat.grid._dft` (`fftn`, `ifftn`) during a test."""
+    """Counts the calls ("calls", and per entry point under its name) and the
+    points transformed by the numpy.fft entry points behind
+    `fracheat.grid._dft` (`fftn`, `ifftn`) during a test."""
     count = Counter()
     for name in ("fftn", "ifftn"):
         original = getattr(np.fft, name)
 
-        def counted(a, *args, _original=original, **kwargs):
+        def counted(a, *args, _original=original, _name=name, **kwargs):
             count["calls"] += 1
+            count[_name] += 1
             count["points"] += np.asarray(a).size
             return _original(a, *args, **kwargs)
 

@@ -370,6 +370,34 @@ class TestInputValidation:
         assert main(argv) == 2
         assert "s is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["absent.cfg", "a_directory", "binary.cfg"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "a_directory":
+            path.mkdir()
+        elif name == "binary.cfg":
+            path.write_bytes(b"\xff\xfe[grid]\x81")
+        rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(path)])
+        assert rc == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, old, new, named",
+        [
+            ("propagate", "nodes = 4", "nodes = 0", "m=0"),
+            ("propagate", "nodes = 4", "nodes = -3", "m=-3"),
+            ("nse-solve", "nodes = 8", "nodes = -3", "m=-3"),
+            ("nse-solve", "nodes = 8", "nodes = 8\nmax_iter = 0", "max_iter=0"),
+            ("potential-solve", "nodes = 16", "nodes = -3", "nodes=-3"),
+            ("potential-solve", "nodes = 16", "nodes = 0", "nodes=0"),
+        ],
+    )
+    def test_solver_count_below_one_exit_2(self, tmp_path, capsys, command, old, new, named):
+        cfg = tmp_path / "counts.cfg"
+        cfg.write_text(TestCommandSkeleton.CONFIGS[command].replace(old, new))
+        assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_non_integer_grid_size_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("[grid]\nn = 2\nN = 32.0\nL = 6.283185307179586\n")

@@ -1,5 +1,7 @@
 """Admissibility arithmetic and the ratio harness on fast unit-scale cases."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,9 @@ from fracheat import (
     parabolic_ratio,
     synthesize_field,
 )
-from fracheat.grid import RandomBandlimited
+from fracheat.grid import RandomBandlimited, geometric_times
+from fracheat.norms import lp_norm
+from fracheat.semigroup import apply_semigroup, axis_derivative
 
 INF = float("inf")
 
@@ -302,6 +306,74 @@ class TestDecayFit:
         f = synthesize_field(g, GaussianBump(width=0.2))
         with pytest.raises(PreconditionError):
             decay_fit(f, 4.0, 2.0, 1.0, np.geomspace(0.1, 1.0, 5))
+
+
+def _norms_per_time(f, ts, alpha, p):
+    """Oracle: propagate, transform and measure one time at a time."""
+    return np.array([lp_norm(apply_semigroup(f, t, alpha), p) for t in ts])
+
+
+class TestOneEvolvedStack:
+    """The parabolic and decay fits measure one evolved stack and match the
+    per-time oracle."""
+
+    def bumps(self, N):
+        g = make_grid(2, N, 2 * np.pi)
+        return synthesize_field(
+            g, RandomBumps(seed=1, width=g.L / 26, spread=g.L / 20, count=2)
+        )
+
+    @pytest.mark.parametrize("p", [4.0, INF])
+    def test_b_form_matches_per_time_oracle(self, p):
+        f = self.bumps(32)
+        ss = geometric_times(1e-6, 6.0, ratio=1.25)
+        vals = _norms_per_time(f, ss, 1.0, p)
+        w = 2.0 / p if p != INF else 0.0
+        head = 1e-6 ** (1 - w) / (1 - w) * lp_norm(f, p) ** 2
+        total = head + float(np.trapezoid(ss ** (-w) * vals**2, ss))
+        expect = math.sqrt(total) / lp_norm(f, 2)
+        assert parabolic_ratio(f, p, 1.0, s_min=1e-6, s_max=6.0) == expect
+
+    def test_a_form_matches_per_time_oracle(self):
+        g = make_grid(1, 256, 40.0)
+        f = synthesize_field(g, GaussianBump(width=0.5))
+        p, r, alpha, T = 4.0, 2.0, 1.0, 0.5
+        e0 = r / (2 * p * alpha)
+        ss = geometric_times(T * 1e-6, T, ratio=1.25)
+        vals = _norms_per_time(f, ss, alpha, p)
+        head = ss[0] ** (1 - e0) / (1 - e0) * lp_norm(f, p) ** r
+        total = head + float(np.trapezoid(ss ** (-e0) * vals**r, ss))
+        expect = total / (T ** (1 - 1 / (2 * alpha)) * lp_norm(f, r) ** r)
+        assert parabolic_ratio(f, p, alpha, form="a", r=r, T=T) == expect
+
+    @pytest.mark.parametrize("p", [2.0, 3.5, INF])
+    def test_decay_fit_matches_per_time_oracle(self, p):
+        g = make_grid(2, 64, 2 * np.pi)
+        f = synthesize_field(g, GaussianBump(width=2 * g.spacing))
+        times = np.geomspace(0.05, 0.5, 6)
+        fit = decay_fit(f, 1.0, p, 1.0, times)
+        assert np.array_equal(fit.norms, _norms_per_time(f, times, 1.0, p))
+
+    @pytest.mark.parametrize("n, p", [(1, INF), (2, 2.0), (2, 3.5)])
+    def test_gradient_decay_fit_measures_gradient_magnitude(self, n, p):
+        g = make_grid(n, 64, 2 * np.pi)
+        f = synthesize_field(g, GaussianBump(width=2 * g.spacing))
+        times = np.geomspace(0.05, 0.5, 6)
+        fit = decay_fit(f, 1.0, p, 1.0, times, gradient=True)
+        for t, got in zip(times, fit.norms):
+            u = apply_semigroup(f, t, 1.0)
+            parts = [axis_derivative(u, j).to_physical().data for j in range(n)]
+            mag = Field(g, np.sqrt(sum(np.abs(d) ** 2 for d in parts)))
+            assert abs(got - lp_norm(mag, p)) <= 1e-12 * got
+
+    def test_b_form_forward_transforms_do_not_grow_with_nodes(self, fft_count):
+        f = self.bumps(32)
+        forward = []
+        for ratio in (1.25, 1.1):  # 71 and 165 quadrature nodes
+            fft_count.clear()
+            parabolic_ratio(f, 4.0, 1.0, s_min=1e-6, s_max=6.0, ratio=ratio)
+            forward.append(fft_count["fftn"])
+        assert forward == [1, 1]  # f itself, once
 
 
 class TestKernelNormFit:

@@ -23,7 +23,7 @@ from fracheat import (
     transform,
     write_field,
 )
-from fracheat.grid import TimeSeries, geometric_times, mean_mode
+from fracheat.grid import TimeSeries, geometric_times, mean_mode, require_zero_mean
 from fracheat import VectorField
 
 
@@ -278,6 +278,63 @@ class TestArrayBackedSeries:
         series = TimeSeries(np.array([0.0, 1.0]), [f, f.to_spectral()])
         assert series.representation == "spectral"
         assert np.array_equal(series.data[0], f.to_spectral().data)
+
+
+class TestVectorField:
+    """A vector is one `Field` with a leading component axis."""
+
+    def comps(self, n):
+        g = make_grid(n, 16, 2 * np.pi)
+        return [
+            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1))
+            for s in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("rep", ["physical", "spectral"])
+    def test_stacks_and_round_trips_components(self, rep):
+        comps = [c if rep == "physical" else c.to_spectral() for c in self.comps(2)]
+        v = VectorField(comps)
+        assert type(v) is Field and v.representation == rep
+        assert np.array_equal(v.data, np.stack([c.data for c in comps]))
+        assert len(v.components) == 2
+        for got, want in zip(v.components, comps):
+            assert got.grid == want.grid and got.representation == rep
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transforms_equal_per_component_bitwise(self, n):
+        comps = self.comps(n)
+        spec = VectorField(comps).to_spectral()
+        assert np.array_equal(spec.data, np.stack([c.to_spectral().data for c in comps]))
+        phys = spec.to_physical()
+        assert phys.representation == "physical"
+        want = [c.to_spectral().to_physical().data for c in comps]
+        assert np.array_equal(phys.data, np.stack(want))
+
+    def test_mixed_grid_or_representation_rejected(self):
+        a, b = self.comps(2)
+        with pytest.raises(PreconditionError, match="share grid and representation"):
+            VectorField([a, b.to_spectral()])
+        other = synthesize_field(make_grid(2, 32, 2 * np.pi), GaussianBump(width=0.3))
+        with pytest.raises(PreconditionError, match="share grid and representation"):
+            VectorField([a, other])
+
+    def test_helpers_read_the_trailing_grid_axes(self, tmp_path):
+        g = make_grid(2, 32, 2 * np.pi)
+        bump = synthesize_field(g, GaussianBump(width=0.6))
+        assert contamination(VectorField([bump, bump])) == contamination(bump)
+        zero_mean = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2))
+        require_zero_mean(VectorField([zero_mean, zero_mean]), "test")
+        with pytest.raises(PreconditionError, match="zero-mean"):
+            require_zero_mean(VectorField([zero_mean, bump]), "test")
+        with pytest.raises(PreconditionError, match="one scalar field"):
+            write_field(VectorField([bump, bump]), tmp_path / "v.frsf")
+
+    def test_shape_off_grid_rejected(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        for shape in ((16,), (2, 8, 16), (2, 2, 16, 16)):
+            with pytest.raises(PreconditionError, match="does not match grid"):
+                Field(g, np.zeros(shape))
 
 
 class TestFieldFileValidation:

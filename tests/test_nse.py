@@ -284,6 +284,30 @@ class TestFixedPoint:
         assert residuals == [mixed_norm(v0, 4, 4)]
 
 
+def _picard(g, **kw):
+    return solve_nse_picard(perturbed_taylor_green(g, 0.3), None, 1.0, 0.2, 4, 4, **kw)
+
+
+def _potential(g, **kw):
+    return solve_potential_eq(Field(g, np.ones(g.shape)), None, None, 1.0, 0.2, **kw)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda g: uniform_times(1.0, 0), "m=0"),
+        (lambda g: uniform_times(1.0, -3), "m=-3"),
+        (lambda g: _picard(g, max_iter=0, nodes=8, c_est=0.1), "max_iter=0"),
+        (lambda g: _picard(g, nodes=-3, c_est=0.1), "m=-3"),
+        (lambda g: _potential(g, nodes=0), "nodes=0"),
+        (lambda g: _potential(g, nodes=-3), "nodes=-3"),
+    ],
+)
+def test_solver_counts_below_one_rejected(call, named):
+    with pytest.raises(PreconditionError, match=named):
+        call(make_grid(2, 16, 2 * np.pi))
+
+
 class TestPicard:
     def test_final_norm_is_last_iterate_norm(self, call_count):
         g = make_grid(2, 16, 2 * np.pi)

@@ -275,15 +275,11 @@ class TestDuhamel:
             assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def test_multiplier_wrapper():
-    from fracheat import Multiplier, Alpha
+def test_alpha_bundle():
+    from fracheat import Alpha
 
     g = make_grid(2, 32, 2 * np.pi)
     f = random_field(g, 17)
-    m = Multiplier("half-laplacian", lambda grid: grid.abs_freq)
-    out = m.apply(f)
-    direct = fractional_derivative(f, 1.0)
-    assert np.max(np.abs(out.data - direct.data)) < 1e-12
     a = Alpha(0.75, 2)
     assert np.isclose(a.sigma, 2 / 1.5)
     with pytest.raises(PreconditionError):
