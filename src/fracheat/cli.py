@@ -267,7 +267,8 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    write_field(series.snapshots[-1].to_physical(), final_path)
+    last = Field(series.grid, series.data[-1], series.representation)
+    write_field(last.to_physical(), final_path)
     results = {
         "alpha": alpha,
         "T": T,
@@ -419,7 +420,9 @@ def cmd_potential_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
         r=get("solver", "r"),
         s=get("solver", "s"),
         tol=get("solver", "tol", 1e-10),
+        max_iter=cfg.getint("solver", "max_iter", 40),
         nodes=cfg.getint("solver", "nodes", 64),
+        min_fraction=get("solver", "min_fraction", 1.0 / 1024),
     )
     rows = [
         {"t0": a, "t1": b, "factor": fac, "iterations": it}

@@ -32,7 +32,6 @@ from .norms import (
     DyadicPartition,
     NormSpec,
     besov_norm,
-    default_partition,
     lp_norm,
     lp_norms,
     mixed_norm,
@@ -130,9 +129,6 @@ def homogeneous_ratio(
             "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the "
             "homogeneous estimate"
         )
-    if kind == "besov" and partition is None:
-        partition = default_partition(g)
-
     denom_kind = "lebesgue" if kind == "bmo" else kind
     denom = NormSpec(denom_kind, p=2, s=s).compute(f, partition)
     if denom == 0.0:
@@ -180,9 +176,6 @@ def inhomogeneous_ratio(
                 f"scaling relation residual {res:.3e} != {target:.3e} "
                 f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
             )
-    if kind == "besov" and partition is None:
-        partition = default_partition(g)
-
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
     den_spec = NormSpec(kind, p=p1c, s=s)
     denom = mixed_norm(F, q1c, den_spec, partition)

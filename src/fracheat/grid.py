@@ -147,11 +147,6 @@ class Field:
     def to_spectral(self) -> "Field":
         return self if self.representation == SPECTRAL else transform(self, "forward")
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        phys = self.to_physical().data
-        scale = np.max(np.abs(phys)) or 1.0
-        return float(np.max(np.abs(phys.imag))) <= tol * scale
-
 
 def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
     """Unitary DFT over the trailing grid.n axes of `data` (see `transform`)."""
@@ -172,9 +167,9 @@ def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
 CHUNK_BYTES = 1 << 20
 
 
-def sample_chunks(data: np.ndarray):
-    """Slices of the leading sample axis of `data`, each about CHUNK_BYTES."""
-    sample_bytes = data.itemsize * math.prod(data.shape[1:])
+def sample_chunks(data: np.ndarray, copies: int = 1):
+    """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies."""
+    sample_bytes = copies * data.itemsize * math.prod(data.shape[1:])
     step = max(1, CHUNK_BYTES // max(1, sample_bytes))
     return [slice(i, i + step) for i in range(0, len(data), step)]
 
@@ -233,9 +228,14 @@ def mean_mode(f: Field) -> complex:
 
 
 def require_zero_mean(f: Field, what: str) -> None:
-    fh = f.to_spectral().data
-    scale = np.max(np.abs(fh)) or 1.0
-    if np.max(np.abs(fh[(..., *(0,) * f.grid.n)])) > 1e-12 * scale:
+    require_zero_means(f.to_spectral().data[None], f.grid, what)
+
+
+def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
+    """Reject a spectral stack if a sample's xi = 0 mode exceeds 1e-12 of its peak."""
+    peak = np.abs(spec).reshape(len(spec), -1).max(axis=1)
+    mean = np.abs(spec[(..., *(0,) * grid.n)]).reshape(len(spec), -1).max(axis=1)
+    if np.any(mean > 1e-12 * peak):
         raise PreconditionError(f"{what} requires a zero-mean field")
 
 
@@ -490,17 +490,17 @@ def _center_phase(grid: GridSpec) -> np.ndarray:
     return np.exp(-1j * phase)
 
 
+def _bump(t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
 def _plateau_profile(d: np.ndarray, r1: float, r2: float) -> np.ndarray:
     """Smooth (C-infinity) profile: 1 for d <= r1, 0 for d >= r2."""
-
-    def g(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
     u = (np.asarray(d, dtype=float) - r1) / (r2 - r1)  # 0..1 across the roll
-    a, b = g(1.0 - u), g(u)
+    a, b = _bump(1.0 - u), _bump(u)
     return a / (a + b + 1e-300)
 
 
@@ -614,12 +614,12 @@ class TimeSeries:
         data = _dft(self.data, self.grid, direction)
         return TimeSeries.from_data(self.grid, self.times, data, representation)
 
-    def physical_chunks(self):
-        """Physical data of consecutive sample chunks (see `sample_chunks`),
-        so a reduction never holds a whole-stack physical copy."""
-        for chunk in sample_chunks(self.data):
+    def chunks(self, representation: str = PHYSICAL, copies: int = 1):
+        """`data` in one representation, a `sample_chunks` chunk at a time."""
+        direction = "inverse" if representation == PHYSICAL else "forward"
+        for chunk in sample_chunks(self.data, copies):
             d = self.data[chunk]
-            yield d if self.representation == PHYSICAL else _dft(d, self.grid, "inverse")
+            yield d if self.representation == representation else _dft(d, self.grid, direction)
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":
         return self._combine(other, np.add)

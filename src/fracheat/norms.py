@@ -10,6 +10,10 @@ psi_j(xi) = eta(xi/2^j) - eta(xi/2^(j-1)), supported in
 2^(j-1) <= |xi| <= 2^(j+1).  Band indices are truncated to the
 grid-representable window 2^(j_min - 1) >= 2*pi/L, 2^(j_max + 1) <= pi*N/L,
 and the partition sums exactly to 1 on 2^j_min <= |xi| <= 2^j_max.
+
+Every spatial norm has one implementation, reached through `NormSpec.norms`:
+it measures every sample of a `TimeSeries`, one chunk of samples at a time,
+and the one-Field functions measure a stack of one sample.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import Field, GridSpec, TimeSeries, require_zero_mean
-from .semigroup import apply_symbol, fractional_derivative
+from .grid import SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, require_zero_means
+from .semigroup import apply_symbol, derivative_symbol
 
 INF = float("inf")
 
@@ -43,14 +47,20 @@ class NormSpec:
             if not (e >= 1):
                 raise PreconditionError(f"exponent {e} must lie in [1, inf]")
 
-    def compute(self, f: Field, partition: "DyadicPartition | None" = None) -> float:
+    def norms(self, u: TimeSeries, partition: "DyadicPartition | None" = None) -> np.ndarray:
+        """The selected norm of every sample of `u`."""
         if self.kind == "lebesgue":
-            return lp_norm(f, self.p)
+            return lp_norms(u, self.p)
         if self.kind == "sobolev":
-            return sobolev_norm(f, self.s, self.p, self.homogeneous)
+            return _sobolev_norms(u, self.s, self.p, self.homogeneous)
         if self.kind == "besov":
-            return besov_norm(f, self.s, self.p, self.q, self.homogeneous, partition)
-        return bmo_norm(f)
+            return _besov_norms(u, self.s, self.p, self.q, self.homogeneous, partition)
+        return np.concatenate([_bmo_norms(d, u.grid) for d in u.chunks()])
+
+    def compute(self, f: Field, partition: "DyadicPartition | None" = None) -> float:
+        """The selected norm of one Field, measured as a stack of one sample."""
+        one = TimeSeries.from_data(f.grid, [0.0], f.data[None], f.representation)
+        return float(self.norms(one, partition)[0])
 
 
 def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
@@ -80,7 +90,7 @@ def lp_norm(f, p: float) -> float:
 
 def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
     """L^p norm of every sample of a series, one chunk of samples at a time."""
-    return np.concatenate([_lp(d, u.grid, p) for d in u.physical_chunks()])
+    return np.concatenate([_lp(d, u.grid, p) for d in u.chunks()])
 
 
 def mixed_norm(
@@ -90,18 +100,12 @@ def mixed_norm(
     partition: "DyadicPartition | None" = None,
 ) -> float:
     """L^q in time over the sample grid of a spatial norm: L^p for a number
-    p, or the norm a NormSpec selects (its Lebesgue kind reduces chunks of
-    samples; the others are computed sample by sample)."""
+    p, or the norm a NormSpec selects."""
     if len(u) < 2:
         raise PreconditionError("mixed norm needs at least two time samples")
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
-    if not isinstance(p, NormSpec):
-        vals = lp_norms(u, p)
-    elif p.kind == "lebesgue":
-        vals = lp_norms(u, p.p)
-    else:
-        vals = np.array([p.compute(s, partition) for s in u.snapshots])
+    vals = p.norms(u, partition) if isinstance(p, NormSpec) else lp_norms(u, p)
     if q == INF:
         return float(vals.max())
     return float(np.trapezoid(vals**q, u.times) ** (1.0 / q))
@@ -109,28 +113,33 @@ def mixed_norm(
 
 def sobolev_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> float:
     """L^p norm of the fractional derivative of order s."""
-    kind = "homogeneous" if homogeneous else "inhomogeneous"
-    return lp_norm(fractional_derivative(f, s, kind), p)
+    return NormSpec("sobolev", p=p, s=s, homogeneous=homogeneous).compute(f)
+
+
+def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.ndarray:
+    sym = derivative_symbol(u.grid, s, "homogeneous" if homogeneous else "inhomogeneous")
+    what = "negative-order homogeneous derivative" if homogeneous and s < 0 else None
+    return _multiplier_norms(u, [sym], p, what)[:, 0]
+
+
+def _multiplier_norms(u: TimeSeries, syms: list, p: float, zero_mean_for) -> np.ndarray:
+    """L^p norms of every sample of `u` under each multiplier of `syms`, shape
+    (samples, multipliers): one inverse transform per chunk of (sample,
+    multiplier) pairs.  `zero_mean_for` names what needs zero-mean samples."""
+    grid = u.grid
+    sym = np.expand_dims(np.stack(syms), tuple(range(1, u.data.ndim - grid.n)))
+    out = []
+    for spec in u.chunks(SPECTRAL, copies=len(syms)):
+        if zero_mean_for:
+            require_zero_means(spec, grid, zero_mean_for)
+        blocks = _dft(spec[:, None] * sym, grid, "inverse")
+        out.append(_lp(blocks.reshape(-1, *spec.shape[1:]), grid, p).reshape(len(spec), -1))
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
 # dyadic partition and Besov norms
 # ---------------------------------------------------------------------------
-
-
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
-def eta_profile(r: np.ndarray) -> np.ndarray:
-    """Smooth cutoff: 1 for r <= 1, 0 for r >= 2."""
-    r = np.asarray(r, dtype=float)
-    a = _bump(2.0 - r)
-    b = _bump(r - 1.0)
-    return a / (a + b + 1e-300)
 
 
 class DyadicPartition:
@@ -158,8 +167,10 @@ class DyadicPartition:
         return range(self.j_min, self.j_max + 1)
 
     def eta_at_scale(self, j: int) -> np.ndarray:
-        """eta(xi / 2^j) on the lattice."""
-        return eta_profile(self._absxi / 2.0**j)
+        """eta(xi / 2^j) on the lattice: 1 for |xi| <= 2^j, 0 for |xi| >= 2^(j+1)."""
+        r = self._absxi / 2.0**j
+        a, b = _bump(2.0 - r), _bump(r - 1.0)
+        return a / (a + b + 1e-300)
 
     def psi(self, j: int) -> np.ndarray:
         if j not in self._cache:
@@ -191,12 +202,6 @@ def lp_block(f: Field, j: int, partition: DyadicPartition) -> Field:
     return apply_symbol(f, partition.psi(j))
 
 
-def low_block(f: Field, partition: DyadicPartition) -> Field:
-    """Low-frequency complement eta(xi / 2^(j_min - 1)) f, for the
-    inhomogeneous Besov norm."""
-    return apply_symbol(f, partition.eta_at_scale(partition.j_min - 1))
-
-
 def besov_norm(
     f: Field,
     s: float,
@@ -209,23 +214,26 @@ def besov_norm(
 
     The homogeneous variant requires zero-mean data (grid analogue of
     working modulo polynomials); the inhomogeneous variant adds the
-    low-frequency block at scale 2^(j_min - 1).
+    low-frequency block eta(xi / 2^(j_min - 1)) f.
     """
-    if partition is None:
-        partition = default_partition(f.grid)
-    if homogeneous:
-        require_zero_mean(f, "homogeneous Besov norm")
-    terms = np.array(
-        [2.0 ** (j * s) * lp_norm(lp_block(f, j, partition), p) for j in partition.bands]
-    )
+    spec = NormSpec("besov", p=p, s=s, q=q, homogeneous=homogeneous)
+    return spec.compute(f, partition)
+
+
+def _besov_norms(u, s, p, q, homogeneous, partition) -> np.ndarray:
+    """Besov norms of a stack: the bands psi_j, and the low block as one
+    more multiplier, go through one inverse transform per chunk."""
+    part = default_partition(u.grid) if partition is None else partition
+    syms = [part.psi(j) for j in part.bands]
+    if not homogeneous:
+        syms.append(part.eta_at_scale(part.j_min - 1))
+    norms = _multiplier_norms(u, syms, p, "homogeneous Besov norm" if homogeneous else None)
+    terms = norms[:, : len(part.bands)] * np.array([2.0 ** (j * s) for j in part.bands])
     if q == INF:
-        band_part = float(terms.max()) if len(terms) else 0.0
-    else:
-        band_part = float(np.sum(terms**q) ** (1.0 / q))
-    if homogeneous:
-        return band_part
-    low = lp_norm(low_block(f, partition), p)
-    return low + band_part
+        band = terms.max(axis=1)
+    else:  # per-sample roots, as in `_lp`
+        band = np.array([t ** (1.0 / q) for t in np.sum(terms**q, axis=1)])
+    return band if homogeneous else norms[:, -1] + band
 
 
 # ---------------------------------------------------------------------------
@@ -233,38 +241,31 @@ def besov_norm(
 # ---------------------------------------------------------------------------
 
 
-def _box_sums(data: np.ndarray, m: int) -> np.ndarray:
-    """Periodic sums of data over cubes of side 2^m cells, all offsets.
-
-    Binary roll-doubling: entry [i] is the sum over the cube anchored at i.
-    """
-    out = data
-    for level in range(m):
-        step = 2**level
-        for ax in range(data.ndim):
-            out = out + np.roll(out, -step, axis=ax)
-        # note: rolling all axes at one level keeps the doubling separable
-    return out
-
-
 def bmo_norm(f: Field) -> float:
-    """Sup over all grid-aligned cubes of dyadic sidelength (2^m cells,
-    m = 0 .. log2(N), every lattice offset, periodic) of the RMS
-    oscillation about the cube average.
+    """Sup over all grid-aligned cubes Q of dyadic sidelength (2^m cells,
+    m = 0 .. log2(N), every lattice offset, periodic) of the RMS of |f - f_Q|,
+    f_Q the cube average and |.| a vector's Euclidean length.
 
     The all-offsets family is symmetric under whole-cell translations and
     maps into itself under dyadic dilation, which keeps the norm exactly
     translation invariant and dilation-robust.  Non-finite data gives NaN.
     """
-    data = f.to_physical().data
-    N = f.grid.N
-    best = 0.0
-    m = 0
-    while 2**m <= N:
-        cells = float((2**m) ** f.grid.n)
-        means = _box_sums(data, m) / cells
-        sq = _box_sums(np.abs(data) ** 2, m) / cells
-        osc2 = np.maximum(sq - np.abs(means) ** 2, 0.0)
-        best = float(np.maximum(best, osc2.max()))  # NaN propagates
-        m += 1
-    return float(np.sqrt(best))
+    return NormSpec("bmo").compute(f)
+
+
+def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """BMO norms of a physical sample stack.  Box sums [i] over the cube of
+    side 2^m anchored at i double, one grid axis at a time, into side 2^(m+1)."""
+    sums, sq_sums = phys, np.abs(phys) ** 2
+    best = np.zeros(len(phys))
+    for m in range(int(math.log2(grid.N)) + 1):
+        if m:
+            for ax in range(-grid.n, 0):
+                sums = sums + np.roll(sums, -(2 ** (m - 1)), axis=ax)
+                sq_sums = sq_sums + np.roll(sq_sums, -(2 ** (m - 1)), axis=ax)
+        cells = float((2**m) ** grid.n)
+        osc2 = np.maximum(sq_sums / cells - np.abs(sums / cells) ** 2, 0.0)
+        if osc2.ndim > grid.n + 1:
+            osc2 = osc2.sum(axis=1)  # components of a vector
+        best = np.maximum(best, osc2.reshape(len(phys), -1).max(axis=1))  # NaN propagates
+    return np.sqrt(best)

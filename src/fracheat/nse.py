@@ -444,10 +444,12 @@ def solve_potential_eq(
             raise PreconditionError(
                 f"potential integrability 1/r + n/(2 alpha s) = 1 violated by {res:.3e}"
             )
+    if not 0 < min_fraction <= 1:
+        raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None:
-        for snap in V.snapshots:
-            if not snap.is_real(1e-10):
-                raise PreconditionError("potential must be real-valued")
+        phys = V.to_physical().data.reshape(len(V), -1)  # each sample on its own scale
+        if not np.all(np.abs(phys.imag).max(axis=1) <= 1e-10 * np.abs(phys).max(axis=1)):
+            raise PreconditionError("potential must be real-valued")
 
     all_times: list[np.ndarray] = []
     all_data: list[np.ndarray] = []

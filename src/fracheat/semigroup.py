@@ -105,22 +105,23 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
     return out
 
 
-def fractional_derivative(f: Field, order: float, kind: str = "homogeneous") -> Field:
-    """|xi|^order (homogeneous, xi=0 -> 0) or (1+|xi|^2)^(order/2) multiplier."""
-    g = f.grid
+def derivative_symbol(grid: GridSpec, order: float, kind: str = "homogeneous") -> np.ndarray:
+    """|xi|^order (homogeneous, xi=0 -> 0) or (1+|xi|^2)^(order/2) on the lattice."""
     if kind == "homogeneous":
-        if order < 0:
-            require_zero_mean(f, "negative-order homogeneous derivative")
-        absxi = g.abs_freq
-        sym = np.zeros(g.shape)
-        nz = absxi > 0
-        sym[nz] = absxi[nz] ** order
-        if order == 0:
-            sym[~nz] = 1.0  # |xi|^0 on the zero mode keeps identity exact
-        return apply_symbol(f, sym)
+        absxi = grid.abs_freq
+        sym = np.ones(grid.shape) if order == 0 else np.zeros(grid.shape)  # |0|^0 = 1
+        sym[absxi > 0] = absxi[absxi > 0] ** order
+        return sym
     if kind == "inhomogeneous":
-        return apply_symbol(f, (1.0 + g.abs_freq**2) ** (order / 2))
+        return (1.0 + grid.abs_freq**2) ** (order / 2)
     raise PreconditionError(f"unknown derivative kind {kind!r}")
+
+
+def fractional_derivative(f: Field, order: float, kind: str = "homogeneous") -> Field:
+    """Multiplier with the `derivative_symbol` of this order and kind."""
+    if kind == "homogeneous" and order < 0:
+        require_zero_mean(f, "negative-order homogeneous derivative")
+    return apply_symbol(f, derivative_symbol(f.grid, order, kind))
 
 
 def riesz_transform(f: Field, axis: int) -> Field:

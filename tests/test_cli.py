@@ -390,6 +390,8 @@ class TestInputValidation:
             ("nse-solve", "nodes = 8", "nodes = 8\nmax_iter = 0", "max_iter=0"),
             ("potential-solve", "nodes = 16", "nodes = -3", "nodes=-3"),
             ("potential-solve", "nodes = 16", "nodes = 0", "nodes=0"),
+            ("potential-solve", "nodes = 16", "nodes = 16\nmax_iter = 0", "max_iter=0"),
+            ("potential-solve", "nodes = 16", "nodes = 16\nmin_fraction = 0", "min_fraction"),
         ],
     )
     def test_solver_count_below_one_exit_2(self, tmp_path, capsys, command, old, new, named):

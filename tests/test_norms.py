@@ -26,7 +26,8 @@ from fracheat import (
     sobolev_norm,
     synthesize_field,
 )
-from fracheat.grid import uniform_times
+from fracheat.grid import sample_chunks, uniform_times
+from fracheat.semigroup import apply_symbol
 
 INF = float("inf")
 
@@ -119,13 +120,66 @@ class TestMixedNorm:
         for q, p in ((4, 2), (2, 3.5), (INF, INF)):
             assert mixed_norm(u, q, NormSpec("lebesgue", p=p)) == mixed_norm(u, q, p)
 
-    def test_besov_spec_is_per_sample(self):
-        u = self.series(32, 9)
-        spec = NormSpec("besov", p=4, s=0.5, q=2)
-        part = default_partition(u.grid)
-        vals = np.array([spec.compute(s, part) for s in u.snapshots])
-        expect = float(np.trapezoid(vals**4, u.times) ** 0.25)
-        assert mixed_norm(u, 4, spec, part) == expect
+    SPECS = {
+        "lebesgue": NormSpec("lebesgue", p=3.5),
+        "sobolev": NormSpec("sobolev", p=3, s=0.7),
+        "sobolev-negative": NormSpec("sobolev", p=2, s=-0.5),
+        "sobolev-inhomogeneous": NormSpec("sobolev", p=4, s=-0.8, homogeneous=False),
+        "besov": NormSpec("besov", p=4, s=0.5, q=2),
+        "besov-qinf": NormSpec("besov", p=3, s=-0.3, q=INF),
+        "besov-inhomogeneous": NormSpec("besov", p=4, s=0.5, q=2, homogeneous=False),
+        "besov-inhomogeneous-qinf": NormSpec(
+            "besov", p=2, s=0.2, q=INF, homogeneous=False
+        ),
+        "bmo": NormSpec("bmo"),
+    }
+
+    @staticmethod
+    def besov_oracle(f, spec, part):
+        """l^q sum of 2^(js) ||block_j f||_p over the public `lp_block`, plus
+        the L^p norm of the low block for the inhomogeneous norm."""
+        terms = np.array(
+            [2.0 ** (j * spec.s) * lp_norm(lp_block(f, j, part), spec.p) for j in part.bands]
+        )
+        if spec.q == INF:
+            band = float(terms.max())
+        else:
+            band = float(np.sum(terms**spec.q) ** (1.0 / spec.q))
+        if spec.homogeneous:
+            return band
+        low = apply_symbol(f, part.eta_at_scale(part.j_min - 1))
+        return lp_norm(low, spec.p) + band
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_stack_norms_equal_per_sample(self, name, vector):
+        u = self.series(64, 40, vector)
+        assert len(sample_chunks(u.data)) >= 3
+        spec = self.SPECS[name]
+        got = spec.norms(u)
+        assert got.tolist() == [spec.compute(s) for s in u.snapshots]
+        if spec.kind == "besov":
+            part = default_partition(u.grid)
+            assert got.tolist() == [self.besov_oracle(s, spec, part) for s in u.snapshots]
+            assert mixed_norm(u, 4, spec) == float(np.trapezoid(got**4, u.times) ** 0.25)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NormSpec("besov", p=4, s=0.5, q=2), NormSpec("sobolev", p=2, s=-0.5)],
+        ids=["besov", "sobolev-negative"],
+    )
+    def test_one_nonzero_mean_sample_rejected(self, spec):
+        u = self.series(64, 40)
+        assert spec.norms(u).shape == (41,)
+        for k, scale in ((38, 1.0), (20, 1e-12)):
+            # the k-th sample, scaled, gets a mean of 1e-3 of its own peak:
+            # rejected even where that mean is tiny against the other samples
+            data = u.to_spectral().data.copy()
+            data[k] *= scale
+            data[k][0, 0] = 1e-3 * np.abs(data[k]).max()
+            bad = TimeSeries.from_data(u.grid, u.times, data)
+            with pytest.raises(PreconditionError, match="zero-mean"):
+                spec.norms(bad)
 
     def test_needs_two_samples(self):
         g = make_grid(1, 8, 1.0)
@@ -327,6 +381,15 @@ class TestBMO:
         g = make_grid(1, 64, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=11, j_min=1, j_max=3))
         assert bmo_norm(f) > 0
+
+    def test_vector_oscillates_by_euclidean_length(self):
+        # only the grid axes are rolled; component oscillations add in square
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=9, j_min=1, j_max=2))
+        zero = Field(g, np.zeros(g.shape))
+        assert bmo_norm(VectorField([f, zero])) == bmo_norm(f)
+        pair = bmo_norm(VectorField([f, f]))
+        assert np.isclose(pair, np.sqrt(2) * bmo_norm(f), rtol=1e-14, atol=0)
 
 
 def test_normspec_dispatch():

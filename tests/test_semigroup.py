@@ -66,22 +66,27 @@ class TestPropagator:
     def test_real_preserved(self):
         g = make_grid(2, 32, 2 * np.pi)
         f = random_field(g, 5)
-        assert apply_semigroup(f, 0.7, 0.8).is_real()
+        u = apply_semigroup(f, 0.7, 0.8).to_physical().data
+        assert np.max(np.abs(u.imag)) <= 1e-12 * np.max(np.abs(u))
 
 
 class TestPropagatorAlgebra:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
+        n=st.sampled_from([1, 2, 3]),
+        N=st.sampled_from([8, 16, 32]),
+        L=st.floats(0.5, 50.0),
         s=st.floats(0.0, 2.0),
         t=st.floats(0.0, 2.0),
         seed=st.integers(0, 100),
     )
-    def test_semigroup_law(self, s, t, seed):
-        g = make_grid(1, 64, 2 * np.pi)
-        f = random_field(g, seed)
+    def test_semigroup_law(self, n, N, L, s, t, seed):
+        g = make_grid(n, N, L)
+        rng = np.random.default_rng(seed)
+        f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         two = apply_semigroup(apply_semigroup(f, s, 0.9), t, 0.9)
         one = apply_semigroup(f, s + t, 0.9)
-        assert np.max(np.abs(two.data - one.data)) < 1e-12
+        assert np.max(np.abs(two.data - one.data)) < 1e-12 * np.max(np.abs(f.data))
 
     def test_self_adjoint(self):
         g = make_grid(2, 32, 2 * np.pi)
