@@ -22,10 +22,12 @@ from .grid import (
     Field,
     GaussianBump,
     GridSpec,
+    PHYSICAL,
     TimeSeries,
     WindowedPowerlaw,
     contamination,
     geometric_times,
+    sample_chunks,
     synthesize_field,
 )
 from .norms import (
@@ -36,7 +38,13 @@ from .norms import (
     lp_norms,
     mixed_norm,
 )
-from .semigroup import Alpha, duhamel, kernel, semigroup_series
+from .semigroup import (
+    Alpha,
+    duhamel,
+    kernel_data,
+    require_contained_kernel,
+    semigroup_series,
+)
 
 INF = float("inf")
 
@@ -311,6 +319,23 @@ class KernelNormFit:
     window_value: float
 
 
+def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.ndarray:
+    """lp_norm(kernel(grid, t, alpha), r) at each t of `ts`, bit for bit: the
+    symbols exp(-t lam) are stacked and inverse-transformed a sample chunk at
+    a time.  The whole-space validity check applies at the largest time only:
+    small-t kernels are near-deltas whose ringing is harmless to L^r."""
+    lam = grid.abs_freq ** (2 * float(alpha))
+    sym = np.empty((len(ts), *grid.shape))
+    for out, t in zip(sym, ts):
+        np.exp(-t * lam, out=out)
+    vals = []
+    for chunk in sample_chunks(sym, copies=2):  # the transform is complex
+        K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
+        vals.append(lp_norms(K, r))
+    require_contained_kernel(Field(grid, K.data[-1]), ts[-1], alpha)
+    return np.concatenate(vals)
+
+
 def kernel_mixed_norm_fit(
     alpha: float,
     h: float,
@@ -342,11 +367,7 @@ def kernel_mixed_norm_fit(
 
     def mnorm(T_end: float) -> float:
         ts = geometric_times(t_min, T_end, ratio=ratio)
-        # the whole-space validity check applies at the largest time only:
-        # small-t kernels are near-deltas whose ringing is harmless to L^r
-        vals = np.array(
-            [lp_norm(kernel(grid, t, alpha, check=(t == ts[-1])), r) for t in ts]
-        )
+        vals = _kernel_norms(grid, ts, alpha, r)
         sig = math.log(vals[1] / vals[0]) / math.log(ts[1] / ts[0])
         if 1 + h * sig <= 0:
             raise PreconditionError("kernel norm head is not integrable")

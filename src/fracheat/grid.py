@@ -16,6 +16,23 @@ every whole-space experiment is expected to keep it below 1e-6.
 Odd multiplier symbols (first derivatives, Riesz transforms) are built
 from a Nyquist-zeroed copy of the frequency lattice so that real fields
 map to real fields without asymmetric-mode artifacts.
+
+Realness
+--------
+Spectral data is always stored full and complex.  `TimeSeries.real`
+(default False) states that every sample is real in physical space; `_dft`
+then takes the real-to-complex transforms.  The inverse is `irfftn` of the
+half spectrum, a real array: it drops any imaginary part, at most 1e-12 of
+max|f| by the bound `require_real` admits.  The forward is `rfftn` of the
+real part and one Hermitian fill fhat(-k) = conj(fhat(k)); a caller that
+works on the half lattice (`nse._tensor_divergence`) fills only its result.
+The flag is set only where the mathematics guarantees it:
+`nse.solve_nse_picard`, after checking its data with `require_real`, and
+`nse.estimate_bilinear_constant` for its projected ensemble.  `+`/`-`,
+`to_physical`/`to_spectral`, `chunks`, `semigroup.duhamel` (real iff its
+forcing is), `nse.bilinear_form` (real iff both inputs are) and
+`nse.regularity_check` keep it: their symbols map Hermitian spectra to
+Hermitian spectra.  Everything unflagged runs the complex transforms.
 """
 
 from __future__ import annotations
@@ -148,17 +165,65 @@ class Field:
         return self if self.representation == SPECTRAL else transform(self, "forward")
 
 
-def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
-    """Unitary DFT over the trailing grid.n axes of `data` (see `transform`)."""
+def _dft(
+    data: np.ndarray, grid: GridSpec, direction: str, real: bool = False, half: bool = False
+) -> np.ndarray:
+    """Unitary DFT over the trailing grid.n axes of `data` (see `transform`).
+
+    `real` asserts that the physical side is real (see the module notes).
+    The inverse is then `irfftn` of the half spectrum, the modes with last
+    wavenumber index k <= N/2 (`data` may hold the full spectrum or only that
+    half), and returns a real array.  The forward is `rfftn` of the real part,
+    filled out to the full spectrum, or with `half` the half spectrum itself.
+    """
     axes = tuple(range(-grid.n, 0))
     scale = grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
     if direction == "forward":
+        if real:
+            out = np.fft.rfftn(np.real(data), axes=axes)
+            out *= scale
+            return out if half else _hermitian_fill(out, grid)
         out = np.fft.fftn(data, axes=axes)
         out *= scale
     else:
-        out = np.fft.ifftn(data, axes=axes)
+        if real:
+            half = data[..., : grid.N // 2 + 1]
+            out = np.fft.irfftn(half, s=grid.shape, axes=axes)
+        else:
+            out = np.fft.ifftn(data, axes=axes)
         out /= scale
     return out
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a at the negated wavenumbers: index k -> (-k) mod N along each of `axes`."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
+def _hermitian_fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full spectrum from the `rfftn` half (last axis k <= N/2) of a real
+    field: the missing modes are fhat(-k) = conj(fhat(k))."""
+    N = grid.N
+    full = np.empty((*half.shape[:-1], N), dtype=np.complex128)
+    full[..., : N // 2 + 1] = half
+    mirrored = _reflect(half[..., N // 2 - 1 : 0 : -1], range(-grid.n, -1))
+    np.conjugate(mirrored, out=full[..., N // 2 + 1 :])
+    return full
+
+
+def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
+    """Reject a sample stack that is not real in physical space: per sample,
+    max |imag| (physical) or the Hermitian defect max |fhat(k) - conj(fhat(-k))|
+    (spectral) must stay within 1e-12 of max |f|."""
+    if representation == PHYSICAL:
+        defect = np.abs(data.imag)
+    else:
+        defect = np.abs(data - np.conj(_reflect(data, range(-grid.n, 0))))
+    peak = np.abs(data).reshape(len(data), -1).max(axis=1)
+    if np.any(defect.reshape(len(data), -1).max(axis=1) > 1e-12 * peak):
+        raise PreconditionError(f"{what} must be a real field")
 
 
 # Batched kernels work on this many bytes of input samples at a time: large
@@ -466,10 +531,7 @@ def synthesize_field(grid: GridSpec, recipe: Recipe) -> Field:
 
 def _hermitianize(coef: np.ndarray) -> np.ndarray:
     """Project onto conjugate-symmetric coefficients (real physical field)."""
-    rev = coef
-    for ax in range(coef.ndim):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    return 0.5 * (coef + np.conj(rev))
+    return 0.5 * (coef + np.conj(_reflect(coef, range(coef.ndim))))
 
 
 def _lattice_vector_near(rng, radius: float, n: int) -> tuple[int, ...]:
@@ -552,7 +614,8 @@ class TimeSeries:
     `data` stacks the samples on axis 0, shape (m, *grid.shape) for a scalar
     and (m, c, *grid.shape) for a c-component series, in one `representation`.
     The constructor stacks `Field` snapshots (spectral if their
-    representations differ); `from_data` wraps a stacked array.
+    representations differ); `from_data` wraps a stacked array.  `real`
+    marks every sample as real in physical space (see the module notes).
     """
 
     def __init__(self, times, snapshots, grading: str = "custom"):
@@ -563,19 +626,21 @@ class TimeSeries:
             raise PreconditionError("snapshots must share one grid")
         rep = PHYSICAL if all(s.representation == PHYSICAL for s in snaps) else SPECTRAL
         datas = [(s if rep == PHYSICAL else s.to_spectral()).data for s in snaps]
-        self._set(snaps[0].grid, times, np.stack(datas), rep, grading)
+        self._set(snaps[0].grid, times, np.stack(datas), rep, grading, False)
 
     @classmethod
     def from_data(
-        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom"
+        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom",
+        real=False,
     ) -> "TimeSeries":
         """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape)."""
         series = cls.__new__(cls)
-        series._set(grid, times, data, representation, grading)
+        series._set(grid, times, data, representation, grading, real)
         return series
 
-    def _set(self, grid, times, data, representation, grading) -> None:
+    def _set(self, grid, times, data, representation, grading, real) -> None:
         self.grid, self.representation, self.grading = grid, representation, grading
+        self.real = real
         self.times = np.asarray(times, dtype=float)
         self.data = np.asarray(data, dtype=np.complex128)
         if representation not in (PHYSICAL, SPECTRAL):
@@ -611,15 +676,19 @@ class TimeSeries:
     def _as(self, representation: str, direction: str) -> "TimeSeries":
         if self.representation == representation:
             return self
-        data = _dft(self.data, self.grid, direction)
-        return TimeSeries.from_data(self.grid, self.times, data, representation)
+        data = _dft(self.data, self.grid, direction, self.real)
+        return TimeSeries.from_data(
+            self.grid, self.times, data, representation, real=self.real
+        )
 
     def chunks(self, representation: str = PHYSICAL, copies: int = 1):
         """`data` in one representation, a `sample_chunks` chunk at a time."""
         direction = "inverse" if representation == PHYSICAL else "forward"
         for chunk in sample_chunks(self.data, copies):
             d = self.data[chunk]
-            yield d if self.representation == representation else _dft(d, self.grid, direction)
+            if self.representation != representation:
+                d = _dft(d, self.grid, direction, self.real)
+            yield d
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":
         return self._combine(other, np.add)
@@ -632,7 +701,8 @@ class TimeSeries:
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
         data = op(self.to_spectral().data, other.to_spectral().data)
-        return TimeSeries.from_data(self.grid, self.times, data)
+        real = self.real and other.real
+        return TimeSeries.from_data(self.grid, self.times, data, real=real)
 
 
 def uniform_times(T: float, m: int, t0: float = 0.0) -> np.ndarray:

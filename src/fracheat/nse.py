@@ -30,6 +30,8 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
+    _hermitian_fill,
+    require_real,
     sample_chunks,
     uniform_times,
 )
@@ -77,8 +79,9 @@ def perturbed_taylor_green(
 
 
 def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Leray projection of a spectral stack (m, n, *grid.shape)."""
-    xi = grid.deriv_frequencies
+    """Leray projection of a spectral stack (m, n, *grid.shape), or of the
+    half of one with last wavenumber index k <= N/2 (a real field's)."""
+    xi = [x[..., : uh.shape[-1]] for x in grid.deriv_frequencies]
     q2 = sum(x**2 for x in xi)
     inv_q2 = np.divide(1.0, q2, out=np.zeros_like(q2), where=q2 > 0)
     factor = sum(x * uh[:, k] for k, x in enumerate(xi)) * inv_q2
@@ -118,7 +121,11 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 def _tensor_divergence(
-    uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec, mask: np.ndarray
+    uh: np.ndarray,
+    vh: np.ndarray | None,
+    grid: GridSpec,
+    mask: np.ndarray,
+    real: bool = False,
 ) -> np.ndarray:
     """P div(u x v) of spectral stacks (m, n, *grid.shape); vh None means v = u.
 
@@ -129,27 +136,36 @@ def _tensor_divergence(
     inverse transforms are shared and only the n(n+1)/2 symmetric products
     are formed: n + n(n+1)/2 transforms per sample (5 for n = 2), against
     2n + n^2 otherwise.
+
+    With `real` (both fields real) the factors and products are real: the
+    work runs on the half lattice (last wavenumber index k <= N/2) with the
+    real-to-complex transforms, and the result's other half is filled in
+    once at the end.
     """
     n = grid.n
+    lattice = (..., slice(0, grid.N // 2 + 1 if real else grid.N))
+    mask = mask[lattice]
     if vh is None:
-        u = v = _dft(uh * mask, grid, "inverse")
+        u = v = _dft(uh[lattice] * mask, grid, "inverse", real)
         pairs = [(k, j) for k in range(n) for j in range(k, n)]
     else:
-        phys = _dft(np.concatenate((uh, vh), axis=1) * mask, grid, "inverse")
+        both = np.concatenate((uh[lattice], vh[lattice]), axis=1)
+        phys = _dft(both * mask, grid, "inverse", real)
         u, v = phys[:, :n], phys[:, n:]
         pairs = list(itertools.product(range(n), repeat=2))
     prods = np.stack([u[:, k] * v[:, j] for k, j in pairs], axis=1)
-    prods = _dft(prods, grid, "forward")
+    prods = _dft(prods, grid, "forward", real, half=True)
     prods *= mask
     slot = {pair: i for i, pair in enumerate(pairs)}
     if vh is None:
         slot.update({(j, k): i for (k, j), i in list(slot.items())})
-    out = np.zeros_like(uh)
+    out = np.zeros((len(uh), n, *mask.shape), dtype=np.complex128)
     for k, x in enumerate(grid.deriv_frequencies):
-        ixi = 1j * x
+        ixi = 1j * x[lattice]
         for j in range(n):
             out[:, j] += ixi * prods[:, slot[k, j]]
-    return _leray(out, grid)
+    out = _leray(out, grid)
+    return _hermitian_fill(out, grid) if real else out
 
 
 def projected_tensor_divergence(u: Field, v: Field) -> Field:
@@ -170,7 +186,8 @@ def bilinear_form(
     """B(u, v): Duhamel integral of P div(u x v) along shared time grids.
 
     The nonlinearity is evaluated on chunks of samples (`sample_chunks`);
-    passing the same series twice shares its transforms.
+    passing the same series twice shares its transforms.  B(u, v) is real
+    iff u and v are.
     """
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
@@ -183,13 +200,14 @@ def bilinear_form(
     if t_eval is None:
         t_eval = u.times
     mask = dealias_mask(g)
+    real = u.real and v.real
     uh = u.to_spectral().data
     vh = None if v is u else v.to_spectral().data
     data = np.empty(uh.shape, dtype=np.complex128)
     for chunk in sample_chunks(uh):
         vc = None if vh is None else vh[chunk]
-        data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask)
-    W = TimeSeries.from_data(g, u.times, data, SPECTRAL)
+        data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask, real)
+    W = TimeSeries.from_data(g, u.times, data, SPECTRAL, real=real)
     return duhamel(W, t_eval, alpha)
 
 
@@ -215,7 +233,9 @@ def estimate_bilinear_constant(
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
         w = leray_project(Field(grid, np.stack(comps)))
-        samples.append(semigroup_series(w, times, alpha))
+        sample = semigroup_series(w, times, alpha)
+        sample.real = True  # projected real data, evolved by a real even symbol
+        samples.append(sample)
     measured = [(a, mixed_norm(a, q, p)) for a in samples]
     best = 0.0
     for (a, na), (b, nb) in itertools.combinations_with_replacement(measured, 2):
@@ -300,9 +320,10 @@ def solve_nse_picard(
 ) -> tuple[TimeSeries, PicardReport]:
     """Picard iteration for the mild generalized Navier-Stokes system.
 
-    Requires divergence-free data, alpha in (1/2, 1/2 + n/4), the exponent
-    relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the measured
-    smallness gate 2 * C_est * a < 1.
+    Requires real divergence-free data, alpha in (1/2, 1/2 + n/4), the
+    exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
+    measured smallness gate 2 * C_est * a < 1.  Every series of the solve is
+    then real, and its transforms take the real-to-complex path.
     """
     grid = g.grid
     n = grid.n
@@ -326,11 +347,17 @@ def solve_nse_picard(
     div_norm = lp_norm(divergence(g), 2)
     if div_norm > 1e-10:
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
+    require_real(g.data[None], grid, g.representation, "initial velocity g")
+    if h is not None:
+        require_real(h.data, grid, h.representation, "forcing h")
 
     times = uniform_times(T, nodes)
     free = semigroup_series(g, times, alpha)
+    free.real = True
     if h is not None:
-        hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
+        hP = TimeSeries.from_data(
+            grid, h.times, _leray(h.to_spectral().data, grid), real=True
+        )
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
         base = free + forced
@@ -438,6 +465,8 @@ def solve_potential_eq(
         )
     if nodes < 1:
         raise PreconditionError(f"nodes={nodes} must be >= 1")
+    if max_iter < 1:
+        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
     if r is not None:
         res = 1.0 / r + n / (2 * alpha * s) - 1.0
         if abs(res) > 1e-9:
@@ -447,9 +476,7 @@ def solve_potential_eq(
     if not 0 < min_fraction <= 1:
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None:
-        phys = V.to_physical().data.reshape(len(V), -1)  # each sample on its own scale
-        if not np.all(np.abs(phys.imag).max(axis=1) <= 1e-10 * np.abs(phys).max(axis=1)):
-            raise PreconditionError("potential must be real-valued")
+        require_real(V.data, grid, V.representation, "potential V")
 
     all_times: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
@@ -528,7 +555,9 @@ def regularity_check(
 ) -> dict[tuple[int, ...], float]:
     """Mixed norms of all spatial derivatives D^j with |j| <= max_order.
 
-    Raises ConvergenceError if any norm is non-finite.
+    Raises ConvergenceError if any norm is non-finite.  The derivative
+    series are real iff v is: each symbol (i xi)^j, on the Nyquist-zeroed
+    lattice, maps a Hermitian spectrum to a Hermitian spectrum.
     """
     if max_order > 4:
         raise PreconditionError("derivative order capped at 4")
@@ -541,7 +570,7 @@ def regularity_check(
         for ax, m in enumerate(multi):
             if m:
                 sym = sym * (1j * xi[ax]) ** m
-        series = TimeSeries.from_data(grid, v.times, spec.data * sym)
+        series = TimeSeries.from_data(grid, v.times, spec.data * sym, real=v.real)
         val = mixed_norm(series, q, p)
         if not np.isfinite(val):
             raise ConvergenceError(f"derivative {multi}: non-finite mixed norm")

@@ -92,17 +92,29 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
     """
     if not t > 0:
         raise PreconditionError(f"kernel time t={t} must be positive")
-    sym = dissipation_symbol(grid, t, alpha)
-    data = np.fft.fftshift(np.fft.ifftn(sym)) * grid.N**grid.n / grid.L**grid.n
-    out = Field(grid, data)
+    out = Field(grid, kernel_data(dissipation_symbol(grid, t, alpha), grid))
     if check:
-        c = contamination(out)
-        if c >= 1e-6:
-            raise ContaminationError(
-                f"kernel mass outside central half-box is {c:.3e} >= 1e-6 "
-                f"(t={t}, alpha={_alpha_value(alpha)})"
-            )
+        require_contained_kernel(out, t, alpha)
     return out
+
+
+def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Physical kernel data of a stack of propagator symbols, one inverse
+    FFT for the stack, each sample centred as in `kernel`."""
+    axes = tuple(range(-grid.n, 0))
+    data = np.fft.fftshift(np.fft.ifftn(sym, axes=axes), axes=axes)
+    return data * grid.N**grid.n / grid.L**grid.n
+
+
+def require_contained_kernel(k: Field, t: float, alpha) -> None:
+    """Raise ContaminationError when 1e-6 or more of the kernel's |K|-mass
+    sits outside the central half-box."""
+    c = contamination(k)
+    if c >= 1e-6:
+        raise ContaminationError(
+            f"kernel mass outside central half-box is {c:.3e} >= 1e-6 "
+            f"(t={t}, alpha={_alpha_value(alpha)})"
+        )
 
 
 def derivative_symbol(grid: GridSpec, order: float, kind: str = "homogeneous") -> np.ndarray:
@@ -196,7 +208,8 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
     F must be sampled on a grid starting at 0 that covers max(t_eval); F is
     treated as piecewise linear in s between snapshots.  The march runs on
-    the whole sample stack, so scalar and vector series share it.
+    the whole sample stack, so scalar and vector series share it.  The
+    result is real iff F is: the propagator's symbol is real and even.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
@@ -239,4 +252,4 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
             out[idx] = step(I, delta, Fhat[seg], Ft)
         else:
             out[idx] = I
-    return TimeSeries.from_data(g, t_eval, out, SPECTRAL)
+    return TimeSeries.from_data(g, t_eval, out, SPECTRAL, real=F.real)

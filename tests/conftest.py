@@ -9,10 +9,10 @@ import pytest
 @pytest.fixture
 def fft_count(monkeypatch):
     """Counts the calls ("calls", and per entry point under its name) and the
-    points transformed by the numpy.fft entry points behind
-    `fracheat.grid._dft` (`fftn`, `ifftn`) during a test."""
+    input points transformed by the numpy.fft entry points behind
+    `fracheat.grid._dft` (`fftn`, `ifftn`, `rfftn`, `irfftn`) during a test."""
     count = Counter()
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):

@@ -29,7 +29,8 @@ from fracheat import (
 )
 from fracheat.grid import RandomBandlimited, geometric_times
 from fracheat.norms import lp_norm
-from fracheat.semigroup import apply_semigroup, axis_derivative
+from fracheat import estimates
+from fracheat.semigroup import apply_semigroup, axis_derivative, kernel
 
 INF = float("inf")
 
@@ -388,6 +389,42 @@ class TestKernelNormFit:
     def test_window_violation(self):
         with pytest.raises(PreconditionError):
             kernel_mixed_norm_fit(1.0, 2.0, 4.0, 0.03, 2)  # window value 1.5 >= 1
+
+    @pytest.mark.parametrize("n, N, L, alpha, r", [
+        (1, 256, 10.0, 1, 1.5),
+        (2, 128, 10.0, 1.0, 2.0),
+        (2, 64, 8.0, 1.0, INF),
+    ])
+    def test_stacked_kernel_norms_equal_per_time(self, fft_count, n, N, L, alpha, r):
+        g = make_grid(n, N, L)
+        ts = geometric_times(0.002, 0.05, ratio=1.25)
+        fft_count.clear()
+        got = estimates._kernel_norms(g, ts, alpha, r)
+        stacked = fft_count["ifftn"]
+        want = [lp_norm(kernel(g, t, alpha, check=(t == ts[-1])), r) for t in ts]
+        assert got.tolist() == want
+        assert 1 <= stacked < len(ts)  # one transform per sample chunk
+
+    def test_fit_equals_per_time_oracle(self, monkeypatch):
+        args = (1.0, 1.5, 2.0, 0.03, 2)
+        got = kernel_mixed_norm_fit(*args)
+
+        def per_time(grid, ts, alpha, r):
+            return np.array(
+                [lp_norm(kernel(grid, t, alpha, check=(t == ts[-1])), r) for t in ts]
+            )
+
+        monkeypatch.setattr(estimates, "_kernel_norms", per_time)
+        assert got == kernel_mixed_norm_fit(*args)
+
+    def test_contamination_checked_at_largest_time(self):
+        g = make_grid(2, 64, 2.0)
+        ts = geometric_times(0.001, 0.5, ratio=1.25)
+        with pytest.raises(ContaminationError):
+            kernel(g, ts[-1], 1.0)
+        kernel(g, ts[-2], 1.0, check=False)
+        with pytest.raises(ContaminationError):
+            estimates._kernel_norms(g, ts, 1.0, 2.0)
 
 
 class TestDilationSweep:

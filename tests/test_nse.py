@@ -25,9 +25,9 @@ from fracheat import (
     synthesize_field,
     taylor_green,
 )
-from fracheat.grid import CHUNK_BYTES, uniform_times
+from fracheat.grid import CHUNK_BYTES, SPECTRAL, _dft, uniform_times
 from fracheat import nse
-from fracheat.nse import _fixed_point, _leray, dealias_mask
+from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
 
 
@@ -207,6 +207,121 @@ class TestStackedNonlinearity:
         assert np.array_equal(once[zero], uh[zero])
 
 
+def real_series(g, seed, times, j_max=2):
+    """Real-flagged free evolution of a projected random real velocity."""
+    u = semigroup_series(leray_project(random_vector(g, seed, j_max)), times, 1.0)
+    u.real = True
+    return u
+
+
+def _mirror(spec, n):
+    """spec at the negated wavenumbers: index k -> (-k) mod N on the last n axes."""
+    neg = (-np.arange(spec.shape[-1])) % spec.shape[-1]
+    for ax in range(spec.ndim - n, spec.ndim):
+        spec = np.take(spec, neg, axis=ax)
+    return spec
+
+
+def assert_hermitian(spec, n):
+    """fhat(-k) = conj(fhat(k)) to 1e-13 of the peak, Nyquist planes included."""
+    defect = np.max(np.abs(spec - np.conj(_mirror(spec, n))))
+    assert defect <= 1e-13 * np.max(np.abs(spec))
+
+
+class TestRealPath:
+    def test_bilinear_takes_real_transforms(self, fft_count):
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 40)
+        u = real_series(g, 3, times)
+        fft_count.clear()
+        B = bilinear_form(u, u, 1.0)
+        assert B.real
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0
+        assert fft_count["rfftn"] > 0 and fft_count["irfftn"] > 0
+        assert fft_count["points"] <= 5 * len(times) * g.N**2
+
+    @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_tensor_divergence_equals_complex(self, n, N, same):
+        g = make_grid(n, N, 2 * np.pi)
+        times = uniform_times(0.5, 6)
+        uh = real_series(g, 3, times, j_max=1).data
+        vh = None if same else real_series(g, 8, times, j_max=1).data
+        mask = dealias_mask(g)
+        want = _tensor_divergence(uh, vh, g, mask)
+        got = _tensor_divergence(uh, vh, g, mask, real=True)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_picard_rejects_complex_data(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        wave = synthesize_field(g, PlaneWave(k=(0, 1)))  # e^{iy}: d_x of it is 0
+        g0 = VectorField((wave, Field(g, np.zeros(g.shape))))
+        assert lp_norm(divergence(g0), 2) < 1e-12
+        with pytest.raises(PreconditionError, match="initial velocity g must be a real"):
+            solve_nse_picard(g0, None, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+        # a complex forcing, given in spectral form: the Hermitian-defect test
+        real0 = perturbed_taylor_green(g, 0.1)
+        times = uniform_times(0.5, 8)
+        h = TimeSeries(times, [g0.to_spectral()] * len(times))
+        with pytest.raises(PreconditionError, match="forcing h must be a real"):
+            solve_nse_picard(real0, h, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+
+    def test_picard_accepts_real_spectral_data(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        g0 = perturbed_taylor_green(g, 0.3)
+        times = uniform_times(0.5, 8)
+        h = TimeSeries(times, [g0.to_spectral()] * len(times))
+        v, rep = solve_nse_picard(
+            g0.to_spectral(), h, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1
+        )
+        assert v.real and rep.converged
+
+    def test_regularity_keeps_real_path(self, fft_count):
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 8)
+        u = semigroup_series(perturbed_taylor_green(g, 1.0), times, 1.0)
+        want = regularity_check(u, 2, 4, 4)
+        u.real = True
+        fft_count.clear()
+        got = regularity_check(u, 2, 4, 4)
+        assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
+        for multi, val in want.items():
+            assert abs(got[multi] - val) <= 1e-13 * want[(0, 0)] + 1e-12 * val
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        N=st.sampled_from([8, 16, 32]),
+        L=st.floats(0.5, 50.0),
+        alpha=st.floats(0.3, 1.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_real_fields_stay_hermitian(self, n, N, L, alpha, seed):
+        g = make_grid(n, N, L)
+        rng = np.random.default_rng(seed)
+        phys = rng.standard_normal((2, n, *g.shape))  # Nyquist planes carry energy
+        uh = _dft(phys, g, "forward")
+        assert_hermitian(uh, n)
+        assert_hermitian(_leray(uh, g), n)
+        assert_hermitian(divergence(Field(g, uh[0], SPECTRAL)).data, n)
+        for ax in range(n):
+            for order in (1, 2, 3):
+                d = axis_derivative(Field(g, uh[0, 0], SPECTRAL), ax, order)
+                assert_hermitian(d.data, n)
+        times = [0.0, 0.5 * g.spacing ** (2 * alpha), g.spacing ** (2 * alpha)]
+        assert_hermitian(semigroup_series(Field(g, uh[0], SPECTRAL), times, alpha).data, n)
+        mask = dealias_mask(g)
+        for vh in (None, uh[::-1]):
+            assert_hermitian(_tensor_divergence(uh, vh, g, mask, real=True), n)
+        # the real transforms against the complex path
+        inverse = _dft(uh, g, "inverse")
+        real_inverse = _dft(uh, g, "inverse", real=True)
+        assert real_inverse.dtype == np.float64
+        assert np.max(np.abs(real_inverse - inverse.real)) <= 1e-14 * np.max(np.abs(inverse))
+        forward = _dft(phys, g, "forward", real=True)
+        assert np.max(np.abs(forward - uh)) <= 1e-14 * np.max(np.abs(uh))
+
+
 class TestBilinearBound:
     def test_single_constant_bounds_fresh_samples(self):
         # the measured ensemble constant bounds out-of-sample pairs too
@@ -306,6 +421,14 @@ def _potential(g, **kw):
 def test_solver_counts_below_one_rejected(call, named):
     with pytest.raises(PreconditionError, match=named):
         call(make_grid(2, 16, 2 * np.pi))
+
+
+def test_potential_max_iter_rejected_before_any_work(call_count):
+    calls = call_count(nse, "duhamel")
+    call_count(nse, "semigroup_series")
+    with pytest.raises(PreconditionError, match="max_iter=0"):
+        _potential(make_grid(2, 16, 2 * np.pi), max_iter=0)
+    assert calls["duhamel"] == 0 and calls["semigroup_series"] == 0
 
 
 class TestPicard:
