@@ -19,20 +19,26 @@ map to real fields without asymmetric-mode artifacts.
 
 Realness
 --------
-Spectral data is always stored full and complex.  `TimeSeries.real`
-(default False) states that every sample is real in physical space; `_dft`
-then takes the real-to-complex transforms.  The inverse is `irfftn` of the
-half spectrum, a real array: it drops any imaginary part, at most 1e-12 of
-max|f| by the bound `require_real` admits.  The forward is `rfftn` of the
-real part and one Hermitian fill fhat(-k) = conj(fhat(k)); a caller that
-works on the half lattice (`nse._tensor_divergence`) fills only its result.
-The flag is set only where the mathematics guarantees it:
-`nse.solve_nse_picard`, after checking its data with `require_real`, and
-`nse.estimate_bilinear_constant` for its projected ensemble.  `+`/`-`,
-`to_physical`/`to_spectral`, `chunks`, `semigroup.duhamel` (real iff its
-forcing is), `nse.bilinear_form` (real iff both inputs are) and
-`nse.regularity_check` keep it: their symbols map Hermitian spectra to
-Hermitian spectra.  Everything unflagged runs the complex transforms.
+`TimeSeries.real` (default False, fixed at construction) states that every
+sample is real in physical space.  Such a series stores its spectral
+samples on the half lattice only, the `rfftn` layout: shape
+(m, [c,] *grid.shape[:-1], N//2 + 1), last wavenumber index k <= N/2; the
+other modes are fhat(-k) = conj(fhat(k)) and are never stored.  `_dft`
+then takes the real-to-complex transforms: the forward is `rfftn` of the
+real part, returning the half; the inverse is `irfftn` of the half, a real
+array (it drops any imaginary part, at most 1e-12 of max|f| by the bound
+`require_real` admits).  A `Field` is always full: `.snapshots` and
+`chunks(SPECTRAL)` fill the half with `_hermitian_fill`, as does combining
+a real series with a complex one.  The flag is set only where the
+mathematics guarantees it: `nse.solve_nse_picard`, after checking its
+data with `require_real`, and `nse.estimate_bilinear_constant` for its
+projected ensemble, both through `semigroup.semigroup_series(real=True)`.
+`+`/`-` of two real series, `to_physical`/`to_spectral`,
+`semigroup.duhamel` (real iff its forcing is), `nse.bilinear_form` (real
+iff both inputs are) and `nse.regularity_check` keep it, working mode by
+mode on the half lattice: their symbols are real and even or, on the
+Nyquist-zeroed lattice, map Hermitian spectra to Hermitian spectra.
+Everything unflagged runs the complex transforms on the full lattice.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return (self.L / self.N) ** self.n
+
+    def spectral_width(self, real: bool) -> int:
+        """Last-axis length of stored spectral data: N // 2 + 1 for the half
+        lattice of a real series (see the module notes), N otherwise."""
+        return self.N // 2 + 1 if real else self.N
 
     @property
     def nyquist(self) -> float:
@@ -165,29 +176,23 @@ class Field:
         return self if self.representation == SPECTRAL else transform(self, "forward")
 
 
-def _dft(
-    data: np.ndarray, grid: GridSpec, direction: str, real: bool = False, half: bool = False
-) -> np.ndarray:
+def _dft(data: np.ndarray, grid: GridSpec, direction: str, real: bool = False) -> np.ndarray:
     """Unitary DFT over the trailing grid.n axes of `data` (see `transform`).
 
     `real` asserts that the physical side is real (see the module notes).
-    The inverse is then `irfftn` of the half spectrum, the modes with last
-    wavenumber index k <= N/2 (`data` may hold the full spectrum or only that
-    half), and returns a real array.  The forward is `rfftn` of the real part,
-    filled out to the full spectrum, or with `half` the half spectrum itself.
+    The forward is then `rfftn` of the real part and returns the half
+    spectrum, the modes with last wavenumber index k <= N/2; the inverse is
+    `irfftn` of that half (of a full spectrum it reads only the half) and
+    returns a real array.
     """
     axes = tuple(range(-grid.n, 0))
     scale = grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
     if direction == "forward":
-        if real:
-            out = np.fft.rfftn(np.real(data), axes=axes)
-            out *= scale
-            return out if half else _hermitian_fill(out, grid)
-        out = np.fft.fftn(data, axes=axes)
+        out = np.fft.rfftn(np.real(data), axes=axes) if real else np.fft.fftn(data, axes=axes)
         out *= scale
     else:
         if real:
-            half = data[..., : grid.N // 2 + 1]
+            half = data[..., : grid.spectral_width(True)]
             out = np.fft.irfftn(half, s=grid.shape, axes=axes)
         else:
             out = np.fft.ifftn(data, axes=axes)
@@ -232,9 +237,15 @@ def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: st
 CHUNK_BYTES = 1 << 20
 
 
-def sample_chunks(data: np.ndarray, copies: int = 1):
-    """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies."""
-    sample_bytes = copies * data.itemsize * math.prod(data.shape[1:])
+def sample_chunks(data: np.ndarray, copies: int = 1, grid: GridSpec | None = None):
+    """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies.
+
+    With `grid`, a sample counts at its size on the full lattice, so a real
+    series' half spectra are cut like the full spectra whose transforms
+    they stand for.
+    """
+    shape = data.shape[1:] if grid is None else (*data.shape[1:-1], grid.N)
+    sample_bytes = copies * data.itemsize * math.prod(shape)
     step = max(1, CHUNK_BYTES // max(1, sample_bytes))
     return [slice(i, i + step) for i in range(0, len(data), step)]
 
@@ -614,8 +625,10 @@ class TimeSeries:
     `data` stacks the samples on axis 0, shape (m, *grid.shape) for a scalar
     and (m, c, *grid.shape) for a c-component series, in one `representation`.
     The constructor stacks `Field` snapshots (spectral if their
-    representations differ); `from_data` wraps a stacked array.  `real`
-    marks every sample as real in physical space (see the module notes).
+    representations differ); `from_data` wraps a stacked array.  `real`,
+    fixed at construction, marks every sample as real in physical space;
+    such a series stores spectral samples on the half lattice, last axis
+    N//2 + 1 wide (see the module notes).
     """
 
     def __init__(self, times, snapshots, grading: str = "custom"):
@@ -633,22 +646,31 @@ class TimeSeries:
         cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom",
         real=False,
     ) -> "TimeSeries":
-        """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape)."""
+        """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape),
+        or with `real` and SPECTRAL its half lattice, last axis N//2 + 1."""
         series = cls.__new__(cls)
         series._set(grid, times, data, representation, grading, real)
         return series
 
     def _set(self, grid, times, data, representation, grading, real) -> None:
         self.grid, self.representation, self.grading = grid, representation, grading
-        self.real = real
+        self._real = real
         self.times = np.asarray(times, dtype=float)
         self.data = np.asarray(data, dtype=np.complex128)
         if representation not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {representation!r}")
         if self.times.ndim != 1 or len(self.times) != len(self.data):
             raise PreconditionError("times and snapshots must have equal length")
-        if self.data.shape[-grid.n :] != grid.shape or self.data.ndim > grid.n + 2:
-            raise PreconditionError(f"series data shape {self.data.shape} off grid {grid}")
+        shape = self.data.shape
+        if shape[-grid.n : -1] != grid.shape[:-1] or len(shape) > grid.n + 2:
+            raise PreconditionError(f"series data shape {shape} off grid {grid}")
+        width = grid.spectral_width(self.real and representation == SPECTRAL)
+        if shape[-1] != width:
+            raise PreconditionError(
+                f"{'real' if self.real else 'complex'} {representation} series data has "
+                f"last-axis width {shape[-1]}, not {width}: a real spectral series stores "
+                f"N//2+1 = {grid.spectral_width(True)} modes, every other series N = {grid.N}"
+            )
         if len(self.times) and self.times[0] < 0:
             raise PreconditionError("times must be nonnegative")
         if np.any(np.diff(self.times) <= 0):
@@ -663,9 +685,21 @@ class TimeSeries:
         return len(self.times)
 
     @property
+    def real(self) -> bool:
+        """Every sample is real in physical space (set at construction only)."""
+        return self._real
+
+    @property
     def snapshots(self) -> list[Field]:
-        """Per-sample `Field` views of `data`."""
-        return [Field(self.grid, d, self.representation) for d in self.data]
+        """Per-sample `Field`s of `data`, on the full lattice."""
+        data = self.spectrum() if self.representation == SPECTRAL else self.data
+        return [Field(self.grid, d, self.representation) for d in data]
+
+    def spectrum(self, half: bool = False) -> np.ndarray:
+        """The spectral samples on the full lattice, a real series' stored half
+        Hermitian-filled; with `half`, a real series' half lattice as stored."""
+        data = self.to_spectral().data
+        return _hermitian_fill(data, self.grid) if self.real and not half else data
 
     def to_physical(self) -> "TimeSeries":
         return self._as(PHYSICAL, "inverse")
@@ -682,12 +716,15 @@ class TimeSeries:
         )
 
     def chunks(self, representation: str = PHYSICAL, copies: int = 1):
-        """`data` in one representation, a `sample_chunks` chunk at a time."""
+        """`data` in one representation on the full lattice, a `sample_chunks`
+        chunk at a time."""
         direction = "inverse" if representation == PHYSICAL else "forward"
-        for chunk in sample_chunks(self.data, copies):
+        for chunk in sample_chunks(self.data, copies, self.grid):
             d = self.data[chunk]
             if self.representation != representation:
                 d = _dft(d, self.grid, direction, self.real)
+            if self.real and representation == SPECTRAL:
+                d = _hermitian_fill(d, self.grid)
             yield d
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":
@@ -697,11 +734,12 @@ class TimeSeries:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
-        """Sample-wise op of two series on one time grid, in spectral form."""
+        """Sample-wise op of two series on one time grid, in spectral form: on
+        the half lattice if both are real, else on the full lattice."""
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
-        data = op(self.to_spectral().data, other.to_spectral().data)
         real = self.real and other.real
+        data = op(self.spectrum(half=real), other.spectrum(half=real))
         return TimeSeries.from_data(self.grid, self.times, data, real=real)
 
 

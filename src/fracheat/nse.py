@@ -30,7 +30,6 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
-    _hermitian_fill,
     require_real,
     sample_chunks,
     uniform_times,
@@ -138,12 +137,12 @@ def _tensor_divergence(
     2n + n^2 otherwise.
 
     With `real` (both fields real) the factors and products are real: the
-    work runs on the half lattice (last wavenumber index k <= N/2) with the
-    real-to-complex transforms, and the result's other half is filled in
-    once at the end.
+    work runs on the half lattice (last wavenumber index k <= N/2, the
+    storage of a real series; a full stack is read only there) with the
+    real-to-complex transforms, and the result is that half.
     """
     n = grid.n
-    lattice = (..., slice(0, grid.N // 2 + 1 if real else grid.N))
+    lattice = (..., slice(0, grid.spectral_width(real)))
     mask = mask[lattice]
     if vh is None:
         u = v = _dft(uh[lattice] * mask, grid, "inverse", real)
@@ -154,7 +153,7 @@ def _tensor_divergence(
         u, v = phys[:, :n], phys[:, n:]
         pairs = list(itertools.product(range(n), repeat=2))
     prods = np.stack([u[:, k] * v[:, j] for k, j in pairs], axis=1)
-    prods = _dft(prods, grid, "forward", real, half=True)
+    prods = _dft(prods, grid, "forward", real)
     prods *= mask
     slot = {pair: i for i, pair in enumerate(pairs)}
     if vh is None:
@@ -164,8 +163,7 @@ def _tensor_divergence(
         ixi = 1j * x[lattice]
         for j in range(n):
             out[:, j] += ixi * prods[:, slot[k, j]]
-    out = _leray(out, grid)
-    return _hermitian_fill(out, grid) if real else out
+    return _leray(out, grid)
 
 
 def projected_tensor_divergence(u: Field, v: Field) -> Field:
@@ -187,13 +185,14 @@ def bilinear_form(
 
     The nonlinearity is evaluated on chunks of samples (`sample_chunks`);
     passing the same series twice shares its transforms.  B(u, v) is real
-    iff u and v are.
+    iff u and v are, and is then computed on their half lattice; a real
+    series paired with a complex one is Hermitian-filled first.
     """
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
         raise PreconditionError("bilinear form needs matching time grids")
     for w in (u, v):
-        if w.grid != g or w.data.shape[1:] != (g.n, *g.shape):
+        if w.grid != g or w.data.ndim != g.n + 2 or w.data.shape[1] != g.n:
             raise PreconditionError(
                 "bilinear form needs n-component velocity series on one grid"
             )
@@ -201,10 +200,10 @@ def bilinear_form(
         t_eval = u.times
     mask = dealias_mask(g)
     real = u.real and v.real
-    uh = u.to_spectral().data
-    vh = None if v is u else v.to_spectral().data
+    uh = u.spectrum(half=real)
+    vh = None if v is u else v.spectrum(half=real)
     data = np.empty(uh.shape, dtype=np.complex128)
-    for chunk in sample_chunks(uh):
+    for chunk in sample_chunks(uh, grid=g):
         vc = None if vh is None else vh[chunk]
         data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask, real)
     W = TimeSeries.from_data(g, u.times, data, SPECTRAL, real=real)
@@ -233,9 +232,8 @@ def estimate_bilinear_constant(
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
         w = leray_project(Field(grid, np.stack(comps)))
-        sample = semigroup_series(w, times, alpha)
-        sample.real = True  # projected real data, evolved by a real even symbol
-        samples.append(sample)
+        # projected real data, evolved by a real even symbol
+        samples.append(semigroup_series(w, times, alpha, real=True))
     measured = [(a, mixed_norm(a, q, p)) for a in samples]
     best = 0.0
     for (a, na), (b, nb) in itertools.combinations_with_replacement(measured, 2):
@@ -348,16 +346,14 @@ def solve_nse_picard(
     if div_norm > 1e-10:
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
     require_real(g.data[None], grid, g.representation, "initial velocity g")
-    if h is not None:
+    if h is not None and not h.real:  # a real-flagged series is real by construction
         require_real(h.data, grid, h.representation, "forcing h")
 
     times = uniform_times(T, nodes)
-    free = semigroup_series(g, times, alpha)
-    free.real = True
+    free = semigroup_series(g, times, alpha, real=True)
     if h is not None:
-        hP = TimeSeries.from_data(
-            grid, h.times, _leray(h.to_spectral().data, grid), real=True
-        )
+        half = h.to_spectral().data[..., : grid.spectral_width(True)]
+        hP = TimeSeries.from_data(grid, h.times, _leray(half, grid), real=True)
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
         base = free + forced
@@ -419,7 +415,7 @@ def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> np.ndar
     the interior; nodes at or beyond either end take the stored end sample
     as it is, so a physical series keeps its exact values there."""
     ts = series.times
-    spec = series.to_spectral().data
+    spec = series.spectrum()
     ends = series.to_physical().data if representation == PHYSICAL else spec
     inner = (t > ts[0]) & (t < ts[-1])
     i = np.searchsorted(ts, t[inner]) - 1
@@ -475,7 +471,7 @@ def solve_potential_eq(
             )
     if not 0 < min_fraction <= 1:
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
-    if V is not None:
+    if V is not None and not V.real:
         require_real(V.data, grid, V.representation, "potential V")
 
     all_times: list[np.ndarray] = []
@@ -555,22 +551,27 @@ def regularity_check(
 ) -> dict[tuple[int, ...], float]:
     """Mixed norms of all spatial derivatives D^j with |j| <= max_order.
 
-    Raises ConvergenceError if any norm is non-finite.  The derivative
-    series are real iff v is: each symbol (i xi)^j, on the Nyquist-zeroed
-    lattice, maps a Hermitian spectrum to a Hermitian spectrum.
+    max_order must be an integer in [0, 4].  Raises ConvergenceError if any
+    norm is non-finite.  The derivative series are real iff v is, and are
+    then formed on its half lattice: each symbol (i xi)^j, on the
+    Nyquist-zeroed lattice, maps a Hermitian spectrum to a Hermitian spectrum.
     """
-    if max_order > 4:
-        raise PreconditionError("derivative order capped at 4")
+    if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
+        raise PreconditionError(
+            f"max_order={max_order!r} must be an integer in [0, 4] (derivative order cap)"
+        )
     grid = v.grid
     xi = grid.deriv_frequencies
-    spec = v.to_spectral()
+    spec = v.to_spectral().data
     out: dict[tuple[int, ...], float] = {}
     for multi in _multi_indices(grid.n, max_order):
         sym = np.ones(grid.shape, dtype=np.complex128)
         for ax, m in enumerate(multi):
             if m:
                 sym = sym * (1j * xi[ax]) ** m
-        series = TimeSeries.from_data(grid, v.times, spec.data * sym, real=v.real)
+        series = TimeSeries.from_data(
+            grid, v.times, spec * sym[..., : spec.shape[-1]], real=v.real
+        )
         val = mixed_norm(series, q, p)
         if not np.isfinite(val):
             raise ConvergenceError(f"derivative {multi}: non-finite mixed norm")

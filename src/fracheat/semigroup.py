@@ -70,15 +70,23 @@ def apply_semigroup(f: Field, t: float, alpha) -> Field:
     return apply_symbol(f, dissipation_symbol(f.grid, t, alpha))
 
 
-def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
-    """Free evolution of a scalar or vector Field sampled on a time grid (spectral)."""
+def semigroup_series(
+    f, times: Sequence[float], alpha, grading="custom", real: bool = False
+) -> TimeSeries:
+    """Free evolution of a scalar or vector Field sampled on a time grid (spectral).
+
+    With `real` (f real in physical space) the series is flagged real and
+    only its half lattice, last wavenumber index k <= N/2, is evolved.
+    """
     fh = f.to_spectral()
+    width = fh.grid.spectral_width(real)
     a = _alpha_value(alpha)
-    lam = fh.grid.abs_freq ** (2 * a)
-    data = np.empty((len(times), *fh.data.shape), dtype=np.complex128)
+    lam = fh.grid.abs_freq[..., :width] ** (2 * a)
+    spec = fh.data[..., :width]
+    data = np.empty((len(times), *spec.shape), dtype=np.complex128)
     for out, t in zip(data, times):
-        np.multiply(fh.data, np.exp(-t * lam), out=out)
-    return TimeSeries.from_data(fh.grid, times, data, SPECTRAL, grading)
+        np.multiply(spec, np.exp(-t * lam), out=out)
+    return TimeSeries.from_data(fh.grid, times, data, SPECTRAL, grading, real)
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -209,7 +217,8 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     F must be sampled on a grid starting at 0 that covers max(t_eval); F is
     treated as piecewise linear in s between snapshots.  The march runs on
     the whole sample stack, so scalar and vector series share it.  The
-    result is real iff F is: the propagator's symbol is real and even.
+    result is real iff F is, and is then marched on F's half lattice: the
+    propagator's symbol is real and even.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
@@ -221,7 +230,7 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
     g = F.grid
     a = _alpha_value(alpha)
-    lam = g.abs_freq ** (2 * a)
+    lam = g.abs_freq[..., : g.spectral_width(F.real)] ** (2 * a)
     Fhat = F.to_spectral().data
     out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
 

@@ -206,6 +206,24 @@ class TestCommandSkeleton:
         assert (out / f"{stem}.csv").exists() == (command in self.WITH_CSV)
 
 
+    def test_nse_solve_golden(self, tmp_path):
+        """`nse-solve` results to the last bit, recorded before NSE storage
+        and transform changes: a change that moves them on purpose updates
+        these digits and says so."""
+        (tmp_path / "run.cfg").write_text(self.CONFIGS["nse-solve"])
+        out = tmp_path / "o"
+        argv = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["--seed", "5", "--out", str(out), "nse-solve", *argv]) == 0
+        results = json.loads((out / "nse_solve.json").read_text())["results"]
+        assert results["final_norm"] == 0.2301868744460132
+        assert results["bilinear_constant"] == 0.0344087856169882
+        assert results["data_functional"] == 0.23018674378701062
+        assert results["residuals"] == [
+            0.0035516408568483718, 7.292501473136706e-05, 8.66716096551729e-07
+        ]
+        assert results["iterations"] == 3
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -287,6 +287,29 @@ class TestArrayBackedSeries:
         assert np.array_equal(series.data[0], f.to_spectral().data)
 
 
+class TestRealStorage:
+    """A real series stores its spectral samples on the half lattice."""
+
+    def test_width_follows_realness(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        half, full = np.zeros((2, 16, 9)), np.zeros((2, 16, 16))
+        series = TimeSeries.from_data(g, [0.0, 1.0], half, real=True)
+        assert series.real and series.data.shape == (2, 16, 9)
+        assert TimeSeries.from_data(g, [0.0, 1.0], full, "physical", real=True).real
+        with pytest.raises(PreconditionError, match=r"width 16, not 9.*N//2\+1 = 9.*N = 16"):
+            TimeSeries.from_data(g, [0.0, 1.0], full, real=True)
+        for data, real, rep in ((half, False, "spectral"), (half, True, "physical")):
+            with pytest.raises(PreconditionError, match="width 9, not 16"):
+                TimeSeries.from_data(g, [0.0, 1.0], data, rep, real=real)
+
+    def test_realness_is_fixed_at_construction(self):
+        g = make_grid(1, 16, 2 * np.pi)
+        series = TimeSeries.from_data(g, [0.0], np.zeros((1, 16)))
+        with pytest.raises(AttributeError):
+            series.real = True
+        assert not series.real
+
+
 class TestVectorField:
     """A vector is one `Field` with a leading component axis."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fracheat import (
     ConvergenceError,
     Field,
+    NormSpec,
     PlaneWave,
     PreconditionError,
     RandomBandlimited,
@@ -25,7 +26,7 @@ from fracheat import (
     synthesize_field,
     taylor_green,
 )
-from fracheat.grid import CHUNK_BYTES, SPECTRAL, _dft, uniform_times
+from fracheat.grid import CHUNK_BYTES, SPECTRAL, _dft, _hermitian_fill, uniform_times
 from fracheat import nse
 from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
@@ -207,11 +208,11 @@ class TestStackedNonlinearity:
         assert np.array_equal(once[zero], uh[zero])
 
 
-def real_series(g, seed, times, j_max=2):
-    """Real-flagged free evolution of a projected random real velocity."""
-    u = semigroup_series(leray_project(random_vector(g, seed, j_max)), times, 1.0)
-    u.real = True
-    return u
+def real_series(g, seed, times, j_max=2, real=True):
+    """Free evolution of a projected random real velocity: real-flagged on the
+    half lattice, or with real=False the same series on the complex path."""
+    w = leray_project(random_vector(g, seed, j_max))
+    return semigroup_series(w, times, 1.0, real=real)
 
 
 def _mirror(spec, n):
@@ -232,25 +233,64 @@ class TestRealPath:
     def test_bilinear_takes_real_transforms(self, fft_count):
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 40)
-        u = real_series(g, 3, times)
+        u, uc = real_series(g, 3, times), real_series(g, 3, times, real=False)
+        fft_count.clear()
+        bilinear_form(uc, uc, 1.0)
+        complex_calls = fft_count["calls"]
         fft_count.clear()
         B = bilinear_form(u, u, 1.0)
         assert B.real
         assert fft_count["fftn"] == fft_count["ifftn"] == 0
         assert fft_count["rfftn"] > 0 and fft_count["irfftn"] > 0
         assert fft_count["points"] <= 5 * len(times) * g.N**2
+        # half spectra are chunked like the full ones: as many batched calls
+        assert fft_count["calls"] == complex_calls
 
     @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("same", [True, False])
     def test_tensor_divergence_equals_complex(self, n, N, same):
         g = make_grid(n, N, 2 * np.pi)
         times = uniform_times(0.5, 6)
-        uh = real_series(g, 3, times, j_max=1).data
-        vh = None if same else real_series(g, 8, times, j_max=1).data
+        u, v = (real_series(g, s, times, j_max=1, real=False) for s in (3, 8))
+        ur, vr = (real_series(g, s, times, j_max=1) for s in (3, 8))
         mask = dealias_mask(g)
-        want = _tensor_divergence(uh, vh, g, mask)
-        got = _tensor_divergence(uh, vh, g, mask, real=True)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = _tensor_divergence(u.data, None if same else v.data, g, mask)
+        got = _tensor_divergence(ur.data, None if same else vr.data, g, mask, real=True)
+        assert got.shape == (*want.shape[:-1], N // 2 + 1)
+        assert np.max(np.abs(got - want[..., : N // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
+
+    def test_mixed_realness_equals_complex(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 12)
+        ur = real_series(g, 3, times)
+        u, v = (real_series(g, s, times, real=False) for s in (3, 8))
+        scale = np.max(np.abs(u.data))
+        for got, want in ((ur + v, u + v), (ur - v, u - v), (v - ur, v - u)):
+            assert not got.real
+            assert np.max(np.abs(got.data - want.data)) <= 1e-13 * scale
+        got, want = bilinear_form(ur, v, 1.0), bilinear_form(u, v, 1.0)
+        assert not got.real
+        assert np.max(np.abs(got.data - want.data)) <= 1e-13 * np.max(np.abs(want.data))
+
+    def test_real_snapshots_are_full_spectra(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 6)
+        ur, u = real_series(g, 3, times), real_series(g, 3, times, real=False)
+        assert ur.data.shape == (len(times), 2, g.N, g.N // 2 + 1)
+        scale = np.max(np.abs(u.data))
+        for got, want in zip(ur.snapshots, u.snapshots):
+            assert got.representation == SPECTRAL
+            assert got.data.shape == want.data.shape == (2, g.N, g.N)
+            assert np.max(np.abs(got.data - want.data)) <= 1e-14 * scale
+
+    def test_spectral_norms_of_real_series(self):
+        # chunks(SPECTRAL) hands multiplier norms the full lattice
+        g = make_grid(2, 32, 2 * np.pi)
+        times = uniform_times(0.5, 6)
+        ur, u = real_series(g, 3, times), real_series(g, 3, times, real=False)
+        for spec in (NormSpec("sobolev", s=1.0, p=4.0), NormSpec("besov", s=0.5, p=4.0)):
+            want = mixed_norm(u, 4.0, spec)
+            assert abs(mixed_norm(ur, 4.0, spec) - want) <= 1e-13 * want
 
     def test_picard_rejects_complex_data(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -275,13 +315,18 @@ class TestRealPath:
             g0.to_spectral(), h, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1
         )
         assert v.real and rep.converged
+        assert v.data.shape == (9, 2, g.N, g.N // 2 + 1)
+        # a real-flagged forcing, stored on the half lattice, is taken as real
+        hr = TimeSeries.from_data(g, times, h.data[..., : g.N // 2 + 1], real=True)
+        vr, _ = solve_nse_picard(g0, hr, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+        assert np.max(np.abs(vr.data - v.data)) <= 1e-13 * np.max(np.abs(v.data))
 
     def test_regularity_keeps_real_path(self, fft_count):
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 8)
         u = semigroup_series(perturbed_taylor_green(g, 1.0), times, 1.0)
         want = regularity_check(u, 2, 4, 4)
-        u.real = True
+        u = semigroup_series(perturbed_taylor_green(g, 1.0), times, 1.0, real=True)
         fft_count.clear()
         got = regularity_check(u, 2, 4, 4)
         assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
@@ -312,14 +357,17 @@ class TestRealPath:
         assert_hermitian(semigroup_series(Field(g, uh[0], SPECTRAL), times, alpha).data, n)
         mask = dealias_mask(g)
         for vh in (None, uh[::-1]):
-            assert_hermitian(_tensor_divergence(uh, vh, g, mask, real=True), n)
+            half = _tensor_divergence(uh, vh, g, mask, real=True)
+            assert_hermitian(_hermitian_fill(half, g), n)
         # the real transforms against the complex path
         inverse = _dft(uh, g, "inverse")
-        real_inverse = _dft(uh, g, "inverse", real=True)
+        real_inverse = _dft(uh[..., : N // 2 + 1], g, "inverse", real=True)
         assert real_inverse.dtype == np.float64
         assert np.max(np.abs(real_inverse - inverse.real)) <= 1e-14 * np.max(np.abs(inverse))
         forward = _dft(phys, g, "forward", real=True)
-        assert np.max(np.abs(forward - uh)) <= 1e-14 * np.max(np.abs(uh))
+        assert forward.shape[-1] == N // 2 + 1
+        assert np.max(np.abs(forward - uh[..., : N // 2 + 1])) <= 1e-14 * np.max(np.abs(uh))
+        assert_hermitian(_hermitian_fill(forward, g), n)
 
 
 class TestBilinearBound:
@@ -567,6 +615,19 @@ class TestPotential:
         got = sol.snapshots[-1].to_spectral().data
         assert np.max(np.abs(got - pred)) < 0.05 * np.max(np.abs(pred))
 
+    def test_real_flagged_series_accepted(self):
+        # half-lattice forcing and potential give the complex path's solution
+        g = make_grid(2, 16, 2 * np.pi)
+        f, src = (
+            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1)) for s in (5, 9)
+        )
+        times = uniform_times(0.5, 8)
+        F, V = (semigroup_series(w, times, 1.0) for w in (src, f))
+        Fr, Vr = (semigroup_series(w, times, 1.0, real=True) for w in (src, f))
+        want, _ = solve_potential_eq(f, F, V, alpha=1.0, T=0.5, nodes=8)
+        got, _ = solve_potential_eq(f, Fr, Vr, alpha=1.0, T=0.5, nodes=8)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-13 * np.max(np.abs(want.data))
+
     def test_exponent_relation_checked(self):
         g = make_grid(2, 32, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2))
@@ -621,6 +682,14 @@ class TestRegularity:
         series = TimeSeries(times, [bad.copy() for _ in times])
         with pytest.raises(ConvergenceError):
             regularity_check(series, 1, 2, 2)
+
+    @pytest.mark.parametrize("max_order", [-1, 1.5])
+    def test_max_order_must_be_integer_in_range(self, max_order):
+        g = make_grid(1, 8, 1.0)
+        f = Field(g, np.zeros(8))
+        series = TimeSeries(uniform_times(1.0, 2), [f.copy()] * 3)
+        with pytest.raises(PreconditionError, match="max_order"):
+            regularity_check(series, max_order, 2, 2)
 
     def test_order_cap(self):
         g = make_grid(1, 8, 1.0)
