@@ -27,12 +27,15 @@ other modes are fhat(-k) = conj(fhat(k)) and are never stored.  `_dft`
 then takes the real-to-complex transforms: the forward is `rfftn` of the
 real part, returning the half; the inverse is `irfftn` of the half, a real
 array (it drops any imaginary part, at most 1e-12 of max|f| by the bound
-`require_real` admits).  A `Field` is always full: `.snapshots` and
-`chunks(SPECTRAL)` fill the half with `_hermitian_fill`, as does combining
-a real series with a complex one.  The flag is set only where the
-mathematics guarantees it: `nse.solve_nse_picard`, after checking its
-data with `require_real`, and `nse.estimate_bilinear_constant` for its
-projected ensemble, both through `semigroup.semigroup_series(real=True)`.
+`require_real` admits); physical samples of a real series are stored as
+float64.  A `Field` is always full: `.snapshots` and `chunks(SPECTRAL)`
+fill the half with `_hermitian_fill`, as does combining a real series with
+a complex one.  The flag is set only where the mathematics guarantees it,
+by the one rule `is_real` (which `require_real` enforces):
+`nse.solve_nse_picard`, after requiring real data, and
+`nse.estimate_bilinear_constant` for its projected ensemble, both through
+`semigroup.semigroup_series(real=True)`, and `nse.solve_potential_eq`
+when its data `f` and forcing `F` pass `is_real`.
 `+`/`-` of two real series, `to_physical`/`to_spectral`,
 `semigroup.duhamel` (real iff its forcing is), `nse.bilinear_form` (real
 iff both inputs are) and `nse.regularity_check` keep it, working mode by
@@ -218,16 +221,21 @@ def _hermitian_fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return full
 
 
-def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
-    """Reject a sample stack that is not real in physical space: per sample,
-    max |imag| (physical) or the Hermitian defect max |fhat(k) - conj(fhat(-k))|
-    (spectral) must stay within 1e-12 of max |f|."""
+def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
+    """Whether a full-lattice sample stack is real in physical space: per
+    sample, max |imag| (physical) or the Hermitian defect
+    max |fhat(k) - conj(fhat(-k))| (spectral) stays within 1e-12 of max |f|."""
     if representation == PHYSICAL:
         defect = np.abs(data.imag)
     else:
         defect = np.abs(data - np.conj(_reflect(data, range(-grid.n, 0))))
     peak = np.abs(data).reshape(len(data), -1).max(axis=1)
-    if np.any(defect.reshape(len(data), -1).max(axis=1) > 1e-12 * peak):
+    return not np.any(defect.reshape(len(data), -1).max(axis=1) > 1e-12 * peak)
+
+
+def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
+    """Reject a sample stack that fails `is_real`."""
+    if not is_real(data, grid, representation):
         raise PreconditionError(f"{what} must be a real field")
 
 
@@ -656,7 +664,10 @@ class TimeSeries:
         self.grid, self.representation, self.grading = grid, representation, grading
         self._real = real
         self.times = np.asarray(times, dtype=float)
-        self.data = np.asarray(data, dtype=np.complex128)
+        if real and representation == PHYSICAL:
+            self.data = np.asarray(np.real(data), dtype=np.float64)
+        else:
+            self.data = np.asarray(data, dtype=np.complex128)
         if representation not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {representation!r}")
         if self.times.ndim != 1 or len(self.times) != len(self.data):
@@ -734,11 +745,15 @@ class TimeSeries:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
-        """Sample-wise op of two series on one time grid, in spectral form: on
-        the half lattice if both are real, else on the full lattice."""
+        """Sample-wise op of two series on one time grid: in physical form if
+        both are physical, else in spectral form, on the half lattice if both
+        are real and on the full lattice otherwise."""
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
         real = self.real and other.real
+        if self.representation == other.representation == PHYSICAL:
+            data = op(self.data, other.data)
+            return TimeSeries.from_data(self.grid, self.times, data, PHYSICAL, real=real)
         data = op(self.spectrum(half=real), other.spectrum(half=real))
         return TimeSeries.from_data(self.grid, self.times, data, real=real)
 

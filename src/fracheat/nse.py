@@ -30,6 +30,7 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
+    is_real,
     require_real,
     sample_chunks,
     uniform_times,
@@ -231,9 +232,9 @@ def estimate_bilinear_constant(
         comps = [
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
-        w = leray_project(Field(grid, np.stack(comps)))
+        wh = _leray(_dft(np.stack(comps)[None], grid, "forward"), grid)[0]
         # projected real data, evolved by a real even symbol
-        samples.append(semigroup_series(w, times, alpha, real=True))
+        samples.append(semigroup_series(Field(grid, wh, SPECTRAL), times, alpha, real=True))
     measured = [(a, mixed_norm(a, q, p)) for a in samples]
     best = 0.0
     for (a, na), (b, nb) in itertools.combinations_with_replacement(measured, 2):
@@ -252,22 +253,38 @@ def _factor(residuals: list) -> float:
     return max(_contraction_ratios(residuals), default=0.0)
 
 
-def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None):
-    """Iterate v -> apply_map(v) from v0 until the relative step
-    ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x falls below tol.
+def _physical(v: TimeSeries) -> TimeSeries:
+    """v in physical form, inverse-transformed one `sample_chunks` chunk at a
+    time (a real series' samples as float64)."""
+    if v.representation == PHYSICAL:
+        return v
+    g = v.grid
+    data = np.empty((*v.data.shape[:-1], g.N), dtype=np.float64 if v.real else np.complex128)
+    for chunk in sample_chunks(v.data, grid=g):
+        data[chunk] = _dft(v.data[chunk], g, "inverse", v.real)
+    return TimeSeries.from_data(g, v.times, data, PHYSICAL, real=v.real)
 
-    With max_factor, gives up from the third iterate on once a contraction
-    ratio exceeds it.  Returns the last iterate, the residuals, whether tol
-    was reached and the last iterate's mixed norm.
+
+def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None):
+    """Iterate v -> apply_map(v, phys) from v0, phys being v in physical form,
+    until the relative step ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x
+    falls below tol.
+
+    Each iterate is brought to physical space once: its norm, the step (the
+    difference of the two physical stacks) and the next map evaluation all
+    read the same samples.  With max_factor, gives up from the third iterate
+    on once a contraction ratio exceeds it.  Returns the last iterate, the
+    residuals, whether tol was reached and the last iterate's mixed norm.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter={max_iter} must be >= 1")
-    v, norm, residuals = v0, None, []
+    v, phys, norm, residuals = v0, _physical(v0), None, []
     for it in range(1, max_iter + 1):
-        v_next = apply_map(v)
-        norm = mixed_norm(v_next, q, p)
-        residuals.append(mixed_norm(v_next - v, q, p) / (norm or 1.0))
-        v = v_next
+        v = apply_map(v, phys)
+        phys_next = _physical(v)
+        norm = mixed_norm(phys_next, q, p)
+        residuals.append(mixed_norm(phys_next - phys, q, p) / (norm or 1.0))
+        phys = phys_next
         if residuals[-1] < tol:
             return v, residuals, True, norm
         if max_factor is not None and it >= 3 and _factor(residuals) > max_factor:
@@ -370,7 +387,7 @@ def solve_nse_picard(
         )
 
     v, residuals, converged, final_norm = _fixed_point(
-        lambda v: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter
+        lambda v, _: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter
     )
     report = PicardReport(
         residuals=residuals,
@@ -410,22 +427,32 @@ class PotentialReport:
         }
 
 
-def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> np.ndarray:
-    """Linear-in-time interpolation of a series at the nodes t: spectral in
-    the interior; nodes at or beyond either end take the stored end sample
-    as it is, so a physical series keeps its exact values there."""
+def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> TimeSeries:
+    """Linear-in-time interpolation of a series at the nodes t, returned in
+    `representation` and as real as `series`: spectral in the interior;
+    nodes at or beyond either end take the stored end sample as it is, so a
+    physical series keeps its exact values there."""
     ts = series.times
-    spec = series.spectrum()
+    spec = series.spectrum(half=series.real)
     ends = series.to_physical().data if representation == PHYSICAL else spec
     inner = (t > ts[0]) & (t < ts[-1])
     i = np.searchsorted(ts, t[inner]) - 1
     w = ((t[inner] - ts[i]) / (ts[i + 1] - ts[i])).reshape((-1,) + (1,) * (spec.ndim - 1))
-    mid = TimeSeries.from_data(series.grid, t[inner], (1 - w) * spec[i] + w * spec[i + 1])
-    out = np.empty((len(t), *spec.shape[1:]), dtype=np.complex128)
+    mid = TimeSeries.from_data(
+        series.grid, t[inner], (1 - w) * spec[i] + w * spec[i + 1], real=series.real
+    )
+    out = np.empty((len(t), *ends.shape[1:]), dtype=ends.dtype)
     out[inner] = mid.to_physical().data if representation == PHYSICAL else mid.data
     out[t <= ts[0]] = ends[0]
     out[t >= ts[-1]] = ends[-1]
-    return out
+    return TimeSeries.from_data(series.grid, t, out, representation, real=series.real)
+
+
+def _as_real(w: TimeSeries) -> TimeSeries:
+    """A series that passed `is_real`, flagged real: physical samples keep
+    their real part, spectral ones their half lattice."""
+    data = w.data if w.representation == PHYSICAL else w.data[..., : w.grid.spectral_width(True)]
+    return TimeSeries.from_data(w.grid, w.times, data, w.representation, w.grading, real=True)
 
 
 def solve_potential_eq(
@@ -449,7 +476,9 @@ def solve_potential_eq(
     each subinterval is <= 1/2; the solution is assembled by restarting
     from the subinterval endpoint.  The integrability pair (r, s) of the
     potential is declared whole or not at all; declared, it must satisfy
-    1/r + n/(2 alpha s) = 1.
+    1/r + n/(2 alpha s) = 1.  V must be real; if f and F are real too (by
+    `grid.is_real`), every series of the solve is real and runs on the half
+    lattice with the real-to-complex transforms, else on the full lattice.
     """
     grid = f.grid
     n = grid.n
@@ -473,12 +502,18 @@ def solve_potential_eq(
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None and not V.real:
         require_real(V.data, grid, V.representation, "potential V")
+    f0 = TimeSeries.from_data(grid, [0.0], f.data[None], f.representation)
+    real = is_real(f0.data, grid, f0.representation) and (
+        F is None or F.real or is_real(F.data, grid, F.representation)
+    )
+    if real:  # every series of the solve is real: half lattice, real transforms
+        f0, F, V = (w if w is None or w.real else _as_real(w) for w in (f0, F, V))
 
     all_times: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
     subreports = []
     t0 = 0.0
-    f_cur = f.to_spectral()
+    f_cur = f0.to_spectral().snapshots[0]
     while t0 < T - 1e-14:
         t1 = T
         while True:
@@ -489,26 +524,25 @@ def solve_potential_eq(
                 )
             m = max(8, int(round(nodes * length / T)))
             loc = np.linspace(0.0, length, m + 1)
-            base = semigroup_series(f_cur, loc, alpha)
-            forcing = np.zeros((len(loc), *grid.shape), dtype=np.complex128)
-            if F is not None:
-                forcing += _at_nodes(F, t0 + loc, SPECTRAL)
+            base = semigroup_series(f_cur, loc, alpha, real=real)
+            if F is None:
+                forcing = np.zeros(base.data.shape, dtype=np.complex128)
+            else:
+                forcing = _at_nodes(F, t0 + loc, SPECTRAL).spectrum(half=real)
             if V is not None:
-                V_nodes = _at_nodes(V, t0 + loc, PHYSICAL).real
+                V_nodes = _at_nodes(V, t0 + loc, PHYSICAL).data.real
 
-            def apply_map(v: TimeSeries) -> TimeSeries:
-                rhs = forcing
-                if V is not None:
-                    prod = TimeSeries.from_data(
-                        grid, loc, V_nodes * v.to_physical().data, PHYSICAL
-                    )
-                    rhs = forcing - prod.to_spectral().data
-                integ = duhamel(TimeSeries.from_data(grid, loc, rhs), loc, alpha)
+            def step(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs)
+                integ = duhamel(TimeSeries.from_data(grid, loc, rhs, real=real), loc, alpha)
                 return base + integ
 
-            zero = TimeSeries.from_data(grid, loc, np.zeros_like(forcing))
+            def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
+                if V is None:
+                    return step(forcing)
+                return step(forcing - _dft(V_nodes * phys.data, grid, "forward", real))
+
             v, residuals, converged, _ = _fixed_point(
-                apply_map, apply_map(zero), q, p, tol, max_iter, max_factor=0.5
+                apply_map, step(forcing), q, p, tol, max_iter, max_factor=0.5
             )
             measured = _factor(residuals)
             if converged and measured <= 0.5 + 1e-9:
@@ -518,10 +552,10 @@ def solve_potential_eq(
         start = 1 if all_data else 0
         all_times.extend(t0 + loc[start:])
         all_data.append(v.data[start:])
-        f_cur = Field(grid, v.data[-1], SPECTRAL)
+        f_cur = TimeSeries.from_data(grid, [0.0], v.data[-1:], real=real).snapshots[0]
         t0 = t1
 
-    solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data))
+    solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data), real=real)
     num = mixed_norm(solution, q, p)
     data_norm = lp_norm(f, 2)
     if F is not None:

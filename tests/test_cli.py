@@ -216,12 +216,27 @@ class TestCommandSkeleton:
         assert main(["--seed", "5", "--out", str(out), "nse-solve", *argv]) == 0
         results = json.loads((out / "nse_solve.json").read_text())["results"]
         assert results["final_norm"] == 0.2301868744460132
-        assert results["bilinear_constant"] == 0.0344087856169882
+        assert results["bilinear_constant"] == 0.03440878561698821
         assert results["data_functional"] == 0.23018674378701062
         assert results["residuals"] == [
-            0.0035516408568483718, 7.292501473136706e-05, 8.66716096551729e-07
+            0.0035516408568483644, 7.292501473136734e-05, 8.667160965583609e-07
         ]
         assert results["iterations"] == 3
+
+    def test_potential_solve_golden(self, tmp_path):
+        """`potential-solve` results to the last bit, for a potential strong
+        enough to halve [0, T] once; recorded as `test_nse_solve_golden`."""
+        text = self.CONFIGS["potential-solve"] + "\n[potential]\nconstant = 10\n"
+        (tmp_path / "run.cfg").write_text(text)
+        out = tmp_path / "o"
+        argv = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["--seed", "5", "--out", str(out), "potential-solve", *argv]) == 0
+        results = json.loads((out / "potential_solve.json").read_text())["results"]
+        assert results["bound_constant"] == 0.3878947558154963
+        assert results["subintervals"] == [
+            [0.0, 0.1, 0.41345530169988104, 14],
+            [0.1, 0.2, 0.41137309772338476, 14],
+        ]
 
 
 class TestDeterminism:

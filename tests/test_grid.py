@@ -23,7 +23,14 @@ from fracheat import (
     transform,
     write_field,
 )
-from fracheat.grid import TimeSeries, geometric_times, mean_mode, require_zero_mean
+from fracheat.grid import (
+    TimeSeries,
+    geometric_times,
+    is_real,
+    mean_mode,
+    require_real,
+    require_zero_mean,
+)
 from fracheat import VectorField
 
 
@@ -308,6 +315,52 @@ class TestRealStorage:
         with pytest.raises(AttributeError):
             series.real = True
         assert not series.real
+
+    def test_real_physical_samples_are_float64(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1))
+        series = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f.data, 2 * f.data]), real=False)
+        phys = TimeSeries.from_data(g, [0.0, 1.0], series.data, "physical", real=True)
+        assert phys.data.dtype == np.float64
+        assert np.array_equal(phys.data, series.data.real)
+        spec = phys.to_spectral()
+        assert spec.real and spec.data.shape == (2, 16, 9)
+        assert spec.to_physical().data.dtype == np.float64
+
+    def test_physical_series_combine_in_physical_form(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1)).data
+        a = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f, 3 * f]), "physical", real=True)
+        b = TimeSeries.from_data(g, [0.0, 1.0], np.stack([2 * f, f]), "physical")
+        for x, y, real in ((a, a, True), (a, b, False), (b, a, False)):
+            diff = x - y
+            assert diff.representation == "physical" and diff.real == real
+            assert np.array_equal(diff.data, x.data - y.data)
+        want = (a.to_spectral() - b.to_spectral()).to_physical().data
+        assert np.max(np.abs((a - b).data - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestIsReal:
+    """One 1e-12 realness rule: `is_real` answers it, `require_real` raises on it."""
+
+    def test_physical_and_spectral_agree(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1)).data
+        for eps, real in ((0.0, True), (1e-13, True), (1e-11, False)):
+            stack = np.stack([f, f * (1 + 1j * eps)])
+            spec = np.fft.fftn(stack, axes=(-2, -1))
+            assert is_real(stack, g, "physical") is real
+            assert is_real(spec, g, "spectral") is real
+            if not real:
+                with pytest.raises(PreconditionError, match="data x must be a real field"):
+                    require_real(stack, g, "physical", "data x")
+
+    def test_plane_wave_is_complex(self):
+        g = make_grid(1, 8, 2 * np.pi)
+        wave = synthesize_field(g, PlaneWave(k=(1,)))
+        assert not is_real(wave.data[None], g, "physical")
+        assert not is_real(wave.to_spectral().data[None], g, "spectral")
+        assert is_real(wave.data[None].real, g, "physical")
 
 
 class TestVectorField:

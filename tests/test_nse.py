@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fracheat import (
     ConvergenceError,
     Field,
+    GaussianBump,
     NormSpec,
     PlaneWave,
     PreconditionError,
@@ -404,7 +405,7 @@ class TestFixedPoint:
         pw = synthesize_field(g, PlaneWave(k=(1,)))
         b = TimeSeries(times, [Field(g, np.exp(-t) * pw.data) for t in times])
 
-        def apply_map(v):
+        def apply_map(v, _phys):
             return b + TimeSeries.from_data(g, times, c * v.to_spectral().data)
 
         return apply_map, TimeSeries.from_data(g, times, np.zeros_like(b.data))
@@ -436,15 +437,89 @@ class TestFixedPoint:
 
     def test_zero_step_target_is_not_converged(self):
         apply_map, zero = self.affine(0.0)
-        v0 = apply_map(zero)
+        v0 = apply_map(zero, None)
 
-        def to_zero(v):
+        def to_zero(v, _phys):
             return TimeSeries.from_data(v.grid, v.times, np.zeros_like(v.data))
 
         _, residuals, converged, norm = _fixed_point(to_zero, v0, 4, 4, 1e-6, 1)
         assert not converged
         assert norm == 0.0
         assert residuals == [mixed_norm(v0, 4, 4)]
+
+
+class TestOnePhysicalPass:
+    """`_fixed_point` brings each iterate to physical space once: its norm,
+    its step and the potential map's product V v read the same samples."""
+
+    def test_residual_is_norm_of_step(self):
+        # the physical and the spectral difference agree to about eps / residual,
+        # so large data keep the residuals above 1e-4
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 12)
+        small = real_series(g, 3, times, j_max=1)
+        base = TimeSeries.from_data(g, times, 8 * small.data, real=True)
+        iterates = [base]
+
+        def apply_map(v, phys):
+            iterates.append(base - bilinear_form(v, v, 1.0))
+            return iterates[-1]
+
+        _, residuals, _, norm = _fixed_point(apply_map, base, 4, 4, 1e-14, 3)
+        assert norm == mixed_norm(iterates[-1], 4, 4)
+        for k, r in enumerate(residuals):
+            step = mixed_norm(iterates[k + 1] - iterates[k], 4, 4)
+            want = step / mixed_norm(iterates[k + 1], 4, 4)
+            assert abs(r - want) <= 1e-12 * want
+
+    def test_map_gets_physical_samples_of_its_argument(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 12)
+        base = real_series(g, 3, times, j_max=1)
+
+        def apply_map(v, phys):
+            assert phys.representation == "physical" and phys.real
+            assert phys.data.dtype == np.float64
+            assert np.array_equal(phys.data, v.to_physical().data)
+            return base - bilinear_form(v, v, 1.0)
+
+        _fixed_point(apply_map, base, 4, 4, 1e-14, 2)
+
+    def test_potential_iteration_costs_one_transform_pair(self, fft_count):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=1))
+        V = TimeSeries(np.array([0.0, 0.5]), [Field(g, np.full(g.shape, 1.0 + 0j))] * 2)
+        points, iterations = [], []
+        for tol in (1e-4, 1e-10):
+            fft_count.clear()
+            sol, rep = solve_potential_eq(f, None, V, alpha=1.0, T=0.5, nodes=16, tol=tol)
+            # real data: no complex transform anywhere in the solve
+            assert sol.real and fft_count["fftn"] == fft_count["ifftn"] == 0
+            assert len(rep.subintervals) == 1
+            points.append(fft_count["points"])
+            iterations.append(rep.subintervals[0][3])
+        assert iterations[1] > iterations[0]
+        # per sample: rfftn of V v (N^2 real points), irfftn of the next
+        # iterate's half spectrum (N (N/2 + 1) points)
+        per_iteration = len(sol) * (g.N**2 + g.N * (g.N // 2 + 1))
+        assert points[1] - points[0] == (iterations[1] - iterations[0]) * per_iteration
+
+    def test_picard_norms_cost_one_inverse_per_sample(self, fft_count):
+        g = make_grid(2, 16, 2 * np.pi)
+        g0 = perturbed_taylor_green(g, 0.3)
+        points, iterations = [], []
+        for tol in (1e-3, 1e-8):
+            fft_count.clear()
+            v, rep = solve_nse_picard(g0, None, 1.0, 0.5, 4.0, 4.0, tol=tol, nodes=12, c_est=0.2)
+            points.append(fft_count["points"])
+            iterations.append(rep.iterations)
+        assert iterations[1] > iterations[0]
+        fft_count.clear()
+        bilinear_form(v, v, 1.0)
+        per_map = fft_count["points"]
+        # one irfftn of each component's half spectrum per sample
+        per_norm = g.n * len(v) * g.N * (g.N // 2 + 1)
+        assert points[1] - points[0] == (iterations[1] - iterations[0]) * (per_map + per_norm)
 
 
 def _picard(g, **kw):
@@ -627,6 +702,48 @@ class TestPotential:
         want, _ = solve_potential_eq(f, F, V, alpha=1.0, T=0.5, nodes=8)
         got, _ = solve_potential_eq(f, Fr, Vr, alpha=1.0, T=0.5, nodes=8)
         assert np.max(np.abs(got.data - want.data)) <= 1e-13 * np.max(np.abs(want.data))
+
+    @pytest.mark.parametrize("c, halves", [(1.0, False), (8.0, True)])
+    def test_real_path_equals_complex_path(self, monkeypatch, c, halves):
+        g = make_grid(2, 16, 2 * np.pi)
+        f, src, w = (
+            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1)) for s in (5, 9, 13)
+        )
+        times = uniform_times(0.5, 8)
+        F = TimeSeries(times, [Field(g, np.exp(-t) * src.data) for t in times])
+        bump = 0.25 * w.data.real / np.max(np.abs(w.data))
+        V = TimeSeries(
+            np.array([0.0, 0.5]), [Field(g, c * (1 + bump)), Field(g, c * (1 - bump))]
+        )
+        args = (f, F, V, 1.0, 0.5)
+        got, rep = solve_potential_eq(*args, nodes=16)
+        with monkeypatch.context() as patch:  # every input taken as complex
+            patch.setattr(nse, "is_real", lambda *a: False)
+            want, rep_c = solve_potential_eq(*args, nodes=16)
+        assert got.real and got.data.shape[-1] == g.N // 2 + 1
+        assert not want.real and want.data.shape[-1] == g.N
+        assert (len(rep.subintervals) > 1) == halves
+        assert [s[:2] + s[3:] for s in rep.subintervals] == [
+            s[:2] + s[3:] for s in rep_c.subintervals
+        ]
+        for (*_, fac, _), (*_, fac_c, _) in zip(rep.subintervals, rep_c.subintervals):
+            assert abs(fac - fac_c) <= 1e-9 * fac_c
+        spec = got.spectrum()
+        assert np.max(np.abs(spec - want.data)) <= 1e-12 * np.max(np.abs(want.data))
+        assert abs(rep.bound_constant - rep_c.bound_constant) <= 1e-12 * rep_c.bound_constant
+
+    def test_complex_data_keeps_complex_path(self, fft_count):
+        g = make_grid(1, 8, 2 * np.pi)
+        wave = synthesize_field(g, PlaneWave(k=(1,)))
+        bump = synthesize_field(g, GaussianBump(width=1.0))
+        V = TimeSeries(np.array([0.0, 1.0]), [Field(g, np.full(g.shape, 0.7 + 0j))] * 2)
+        times = uniform_times(1.0, 8)
+        F = TimeSeries(times, [wave] * len(times))
+        for f, F_ in ((wave, None), (bump, F)):  # complex data, or a complex forcing
+            fft_count.clear()
+            sol, _ = solve_potential_eq(f, F_, V, alpha=0.5, T=1.0, nodes=16)
+            assert not sol.real and sol.data.shape[-1] == g.N
+            assert fft_count["rfftn"] == fft_count["irfftn"] == 0 < fft_count["fftn"]
 
     def test_exponent_relation_checked(self):
         g = make_grid(2, 32, 2 * np.pi)
