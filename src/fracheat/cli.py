@@ -34,12 +34,13 @@ from .grid import (
     TimeSeries,
     WavePackets,
     WindowedPowerlaw,
+    _field_is_real,
     read_field,
     synthesize_field,
     uniform_times,
     write_field,
 )
-from .norms import NormSpec, lp_norms
+from .norms import NormSpec, _lp, lp_norms
 from .semigroup import semigroup_series
 from .estimates import (
     DECAY_BATTERY,
@@ -259,16 +260,18 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     alpha = cfg.getfloat("solver", "alpha", 1.0)
     T = cfg.getfloat("solver", "T", 1.0)
     times = uniform_times(T, cfg.getint("solver", "nodes", 32))
-    series = semigroup_series(f, times, alpha)
-    l2, linf = lp_norms(series, 2).tolist(), lp_norms(series, INF).tolist()
+    series = semigroup_series(f, times, alpha, real=_field_is_real(f))
+    l2, linf = [], []
+    for phys in series.chunks():  # one inverse transform per chunk for both norms
+        l2 += _lp(phys, series.grid, 2).tolist()
+        linf += _lp(phys, series.grid, INF).tolist()
     rows = [
         {"t": t, "l2": a, "linf": b} for t, a, b in zip(series.times.tolist(), l2, linf)
     ]
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    last = Field(series.grid, series.data[-1], series.representation)
-    write_field(last.to_physical(), final_path)
+    write_field(Field(series.grid, phys[-1]), final_path)
     results = {
         "alpha": alpha,
         "T": T,

@@ -25,6 +25,7 @@ from .grid import (
     PHYSICAL,
     TimeSeries,
     WindowedPowerlaw,
+    _field_is_real,
     contamination,
     geometric_times,
     sample_chunks,
@@ -120,7 +121,8 @@ def homogeneous_ratio(
     """Free-evolution mixed norm over the data norm.
 
     Numerator: L^q in time on [0, T] of the `kind` spatial norm (at
-    integrability p) of the propagated field.  Denominator: the matching
+    integrability p) of the propagated field, evolved and measured on the
+    half lattice when f is real (`grid.is_real`).  Denominator: the matching
     data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).
     """
     g = f.grid
@@ -143,7 +145,7 @@ def homogeneous_ratio(
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    series = semigroup_series(f, ts, a)
+    series = semigroup_series(f, ts, a, real=_field_is_real(f))
     spec = NormSpec(kind, p=p, s=s)
     num = mixed_norm(series, q, spec, partition)
     return num / denom
@@ -166,7 +168,9 @@ def inhomogeneous_ratio(
     pairing with a Lebesgue numerator and a homogeneous Sobolev (order s)
     denominator; its scale-invariant configurations have residual
     s / (2 alpha) instead of zero.  kind='besov': homogeneous Besov norms
-    (microlocal q = 2) on both sides, residual zero.
+    (microlocal q = 2) on both sides, residual zero.  A real-flagged F,
+    such as a dilation sweep builds from real data, is marched and measured
+    on the half lattice.
     """
     q, p = qp
     q1, p1 = q1p1
@@ -213,7 +217,9 @@ def parabolic_ratio(
     over ||f||_2, integrated on a geometric grid refined toward s = 0 with an
     analytic head correction below s_min.  form='a' (n < 2*alpha, finite T):
     int_0^T s^(-n r/(2 p alpha)) ||e^(-s L) f||_p^r ds over
-    T^(1 - n/(2 alpha)) ||f||_r^r.
+    T^(1 - n/(2 alpha)) ||f||_r^r.  The flow is measured on the complex
+    path, equal bit for bit to the per-time norms
+    lp_norm(apply_semigroup(f, s, alpha), p).
     """
     g = f.grid
     if form == "b":
@@ -288,7 +294,8 @@ def decay_fit(
     The predicted exponent is -(n/2a)(1/r - 1/p), minus 1/(2a) for the
     gradient variant.  The contamination diagnostic is evaluated on the
     input data; it must be below 1e-6 for the whole-space reading of the
-    fit to be trusted.
+    fit to be trusted.  Like `parabolic_ratio`, the plain fit runs the
+    complex path and equals the per-time norms bit for bit.
     """
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
@@ -462,9 +469,12 @@ def _nyquist_tail(f: Field) -> float:
 
 
 def _separable_series(grid, f: Field, profile, times) -> TimeSeries:
-    """profile(t) * f at each time, kept in f's representation."""
+    """profile(t) * f at each time, in physical form, real if f is."""
     amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * grid.n)
-    return TimeSeries.from_data(grid, times, amp * f.data, f.representation)
+    phys = f.to_physical()
+    return TimeSeries.from_data(
+        grid, times, amp * phys.data, PHYSICAL, real=_field_is_real(phys)
+    )
 
 
 def dilation_sweep(

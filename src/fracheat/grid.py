@@ -28,20 +28,28 @@ then takes the real-to-complex transforms: the forward is `rfftn` of the
 real part, returning the half; the inverse is `irfftn` of the half, a real
 array (it drops any imaginary part, at most 1e-12 of max|f| by the bound
 `require_real` admits); physical samples of a real series are stored as
-float64.  A `Field` is always full: `.snapshots` and `chunks(SPECTRAL)`
-fill the half with `_hermitian_fill`, as does combining a real series with
-a complex one.  The flag is set only where the mathematics guarantees it,
-by the one rule `is_real` (which `require_real` enforces):
+float64.  A `Field` is always full: `.snapshots` and `.spectrum()` fill
+the half with `_hermitian_fill`, as does combining a real series with a
+complex one; `chunks(SPECTRAL)` hands out the half as stored.  The flag
+is set only where the mathematics guarantees it, by the one rule
+`is_real` (which `require_real` enforces; non-finite data is never real):
 `nse.solve_nse_picard`, after requiring real data, and
 `nse.estimate_bilinear_constant` for its projected ensemble, both through
-`semigroup.semigroup_series(real=True)`, and `nse.solve_potential_eq`
-when its data `f` and forcing `F` pass `is_real`.
-`+`/`-` of two real series, `to_physical`/`to_spectral`,
-`semigroup.duhamel` (real iff its forcing is), `nse.bilinear_form` (real
-iff both inputs are) and `nse.regularity_check` keep it, working mode by
-mode on the half lattice: their symbols are real and even or, on the
-Nyquist-zeroed lattice, map Hermitian spectra to Hermitian spectra.
-Everything unflagged runs the complex transforms on the full lattice.
+`semigroup.semigroup_series(real=True)`; `nse.solve_potential_eq` when its
+data `f` and forcing `F` pass `is_real`; and, for a data Field that passes
+it (`_field_is_real`, decided once per Field), the free evolution of
+`estimates.homogeneous_ratio` (every norm kind), the separable forcing of
+a dilation sweep's `inhomogeneous_ratio` and the evolution `cli`'s
+`propagate` measures.  `+`/`-` of two real series,
+`to_physical`/`to_spectral`, `semigroup.duhamel` (real iff its forcing
+is), `nse.bilinear_form` (real iff both inputs are), `nse.regularity_check`
+and the Sobolev/Besov multiplier norms keep it, working mode by mode on
+the half lattice: their symbols are real and even or, on the
+Nyquist-zeroed lattice, map Hermitian spectra to Hermitian spectra; the
+L^p and BMO norms of a real series measure float64 samples.  Everything
+unflagged runs the complex transforms on the full lattice: the Field-level
+norms (`NormSpec.compute`, `lp_norm`, ...), kernels, `parabolic_ratio` and
+`decay_fit` (pinned bit for bit to the per-time Field norms).
 """
 
 from __future__ import annotations
@@ -222,9 +230,13 @@ def _hermitian_fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
-    """Whether a full-lattice sample stack is real in physical space: per
-    sample, max |imag| (physical) or the Hermitian defect
-    max |fhat(k) - conj(fhat(-k))| (spectral) stays within 1e-12 of max |f|."""
+    """Whether a full-lattice sample stack is real in physical space: every
+    value is finite and, per sample, max |imag| (physical) or the Hermitian
+    defect max |fhat(k) - conj(fhat(-k))| (spectral) stays within 1e-12 of
+    max |f|.  A non-finite sample is not real: the real path would drop its
+    imaginary part, where the result must stay NaN."""
+    if not np.all(np.isfinite(data)):
+        return False
     if representation == PHYSICAL:
         defect = np.abs(data.imag)
     else:
@@ -234,9 +246,17 @@ def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
 
 
 def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
-    """Reject a sample stack that fails `is_real`."""
+    """Reject a sample stack that fails `is_real`, naming non-finite values
+    when they are the cause."""
     if not is_real(data, grid, representation):
-        raise PreconditionError(f"{what} must be a real field")
+        cause = "" if np.all(np.isfinite(data)) else ": it holds non-finite values"
+        raise PreconditionError(f"{what} must be a real field{cause}")
+
+
+def _field_is_real(f: Field) -> bool:
+    """Whether one Field passes `is_real`: the one realness decision of the
+    callers that evolve and measure given data (see the module notes)."""
+    return is_real(f.data[None], f.grid, f.representation)
 
 
 # Batched kernels work on this many bytes of input samples at a time: large
@@ -727,15 +747,13 @@ class TimeSeries:
         )
 
     def chunks(self, representation: str = PHYSICAL, copies: int = 1):
-        """`data` in one representation on the full lattice, a `sample_chunks`
-        chunk at a time."""
+        """`data` in one representation, a `sample_chunks` chunk at a time; a
+        real series' spectral chunks are on the half lattice, as stored."""
         direction = "inverse" if representation == PHYSICAL else "forward"
         for chunk in sample_chunks(self.data, copies, self.grid):
             d = self.data[chunk]
             if self.representation != representation:
                 d = _dft(d, self.grid, direction, self.real)
-            if self.real and representation == SPECTRAL:
-                d = _hermitian_fill(d, self.grid)
             yield d
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":

@@ -125,15 +125,19 @@ def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.n
 def _multiplier_norms(u: TimeSeries, syms: list, p: float, zero_mean_for) -> np.ndarray:
     """L^p norms of every sample of `u` under each multiplier of `syms`, shape
     (samples, multipliers): one inverse transform per chunk of (sample,
-    multiplier) pairs.  `zero_mean_for` names what needs zero-mean samples."""
+    multiplier) pairs.  The symbols are real and even, so a real series is
+    multiplied on its half lattice and comes back through `irfftn`.
+    `zero_mean_for` names what needs zero-mean samples."""
     grid = u.grid
-    sym = np.expand_dims(np.stack(syms), tuple(range(1, u.data.ndim - grid.n)))
+    width = grid.spectral_width(u.real)
+    sym = np.stack([s[..., :width] for s in syms])
+    sym = np.expand_dims(sym, tuple(range(1, u.data.ndim - grid.n)))
     out = []
     for spec in u.chunks(SPECTRAL, copies=len(syms)):
-        if zero_mean_for:
+        if zero_mean_for:  # a half spectrum holds every |fhat| and the mean
             require_zero_means(spec, grid, zero_mean_for)
-        blocks = _dft(spec[:, None] * sym, grid, "inverse")
-        out.append(_lp(blocks.reshape(-1, *spec.shape[1:]), grid, p).reshape(len(spec), -1))
+        blocks = _dft(spec[:, None] * sym, grid, "inverse", u.real)
+        out.append(_lp(blocks.reshape(-1, *blocks.shape[2:]), grid, p).reshape(len(spec), -1))
     return np.concatenate(out)
 
 

@@ -265,20 +265,22 @@ def _physical(v: TimeSeries) -> TimeSeries:
     return TimeSeries.from_data(g, v.times, data, PHYSICAL, real=v.real)
 
 
-def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None):
+def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None):
     """Iterate v -> apply_map(v, phys) from v0, phys being v in physical form,
     until the relative step ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x
     falls below tol.
 
     Each iterate is brought to physical space once: its norm, the step (the
     difference of the two physical stacks) and the next map evaluation all
-    read the same samples.  With max_factor, gives up from the third iterate
-    on once a contraction ratio exceeds it.  Returns the last iterate, the
-    residuals, whether tol was reached and the last iterate's mixed norm.
+    read the same samples; `phys0`, if given, is v0's.  With max_factor,
+    gives up from the third iterate on once a contraction ratio exceeds it.
+    Returns the last iterate, the residuals, whether tol was reached and the
+    last iterate's mixed norm.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter={max_iter} must be >= 1")
-    v, phys, norm, residuals = v0, _physical(v0), None, []
+    phys = _physical(v0) if phys0 is None else phys0
+    v, norm, residuals = v0, None, []
     for it in range(1, max_iter + 1):
         v = apply_map(v, phys)
         phys_next = _physical(v)
@@ -368,18 +370,20 @@ def solve_nse_picard(
 
     times = uniform_times(T, nodes)
     free = semigroup_series(g, times, alpha, real=True)
+    base, phys = free, None
     if h is not None:
         half = h.to_spectral().data[..., : grid.spectral_width(True)]
         hP = TimeSeries.from_data(grid, h.times, _leray(half, grid), real=True)
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
         base = free + forced
-    else:
-        a_val = mixed_norm(free, q, p)
-        base = free
 
     if c_est is None:
         c_est = estimate_bilinear_constant(grid, alpha, T, q, p, times=times)
+    if h is None:  # the physical stack that measures `a` also seeds the fixed point;
+        # made after C_est, so that the ensemble's memory peak does not hold it
+        phys = _physical(free)
+        a_val = mixed_norm(phys, q, p)
     if not 2 * c_est * a_val < 1:
         raise PreconditionError(
             f"smallness gate failed: 2 * C_est * a = {2 * c_est * a_val:.3f} >= 1 "
@@ -387,7 +391,8 @@ def solve_nse_picard(
         )
 
     v, residuals, converged, final_norm = _fixed_point(
-        lambda v, _: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter
+        lambda v, _: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter,
+        phys0=phys,
     )
     report = PicardReport(
         residuals=residuals,

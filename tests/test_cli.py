@@ -5,7 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from fracheat import GaussianBump, __version__, make_grid, synthesize_field, write_field
+from fracheat import (
+    GaussianBump,
+    PlaneWave,
+    __version__,
+    lp_norm,
+    lp_norms,
+    make_grid,
+    read_field,
+    semigroup_series,
+    synthesize_field,
+    write_field,
+)
+from fracheat.grid import sample_chunks, uniform_times
 from fracheat.cli import ExperimentConfig, main, parse_exponent
 from fracheat.cli import grid_from_config, recipe_from_config
 
@@ -237,6 +249,52 @@ class TestCommandSkeleton:
             [0.0, 0.1, 0.41345530169988104, 14],
             [0.1, 0.2, 0.41137309772338476, 14],
         ]
+
+
+class TestPropagate:
+    """`propagate` evolves real data on the half lattice and takes both norms
+    of every sample from one inverse transform per chunk."""
+
+    CFG = (
+        "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n[data]\n{data}\n\n"
+        "[solver]\nalpha = 1.0\nT = 0.2\nnodes = 32\n"
+    )
+
+    def run(self, tmp_path, data):
+        (tmp_path / "run.cfg").write_text(self.CFG.format(data=data))
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "propagate", "--config", str(tmp_path / "run.cfg")]) == 0
+        results = json.loads((out / "propagate.json").read_text())["results"]
+        rows = [line.split(",") for line in (out / "propagate.csv").read_text().split()[1:]]
+        l2, linf = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+        return results, l2, linf
+
+    def test_real_data_one_inverse_transform_per_chunk(self, tmp_path, fft_count):
+        g = make_grid(2, 64, 6.283185307179586)
+        results, l2, linf = self.run(tmp_path, "recipe = gaussian_bump")
+        calls = dict(fft_count)
+        f = synthesize_field(g, GaussianBump(width=g.L / 21))
+        series = semigroup_series(f, uniform_times(0.2, 32), 1.0, real=True)
+        chunks = len(sample_chunks(series.data, grid=g))
+        assert chunks > 1
+        # the data Field's forward transform, then one irfftn per chunk
+        assert calls["fftn"] == 1 and "ifftn" not in calls and "rfftn" not in calls
+        assert calls["irfftn"] == chunks
+        assert np.array_equal(l2, lp_norms(series, 2))
+        assert np.array_equal(linf, lp_norms(series, float("inf")))
+        final = read_field(results["final_field"])
+        assert lp_norm(final, 2) == results["final_l2"] == l2[-1]
+
+    def test_plane_wave_keeps_complex_path(self, tmp_path, fft_count):
+        g = make_grid(2, 64, 6.283185307179586)
+        results, l2, linf = self.run(tmp_path, "recipe = plane_wave\nk = 1,2")
+        calls = dict(fft_count)
+        wave = synthesize_field(g, PlaneWave(k=(1, 2)))
+        series = semigroup_series(wave, uniform_times(0.2, 32), 1.0)
+        assert "rfftn" not in calls and "irfftn" not in calls
+        assert calls["fftn"] == 1 and calls["ifftn"] == len(sample_chunks(series.data, grid=g))
+        assert np.array_equal(l2, lp_norms(series, 2))
+        assert np.array_equal(linf, lp_norms(series, float("inf")))
 
 
 class TestDeterminism:

@@ -29,6 +29,7 @@ from fracheat import (
 )
 from fracheat.grid import RandomBandlimited, geometric_times
 from fracheat.norms import lp_norm
+import fracheat.grid
 from fracheat import estimates
 from fracheat.semigroup import apply_semigroup, axis_derivative, kernel
 
@@ -481,3 +482,89 @@ class TestDilationSweep:
         assert len(d["ratios"]) == 2
         rows = rep.csv_rows()
         assert rows[0]["lambda"] == 1
+
+
+class TestRealPath:
+    """Real data evolves and is measured on the half lattice; forcing
+    `grid.is_real` to answer False gives the complex path, which the real path
+    must match to 1e-13."""
+
+    def bumps(self, N=64, seed=2):
+        g = make_grid(2, N, 2 * np.pi)
+        recipe = RandomBumps(seed=seed, width=g.L / 26, spread=g.L / 20, count=2)
+        return synthesize_field(g, recipe)
+
+    @staticmethod
+    def both_paths(monkeypatch, fft_count, run):
+        fft_count.clear()
+        got = run()
+        assert fft_count["irfftn"] > 0
+        with monkeypatch.context() as patch:  # every Field taken as complex
+            patch.setattr(fracheat.grid, "is_real", lambda *a: False)
+            fft_count.clear()
+            want = run()
+            assert fft_count["rfftn"] == fft_count["irfftn"] == 0
+        return got, want
+
+    @pytest.mark.parametrize("kind, q, p, s", [
+        ("lebesgue", 4.0, 4.0, 0.0),
+        ("bmo", 2.0, 2.0, 0.0),
+        ("sobolev", 4.0, 4.0, 0.5),
+        ("besov", 4.0, 4.0, 0.5),
+    ])
+    def test_homogeneous_ratio(self, monkeypatch, fft_count, kind, q, p, s):
+        f = self.bumps()
+        got, want = self.both_paths(
+            monkeypatch, fft_count,
+            lambda: homogeneous_ratio(f, q, p, 1.0, 0.05, kind=kind, s=s),
+        )
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("kind, alpha, qp, q1p1, s", [
+        ("lebesgue", 1.0, (4.0, 4.0), (4.0, 4.0), 0.0),
+        ("sobolev", 0.5, (2.0, 4.0), (6.0, 6.0), 0.5),
+        ("besov", 1.0, (4.0, 4.0), (4.0, 4.0), 0.0),
+    ])
+    def test_inhomogeneous_ratio_of_a_sweep(
+        self, monkeypatch, fft_count, kind, alpha, qp, q1p1, s
+    ):
+        g = make_grid(2, 64, 2 * np.pi)
+        recipe = RandomBumps(seed=3, width=g.L / 30, spread=g.L / 13, count=4)
+        params = {
+            "alpha": alpha, "q": qp[0], "p": qp[1], "q1": q1p1[0], "p1": q1p1[1],
+            "kind": kind, "s": s, "times": np.linspace(0, 0.1, 17),
+            "profile": lambda t: (t / 0.03) * np.exp(-t / 0.03),
+        }
+        got, want = self.both_paths(
+            monkeypatch, fft_count,
+            lambda: dilation_sweep(recipe, g, [1], "inhomogeneous", params),
+        )
+        for a, b in zip(got.ratios, want.ratios):
+            assert abs(a - b) <= 1e-13 * b
+
+    @pytest.mark.parametrize("kind", ["lebesgue", "bmo"])
+    def test_homogeneous_evolution_takes_real_transforms(self, fft_count, kind):
+        f = self.bumps()
+        homogeneous_ratio(f, 2.0, 2.0, 1.0, 0.05, times=np.linspace(0, 0.05, 65), kind=kind)
+        # the data Field's own forward transform is the one complex call
+        assert fft_count["fftn"] == 1 and fft_count["ifftn"] == 0
+        assert fft_count["irfftn"] > 1
+
+    def test_separable_forcing_is_real_and_takes_real_transforms(self, fft_count):
+        f = self.bumps()
+        times = np.linspace(0, 0.1, 17)
+        F = estimates._separable_series(f.grid, f, lambda t: 1 + t, times)
+        assert F.real and F.representation == "physical"
+        fft_count.clear()
+        inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0
+        assert fft_count["rfftn"] == 1 and fft_count["irfftn"] > 0
+
+    def test_plane_wave_keeps_complex_path(self, fft_count):
+        g = make_grid(2, 32, 2 * np.pi)
+        wave = synthesize_field(g, PlaneWave(k=(1, 2)))
+        homogeneous_ratio(wave, 4.0, 4.0, 1.0, 0.05)
+        F = estimates._separable_series(g, wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
+        assert not F.real
+        inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
+        assert fft_count["rfftn"] == fft_count["irfftn"] == 0 < fft_count["ifftn"]

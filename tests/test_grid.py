@@ -362,6 +362,33 @@ class TestIsReal:
         assert not is_real(wave.to_spectral().data[None], g, "spectral")
         assert is_real(wave.data[None].real, g, "physical")
 
+    @pytest.mark.parametrize("bad", [complex(1, np.nan), complex(1, np.inf)])
+    def test_non_finite_physical_sample_is_not_real(self, bad):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1)).data
+        stack = np.stack([f, f.copy()])
+        stack[1, 3, 5] = bad
+        assert not is_real(stack, g, "physical")
+        named = "data x must be a real field: it holds non-finite values"
+        with pytest.raises(PreconditionError, match=named):
+            require_real(stack, g, "physical", "data x")
+
+    def test_non_finite_spectral_sample_is_not_real(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1))
+        spec = f.to_spectral().data[None].copy()
+        assert is_real(spec, g, "spectral")
+        spec[0, 2, 1] = np.nan
+        assert not is_real(spec, g, "spectral")
+        with pytest.raises(PreconditionError, match="non-finite values"):
+            require_real(spec, g, "spectral", "data x")
+
+    def test_complex_finite_data_is_not_called_non_finite(self):
+        g = make_grid(1, 8, 2 * np.pi)
+        wave = synthesize_field(g, PlaneWave(k=(1,)))
+        with pytest.raises(PreconditionError, match="real field$"):
+            require_real(wave.data[None], g, "physical", "data x")
+
 
 class TestVectorField:
     """A vector is one `Field` with a leading component axis."""

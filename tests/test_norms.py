@@ -26,8 +26,9 @@ from fracheat import (
     sobolev_norm,
     synthesize_field,
 )
+from fracheat import norms
 from fracheat.grid import sample_chunks, uniform_times
-from fracheat.semigroup import apply_symbol
+from fracheat.semigroup import apply_symbol, derivative_symbol
 
 INF = float("inf")
 
@@ -434,3 +435,45 @@ def test_bmo_norm_propagates_nan():
     data = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=2)).data.copy()
     data[3, 5] = np.nan
     assert np.isnan(bmo_norm(Field(g, data)))
+
+
+class TestMultiplierNormsOfRealSeries:
+    """A real series is multiplied on its half lattice and comes back through
+    `irfftn`; it must match the same series filled to the full lattice."""
+
+    def series(self, g, components):
+        fields = [
+            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1))
+            for s in range(components)
+        ]
+        f = fields[0] if components == 1 else VectorField(fields)
+        u = semigroup_series(f, uniform_times(0.1, 6), 1.0, real=True)
+        full = TimeSeries.from_data(g, u.times, u.spectrum())
+        return u, full
+
+    @pytest.mark.parametrize("n, components", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_equals_full_lattice(self, fft_count, n, components):
+        g = make_grid(n, 16 if n == 3 else 32, 2 * np.pi)
+        u, full = self.series(g, components)
+        part = default_partition(g)
+        syms = [part.psi(j) for j in part.bands] + [derivative_symbol(g, 0.5)]
+        fft_count.clear()
+        got = norms._multiplier_norms(u, syms, 3.0, "zero-mean check")
+        assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
+        want = norms._multiplier_norms(full, syms, 3.0, "zero-mean check")
+        assert got.shape == want.shape == (len(u), len(syms))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_physical_real_series_and_zero_mean_check(self, fft_count):
+        g = make_grid(2, 32, 2 * np.pi)
+        u, full = self.series(g, 1)
+        phys = u.to_physical()
+        spec = NormSpec("besov", p=4.0, s=0.5)
+        fft_count.clear()
+        got = spec.norms(phys)
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0
+        want = spec.norms(full)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        shifted = TimeSeries.from_data(g, phys.times, phys.data + 1.0, "physical", real=True)
+        with pytest.raises(PreconditionError, match="zero-mean"):
+            spec.norms(shifted)

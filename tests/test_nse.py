@@ -566,6 +566,23 @@ class TestPicard:
         assert calls["mixed_norm"] == 2 * rep.iterations + 1
         assert rep.final_norm == mixed_norm(v, 4.0, 4.0)
 
+    def test_data_functional_reads_the_seed_stack(self, monkeypatch):
+        # with no forcing, the physical stack that seeds the fixed point also
+        # gives `a`: every norm of the solve reads physical samples
+        g = make_grid(2, 16, 2 * np.pi)
+        g0 = perturbed_taylor_green(g, 0.3)
+        seen = []
+
+        def recording(u, *args):
+            seen.append(u.representation)
+            return mixed_norm(u, *args)
+
+        monkeypatch.setattr(nse, "mixed_norm", recording)
+        _, rep = solve_nse_picard(g0, None, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=12, c_est=0.2)
+        assert len(seen) == 2 * rep.iterations + 1 and set(seen) == {"physical"}
+        free = semigroup_series(g0, uniform_times(0.5, 12), 1.0, real=True)
+        assert rep.data_functional == mixed_norm(free, 4.0, 4.0)
+
     def test_zero_data_zero_solution(self):
         g = make_grid(2, 16, 2 * np.pi)
         z = VectorField(tuple(Field(g, np.zeros(g.shape)) for _ in range(2)))
