@@ -28,13 +28,13 @@ from .grid import (
     Field,
     GaussianBump,
     GridSpec,
+    PHYSICAL,
     PlaneWave,
     RandomBandlimited,
     RandomBumps,
     TimeSeries,
     WavePackets,
     WindowedPowerlaw,
-    _field_is_real,
     read_field,
     synthesize_field,
     uniform_times,
@@ -260,7 +260,7 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     alpha = cfg.getfloat("solver", "alpha", 1.0)
     T = cfg.getfloat("solver", "T", 1.0)
     times = uniform_times(T, cfg.getint("solver", "nodes", 32))
-    series = semigroup_series(f, times, alpha, real=_field_is_real(f))
+    series = semigroup_series(f, times, alpha)
     l2, linf = [], []
     for phys in series.chunks():  # one inverse transform per chunk for both norms
         l2 += _lp(phys, series.grid, 2).tolist()
@@ -271,7 +271,10 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    write_field(Field(series.grid, phys[-1]), final_path)
+    last = TimeSeries.from_data(
+        series.grid, series.times[-1:], phys[-1:], PHYSICAL, parts=series.parts
+    )
+    write_field(last.snapshots[0], final_path)
     results = {
         "alpha": alpha,
         "T": T,
@@ -408,10 +411,7 @@ def cmd_potential_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     V = None
     c = get("potential", "constant")
     if c is not None:
-        V = TimeSeries(
-            np.array([0.0, T]),
-            [Field(grid, np.full(grid.shape, c, dtype=np.complex128))] * 2,
-        )
+        V = TimeSeries.from_data(grid, [0.0, T], np.full((2, *grid.shape), c), PHYSICAL)
     _, report = solve_potential_eq(
         f,
         None,

@@ -23,9 +23,11 @@ from .grid import (
     GaussianBump,
     GridSpec,
     PHYSICAL,
+    SPECTRAL,
     TimeSeries,
     WindowedPowerlaw,
-    _field_is_real,
+    _half,
+    as_series,
     contamination,
     geometric_times,
     sample_chunks,
@@ -121,8 +123,7 @@ def homogeneous_ratio(
     """Free-evolution mixed norm over the data norm.
 
     Numerator: L^q in time on [0, T] of the `kind` spatial norm (at
-    integrability p) of the propagated field, evolved and measured on the
-    half lattice when f is real (`grid.is_real`).  Denominator: the matching
+    integrability p) of the propagated field.  Denominator: the matching
     data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).
     """
     g = f.grid
@@ -145,7 +146,7 @@ def homogeneous_ratio(
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    series = semigroup_series(f, ts, a, real=_field_is_real(f))
+    series = semigroup_series(f, ts, a)
     spec = NormSpec(kind, p=p, s=s)
     num = mixed_norm(series, q, spec, partition)
     return num / denom
@@ -168,9 +169,7 @@ def inhomogeneous_ratio(
     pairing with a Lebesgue numerator and a homogeneous Sobolev (order s)
     denominator; its scale-invariant configurations have residual
     s / (2 alpha) instead of zero.  kind='besov': homogeneous Besov norms
-    (microlocal q = 2) on both sides, residual zero.  A real-flagged F,
-    such as a dilation sweep builds from real data, is marched and measured
-    on the half lattice.
+    (microlocal q = 2) on both sides, residual zero.
     """
     q, p = qp
     q1, p1 = q1p1
@@ -217,9 +216,8 @@ def parabolic_ratio(
     over ||f||_2, integrated on a geometric grid refined toward s = 0 with an
     analytic head correction below s_min.  form='a' (n < 2*alpha, finite T):
     int_0^T s^(-n r/(2 p alpha)) ||e^(-s L) f||_p^r ds over
-    T^(1 - n/(2 alpha)) ||f||_r^r.  The flow is measured on the complex
-    path, equal bit for bit to the per-time norms
-    lp_norm(apply_semigroup(f, s, alpha), p).
+    T^(1 - n/(2 alpha)) ||f||_r^r.  The flow's norms equal the per-time
+    norms lp_norm(apply_semigroup(f, s, alpha), p) bit for bit.
     """
     g = f.grid
     if form == "b":
@@ -294,8 +292,8 @@ def decay_fit(
     The predicted exponent is -(n/2a)(1/r - 1/p), minus 1/(2a) for the
     gradient variant.  The contamination diagnostic is evaluated on the
     input data; it must be below 1e-6 for the whole-space reading of the
-    fit to be trusted.  Like `parabolic_ratio`, the plain fit runs the
-    complex path and equals the per-time norms bit for bit.
+    fit to be trusted.  Like `parabolic_ratio`, the plain fit equals the
+    per-time norms bit for bit.
     """
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
@@ -307,9 +305,11 @@ def decay_fit(
         )
     times = np.asarray(times, dtype=float)
     u = semigroup_series(f, times, alpha)
-    if gradient:  # (m, n, *grid.shape) stack of d_j u; its L^p is of |grad u|
-        grad = np.stack([u.data * (1j * x) for x in g.deriv_frequencies], axis=1)
-        u = TimeSeries.from_data(g, times, grad)
+    if gradient:  # d_j u of each component, before the grid axes; its L^p is of |grad u|
+        xi = [_half(x, g) for x in g.deriv_frequencies]
+        grad = np.stack([u.data * (1j * x) for x in xi], axis=-g.n - 1)
+        grad = grad.reshape(len(times), -1, *grad.shape[-g.n :])
+        u = TimeSeries.from_data(g, times, grad, SPECTRAL, parts=u.parts)
     vals = lp_norms(u, p)
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
     predicted = -(g.n / (2 * alpha)) * (_inv(r) - _inv(p))
@@ -331,12 +331,12 @@ def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.
     symbols exp(-t lam) are stacked and inverse-transformed a sample chunk at
     a time.  The whole-space validity check applies at the largest time only:
     small-t kernels are near-deltas whose ringing is harmless to L^r."""
-    lam = grid.abs_freq ** (2 * float(alpha))
-    sym = np.empty((len(ts), *grid.shape))
+    lam = _half(grid.abs_freq, grid) ** (2 * float(alpha))
+    sym = np.empty((len(ts), *lam.shape))
     for out, t in zip(sym, ts):
         np.exp(-t * lam, out=out)
     vals = []
-    for chunk in sample_chunks(sym, copies=2):  # the transform is complex
+    for chunk in sample_chunks(sym, grid=grid):
         K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
         vals.append(lp_norms(K, r))
     require_contained_kernel(Field(grid, K.data[-1]), ts[-1], alpha)
@@ -469,12 +469,10 @@ def _nyquist_tail(f: Field) -> float:
 
 
 def _separable_series(grid, f: Field, profile, times) -> TimeSeries:
-    """profile(t) * f at each time, in physical form, real if f is."""
-    amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * grid.n)
-    phys = f.to_physical()
-    return TimeSeries.from_data(
-        grid, times, amp * phys.data, PHYSICAL, real=_field_is_real(phys)
-    )
+    """profile(t) * f at each time, in f's representation."""
+    u = as_series(f)
+    amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * (u.data.ndim - 1))
+    return TimeSeries.from_data(grid, times, amp * u.data[0], u.representation, parts=u.parts)
 
 
 def dilation_sweep(

@@ -17,39 +17,20 @@ Odd multiplier symbols (first derivatives, Riesz transforms) are built
 from a Nyquist-zeroed copy of the frequency lattice so that real fields
 map to real fields without asymmetric-mode artifacts.
 
-Realness
---------
-`TimeSeries.real` (default False, fixed at construction) states that every
-sample is real in physical space.  Such a series stores its spectral
-samples on the half lattice only, the `rfftn` layout: shape
-(m, [c,] *grid.shape[:-1], N//2 + 1), last wavenumber index k <= N/2; the
-other modes are fhat(-k) = conj(fhat(k)) and are never stored.  `_dft`
-then takes the real-to-complex transforms: the forward is `rfftn` of the
-real part, returning the half; the inverse is `irfftn` of the half, a real
-array (it drops any imaginary part, at most 1e-12 of max|f| by the bound
-`require_real` admits); physical samples of a real series are stored as
-float64.  A `Field` is always full: `.snapshots` and `.spectrum()` fill
-the half with `_hermitian_fill`, as does combining a real series with a
-complex one; `chunks(SPECTRAL)` hands out the half as stored.  The flag
-is set only where the mathematics guarantees it, by the one rule
-`is_real` (which `require_real` enforces; non-finite data is never real):
-`nse.solve_nse_picard`, after requiring real data, and
-`nse.estimate_bilinear_constant` for its projected ensemble, both through
-`semigroup.semigroup_series(real=True)`; `nse.solve_potential_eq` when its
-data `f` and forcing `F` pass `is_real`; and, for a data Field that passes
-it (`_field_is_real`, decided once per Field), the free evolution of
-`estimates.homogeneous_ratio` (every norm kind), the separable forcing of
-a dilation sweep's `inhomogeneous_ratio` and the evolution `cli`'s
-`propagate` measures.  `+`/`-` of two real series,
-`to_physical`/`to_spectral`, `semigroup.duhamel` (real iff its forcing
-is), `nse.bilinear_form` (real iff both inputs are), `nse.regularity_check`
-and the Sobolev/Besov multiplier norms keep it, working mode by mode on
-the half lattice: their symbols are real and even or, on the
-Nyquist-zeroed lattice, map Hermitian spectra to Hermitian spectra; the
-L^p and BMO norms of a real series measure float64 samples.  Everything
-unflagged runs the complex transforms on the full lattice: the Field-level
-norms (`NormSpec.compute`, `lp_norm`, ...), kernels, `parabolic_ratio` and
-`decay_fit` (pinned bit for bit to the per-time Field norms).
+Parts
+-----
+Every `TimeSeries` is real in physical space: it stores float64 physical
+samples or `rfftn` half spectra (last axis N//2 + 1 wide, wavenumber index
+k <= N/2; the other modes are fhat(-k) = conj(fhat(k)) and are never
+stored).  Data enters once, at construction: complex input that passes
+`is_real` loses its roundoff imaginary part; any other is split into its
+(re, im) parts, so a scalar becomes 2 components and a c-vector 2c (all
+real parts first), and the series records `parts` = 2.  Every operator
+here maps real fields to real fields and every norm measures a sample by
+its pointwise Euclidean magnitude, so the parts evolve and measure as the
+complex data would.  `.snapshots` is the one exit: it rejoins the parts
+and fills a spectral half.  `Field` stays complex on the full lattice;
+its operators and norms run as one-sample series (`as_series`).
 """
 
 from __future__ import annotations
@@ -100,11 +81,6 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return (self.L / self.N) ** self.n
-
-    def spectral_width(self, real: bool) -> int:
-        """Last-axis length of stored spectral data: N // 2 + 1 for the half
-        lattice of a real series (see the module notes), N otherwise."""
-        return self.N // 2 + 1 if real else self.N
 
     @property
     def nyquist(self) -> float:
@@ -187,27 +163,27 @@ class Field:
         return self if self.representation == SPECTRAL else transform(self, "forward")
 
 
-def _dft(data: np.ndarray, grid: GridSpec, direction: str, real: bool = False) -> np.ndarray:
-    """Unitary DFT over the trailing grid.n axes of `data` (see `transform`).
+def _half(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The half lattice of a full-lattice array: last wavenumber index k <= N/2."""
+    return a[..., : grid.N // 2 + 1]
 
-    `real` asserts that the physical side is real (see the module notes).
-    The forward is then `rfftn` of the real part and returns the half
-    spectrum, the modes with last wavenumber index k <= N/2; the inverse is
-    `irfftn` of that half (of a full spectrum it reads only the half) and
-    returns a real array.
-    """
+
+def _dft_scale(grid: GridSpec) -> float:
+    return grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
+
+
+def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
+    """Unitary real-to-complex DFT over the trailing grid.n axes of `data`,
+    scaled as `transform`: the forward is `rfftn` of real samples and returns
+    the half spectrum, the inverse is `irfftn` of a half spectrum and returns
+    real samples."""
     axes = tuple(range(-grid.n, 0))
-    scale = grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
     if direction == "forward":
-        out = np.fft.rfftn(np.real(data), axes=axes) if real else np.fft.fftn(data, axes=axes)
-        out *= scale
+        out = np.fft.rfftn(data, axes=axes)
+        out *= _dft_scale(grid)
     else:
-        if real:
-            half = data[..., : grid.spectral_width(True)]
-            out = np.fft.irfftn(half, s=grid.shape, axes=axes)
-        else:
-            out = np.fft.ifftn(data, axes=axes)
-        out /= scale
+        out = np.fft.irfftn(data, s=grid.shape, axes=axes)
+        out /= _dft_scale(grid)
     return out
 
 
@@ -233,16 +209,20 @@ def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
     """Whether a full-lattice sample stack is real in physical space: every
     value is finite and, per sample, max |imag| (physical) or the Hermitian
     defect max |fhat(k) - conj(fhat(-k))| (spectral) stays within 1e-12 of
-    max |f|.  A non-finite sample is not real: the real path would drop its
-    imaginary part, where the result must stay NaN."""
-    if not np.all(np.isfinite(data)):
-        return False
-    if representation == PHYSICAL:
-        defect = np.abs(data.imag)
-    else:
-        defect = np.abs(data - np.conj(_reflect(data, range(-grid.n, 0))))
-    peak = np.abs(data).reshape(len(data), -1).max(axis=1)
-    return not np.any(defect.reshape(len(data), -1).max(axis=1) > 1e-12 * peak)
+    max |f|.  A non-finite sample is not real: dropping its imaginary part
+    could drop a NaN."""
+    for chunk in sample_chunks(data, copies=4):
+        d = data[chunk]
+        if not np.all(np.isfinite(d)):
+            return False
+        if representation == PHYSICAL:
+            defect = np.abs(d.imag)
+        else:
+            defect = np.abs(d - np.conj(_reflect(d, range(-grid.n, 0))))
+        peak = np.abs(d).reshape(len(d), -1).max(axis=1)
+        if np.any(defect.reshape(len(d), -1).max(axis=1) > 1e-12 * peak):
+            return False
+    return True
 
 
 def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
@@ -253,10 +233,13 @@ def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: st
         raise PreconditionError(f"{what} must be a real field{cause}")
 
 
-def _field_is_real(f: Field) -> bool:
-    """Whether one Field passes `is_real`: the one realness decision of the
-    callers that evolve and measure given data (see the module notes)."""
-    return is_real(f.data[None], f.grid, f.representation)
+def require_one_part(u: "TimeSeries", what: str) -> None:
+    """Reject a series that holds the (re, im) parts of complex data."""
+    if u.parts != 1:
+        raise PreconditionError(
+            f"{what} must be a real field: it holds the (re, im) parts of complex "
+            "or non-finite data"
+        )
 
 
 # Batched kernels work on this many bytes of input samples at a time: large
@@ -268,9 +251,8 @@ CHUNK_BYTES = 1 << 20
 def sample_chunks(data: np.ndarray, copies: int = 1, grid: GridSpec | None = None):
     """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies.
 
-    With `grid`, a sample counts at its size on the full lattice, so a real
-    series' half spectra are cut like the full spectra whose transforms
-    they stand for.
+    With `grid`, a sample counts at its size on the full lattice, so half
+    spectra are cut like the full spectra whose transforms they stand for.
     """
     shape = data.shape[1:] if grid is None else (*data.shape[1:-1], grid.N)
     sample_bytes = copies * data.itemsize * math.prod(shape)
@@ -289,7 +271,12 @@ def transform(f: Field, direction: str) -> Field:
     source, target = (PHYSICAL, SPECTRAL) if direction == "forward" else (SPECTRAL, PHYSICAL)
     if f.representation != source:
         raise RepresentationError(f"{direction} transform requires a {source} field")
-    return Field(f.grid, _dft(f.data, f.grid, direction), target)
+    axes = tuple(range(-f.grid.n, 0))
+    if direction == "forward":
+        data = np.fft.fftn(f.data, axes=axes) * _dft_scale(f.grid)
+    else:
+        data = np.fft.ifftn(f.data, axes=axes) / _dft_scale(f.grid)
+    return Field(f.grid, data, target)
 
 
 def VectorField(components) -> Field:
@@ -648,15 +635,17 @@ def dilate_spectrum(f: Field, factor: int) -> Field:
 
 
 class TimeSeries:
-    """A scalar or vector field sampled on a strictly increasing time grid.
+    """A real scalar or vector field sampled on a strictly increasing time grid.
 
-    `data` stacks the samples on axis 0, shape (m, *grid.shape) for a scalar
-    and (m, c, *grid.shape) for a c-component series, in one `representation`.
-    The constructor stacks `Field` snapshots (spectral if their
-    representations differ); `from_data` wraps a stacked array.  `real`,
-    fixed at construction, marks every sample as real in physical space;
-    such a series stores spectral samples on the half lattice, last axis
-    N//2 + 1 wide (see the module notes).
+    `data` stacks the samples on axis 0 in one `representation`: float64
+    physical samples of shape (m, *grid.shape) for a scalar and
+    (m, c, *grid.shape) for a c-component series, or their `rfftn` half
+    spectra, last axis N//2 + 1 wide.  `parts` is 2 when the components are
+    the (re, im) parts of complex data, else 1 (see the module notes).  The
+    constructor stacks `Field` snapshots (spectral if their representations
+    differ); `from_data` wraps a stacked array.  Complex physical data and
+    full spectra enter through `is_real`; real physical data and half
+    spectra are stored as given, their components being `parts` parts.
     """
 
     def __init__(self, times, snapshots, grading: str = "custom"):
@@ -667,41 +656,44 @@ class TimeSeries:
             raise PreconditionError("snapshots must share one grid")
         rep = PHYSICAL if all(s.representation == PHYSICAL for s in snaps) else SPECTRAL
         datas = [(s if rep == PHYSICAL else s.to_spectral()).data for s in snaps]
-        self._set(snaps[0].grid, times, np.stack(datas), rep, grading, False)
+        self._set(snaps[0].grid, times, np.stack(datas), rep, grading, 1)
 
     @classmethod
     def from_data(
-        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom",
-        real=False,
+        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom", parts=1
     ) -> "TimeSeries":
         """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape),
-        or with `real` and SPECTRAL its half lattice, last axis N//2 + 1."""
+        or a half-spectral one, last axis N//2 + 1."""
         series = cls.__new__(cls)
-        series._set(grid, times, data, representation, grading, real)
+        series._set(grid, times, data, representation, grading, parts)
         return series
 
-    def _set(self, grid, times, data, representation, grading, real) -> None:
-        self.grid, self.representation, self.grading = grid, representation, grading
-        self._real = real
-        self.times = np.asarray(times, dtype=float)
-        if real and representation == PHYSICAL:
-            self.data = np.asarray(np.real(data), dtype=np.float64)
-        else:
-            self.data = np.asarray(data, dtype=np.complex128)
+    def _set(self, grid, times, data, representation, grading, parts) -> None:
         if representation not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {representation!r}")
-        if self.times.ndim != 1 or len(self.times) != len(self.data):
-            raise PreconditionError("times and snapshots must have equal length")
-        shape = self.data.shape
-        if shape[-grid.n : -1] != grid.shape[:-1] or len(shape) > grid.n + 2:
+        self.grid, self.representation, self.grading = grid, representation, grading
+        self.times = np.asarray(times, dtype=float)
+        data = np.asarray(data)
+        shape, half = data.shape, grid.N // 2 + 1
+        if shape[-grid.n : -1] != grid.shape[:-1] or not grid.n < len(shape) <= grid.n + 2:
             raise PreconditionError(f"series data shape {shape} off grid {grid}")
-        width = grid.spectral_width(self.real and representation == SPECTRAL)
-        if shape[-1] != width:
+        widths = (grid.N,) if representation == PHYSICAL else (grid.N, half)
+        if shape[-1] not in widths:
             raise PreconditionError(
-                f"{'real' if self.real else 'complex'} {representation} series data has "
-                f"last-axis width {shape[-1]}, not {width}: a real spectral series stores "
-                f"N//2+1 = {grid.spectral_width(True)} modes, every other series N = {grid.N}"
+                f"{representation} series data has last-axis width {shape[-1]}, not "
+                f"{' or '.join(map(str, widths))} (N, or N//2+1 for half spectra)"
             )
+        if parts not in (1, 2) or parts == 2 and (len(shape) != grid.n + 2 or shape[1] % 2):
+            raise PreconditionError(f"series data shape {shape} holds no {parts} parts")
+        # complex physical data or a full spectrum: bring it to the stored layout
+        if np.iscomplexobj(data) if representation == PHYSICAL else shape[-1] != half:
+            if parts != 1:
+                raise PreconditionError("complex or full-spectral data is split at entry")
+            data, parts = _stored(data, grid, representation)
+        dtype = np.float64 if representation == PHYSICAL else np.complex128
+        self.data, self._parts = np.ascontiguousarray(data, dtype=dtype), parts
+        if len(self.times) != len(self.data) or self.times.ndim != 1:
+            raise PreconditionError("times and snapshots must have equal length")
         if len(self.times) and self.times[0] < 0:
             raise PreconditionError("times must be nonnegative")
         if np.any(np.diff(self.times) <= 0):
@@ -716,45 +708,51 @@ class TimeSeries:
         return len(self.times)
 
     @property
-    def real(self) -> bool:
-        """Every sample is real in physical space (set at construction only)."""
-        return self._real
+    def parts(self) -> int:
+        """2 if the components are the (re, im) parts of complex data, else 1
+        (fixed at construction)."""
+        return self._parts
 
-    @property
+    @cached_property
     def snapshots(self) -> list[Field]:
-        """Per-sample `Field`s of `data`, on the full lattice."""
-        data = self.spectrum() if self.representation == SPECTRAL else self.data
+        """Per-sample complex `Field`s on the full lattice: the parts rejoined
+        and a spectral half Hermitian-filled (once: `data` is not changed
+        after construction)."""
+        data = self.data
+        if self.representation == SPECTRAL:
+            data = _hermitian_fill(data, self.grid)
+        if self.parts == 2:
+            c = data.shape[1] // 2
+            data = data[:, :c] + 1j * data[:, c:]
+            data = data[:, 0] if c == 1 else data
         return [Field(self.grid, d, self.representation) for d in data]
 
-    def spectrum(self, half: bool = False) -> np.ndarray:
-        """The spectral samples on the full lattice, a real series' stored half
-        Hermitian-filled; with `half`, a real series' half lattice as stored."""
-        data = self.to_spectral().data
-        return _hermitian_fill(data, self.grid) if self.real and not half else data
-
     def to_physical(self) -> "TimeSeries":
-        return self._as(PHYSICAL, "inverse")
+        return self._as(PHYSICAL)
 
     def to_spectral(self) -> "TimeSeries":
-        return self._as(SPECTRAL, "forward")
+        return self._as(SPECTRAL)
 
-    def _as(self, representation: str, direction: str) -> "TimeSeries":
+    def _as(self, representation: str) -> "TimeSeries":
+        """This series in `representation`, transformed a `sample_chunks`
+        chunk at a time."""
         if self.representation == representation:
             return self
-        data = _dft(self.data, self.grid, direction, self.real)
-        return TimeSeries.from_data(
-            self.grid, self.times, data, representation, real=self.real
-        )
+        g = self.grid
+        forward = representation == SPECTRAL
+        shape = (*self.data.shape[:-1], g.N // 2 + 1 if forward else g.N)
+        data = np.empty(shape, dtype=np.complex128 if forward else np.float64)
+        for chunk in sample_chunks(self.data, grid=g):
+            data[chunk] = _dft(self.data[chunk], g, "forward" if forward else "inverse")
+        return TimeSeries.from_data(g, self.times, data, representation, parts=self.parts)
 
     def chunks(self, representation: str = PHYSICAL, copies: int = 1):
-        """`data` in one representation, a `sample_chunks` chunk at a time; a
-        real series' spectral chunks are on the half lattice, as stored."""
+        """`data` in one representation, a `sample_chunks` chunk at a time
+        (spectral chunks are half spectra)."""
         direction = "inverse" if representation == PHYSICAL else "forward"
         for chunk in sample_chunks(self.data, copies, self.grid):
             d = self.data[chunk]
-            if self.representation != representation:
-                d = _dft(d, self.grid, direction, self.real)
-            yield d
+            yield d if self.representation == representation else _dft(d, self.grid, direction)
 
     def __add__(self, other: "TimeSeries") -> "TimeSeries":
         return self._combine(other, np.add)
@@ -763,17 +761,37 @@ class TimeSeries:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
-        """Sample-wise op of two series on one time grid: in physical form if
-        both are physical, else in spectral form, on the half lattice if both
-        are real and on the full lattice otherwise."""
+        """Sample-wise op of two series of one layout on one time grid: in
+        physical form if both are physical, else in spectral form."""
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
-        real = self.real and other.real
-        if self.representation == other.representation == PHYSICAL:
-            data = op(self.data, other.data)
-            return TimeSeries.from_data(self.grid, self.times, data, PHYSICAL, real=real)
-        data = op(self.spectrum(half=real), other.spectrum(half=real))
-        return TimeSeries.from_data(self.grid, self.times, data, real=real)
+        if other.parts != self.parts:
+            raise PreconditionError("cannot combine series of 1 and 2 parts")
+        rep = PHYSICAL if self.representation == other.representation == PHYSICAL else SPECTRAL
+        data = op(self._as(rep).data, other._as(rep).data)
+        return TimeSeries.from_data(self.grid, self.times, data, rep, parts=self.parts)
+
+
+def _stored(data: np.ndarray, grid: GridSpec, representation: str):
+    """The stored layout of a complex physical or full spectral sample stack
+    and its number of parts: its real part if it passes `is_real`, else its
+    (re, im) parts on the component axis (see the module notes)."""
+    if is_real(data, grid, representation):
+        parts = [data]
+    elif representation == PHYSICAL:
+        parts = [data.real, data.imag]
+    else:  # the spectra of the real and imaginary parts
+        mirror = np.conj(_reflect(data, range(-grid.n, 0)))
+        parts = [(data + mirror) / 2, (data - mirror) / 2j]
+    parts = [np.real(p) if representation == PHYSICAL else _half(p, grid) for p in parts]
+    if len(parts) == 1:
+        return parts[0], 1
+    return np.stack(parts, axis=1).reshape(len(data), -1, *parts[0].shape[-grid.n :]), 2
+
+
+def as_series(f: Field) -> TimeSeries:
+    """f as a one-sample series at t = 0, in the stored layout."""
+    return TimeSeries.from_data(f.grid, [0.0], f.data[None], f.representation)
 
 
 def uniform_times(T: float, m: int, t0: float = 0.0) -> np.ndarray:

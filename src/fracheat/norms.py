@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, require_zero_means
+from .grid import (
+    SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series, require_zero_means
+)
 from .semigroup import apply_symbol, derivative_symbol
 
 INF = float("inf")
@@ -59,20 +61,19 @@ class NormSpec:
 
     def compute(self, f: Field, partition: "DyadicPartition | None" = None) -> float:
         """The selected norm of one Field, measured as a stack of one sample."""
-        one = TimeSeries.from_data(f.grid, [0.0], f.data[None], f.representation)
-        return float(self.norms(one, partition)[0])
+        return float(self.norms(as_series(f), partition)[0])
 
 
 def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
-    """L^p norms of a stack of physical samples, shape (m, *grid.shape) or
-    (m, c, *grid.shape); c components are measured by their pointwise
+    """L^p norms of a stack of real physical samples, shape (m, *grid.shape)
+    or (m, c, *grid.shape); c components are measured by their pointwise
     Euclidean magnitude.  Returns the m norms."""
     if not p >= 1:
         raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
     if phys.ndim == grid.n + 1:
         mag = np.abs(phys)
     else:
-        mag = np.sqrt(sum(np.abs(phys[:, c]) ** 2 for c in range(phys.shape[1])))
+        mag = np.sqrt(sum(phys[:, c] ** 2 for c in range(phys.shape[1])))
     mag = mag.reshape(len(mag), -1)
     if p == INF:
         return mag.max(axis=1)
@@ -85,7 +86,7 @@ def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
 def lp_norm(f, p: float) -> float:
     """Cell-volume-weighted L^p norm of a scalar or vector Field (a vector by
     its pointwise Euclidean magnitude); p = inf is the max over grid points."""
-    return float(_lp(f.to_physical().data[None], f.grid, p)[0])
+    return float(lp_norms(as_series(f), p)[0])
 
 
 def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
@@ -125,18 +126,16 @@ def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.n
 def _multiplier_norms(u: TimeSeries, syms: list, p: float, zero_mean_for) -> np.ndarray:
     """L^p norms of every sample of `u` under each multiplier of `syms`, shape
     (samples, multipliers): one inverse transform per chunk of (sample,
-    multiplier) pairs.  The symbols are real and even, so a real series is
-    multiplied on its half lattice and comes back through `irfftn`.
+    multiplier) pairs, on the half lattice (the symbols are real and even).
     `zero_mean_for` names what needs zero-mean samples."""
     grid = u.grid
-    width = grid.spectral_width(u.real)
-    sym = np.stack([s[..., :width] for s in syms])
+    sym = np.stack([_half(s, grid) for s in syms])
     sym = np.expand_dims(sym, tuple(range(1, u.data.ndim - grid.n)))
     out = []
     for spec in u.chunks(SPECTRAL, copies=len(syms)):
         if zero_mean_for:  # a half spectrum holds every |fhat| and the mean
             require_zero_means(spec, grid, zero_mean_for)
-        blocks = _dft(spec[:, None] * sym, grid, "inverse", u.real)
+        blocks = _dft(spec[:, None] * sym, grid, "inverse")
         out.append(_lp(blocks.reshape(-1, *blocks.shape[2:]), grid, p).reshape(len(spec), -1))
     return np.concatenate(out)
 
@@ -258,9 +257,16 @@ def bmo_norm(f: Field) -> float:
 
 
 def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """BMO norms of a physical sample stack.  Box sums [i] over the cube of
-    side 2^m anchored at i double, one grid axis at a time, into side 2^(m+1)."""
-    sums, sq_sums = phys, np.abs(phys) ** 2
+    """BMO norms of a real physical sample stack.  Box sums [i] over the cube
+    of side 2^m anchored at i double, one grid axis at a time, into side
+    2^(m+1).  BMO is invariant under constants, so each sample's
+    per-component mean is subtracted first and sq_sums/cells - (sums/cells)^2
+    cancels only against the sample's own variation g.  Rounding bound: the
+    subtraction moves values, and so the norm, by about eps (|mean| + max|f|);
+    each box's squared oscillation is off by a few (n log2 N) eps max|g|^2.
+    """
+    sums = phys - phys.mean(axis=tuple(range(-grid.n, 0)), keepdims=True)
+    sq_sums = sums**2
     best = np.zeros(len(phys))
     for m in range(int(math.log2(grid.N)) + 1):
         if m:
@@ -268,7 +274,7 @@ def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
                 sums = sums + np.roll(sums, -(2 ** (m - 1)), axis=ax)
                 sq_sums = sq_sums + np.roll(sq_sums, -(2 ** (m - 1)), axis=ax)
         cells = float((2**m) ** grid.n)
-        osc2 = np.maximum(sq_sums / cells - np.abs(sums / cells) ** 2, 0.0)
+        osc2 = np.maximum(sq_sums / cells - (sums / cells) ** 2, 0.0)
         if osc2.ndim > grid.n + 1:
             osc2 = osc2.sum(axis=1)  # components of a vector
         best = np.maximum(best, osc2.reshape(len(phys), -1).max(axis=1))  # NaN propagates

@@ -30,7 +30,9 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
-    is_real,
+    _half,
+    as_series,
+    require_one_part,
     require_real,
     sample_chunks,
     uniform_times,
@@ -121,13 +123,10 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 def _tensor_divergence(
-    uh: np.ndarray,
-    vh: np.ndarray | None,
-    grid: GridSpec,
-    mask: np.ndarray,
-    real: bool = False,
+    uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec, mask: np.ndarray
 ) -> np.ndarray:
-    """P div(u x v) of spectral stacks (m, n, *grid.shape); vh None means v = u.
+    """P div(u x v) of the half spectra (m, n, ..., N//2 + 1) of real fields;
+    vh None means v = u.
 
     Component j is sum_k i xi_k (u_k v_j)^: the factors are 2/3-truncated
     and inverse-transformed in one batch, their pointwise products
@@ -135,33 +134,26 @@ def _tensor_divergence(
     and the Leray projection are taken in spectral space.  For v = u the
     inverse transforms are shared and only the n(n+1)/2 symmetric products
     are formed: n + n(n+1)/2 transforms per sample (5 for n = 2), against
-    2n + n^2 otherwise.
-
-    With `real` (both fields real) the factors and products are real: the
-    work runs on the half lattice (last wavenumber index k <= N/2, the
-    storage of a real series; a full stack is read only there) with the
-    real-to-complex transforms, and the result is that half.
+    2n + n^2 otherwise.  The result is a half spectrum too.
     """
     n = grid.n
-    lattice = (..., slice(0, grid.spectral_width(real)))
-    mask = mask[lattice]
+    mask = _half(mask, grid)
     if vh is None:
-        u = v = _dft(uh[lattice] * mask, grid, "inverse", real)
+        u = v = _dft(uh * mask, grid, "inverse")
         pairs = [(k, j) for k in range(n) for j in range(k, n)]
     else:
-        both = np.concatenate((uh[lattice], vh[lattice]), axis=1)
-        phys = _dft(both * mask, grid, "inverse", real)
+        phys = _dft(np.concatenate((uh, vh), axis=1) * mask, grid, "inverse")
         u, v = phys[:, :n], phys[:, n:]
         pairs = list(itertools.product(range(n), repeat=2))
     prods = np.stack([u[:, k] * v[:, j] for k, j in pairs], axis=1)
-    prods = _dft(prods, grid, "forward", real)
+    prods = _dft(prods, grid, "forward")
     prods *= mask
     slot = {pair: i for i, pair in enumerate(pairs)}
     if vh is None:
         slot.update({(j, k): i for (k, j), i in list(slot.items())})
     out = np.zeros((len(uh), n, *mask.shape), dtype=np.complex128)
     for k, x in enumerate(grid.deriv_frequencies):
-        ixi = 1j * x[lattice]
+        ixi = 1j * _half(x, grid)
         for j in range(n):
             out[:, j] += ixi * prods[:, slot[k, j]]
     return _leray(out, grid)
@@ -169,14 +161,16 @@ def _tensor_divergence(
 
 def projected_tensor_divergence(u: Field, v: Field) -> Field:
     """P div(u x v): dealiased quadratic term of the mild formulation, for
-    one snapshot pair (spectral result)."""
+    one pair of real snapshots (spectral result)."""
     g = u.grid
     if v.grid != g:
         raise PreconditionError("velocity fields live on different grids")
-    uh = u.to_spectral().data[None]
-    vh = None if v is u else v.to_spectral().data[None]
-    out = _tensor_divergence(uh, vh, g, dealias_mask(g))[0]
-    return Field(g, out, SPECTRAL)
+    us = as_series(u).to_spectral()
+    vs = us if v is u else as_series(v).to_spectral()
+    for w, what in ((us, "velocity u"), (vs, "velocity v")):
+        require_one_part(w, what)
+    out = _tensor_divergence(us.data, None if v is u else vs.data, g, dealias_mask(g))
+    return TimeSeries.from_data(g, us.times, out, SPECTRAL).snapshots[0]
 
 
 def bilinear_form(
@@ -184,15 +178,15 @@ def bilinear_form(
 ) -> TimeSeries:
     """B(u, v): Duhamel integral of P div(u x v) along shared time grids.
 
-    The nonlinearity is evaluated on chunks of samples (`sample_chunks`);
-    passing the same series twice shares its transforms.  B(u, v) is real
-    iff u and v are, and is then computed on their half lattice; a real
-    series paired with a complex one is Hermitian-filled first.
+    The velocities are real.  The nonlinearity is evaluated on chunks of
+    samples (`sample_chunks`); passing the same series twice shares its
+    transforms.
     """
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
         raise PreconditionError("bilinear form needs matching time grids")
-    for w in (u, v):
+    for w, what in ((u, "velocity u"), (v, "velocity v")):
+        require_one_part(w, f"bilinear form {what}")
         if w.grid != g or w.data.ndim != g.n + 2 or w.data.shape[1] != g.n:
             raise PreconditionError(
                 "bilinear form needs n-component velocity series on one grid"
@@ -200,15 +194,13 @@ def bilinear_form(
     if t_eval is None:
         t_eval = u.times
     mask = dealias_mask(g)
-    real = u.real and v.real
-    uh = u.spectrum(half=real)
-    vh = None if v is u else v.spectrum(half=real)
+    uh = u.to_spectral().data
+    vh = None if v is u else v.to_spectral().data
     data = np.empty(uh.shape, dtype=np.complex128)
     for chunk in sample_chunks(uh, grid=g):
         vc = None if vh is None else vh[chunk]
-        data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask, real)
-    W = TimeSeries.from_data(g, u.times, data, SPECTRAL, real=real)
-    return duhamel(W, t_eval, alpha)
+        data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask)
+    return duhamel(TimeSeries.from_data(g, u.times, data), t_eval, alpha)
 
 
 def estimate_bilinear_constant(
@@ -232,9 +224,9 @@ def estimate_bilinear_constant(
         comps = [
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
-        wh = _leray(_dft(np.stack(comps)[None], grid, "forward"), grid)[0]
-        # projected real data, evolved by a real even symbol
-        samples.append(semigroup_series(Field(grid, wh, SPECTRAL), times, alpha, real=True))
+        w = TimeSeries.from_data(grid, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
+        w0 = TimeSeries.from_data(grid, w.times, _leray(w.data, grid))
+        samples.append(semigroup_series(w0, times, alpha))
     measured = [(a, mixed_norm(a, q, p)) for a in samples]
     best = 0.0
     for (a, na), (b, nb) in itertools.combinations_with_replacement(measured, 2):
@@ -253,18 +245,6 @@ def _factor(residuals: list) -> float:
     return max(_contraction_ratios(residuals), default=0.0)
 
 
-def _physical(v: TimeSeries) -> TimeSeries:
-    """v in physical form, inverse-transformed one `sample_chunks` chunk at a
-    time (a real series' samples as float64)."""
-    if v.representation == PHYSICAL:
-        return v
-    g = v.grid
-    data = np.empty((*v.data.shape[:-1], g.N), dtype=np.float64 if v.real else np.complex128)
-    for chunk in sample_chunks(v.data, grid=g):
-        data[chunk] = _dft(v.data[chunk], g, "inverse", v.real)
-    return TimeSeries.from_data(g, v.times, data, PHYSICAL, real=v.real)
-
-
 def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None):
     """Iterate v -> apply_map(v, phys) from v0, phys being v in physical form,
     until the relative step ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x
@@ -279,11 +259,11 @@ def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter={max_iter} must be >= 1")
-    phys = _physical(v0) if phys0 is None else phys0
+    phys = v0.to_physical() if phys0 is None else phys0
     v, norm, residuals = v0, None, []
     for it in range(1, max_iter + 1):
         v = apply_map(v, phys)
-        phys_next = _physical(v)
+        phys_next = v.to_physical()
         norm = mixed_norm(phys_next, q, p)
         residuals.append(mixed_norm(phys_next - phys, q, p) / (norm or 1.0))
         phys = phys_next
@@ -339,8 +319,7 @@ def solve_nse_picard(
 
     Requires real divergence-free data, alpha in (1/2, 1/2 + n/4), the
     exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
-    measured smallness gate 2 * C_est * a < 1.  Every series of the solve is
-    then real, and its transforms take the real-to-complex path.
+    measured smallness gate 2 * C_est * a < 1.
     """
     grid = g.grid
     n = grid.n
@@ -365,15 +344,14 @@ def solve_nse_picard(
     if div_norm > 1e-10:
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
     require_real(g.data[None], grid, g.representation, "initial velocity g")
-    if h is not None and not h.real:  # a real-flagged series is real by construction
-        require_real(h.data, grid, h.representation, "forcing h")
+    if h is not None:
+        require_one_part(h, "forcing h")
 
     times = uniform_times(T, nodes)
-    free = semigroup_series(g, times, alpha, real=True)
+    free = semigroup_series(g, times, alpha)
     base, phys = free, None
     if h is not None:
-        half = h.to_spectral().data[..., : grid.spectral_width(True)]
-        hP = TimeSeries.from_data(grid, h.times, _leray(half, grid), real=True)
+        hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
         base = free + forced
@@ -382,7 +360,7 @@ def solve_nse_picard(
         c_est = estimate_bilinear_constant(grid, alpha, T, q, p, times=times)
     if h is None:  # the physical stack that measures `a` also seeds the fixed point;
         # made after C_est, so that the ensemble's memory peak does not hold it
-        phys = _physical(free)
+        phys = free.to_physical()
         a_val = mixed_norm(phys, q, p)
     if not 2 * c_est * a_val < 1:
         raise PreconditionError(
@@ -433,31 +411,28 @@ class PotentialReport:
 
 
 def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> TimeSeries:
-    """Linear-in-time interpolation of a series at the nodes t, returned in
-    `representation` and as real as `series`: spectral in the interior;
-    nodes at or beyond either end take the stored end sample as it is, so a
-    physical series keeps its exact values there."""
-    ts = series.times
-    spec = series.spectrum(half=series.real)
-    ends = series.to_physical().data if representation == PHYSICAL else spec
+    """Linear-in-time interpolation of a series at the nodes t, formed in the
+    series' stored representation and then brought to `representation`
+    once; nodes at or beyond either end take the end samples as stored."""
+    ts, d = series.times, series.data
     inner = (t > ts[0]) & (t < ts[-1])
     i = np.searchsorted(ts, t[inner]) - 1
-    w = ((t[inner] - ts[i]) / (ts[i + 1] - ts[i])).reshape((-1,) + (1,) * (spec.ndim - 1))
-    mid = TimeSeries.from_data(
-        series.grid, t[inner], (1 - w) * spec[i] + w * spec[i + 1], real=series.real
-    )
-    out = np.empty((len(t), *ends.shape[1:]), dtype=ends.dtype)
-    out[inner] = mid.to_physical().data if representation == PHYSICAL else mid.data
-    out[t <= ts[0]] = ends[0]
-    out[t >= ts[-1]] = ends[-1]
-    return TimeSeries.from_data(series.grid, t, out, representation, real=series.real)
+    w = ((t[inner] - ts[i]) / (ts[i + 1] - ts[i])).reshape((-1,) + (1,) * (d.ndim - 1))
+    out = np.empty((len(t), *d.shape[1:]), dtype=d.dtype)
+    out[inner] = (1 - w) * d[i] + w * d[i + 1]
+    out[t <= ts[0]] = d[0]
+    out[t >= ts[-1]] = d[-1]
+    nodes = TimeSeries.from_data(series.grid, t, out, series.representation, parts=series.parts)
+    return nodes.to_physical() if representation == PHYSICAL else nodes.to_spectral()
 
 
-def _as_real(w: TimeSeries) -> TimeSeries:
-    """A series that passed `is_real`, flagged real: physical samples keep
-    their real part, spectral ones their half lattice."""
-    data = w.data if w.representation == PHYSICAL else w.data[..., : w.grid.spectral_width(True)]
-    return TimeSeries.from_data(w.grid, w.times, data, w.representation, w.grading, real=True)
+def _in_parts(w: TimeSeries, parts: int) -> TimeSeries:
+    """w laid out in `parts` parts: a real series gains a zero imaginary part."""
+    if w.parts == parts:
+        return w
+    d = w.data if w.data.ndim == w.grid.n + 2 else w.data[:, None]
+    d = np.concatenate((d, np.zeros_like(d)), axis=1)
+    return TimeSeries.from_data(w.grid, w.times, d, w.representation, w.grading, parts)
 
 
 def solve_potential_eq(
@@ -481,9 +456,8 @@ def solve_potential_eq(
     each subinterval is <= 1/2; the solution is assembled by restarting
     from the subinterval endpoint.  The integrability pair (r, s) of the
     potential is declared whole or not at all; declared, it must satisfy
-    1/r + n/(2 alpha s) = 1.  V must be real; if f and F are real too (by
-    `grid.is_real`), every series of the solve is real and runs on the half
-    lattice with the real-to-complex transforms, else on the full lattice.
+    1/r + n/(2 alpha s) = 1.  V must be real; complex f or F is solved as
+    its (re, im) parts, which V does not couple.
     """
     grid = f.grid
     n = grid.n
@@ -505,20 +479,17 @@ def solve_potential_eq(
             )
     if not 0 < min_fraction <= 1:
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
-    if V is not None and not V.real:
-        require_real(V.data, grid, V.representation, "potential V")
-    f0 = TimeSeries.from_data(grid, [0.0], f.data[None], f.representation)
-    real = is_real(f0.data, grid, f0.representation) and (
-        F is None or F.real or is_real(F.data, grid, F.representation)
-    )
-    if real:  # every series of the solve is real: half lattice, real transforms
-        f0, F, V = (w if w is None or w.real else _as_real(w) for w in (f0, F, V))
+    if V is not None:
+        require_one_part(V, "potential V")
+    f0 = as_series(f)
+    parts = max(f0.parts, 1 if F is None else F.parts)
+    f_cur = _in_parts(f0, parts).to_spectral()
+    F = None if F is None else _in_parts(F, parts)
 
     all_times: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
     subreports = []
     t0 = 0.0
-    f_cur = f0.to_spectral().snapshots[0]
     while t0 < T - 1e-14:
         t1 = T
         while True:
@@ -529,22 +500,24 @@ def solve_potential_eq(
                 )
             m = max(8, int(round(nodes * length / T)))
             loc = np.linspace(0.0, length, m + 1)
-            base = semigroup_series(f_cur, loc, alpha, real=real)
+            base = semigroup_series(f_cur, loc, alpha)
             if F is None:
                 forcing = np.zeros(base.data.shape, dtype=np.complex128)
             else:
-                forcing = _at_nodes(F, t0 + loc, SPECTRAL).spectrum(half=real)
-            if V is not None:
-                V_nodes = _at_nodes(V, t0 + loc, PHYSICAL).data.real
+                forcing = _at_nodes(F, t0 + loc, SPECTRAL).data
+            if V is not None:  # scalar V, broadcast over the components
+                V_nodes = _at_nodes(V, t0 + loc, PHYSICAL).data
+                lead = (len(loc),) + (1,) * (base.data.ndim - V_nodes.ndim)
+                V_nodes = V_nodes.reshape(*lead, *grid.shape)
 
             def step(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs)
-                integ = duhamel(TimeSeries.from_data(grid, loc, rhs, real=real), loc, alpha)
+                integ = duhamel(TimeSeries.from_data(grid, loc, rhs, parts=parts), loc, alpha)
                 return base + integ
 
             def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
                 if V is None:
                     return step(forcing)
-                return step(forcing - _dft(V_nodes * phys.data, grid, "forward", real))
+                return step(forcing - _dft(V_nodes * phys.data, grid, "forward"))
 
             v, residuals, converged, _ = _fixed_point(
                 apply_map, step(forcing), q, p, tol, max_iter, max_factor=0.5
@@ -557,10 +530,10 @@ def solve_potential_eq(
         start = 1 if all_data else 0
         all_times.extend(t0 + loc[start:])
         all_data.append(v.data[start:])
-        f_cur = TimeSeries.from_data(grid, [0.0], v.data[-1:], real=real).snapshots[0]
+        f_cur = TimeSeries.from_data(grid, [0.0], v.data[-1:], parts=parts)
         t0 = t1
 
-    solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data), real=real)
+    solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data), parts=parts)
     num = mixed_norm(solution, q, p)
     data_norm = lp_norm(f, 2)
     if F is not None:
@@ -591,9 +564,9 @@ def regularity_check(
     """Mixed norms of all spatial derivatives D^j with |j| <= max_order.
 
     max_order must be an integer in [0, 4].  Raises ConvergenceError if any
-    norm is non-finite.  The derivative series are real iff v is, and are
-    then formed on its half lattice: each symbol (i xi)^j, on the
-    Nyquist-zeroed lattice, maps a Hermitian spectrum to a Hermitian spectrum.
+    norm is non-finite.  The derivative series are formed on v's half
+    lattice and in its parts: each symbol (i xi)^j, on the
+    Nyquist-zeroed lattice, maps a real field to a real field.
     """
     if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
         raise PreconditionError(
@@ -608,9 +581,7 @@ def regularity_check(
         for ax, m in enumerate(multi):
             if m:
                 sym = sym * (1j * xi[ax]) ** m
-        series = TimeSeries.from_data(
-            grid, v.times, spec * sym[..., : spec.shape[-1]], real=v.real
-        )
+        series = TimeSeries.from_data(grid, v.times, spec * _half(sym, grid), parts=v.parts)
         val = mixed_norm(series, q, p)
         if not np.isfinite(val):
             raise ConvergenceError(f"derivative {multi}: non-finite mixed norm")

@@ -25,7 +25,10 @@ from .grid import (
     GridSpec,
     SPECTRAL,
     TimeSeries,
+    _half,
+    as_series,
     contamination,
+    is_real,
     require_zero_mean,
 )
 
@@ -52,10 +55,17 @@ def _alpha_value(alpha) -> float:
 
 
 def apply_symbol(f: Field, sym: np.ndarray) -> Field:
-    """Multiply spectral data by `sym`, preserving the input representation."""
-    fh = f.to_spectral()
-    out = Field(f.grid, fh.data * sym, SPECTRAL)
-    return out if f.representation == SPECTRAL else out.to_physical()
+    """Multiply spectral data by `sym`, preserving the input representation.
+
+    f runs as a one-sample series on the half lattice, so `sym` must map
+    real fields to real fields: sym(-k) = conj(sym(k)) to within 1e-12 of
+    max |sym|, else PreconditionError.
+    """
+    if not is_real(np.asarray(sym)[None], f.grid, SPECTRAL):  # the same 1e-12 rule
+        raise PreconditionError("multiplier symbol must satisfy sym(-k) = conj(sym(k))")
+    u = as_series(f).to_spectral()
+    out = TimeSeries.from_data(f.grid, u.times, u.data * _half(sym, f.grid), parts=u.parts)
+    return (out if f.representation == SPECTRAL else out.to_physical()).snapshots[0]
 
 
 def dissipation_symbol(grid: GridSpec, t: float, alpha) -> np.ndarray:
@@ -70,23 +80,17 @@ def apply_semigroup(f: Field, t: float, alpha) -> Field:
     return apply_symbol(f, dissipation_symbol(f.grid, t, alpha))
 
 
-def semigroup_series(
-    f, times: Sequence[float], alpha, grading="custom", real: bool = False
-) -> TimeSeries:
-    """Free evolution of a scalar or vector Field sampled on a time grid (spectral).
-
-    With `real` (f real in physical space) the series is flagged real and
-    only its half lattice, last wavenumber index k <= N/2, is evolved.
-    """
-    fh = f.to_spectral()
-    width = fh.grid.spectral_width(real)
+def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
+    """Free evolution of a scalar or vector Field, or of the one sample of a
+    series, sampled on a time grid (spectral, in the layout of the data)."""
+    u = (f if isinstance(f, TimeSeries) else as_series(f)).to_spectral()
     a = _alpha_value(alpha)
-    lam = fh.grid.abs_freq[..., :width] ** (2 * a)
-    spec = fh.data[..., :width]
+    lam = _half(u.grid.abs_freq, u.grid) ** (2 * a)
+    spec = u.data[0]
     data = np.empty((len(times), *spec.shape), dtype=np.complex128)
     for out, t in zip(data, times):
         np.multiply(spec, np.exp(-t * lam), out=out)
-    return TimeSeries.from_data(fh.grid, times, data, SPECTRAL, grading, real)
+    return TimeSeries.from_data(u.grid, times, data, SPECTRAL, grading, u.parts)
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -107,10 +111,11 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
 
 
 def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Physical kernel data of a stack of propagator symbols, one inverse
-    FFT for the stack, each sample centred as in `kernel`."""
+    """Real physical kernel data of a stack of propagator symbols (full or
+    half lattice), one `irfftn` of the half symbols for the stack, each
+    sample centred as in `kernel`."""
     axes = tuple(range(-grid.n, 0))
-    data = np.fft.fftshift(np.fft.ifftn(sym, axes=axes), axes=axes)
+    data = np.fft.fftshift(np.fft.irfftn(_half(sym, grid), s=grid.shape, axes=axes), axes=axes)
     return data * grid.N**grid.n / grid.L**grid.n
 
 
@@ -216,9 +221,8 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
     F must be sampled on a grid starting at 0 that covers max(t_eval); F is
     treated as piecewise linear in s between snapshots.  The march runs on
-    the whole sample stack, so scalar and vector series share it.  The
-    result is real iff F is, and is then marched on F's half lattice: the
-    propagator's symbol is real and even.
+    the whole sample stack, so scalar and vector series share it, on F's
+    half lattice and in F's parts: the propagator's symbol is real and even.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
@@ -230,7 +234,7 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
     g = F.grid
     a = _alpha_value(alpha)
-    lam = g.abs_freq[..., : g.spectral_width(F.real)] ** (2 * a)
+    lam = _half(g.abs_freq, g) ** (2 * a)
     Fhat = F.to_spectral().data
     out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
 
@@ -261,4 +265,4 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
             out[idx] = step(I, delta, Fhat[seg], Ft)
         else:
             out[idx] = I
-    return TimeSeries.from_data(g, t_eval, out, SPECTRAL, real=F.real)
+    return TimeSeries.from_data(g, t_eval, out, SPECTRAL, parts=F.parts)

@@ -9,8 +9,9 @@ import pytest
 @pytest.fixture
 def fft_count(monkeypatch):
     """Counts the calls ("calls", and per entry point under its name) and the
-    input points transformed by the numpy.fft entry points behind
-    `fracheat.grid._dft` (`fftn`, `ifftn`, `rfftn`, `irfftn`) during a test."""
+    input points transformed by the numpy.fft entry points fracheat uses:
+    `rfftn`/`irfftn` behind `fracheat.grid._dft`, `fftn`/`ifftn` behind
+    `Field` transforms and the synthesis recipes, during a test."""
     count = Counter()
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)

@@ -231,7 +231,7 @@ class TestCommandSkeleton:
         assert results["bilinear_constant"] == 0.03440878561698821
         assert results["data_functional"] == 0.23018674378701062
         assert results["residuals"] == [
-            0.0035516408568483644, 7.292501473136734e-05, 8.667160965583609e-07
+            0.003551640856848365, 7.292501473136815e-05, 8.667160965579636e-07
         ]
         assert results["iterations"] == 3
 
@@ -251,9 +251,59 @@ class TestCommandSkeleton:
         ]
 
 
+class TestOneTransformPath:
+    """Complex `fftn`/`ifftn` run only in the Field-level gates, one forward
+    transform per dilation level in `verify`'s Nyquist-edge check and one
+    pair in `nse-solve`'s divergence check of g, and in the synthesis of
+    random data (the C_est ensemble: 3 seeds of 2 components).  Everything
+    else, real data and plane waves alike, takes the real-to-complex
+    transforms."""
+
+    SKELETON = TestCommandSkeleton
+    CASES = {
+        # (command, data): (exit code, fftn calls, ifftn calls)
+        ("propagate", "real"): (0, 0, 0),
+        ("propagate", "wave"): (0, 0, 0),
+        ("norm", "real"): (0, 0, 0),
+        ("norm", "wave"): (0, 0, 0),
+        ("potential-solve", "real"): (0, 0, 0),
+        ("potential-solve", "wave"): (0, 0, 0),
+        ("verify", "real"): (0, 2, 0),  # lambdas 1, 2
+        ("verify", "wave"): (2, 0, 0),  # stopped by the contamination gate
+        ("nse-solve", "real"): (0, 1, 1 + 6),
+        ("decay-fit", "real"): (0, 0, 0),
+        ("kernel-norm", "real"): (0, 0, 0),
+    }
+
+    def argv(self, tmp_path, command, data):
+        text = self.SKELETON.CONFIGS.get(command)
+        if text is None:
+            return self.SKELETON.FLAGS[command]
+        if command == "verify" and data == "wave":
+            text = text.replace("recipe = gaussian_bump\nwidth = 0.29919930034188504",
+                                "recipe = plane_wave\nk = 1,0")
+        elif data == "wave":
+            text += "\n[data]\nrecipe = plane_wave\nk = 1\n"
+        if command == "potential-solve":  # strong enough to halve [0, T]
+            text += "\n[potential]\nconstant = 10\n"
+        (tmp_path / "run.cfg").write_text(text)
+        return ["--config", str(tmp_path / "run.cfg")]
+
+    @pytest.mark.parametrize("command, data", sorted(CASES))
+    def test_complex_transforms_only_in_field_gates(
+        self, tmp_path, capsys, fft_count, command, data
+    ):
+        code, fftn, ifftn = self.CASES[command, data]
+        argv = self.argv(tmp_path, command, data)
+        assert main(["--out", str(tmp_path / "o"), command, *argv]) == code
+        assert (fft_count["fftn"], fft_count["ifftn"]) == (fftn, ifftn)
+        assert ("contamination" in capsys.readouterr().err) == bool(code)
+
+
 class TestPropagate:
-    """`propagate` evolves real data on the half lattice and takes both norms
-    of every sample from one inverse transform per chunk."""
+    """`propagate` evolves data on the half lattice, complex data as its
+    (re, im) parts, and takes both norms of every sample from one inverse
+    transform per chunk."""
 
     CFG = (
         "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n[data]\n{data}\n\n"
@@ -269,32 +319,34 @@ class TestPropagate:
         l2, linf = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
         return results, l2, linf
 
-    def test_real_data_one_inverse_transform_per_chunk(self, tmp_path, fft_count):
-        g = make_grid(2, 64, 6.283185307179586)
-        results, l2, linf = self.run(tmp_path, "recipe = gaussian_bump")
-        calls = dict(fft_count)
-        f = synthesize_field(g, GaussianBump(width=g.L / 21))
-        series = semigroup_series(f, uniform_times(0.2, 32), 1.0, real=True)
-        chunks = len(sample_chunks(series.data, grid=g))
+    def check(self, f, results, l2, linf, calls):
+        series = semigroup_series(f, uniform_times(0.2, 32), 1.0)
+        chunks = len(sample_chunks(series.data, grid=f.grid))
         assert chunks > 1
-        # the data Field's forward transform, then one irfftn per chunk
-        assert calls["fftn"] == 1 and "ifftn" not in calls and "rfftn" not in calls
-        assert calls["irfftn"] == chunks
+        # the data's one rfftn, then one irfftn per chunk
+        assert "fftn" not in calls and "ifftn" not in calls
+        assert calls["rfftn"] == 1 and calls["irfftn"] == chunks
         assert np.array_equal(l2, lp_norms(series, 2))
         assert np.array_equal(linf, lp_norms(series, float("inf")))
         final = read_field(results["final_field"])
         assert lp_norm(final, 2) == results["final_l2"] == l2[-1]
+        return final
 
-    def test_plane_wave_keeps_complex_path(self, tmp_path, fft_count):
+    def test_real_data_one_inverse_transform_per_chunk(self, tmp_path, fft_count):
+        g = make_grid(2, 64, 6.283185307179586)
+        results, l2, linf = self.run(tmp_path, "recipe = gaussian_bump")
+        calls = dict(fft_count)
+        self.check(synthesize_field(g, GaussianBump(width=g.L / 21)), results, l2, linf, calls)
+
+    def test_plane_wave_runs_as_its_parts(self, tmp_path, fft_count):
         g = make_grid(2, 64, 6.283185307179586)
         results, l2, linf = self.run(tmp_path, "recipe = plane_wave\nk = 1,2")
         calls = dict(fft_count)
         wave = synthesize_field(g, PlaneWave(k=(1, 2)))
-        series = semigroup_series(wave, uniform_times(0.2, 32), 1.0)
-        assert "rfftn" not in calls and "irfftn" not in calls
-        assert calls["fftn"] == 1 and calls["ifftn"] == len(sample_chunks(series.data, grid=g))
-        assert np.array_equal(l2, lp_norms(series, 2))
-        assert np.array_equal(linf, lp_norms(series, float("inf")))
+        final = self.check(wave, results, l2, linf, calls)
+        # the final field reads back as the complex evolution
+        want = np.fft.ifftn(np.fft.fftn(wave.data) * np.exp(-0.2 * g.abs_freq**2))
+        assert np.max(np.abs(final.data - want)) <= 1e-14
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from fracheat import (
     RandomBumps,
     Triplet,
     TimeSeries,
+    VectorField,
     check_admissible,
     check_scaling_relation,
     conjugate,
@@ -374,7 +375,7 @@ class TestOneEvolvedStack:
         for ratio in (1.25, 1.1):  # 71 and 165 quadrature nodes
             fft_count.clear()
             parabolic_ratio(f, 4.0, 1.0, s_min=1e-6, s_max=6.0, ratio=ratio)
-            forward.append(fft_count["fftn"])
+            forward.append(fft_count["rfftn"])
         assert forward == [1, 1]  # f itself, once
 
 
@@ -401,7 +402,7 @@ class TestKernelNormFit:
         ts = geometric_times(0.002, 0.05, ratio=1.25)
         fft_count.clear()
         got = estimates._kernel_norms(g, ts, alpha, r)
-        stacked = fft_count["ifftn"]
+        stacked = fft_count["irfftn"]
         want = [lp_norm(kernel(g, t, alpha, check=(t == ts[-1])), r) for t in ts]
         assert got.tolist() == want
         assert 1 <= stacked < len(ts)  # one transform per sample chunk
@@ -485,26 +486,33 @@ class TestDilationSweep:
 
 
 class TestRealPath:
-    """Real data evolves and is measured on the half lattice; forcing
-    `grid.is_real` to answer False gives the complex path, which the real path
-    must match to 1e-13."""
+    """Every series is real: complex data f = a + ib runs as its (re, im)
+    parts, so its ratios are those of the real 2-vector (a, b), and they
+    match the complex evolution measured on the full lattice."""
 
     def bumps(self, N=64, seed=2):
         g = make_grid(2, N, 2 * np.pi)
         recipe = RandomBumps(seed=seed, width=g.L / 26, spread=g.L / 20, count=2)
         return synthesize_field(g, recipe)
 
+    def complex_bumps(self):
+        a, b = self.bumps(seed=2), self.bumps(seed=5)
+        return Field(a.grid, a.data.real + 1j * b.data.real), VectorField((a, b))
+
     @staticmethod
-    def both_paths(monkeypatch, fft_count, run):
-        fft_count.clear()
-        got = run()
-        assert fft_count["irfftn"] > 0
-        with monkeypatch.context() as patch:  # every Field taken as complex
-            patch.setattr(fracheat.grid, "is_real", lambda *a: False)
-            fft_count.clear()
-            want = run()
-            assert fft_count["rfftn"] == fft_count["irfftn"] == 0
-        return got, want
+    def complex_lebesgue_ratio(f, q, p, alpha, T):
+        """Oracle: the complex evolution on the full lattice, |f| by np.abs."""
+        g = f.grid
+        ts = estimates.default_time_grid(T)
+        spec = np.fft.fftn(f.data)
+        lam = g.abs_freq ** (2 * alpha)
+        vals = [
+            (np.sum(np.abs(np.fft.ifftn(spec * np.exp(-t * lam))) ** p) * g.cell_volume)
+            ** (1 / p)
+            for t in ts
+        ]
+        num = np.trapezoid(np.array(vals) ** q, ts) ** (1 / q)
+        return num / np.sqrt(np.sum(np.abs(f.data) ** 2) * g.cell_volume)
 
     @pytest.mark.parametrize("kind, q, p, s", [
         ("lebesgue", 4.0, 4.0, 0.0),
@@ -512,59 +520,61 @@ class TestRealPath:
         ("sobolev", 4.0, 4.0, 0.5),
         ("besov", 4.0, 4.0, 0.5),
     ])
-    def test_homogeneous_ratio(self, monkeypatch, fft_count, kind, q, p, s):
-        f = self.bumps()
-        got, want = self.both_paths(
-            monkeypatch, fft_count,
-            lambda: homogeneous_ratio(f, q, p, 1.0, 0.05, kind=kind, s=s),
-        )
-        assert abs(got - want) <= 1e-13 * want
+    def test_homogeneous_ratio(self, fft_count, kind, q, p, s):
+        f, pair = self.complex_bumps()
+        fft_count.clear()
+        got = homogeneous_ratio(f, q, p, 1.0, 0.05, kind=kind, s=s)
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0
+        assert got == homogeneous_ratio(pair, q, p, 1.0, 0.05, kind=kind, s=s)
+        if kind == "lebesgue":
+            want = self.complex_lebesgue_ratio(f, q, p, 1.0, 0.05)
+            assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("kind, alpha, qp, q1p1, s", [
         ("lebesgue", 1.0, (4.0, 4.0), (4.0, 4.0), 0.0),
         ("sobolev", 0.5, (2.0, 4.0), (6.0, 6.0), 0.5),
         ("besov", 1.0, (4.0, 4.0), (4.0, 4.0), 0.0),
     ])
-    def test_inhomogeneous_ratio_of_a_sweep(
-        self, monkeypatch, fft_count, kind, alpha, qp, q1p1, s
-    ):
-        g = make_grid(2, 64, 2 * np.pi)
-        recipe = RandomBumps(seed=3, width=g.L / 30, spread=g.L / 13, count=4)
-        params = {
-            "alpha": alpha, "q": qp[0], "p": qp[1], "q1": q1p1[0], "p1": q1p1[1],
-            "kind": kind, "s": s, "times": np.linspace(0, 0.1, 17),
-            "profile": lambda t: (t / 0.03) * np.exp(-t / 0.03),
-        }
-        got, want = self.both_paths(
-            monkeypatch, fft_count,
-            lambda: dilation_sweep(recipe, g, [1], "inhomogeneous", params),
+    def test_inhomogeneous_ratio_of_a_sweep(self, kind, alpha, qp, q1p1, s):
+        # a sweep's separable forcing, built from complex data and from its parts
+        f, pair = self.complex_bumps()
+        times = np.linspace(0, 0.1, 17)
+        profile = lambda t: (t / 0.03) * np.exp(-t / 0.03)  # noqa: E731
+        F, Fpair = (estimates._separable_series(f.grid, w, profile, times) for w in (f, pair))
+        assert F.parts == 2 and Fpair.parts == 1
+        assert np.array_equal(F.data, Fpair.data)
+        got, want = (
+            inhomogeneous_ratio(w, qp, q1p1, alpha, kind=kind, s=s) for w in (F, Fpair)
         )
-        for a, b in zip(got.ratios, want.ratios):
-            assert abs(a - b) <= 1e-13 * b
+        assert got == want
 
     @pytest.mark.parametrize("kind", ["lebesgue", "bmo"])
     def test_homogeneous_evolution_takes_real_transforms(self, fft_count, kind):
         f = self.bumps()
         homogeneous_ratio(f, 2.0, 2.0, 1.0, 0.05, times=np.linspace(0, 0.05, 65), kind=kind)
-        # the data Field's own forward transform is the one complex call
-        assert fft_count["fftn"] == 1 and fft_count["ifftn"] == 0
-        assert fft_count["irfftn"] > 1
+        # the data enters by one rfftn; no complex transform anywhere
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0
+        assert fft_count["rfftn"] == 1 and fft_count["irfftn"] > 1
 
     def test_separable_forcing_is_real_and_takes_real_transforms(self, fft_count):
         f = self.bumps()
         times = np.linspace(0, 0.1, 17)
         F = estimates._separable_series(f.grid, f, lambda t: 1 + t, times)
-        assert F.real and F.representation == "physical"
+        assert F.parts == 1 and F.representation == "physical"
+        assert F.data.dtype == np.float64
         fft_count.clear()
         inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
         assert fft_count["fftn"] == fft_count["ifftn"] == 0
         assert fft_count["rfftn"] == 1 and fft_count["irfftn"] > 0
 
-    def test_plane_wave_keeps_complex_path(self, fft_count):
+    def test_plane_wave_runs_as_its_parts(self, fft_count):
         g = make_grid(2, 32, 2 * np.pi)
         wave = synthesize_field(g, PlaneWave(k=(1, 2)))
-        homogeneous_ratio(wave, 4.0, 4.0, 1.0, 0.05)
+        want = self.complex_lebesgue_ratio(wave, 4.0, 4.0, 1.0, 0.05)
+        fft_count.clear()
+        got = homogeneous_ratio(wave, 4.0, 4.0, 1.0, 0.05)
+        assert abs(got - want) <= 1e-13 * want
         F = estimates._separable_series(g, wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
-        assert not F.real
+        assert F.parts == 2
         inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
-        assert fft_count["rfftn"] == fft_count["irfftn"] == 0 < fft_count["ifftn"]
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0 < fft_count["irfftn"]

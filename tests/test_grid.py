@@ -269,75 +269,108 @@ def test_inner_product_matches_l2(seed):
 
 class TestArrayBackedSeries:
     def test_stacked_list_round_trips_snapshots(self):
+        # real data comes back without its roundoff imaginary part, complex
+        # data rejoined from its (re, im) parts
         g = make_grid(2, 32, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=2, j_min=1, j_max=2))
+        wave = synthesize_field(g, PlaneWave(k=(1, 2)))
         times = np.array([0.0, 0.1, 0.3])
-        scalars = [Field(g, (k + 1.0) * f.data) for k in range(3)]
-        vectors = [
-            VectorField((s.to_spectral(), Field(g, -s.data).to_spectral()))
-            for s in scalars
-        ]
-        for snaps in (scalars, vectors):
-            series = TimeSeries(times, snaps)
-            assert series.representation == snaps[0].representation
-            assert series.data.shape == (3, *snaps[0].data.shape)
-            for got, want in zip(series.snapshots, snaps):
-                assert type(got) is type(want)
-                assert got.representation == want.representation
-                assert np.array_equal(got.data, want.data)
+        for base, parts in ((f, 1), (Field(g, f.data + 0.5j * wave.data), 2)):
+            scalars = [Field(g, (k + 1.0) * base.data) for k in range(3)]
+            vectors = [
+                VectorField((s.to_spectral(), Field(g, -s.data).to_spectral()))
+                for s in scalars
+            ]
+            for snaps in (scalars, vectors):
+                series = TimeSeries(times, snaps)
+                assert series.representation == snaps[0].representation
+                assert series.parts == parts
+                for got, want in zip(series.snapshots, snaps):
+                    assert type(got) is type(want)
+                    assert got.representation == want.representation
+                    assert got.data.shape == want.data.shape
+                    err = np.max(np.abs(got.data - want.data))
+                    assert err <= 1e-15 * np.max(np.abs(want.data))
 
     def test_mixed_representations_stack_spectral(self):
         g = make_grid(1, 32, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=2))
         series = TimeSeries(np.array([0.0, 1.0]), [f, f.to_spectral()])
         assert series.representation == "spectral"
-        assert np.array_equal(series.data[0], f.to_spectral().data)
+        assert np.array_equal(series.data[0], f.to_spectral().data[: g.N // 2 + 1])
 
 
 class TestRealStorage:
-    """A real series stores its spectral samples on the half lattice."""
+    """Every series stores float64 physical samples or half spectra; complex
+    data is stored as its (re, im) parts."""
 
     def test_width_follows_realness(self):
         g = make_grid(2, 16, 2 * np.pi)
         half, full = np.zeros((2, 16, 9)), np.zeros((2, 16, 16))
-        series = TimeSeries.from_data(g, [0.0, 1.0], half, real=True)
-        assert series.real and series.data.shape == (2, 16, 9)
-        assert TimeSeries.from_data(g, [0.0, 1.0], full, "physical", real=True).real
-        with pytest.raises(PreconditionError, match=r"width 16, not 9.*N//2\+1 = 9.*N = 16"):
-            TimeSeries.from_data(g, [0.0, 1.0], full, real=True)
-        for data, real, rep in ((half, False, "spectral"), (half, True, "physical")):
-            with pytest.raises(PreconditionError, match="width 9, not 16"):
-                TimeSeries.from_data(g, [0.0, 1.0], data, rep, real=real)
+        series = TimeSeries.from_data(g, [0.0, 1.0], half)
+        assert series.parts == 1 and series.data.shape == (2, 16, 9)
+        assert TimeSeries.from_data(g, [0.0, 1.0], full).data.shape == (2, 16, 9)
+        assert TimeSeries.from_data(g, [0.0, 1.0], full, "physical").data.shape == (2, 16, 16)
+        with pytest.raises(PreconditionError, match=r"width 9, not 16 \(N, or N//2\+1"):
+            TimeSeries.from_data(g, [0.0, 1.0], half, "physical")
+        with pytest.raises(PreconditionError, match="width 12, not 16 or 9"):
+            TimeSeries.from_data(g, [0.0, 1.0], np.zeros((2, 16, 12)))
+        with pytest.raises(PreconditionError, match="holds no 2 parts"):
+            TimeSeries.from_data(g, [0.0, 1.0], half, parts=2)
+        with pytest.raises(PreconditionError, match="split at entry"):
+            TimeSeries.from_data(g, [0.0, 1.0], np.zeros((2, 2, 16, 16)), parts=2)
 
     def test_realness_is_fixed_at_construction(self):
         g = make_grid(1, 16, 2 * np.pi)
         series = TimeSeries.from_data(g, [0.0], np.zeros((1, 16)))
         with pytest.raises(AttributeError):
-            series.real = True
-        assert not series.real
+            series.parts = 2
+        assert series.parts == 1
 
     def test_real_physical_samples_are_float64(self):
         g = make_grid(2, 16, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1))
-        series = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f.data, 2 * f.data]), real=False)
-        phys = TimeSeries.from_data(g, [0.0, 1.0], series.data, "physical", real=True)
-        assert phys.data.dtype == np.float64
-        assert np.array_equal(phys.data, series.data.real)
+        data = np.stack([f.data, 2 * f.data])
+        assert data.dtype == np.complex128 and np.max(np.abs(data.imag)) > 0
+        phys = TimeSeries.from_data(g, [0.0, 1.0], data, "physical")
+        assert phys.data.dtype == np.float64 and phys.parts == 1
+        assert np.array_equal(phys.data, data.real)
         spec = phys.to_spectral()
-        assert spec.real and spec.data.shape == (2, 16, 9)
+        assert spec.parts == 1 and spec.data.shape == (2, 16, 9)
         assert spec.to_physical().data.dtype == np.float64
+
+    @pytest.mark.parametrize("n, c", [(1, 1), (2, 1), (2, 3)])
+    def test_complex_data_splits_into_parts(self, n, c):
+        g = make_grid(n, 16, 2 * np.pi)
+        rng = np.random.default_rng(n + c)
+        shape = (3, c, *g.shape) if c > 1 else (3, *g.shape)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        phys = TimeSeries.from_data(g, [0.0, 1.0, 2.0], data, "physical")
+        parts = data[:, None] if c == 1 else data
+        assert phys.parts == 2 and phys.data.shape == (3, 2 * c, *g.shape)
+        assert np.array_equal(phys.data, np.concatenate((parts.real, parts.imag), axis=1))
+        spec = TimeSeries.from_data(g, phys.times, np.fft.fftn(data, axes=range(-n, 0)))
+        assert spec.parts == 2
+        want = np.fft.rfftn(phys.data, axes=range(-n, 0))
+        assert np.max(np.abs(spec.data - want)) <= 1e-14 * np.max(np.abs(want))
+        for got, d in zip(phys.snapshots, data):
+            assert np.array_equal(got.data, d)
 
     def test_physical_series_combine_in_physical_form(self):
         g = make_grid(2, 16, 2 * np.pi)
         f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1)).data
-        a = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f, 3 * f]), "physical", real=True)
-        b = TimeSeries.from_data(g, [0.0, 1.0], np.stack([2 * f, f]), "physical")
-        for x, y, real in ((a, a, True), (a, b, False), (b, a, False)):
+        a = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f, 3 * f]), "physical")
+        b = TimeSeries.from_data(g, [0.0, 1.0], np.stack([2 * f, f]).real, "physical")
+        for x, y in ((a, a), (a, b), (b, a)):
             diff = x - y
-            assert diff.representation == "physical" and diff.real == real
+            assert diff.representation == "physical" and diff.parts == 1
             assert np.array_equal(diff.data, x.data - y.data)
         want = (a.to_spectral() - b.to_spectral()).to_physical().data
         assert np.max(np.abs((a - b).data - want)) <= 1e-14 * np.max(np.abs(want))
+        wave = np.exp(1j * g.coordinates[0])
+        w = TimeSeries.from_data(g, [0.0, 1.0], np.stack([wave, wave]), "physical")
+        with pytest.raises(PreconditionError, match="series of 1 and 2 parts"):
+            a - w
 
 
 class TestIsReal:

@@ -155,7 +155,7 @@ class TestMixedNorm:
     @pytest.mark.parametrize("name", list(SPECS))
     def test_stack_norms_equal_per_sample(self, name, vector):
         u = self.series(64, 40, vector)
-        assert len(sample_chunks(u.data)) >= 3
+        assert len(sample_chunks(u.data, grid=u.grid)) >= 3
         spec = self.SPECS[name]
         got = spec.norms(u)
         assert got.tolist() == [spec.compute(s) for s in u.snapshots]
@@ -438,42 +438,75 @@ def test_bmo_norm_propagates_nan():
 
 
 class TestMultiplierNormsOfRealSeries:
-    """A real series is multiplied on its half lattice and comes back through
-    `irfftn`; it must match the same series filled to the full lattice."""
+    """Series are multiplied on their half lattice and come back through
+    `irfftn`; a complex series as its (re, im) parts.  The oracle multiplies
+    each snapshot's full spectrum and takes the complex inverse transform."""
 
-    def series(self, g, components):
+    def series(self, g, components, complex_data=False):
         fields = [
             synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1))
-            for s in range(components)
+            for s in range(components + 1)
         ]
-        f = fields[0] if components == 1 else VectorField(fields)
-        u = semigroup_series(f, uniform_times(0.1, 6), 1.0, real=True)
-        full = TimeSeries.from_data(g, u.times, u.spectrum())
-        return u, full
+        if complex_data:
+            fields = [Field(g, a.data + 0.5j * b.data) for a, b in zip(fields, fields[1:])]
+        f = fields[0] if components == 1 else VectorField(fields[:components])
+        return semigroup_series(f, uniform_times(0.1, 6), 1.0)
+
+    @staticmethod
+    def full_lattice_norms(u, syms, p):
+        rows = []
+        for s in u.snapshots:
+            row = []
+            for sym in syms:
+                d = Field(u.grid, s.data * sym, "spectral").to_physical().data
+                mag = np.abs(d) if d.shape == u.grid.shape else np.sqrt(
+                    np.sum(np.abs(d) ** 2, axis=0)
+                )
+                row.append((np.sum(mag**p) * u.grid.cell_volume) ** (1 / p))
+            rows.append(row)
+        return np.array(rows)
 
     @pytest.mark.parametrize("n, components", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_equals_full_lattice(self, fft_count, n, components):
         g = make_grid(n, 16 if n == 3 else 32, 2 * np.pi)
-        u, full = self.series(g, components)
         part = default_partition(g)
         syms = [part.psi(j) for j in part.bands] + [derivative_symbol(g, 0.5)]
-        fft_count.clear()
-        got = norms._multiplier_norms(u, syms, 3.0, "zero-mean check")
-        assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
-        want = norms._multiplier_norms(full, syms, 3.0, "zero-mean check")
-        assert got.shape == want.shape == (len(u), len(syms))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        for parts, complex_data in ((1, False), (2, True)):
+            u = self.series(g, components, complex_data)
+            assert u.parts == parts
+            fft_count.clear()
+            got = norms._multiplier_norms(u, syms, 3.0, "zero-mean check")
+            assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
+            want = self.full_lattice_norms(u, syms, 3.0)
+            assert got.shape == want.shape == (len(u), len(syms))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
     def test_physical_real_series_and_zero_mean_check(self, fft_count):
         g = make_grid(2, 32, 2 * np.pi)
-        u, full = self.series(g, 1)
+        u = self.series(g, 1)
         phys = u.to_physical()
         spec = NormSpec("besov", p=4.0, s=0.5)
         fft_count.clear()
         got = spec.norms(phys)
         assert fft_count["fftn"] == fft_count["ifftn"] == 0
-        want = spec.norms(full)
+        want = spec.norms(u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-        shifted = TimeSeries.from_data(g, phys.times, phys.data + 1.0, "physical", real=True)
+        shifted = TimeSeries.from_data(g, phys.times, phys.data + 1.0, "physical")
         with pytest.raises(PreconditionError, match="zero-mean"):
             spec.norms(shifted)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_bmo_invariant_under_constants(vector):
+    # box oscillations are taken of the centred data: a large constant
+    # offset moves the norm by about its own rounding, eps (|c| + max|f|)
+    g = make_grid(2, 128, 2 * np.pi)
+    f = synthesize_field(g, GaussianBump(width=0.3))
+    if vector:
+        f = VectorField((f, Field(g, -0.5 * f.data)))
+    base = bmo_norm(f)
+    sup = np.max(np.abs(f.data))
+    for c in (0.0, 1.0, 1e2, 1e4, 1e6, 1e8):
+        shifted = Field(g, f.data + c * sup)
+        err = abs(bmo_norm(shifted) / base - 1)
+        assert err <= 4 * np.finfo(float).eps * (c + 1) * sup / base, c

@@ -27,7 +27,7 @@ from fracheat import (
     synthesize_field,
     taylor_green,
 )
-from fracheat.grid import CHUNK_BYTES, SPECTRAL, _dft, _hermitian_fill, uniform_times
+from fracheat.grid import SPECTRAL, _dft, _hermitian_fill, sample_chunks, uniform_times
 from fracheat import nse
 from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
@@ -100,24 +100,26 @@ class TestBilinear:
         assert mixed_norm(out, 4, 4) == 0.0
 
     def test_single_mode_oracle(self):
-        # hand-computed interaction of modes (1,0) and (0,2)
+        # hand-computed interaction of the real modes cos x and cos 2y
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(1.0, 16)
-        zero = Field(g, np.zeros(g.shape, complex))
-        u = VectorField((zero.copy(), synthesize_field(g, PlaneWave(k=(1, 0)))))
-        v = VectorField((synthesize_field(g, PlaneWave(k=(0, 2))), zero.copy()))
+        x, y = g.coordinates
+        zero = Field(g, np.zeros(g.shape))
+        u = VectorField((zero.copy(), Field(g, np.cos(x))))
+        v = VectorField((Field(g, np.cos(2 * y)), zero.copy()))
         U = TimeSeries(times, [u.copy() for _ in times])
         V = TimeSeries(times, [v.copy() for _ in times])
         B = bilinear_form(U, V, 1.0)
-        # w = P div(u x v) lives on mode (1,2): w_pre = (2i, 0) e^{i(x+2y)},
-        # projected: w = (8i/5, -4i/5) e^{i(x+2y)}; constant-in-s forcing
+        # w = P div(u x v) lives on the modes (+-1, +-2), |k|^2 = 5:
+        # w_pre = (d_y(cos x cos 2y), 0) = (-2 cos x sin 2y, 0), projected
+        # w = (-8/5 cos x sin 2y, 4/5 sin x cos 2y); constant-in-s forcing
         # integrates to the factor (1 - e^{-5t}) / 5
         t = 1.0
         fac = (1 - np.exp(-5 * t)) / 5
-        mode = np.exp(1j * (g.coordinates[0] + 2 * g.coordinates[1]))
         got = B.snapshots[-1].to_physical()
-        assert np.max(np.abs(got.components[0].data - (8j / 5) * fac * mode)) < 1e-8
-        assert np.max(np.abs(got.components[1].data - (-4j / 5) * fac * mode)) < 1e-8
+        want = (-8 / 5 * np.cos(x) * np.sin(2 * y), 4 / 5 * np.sin(x) * np.cos(2 * y))
+        for c, w in zip(got.components, want):
+            assert np.max(np.abs(c.data - fac * w)) < 1e-8
 
     def test_output_divergence_free(self):
         g = make_grid(2, 32, 2 * np.pi)
@@ -168,7 +170,7 @@ class TestStackedNonlinearity:
         v = u if same else semigroup_series(
             leray_project(random_vector(g, 8, j_max=1)), times, 1.0
         )
-        per_chunk = CHUNK_BYTES // u.data[0].nbytes
+        per_chunk = sample_chunks(u.data, grid=g)[0].stop
         assert 1 < per_chunk < len(u) and len(u) % per_chunk  # a ragged last chunk
         W = TimeSeries.from_data(g, times, [
             _tensor_divergence_oracle(a, b) for a, b in zip(u.snapshots, v.snapshots)
@@ -209,11 +211,10 @@ class TestStackedNonlinearity:
         assert np.array_equal(once[zero], uh[zero])
 
 
-def real_series(g, seed, times, j_max=2, real=True):
-    """Free evolution of a projected random real velocity: real-flagged on the
-    half lattice, or with real=False the same series on the complex path."""
+def real_series(g, seed, times, j_max=2):
+    """Free evolution of a projected random real velocity."""
     w = leray_project(random_vector(g, seed, j_max))
-    return semigroup_series(w, times, 1.0, real=real)
+    return semigroup_series(w, times, 1.0)
 
 
 def _mirror(spec, n):
@@ -231,66 +232,96 @@ def assert_hermitian(spec, n):
 
 
 class TestRealPath:
+    """Every series is real: velocities run on the half lattice with the
+    real-to-complex transforms, complex data as its (re, im) parts, which
+    the velocity operators reject."""
+
     def test_bilinear_takes_real_transforms(self, fft_count):
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 40)
-        u, uc = real_series(g, 3, times), real_series(g, 3, times, real=False)
-        fft_count.clear()
-        bilinear_form(uc, uc, 1.0)
-        complex_calls = fft_count["calls"]
+        u = real_series(g, 3, times)
         fft_count.clear()
         B = bilinear_form(u, u, 1.0)
-        assert B.real
+        assert B.parts == 1 and B.data.shape == u.data.shape
         assert fft_count["fftn"] == fft_count["ifftn"] == 0
-        assert fft_count["rfftn"] > 0 and fft_count["irfftn"] > 0
         assert fft_count["points"] <= 5 * len(times) * g.N**2
-        # half spectra are chunked like the full ones: as many batched calls
-        assert fft_count["calls"] == complex_calls
+        # half spectra are chunked like the full ones: one batched inverse
+        # and one batched forward transform per chunk
+        chunks = len(sample_chunks(u.data, grid=g))
+        assert chunks > 1 and fft_count["rfftn"] == fft_count["irfftn"] == chunks
 
     @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("same", [True, False])
     def test_tensor_divergence_equals_complex(self, n, N, same):
+        # the half-lattice nonlinearity against the complex per-snapshot oracle
         g = make_grid(n, N, 2 * np.pi)
         times = uniform_times(0.5, 6)
-        u, v = (real_series(g, s, times, j_max=1, real=False) for s in (3, 8))
-        ur, vr = (real_series(g, s, times, j_max=1) for s in (3, 8))
-        mask = dealias_mask(g)
-        want = _tensor_divergence(u.data, None if same else v.data, g, mask)
-        got = _tensor_divergence(ur.data, None if same else vr.data, g, mask, real=True)
+        u, v = (real_series(g, s, times, j_max=1) for s in (3, 8))
+        want = np.stack([
+            _tensor_divergence_oracle(a, a if same else b)
+            for a, b in zip(u.snapshots, v.snapshots)
+        ])
+        got = _tensor_divergence(u.data, None if same else v.data, g, dealias_mask(g))
         assert got.shape == (*want.shape[:-1], N // 2 + 1)
         assert np.max(np.abs(got - want[..., : N // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
 
     def test_mixed_realness_equals_complex(self):
+        # a real series meets a complex one only with a zero imaginary part
+        # added; the result equals the complex sum and difference
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 12)
-        ur = real_series(g, 3, times)
-        u, v = (real_series(g, s, times, real=False) for s in (3, 8))
-        scale = np.max(np.abs(u.data))
-        for got, want in ((ur + v, u + v), (ur - v, u - v), (v - ur, v - u)):
-            assert not got.real
-            assert np.max(np.abs(got.data - want.data)) <= 1e-13 * scale
-        got, want = bilinear_form(ur, v, 1.0), bilinear_form(u, v, 1.0)
-        assert not got.real
-        assert np.max(np.abs(got.data - want.data)) <= 1e-13 * np.max(np.abs(want.data))
+        ur, u2 = real_series(g, 3, times), real_series(g, 8, times)
+        v = TimeSeries(times, [
+            Field(g, a.data + 1j * b.data, SPECTRAL) for a, b in zip(ur.snapshots, u2.snapshots)
+        ])
+        assert v.parts == 2
+        with pytest.raises(PreconditionError, match="series of 1 and 2 parts"):
+            ur + v
+        ur2 = nse._in_parts(ur, 2)
+        scale = np.max(np.abs(v.data))
+        cases = ((ur2 + v, np.add), (ur2 - v, np.subtract), (v - ur2, lambda a, w: w - a))
+        for got, op in cases:
+            assert got.parts == 2
+            for s, a, w in zip(got.snapshots, ur.snapshots, v.snapshots):
+                assert np.max(np.abs(s.data - op(a.data, w.data))) <= 1e-14 * scale
+
+    def test_two_part_velocity_rejected(self):
+        # a complex scalar in 2-D is stored as 2 parts: the shape of a 2-vector
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 8)
+        wave = synthesize_field(g, PlaneWave(k=(1, 0)))
+        w = TimeSeries(times, [wave] * len(times))
+        assert w.parts == 2 and w.data.shape == (len(times), 2, *g.shape)
+        u = real_series(g, 3, times, j_max=1)
+        for a, b in ((w, u), (u, w), (w, w)):
+            with pytest.raises(PreconditionError, match="bilinear form velocity . must be a real"):
+                bilinear_form(a, b, 1.0)
+        g0 = perturbed_taylor_green(g, 0.1)
+        with pytest.raises(PreconditionError, match="forcing h must be a real field"):
+            solve_nse_picard(g0, w, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
 
     def test_real_snapshots_are_full_spectra(self):
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 6)
-        ur, u = real_series(g, 3, times), real_series(g, 3, times, real=False)
+        ur = real_series(g, 3, times)
         assert ur.data.shape == (len(times), 2, g.N, g.N // 2 + 1)
-        scale = np.max(np.abs(u.data))
-        for got, want in zip(ur.snapshots, u.snapshots):
+        phys = ur.to_physical()
+        scale = np.max(np.abs(ur.data))
+        for got, d in zip(ur.snapshots, phys.data):
+            want = Field(g, d).to_spectral().data  # the complex forward transform
             assert got.representation == SPECTRAL
-            assert got.data.shape == want.data.shape == (2, g.N, g.N)
-            assert np.max(np.abs(got.data - want.data)) <= 1e-14 * scale
+            assert got.data.shape == want.shape == (2, g.N, g.N)
+            assert np.max(np.abs(got.data - want)) <= 1e-14 * scale
 
     def test_spectral_norms_of_real_series(self):
-        # chunks(SPECTRAL) hands multiplier norms the full lattice
+        # chunks(SPECTRAL) hands multiplier norms the half lattice as stored;
+        # the oracle measures each filled snapshot as one Field
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 6)
-        ur, u = real_series(g, 3, times), real_series(g, 3, times, real=False)
+        ur = real_series(g, 3, times)
         for spec in (NormSpec("sobolev", s=1.0, p=4.0), NormSpec("besov", s=0.5, p=4.0)):
-            want = mixed_norm(u, 4.0, spec)
+            vals = np.array([spec.compute(s) for s in ur.snapshots])
+            want = float(np.trapezoid(vals**4, times) ** 0.25)
             assert abs(mixed_norm(ur, 4.0, spec) - want) <= 1e-13 * want
 
     def test_picard_rejects_complex_data(self):
@@ -312,27 +343,37 @@ class TestRealPath:
         g0 = perturbed_taylor_green(g, 0.3)
         times = uniform_times(0.5, 8)
         h = TimeSeries(times, [g0.to_spectral()] * len(times))
+        assert h.parts == 1 and h.data.shape == (9, 2, g.N, g.N // 2 + 1)
         v, rep = solve_nse_picard(
             g0.to_spectral(), h, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1
         )
-        assert v.real and rep.converged
+        assert v.parts == 1 and rep.converged
         assert v.data.shape == (9, 2, g.N, g.N // 2 + 1)
-        # a real-flagged forcing, stored on the half lattice, is taken as real
-        hr = TimeSeries.from_data(g, times, h.data[..., : g.N // 2 + 1], real=True)
-        vr, _ = solve_nse_picard(g0, hr, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
-        assert np.max(np.abs(vr.data - v.data)) <= 1e-13 * np.max(np.abs(v.data))
+        # the same data and forcing given in physical form
+        hp = TimeSeries(times, [g0] * len(times))
+        vp, _ = solve_nse_picard(g0, hp, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+        assert np.max(np.abs(vp.data - v.data)) <= 1e-13 * np.max(np.abs(v.data))
 
     def test_regularity_keeps_real_path(self, fft_count):
+        # against derivatives taken one snapshot and one axis at a time
         g = make_grid(2, 32, 2 * np.pi)
         times = uniform_times(0.5, 8)
         u = semigroup_series(perturbed_taylor_green(g, 1.0), times, 1.0)
-        want = regularity_check(u, 2, 4, 4)
-        u = semigroup_series(perturbed_taylor_green(g, 1.0), times, 1.0, real=True)
         fft_count.clear()
         got = regularity_check(u, 2, 4, 4)
-        assert fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
-        for multi, val in want.items():
-            assert abs(got[multi] - val) <= 1e-13 * want[(0, 0)] + 1e-12 * val
+        assert fft_count["fftn"] == fft_count["ifftn"] == 0 and fft_count["irfftn"] > 0
+        for multi in got:
+            snaps = []
+            for s in u.snapshots:
+                comps = []
+                for c in s.components:
+                    for ax, m in enumerate(multi):
+                        if m:
+                            c = axis_derivative(c, ax, m)
+                    comps.append(c)
+                snaps.append(VectorField(comps))
+            want = mixed_norm(TimeSeries(times, snaps), 4, 4)
+            assert abs(got[multi] - want) <= 1e-13 * got[(0, 0)] + 1e-12 * want
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -346,7 +387,7 @@ class TestRealPath:
         g = make_grid(n, N, L)
         rng = np.random.default_rng(seed)
         phys = rng.standard_normal((2, n, *g.shape))  # Nyquist planes carry energy
-        uh = _dft(phys, g, "forward")
+        uh = np.stack([Field(g, d).to_spectral().data for d in phys])  # full lattice
         assert_hermitian(uh, n)
         assert_hermitian(_leray(uh, g), n)
         assert_hermitian(divergence(Field(g, uh[0], SPECTRAL)).data, n)
@@ -355,19 +396,20 @@ class TestRealPath:
                 d = axis_derivative(Field(g, uh[0, 0], SPECTRAL), ax, order)
                 assert_hermitian(d.data, n)
         times = [0.0, 0.5 * g.spacing ** (2 * alpha), g.spacing ** (2 * alpha)]
-        assert_hermitian(semigroup_series(Field(g, uh[0], SPECTRAL), times, alpha).data, n)
+        for s in semigroup_series(Field(g, uh[0], SPECTRAL), times, alpha).snapshots:
+            assert_hermitian(s.data, n)
+        half = uh[..., : N // 2 + 1]
         mask = dealias_mask(g)
-        for vh in (None, uh[::-1]):
-            half = _tensor_divergence(uh, vh, g, mask, real=True)
-            assert_hermitian(_hermitian_fill(half, g), n)
-        # the real transforms against the complex path
-        inverse = _dft(uh, g, "inverse")
-        real_inverse = _dft(uh[..., : N // 2 + 1], g, "inverse", real=True)
+        for vh in (None, half[::-1]):
+            assert_hermitian(_hermitian_fill(_tensor_divergence(half, vh, g, mask), g), n)
+        # the real transforms against the complex ones
+        inverse = np.stack([Field(g, d, SPECTRAL).to_physical().data for d in uh])
+        real_inverse = _dft(half, g, "inverse")
         assert real_inverse.dtype == np.float64
         assert np.max(np.abs(real_inverse - inverse.real)) <= 1e-14 * np.max(np.abs(inverse))
-        forward = _dft(phys, g, "forward", real=True)
+        forward = _dft(phys, g, "forward")
         assert forward.shape[-1] == N // 2 + 1
-        assert np.max(np.abs(forward - uh[..., : N // 2 + 1])) <= 1e-14 * np.max(np.abs(uh))
+        assert np.max(np.abs(forward - half)) <= 1e-14 * np.max(np.abs(uh))
         assert_hermitian(_hermitian_fill(forward, g), n)
 
 
@@ -405,10 +447,12 @@ class TestFixedPoint:
         pw = synthesize_field(g, PlaneWave(k=(1,)))
         b = TimeSeries(times, [Field(g, np.exp(-t) * pw.data) for t in times])
 
-        def apply_map(v, _phys):
-            return b + TimeSeries.from_data(g, times, c * v.to_spectral().data)
+        def apply_map(v, _phys):  # b is a plane wave: its (re, im) parts
+            return b + TimeSeries.from_data(g, times, c * v.to_spectral().data, parts=2)
 
-        return apply_map, TimeSeries.from_data(g, times, np.zeros_like(b.data))
+        return apply_map, TimeSeries.from_data(
+            g, times, np.zeros_like(b.data), b.representation, parts=2
+        )
 
     def test_ratios_approach_c(self):
         c = 0.5
@@ -440,7 +484,7 @@ class TestFixedPoint:
         v0 = apply_map(zero, None)
 
         def to_zero(v, _phys):
-            return TimeSeries.from_data(v.grid, v.times, np.zeros_like(v.data))
+            return TimeSeries.from_data(v.grid, v.times, np.zeros_like(v.data), parts=v.parts)
 
         _, residuals, converged, norm = _fixed_point(to_zero, v0, 4, 4, 1e-6, 1)
         assert not converged
@@ -458,7 +502,7 @@ class TestOnePhysicalPass:
         g = make_grid(2, 16, 2 * np.pi)
         times = uniform_times(0.5, 12)
         small = real_series(g, 3, times, j_max=1)
-        base = TimeSeries.from_data(g, times, 8 * small.data, real=True)
+        base = TimeSeries.from_data(g, times, 8 * small.data)
         iterates = [base]
 
         def apply_map(v, phys):
@@ -478,7 +522,7 @@ class TestOnePhysicalPass:
         base = real_series(g, 3, times, j_max=1)
 
         def apply_map(v, phys):
-            assert phys.representation == "physical" and phys.real
+            assert phys.representation == "physical" and phys.parts == 1
             assert phys.data.dtype == np.float64
             assert np.array_equal(phys.data, v.to_physical().data)
             return base - bilinear_form(v, v, 1.0)
@@ -493,8 +537,8 @@ class TestOnePhysicalPass:
         for tol in (1e-4, 1e-10):
             fft_count.clear()
             sol, rep = solve_potential_eq(f, None, V, alpha=1.0, T=0.5, nodes=16, tol=tol)
-            # real data: no complex transform anywhere in the solve
-            assert sol.real and fft_count["fftn"] == fft_count["ifftn"] == 0
+            # no complex transform anywhere in the solve
+            assert sol.parts == 1 and fft_count["fftn"] == fft_count["ifftn"] == 0
             assert len(rep.subintervals) == 1
             points.append(fft_count["points"])
             iterations.append(rep.subintervals[0][3])
@@ -580,7 +624,7 @@ class TestPicard:
         monkeypatch.setattr(nse, "mixed_norm", recording)
         _, rep = solve_nse_picard(g0, None, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=12, c_est=0.2)
         assert len(seen) == 2 * rep.iterations + 1 and set(seen) == {"physical"}
-        free = semigroup_series(g0, uniform_times(0.5, 12), 1.0, real=True)
+        free = semigroup_series(g0, uniform_times(0.5, 12), 1.0)
         assert rep.data_functional == mixed_norm(free, 4.0, 4.0)
 
     def test_zero_data_zero_solution(self):
@@ -708,48 +752,58 @@ class TestPotential:
         assert np.max(np.abs(got - pred)) < 0.05 * np.max(np.abs(pred))
 
     def test_real_flagged_series_accepted(self):
-        # half-lattice forcing and potential give the complex path's solution
+        # forcing and potential given as half spectra or as physical samples
         g = make_grid(2, 16, 2 * np.pi)
         f, src = (
             synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1)) for s in (5, 9)
         )
         times = uniform_times(0.5, 8)
         F, V = (semigroup_series(w, times, 1.0) for w in (src, f))
-        Fr, Vr = (semigroup_series(w, times, 1.0, real=True) for w in (src, f))
-        want, _ = solve_potential_eq(f, F, V, alpha=1.0, T=0.5, nodes=8)
-        got, _ = solve_potential_eq(f, Fr, Vr, alpha=1.0, T=0.5, nodes=8)
+        assert F.data.shape[-1] == V.data.shape[-1] == g.N // 2 + 1
+        Fp, Vp = (w.to_physical() for w in (F, V))
+        want, _ = solve_potential_eq(f, Fp, Vp, alpha=1.0, T=0.5, nodes=8)
+        got, _ = solve_potential_eq(f, F, V, alpha=1.0, T=0.5, nodes=8)
         assert np.max(np.abs(got.data - want.data)) <= 1e-13 * np.max(np.abs(want.data))
 
     @pytest.mark.parametrize("c, halves", [(1.0, False), (8.0, True)])
-    def test_real_path_equals_complex_path(self, monkeypatch, c, halves):
+    def test_real_path_equals_complex_path(self, c, halves):
+        # complex data f = a + ib and forcing run as their (re, im) parts: the
+        # solve equals that of the real 2-vectors (a, b), and the parts
+        # solved on their own and rejoined equal the complex solution
         g = make_grid(2, 16, 2 * np.pi)
-        f, src, w = (
-            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1)) for s in (5, 9, 13)
+        a, b, src, w = (
+            synthesize_field(g, RandomBandlimited(seed=s, j_min=1, j_max=1))
+            for s in (5, 7, 9, 13)
         )
         times = uniform_times(0.5, 8)
-        F = TimeSeries(times, [Field(g, np.exp(-t) * src.data) for t in times])
         bump = 0.25 * w.data.real / np.max(np.abs(w.data))
         V = TimeSeries(
             np.array([0.0, 0.5]), [Field(g, c * (1 + bump)), Field(g, c * (1 - bump))]
         )
-        args = (f, F, V, 1.0, 0.5)
-        got, rep = solve_potential_eq(*args, nodes=16)
-        with monkeypatch.context() as patch:  # every input taken as complex
-            patch.setattr(nse, "is_real", lambda *a: False)
-            want, rep_c = solve_potential_eq(*args, nodes=16)
-        assert got.real and got.data.shape[-1] == g.N // 2 + 1
-        assert not want.real and want.data.shape[-1] == g.N
+        f = Field(g, a.data.real + 1j * b.data.real)
+        pair = VectorField((a, b))
+        F = TimeSeries(times, [Field(g, np.exp(-t) * (1 + 0.5j) * src.data.real) for t in times])
+        Fpair = TimeSeries(times, [
+            VectorField((Field(g, x.data.real), Field(g, x.data.imag))) for x in F.snapshots
+        ])
+        got, rep = solve_potential_eq(f, F, V, 1.0, 0.5, nodes=16)
+        want, rep_v = solve_potential_eq(pair, Fpair, V, 1.0, 0.5, nodes=16)
+        assert got.parts == 2 and got.data.shape[-1] == g.N // 2 + 1
+        assert np.array_equal(got.data, want.data) and rep == rep_v
         assert (len(rep.subintervals) > 1) == halves
-        assert [s[:2] + s[3:] for s in rep.subintervals] == [
-            s[:2] + s[3:] for s in rep_c.subintervals
-        ]
-        for (*_, fac, _), (*_, fac_c, _) in zip(rep.subintervals, rep_c.subintervals):
-            assert abs(fac - fac_c) <= 1e-9 * fac_c
-        spec = got.spectrum()
-        assert np.max(np.abs(spec - want.data)) <= 1e-12 * np.max(np.abs(want.data))
-        assert abs(rep.bound_constant - rep_c.bound_constant) <= 1e-12 * rep_c.bound_constant
+        if halves:  # the parts on their own may halve [0, T] differently
+            return
+        # each part on its own; V does not couple them
+        Fre = TimeSeries(times, [Field(g, x.data.real) for x in F.snapshots])
+        Fim = TimeSeries(times, [Field(g, x.data.imag) for x in F.snapshots])
+        sre, _ = solve_potential_eq(a, Fre, V, 1.0, 0.5, nodes=16)
+        sim, _ = solve_potential_eq(b, Fim, V, 1.0, 0.5, nodes=16)
+        assert [s.times.tolist() for s in (sre, sim)] == [got.times.tolist()] * 2
+        scale = np.max(np.abs(got.data))
+        for s, x, y in zip(got.snapshots, sre.snapshots, sim.snapshots):
+            assert np.max(np.abs(s.data - (x.data + 1j * y.data))) <= 1e-9 * scale
 
-    def test_complex_data_keeps_complex_path(self, fft_count):
+    def test_complex_data_runs_as_its_parts(self, fft_count):
         g = make_grid(1, 8, 2 * np.pi)
         wave = synthesize_field(g, PlaneWave(k=(1,)))
         bump = synthesize_field(g, GaussianBump(width=1.0))
@@ -759,8 +813,26 @@ class TestPotential:
         for f, F_ in ((wave, None), (bump, F)):  # complex data, or a complex forcing
             fft_count.clear()
             sol, _ = solve_potential_eq(f, F_, V, alpha=0.5, T=1.0, nodes=16)
-            assert not sol.real and sol.data.shape[-1] == g.N
-            assert fft_count["rfftn"] == fft_count["irfftn"] == 0 < fft_count["fftn"]
+            assert sol.parts == 2 and sol.data.shape == (len(sol), 2, g.N // 2 + 1)
+            assert fft_count["fftn"] == fft_count["ifftn"] == 0 < fft_count["rfftn"]
+
+    def test_constant_potential_is_not_transformed(self, fft_count, monkeypatch):
+        # every halving attempt interpolates V where it is stored, physical
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=11, j_min=1, j_max=2))
+        V = TimeSeries.from_data(g, [0.0, 1.0], np.full((2, *g.shape), 8.0), "physical")
+        at_nodes, inside = nse._at_nodes, []
+
+        def counted(series, t, representation):
+            before = fft_count["calls"]
+            out = at_nodes(series, t, representation)
+            inside.append(fft_count["calls"] - before)
+            return out
+
+        monkeypatch.setattr(nse, "_at_nodes", counted)
+        _, rep = solve_potential_eq(f, None, V, 1.0, 1.0, r=4, s=4 / 3, nodes=64, tol=1e-10)
+        assert len(inside) > len(rep.subintervals) >= 2  # attempts were halved
+        assert inside == [0] * len(inside)
 
     def test_exponent_relation_checked(self):
         g = make_grid(2, 32, 2 * np.pi)

@@ -23,7 +23,7 @@ from fracheat import (
     riesz_transform,
     synthesize_field,
 )
-from fracheat.semigroup import _phi1, _phi2, duhamel, semigroup_series
+from fracheat.semigroup import _phi1, _phi2, apply_symbol, duhamel, semigroup_series
 from fracheat import VectorField
 from fracheat.grid import uniform_times
 
@@ -343,10 +343,10 @@ def test_duhamel_reuses_coefficients_per_step():
     g = make_grid(1, 16, 2 * np.pi)
     times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])
     rng = np.random.default_rng(4)
-    Fhat = rng.standard_normal((len(times), 16)) + 1j * rng.standard_normal((len(times), 16))
-    F = TimeSeries.from_data(g, times, Fhat)
-    lam = g.abs_freq**2
-    I = np.zeros(16, complex)
+    Fhat = rng.standard_normal((len(times), 9)) + 1j * rng.standard_normal((len(times), 9))
+    F = TimeSeries.from_data(g, times, Fhat)  # half spectra, stored as given
+    lam = g.abs_freq[:9] ** 2
+    I = np.zeros(9, complex)
     expected = [I]
     for i in range(len(times) - 1):
         h = times[i + 1] - times[i]
@@ -356,3 +356,54 @@ def test_duhamel_reuses_coefficients_per_step():
         expected.append(I)
     got = duhamel(F, times, 1.0).data
     assert np.array_equal(got, np.array(expected))
+
+
+class TestComplexDataAsParts:
+    """Complex data runs as its (re, im) parts: each part evolved on its own
+    and the two rejoined equal the complex evolution."""
+
+    def data(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        a, b = random_field(g, 3), random_field(g, 4)
+        return g, a, b, Field(g, a.data.real + 1j * b.data.real)
+
+    def test_semigroup_and_duhamel(self):
+        g, a, b, f = self.data()
+        times = uniform_times(0.2, 6)
+        pair = [semigroup_series(w, times, 0.8) for w in (f, a, b)]
+        forcing = [TimeSeries(times, [Field(g, (1 + t) * w.data) for t in times])
+                   for w in (f, a, b)]
+        pair2 = [duhamel(F, times, 0.8) for F in forcing]
+        for u, ua, ub in (pair, pair2):
+            assert (u.parts, ua.parts, ub.parts) == (2, 1, 1)
+            for got, x, y in zip(u.snapshots, ua.snapshots, ub.snapshots):
+                want = x.data + 1j * y.data
+                assert np.max(np.abs(got.data - want)) <= 1e-15 * np.max(np.abs(want))
+        # against the complex transforms on the full lattice
+        lam = g.abs_freq**1.6
+        for got, t in zip(pair[0].snapshots, times):
+            want = f.to_spectral().data * np.exp(-t * lam)
+            assert np.max(np.abs(got.data - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_field_operators(self):
+        g, a, b, f = self.data()
+        for op in (
+            lambda w: apply_semigroup(w, 0.3, 0.7),
+            lambda w: fractional_derivative(w, 0.5),
+            lambda w: riesz_transform(w, 1),
+        ):
+            got, x, y = (op(w) for w in (f, a, b))
+            want = x.data + 1j * y.data
+            assert np.max(np.abs(got.data - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_apply_symbol_rejects_non_hermitian_symbol():
+    # on the half lattice a one-sided symbol would be applied to half the
+    # modes and silently mirrored onto the others
+    g = make_grid(2, 32, 2 * np.pi)
+    f = random_field(g, 5)
+    one_sided = (g.frequencies[0] > 0).astype(float)
+    with pytest.raises(PreconditionError, match=r"sym\(-k\) = conj\(sym\(k\)\)"):
+        apply_symbol(f, one_sided)
+    near = 1.0 + 1e-13 * one_sided  # within the 1e-12 tolerance
+    assert np.max(np.abs(apply_symbol(f, near).data - f.data)) <= 1e-12
