@@ -31,7 +31,6 @@ from .grid import (
     write_field,
 )
 from .semigroup import (
-    Alpha,
     apply_semigroup,
     axis_derivative,
     duhamel,

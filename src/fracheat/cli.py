@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -65,7 +65,7 @@ INF = float("inf")
 
 @dataclass
 class ExperimentConfig:
-    """Sections of string key/value pairs; round-trips exactly through text."""
+    """Sections of string key/value pairs, as parsed from a config file."""
 
     sections: dict[str, dict[str, str]] = dc_field(default_factory=dict)
 
@@ -89,15 +89,6 @@ class ExperimentConfig:
             raise PreconditionError(f"cannot read config {path}: {exc.reason}") from exc
         return cls.parse(text)
 
-    def serialize(self) -> str:
-        out = io.StringIO()
-        for sec in self.sections:
-            out.write(f"[{sec}]\n")
-            for k, v in self.sections[sec].items():
-                out.write(f"{k} = {v}\n")
-            out.write("\n")
-        return out.getvalue()
-
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
 
@@ -114,15 +105,18 @@ class ExperimentConfig:
 
 
 def parse_exponent(text: str, key: str = "exponent") -> float:
-    """A real config value or flag, "inf" included; anything else is a
-    precondition violation naming the key and the value."""
+    """A real config value or flag, "inf" included; anything else, NaN and
+    -inf among it, is a precondition violation naming the key and the value."""
     t = str(text).strip().lower()
     if t in ("inf", "infinity", "oo"):
         return INF
     try:
-        return float(t)
+        value = float(t)
     except ValueError:
-        raise PreconditionError(f"{key} = {text}: expected a number or inf") from None
+        value = math.nan
+    if math.isnan(value) or value == -INF:
+        raise PreconditionError(f"{key} = {text}: expected a number or inf")
+    return value
 
 
 def parse_int(key: str, text) -> int:

@@ -42,7 +42,7 @@ from .norms import (
     mixed_norm,
 )
 from .semigroup import (
-    Alpha,
+    _alpha_value,
     duhamel,
     kernel_data,
     require_contained_kernel,
@@ -90,6 +90,7 @@ def check_scaling_relation(
     q: float, p: float, q1: float, p1: float, alpha: float, n: int
 ) -> float:
     """Signed residual of (1/q1' - 1/q) + (n/2a)(1/p1' - 1/p) - 1."""
+    alpha = _alpha_value(alpha)
     inv_q1c = 1.0 - _inv(q1)
     inv_p1c = 1.0 - _inv(p1)
     return (inv_q1c - _inv(q)) + (n / (2 * alpha)) * (inv_p1c - _inv(p)) - 1.0
@@ -100,11 +101,12 @@ def check_scaling_relation(
 # ---------------------------------------------------------------------------
 
 
-def default_time_grid(T: float, n_nodes: int = 40, ratio: float = 1.25) -> np.ndarray:
-    """[0] followed by a geometric refinement toward 0 on (0, T]."""
-    ts = geometric_times(T * 1e-3, T, ratio=ratio, include_zero=True)
-    if len(ts) < n_nodes:  # densify uniformly if the geometric ladder is short
-        extra = np.linspace(0, T, n_nodes)
+def default_time_grid(T: float) -> np.ndarray:
+    """[0] followed by a geometric refinement toward 0 on (0, T], densified
+    uniformly to at least 40 nodes."""
+    ts = geometric_times(T * 1e-3, T, include_zero=True)
+    if len(ts) < 40:  # densify uniformly if the geometric ladder is short
+        extra = np.linspace(0, T, 40)
         ts = np.unique(np.concatenate([ts, extra]))
     return ts
 
@@ -127,7 +129,7 @@ def homogeneous_ratio(
     data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).
     """
     g = f.grid
-    a = Alpha(alpha, g.n)
+    alpha = _alpha_value(alpha)
     if kind == "bmo":
         if abs(g.n - 2 * alpha) > 1e-12:
             raise PreconditionError(
@@ -135,7 +137,7 @@ def homogeneous_ratio(
             )
         if q != 2:
             raise PreconditionError("bmo endpoint requires q = 2")
-    if q == 2 and p == INF and abs(a.sigma - 1.0) < 1e-12:
+    if q == 2 and p == INF and abs(g.n / (2 * alpha) - 1.0) < 1e-12:
         raise PreconditionError(
             "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the "
             "homogeneous estimate"
@@ -146,7 +148,7 @@ def homogeneous_ratio(
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    series = semigroup_series(f, ts, a)
+    series = semigroup_series(f, ts, alpha)
     spec = NormSpec(kind, p=p, s=s)
     num = mixed_norm(series, q, spec, partition)
     return num / denom
@@ -159,7 +161,6 @@ def inhomogeneous_ratio(
     alpha: float,
     kind: str = "lebesgue",
     s: float = 0.0,
-    enforce_relation: bool = True,
     partition: DyadicPartition | None = None,
 ) -> float:
     """Duhamel-term mixed norm over the forcing mixed norm.
@@ -174,19 +175,19 @@ def inhomogeneous_ratio(
     q, p = qp
     q1, p1 = q1p1
     g = F.grid
+    alpha = _alpha_value(alpha)
     q1c, p1c = conjugate(q1), conjugate(p1)
     if not (1 <= p1c < p <= INF):
         raise PreconditionError(f"need 1 <= p1' < p <= inf, got p1'={p1c}, p={p}")
     if not (1 < q1c < q < INF):
         raise PreconditionError(f"need 1 < q1' < q < inf, got q1'={q1c}, q={q}")
-    if enforce_relation:
-        target = s / (2 * alpha) if kind == "sobolev" else 0.0
-        res = check_scaling_relation(q, p, q1, p1, alpha, g.n)
-        if abs(res - target) > 1e-9:
-            raise PreconditionError(
-                f"scaling relation residual {res:.3e} != {target:.3e} "
-                f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
-            )
+    target = s / (2 * alpha) if kind == "sobolev" else 0.0
+    res = check_scaling_relation(q, p, q1, p1, alpha, g.n)
+    if abs(res - target) > 1e-9:
+        raise PreconditionError(
+            f"scaling relation residual {res:.3e} != {target:.3e} "
+            f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
+        )
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
     den_spec = NormSpec(kind, p=p1c, s=s)
     denom = mixed_norm(F, q1c, den_spec, partition)
@@ -220,6 +221,7 @@ def parabolic_ratio(
     norms lp_norm(apply_semigroup(f, s, alpha), p) bit for bit.
     """
     g = f.grid
+    alpha = _alpha_value(alpha)
     if form == "b":
         if abs(g.n - 2 * alpha) > 1e-12:
             raise PreconditionError(
@@ -298,6 +300,7 @@ def decay_fit(
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
     g = f.grid
+    alpha = _alpha_value(alpha)
     cont = contamination(f)
     if cont >= 1e-6:
         raise ContaminationError(
@@ -331,12 +334,12 @@ def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.
     symbols exp(-t lam) are stacked and inverse-transformed a sample chunk at
     a time.  The whole-space validity check applies at the largest time only:
     small-t kernels are near-deltas whose ringing is harmless to L^r."""
-    lam = _half(grid.abs_freq, grid) ** (2 * float(alpha))
+    lam = _half(grid.abs_freq, grid) ** (2 * alpha)
     sym = np.empty((len(ts), *lam.shape))
     for out, t in zip(sym, ts):
         np.exp(-t * lam, out=out)
     vals = []
-    for chunk in sample_chunks(sym, grid=grid):
+    for chunk in sample_chunks(sym, grid):
         K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
         vals.append(lp_norms(K, r))
     require_contained_kernel(Field(grid, K.data[-1]), ts[-1], alpha)
@@ -351,7 +354,6 @@ def kernel_mixed_norm_fit(
     n: int,
     grid: GridSpec | None = None,
     t_min: float | None = None,
-    ratio: float = 1.25,
 ) -> KernelNormFit:
     """Mixed L^h_t((0,T]; L^r_x) norm of the propagator kernel and its T-exponent.
 
@@ -360,6 +362,7 @@ def kernel_mixed_norm_fit(
     that extrapolates the measured power law of ||K_t||_r below t_min; the
     exponent is fitted by evaluating at T and 2T.
     """
+    alpha = _alpha_value(alpha)
     w = (n * h / (2 * alpha)) * (1 - _inv(r)) if h != INF else INF
     if not w < 1:
         raise PreconditionError(
@@ -373,7 +376,7 @@ def kernel_mixed_norm_fit(
         t_min = T / 8.0
 
     def mnorm(T_end: float) -> float:
-        ts = geometric_times(t_min, T_end, ratio=ratio)
+        ts = geometric_times(t_min, T_end)
         vals = _kernel_norms(grid, ts, alpha, r)
         sig = math.log(vals[1] / vals[0]) / math.log(ts[1] / ts[0])
         if 1 + h * sig <= 0:
@@ -494,7 +497,7 @@ def dilation_sweep(
         raise PreconditionError(
             f"recipe {type(recipe).__name__} does not support analytic dilation"
         )
-    alpha = params["alpha"]
+    alpha = _alpha_value(params["alpha"])
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))
@@ -537,7 +540,6 @@ def dilation_sweep(
                 alpha,
                 kind=params.get("kind", "lebesgue"),
                 s=params.get("s", 0.0),
-                enforce_relation=params.get("enforce_relation", True),
             )
         elif estimate_id == "parabolic":
             val = parabolic_ratio(

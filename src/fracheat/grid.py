@@ -189,9 +189,8 @@ def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
     """a at the negated wavenumbers: index k -> (-k) mod N along each of `axes`."""
-    for ax in axes:
-        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
-    return a
+    axes = tuple(axes)
+    return np.roll(np.flip(a, axes), 1, axes)
 
 
 def _hermitian_fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -211,7 +210,7 @@ def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
     defect max |fhat(k) - conj(fhat(-k))| (spectral) stays within 1e-12 of
     max |f|.  A non-finite sample is not real: dropping its imaginary part
     could drop a NaN."""
-    for chunk in sample_chunks(data, copies=4):
+    for chunk in sample_chunks(data, grid, copies=4):
         d = data[chunk]
         if not np.all(np.isfinite(d)):
             return False
@@ -248,13 +247,13 @@ def require_one_part(u: "TimeSeries", what: str) -> None:
 CHUNK_BYTES = 1 << 20
 
 
-def sample_chunks(data: np.ndarray, copies: int = 1, grid: GridSpec | None = None):
+def sample_chunks(data: np.ndarray, grid: GridSpec, copies: int = 1):
     """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies.
 
-    With `grid`, a sample counts at its size on the full lattice, so half
+    A sample counts at its size on the full lattice of `grid`, so half
     spectra are cut like the full spectra whose transforms they stand for.
     """
-    shape = data.shape[1:] if grid is None else (*data.shape[1:-1], grid.N)
+    shape = (*data.shape[1:-1], grid.N)
     sample_bytes = copies * data.itemsize * math.prod(shape)
     step = max(1, CHUNK_BYTES // max(1, sample_bytes))
     return [slice(i, i + step) for i in range(0, len(data), step)]
@@ -648,7 +647,7 @@ class TimeSeries:
     spectra are stored as given, their components being `parts` parts.
     """
 
-    def __init__(self, times, snapshots, grading: str = "custom"):
+    def __init__(self, times, snapshots):
         snaps = list(snapshots)
         if not snaps:
             raise PreconditionError("a time series needs at least one snapshot")
@@ -656,22 +655,22 @@ class TimeSeries:
             raise PreconditionError("snapshots must share one grid")
         rep = PHYSICAL if all(s.representation == PHYSICAL for s in snaps) else SPECTRAL
         datas = [(s if rep == PHYSICAL else s.to_spectral()).data for s in snaps]
-        self._set(snaps[0].grid, times, np.stack(datas), rep, grading, 1)
+        self._set(snaps[0].grid, times, np.stack(datas), rep, 1)
 
     @classmethod
     def from_data(
-        cls, grid: GridSpec, times, data, representation=SPECTRAL, grading="custom", parts=1
+        cls, grid: GridSpec, times, data, representation=SPECTRAL, parts=1
     ) -> "TimeSeries":
         """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape),
         or a half-spectral one, last axis N//2 + 1."""
         series = cls.__new__(cls)
-        series._set(grid, times, data, representation, grading, parts)
+        series._set(grid, times, data, representation, parts)
         return series
 
-    def _set(self, grid, times, data, representation, grading, parts) -> None:
+    def _set(self, grid, times, data, representation, parts) -> None:
         if representation not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {representation!r}")
-        self.grid, self.representation, self.grading = grid, representation, grading
+        self.grid, self.representation = grid, representation
         self.times = np.asarray(times, dtype=float)
         data = np.asarray(data)
         shape, half = data.shape, grid.N // 2 + 1
@@ -698,11 +697,6 @@ class TimeSeries:
             raise PreconditionError("times must be nonnegative")
         if np.any(np.diff(self.times) <= 0):
             raise PreconditionError("times must be strictly increasing")
-        if self.grading == "geometric" and len(self.times) >= 3:
-            dt = np.diff(self.times)
-            ratios = dt[1:] / dt[:-1]
-            if np.max(np.abs(ratios / ratios[0] - 1)) > 1e-9:
-                raise PreconditionError("geometric grading requires a constant ratio")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -742,7 +736,7 @@ class TimeSeries:
         forward = representation == SPECTRAL
         shape = (*self.data.shape[:-1], g.N // 2 + 1 if forward else g.N)
         data = np.empty(shape, dtype=np.complex128 if forward else np.float64)
-        for chunk in sample_chunks(self.data, grid=g):
+        for chunk in sample_chunks(self.data, g):
             data[chunk] = _dft(self.data[chunk], g, "forward" if forward else "inverse")
         return TimeSeries.from_data(g, self.times, data, representation, parts=self.parts)
 
@@ -750,7 +744,7 @@ class TimeSeries:
         """`data` in one representation, a `sample_chunks` chunk at a time
         (spectral chunks are half spectra)."""
         direction = "inverse" if representation == PHYSICAL else "forward"
-        for chunk in sample_chunks(self.data, copies, self.grid):
+        for chunk in sample_chunks(self.data, self.grid, copies):
             d = self.data[chunk]
             yield d if self.representation == representation else _dft(d, self.grid, direction)
 
@@ -794,11 +788,11 @@ def as_series(f: Field) -> TimeSeries:
     return TimeSeries.from_data(f.grid, [0.0], f.data[None], f.representation)
 
 
-def uniform_times(T: float, m: int, t0: float = 0.0) -> np.ndarray:
-    """m+1 equispaced samples on [t0, T]."""
+def uniform_times(T: float, m: int) -> np.ndarray:
+    """m+1 equispaced samples on [0, T]."""
     if m < 1:
         raise PreconditionError(f"uniform time grid needs m >= 1 intervals, got m={m}")
-    return np.linspace(t0, T, m + 1)
+    return np.linspace(0.0, T, m + 1)
 
 
 def geometric_times(

@@ -14,7 +14,6 @@ forcings that are constant or linear in time between snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,25 +32,12 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Dissipation order alpha > 0 together with the spatial dimension."""
-
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise PreconditionError(f"alpha={self.alpha} must be positive")
-
-    @property
-    def sigma(self) -> float:
-        """Scaling weight n / (2 alpha)."""
-        return self.n / (2 * self.alpha)
-
-
 def _alpha_value(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, Alpha) else float(alpha)
+    """The dissipation order as a float; PreconditionError unless 0 < alpha < inf."""
+    a = float(alpha)
+    if not 0 < a < math.inf:
+        raise PreconditionError(f"alpha={a} must be positive and finite")
+    return a
 
 
 def apply_symbol(f: Field, sym: np.ndarray) -> Field:
@@ -80,7 +66,7 @@ def apply_semigroup(f: Field, t: float, alpha) -> Field:
     return apply_symbol(f, dissipation_symbol(f.grid, t, alpha))
 
 
-def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> TimeSeries:
+def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
     """Free evolution of a scalar or vector Field, or of the one sample of a
     series, sampled on a time grid (spectral, in the layout of the data)."""
     u = (f if isinstance(f, TimeSeries) else as_series(f)).to_spectral()
@@ -90,7 +76,7 @@ def semigroup_series(f, times: Sequence[float], alpha, grading="custom") -> Time
     data = np.empty((len(times), *spec.shape), dtype=np.complex128)
     for out, t in zip(data, times):
         np.multiply(spec, np.exp(-t * lam), out=out)
-    return TimeSeries.from_data(u.grid, times, data, SPECTRAL, grading, u.parts)
+    return TimeSeries.from_data(u.grid, times, data, SPECTRAL, u.parts)
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -126,7 +112,7 @@ def require_contained_kernel(k: Field, t: float, alpha) -> None:
     if c >= 1e-6:
         raise ContaminationError(
             f"kernel mass outside central half-box is {c:.3e} >= 1e-6 "
-            f"(t={t}, alpha={_alpha_value(alpha)})"
+            f"(t={t}, alpha={alpha})"
         )
 
 

@@ -211,15 +211,6 @@ class TestTimeSeries:
         with pytest.raises(PreconditionError):
             TimeSeries(np.array([-1.0, 0.0]), [f, f])
 
-    def test_geometric_grading(self):
-        g = make_grid(1, 8, 1.0)
-        f = Field(g, np.zeros(8))
-        ts = 0.01 * 1.25 ** np.arange(10)
-        TimeSeries(ts, [f] * len(ts), grading="geometric")
-        bad = np.array([0.0, 0.1, 0.2, 0.4])
-        with pytest.raises(PreconditionError):
-            TimeSeries(bad, [f] * 4, grading="geometric")
-
     def test_geometric_times_anchored(self):
         # anchored at t_min: enlarging t_max only appends samples
         a = geometric_times(1e-3, 1.0)

@@ -598,6 +598,19 @@ def test_potential_max_iter_rejected_before_any_work(call_count):
     assert calls["duhamel"] == 0 and calls["semigroup_series"] == 0
 
 
+def test_potential_without_forcing_marches_only_the_potential_term(call_count):
+    # with F None the first iterate is the free flow itself, and each map
+    # marches the Duhamel term of -V v alone; without V there is none
+    calls = call_count(nse, "duhamel")
+    g = make_grid(2, 16, 2 * np.pi)
+    _potential(g)
+    assert calls["duhamel"] == 0
+    V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
+    _, rep = solve_potential_eq(Field(g, np.ones(g.shape)), None, V, 1.0, 0.2)
+    assert len(rep.subintervals) == 1
+    assert calls["duhamel"] == rep.subintervals[0][3]
+
+
 class TestPicard:
     def test_final_norm_is_last_iterate_norm(self, call_count):
         g = make_grid(2, 16, 2 * np.pi)

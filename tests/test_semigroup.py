@@ -280,19 +280,18 @@ class TestDuhamel:
             assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def test_alpha_bundle():
-    from fracheat import Alpha
-
+def test_alpha_must_be_positive_and_finite():
     g = make_grid(2, 32, 2 * np.pi)
     f = random_field(g, 17)
-    a = Alpha(0.75, 2)
-    assert np.isclose(a.sigma, 2 / 1.5)
-    with pytest.raises(PreconditionError):
-        Alpha(-1.0, 2)
-    # Alpha accepted anywhere a plain float is
-    u1 = apply_semigroup(f, 0.3, a)
-    u2 = apply_semigroup(f, 0.3, 0.75)
-    assert np.array_equal(u1.data, u2.data)
+    F = semigroup_series(f, [0.0, 0.1], 1.0)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        for call in (
+            lambda: semigroup_series(f, [0.0, 0.1], alpha),
+            lambda: duhamel(F, [0.1], alpha),
+            lambda: apply_semigroup(f, 0.3, alpha),
+        ):
+            with pytest.raises(PreconditionError, match=f"alpha={alpha} must be positive"):
+                call()
 
 
 def test_semigroup_series_matches_pointwise():
