@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -354,13 +354,7 @@ def cmd_kernel_norm(cfg: None, args) -> tuple[dict, list]:
         T=args.T,
         n=args.n,
     )
-    results = {
-        "norm_T": fit.norm_T,
-        "fitted_exponent": fit.fitted_exponent,
-        "predicted_exponent": fit.predicted_exponent,
-        "window_value": fit.window_value,
-    }
-    return results, []
+    return asdict(fit), []
 
 
 _NSE_RECIPES = {

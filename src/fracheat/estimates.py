@@ -13,7 +13,7 @@ and a fresh boundary-contamination diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .grid import (
     synthesize_field,
 )
 from .norms import (
-    DyadicPartition,
     NormSpec,
     besov_norm,
     lp_norm,
@@ -120,7 +119,6 @@ def homogeneous_ratio(
     times: np.ndarray | None = None,
     kind: str = "lebesgue",
     s: float = 0.0,
-    partition: DyadicPartition | None = None,
 ) -> float:
     """Free-evolution mixed norm over the data norm.
 
@@ -143,14 +141,14 @@ def homogeneous_ratio(
             "homogeneous estimate"
         )
     denom_kind = "lebesgue" if kind == "bmo" else kind
-    denom = NormSpec(denom_kind, p=2, s=s).compute(f, partition)
+    denom = NormSpec(denom_kind, p=2, s=s).compute(f)
     if denom == 0.0:
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
     series = semigroup_series(f, ts, alpha)
     spec = NormSpec(kind, p=p, s=s)
-    num = mixed_norm(series, q, spec, partition)
+    num = mixed_norm(series, q, spec)
     return num / denom
 
 
@@ -161,7 +159,6 @@ def inhomogeneous_ratio(
     alpha: float,
     kind: str = "lebesgue",
     s: float = 0.0,
-    partition: DyadicPartition | None = None,
 ) -> float:
     """Duhamel-term mixed norm over the forcing mixed norm.
 
@@ -190,12 +187,12 @@ def inhomogeneous_ratio(
         )
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
     den_spec = NormSpec(kind, p=p1c, s=s)
-    denom = mixed_norm(F, q1c, den_spec, partition)
+    denom = mixed_norm(F, q1c, den_spec)
     if denom == 0.0:
         raise PreconditionError("zero forcing: ratio undefined")
     sol = duhamel(F, F.times, alpha)
     num_spec = NormSpec(num_kind, p=p, s=s)
-    num = mixed_norm(sol, q, num_spec, partition)
+    num = mixed_norm(sol, q, num_spec)
     return num / denom
 
 
@@ -311,7 +308,7 @@ def decay_fit(
     if gradient:  # d_j u of each component, before the grid axes; its L^p is of |grad u|
         xi = [_half(x, g) for x in g.deriv_frequencies]
         grad = np.stack([u.data * (1j * x) for x in xi], axis=-g.n - 1)
-        grad = grad.reshape(len(times), -1, *grad.shape[-g.n :])
+        grad = grad.reshape(*grad.shape[: u.parts], -1, *grad.shape[-g.n :])  # parts stay on axis 1
         u = TimeSeries.from_data(g, times, grad, SPECTRAL, parts=u.parts)
     vals = lp_norms(u, p)
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
@@ -363,6 +360,8 @@ def kernel_mixed_norm_fit(
     exponent is fitted by evaluating at T and 2T.
     """
     alpha = _alpha_value(alpha)
+    if not 0 < T < INF:
+        raise PreconditionError(f"kernel norm end time T={T} must be positive and finite")
     w = (n * h / (2 * alpha)) * (1 - _inv(r)) if h != INF else INF
     if not w < 1:
         raise PreconditionError(
@@ -390,9 +389,7 @@ def kernel_mixed_norm_fit(
     return KernelNormFit(m1, fitted, predicted, w)
 
 
-def besov_embedding_ratio(
-    f: Field, p: float, partition: DyadicPartition | None = None
-) -> float:
+def besov_embedding_ratio(f: Field, p: float) -> float:
     """Homogeneous Besov norm at the critical order s = (2-p) n / (2p) over ||f||_2."""
     if not p > 2:
         raise PreconditionError(f"embedding requires p > 2, got p={p}")
@@ -401,7 +398,7 @@ def besov_embedding_ratio(
     denom = lp_norm(f, 2)
     if denom == 0.0:
         raise PreconditionError("zero data: ratio undefined")
-    return besov_norm(f, s, p, 2.0, homogeneous=True, partition=partition) / denom
+    return besov_norm(f, s, p, 2.0, homogeneous=True) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +419,7 @@ class RatioReport:
     verdict: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "lambdas": list(self.lambdas),
-            "ratios": list(self.ratios),
-            "max_drift": self.max_drift,
-            "contamination": list(self.contamination),
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "params": {k: _jsonable(v) for k, v in self.params.items()}}
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -457,18 +446,21 @@ def _jsonable(v):
 
 
 def _nyquist_tail(f: Field) -> float:
-    """Spectral energy fraction within 5% of the per-axis Nyquist edge."""
+    """Spectral energy fraction within 5% of the per-axis Nyquist edge, read
+    from the half spectrum of f's parts and components: a mode with
+    0 < k_last < N/2 stands for itself and its mirror, so it counts twice."""
     g = f.grid
-    spec = f.to_spectral().data
-    e = np.abs(spec) ** 2
+    spec = as_series(f).to_spectral().data
+    e = np.abs(spec.reshape(-1, *spec.shape[-g.n :])) ** 2
+    e[..., 1 : g.N // 2] *= 2
     total = float(e.sum())
     if total == 0.0:
         return 0.0
     edge = 0.95 * g.nyquist
-    mask = np.zeros(g.shape, dtype=bool)
-    for ax in range(g.n):
-        mask |= np.abs(g.frequencies[ax]) >= edge
-    return float(e[mask].sum()) / total
+    mask = np.zeros(e.shape[1:], dtype=bool)
+    for x in g.frequencies:
+        mask |= np.abs(_half(x, g)) >= edge
+    return float(e[:, mask].sum()) / total
 
 
 def _separable_series(grid, f: Field, profile, times) -> TimeSeries:

@@ -24,13 +24,15 @@ samples or `rfftn` half spectra (last axis N//2 + 1 wide, wavenumber index
 k <= N/2; the other modes are fhat(-k) = conj(fhat(k)) and are never
 stored).  Data enters once, at construction: complex input that passes
 `is_real` loses its roundoff imaginary part; any other is split into its
-(re, im) parts, so a scalar becomes 2 components and a c-vector 2c (all
-real parts first), and the series records `parts` = 2.  Every operator
-here maps real fields to real fields and every norm measures a sample by
-its pointwise Euclidean magnitude, so the parts evolve and measure as the
-complex data would.  `.snapshots` is the one exit: it rejoins the parts
-and fills a spectral half.  `Field` stays complex on the full lattice;
-its operators and norms run as one-sample series (`as_series`).
+(re, im) parts on their own axis 1, shape (m, 2, *grid.shape) for a
+scalar and (m, 2, c, *grid.shape) for a c-vector, and the series records
+`parts` = 2.  A vector's components are always on axis -(n+1).  Every
+operator here maps real fields to real fields and every norm measures a
+sample by the pointwise Euclidean magnitude of all its parts and
+components, so the parts evolve and measure as the complex data would.
+`.snapshots` is the one exit: it rejoins the parts and fills a spectral
+half.  `Field` stays complex on the full lattice; its operators and norms
+run as one-sample series (`as_series`, `on_half_spectrum`).
 """
 
 from __future__ import annotations
@@ -224,21 +226,13 @@ def is_real(data: np.ndarray, grid: GridSpec, representation: str) -> bool:
     return True
 
 
-def require_real(data: np.ndarray, grid: GridSpec, representation: str, what: str) -> None:
-    """Reject a sample stack that fails `is_real`, naming non-finite values
-    when they are the cause."""
-    if not is_real(data, grid, representation):
-        cause = "" if np.all(np.isfinite(data)) else ": it holds non-finite values"
-        raise PreconditionError(f"{what} must be a real field{cause}")
-
-
 def require_one_part(u: "TimeSeries", what: str) -> None:
-    """Reject a series that holds the (re, im) parts of complex data."""
+    """Reject a series that holds the (re, im) parts of complex data, naming
+    non-finite values when they are the cause."""
     if u.parts != 1:
-        raise PreconditionError(
-            f"{what} must be a real field: it holds the (re, im) parts of complex "
-            "or non-finite data"
-        )
+        finite = np.all(np.isfinite(u.data))
+        cause = "the (re, im) parts of complex data" if finite else "non-finite values"
+        raise PreconditionError(f"{what} must be a real field: it holds {cause}")
 
 
 # Batched kernels work on this many bytes of input samples at a time: large
@@ -318,7 +312,8 @@ def mean_mode(f: Field) -> complex:
 
 
 def require_zero_mean(f: Field, what: str) -> None:
-    require_zero_means(f.to_spectral().data[None], f.grid, what)
+    """`require_zero_means` of f's half spectrum, which holds the xi = 0 mode."""
+    require_zero_means(as_series(f).to_spectral().data, f.grid, what)
 
 
 def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
@@ -339,6 +334,11 @@ def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
 # center so dilated fields stay inside the half-box.
 
 
+def _require_width(width: float) -> None:
+    if not 0 < width < math.inf:
+        raise PreconditionError(f"width = {width}: a recipe width must be positive and finite")
+
+
 def _mapped_coords(grid: GridSpec, scale: float) -> tuple[np.ndarray, ...]:
     c = grid.center
     return tuple(ci + scale * (x - ci) for x, ci in zip(grid.coordinates, c))
@@ -352,6 +352,9 @@ class GaussianBump:
     center: tuple[float, ...] | None = None
     amplitude: float = 1.0
     scale: float = 1.0
+
+    def __post_init__(self):
+        _require_width(self.width)
 
     def dilated(self, lam: float) -> "GaussianBump":
         return replace(self, scale=self.scale * lam)
@@ -437,6 +440,9 @@ class RandomBumps:
     count: int = 4
     scale: float = 1.0
 
+    def __post_init__(self):
+        _require_width(self.width)
+
     def dilated(self, lam: float) -> "RandomBumps":
         return replace(self, scale=self.scale * lam)
 
@@ -474,6 +480,9 @@ class WavePackets:
     count: int = 3
     spread: float | None = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        _require_width(self.width)
 
     def dilated(self, lam: float) -> "WavePackets":
         if abs(lam - round(lam)) > 1e-12:
@@ -639,12 +648,12 @@ class TimeSeries:
     `data` stacks the samples on axis 0 in one `representation`: float64
     physical samples of shape (m, *grid.shape) for a scalar and
     (m, c, *grid.shape) for a c-component series, or their `rfftn` half
-    spectra, last axis N//2 + 1 wide.  `parts` is 2 when the components are
-    the (re, im) parts of complex data, else 1 (see the module notes).  The
+    spectra, last axis N//2 + 1 wide.  `parts` is 2 when axis 1 holds the
+    (re, im) parts of complex data, else 1 (see the module notes).  The
     constructor stacks `Field` snapshots (spectral if their representations
     differ); `from_data` wraps a stacked array.  Complex physical data and
     full spectra enter through `is_real`; real physical data and half
-    spectra are stored as given, their components being `parts` parts.
+    spectra are stored as given, with a parts axis if `parts` is 2.
     """
 
     def __init__(self, times, snapshots):
@@ -662,7 +671,7 @@ class TimeSeries:
         cls, grid: GridSpec, times, data, representation=SPECTRAL, parts=1
     ) -> "TimeSeries":
         """Wrap a stacked array of shape (m, *grid.shape) or (m, c, *grid.shape),
-        or a half-spectral one, last axis N//2 + 1."""
+        (m, 2, ...) for `parts` = 2, or a half-spectral one, last axis N//2 + 1."""
         series = cls.__new__(cls)
         series._set(grid, times, data, representation, parts)
         return series
@@ -674,7 +683,10 @@ class TimeSeries:
         self.times = np.asarray(times, dtype=float)
         data = np.asarray(data)
         shape, half = data.shape, grid.N // 2 + 1
-        if shape[-grid.n : -1] != grid.shape[:-1] or not grid.n < len(shape) <= grid.n + 2:
+        if parts not in (1, 2) or parts == 2 and shape[1:2] != (2,):
+            raise PreconditionError(f"series data shape {shape} holds no {parts} parts")
+        rank = grid.n + parts  # sample axis, parts axis if parts = 2, grid axes
+        if shape[-grid.n : -1] != grid.shape[:-1] or not rank <= len(shape) <= rank + 1:
             raise PreconditionError(f"series data shape {shape} off grid {grid}")
         widths = (grid.N,) if representation == PHYSICAL else (grid.N, half)
         if shape[-1] not in widths:
@@ -682,8 +694,6 @@ class TimeSeries:
                 f"{representation} series data has last-axis width {shape[-1]}, not "
                 f"{' or '.join(map(str, widths))} (N, or N//2+1 for half spectra)"
             )
-        if parts not in (1, 2) or parts == 2 and (len(shape) != grid.n + 2 or shape[1] % 2):
-            raise PreconditionError(f"series data shape {shape} holds no {parts} parts")
         # complex physical data or a full spectrum: bring it to the stored layout
         if np.iscomplexobj(data) if representation == PHYSICAL else shape[-1] != half:
             if parts != 1:
@@ -703,7 +713,7 @@ class TimeSeries:
 
     @property
     def parts(self) -> int:
-        """2 if the components are the (re, im) parts of complex data, else 1
+        """2 if axis 1 holds the (re, im) parts of complex data, else 1
         (fixed at construction)."""
         return self._parts
 
@@ -716,9 +726,7 @@ class TimeSeries:
         if self.representation == SPECTRAL:
             data = _hermitian_fill(data, self.grid)
         if self.parts == 2:
-            c = data.shape[1] // 2
-            data = data[:, :c] + 1j * data[:, c:]
-            data = data[:, 0] if c == 1 else data
+            data = data[:, 0] + 1j * data[:, 1]
         return [Field(self.grid, d, self.representation) for d in data]
 
     def to_physical(self) -> "TimeSeries":
@@ -769,7 +777,7 @@ class TimeSeries:
 def _stored(data: np.ndarray, grid: GridSpec, representation: str):
     """The stored layout of a complex physical or full spectral sample stack
     and its number of parts: its real part if it passes `is_real`, else its
-    (re, im) parts on the component axis (see the module notes)."""
+    (re, im) parts on axis 1 (see the module notes)."""
     if is_real(data, grid, representation):
         parts = [data]
     elif representation == PHYSICAL:
@@ -780,12 +788,22 @@ def _stored(data: np.ndarray, grid: GridSpec, representation: str):
     parts = [np.real(p) if representation == PHYSICAL else _half(p, grid) for p in parts]
     if len(parts) == 1:
         return parts[0], 1
-    return np.stack(parts, axis=1).reshape(len(data), -1, *parts[0].shape[-grid.n :]), 2
+    return np.stack(parts, axis=1), 2
 
 
 def as_series(f: Field) -> TimeSeries:
     """f as a one-sample series at t = 0, in the stored layout."""
     return TimeSeries.from_data(f.grid, [0.0], f.data[None], f.representation)
+
+
+def on_half_spectrum(f: Field, op) -> Field:
+    """op applied to the half spectrum of f as a one-sample series, returned
+    in f's representation.  op maps a half-spectral stack to another and must
+    be linear and map real fields to real fields: complex data runs as its
+    (re, im) parts."""
+    u = as_series(f).to_spectral()
+    out = TimeSeries.from_data(f.grid, u.times, op(u.data), parts=u.parts)
+    return (out if f.representation == SPECTRAL else out.to_physical()).snapshots[0]
 
 
 def uniform_times(T: float, m: int) -> np.ndarray:

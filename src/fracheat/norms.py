@@ -49,31 +49,33 @@ class NormSpec:
             if not (e >= 1):
                 raise PreconditionError(f"exponent {e} must lie in [1, inf]")
 
-    def norms(self, u: TimeSeries, partition: "DyadicPartition | None" = None) -> np.ndarray:
+    def norms(self, u: TimeSeries) -> np.ndarray:
         """The selected norm of every sample of `u`."""
         if self.kind == "lebesgue":
             return lp_norms(u, self.p)
         if self.kind == "sobolev":
             return _sobolev_norms(u, self.s, self.p, self.homogeneous)
         if self.kind == "besov":
-            return _besov_norms(u, self.s, self.p, self.q, self.homogeneous, partition)
+            return _besov_norms(u, self.s, self.p, self.q, self.homogeneous, None)
         return np.concatenate([_bmo_norms(d, u.grid) for d in u.chunks()])
 
-    def compute(self, f: Field, partition: "DyadicPartition | None" = None) -> float:
+    def compute(self, f: Field) -> float:
         """The selected norm of one Field, measured as a stack of one sample."""
-        return float(self.norms(as_series(f), partition)[0])
+        return float(self.norms(as_series(f))[0])
 
 
 def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     """L^p norms of a stack of real physical samples, shape (m, *grid.shape)
-    or (m, c, *grid.shape); c components are measured by their pointwise
-    Euclidean magnitude.  Returns the m norms."""
+    or (m, ..., *grid.shape); the axes between the sample and grid axes (parts
+    and components) are measured by their pointwise Euclidean magnitude.
+    Returns the m norms."""
     if not p >= 1:
         raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
     if phys.ndim == grid.n + 1:
         mag = np.abs(phys)
     else:
-        mag = np.sqrt(sum(phys[:, c] ** 2 for c in range(phys.shape[1])))
+        comps = phys.reshape(len(phys), -1, *grid.shape)
+        mag = np.sqrt(sum(comps[:, c] ** 2 for c in range(comps.shape[1])))
     mag = mag.reshape(len(mag), -1)
     if p == INF:
         return mag.max(axis=1)
@@ -94,19 +96,14 @@ def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
     return np.concatenate([_lp(d, u.grid, p) for d in u.chunks()])
 
 
-def mixed_norm(
-    u: TimeSeries,
-    q: float,
-    p: "float | NormSpec",
-    partition: "DyadicPartition | None" = None,
-) -> float:
+def mixed_norm(u: TimeSeries, q: float, p: "float | NormSpec") -> float:
     """L^q in time over the sample grid of a spatial norm: L^p for a number
     p, or the norm a NormSpec selects."""
     if len(u) < 2:
         raise PreconditionError("mixed norm needs at least two time samples")
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
-    vals = p.norms(u, partition) if isinstance(p, NormSpec) else lp_norms(u, p)
+    vals = p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p)
     if q == INF:
         return float(vals.max())
     return float(np.trapezoid(vals**q, u.times) ** (1.0 / q))
@@ -219,8 +216,8 @@ def besov_norm(
     working modulo polynomials); the inhomogeneous variant adds the
     low-frequency block eta(xi / 2^(j_min - 1)) f.
     """
-    spec = NormSpec("besov", p=p, s=s, q=q, homogeneous=homogeneous)
-    return spec.compute(f, partition)
+    NormSpec("besov", p=p, s=s, q=q, homogeneous=homogeneous)  # checks p and q
+    return float(_besov_norms(as_series(f), s, p, q, homogeneous, partition)[0])
 
 
 def _besov_norms(u, s, p, q, homogeneous, partition) -> np.ndarray:
@@ -275,7 +272,7 @@ def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
                 sq_sums = sq_sums + np.roll(sq_sums, -(2 ** (m - 1)), axis=ax)
         cells = float((2**m) ** grid.n)
         osc2 = np.maximum(sq_sums / cells - (sums / cells) ** 2, 0.0)
-        if osc2.ndim > grid.n + 1:
-            osc2 = osc2.sum(axis=1)  # components of a vector
+        if osc2.ndim > grid.n + 1:  # the parts and components of a sample
+            osc2 = osc2.reshape(len(phys), -1, *grid.shape).sum(axis=1)
         best = np.maximum(best, osc2.reshape(len(phys), -1).max(axis=1))  # NaN propagates
     return np.sqrt(best)

@@ -15,7 +15,7 @@ seeded ensemble and enforces the smallness gate 2 * C_est * a < 1, where
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .grid import (
     _dft,
     _half,
     as_series,
+    on_half_spectrum,
     require_one_part,
-    require_real,
     sample_chunks,
     uniform_times,
 )
-from .norms import lp_norm, mixed_norm
+from .norms import lp_norm, lp_norms, mixed_norm
 from .semigroup import _alpha_value, duhamel, semigroup_series
 
 
@@ -80,13 +80,25 @@ def perturbed_taylor_green(grid: GridSpec, amplitude: float) -> Field:
 
 
 def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Leray projection of a spectral stack (m, n, *grid.shape), or of the
-    half of one with last wavenumber index k <= N/2 (a real field's)."""
+    """Leray projection of a spectral stack of n-vectors (components on axis
+    -(n+1)), full or half lattice (last wavenumber index k <= N/2)."""
     xi = [x[..., : uh.shape[-1]] for x in grid.deriv_frequencies]
+    comps = np.moveaxis(uh, -grid.n - 1, 0)
     q2 = sum(x**2 for x in xi)
     inv_q2 = np.divide(1.0, q2, out=np.zeros_like(q2), where=q2 > 0)
-    factor = sum(x * uh[:, k] for k, x in enumerate(xi)) * inv_q2
-    return np.stack([uh[:, k] - x * factor for k, x in enumerate(xi)], axis=1)
+    factor = sum(x * c for x, c in zip(xi, comps)) * inv_q2
+    return np.stack([c - x * factor for x, c in zip(xi, comps)], axis=-grid.n - 1)
+
+
+def _divergence(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Divergence sum_j i xi_j u_j of a spectral stack of n-vectors, as `_leray`."""
+    xi = [x[..., : uh.shape[-1]] for x in grid.deriv_frequencies]
+    return sum(1j * x * c for x, c in zip(xi, np.moveaxis(uh, -grid.n - 1, 0)))
+
+
+def _require_vector(u: Field, what: str) -> None:
+    if u.data.shape != (u.grid.n, *u.grid.shape):
+        raise PreconditionError(f"{what} of shape {u.data.shape} is not a {u.grid.n}-vector")
 
 
 def leray_project(u: Field) -> Field:
@@ -95,18 +107,14 @@ def leray_project(u: Field) -> Field:
     Built on the Nyquist-zeroed lattice so the projector is exactly
     idempotent; the xi = 0 mode passes through.
     """
-    g = u.grid
-    res = Field(g, _leray(u.to_spectral().data[None], g)[0], SPECTRAL)
-    return res if u.representation == SPECTRAL else res.to_physical()
+    _require_vector(u, "Leray projection input")
+    return on_half_spectrum(u, lambda uh: _leray(uh, u.grid))
 
 
 def divergence(u: Field) -> Field:
     """Spectral divergence sum_j i xi_j u_j on the Nyquist-zeroed lattice."""
-    g = u.grid
-    uh = u.to_spectral().data
-    div = sum(1j * x * d for x, d in zip(g.deriv_frequencies, uh))
-    out = Field(g, div, SPECTRAL)
-    return out if u.representation == SPECTRAL else out.to_physical()
+    _require_vector(u, "divergence input")
+    return on_half_spectrum(u, lambda uh: _divergence(uh, u.grid))
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
@@ -285,16 +293,7 @@ class PicardReport:
         return _contraction_ratios(self.residuals)
 
     def to_json_dict(self) -> dict:
-        return {
-            "residuals": list(self.residuals),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_norm": self.final_norm,
-            "radius": self.radius,
-            "data_functional": self.data_functional,
-            "bilinear_constant": self.bilinear_constant,
-            "contraction_ratios": self.contraction_ratios,
-        }
+        return {**asdict(self), "contraction_ratios": self.contraction_ratios}
 
 
 def solve_nse_picard(
@@ -334,15 +333,17 @@ def solve_nse_picard(
             f"exponent relation 2a-1 = 2a/q + n/p violated by {rel:.3e} "
             f"for (q, p) = ({q}, {p})"
         )
-    div_norm = lp_norm(divergence(g), 2)
+    _require_vector(g, "initial velocity g")
+    g0 = as_series(g).to_spectral()
+    require_one_part(g0, "initial velocity g")
+    div_norm = lp_norms(TimeSeries.from_data(grid, [0.0], _divergence(g0.data, grid)), 2)[0]
     if div_norm > 1e-10:
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
-    require_real(g.data[None], grid, g.representation, "initial velocity g")
     if h is not None:
         require_one_part(h, "forcing h")
 
     times = uniform_times(T, nodes)
-    free = semigroup_series(g, times, alpha)
+    free = semigroup_series(g0, times, alpha)
     base, phys = free, None
     if h is not None:
         hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
@@ -397,11 +398,7 @@ class PotentialReport:
     bound_constant: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "subintervals": [list(s) for s in self.subintervals],
-            "converged": self.converged,
-            "bound_constant": self.bound_constant,
-        }
+        return asdict(self)
 
 
 def _at_nodes(series: TimeSeries, t: np.ndarray, representation: str) -> TimeSeries:
@@ -424,8 +421,7 @@ def _in_parts(w: TimeSeries, parts: int) -> TimeSeries:
     """w laid out in `parts` parts: a real series gains a zero imaginary part."""
     if w.parts == parts:
         return w
-    d = w.data if w.data.ndim == w.grid.n + 2 else w.data[:, None]
-    d = np.concatenate((d, np.zeros_like(d)), axis=1)
+    d = np.stack((w.data, np.zeros_like(w.data)), axis=1)
     return TimeSeries.from_data(w.grid, w.times, d, w.representation, parts)
 
 

@@ -28,6 +28,7 @@ from .grid import (
     as_series,
     contamination,
     is_real,
+    on_half_spectrum,
     require_zero_mean,
 )
 
@@ -49,9 +50,7 @@ def apply_symbol(f: Field, sym: np.ndarray) -> Field:
     """
     if not is_real(np.asarray(sym)[None], f.grid, SPECTRAL):  # the same 1e-12 rule
         raise PreconditionError("multiplier symbol must satisfy sym(-k) = conj(sym(k))")
-    u = as_series(f).to_spectral()
-    out = TimeSeries.from_data(f.grid, u.times, u.data * _half(sym, f.grid), parts=u.parts)
-    return (out if f.representation == SPECTRAL else out.to_physical()).snapshots[0]
+    return on_half_spectrum(f, lambda spec: spec * _half(sym, f.grid))
 
 
 def dissipation_symbol(grid: GridSpec, t: float, alpha) -> np.ndarray:

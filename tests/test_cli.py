@@ -18,6 +18,7 @@ from fracheat import (
     synthesize_field,
     write_field,
 )
+import fracheat.grid
 from fracheat.grid import sample_chunks, uniform_times
 from fracheat.cli import ExperimentConfig, main, parse_exponent
 from fracheat.cli import grid_from_config, recipe_from_config
@@ -249,12 +250,11 @@ class TestCommandSkeleton:
 
 
 class TestOneTransformPath:
-    """Complex `fftn`/`ifftn` run only in the Field-level gates, one forward
-    transform per dilation level in `verify`'s Nyquist-edge check and one
-    pair in `nse-solve`'s divergence check of g, and in the synthesis of
-    random data (the C_est ensemble: 3 seeds of 2 components).  Everything
-    else, real data and plane waves alike, takes the real-to-complex
-    transforms."""
+    """No command calls `grid.transform`, and complex `fftn`/`ifftn` run only
+    in the synthesis of random data (the C_est ensemble: 3 seeds of 2
+    components).  Everything else, real data and plane waves alike, takes
+    the real-to-complex transforms; the Nyquist-edge check of `verify` and
+    the divergence check of `nse-solve` read half spectra."""
 
     SKELETON = TestCommandSkeleton
     CASES = {
@@ -265,9 +265,9 @@ class TestOneTransformPath:
         ("norm", "wave"): (0, 0, 0),
         ("potential-solve", "real"): (0, 0, 0),
         ("potential-solve", "wave"): (0, 0, 0),
-        ("verify", "real"): (0, 2, 0),  # lambdas 1, 2
+        ("verify", "real"): (0, 0, 0),
         ("verify", "wave"): (2, 0, 0),  # stopped by the contamination gate
-        ("nse-solve", "real"): (0, 1, 1 + 6),
+        ("nse-solve", "real"): (0, 0, 6),
         ("decay-fit", "real"): (0, 0, 0),
         ("kernel-norm", "real"): (0, 0, 0),
     }
@@ -288,12 +288,14 @@ class TestOneTransformPath:
 
     @pytest.mark.parametrize("command, data", sorted(CASES))
     def test_complex_transforms_only_in_field_gates(
-        self, tmp_path, capsys, fft_count, command, data
+        self, tmp_path, capsys, fft_count, call_count, command, data
     ):
         code, fftn, ifftn = self.CASES[command, data]
         argv = self.argv(tmp_path, command, data)
+        calls = call_count(fracheat.grid, "transform")
         assert main(["--out", str(tmp_path / "o"), command, *argv]) == code
         assert (fft_count["fftn"], fft_count["ifftn"]) == (fftn, ifftn)
+        assert calls["transform"] == 0
         assert ("contamination" in capsys.readouterr().err) == bool(code)
 
 
@@ -459,6 +461,12 @@ class TestInputValidation:
             ("random_bumps", "count", "2.5"),
             ("random_bandlimited", "j_min", "one"),
             ("random_bandlimited", "j_max", "3.0"),
+            # a recipe width must be positive and finite
+            ("gaussian_bump", "width", "0"),
+            ("gaussian_bump", "width", "-1"),
+            ("gaussian_bump", "width", "inf"),
+            ("random_bumps", "width", "0"),
+            ("wave_packets", "width", "0"),
         ],
     )
     def test_non_integer_recipe_key_exit_2(self, tmp_path, capsys, recipe, key, value):
@@ -483,6 +491,11 @@ class TestInputValidation:
             *(
                 (["kernel-norm", "--n", "2", "--alpha", a, "--h", "1", "--r", "2"], named)
                 for a, named in (("0", "alpha=0.0"), ("-1", "alpha=-1.0"), ("nan", "alpha=nan"))
+            ),
+            *(
+                (["kernel-norm", "--n", "2", "--alpha", "1", "--h", "1", "--r", "2", f"--T={T}"],
+                 f"T={named} must be positive")
+                for T, named in (("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("inf", "inf"))
             ),
         ],
     )

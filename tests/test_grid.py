@@ -28,7 +28,7 @@ from fracheat.grid import (
     geometric_times,
     is_real,
     mean_mode,
-    require_real,
+    require_one_part,
     require_zero_mean,
 )
 from fracheat import VectorField
@@ -330,22 +330,24 @@ class TestRealStorage:
         assert spec.parts == 1 and spec.data.shape == (2, 16, 9)
         assert spec.to_physical().data.dtype == np.float64
 
-    @pytest.mark.parametrize("n, c", [(1, 1), (2, 1), (2, 3)])
-    def test_complex_data_splits_into_parts(self, n, c):
+    @pytest.mark.parametrize("n, comps", [(1, ()), (2, ()), (2, (3,)), (1, (1,))])
+    def test_complex_data_splits_into_parts(self, n, comps):
+        # the parts get their own axis 1, so a 1-component vector keeps its shape
         g = make_grid(n, 16, 2 * np.pi)
-        rng = np.random.default_rng(n + c)
-        shape = (3, c, *g.shape) if c > 1 else (3, *g.shape)
+        rng = np.random.default_rng(n + (comps or (1,))[0])
+        shape = (3, *comps, *g.shape)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         phys = TimeSeries.from_data(g, [0.0, 1.0, 2.0], data, "physical")
-        parts = data[:, None] if c == 1 else data
-        assert phys.parts == 2 and phys.data.shape == (3, 2 * c, *g.shape)
-        assert np.array_equal(phys.data, np.concatenate((parts.real, parts.imag), axis=1))
+        assert phys.parts == 2 and phys.data.shape == (3, 2, *comps, *g.shape)
+        assert np.array_equal(phys.data, np.stack((data.real, data.imag), axis=1))
         spec = TimeSeries.from_data(g, phys.times, np.fft.fftn(data, axes=range(-n, 0)))
         assert spec.parts == 2
         want = np.fft.rfftn(phys.data, axes=range(-n, 0))
         assert np.max(np.abs(spec.data - want)) <= 1e-14 * np.max(np.abs(want))
         for got, d in zip(phys.snapshots, data):
             assert np.array_equal(got.data, d)
+        fields = TimeSeries(phys.times, [Field(g, d) for d in data])
+        assert [f.data.shape for f in fields.snapshots] == [data.shape[1:]] * 3
 
     def test_physical_series_combine_in_physical_form(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -364,8 +366,14 @@ class TestRealStorage:
             a - w
 
 
+def _series(g, stack, representation):
+    times = np.arange(len(stack), dtype=float)
+    return TimeSeries.from_data(g, times, stack, representation)
+
+
 class TestIsReal:
-    """One 1e-12 realness rule: `is_real` answers it, `require_real` raises on it."""
+    """One 1e-12 realness rule: `is_real` answers it, and data that fails it
+    is stored as (re, im) parts, which `require_one_part` rejects."""
 
     def test_physical_and_spectral_agree(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -377,7 +385,7 @@ class TestIsReal:
             assert is_real(spec, g, "spectral") is real
             if not real:
                 with pytest.raises(PreconditionError, match="data x must be a real field"):
-                    require_real(stack, g, "physical", "data x")
+                    require_one_part(_series(g, stack, "physical"), "data x")
 
     def test_plane_wave_is_complex(self):
         g = make_grid(1, 8, 2 * np.pi)
@@ -395,7 +403,7 @@ class TestIsReal:
         assert not is_real(stack, g, "physical")
         named = "data x must be a real field: it holds non-finite values"
         with pytest.raises(PreconditionError, match=named):
-            require_real(stack, g, "physical", "data x")
+            require_one_part(_series(g, stack, "physical"), "data x")
 
     def test_non_finite_spectral_sample_is_not_real(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -405,13 +413,13 @@ class TestIsReal:
         spec[0, 2, 1] = np.nan
         assert not is_real(spec, g, "spectral")
         with pytest.raises(PreconditionError, match="non-finite values"):
-            require_real(spec, g, "spectral", "data x")
+            require_one_part(_series(g, spec, "spectral"), "data x")
 
     def test_complex_finite_data_is_not_called_non_finite(self):
         g = make_grid(1, 8, 2 * np.pi)
         wave = synthesize_field(g, PlaneWave(k=(1,)))
-        with pytest.raises(PreconditionError, match="real field$"):
-            require_real(wave.data[None], g, "physical", "data x")
+        with pytest.raises(PreconditionError, match="parts of complex data$"):
+            require_one_part(_series(g, wave.data[None], "physical"), "data x")
 
 
 class TestVectorField:

@@ -90,6 +90,50 @@ class TestDivergence:
         assert lp_norm(divergence(z), 2) == 0.0
 
 
+class TestComplexVectorOperators:
+    """`leray_project` and `divergence` run complex vector Fields as their
+    (re, im) parts on the half lattice; both are linear, so the result is
+    numpy's full-lattice complex one."""
+
+    @staticmethod
+    def oracle(u, op):
+        g = u.grid
+        axes = tuple(range(-g.n, 0))
+        uh, xi = np.fft.fftn(u.to_physical().data, axes=axes), g.deriv_frequencies
+        if op == "divergence":
+            out = sum(1j * x * c for x, c in zip(xi, uh))
+        else:
+            q2 = sum(x**2 for x in xi)
+            factor = sum(x * c for x, c in zip(xi, uh)) / np.where(q2 > 0, q2, np.inf)
+            out = np.stack([c - x * factor for x, c in zip(xi, uh)])
+        return np.fft.ifftn(out, axes=axes)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("rep", ["physical", "spectral"])
+    def test_matches_full_lattice(self, n, N, rep):
+        g = make_grid(n, N, 2 * np.pi)
+        rng = np.random.default_rng(n)  # random data: the Nyquist planes carry energy
+        shape = (n, *g.shape)
+        u = Field(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        u = u if rep == "physical" else u.to_spectral()
+        for op, f in (("leray", leray_project), ("divergence", divergence)):
+            got = f(u)
+            want = self.oracle(u, op)
+            assert got.representation == rep and got.data.shape == want.shape
+            err = np.max(np.abs(got.to_physical().data - want))
+            assert err <= 1e-13 * np.max(np.abs(want))
+
+    def test_other_shapes_rejected(self):
+        # a vector's components are read on axis -(n+1): a scalar has none
+        g = make_grid(2, 16, 2 * np.pi)
+        for u in (Field(g, np.cos(g.coordinates[0])), Field(g, np.zeros((3, *g.shape)))):
+            for op in (leray_project, divergence):
+                with pytest.raises(PreconditionError, match="is not a 2-vector"):
+                    op(u)
+            with pytest.raises(PreconditionError, match="initial velocity g of shape"):
+                solve_nse_picard(u, None, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+
+
 class TestBilinear:
     def test_zero_input(self):
         g = make_grid(2, 16, 2 * np.pi)
