@@ -126,7 +126,16 @@ def homogeneous_ratio(
     integrability p) of the propagated field.  Denominator: the matching
     data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).
     """
-    g = f.grid
+    u = as_series(f)
+    return _homogeneous_ratio(u, u.to_spectral(), q, p, alpha, T, times, kind, s)
+
+
+def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
+    """`homogeneous_ratio` of the data as a one-sample series `u` and its
+    spectral form `uh`: the Lebesgue denominator reads u's samples, the
+    Sobolev and Besov ones and the evolution read `uh` (the same bits as
+    transforming u again)."""
+    g = u.grid
     alpha = _alpha_value(alpha)
     if kind == "bmo":
         if abs(g.n - 2 * alpha) > 1e-12:
@@ -141,12 +150,13 @@ def homogeneous_ratio(
             "homogeneous estimate"
         )
     denom_kind = "lebesgue" if kind == "bmo" else kind
-    denom = NormSpec(denom_kind, p=2, s=s).compute(f)
+    data = u if denom_kind == "lebesgue" else uh
+    denom = float(NormSpec(denom_kind, p=2, s=s).norms(data)[0])
     if denom == 0.0:
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    series = semigroup_series(f, ts, alpha)
+    series = semigroup_series(uh, ts, alpha)
     spec = NormSpec(kind, p=p, s=s)
     num = mixed_norm(series, q, spec)
     return num / denom
@@ -445,13 +455,13 @@ def _jsonable(v):
     return v
 
 
-def _nyquist_tail(f: Field) -> float:
+def _nyquist_tail(spec: TimeSeries) -> float:
     """Spectral energy fraction within 5% of the per-axis Nyquist edge, read
-    from the half spectrum of f's parts and components: a mode with
-    0 < k_last < N/2 stands for itself and its mirror, so it counts twice."""
-    g = f.grid
-    spec = as_series(f).to_spectral().data
-    e = np.abs(spec.reshape(-1, *spec.shape[-g.n :])) ** 2
+    from the half spectra of a spectral series' samples, parts and
+    components: a mode with 0 < k_last < N/2 stands for itself and its
+    mirror, so it counts twice."""
+    g = spec.grid
+    e = np.abs(spec.data.reshape(-1, *spec.data.shape[-g.n :])) ** 2
     e[..., 1 : g.N // 2] *= 2
     total = float(e.sum())
     if total == 0.0:
@@ -463,9 +473,10 @@ def _nyquist_tail(f: Field) -> float:
     return float(e[:, mask].sum()) / total
 
 
-def _separable_series(grid, f: Field, profile, times) -> TimeSeries:
-    """profile(t) * f at each time, in f's representation."""
-    u = as_series(f)
+def _separable_series(grid, f, profile, times) -> TimeSeries:
+    """profile(t) * f at each time, in the representation of f, a Field or
+    a one-sample series."""
+    u = f if isinstance(f, TimeSeries) else as_series(f)
     amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * (u.data.ndim - 1))
     return TimeSeries.from_data(grid, times, amp * u.data[0], u.representation, parts=u.parts)
 
@@ -498,7 +509,11 @@ def dilation_sweep(
             raise ContaminationError(
                 f"dilation lambda={lam}: contamination {con:.3e} >= 1e-6"
             )
-        if _nyquist_tail(f) >= 1e-3:
+        # the level's one series and its spectrum, shared by the Nyquist gate,
+        # the ratio's denominator and the evolution
+        u = as_series(f)
+        uh = u.to_spectral()
+        if _nyquist_tail(uh) >= 1e-3:
             raise PreconditionError(
                 f"dilation lambda={lam}: spectral content at the Nyquist edge"
             )
@@ -509,22 +524,13 @@ def dilation_sweep(
                 kind = "bmo"
             T = params["T"] * tscale
             times = params["times"] * tscale if params.get("times") is not None else None
-            val = homogeneous_ratio(
-                f,
-                params["q"],
-                params["p"],
-                alpha,
-                T,
-                times=times,
-                kind=kind,
-                s=params.get("s", 0.0),
+            val = _homogeneous_ratio(
+                u, uh, params["q"], params["p"], alpha, T, times, kind, params.get("s", 0.0)
             )
         elif estimate_id == "inhomogeneous":
             times = params["times"] * tscale
             profile = params["profile"]
-            F = _separable_series(
-                grid, f, lambda t: profile(t / tscale), times
-            )
+            F = _separable_series(grid, u, lambda t: profile(t / tscale), times)
             val = inhomogeneous_ratio(
                 F,
                 (params["q"], params["p"]),

@@ -762,15 +762,16 @@ class TimeSeries:
     def __sub__(self, other: "TimeSeries") -> "TimeSeries":
         return self._combine(other, np.subtract)
 
-    def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
+    def _combine(self, other: "TimeSeries", op, out=None) -> "TimeSeries":
         """Sample-wise op of two series of one layout on one time grid: in
-        physical form if both are physical, else in spectral form."""
+        physical form if both are physical, else in spectral form.  `out`,
+        if given, is a dead stack of the result's layout to write into."""
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
         if other.parts != self.parts:
             raise PreconditionError("cannot combine series of 1 and 2 parts")
         rep = PHYSICAL if self.representation == other.representation == PHYSICAL else SPECTRAL
-        data = op(self._as(rep).data, other._as(rep).data)
+        data = op(self._as(rep).data, other._as(rep).data, out=out)
         return TimeSeries.from_data(self.grid, self.times, data, rep, parts=self.parts)
 
 

@@ -38,7 +38,7 @@ from .grid import (
     uniform_times,
 )
 from .norms import lp_norm, lp_norms, mixed_norm
-from .semigroup import _alpha_value, duhamel, semigroup_series
+from .semigroup import _alpha_value, _duhamel, duhamel, semigroup_series
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> Field:
@@ -184,8 +184,10 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     """B(u, v): Duhamel integral of P div(u x v) at the shared sample times.
 
     The velocities are real.  The nonlinearity is evaluated on chunks of
-    samples (`sample_chunks`); passing the same series twice shares its
-    transforms.
+    samples (`sample_chunks`) into one forcing stack, which the Duhamel
+    march then overwrites with the integral, so the forcing and the result
+    are never held at once; u's and v's data are only read.  Passing the
+    same series twice shares its transforms.
     """
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
@@ -203,7 +205,14 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     for chunk in sample_chunks(uh, g):
         vc = None if vh is None else vh[chunk]
         data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask)
-    return duhamel(TimeSeries.from_data(g, u.times, data), u.times, alpha)
+    forcing = TimeSeries.from_data(g, u.times, data)
+    return _duhamel(forcing, u.times, alpha, overwrite_forcing=True)
+
+
+# The pairs (i, j), i <= j, of the C_est ensemble, ordered so that consecutive
+# pairs share a member and at most two evolved members are alive at once;
+# only member 0 is evolved twice.
+_ENSEMBLE_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, 2))
 
 
 def estimate_bilinear_constant(
@@ -215,24 +224,39 @@ def estimate_bilinear_constant(
     times=None,
 ) -> float:
     """Measured bound max ||B(u,v)|| / (||u|| ||v||) in L^q_t L^p_x over a
-    seeded ensemble of divergence-free free evolutions."""
+    seeded ensemble of divergence-free free evolutions.
+
+    The three members are kept as their one-sample, Leray-projected seeds
+    and evolved when a pair needs them, in the pair order above, so at most
+    two evolved stacks are alive; each member's norm is measured once.  An
+    evolution is deterministic and B(a, b) keeps its argument order, so the
+    ratios, and their maximum, have the bits of the all-members-at-once
+    computation.
+    """
     if times is None:
         times = uniform_times(T, 32)
     j_max = 3
     while 2.0 ** (j_max + 1) >= grid.nyquist:
         j_max -= 1
-    samples = []
+    seeds = []
     for seed in (101, 202, 303):
         comps = [
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
         w = TimeSeries.from_data(grid, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
-        w0 = TimeSeries.from_data(grid, w.times, _leray(w.data, grid))
-        samples.append(semigroup_series(w0, times, alpha))
-    measured = [(a, mixed_norm(a, q, p)) for a in samples]
+        seeds.append(TimeSeries.from_data(grid, w.times, _leray(w.data, grid)))
+    live: dict[int, TimeSeries] = {}
+    norms: dict[int, float] = {}
     best = 0.0
-    for (a, na), (b, nb) in itertools.combinations_with_replacement(measured, 2):
-        val = mixed_norm(bilinear_form(a, b, alpha), q, p) / (na * nb)
+    for pair in _ENSEMBLE_PAIRS:
+        live = {k: live[k] for k in pair if k in live}  # only this pair's members
+        for k in pair:
+            if k not in live:
+                live[k] = semigroup_series(seeds[k], times, alpha)
+                if k not in norms:
+                    norms[k] = mixed_norm(live[k], q, p)
+        i, j = pair
+        val = mixed_norm(bilinear_form(live[i], live[j], alpha), q, p) / (norms[i] * norms[j])
         best = max(best, float(val))
     return best
 
@@ -254,21 +278,28 @@ def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None
 
     Each iterate is brought to physical space once: its norm, the step (the
     difference of the two physical stacks) and the next map evaluation all
-    read the same samples; `phys0`, if given, is v0's.  With max_factor,
-    gives up from the third iterate on once a contraction ratio exceeds it.
-    Returns the last iterate, the residuals, whether tol was reached and the
-    last iterate's mixed norm.
+    read the same samples; `phys0`, if given, is v0's and is handed over.
+    The step is written into the previous physical stack once it is dead,
+    if that stack was made here or handed over: never into v0's or an
+    iterate's own data (a physical series is its own physical form).  With
+    max_factor, gives up from the third iterate on once a contraction ratio
+    exceeds it.  Returns the last iterate, the residuals, whether tol was
+    reached and the last iterate's mixed norm.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter={max_iter} must be >= 1")
     phys = v0.to_physical() if phys0 is None else phys0
+    owned = phys0 is not None or phys is not v0
+    del phys0  # the loop's `phys` is the only reference this frame keeps
     v, norm, residuals = v0, None, []
     for it in range(1, max_iter + 1):
         v = apply_map(v, phys)
         phys_next = v.to_physical()
         norm = mixed_norm(phys_next, q, p)
-        residuals.append(mixed_norm(phys_next - phys, q, p) / (norm or 1.0))
-        phys = phys_next
+        step = phys_next._combine(phys, np.subtract, out=phys.data if owned else None)
+        residuals.append(mixed_norm(step, q, p) / (norm or 1.0))
+        del step  # the old stack is dead once `phys` moves on
+        phys, owned = phys_next, phys_next is not v
         if residuals[-1] < tol:
             return v, residuals, True, norm
         if max_factor is not None and it >= 3 and _factor(residuals) > max_factor:
@@ -310,9 +341,10 @@ def solve_nse_picard(
 ) -> tuple[TimeSeries, PicardReport]:
     """Picard iteration for the mild generalized Navier-Stokes system.
 
-    Requires real divergence-free data, alpha in (1/2, 1/2 + n/4), the
-    exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
-    measured smallness gate 2 * C_est * a < 1.
+    Requires real divergence-free data, a forcing h (if any) that is a
+    real n-component velocity series on g's grid, alpha in (1/2, 1/2 + n/4),
+    the exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
+    measured smallness gate 2 * C_est * a < 1.  g and h are only read.
     """
     grid = g.grid
     n = grid.n
@@ -341,31 +373,39 @@ def solve_nse_picard(
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
     if h is not None:
         require_one_part(h, "forcing h")
+        if h.grid != grid or h.data.ndim != n + 2 or h.data.shape[1] != n:
+            raise PreconditionError(
+                f"forcing h of shape {h.data.shape} is not an {n}-component "
+                f"velocity series on the grid of g"
+            )
 
     times = uniform_times(T, nodes)
-    free = semigroup_series(g0, times, alpha)
-    base, phys = free, None
-    if h is not None:
+    if c_est is None:  # first, so that the ensemble's memory peak holds no data term
+        c_est = estimate_bilinear_constant(grid, alpha, T, q, p, times=times)
+    base = free = semigroup_series(g0, times, alpha)
+    if h is None:  # the physical stack that measures `a` also seeds the fixed
+        # point; kept in a list so that it can be handed over with no reference here
+        seed = [free.to_physical()]
+        a_val = mixed_norm(seed[0], q, p)
+    else:
         hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
         forced = duhamel(hP, times, alpha)
         a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
-        base = free + forced
-
-    if c_est is None:
-        c_est = estimate_bilinear_constant(grid, alpha, T, q, p, times=times)
-    if h is None:  # the physical stack that measures `a` also seeds the fixed point;
-        # made after C_est, so that the ensemble's memory peak does not hold it
-        phys = free.to_physical()
-        a_val = mixed_norm(phys, q, p)
+        base, seed = free + forced, [None]
+        del hP, forced
+    del free
     if not 2 * c_est * a_val < 1:
         raise PreconditionError(
             f"smallness gate failed: 2 * C_est * a = {2 * c_est * a_val:.3f} >= 1 "
             f"(a={a_val:.3e}, C_est={c_est:.3e})"
         )
 
+    def apply_map(v: TimeSeries, _) -> TimeSeries:  # base - B(v, v), in B's stack
+        B = bilinear_form(v, v, alpha)
+        return base._combine(B, np.subtract, out=B.data)
+
     v, residuals, converged, final_norm = _fixed_point(
-        lambda v, _: base - bilinear_form(v, v, alpha), base, q, p, tol, max_iter,
-        phys0=phys,
+        apply_map, base, q, p, tol, max_iter, phys0=seed.pop()
     )
     report = PicardReport(
         residuals=residuals,

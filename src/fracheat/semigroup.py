@@ -208,7 +208,16 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     treated as piecewise linear in s between snapshots.  The march runs on
     the whole sample stack, so scalar and vector series share it, on F's
     half lattice and in F's parts: the propagator's symbol is real and even.
+    The integral goes into a new stack; F's data is only read.
     """
+    return _duhamel(F, t_eval, alpha, overwrite_forcing=False)
+
+
+def _duhamel(F: TimeSeries, t_eval, alpha, overwrite_forcing: bool) -> TimeSeries:
+    """`duhamel`.  With overwrite_forcing, for a spectral F sampled at t_eval
+    that the caller hands over, the integral is written into F's stack, with
+    the same bits: slot k is written after the step that ends at sample k, so
+    that sample is first copied as the left end of the next step."""
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
         raise PreconditionError("forcing series needs at least two samples")
@@ -221,7 +230,10 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     a = _alpha_value(alpha)
     lam = _half(g.abs_freq, g) ** (2 * a)
     Fhat = F.to_spectral().data
-    out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
+    if overwrite_forcing:
+        out = Fhat
+    else:
+        out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
 
     coefficients: dict[float, tuple] = {}  # step h -> ETD2 coefficients
 
@@ -232,6 +244,7 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
         return E * I + h * (F0 * A + F1 * B)
 
     I = np.zeros(Fhat.shape[1:], dtype=np.complex128)
+    left = Fhat[0].copy() if overwrite_forcing else Fhat[0]  # F at F.times[seg]
     seg = 0  # F-interval index such that F.times[seg] <= current position
     pos = 0.0
     for idx in np.argsort(t_eval):
@@ -239,15 +252,19 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
         # advance over whole intervals ending before t
         while seg + 1 < len(F.times) and F.times[seg + 1] <= t + 1e-15:
             h = F.times[seg + 1] - F.times[seg]
-            I = step(I, h, Fhat[seg], Fhat[seg + 1])
+            I = step(I, h, left, Fhat[seg + 1])
             seg += 1
             pos = F.times[seg]
+            if overwrite_forcing:
+                left[...] = Fhat[seg]
+            else:
+                left = Fhat[seg]
         delta = t - pos
         if delta > 1e-15:
             h_full = F.times[seg + 1] - F.times[seg]
             w = (t - F.times[seg]) / h_full
-            Ft = (1 - w) * Fhat[seg] + w * Fhat[seg + 1]
-            out[idx] = step(I, delta, Fhat[seg], Ft)
+            Ft = (1 - w) * left + w * Fhat[seg + 1]
+            out[idx] = step(I, delta, left, Ft)
         else:
             out[idx] = I
     return TimeSeries.from_data(g, t_eval, out, SPECTRAL, parts=F.parts)

@@ -299,6 +299,22 @@ class TestOneTransformPath:
         assert ("contamination" in capsys.readouterr().err) == bool(code)
 
 
+class TestOneSeriesPerLevel:
+    """A dilation sweep builds each level's one-sample series once: the
+    Nyquist gate, the ratio's denominator and the evolution share it and its
+    spectrum."""
+
+    def test_verify_scans_and_transforms_each_level_once(
+        self, tmp_path, fft_count, call_count
+    ):
+        (tmp_path / "run.cfg").write_text(BASE_CFG)  # 64^2, lambdas 1, 2
+        calls = call_count(fracheat.grid, "is_real")
+        argv = ["--out", str(tmp_path / "o"), "verify", "--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 0
+        assert calls["is_real"] == 2
+        assert fft_count["rfftn"] == 2
+
+
 class TestPropagate:
     """`propagate` evolves data on the half lattice, complex data as its
     (re, im) parts, and takes both norms of every sample from one inverse

@@ -1,5 +1,8 @@
 """Leray projection, bilinear operator, Picard and potential solvers."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,14 @@ from fracheat import (
     synthesize_field,
     taylor_green,
 )
-from fracheat.grid import SPECTRAL, _dft, _hermitian_fill, sample_chunks, uniform_times
+from fracheat.grid import (
+    PHYSICAL,
+    SPECTRAL,
+    _dft,
+    _hermitian_fill,
+    sample_chunks,
+    uniform_times,
+)
 from fracheat import nse
 from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
@@ -750,6 +760,137 @@ class TestPicard:
         assert mixed_norm(D, 4, 4) / mixed_norm(v, 4, 4) < 1e-4
         assert rep.converged
         assert all(r <= 0.9 for r in rep.contraction_ratios)
+
+
+class TestPicardForcing:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_scalar_forcing_rejected(self, m):
+        g = make_grid(2, 16, 2 * np.pi)
+        h = TimeSeries.from_data(g, np.linspace(0, 0.5, m), np.ones((m, *g.shape)), PHYSICAL)
+        with pytest.raises(PreconditionError, match="forcing h of shape"):
+            solve_nse_picard(perturbed_taylor_green(g, 0.3), h, 1.0, 0.5, 4.0, 4.0,
+                             nodes=8, c_est=0.2)
+
+    def test_forcing_on_another_grid_rejected(self):
+        g, other = make_grid(2, 16, 2 * np.pi), make_grid(2, 32, 2 * np.pi)
+        h = real_series(other, 3, uniform_times(0.5, 8), j_max=1)
+        with pytest.raises(PreconditionError, match="forcing h .* on the grid of g"):
+            solve_nse_picard(perturbed_taylor_green(g, 0.3), h, 1.0, 0.5, 4.0, 4.0,
+                             nodes=8, c_est=0.2)
+
+
+class TestEnsemble:
+    def test_pair_order_keeps_the_bits(self, call_count):
+        # the all-members-at-once oracle: three evolved members, the six
+        # pairs in lexicographic order
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 8)
+        members = []
+        for seed in (101, 202, 303):
+            comps = [RandomBandlimited(seed + 7 * c, 1, 1).render(g) for c in range(2)]
+            w = TimeSeries.from_data(g, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
+            w0 = TimeSeries.from_data(g, w.times, _leray(w.data, g))
+            members.append(semigroup_series(w0, times, 1.0))
+        norms = [mixed_norm(a, 4, 4) for a in members]
+        want = max(
+            mixed_norm(bilinear_form(members[i], members[j], 1.0), 4, 4) / (norms[i] * norms[j])
+            for i, j in itertools.combinations_with_replacement(range(3), 2)
+        )
+        calls = call_count(nse, "semigroup_series")
+        assert nse.estimate_bilinear_constant(g, 1.0, 0.5, 4, 4, times=times) == want
+        assert calls["semigroup_series"] == 4  # member 0 is evolved twice
+
+
+class TestLiveStacks:
+    """Peak live numpy memory on the benchmark's Picard config (64^2, 65
+    nodes, perturbed Taylor-Green data of amplitude 1.65), in velocity
+    stacks: 65 half spectra of 2 components, 4.39 MB.  tracemalloc traces
+    numpy's allocations, so the peaks repeat exactly."""
+
+    g = make_grid(2, 64, 2 * np.pi)
+    times = uniform_times(1.0, 64)
+    STACK = 65 * 2 * 64 * 33 * 16
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return (tracemalloc.get_traced_memory()[1] - start) / self.STACK
+        finally:
+            tracemalloc.stop()
+
+    def test_ensemble_keeps_two_members(self):
+        # about 5.2 with three evolved members and the forcing stack held
+        # next to its integral; 4.3 with two members and the handover
+        peak = self.peak(
+            lambda: nse.estimate_bilinear_constant(self.g, 1.0, 1.0, 4, 4, times=self.times)
+        )
+        assert peak < 4.8
+
+    def test_picard_loop_reuses_dead_stacks(self):
+        # about 6.2 with the seed stack pinned and new stacks for B's
+        # integral, base - B and the step; 4.7 with the dead stacks reused
+        g0 = perturbed_taylor_green(self.g, 1.65)
+        peak = self.peak(lambda: solve_nse_picard(
+            g0, None, 1.0, 1.0, 4, 4, tol=1e-6, nodes=64, c_est=0.0173
+        ))
+        assert peak < 5.5
+
+
+class TestCallerData:
+    """The solvers write only into stacks they made or were handed."""
+
+    def test_bilinear_form_reads_its_arguments(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 12)
+        u = real_series(g, 3, times, j_max=1)
+        v = real_series(g, 4, times, j_max=1).to_physical()
+        before = [u.data.copy(), v.data.copy()]
+        got = bilinear_form(u, v, 1.0)
+        assert all(np.array_equal(w.data, b) for w, b in zip((u, v), before))
+        W = _tensor_divergence(u.data, v.to_spectral().data, g, dealias_mask(g))
+        want = duhamel(TimeSeries.from_data(g, times, W), times, 1.0)
+        assert np.array_equal(got.data, want.data)
+
+    def test_potential_leaves_F_and_V(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=1))
+        times = uniform_times(0.5, 8)
+        F = semigroup_series(f, times, 1.0)
+        V = TimeSeries.from_data(g, [0.0, 0.5], np.full((2, *g.shape), 0.5), PHYSICAL)
+        for forcing in (F, F.to_physical()):
+            before = [forcing.data.copy(), V.data.copy()]
+            solve_potential_eq(f, forcing, V, alpha=1.0, T=0.5, nodes=8)
+            assert np.array_equal(forcing.data, before[0])
+            assert np.array_equal(V.data, before[1])
+
+    def test_fixed_point_leaves_a_physical_start(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 8)
+        v0 = real_series(g, 3, times, j_max=1).to_physical()
+        target = real_series(g, 4, times, j_max=1).to_physical()
+        before = [v0.data.copy(), target.data.copy()]
+        # the map returns a caller's physical series: its own physical form
+        _, residuals, converged, _ = _fixed_point(lambda v, _: target, v0, 4, 4, 1e-12, 3)
+        assert converged and len(residuals) == 2
+        assert np.array_equal(v0.data, before[0])
+        assert np.array_equal(target.data, before[1])
+
+    @pytest.mark.parametrize("representation", [SPECTRAL, PHYSICAL])
+    def test_picard_leaves_g_and_h(self, representation):
+        g = make_grid(2, 16, 2 * np.pi)
+        g0 = perturbed_taylor_green(g, 0.3)
+        if representation == SPECTRAL:
+            g0 = g0.to_spectral()
+        h = real_series(g, 3, uniform_times(0.5, 8), j_max=1)
+        h = h if representation == SPECTRAL else h.to_physical()
+        before = [g0.data.copy(), h.data.copy()]
+        for forcing in (None, h):
+            solve_nse_picard(g0, forcing, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=8, c_est=0.2)
+        assert np.array_equal(g0.data, before[0])
+        assert np.array_equal(h.data, before[1])
 
 
 class TestPotential:

@@ -23,7 +23,14 @@ from fracheat import (
     riesz_transform,
     synthesize_field,
 )
-from fracheat.semigroup import _phi1, _phi2, apply_symbol, duhamel, semigroup_series
+from fracheat.semigroup import (
+    _duhamel,
+    _phi1,
+    _phi2,
+    apply_symbol,
+    duhamel,
+    semigroup_series,
+)
 from fracheat import VectorField
 from fracheat.grid import uniform_times
 
@@ -355,6 +362,40 @@ def test_duhamel_reuses_coefficients_per_step():
         expected.append(I)
     got = duhamel(F, times, 1.0).data
     assert np.array_equal(got, np.array(expected))
+
+
+class TestDuhamelBuffers:
+    """The public `duhamel` writes its integral into a new stack and only
+    reads the forcing; `_duhamel(..., overwrite_forcing=True)` marches into
+    the forcing stack it is handed, with the same bits."""
+
+    def forcing(self, g):
+        times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])  # uneven steps
+        rng = np.random.default_rng(11)
+        shape = (len(times), 2, g.N, g.N // 2 + 1)
+        Fhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return TimeSeries.from_data(g, times, Fhat)  # half spectra, stored as given
+
+    @pytest.mark.parametrize("representation", ["spectral", "physical"])
+    def test_public_duhamel_leaves_the_forcing(self, representation):
+        g = make_grid(2, 16, 2 * np.pi)
+        F = self.forcing(g)
+        F = F.to_physical() if representation == "physical" else F
+        before = F.data.copy()
+        for t_eval in (F.times, [0.05, 0.3, 0.75]):
+            out = duhamel(F, t_eval, 0.8)
+            assert np.array_equal(F.data, before)
+            assert not np.shares_memory(out.data, F.data)
+
+    def test_in_place_march_equals_public(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        F = self.forcing(g)
+        want = duhamel(F, F.times, 0.8)
+        handed = TimeSeries.from_data(g, F.times, F.data.copy())
+        got = _duhamel(handed, F.times, 0.8, overwrite_forcing=True)
+        assert got.data is handed.data
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.times, want.times)
 
 
 class TestComplexDataAsParts:
