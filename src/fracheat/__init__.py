@@ -26,7 +26,6 @@ from .grid import (
     make_grid,
     read_field,
     synthesize_field,
-    transform,
     uniform_times,
     write_field,
 )

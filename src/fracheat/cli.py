@@ -399,7 +399,8 @@ def cmd_potential_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     V = None
     c = get("potential", "constant")
     if c is not None:
-        V = TimeSeries.from_data(grid, [0.0, T], np.full((2, *grid.shape), c), PHYSICAL)
+        times = uniform_times(T, 1)  # [0, T], rejecting a bad T by name
+        V = TimeSeries.from_data(grid, times, np.full((2, *grid.shape), c), PHYSICAL)
     _, report = solve_potential_eq(
         f,
         None,

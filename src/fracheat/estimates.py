@@ -236,6 +236,8 @@ def parabolic_ratio(
             )
         if not p > 2:
             raise PreconditionError(f"b-form requires 2 < p <= inf, got p={p}")
+        if not s_min < s_max < INF:
+            raise PreconditionError(f"s_max = {s_max}: b-form needs s_min < s_max < inf")
         ss = geometric_times(s_min, s_max, ratio=ratio)
         vals = lp_norms(semigroup_series(f, ss, alpha), p)
         w = 2.0 / p if p != INF else 0.0

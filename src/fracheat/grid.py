@@ -31,8 +31,9 @@ operator here maps real fields to real fields and every norm measures a
 sample by the pointwise Euclidean magnitude of all its parts and
 components, so the parts evolve and measure as the complex data would.
 `.snapshots` is the one exit: it rejoins the parts and fills a spectral
-half.  `Field` stays complex on the full lattice; its operators and norms
-run as one-sample series (`as_series`, `on_half_spectrum`).
+half.  `Field` stays complex on the full lattice; its transforms,
+operators and norms run as one-sample series (`as_series`,
+`on_half_spectrum`) through `_dft`.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ class GridSpec:
             raise PreconditionError(f"dimension n={self.n} not in {{1, 2, 3}}")
         if not _is_power_of_two(self.N) or self.N < 8:
             raise PreconditionError(f"N={self.N} must be a power of two >= 8")
-        if not self.L > 0:
-            raise PreconditionError(f"box length L={self.L} must be positive")
+        _require_positive("box length L", self.L)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,10 +159,16 @@ class Field:
         return Field(self.grid, self.data.copy(), self.representation)
 
     def to_physical(self) -> "Field":
-        return self if self.representation == PHYSICAL else transform(self, "inverse")
+        """This field in physical space, transformed as a one-sample series."""
+        if self.representation == PHYSICAL:
+            return self
+        return as_series(self).to_physical().snapshots[0]
 
     def to_spectral(self) -> "Field":
-        return self if self.representation == SPECTRAL else transform(self, "forward")
+        """This field's full spectrum, transformed as a one-sample series."""
+        if self.representation == SPECTRAL:
+            return self
+        return as_series(self).to_spectral().snapshots[0]
 
 
 def _half(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -175,10 +181,11 @@ def _dft_scale(grid: GridSpec) -> float:
 
 
 def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
-    """Unitary real-to-complex DFT over the trailing grid.n axes of `data`,
-    scaled as `transform`: the forward is `rfftn` of real samples and returns
-    the half spectrum, the inverse is `irfftn` of a half spectrum and returns
-    real samples."""
+    """Unitary real-to-complex DFT over the trailing grid.n axes of `data`.
+
+    forward : fhat = rfftn(f) * h^n / (2*pi)^(n/2), real samples to the half spectrum
+    inverse : f = irfftn(fhat) * (2*pi)^(n/2) / h^n, a half spectrum to real samples
+    """
     axes = tuple(range(-grid.n, 0))
     if direction == "forward":
         out = np.fft.rfftn(data, axes=axes)
@@ -253,25 +260,6 @@ def sample_chunks(data: np.ndarray, grid: GridSpec, copies: int = 1):
     return [slice(i, i + step) for i in range(0, len(data), step)]
 
 
-def transform(f: Field, direction: str) -> Field:
-    """Unitary DFT between physical and spectral representations.
-
-    forward : fhat = fftn(f) * h^n / (2*pi)^(n/2)
-    inverse : f = ifftn(fhat) * (2*pi)^(n/2) / h^n
-    """
-    if direction not in ("forward", "inverse"):
-        raise PreconditionError(f"unknown transform direction {direction!r}")
-    source, target = (PHYSICAL, SPECTRAL) if direction == "forward" else (SPECTRAL, PHYSICAL)
-    if f.representation != source:
-        raise RepresentationError(f"{direction} transform requires a {source} field")
-    axes = tuple(range(-f.grid.n, 0))
-    if direction == "forward":
-        data = np.fft.fftn(f.data, axes=axes) * _dft_scale(f.grid)
-    else:
-        data = np.fft.ifftn(f.data, axes=axes) / _dft_scale(f.grid)
-    return Field(f.grid, data, target)
-
-
 def VectorField(components) -> Field:
     """Stack component fields sharing one grid and representation into one
     vector `Field` of shape (c, *grid.shape)."""
@@ -306,11 +294,6 @@ def contamination(f: Field) -> float:
     return max((total - inside) / total, 0.0)
 
 
-def mean_mode(f: Field) -> complex:
-    """Spectral coefficient at xi = 0 (proportional to the integral of f)."""
-    return complex(f.to_spectral().data[(0,) * f.grid.n])
-
-
 def require_zero_mean(f: Field, what: str) -> None:
     """`require_zero_means` of f's half spectrum, which holds the xi = 0 mode."""
     require_zero_means(as_series(f).to_spectral().data, f.grid, what)
@@ -334,9 +317,15 @@ def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
 # center so dilated fields stay inside the half-box.
 
 
-def _require_width(width: float) -> None:
-    if not 0 < width < math.inf:
-        raise PreconditionError(f"width = {width}: a recipe width must be positive and finite")
+def _require_positive(name: str, value: float) -> None:
+    """Reject a value that is not a positive finite number, naming it."""
+    if not 0 < value < math.inf:
+        raise PreconditionError(f"{name} = {value}: must be positive and finite")
+
+
+def _require_spread(spread: float | None) -> None:
+    if spread is not None and not 0 <= spread < math.inf:
+        raise PreconditionError(f"spread = {spread}: must be nonnegative and finite")
 
 
 def _mapped_coords(grid: GridSpec, scale: float) -> tuple[np.ndarray, ...]:
@@ -354,7 +343,7 @@ class GaussianBump:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_width(self.width)
+        _require_positive("width", self.width)
 
     def dilated(self, lam: float) -> "GaussianBump":
         return replace(self, scale=self.scale * lam)
@@ -420,6 +409,11 @@ class RandomBandlimited:
         coef[(absxi < lo) | (absxi > hi)] = 0.0
         coef = _hermitianize(coef)
         coef[(0,) * grid.n] = 0.0
+        if not np.any(coef):
+            raise PreconditionError(
+                f"j_min = {self.j_min}, j_max = {self.j_max}: the band "
+                f"{lo} <= |xi| <= {hi} holds no nonzero mode of the grid"
+            )
         data = np.fft.ifftn(coef)
         norm = np.sqrt(np.sum(np.abs(data) ** 2) * grid.cell_volume)
         return data / norm
@@ -441,7 +435,8 @@ class RandomBumps:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_width(self.width)
+        _require_positive("width", self.width)
+        _require_spread(self.spread)
 
     def dilated(self, lam: float) -> "RandomBumps":
         return replace(self, scale=self.scale * lam)
@@ -482,7 +477,9 @@ class WavePackets:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_width(self.width)
+        _require_positive("width", self.width)
+        _require_positive("carrier", self.carrier)
+        _require_spread(self.spread)
 
     def dilated(self, lam: float) -> "WavePackets":
         if abs(lam - round(lam)) > 1e-12:
@@ -601,40 +598,27 @@ def _plateau_profile(d: np.ndarray, r1: float, r2: float) -> np.ndarray:
 
 
 def dilate_spectrum(f: Field, factor: int) -> Field:
-    """Exact torus dilation x -> factor*x via spectral remap k -> factor*k.
+    """Exact torus dilation g(x) = f(factor*x): the index map i -> factor*i
+    mod N on the physical samples, which moves mode k to factor*k.
 
     Wraps around the torus (the result tiles factor^n compressed copies),
     so Lebesgue norms are preserved rather than rescaled.  Occupied modes
-    must satisfy |factor*k| < N/2.
+    must satisfy |factor*k| < N/2 on every axis.
     """
     if factor < 1 or int(factor) != factor:
         raise PreconditionError("dilation factor must be a positive integer")
-    g = f.grid
-    src = f.to_spectral().data
-    kint = np.rint(np.fft.fftfreq(g.N) * g.N).astype(int)
-    out = np.zeros_like(src)
-    # gather: target wavenumber m is fed from m/factor when it is an integer
-    idx = []
-    mask_axes = []
-    for _ in range(g.n):
-        ok = (kint % factor == 0) & (np.abs(kint) < g.N // 2)
-        srcidx = np.where(ok, (kint // factor) % g.N, 0)
-        idx.append(srcidx)
-        mask_axes.append(ok)
-    gathered = src[np.ix_(*idx)]
-    mask = np.ones(g.shape, dtype=bool)
-    for ax, ok in enumerate(mask_axes):
-        shape = [1] * g.n
-        shape[ax] = g.N
-        mask &= ok.reshape(shape)
-    out[mask] = gathered[mask]
-    # reject content that cannot be remapped
-    lost = np.sum(np.abs(src) ** 2) - np.sum(np.abs(out) ** 2)
-    total = np.sum(np.abs(src) ** 2)
-    if total > 0 and lost / total > 1e-24:
+    g, factor = f.grid, int(factor)
+    spec = f.to_spectral().data
+    k = np.rint(np.max(np.abs(g.frequencies), axis=0) * g.L / (2 * np.pi))  # max |k_j|
+    total = np.sum(np.abs(spec) ** 2)
+    if total > 0 and np.sum(np.abs(spec[..., factor * k >= g.N / 2]) ** 2) / total > 1e-24:
         raise PreconditionError("field has spectral content beyond Nyquist/factor")
-    res = Field(g, out, SPECTRAL)
-    return res if f.representation == SPECTRAL else res.to_physical()
+    data = f.to_physical().data
+    index = factor * np.arange(g.N) % g.N
+    for axis in range(-g.n, 0):
+        data = np.take(data, index, axis=axis)
+    out = Field(g, data, PHYSICAL)
+    return out if f.representation == PHYSICAL else out.to_spectral()
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +687,8 @@ class TimeSeries:
         self.data, self._parts = np.ascontiguousarray(data, dtype=dtype), parts
         if len(self.times) != len(self.data) or self.times.ndim != 1:
             raise PreconditionError("times and snapshots must have equal length")
+        if not np.all(np.isfinite(self.times)):
+            raise PreconditionError("times must be finite")
         if len(self.times) and self.times[0] < 0:
             raise PreconditionError("times must be nonnegative")
         if np.any(np.diff(self.times) <= 0):
@@ -809,6 +795,7 @@ def on_half_spectrum(f: Field, op) -> Field:
 
 def uniform_times(T: float, m: int) -> np.ndarray:
     """m+1 equispaced samples on [0, T]."""
+    _require_positive("time horizon T", T)
     if m < 1:
         raise PreconditionError(f"uniform time grid needs m >= 1 intervals, got m={m}")
     return np.linspace(0.0, T, m + 1)
@@ -822,8 +809,11 @@ def geometric_times(
     Anchoring at the refined (singular) end means enlarging t_max only
     appends nodes, so tail-truncation studies share all interior samples.
     """
-    if not (0 < t_min < t_max) or ratio <= 1:
-        raise PreconditionError("need 0 < t_min < t_max and ratio > 1")
+    if not 0 < t_min < t_max < math.inf or not ratio > 1:
+        raise PreconditionError(
+            f"geometric time grid needs 0 < t_min < t_max < inf and ratio > 1: "
+            f"t_min = {t_min}, t_max = {t_max}, ratio = {ratio}"
+        )
     ts = [t_min]
     while ts[-1] * ratio < t_max * (1 - 1e-12):
         ts.append(ts[-1] * ratio)

@@ -31,6 +31,7 @@ from .grid import (
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
     _half,
+    _require_positive,
     as_series,
     on_half_spectrum,
     require_one_part,
@@ -348,6 +349,7 @@ def solve_nse_picard(
     """
     grid = g.grid
     n = grid.n
+    _require_positive("tol", tol)
     # the upper endpoint alpha = 1/2 + n/4 is accepted: the measured
     # smallness gate below is what certifies the contraction
     if not (0.5 < alpha <= 0.5 + n / 4):
@@ -498,6 +500,8 @@ def solve_potential_eq(
             f"potential integrability pair (r, s) is half-declared: "
             f"{missing} is missing"
         )
+    _require_positive("time horizon T", T)
+    _require_positive("tol", tol)
     if nodes < 1:
         raise PreconditionError(f"nodes={nodes} must be >= 1")
     if max_iter < 1:
@@ -512,6 +516,8 @@ def solve_potential_eq(
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None:
         require_one_part(V, "potential V")
+        if not np.all(np.isfinite(V.data)):
+            raise PreconditionError("potential V holds non-finite values")
     f0 = as_series(f)
     parts = max(f0.parts, 1 if F is None else F.parts)
     f_cur = _in_parts(f0, parts).to_spectral()

@@ -10,8 +10,9 @@ import pytest
 def fft_count(monkeypatch):
     """Counts the calls ("calls", and per entry point under its name) and the
     input points transformed by the numpy.fft entry points fracheat uses:
-    `rfftn`/`irfftn` behind `fracheat.grid._dft`, `fftn`/`ifftn` behind
-    `Field` transforms and the synthesis recipes, during a test."""
+    `rfftn`/`irfftn` behind `fracheat.grid._dft` (`Field` transforms
+    included), `fftn`/`ifftn` behind the synthesis recipes and the
+    `complex_dft` test oracle, during a test."""
     count = Counter()
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import complex_dft
+
 from fracheat import (
     Field,
     GaussianBump,
@@ -11,7 +13,7 @@ from fracheat import (
     PreconditionError,
     RandomBandlimited,
     RandomBumps,
-    RepresentationError,
+    WavePackets,
     contamination,
     dilate_spectrum,
     inner_product,
@@ -20,17 +22,18 @@ from fracheat import (
     make_grid,
     read_field,
     synthesize_field,
-    transform,
+    uniform_times,
     write_field,
 )
 from fracheat.grid import (
     TimeSeries,
     geometric_times,
     is_real,
-    mean_mode,
     require_one_part,
     require_zero_mean,
 )
+
+INF, NAN = float("inf"), float("nan")
 from fracheat import VectorField
 
 
@@ -56,6 +59,11 @@ class TestMakeGrid:
             make_grid(4, 16, 1.0)
         with pytest.raises(PreconditionError):
             make_grid(2, 16, -1.0)
+
+    @pytest.mark.parametrize("L", [INF, NAN, 0.0])
+    def test_rejects_non_finite_or_non_positive_length(self, L):
+        with pytest.raises(PreconditionError, match=f"box length L = {L}"):
+            make_grid(2, 16, L)
 
     def test_lattice_symmetry(self):
         g = make_grid(1, 16, 3.0)
@@ -107,7 +115,7 @@ class TestSynthesize:
         # transform round-trip dust at machine precision
         out_energy = np.sum(np.abs(spec[outside]) ** 2)
         assert out_energy <= 1e-28 * np.sum(np.abs(spec) ** 2)
-        assert abs(mean_mode(f)) < 1e-16
+        assert abs(spec[0, 0]) < 1e-16
         assert np.max(np.abs(f.data.imag)) <= 1e-12 * np.max(np.abs(f.data))
 
     def test_random_bandlimited_nyquist_guard(self):
@@ -120,8 +128,23 @@ class TestSynthesize:
         f = synthesize_field(
             g, RandomBumps(seed=3, width=g.L / 26, spread=g.L / 20, count=4)
         )
-        assert abs(mean_mode(f)) < 1e-14
+        assert abs(f.to_spectral().data[0, 0]) < 1e-14
         assert contamination(f) < 1e-6
+
+    def test_recipe_parameters_rejected_by_name(self):
+        g = make_grid(2, 64, 2 * np.pi)
+        cases = [
+            (lambda: WavePackets(seed=0, carrier=INF, width=0.3), "carrier = inf"),
+            (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, spread=INF), "spread = inf"),
+            (lambda: RandomBumps(seed=0, width=0.3, spread=INF), "spread = inf"),
+            (lambda: RandomBumps(seed=0, width=0.3, spread=-1.0), "spread = -1.0"),
+            # an empty band: rendered, it would be 0/0
+            (lambda: synthesize_field(g, RandomBandlimited(seed=0, j_min=5, j_max=3)),
+             "j_min = 5, j_max = 3"),
+        ]
+        for build, named in cases:
+            with pytest.raises(PreconditionError, match=named):
+                build()
 
     def test_determinism(self):
         g = make_grid(2, 32, 2 * np.pi)
@@ -137,13 +160,23 @@ class TestTransform:
         back = f.to_spectral().to_physical()
         assert np.max(np.abs(back.data - f.data)) < 1e-12 * np.max(np.abs(f.data))
 
-    def test_representation_mismatch(self):
-        g = make_grid(1, 16, 1.0)
-        f = Field(g, np.zeros(g.shape))
-        with pytest.raises(RepresentationError):
-            transform(f, "inverse")
-        with pytest.raises(RepresentationError):
-            transform(f.to_spectral(), "forward")
+    @pytest.mark.parametrize("imag", [0.0, 1e-14, 0.5])
+    def test_field_transforms_are_series_transforms(self, fft_count, imag):
+        """A Field transforms as a one-sample series: one `rfftn` and one
+        `irfftn`, complex data as its (re, im) parts, and no complex
+        `fftn`/`ifftn`.  Data within `is_real`'s bound comes back real."""
+        g = make_grid(2, 32, 2 * np.pi)
+        bump = synthesize_field(g, GaussianBump(width=0.4)).data
+        f = Field(g, bump + 1j * imag * bump[::-1])
+        fft_count.clear()
+        spec = f.to_spectral()
+        back = spec.to_physical()
+        assert (fft_count["fftn"], fft_count["ifftn"]) == (0, 0)
+        assert (fft_count["rfftn"], fft_count["irfftn"]) == (1, 1)
+        want = complex_dft.forward(f.data, g)
+        assert np.max(np.abs(spec.data - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(back.data - f.data)) <= 1e-14 * np.max(np.abs(f.data))
+        assert np.all(back.data.imag == 0) == (imag < 1e-12)
 
     def test_real_field_has_conjugate_symmetric_spectrum(self):
         g = make_grid(2, 32, 2 * np.pi)
@@ -198,6 +231,11 @@ class TestDilation:
         f = synthesize_field(g, RandomBandlimited(seed=4, j_min=1, j_max=2))
         d = dilate_spectrum(f, 2)
         assert abs(lp_norm(d, 2) - lp_norm(f, 2)) < 1e-10
+        # g(x_i) = f(2 x_i): the sample at 2i mod N, so 2^n tiled copies
+        assert np.array_equal(d.data, np.tile(f.data[::2, ::2], (2, 2)))
+        ds = dilate_spectrum(f.to_spectral(), 2)
+        assert ds.representation == "spectral"
+        assert np.max(np.abs(ds.to_physical().data - d.data)) < 1e-14
         with pytest.raises(PreconditionError):
             dilate_spectrum(f, 16)  # band would cross Nyquist
 
@@ -210,6 +248,29 @@ class TestTimeSeries:
             TimeSeries(np.array([0.0, 0.0]), [f, f])
         with pytest.raises(PreconditionError):
             TimeSeries(np.array([-1.0, 0.0]), [f, f])
+
+    @pytest.mark.parametrize("times", [[0.0, NAN], [NAN, 1.0], [0.0, INF]])
+    def test_rejects_non_finite_times(self, times):
+        g = make_grid(1, 8, 1.0)
+        f = Field(g, np.zeros(8))
+        with pytest.raises(PreconditionError, match="times must be finite"):
+            TimeSeries(np.array(times), [f, f])
+        with pytest.raises(PreconditionError, match="times must be finite"):
+            TimeSeries.from_data(g, times, np.zeros((2, 8)), "physical")
+
+    @pytest.mark.parametrize("T", [INF, NAN, 0.0, -1.0])
+    def test_uniform_times_rejects_bad_horizon(self, T):
+        with pytest.raises(PreconditionError, match=f"time horizon T = {T}"):
+            uniform_times(T, 4)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [((1e-3, INF), "t_max = inf"), ((1e-3, NAN), "t_max = nan"),
+         ((0.0, 1.0), "t_min = 0.0"), ((1e-3, 1.0, NAN), "ratio = nan")],
+    )
+    def test_geometric_times_rejects_bad_range(self, args, named):
+        with pytest.raises(PreconditionError, match=named):
+            geometric_times(*args)
 
     def test_geometric_times_anchored(self):
         # anchored at t_min: enlarging t_max only appends samples

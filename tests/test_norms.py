@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import complex_dft
+
 from fracheat import (
     DyadicPartition,
     Field,
@@ -70,6 +72,20 @@ class TestLpNorm:
         x = g.coordinates[0] - 20.0
         f = Field(g, np.exp(-(x**2) / 2))
         assert abs(lp_norm(f, 2) - np.pi**0.25) < 1e-6
+
+    def test_large_p_keeps_homogeneity(self):
+        """At p = 400 the power sum of 10 f overflows and that of 1e-3 f
+        underflows; both are measured again from |f| / max |f|.  A sample
+        whose sum is normal keeps its bits."""
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, GaussianBump(width=0.4)).data.real
+        base = lp_norm(Field(g, f), 400)
+        assert abs(base - 0.992) < 1e-3
+        stack = np.stack([f, 10 * f, 1e-3 * f, 0 * f])
+        got = lp_norms(TimeSeries.from_data(g, [0.0, 1.0, 2.0, 3.0], stack, "physical"), 400)
+        assert got[0] == base and got[3] == 0.0
+        for value, c in zip(got[1:3], (10.0, 1e-3)):
+            assert abs(value / (c * base) - 1) < 1e-13
 
     def test_rejects_p_below_one(self):
         g = make_grid(1, 8, 1.0)
@@ -458,7 +474,7 @@ class TestMultiplierNormsOfRealSeries:
         for s in u.snapshots:
             row = []
             for sym in syms:
-                d = Field(u.grid, s.data * sym, "spectral").to_physical().data
+                d = complex_dft.inverse(s.data * sym, u.grid)
                 mag = np.abs(d) if d.shape == u.grid.shape else np.sqrt(
                     np.sum(np.abs(d) ** 2, axis=0)
                 )
