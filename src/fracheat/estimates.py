@@ -42,6 +42,7 @@ from .norms import (
 )
 from .semigroup import (
     _alpha_value,
+    _rate,
     duhamel,
     kernel_data,
     require_contained_kernel,
@@ -220,12 +221,13 @@ def parabolic_ratio(
 ):
     """Weighted-in-time square (or r-th power) mixed norm of the free flow.
 
-    form='b' (n = 2*alpha, p > 2): ( int s^(-2/p) ||e^(-s L) f||_p^2 ds )^(1/2)
-    over ||f||_2, integrated on a geometric grid refined toward s = 0 with an
-    analytic head correction below s_min.  form='a' (n < 2*alpha, finite T):
-    int_0^T s^(-n r/(2 p alpha)) ||e^(-s L) f||_p^r ds over
-    T^(1 - n/(2 alpha)) ||f||_r^r.  The flow's norms equal the per-time
-    norms lp_norm(apply_semigroup(f, s, alpha), p) bit for bit.
+    Both forms are one integral int s^(-e) ||e^(-s L) f||_p^k ds on a geometric
+    grid refined toward s = 0, plus an analytic head below it.  form='b' (n =
+    2*alpha, p > 2): e = 2/p, k = 2, to s_max; its root over ||f||_2.  form='a'
+    (n < 2*alpha): e = n r/(2 p alpha), k = r, to T; over T^(1 - n/(2 alpha))
+    ||f||_r^r.  The flow's norms equal lp_norm(apply_semigroup(f, s, alpha), p)
+    bit for bit.  report_truncation adds the head error and tail estimate,
+    relative to the integral.
     """
     g = f.grid
     alpha = _alpha_value(alpha)
@@ -238,22 +240,9 @@ def parabolic_ratio(
             raise PreconditionError(f"b-form requires 2 < p <= inf, got p={p}")
         if not s_min < s_max < INF:
             raise PreconditionError(f"s_max = {s_max}: b-form needs s_min < s_max < inf")
+        e, k = (2.0 / p if p != INF else 0.0), 2
         ss = geometric_times(s_min, s_max, ratio=ratio)
-        vals = lp_norms(semigroup_series(f, ss, alpha), p)
-        w = 2.0 / p if p != INF else 0.0
-        integrand = ss ** (-w) * vals**2
-        # head: ||e^{-sL}f||_p ~ ||f||_p below s_min, integrable weight
-        head = s_min ** (1 - w) / (1 - w) * lp_norm(f, p) ** 2
-        total = head + float(np.trapezoid(integrand, ss))
-        value = math.sqrt(total) / lp_norm(f, 2)
-        if report_truncation:
-            head_err = s_min ** (1 - w) / (1 - w) * abs(
-                lp_norm(f, p) ** 2 - vals[0] ** 2
-            )
-            tail_est = float(integrand[-1] * ss[-1])
-            return value, head_err / max(total, 1e-300), tail_est / max(total, 1e-300)
-        return value
-    if form == "a":
+    elif form == "a":
         if not g.n < 2 * alpha:
             raise PreconditionError(
                 f"a-form requires n < 2*alpha, got n={g.n}, alpha={alpha}"
@@ -262,15 +251,24 @@ def parabolic_ratio(
             raise PreconditionError("a-form needs both r and T")
         if not (1 <= r <= p):
             raise PreconditionError(f"a-form requires 1 <= r <= p, got r={r}, p={p}")
-        e0 = g.n * r / (2 * p * alpha) if p != INF else 0.0
+        e, k = (g.n * r / (2 * p * alpha) if p != INF else 0.0), r
         ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
-        vals = lp_norms(semigroup_series(f, ss, alpha), p)
-        integrand = ss ** (-e0) * vals**r
-        head = ss[0] ** (1 - e0) / (1 - e0) * lp_norm(f, p) ** r
-        total = head + float(np.trapezoid(integrand, ss))
-        denom = T ** (1 - g.n / (2 * alpha)) * lp_norm(f, r) ** r
-        return total / denom
-    raise PreconditionError(f"unknown parabolic form {form!r}")
+    else:
+        raise PreconditionError(f"unknown parabolic form {form!r}")
+    vals = lp_norms(semigroup_series(f, ss, alpha), p)
+    integrand = ss ** (-e) * vals**k
+    # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
+    head_weight, data = ss[0] ** (1 - e) / (1 - e), lp_norm(f, p) ** k
+    total = head_weight * data + float(np.trapezoid(integrand, ss))
+    if form == "b":
+        value = math.sqrt(total) / lp_norm(f, 2)
+    else:
+        value = total / (T ** (1 - g.n / (2 * alpha)) * lp_norm(f, r) ** r)
+    if not report_truncation:
+        return value
+    head_err = head_weight * abs(data - vals[0] ** k)
+    tail_est = float(integrand[-1] * ss[-1])
+    return value, head_err / max(total, 1e-300), tail_est / max(total, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -340,13 +338,11 @@ class KernelNormFit:
 
 def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.ndarray:
     """lp_norm(kernel(grid, t, alpha), r) at each t of `ts`, bit for bit: the
-    symbols exp(-t lam) are stacked and inverse-transformed a sample chunk at
-    a time.  The whole-space validity check applies at the largest time only:
+    symbols exp(-t * rate) are stacked and go through `kernel_data` a sample
+    chunk at a time.  The whole-space validity check applies at the largest time only:
     small-t kernels are near-deltas whose ringing is harmless to L^r."""
-    lam = _half(grid.abs_freq, grid) ** (2 * alpha)
-    sym = np.empty((len(ts), *lam.shape))
-    for out, t in zip(sym, ts):
-        np.exp(-t * lam, out=out)
+    sym = np.multiply.outer(-ts, _rate(grid, alpha))
+    np.exp(sym, out=sym)
     vals = []
     for chunk in sample_chunks(sym, grid):
         K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
@@ -374,6 +370,9 @@ def kernel_mixed_norm_fit(
     alpha = _alpha_value(alpha)
     if not 0 < T < INF:
         raise PreconditionError(f"kernel norm end time T={T} must be positive and finite")
+    for name, e in (("time exponent h", h), ("Lebesgue exponent r", r)):
+        if not e >= 1:
+            raise PreconditionError(f"{name}={e} must be >= 1")
     w = (n * h / (2 * alpha)) * (1 - _inv(r)) if h != INF else INF
     if not w < 1:
         raise PreconditionError(

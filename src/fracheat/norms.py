@@ -131,7 +131,10 @@ def sobolev_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> floa
 
 
 def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.ndarray:
-    sym = derivative_symbol(u.grid, s, "homogeneous" if homogeneous else "inhomogeneous")
+    with np.errstate(over="ignore"):  # an overflow is rejected just below, by name
+        sym = derivative_symbol(u.grid, s, "homogeneous" if homogeneous else "inhomogeneous")
+    if not np.all(np.isfinite(sym)):
+        raise PreconditionError(f"Sobolev order s={s}: the derivative symbol is not finite")
     what = "negative-order homogeneous derivative" if homogeneous and s < 0 else None
     return _multiplier_norms(u, [sym], p, what)[:, 0]
 
@@ -243,8 +246,12 @@ def _besov_norms(u, s, p, q, homogeneous, partition) -> np.ndarray:
     syms = [part.psi(j) for j in part.bands]
     if not homogeneous:
         syms.append(part.eta_at_scale(part.j_min - 1))
+    with np.errstate(over="ignore"):  # an overflow is rejected just below, by name
+        weights = np.array([np.float64(2.0) ** (j * s) for j in part.bands])
+    if not np.all(np.isfinite(weights)):
+        raise PreconditionError(f"Besov order s={s}: the band weight 2^(j s) is not finite")
     norms = _multiplier_norms(u, syms, p, "homogeneous Besov norm" if homogeneous else None)
-    terms = norms[:, : len(part.bands)] * np.array([2.0 ** (j * s) for j in part.bands])
+    terms = norms[:, : len(part.bands)] * weights
     if q == INF:
         band = terms.max(axis=1)
     else:  # per-sample roots, as in `_lp`

@@ -14,6 +14,7 @@ seeded ensemble and enforces the smallness gate 2 * C_est * a < 1, where
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -118,15 +119,12 @@ def divergence(u: Field) -> Field:
     return on_half_spectrum(u, lambda uh: _divergence(uh, u.grid))
 
 
+@functools.lru_cache(maxsize=16)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """2/3-rule mask: keep per-axis integer wavenumbers |k| < N/3."""
-    kint = np.rint(np.fft.fftfreq(grid.N) * grid.N).astype(int)
-    keep = np.abs(kint) < grid.N / 3.0
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.n):
-        shape = [1] * grid.n
-        shape[ax] = grid.N
-        mask &= keep.reshape(shape)
+    """2/3-rule mask: keep per-axis integer wavenumbers |k| < N/3; read-only, one per grid."""
+    keep = np.abs(np.rint(np.fft.fftfreq(grid.N) * grid.N)) < grid.N / 3.0
+    mask = functools.reduce(np.logical_and, np.meshgrid(*[keep] * grid.n, indexing="ij"))
+    mask.flags.writeable = False
     return mask
 
 

@@ -1,9 +1,10 @@
 """Fractional heat propagator and related Fourier multipliers.
 
 The dissipation generator is the fractional Laplacian with symbol
-|xi|^(2*alpha); the propagator multiplies spectral data by
-exp(-t |xi|^(2*alpha)).  All operators here are diagonal in frequency,
-so they are independent of the transform normalization.
+|xi|^(2*alpha), built once by `_rate`; the propagator exp(-t |xi|^(2*alpha))
+runs on two stacks, `semigroup_series` and `kernel_data`, and `apply_semigroup`
+and `kernel` are their one-time cases.  All operators here are diagonal in
+frequency, so they are independent of the transform normalization.
 
 The Duhamel integral int_0^t exp(-(t-s) |xi|^(2a)) F(s) ds is evaluated
 per mode with an exact integrating factor under a piecewise-linear-in-s
@@ -53,24 +54,25 @@ def apply_symbol(f: Field, sym: np.ndarray) -> Field:
     return on_half_spectrum(f, lambda spec: spec * _half(sym, f.grid))
 
 
-def dissipation_symbol(grid: GridSpec, t: float, alpha) -> np.ndarray:
-    a = _alpha_value(alpha)
-    return np.exp(-t * grid.abs_freq ** (2 * a))
+def _rate(grid: GridSpec, alpha) -> np.ndarray:
+    """|xi|^(2 alpha) on the half lattice: every propagator here is exp(-t * rate)."""
+    return _half(grid.abs_freq, grid) ** (2 * _alpha_value(alpha))
 
 
 def apply_semigroup(f: Field, t: float, alpha) -> Field:
-    """Propagate f by the fractional heat semigroup for time t >= 0."""
+    """Propagate f by the fractional heat semigroup for time t >= 0: the
+    one-time `semigroup_series`, returned in f's representation."""
     if t < 0:
         raise PreconditionError(f"semigroup time t={t} must be nonnegative")
-    return apply_symbol(f, dissipation_symbol(f.grid, t, alpha))
+    u = semigroup_series(f, [t], alpha)
+    return (u if f.representation == SPECTRAL else u.to_physical()).snapshots[0]
 
 
 def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
     """Free evolution of a scalar or vector Field, or of the one sample of a
     series, sampled on a time grid (spectral, in the layout of the data)."""
     u = (f if isinstance(f, TimeSeries) else as_series(f)).to_spectral()
-    a = _alpha_value(alpha)
-    lam = _half(u.grid.abs_freq, u.grid) ** (2 * a)
+    lam = _rate(u.grid, alpha)
     spec = u.data[0]
     data = np.empty((len(times), *spec.shape), dtype=np.complex128)
     for out, t in zip(data, times):
@@ -79,7 +81,7 @@ def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
-    """Unit-mass convolution kernel of the propagator at time t > 0.
+    """Unit-mass propagator kernel at time t > 0, the one-sample `kernel_data`.
 
     Returned in physical representation, translated so its peak sits at
     the box center (the convention for whole-space emulation); its
@@ -89,18 +91,17 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
     """
     if not t > 0:
         raise PreconditionError(f"kernel time t={t} must be positive")
-    out = Field(grid, kernel_data(dissipation_symbol(grid, t, alpha), grid))
+    out = Field(grid, kernel_data(np.exp(-t * _rate(grid, alpha))[None], grid)[0])
     if check:
         require_contained_kernel(out, t, alpha)
     return out
 
 
 def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real physical kernel data of a stack of propagator symbols (full or
-    half lattice), one `irfftn` of the half symbols for the stack, each
-    sample centred as in `kernel`."""
+    """Real physical kernels of a stack of half-lattice symbols exp(-t * rate):
+    one `irfftn` for the stack, each sample centred as in `kernel`."""
     axes = tuple(range(-grid.n, 0))
-    data = np.fft.fftshift(np.fft.irfftn(_half(sym, grid), s=grid.shape, axes=axes), axes=axes)
+    data = np.fft.fftshift(np.fft.irfftn(sym, s=grid.shape, axes=axes), axes=axes)
     return data * grid.N**grid.n / grid.L**grid.n
 
 
@@ -193,14 +194,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _etd2_coefficients(lam: np.ndarray, h: float):
-    """exp(z), phi1(z) - phi2(z) and phi2(z) at z = -lam h: one ETD2 step
-    I -> E I + h (F0 A + F1 B) is exact for forcing linear across it."""
-    z = -lam * h
-    p1, p2 = _phi1(z), _phi2(z)
-    return np.exp(z), p1 - p2, p2
-
-
 def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     """int_0^t exp(-(t-s) (-Lap)^alpha) F(s) ds at each requested time.
 
@@ -227,8 +220,7 @@ def _duhamel(F: TimeSeries, t_eval, alpha, overwrite_forcing: bool) -> TimeSerie
         raise PreconditionError("t_eval outside the forcing series coverage")
 
     g = F.grid
-    a = _alpha_value(alpha)
-    lam = _half(g.abs_freq, g) ** (2 * a)
+    lam = _rate(g, alpha)
     Fhat = F.to_spectral().data
     if overwrite_forcing:
         out = Fhat
@@ -238,8 +230,12 @@ def _duhamel(F: TimeSeries, t_eval, alpha, overwrite_forcing: bool) -> TimeSerie
     coefficients: dict[float, tuple] = {}  # step h -> ETD2 coefficients
 
     def step(I, h, F0, F1):
+        """I -> E I + h (F0 A + F1 B) with E = exp(z), A = phi1(z) - phi2(z),
+        B = phi2(z) at z = -lam h: exact for forcing linear across the step."""
         if h not in coefficients:
-            coefficients[h] = _etd2_coefficients(lam, h)
+            z = -lam * h
+            p1, p2 = _phi1(z), _phi2(z)
+            coefficients[h] = np.exp(z), p1 - p2, p2
         E, A, B = coefficients[h]
         return E * I + h * (F0 * A + F1 * B)
 

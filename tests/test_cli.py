@@ -44,6 +44,18 @@ T = 0.05
 drift_tol = 0.05
 """
 
+BUMP32 = """\
+[grid]
+n = 2
+N = 32
+L = 6.283185307179586
+
+[data]
+recipe = gaussian_bump
+width = 0.3
+
+"""
+
 
 class TestConfig:
     def test_malformed(self):
@@ -514,6 +526,13 @@ class TestInputValidation:
                  f"T={named} must be positive")
                 for T, named in (("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("inf", "inf"))
             ),
+            *(
+                (["kernel-norm", "--n", "2", "--alpha", "1", f"--h={h}", f"--r={r}"], named)
+                for h, r, named in (
+                    ("0", "2", "h=0.0 must be >= 1"), ("-1", "2", "h=-1.0 must be >= 1"),
+                    ("1", "0.5", "r=0.5 must be >= 1"),
+                )
+            ),
         ],
     )
     def test_non_numeric_value_exit_2(self, tmp_path, capsys, argv, named):
@@ -544,15 +563,26 @@ class TestInputValidation:
             ("nse-solve", NSE + "tol = -1\n", "tol = -1"),
             ("norm", "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n"
              "[data]\nrecipe = random_bandlimited\nj_min = 5\nj_max = 3\n", "j_min = 5"),
+            *(
+                ("norm", BUMP32 + f"[norm]\nkind = {kind}\nhomogeneous = {h}\ns = {s}\n",
+                 f"order s={s}")
+                for kind, h, s in (
+                    ("sobolev", "true", "inf"), ("sobolev", "true", "400.0"),
+                    ("sobolev", "false", "400.0"), ("besov", "false", "inf"),
+                    ("besov", "false", "2000.0"),
+                )
+            ),
+            ("verify", BASE_CFG + "kind = sobolev\ns = inf\n",
+             "order s=inf"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )
     def test_non_finite_or_non_positive_input_exit_2(
         self, tmp_path, capsys, command, text, named
     ):
-        """Times, lengths, tolerances, potentials and recipe parameters that
-        would give NaN, overflow or a misleading convergence failure are
-        rejected by name."""
+        """Times, lengths, tolerances, potentials, recipe parameters and
+        Sobolev/Besov orders that would give NaN, overflow or a misleading
+        convergence failure are rejected by name."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2

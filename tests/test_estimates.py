@@ -267,6 +267,25 @@ class TestParabolicRatio:
         bound = 2 * alpha / (2 * alpha - 1)
         assert 0 < val <= bound * 1.01
 
+    def test_a_form_head_and_tail_report(self):
+        # the a-form reports its truncation like the b-form: the same flow integral
+        g = make_grid(1, 256, 40.0)
+        f = synthesize_field(g, GaussianBump(width=0.5))
+        p, r, alpha, T = 4.0, 2.0, 1.0, 0.5
+        val, head_err, tail_est = parabolic_ratio(
+            f, p, alpha, form="a", r=r, T=T, report_truncation=True
+        )
+        assert val == parabolic_ratio(f, p, alpha, form="a", r=r, T=T)
+        e0 = r / (2 * p * alpha)
+        ss = geometric_times(T * 1e-6, T, ratio=1.25)
+        vals = _norms_per_time(f, ss, alpha, p)
+        total = val * T ** (1 - 1 / (2 * alpha)) * lp_norm(f, r) ** r
+        head = ss[0] ** (1 - e0) / (1 - e0) * abs(lp_norm(f, p) ** r - vals[0] ** r)
+        tail = ss[-1] ** (1 - e0) * vals[-1] ** r
+        assert abs(head_err - head / total) <= 1e-12 * head / total
+        assert abs(tail_est - tail / total) <= 1e-12 * tail / total
+        assert head_err < 1e-6 and 0 < tail_est < 1
+
     def test_a_form_needs_low_dimension(self):
         g = make_grid(2, 32, 2 * np.pi)
         f = synthesize_field(g, GaussianBump(width=0.25))
@@ -391,6 +410,15 @@ class TestKernelNormFit:
     def test_window_violation(self):
         with pytest.raises(PreconditionError):
             kernel_mixed_norm_fit(1.0, 2.0, 4.0, 0.03, 2)  # window value 1.5 >= 1
+
+    @pytest.mark.parametrize("h, r, named", [
+        (0.0, 2.0, "h=0.0"), (-1.0, 2.0, "h=-1.0"), (0.5, 2.0, "h=0.5"),
+        (float("nan"), 2.0, "h=nan"), (1.0, 0.5, "r=0.5"), (1.0, -2.0, "r=-2.0"),
+    ])
+    def test_exponents_below_one_rejected(self, h, r, named):
+        # h = 0 divided by zero and h < 0 passed the window check (w < 0)
+        with pytest.raises(PreconditionError, match=f"{named} must be >= 1"):
+            kernel_mixed_norm_fit(1.0, h, r, 0.03, 2)
 
     @pytest.mark.parametrize("n, N, L, alpha, r", [
         (1, 256, 10.0, 1, 1.5),

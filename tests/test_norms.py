@@ -226,6 +226,16 @@ class TestSobolevNorm:
         expect = (1 + 5) ** (s / 2) * g.L ** (2 / p)
         assert np.isclose(sobolev_norm(f, s, p, homogeneous=False), expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_overflowing_order_rejected(self, homogeneous):
+        # |xi|^s overflows to inf on the lattice: the norm was NaN
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=2, j_min=1, j_max=2))
+        for s in (INF, 400.0, float("nan")):
+            with pytest.raises(PreconditionError, match=f"order s={s}"):
+                sobolev_norm(f, s, 2, homogeneous=homogeneous)
+        assert np.isfinite(sobolev_norm(f, 200.0, 2, homogeneous=homogeneous))
+
 
 class TestDyadicPartition:
     def test_partition_of_unity(self):
@@ -328,6 +338,15 @@ class TestBesov:
         part = default_partition(g)
         v = besov_norm(f, 0.5, 2, 2, homogeneous=False, partition=part)
         assert v > 0
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_overflowing_band_weight_rejected(self, homogeneous):
+        # 2^(j s) was inf (s = inf, reported as Infinity) or an OverflowError
+        g = make_grid(1, 256, 2 * np.pi)
+        f = shell_field(g, [4], seed=6)
+        for s in (INF, 2000.0, float("nan")):
+            with pytest.raises(PreconditionError, match=f"order s={s}"):
+                besov_norm(f, s, 2, 2, homogeneous=homogeneous)
 
     def test_q_infinity(self):
         g = make_grid(1, 256, 2 * np.pi)

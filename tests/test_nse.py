@@ -147,6 +147,16 @@ class TestComplexVectorOperators:
 
 
 class TestBilinear:
+    def test_dealias_mask_built_once_per_grid(self):
+        # GridSpec is frozen, so it keys one shared, read-only mask
+        g = make_grid(2, 32, 2 * np.pi)
+        mask = dealias_mask(g)
+        assert dealias_mask(make_grid(2, 32, 2 * np.pi)) is mask
+        assert dealias_mask(make_grid(2, 32, 4.0)) is not mask
+        assert not mask.flags.writeable
+        k = np.abs(np.rint(np.fft.fftfreq(32) * 32))
+        assert np.array_equal(mask, (k[:, None] < 32 / 3) & (k[None, :] < 32 / 3))
+
     def test_zero_input(self):
         g = make_grid(2, 16, 2 * np.pi)
         times = uniform_times(1.0, 8)

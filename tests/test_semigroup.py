@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import complex_dft
 
+import fracheat.semigroup
 from fracheat import (
     ContaminationError,
     Field,
@@ -31,6 +32,7 @@ from fracheat.semigroup import (
     _phi2,
     apply_symbol,
     duhamel,
+    kernel_data,
     semigroup_series,
 )
 from fracheat import VectorField
@@ -77,6 +79,34 @@ class TestPropagator:
         f = random_field(g, 5)
         u = apply_semigroup(f, 0.7, 0.8).to_physical().data
         assert np.max(np.abs(u.imag)) <= 1e-12 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_time_case_of_the_series(self, n):
+        """apply_semigroup is the one-time semigroup_series in f's
+        representation, with the bits of the full-lattice symbol applied by
+        apply_symbol."""
+        g = make_grid(n, 16, 2 * np.pi)
+        a, b = random_field(g, 1, j_max=1), random_field(g, 2, j_max=1)
+        fields = [a, VectorField((a, b)), Field(g, a.data.real + 1j * b.data.real),
+                  a.to_spectral()]
+        for f in fields:
+            for alpha in (0.5, 0.75, 1.0, 1.3):
+                for t in (0.0, 1e-3, 0.37, 2.0):
+                    got = apply_semigroup(f, t, alpha)
+                    u = semigroup_series(f, [t], alpha)
+                    u = u if f.representation == "spectral" else u.to_physical()
+                    full = apply_symbol(f, np.exp(-t * g.abs_freq ** (2 * alpha)))
+                    assert got.representation == f.representation
+                    assert np.array_equal(got.data, u.snapshots[0].data)
+                    assert np.array_equal(got.data, full.data)
+
+    def test_no_symbol_and_no_symbol_scan(self, call_count):
+        g = make_grid(2, 32, 2 * np.pi)
+        f = random_field(g, 5)
+        count = call_count(fracheat.semigroup, "apply_symbol")
+        call_count(fracheat.semigroup, "is_real")  # the symbol's Hermitian check
+        apply_semigroup(f, 0.3, 0.8)
+        assert count["apply_symbol"] == count["is_real"] == 0
 
 
 class TestPropagatorAlgebra:
@@ -144,6 +174,20 @@ class TestKernel:
             lhs = KA.data.real
             rhs = t ** (-1 / (2 * alpha)) * KB.data.real
             assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(lhs))
+
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (3, 16)])
+    def test_one_sample_case_of_the_stack(self, n, N):
+        """kernel is the one-sample kernel_data stack: the row of a stacked
+        call at its time, with the bits of the full-lattice symbol."""
+        g = make_grid(n, N, 10.0)
+        ts = np.array([0.02, 0.05, 0.11])
+        for alpha in (0.75, 1.0):
+            lam = g.abs_freq ** (2 * alpha)
+            stack = kernel_data(np.stack([np.exp(-t * lam)[..., : N // 2 + 1] for t in ts]), g)
+            for t, row in zip(ts, stack):
+                K = kernel(g, t, alpha, check=False)
+                assert np.array_equal(K.data, row)
+                assert K.representation == "physical"
 
     def test_contamination_guard(self):
         g = make_grid(1, 64, 4.0)
