@@ -65,18 +65,30 @@ class NormSpec:
         return float(self.norms(as_series(f))[0])
 
 
+def _rescaled(norms_of):
+    """A stack norm `norms_of(phys, grid, *args)` whose finite samples get
+    finite norms: a sample whose squares or powers overflow is measured
+    again as max |f| times the norm of f / max |f|; the other samples, and
+    samples that hold inf or NaN, keep their values."""
+
+    def norms(phys: np.ndarray, grid: GridSpec, *args) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = norms_of(phys, grid, *args)
+        for i in np.flatnonzero(~np.isfinite(out)):
+            peak = np.abs(phys[i]).max()
+            if peak < INF:
+                out[i] = peak * norms_of(phys[i : i + 1] / peak, grid, *args)[0]
+        return out
+
+    return norms
+
+
+@_rescaled
 def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     """L^p norms of a stack of real physical samples, shape (m, *grid.shape)
     or (m, ..., *grid.shape); the axes between the sample and grid axes (parts
     and components) are measured by their pointwise Euclidean magnitude.
-    Returns the m norms.
-
-    A sample whose power sum sum |f|^p h^n over- or underflows (inf, 0 or
-    subnormal; large p) is measured again as max |f| * (sum (|f|/max |f|)^p
-    h^n)^(1/p).  To first order that value is within (3 + (2 + log2 M)/p) eps
-    relative of the exact norm of the computed |f| samples, M grid points
-    and eps = 2^-53: the quotient's rounding grows p-fold in the power and
-    shrinks back in the root.  An all-zero sample stays 0."""
+    Returns the m norms, the p-sums of `_root_sums` with weight h^n."""
     if not p >= 1:
         raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
     if phys.ndim == grid.n + 1:
@@ -87,18 +99,30 @@ def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     mag = mag.reshape(len(mag), -1)
     if p == INF:
         return mag.max(axis=1)
+    return _root_sums(mag, p, grid.cell_volume)
+
+
+def _root_sums(values: np.ndarray, p: float, weight: float) -> np.ndarray:
+    """(sum values^p * weight)^(1/p) along axis 1 of nonnegative `values`.
+
+    A row whose power sum over- or underflows (inf, 0 or subnormal; large
+    values or p) is measured again as max * (sum (values/max)^p
+    weight)^(1/p).  To first order that value is within (3 + (2 + log2 M)/p)
+    eps relative of the exact sum of the computed values, M per row and
+    eps = 2^-53: the quotient's rounding grows p-fold in the power and
+    shrinks back in the root.  An all-zero row stays 0."""
     with np.errstate(over="ignore"):
-        sums = np.sum(mag**p, axis=1) * grid.cell_volume
-    # the root is taken sample by sample: numpy's vectorised pow can differ
-    # from the scalar one in the last bit, which would move reported norms
-    norms = np.array([s ** (1.0 / p) for s in sums])
+        sums = np.sum(values**p, axis=1) * weight
+    # the root is taken row by row: numpy's vectorised pow can differ from
+    # the scalar one in the last bit, which would move reported norms
+    roots = np.array([s ** (1.0 / p) for s in sums])
     for i in np.flatnonzero((sums < TINY) | (sums == INF)):
-        peak = mag[i].max()
+        peak = values[i].max()
         if 0 < peak < INF:
             with np.errstate(under="ignore"):
-                scaled = np.sum((mag[i] / peak) ** p) * grid.cell_volume
-            norms[i] = peak * scaled ** (1.0 / p)
-    return norms
+                scaled = np.sum((values[i] / peak) ** p) * weight
+            roots[i] = peak * scaled ** (1.0 / p)
+    return roots
 
 
 def lp_norm(f, p: float) -> float:
@@ -122,7 +146,14 @@ def mixed_norm(u: TimeSeries, q: float, p: "float | NormSpec") -> float:
     vals = p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p)
     if q == INF:
         return float(vals.max())
-    return float(np.trapezoid(vals**q, u.times) ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        total = np.trapezoid(vals**q, u.times)
+    peak = vals.max()
+    if (total < TINY or total == INF) and 0 < peak < INF:  # rescaled, as in `_root_sums`
+        with np.errstate(under="ignore"):
+            total = np.trapezoid((vals / peak) ** q, u.times)
+        return float(peak * total ** (1.0 / q))
+    return float(total ** (1.0 / q))
 
 
 def sobolev_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> float:
@@ -252,10 +283,7 @@ def _besov_norms(u, s, p, q, homogeneous, partition) -> np.ndarray:
         raise PreconditionError(f"Besov order s={s}: the band weight 2^(j s) is not finite")
     norms = _multiplier_norms(u, syms, p, "homogeneous Besov norm" if homogeneous else None)
     terms = norms[:, : len(part.bands)] * weights
-    if q == INF:
-        band = terms.max(axis=1)
-    else:  # per-sample roots, as in `_lp`
-        band = np.array([t ** (1.0 / q) for t in np.sum(terms**q, axis=1)])
+    band = terms.max(axis=1) if q == INF else _root_sums(terms, q, 1.0)
     return band if homogeneous else norms[:, -1] + band
 
 
@@ -276,6 +304,7 @@ def bmo_norm(f: Field) -> float:
     return NormSpec("bmo").compute(f)
 
 
+@_rescaled
 def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     """BMO norms of a real physical sample stack.  Box sums [i] over the cube
     of side 2^m anchored at i double, one grid axis at a time, into side

@@ -40,7 +40,7 @@ from .grid import (
     uniform_times,
 )
 from .norms import lp_norm, lp_norms, mixed_norm
-from .semigroup import _alpha_value, _duhamel, duhamel, semigroup_series
+from .semigroup import _alpha_value, _duhamel, _march_times, _rate, duhamel, semigroup_series
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> Field:
@@ -188,6 +188,7 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     are never held at once; u's and v's data are only read.  Passing the
     same series twice shares its transforms.
     """
+    times = _march_times(u, u.times)
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
         raise PreconditionError("bilinear form needs matching time grids")
@@ -204,8 +205,7 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     for chunk in sample_chunks(uh, g):
         vc = None if vh is None else vh[chunk]
         data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask)
-    forcing = TimeSeries.from_data(g, u.times, data)
-    return _duhamel(forcing, u.times, alpha, overwrite_forcing=True)
+    return _duhamel(TimeSeries.from_data(g, times, data), times, _rate(g, alpha), data)
 
 
 # The pairs (i, j), i <= j, of the C_est ensemble, ordered so that consecutive
@@ -520,6 +520,7 @@ def solve_potential_eq(
     parts = max(f0.parts, 1 if F is None else F.parts)
     f_cur = _in_parts(f0, parts).to_spectral()
     F = None if F is None else _in_parts(F, parts)
+    lam = _rate(grid, alpha)
 
     all_times: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
@@ -542,17 +543,19 @@ def solve_potential_eq(
                 lead = (len(loc),) + (1,) * (base.data.ndim - V_nodes.ndim)
                 V_nodes = V_nodes.reshape(*lead, *grid.shape)
 
-            def step(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs)
-                integ = duhamel(TimeSeries.from_data(grid, loc, rhs, parts=parts), loc, alpha)
-                return base + integ
+            def march(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs), in rhs
+                integ = _duhamel(TimeSeries.from_data(grid, loc, rhs, parts=parts), loc, lam, rhs)
+                return base._combine(integ, np.add, out=rhs)
 
             def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
-                if V is None:
-                    return base if F is None else step(forcing)
-                Vv = _dft(V_nodes * phys.data, grid, "forward")
-                return step(-Vv if F is None else forcing - Vv)
+                if V is None:  # a constant map: v0 is its fixed point
+                    return v
+                rhs = _dft(V_nodes * phys.data, grid, "forward")
+                if F is None:
+                    return march(np.negative(rhs, out=rhs))
+                return march(np.subtract(forcing, rhs, out=rhs))
 
-            v0 = base if F is None else step(forcing)
+            v0 = base if F is None else march(forcing if V is None else forcing.copy())
             v, residuals, converged, _ = _fixed_point(
                 apply_map, v0, q, p, tol, max_iter, max_factor=0.5
             )

@@ -197,36 +197,39 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     """int_0^t exp(-(t-s) (-Lap)^alpha) F(s) ds at each requested time.
 
-    F must be sampled on a grid starting at 0 that covers max(t_eval); F is
+    F, sampled from 0 on a grid covering the strictly increasing t_eval, is
     treated as piecewise linear in s between snapshots.  The march runs on
     the whole sample stack, so scalar and vector series share it, on F's
     half lattice and in F's parts: the propagator's symbol is real and even.
     The integral goes into a new stack; F's data is only read.
     """
-    return _duhamel(F, t_eval, alpha, overwrite_forcing=False)
+    t_eval = _march_times(F, t_eval)
+    lam = _rate(F.grid, alpha)
+    F = F.to_spectral()
+    return _duhamel(F, t_eval, lam, np.empty((len(t_eval), *F.data.shape[1:]), np.complex128))
 
 
-def _duhamel(F: TimeSeries, t_eval, alpha, overwrite_forcing: bool) -> TimeSeries:
-    """`duhamel`.  With overwrite_forcing, for a spectral F sampled at t_eval
-    that the caller hands over, the integral is written into F's stack, with
-    the same bits: slot k is written after the step that ends at sample k, so
-    that sample is first copied as the left end of the next step."""
+def _march_times(F: TimeSeries, t_eval) -> np.ndarray:
+    """t_eval as floats; PreconditionError unless F has two or more samples
+    from t = 0 on and t_eval is strictly increasing within F's coverage."""
     t_eval = np.asarray(t_eval, dtype=float)
     if len(F) < 2:
         raise PreconditionError("forcing series needs at least two samples")
     if abs(F.times[0]) > 1e-14:
         raise PreconditionError("forcing series must start at t = 0")
+    if not np.all(np.diff(t_eval) > 0):
+        raise PreconditionError("t_eval must be strictly increasing")
     if t_eval.min() < -1e-14 or t_eval.max() > F.times[-1] + 1e-12:
         raise PreconditionError("t_eval outside the forcing series coverage")
+    return t_eval
 
-    g = F.grid
-    lam = _rate(g, alpha)
-    Fhat = F.to_spectral().data
-    if overwrite_forcing:
-        out = Fhat
-    else:
-        out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
 
+def _duhamel(F: TimeSeries, t_eval: np.ndarray, lam: np.ndarray, out: np.ndarray) -> TimeSeries:
+    """The march of `duhamel` for a spectral F, a `_march_times` t_eval and
+    the rate lam: one forward pass writing the integral at t_eval[k] to out[k].
+    An entry within 1e-15 of a sample is written after the step that leaves
+    the sample has read it, so `out` may be F's stack when t_eval is F.times."""
+    times, Fhat = F.times, F.data
     coefficients: dict[float, tuple] = {}  # step h -> ETD2 coefficients
 
     def step(I, h, F0, F1):
@@ -240,27 +243,20 @@ def _duhamel(F: TimeSeries, t_eval, alpha, overwrite_forcing: bool) -> TimeSerie
         return E * I + h * (F0 * A + F1 * B)
 
     I = np.zeros(Fhat.shape[1:], dtype=np.complex128)
-    left = Fhat[0].copy() if overwrite_forcing else Fhat[0]  # F at F.times[seg]
-    seg = 0  # F-interval index such that F.times[seg] <= current position
-    pos = 0.0
-    for idx in np.argsort(t_eval):
-        t = t_eval[idx]
+    seg, owed = 0, []  # I is the integral at sample seg, owed to these entries
+    for k, t in enumerate(t_eval):
         # advance over whole intervals ending before t
-        while seg + 1 < len(F.times) and F.times[seg + 1] <= t + 1e-15:
-            h = F.times[seg + 1] - F.times[seg]
-            I = step(I, h, left, Fhat[seg + 1])
-            seg += 1
-            pos = F.times[seg]
-            if overwrite_forcing:
-                left[...] = Fhat[seg]
-            else:
-                left = Fhat[seg]
-        delta = t - pos
-        if delta > 1e-15:
-            h_full = F.times[seg + 1] - F.times[seg]
-            w = (t - F.times[seg]) / h_full
-            Ft = (1 - w) * left + w * Fhat[seg + 1]
-            out[idx] = step(I, delta, left, Ft)
+        while seg + 1 < len(times) and times[seg + 1] <= t + 1e-15:
+            I_next = step(I, times[seg + 1] - times[seg], Fhat[seg], Fhat[seg + 1])
+            for j in owed:
+                out[j] = I
+            I, owed, seg = I_next, [], seg + 1
+        delta = t - times[seg]
+        if delta > 1e-15 and seg + 1 < len(times):
+            w = delta / (times[seg + 1] - times[seg])
+            out[k] = step(I, delta, Fhat[seg], (1 - w) * Fhat[seg] + w * Fhat[seg + 1])
         else:
-            out[idx] = I
-    return TimeSeries.from_data(g, t_eval, out, SPECTRAL, parts=F.parts)
+            owed.append(k)
+    for j in owed:
+        out[j] = I
+    return TimeSeries.from_data(F.grid, t_eval, out, SPECTRAL, parts=F.parts)

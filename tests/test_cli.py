@@ -660,3 +660,40 @@ class TestInputValidation:
         rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)])
         assert rc == 2
         assert "N = 32.0" in capsys.readouterr().err
+
+
+class TestNormsOfLargeData:
+    """`norm` on finite data whose squares overflow reports a finite value
+    that scales with the data, not Infinity or NaN."""
+
+    def _norm(self, tmp_path, data, norm):
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text(
+            "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n"
+            f"[data]\n{data}\n\n[norm]\n{norm}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "norm", "--config", str(cfg)]) == 0
+        return json.loads((out / "norm.json").read_text())["results"]["value"]
+
+    def _field_file(self, tmp_path, scale, zero_mean):
+        g = make_grid(2, 32, 6.283185307179586)
+        f = synthesize_field(g, GaussianBump(width=0.3)).data.real
+        f = f - f.mean() if zero_mean else f
+        path = tmp_path / f"bump_{scale:g}.frsf"
+        write_field(fracheat.grid.Field(g, scale * f), path)
+        return f"field_file = {path}"
+
+    def test_high_order_sobolev_norm_of_a_plane_wave(self, tmp_path):
+        value = self._norm(tmp_path, "recipe = plane_wave\nk = 1,2",
+                           "kind = sobolev\ns = 200")
+        assert np.isfinite(value) and value > 0
+
+    @pytest.mark.parametrize(
+        "norm, zero_mean",
+        [("kind = bmo", False), ("kind = besov\ns = 0.5\np = 4\nq = 2", True)],
+    )
+    def test_norm_of_a_large_field_file(self, tmp_path, norm, zero_mean):
+        base = self._norm(tmp_path, self._field_file(tmp_path, 1.0, zero_mean), norm)
+        value = self._norm(tmp_path, self._field_file(tmp_path, 1e160, zero_mean), norm)
+        assert abs(value / (1e160 * base) - 1) < 1e-13

@@ -545,3 +545,54 @@ def test_bmo_invariant_under_constants(vector):
         shifted = Field(g, f.data + c * sup)
         err = abs(bmo_norm(shifted) / base - 1)
         assert err <= 4 * np.finfo(float).eps * (c + 1) * sup / base, c
+
+
+class TestFiniteDataGivesFiniteNorms:
+    """Finite data far from 1 in size: a sum of squares or powers that over-
+    or underflows is measured again from the data divided by its largest
+    value, so each norm scales with the data (and a scale-invariant ratio
+    does not move), where before it read inf, NaN or 0."""
+
+    def bump(self, g):
+        return synthesize_field(g, GaussianBump(width=0.3)).data.real
+
+    def test_lp_norm_of_large_complex_and_vector_data(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        X, Y = g.coordinates
+        w = np.exp(1j * (X + 2 * Y))
+        for f in (Field(g, 1e160 * w), VectorField((Field(g, 1e160 * w.real),
+                                                    Field(g, 1e160 * w.imag)))):
+            assert abs(lp_norm(f, 2) / (1e160 * 2 * np.pi) - 1) < 1e-14
+            assert abs(lp_norm(f, INF) / 1e160 - 1) < 1e-14
+
+    def test_bmo_of_large_data(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        f = self.bump(g)
+        assert abs(bmo_norm(Field(g, 1e160 * f)) / (1e160 * bmo_norm(Field(g, f))) - 1) < 1e-13
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_besov_band_sum(self, scale):
+        g = make_grid(2, 32, 2 * np.pi)
+        f = self.bump(g)
+        f = f - f.mean()
+        base = besov_norm(Field(g, f), 0.5, 4, 2)
+        assert abs(besov_norm(Field(g, scale * f), 0.5, 4, 2) / (scale * base) - 1) < 1e-13
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-80])
+    def test_mixed_norm_and_homogeneous_ratio(self, scale):
+        from fracheat.estimates import homogeneous_ratio
+
+        g = make_grid(2, 32, 2 * np.pi)
+        f = self.bump(g)
+        times = uniform_times(0.1, 8)
+        base = mixed_norm(semigroup_series(Field(g, f), times, 1.0), 4, 4)
+        got = mixed_norm(semigroup_series(Field(g, scale * f), times, 1.0), 4, 4)
+        assert abs(got / (scale * base) - 1) < 1e-13
+        ratio = homogeneous_ratio(Field(g, f), 4, 4, 1.0, 0.1)
+        assert abs(homogeneous_ratio(Field(g, scale * f), 4, 4, 1.0, 0.1) / ratio - 1) < 1e-13
+
+    def test_bmo_of_non_finite_data_stays_nan(self):
+        g = make_grid(2, 32, 2 * np.pi)
+        data = 1e160 * self.bump(g)
+        data[3, 5] = np.inf
+        assert np.isnan(bmo_norm(Field(g, data)))

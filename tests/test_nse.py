@@ -667,14 +667,48 @@ def test_potential_max_iter_rejected_before_any_work(call_count):
 def test_potential_without_forcing_marches_only_the_potential_term(call_count):
     # with F None the first iterate is the free flow itself, and each map
     # marches the Duhamel term of -V v alone; without V there is none
-    calls = call_count(nse, "duhamel")
+    calls = call_count(nse, "_duhamel")
     g = make_grid(2, 16, 2 * np.pi)
     _potential(g)
-    assert calls["duhamel"] == 0
+    assert calls["_duhamel"] == 0
     V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
     _, rep = solve_potential_eq(Field(g, np.ones(g.shape)), None, V, 1.0, 0.2)
     assert len(rep.subintervals) == 1
-    assert calls["duhamel"] == rep.subintervals[0][3]
+    assert calls["_duhamel"] == rep.subintervals[0][3]
+
+
+def test_potential_window_without_potential_marches_its_forcing_once(call_count):
+    # with no V the map is constant: the first iterate, base + Duhamel(F),
+    # is its fixed point, and the forcing is not marched a second time
+    g = make_grid(2, 16, 2 * np.pi)
+    calls = call_count(nse, "_duhamel")
+    call_count(nse, "duhamel")
+    F = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
+    _, rep = solve_potential_eq(Field(g, np.ones(g.shape)), F, None, 1.0, 0.2)
+    assert [sub[3] for sub in rep.subintervals] == [1]
+    assert calls["_duhamel"] + calls["duhamel"] == 1
+
+
+@pytest.mark.parametrize("with_forcing", [False, True])
+def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing):
+    # each map evaluation forms -V v (or F - V v) in the stack of its forward
+    # transform, marches that stack, and adds the free flow into it
+    g = make_grid(2, 16, 2 * np.pi)
+    seen = []
+    march = nse._duhamel
+
+    def recording(rhs, t_eval, lam, out):
+        result = march(rhs, t_eval, lam, out)
+        seen.append(np.shares_memory(rhs.data, out) and result.data is out)
+        return result
+
+    monkeypatch.setattr(nse, "_duhamel", recording)
+    V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
+    F = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.25), "physical")
+    want_rep = solve_potential_eq(Field(g, np.ones(g.shape)), F if with_forcing else None, V,
+                                  1.0, 0.2)[1]
+    assert len(seen) == sum(sub[3] for sub in want_rep.subintervals) + with_forcing
+    assert all(seen)
 
 
 class TestPicard:

@@ -30,6 +30,7 @@ from fracheat.semigroup import (
     _duhamel,
     _phi1,
     _phi2,
+    _rate,
     apply_symbol,
     duhamel,
     kernel_data,
@@ -410,10 +411,71 @@ def test_duhamel_reuses_coefficients_per_step():
     assert np.array_equal(got, np.array(expected))
 
 
+@pytest.mark.parametrize("representation", ["spectral", "physical"])
+def test_duhamel_equals_step_by_step_etd2_at_every_eval_time(representation):
+    # a 2-vector forcing on uneven steps, read at 0, at samples, between
+    # samples, at the last sample, and twice within 1e-15 of the sample 0.2:
+    # each entry must get the bits of the step-by-step ETD2 update
+    g = make_grid(2, 16, 2 * np.pi)
+    times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])
+    rng = np.random.default_rng(5)
+    shape = (len(times), 2, g.N, g.N // 2 + 1)
+    F = TimeSeries.from_data(g, times, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    F = F.to_physical() if representation == "physical" else F
+    Fhat = F.to_spectral().data
+    t_eval = [0.0, 0.05, 0.1, 0.2, 0.2000000000000001, 0.3, 0.5, 0.55, 0.75]
+    lam = g.abs_freq[:, : g.N // 2 + 1] ** 1.6
+
+    def step(I, h, F0, F1):
+        z = -lam * h
+        p1, p2 = _phi1(z), _phi2(z)
+        return np.exp(z) * I + h * (F0 * (p1 - p2) + F1 * p2)
+
+    at_samples = [np.zeros(Fhat.shape[1:], complex)]
+    for i in range(len(times) - 1):
+        at_samples.append(step(at_samples[-1], times[i + 1] - times[i], Fhat[i], Fhat[i + 1]))
+    expected = []
+    for t in t_eval:
+        i = int(np.searchsorted(times, t + 1e-15, side="right")) - 1
+        if t - times[i] > 1e-15:
+            w = (t - times[i]) / (times[i + 1] - times[i])
+            Ft = (1 - w) * Fhat[i] + w * Fhat[i + 1]
+            expected.append(step(at_samples[i], t - times[i], Fhat[i], Ft))
+        else:
+            expected.append(at_samples[i])
+    out = duhamel(F, t_eval, 0.8)
+    assert np.array_equal(out.times, t_eval)
+    assert np.array_equal(out.data, np.array(expected))
+
+
+@pytest.mark.parametrize("t_eval", [[0.3, 0.1], [0.1, 0.1, 0.3], [0.0, float("nan")]])
+def test_duhamel_eval_times_checked_before_any_step(monkeypatch, t_eval):
+    # an unsorted or repeated t_eval is rejected before the march computes
+    # a single ETD2 coefficient, not by the output series after it
+    g = make_grid(1, 32, 2 * np.pi)
+    F = semigroup_series(random_field(g, 8), [0.0, 0.2, 0.4], 1.0)
+
+    def no_step(z):
+        raise AssertionError("ETD2 coefficient computed")
+
+    monkeypatch.setattr(fracheat.semigroup, "_phi1", no_step)
+    with pytest.raises(PreconditionError, match="t_eval must be strictly increasing"):
+        duhamel(F, t_eval, 1.0)
+
+
+def test_duhamel_eval_time_within_coverage_past_last_sample():
+    # the coverage check admits t_eval up to 1e-12 past the last sample,
+    # which gets the integral at that sample
+    g = make_grid(1, 32, 2 * np.pi)
+    F = semigroup_series(random_field(g, 8), [0.0, 0.2, 0.4], 1.0)
+    out = duhamel(F, [0.1, 0.4 + 5e-13], 1.0)
+    assert np.array_equal(out.data[1], duhamel(F, [0.4], 1.0).data[0])
+
+
 class TestDuhamelBuffers:
     """The public `duhamel` writes its integral into a new stack and only
-    reads the forcing; `_duhamel(..., overwrite_forcing=True)` marches into
-    the forcing stack it is handed, with the same bits."""
+    reads the forcing; the private march `_duhamel` handed the forcing's own
+    stack writes the integral there, with the same bits."""
 
     def forcing(self, g):
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])  # uneven steps
@@ -438,7 +500,7 @@ class TestDuhamelBuffers:
         F = self.forcing(g)
         want = duhamel(F, F.times, 0.8)
         handed = TimeSeries.from_data(g, F.times, F.data.copy())
-        got = _duhamel(handed, F.times, 0.8, overwrite_forcing=True)
+        got = _duhamel(handed, F.times, _rate(g, 0.8), handed.data)
         assert got.data is handed.data
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got.times, want.times)
