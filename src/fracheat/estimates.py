@@ -518,6 +518,8 @@ def dilation_sweep(
             raise PreconditionError(
                 f"dilation lambda={lam}: spectral content at the Nyquist edge"
             )
+        if estimate_id not in ("parabolic", "besov_embedding"):
+            del f  # the level lives on in u and uh; the ratio runs without f
         tscale = lam ** (-2 * alpha)
         if estimate_id in ("homogeneous", "bmo_endpoint"):
             kind = params.get("kind", "lebesgue")

@@ -25,12 +25,14 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grid import (
-    SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series, require_zero_means
+    SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series, require_zero_means,
+    sample_chunks,
 )
 from .semigroup import apply_symbol, derivative_symbol
 
 INF = float("inf")
 TINY = np.finfo(np.float64).tiny  # the least normal float64
+SMALL = math.sqrt(TINY / np.finfo(np.float64).eps)  # a square underflows by <= eps^2 SMALL^2 / 2
 
 
 @dataclass(frozen=True)
@@ -307,24 +309,78 @@ def bmo_norm(f: Field) -> float:
 @_rescaled
 def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     """BMO norms of a real physical sample stack.  Box sums [i] over the cube
-    of side 2^m anchored at i double, one grid axis at a time, into side
-    2^(m+1).  BMO is invariant under constants, so each sample's
+    of side 2^m anchored at i double, one grid axis at a time (-n .. -1),
+    into side 2^(m+1).  BMO is invariant under constants, so each sample's
     per-component mean is subtracted first and sq_sums/cells - (sums/cells)^2
     cancels only against the sample's own variation g.  Rounding bound: the
     subtraction moves values, and so the norm, by about eps (|mean| + max|f|);
     each box's squared oscillation is off by a few (n log2 N) eps max|g|^2.
+
+    The samples run in blocks sized by `sample_chunks` for the four
+    sample-sized buffers of the kernel, allocated once per call: two stacks
+    of shape (block, 2, components, *grid.shape), each holding the sums and
+    the squared sums, so that one add doubles both.  A level doubles from one
+    stack into the other (`_shift_add`, the rolled sum's operand pairs, so
+    its bits), and osc^2 goes into the stack it left, with /cells taken as
+    the exact reciprocal power of two (the same rounding).  Level 0 is
+    skipped: its osc^2 is s^2 - s^2, 0 where s^2 is finite, and a square
+    that is not (NaN, or inf from overflow) makes every later level
+    non-finite too.  Negative osc^2 from rounding is clipped by `best`
+    starting at 0 (a vector's parts are clipped before they are added).
+
+    Squares of values below SMALL = sqrt(TINY / eps), about 1e-146, lose
+    digits to underflow, so a finite sample whose peak deviation
+    d = max |g| lies in (0, SMALL) is measured as d times the norm of g / d.
+    For d >= SMALL each square's underflow is at most eps TINY / 2 <=
+    eps^2 d^2 / 2, inside the bound above.
     """
-    sums = phys - phys.mean(axis=tuple(range(-grid.n, 0)), keepdims=True)
-    sq_sums = sums**2
-    best = np.zeros(len(phys))
-    for m in range(int(math.log2(grid.N)) + 1):
-        if m:
-            for ax in range(-grid.n, 0):
-                sums = sums + np.roll(sums, -(2 ** (m - 1)), axis=ax)
-                sq_sums = sq_sums + np.roll(sq_sums, -(2 ** (m - 1)), axis=ax)
-        cells = float((2**m) ** grid.n)
-        osc2 = np.maximum(sq_sums / cells - (sums / cells) ** 2, 0.0)
-        if osc2.ndim > grid.n + 1:  # the parts and components of a sample
-            osc2 = osc2.reshape(len(phys), -1, *grid.shape).sum(axis=1)
-        best = np.maximum(best, osc2.reshape(len(phys), -1).max(axis=1))  # NaN propagates
-    return np.sqrt(best)
+    shape, axes = grid.shape, tuple(range(-grid.n, 0))
+    comps = math.prod(phys.shape[1 : -grid.n])
+    blocks = sample_chunks(phys, grid, copies=4)
+    bufs = np.empty((2, len(phys[blocks[0]]) if blocks else 0, 2, comps, *shape))
+    best, dev = np.zeros(len(phys)), np.empty(len(phys))
+    for block in blocks:
+        x = phys[block].reshape(-1, comps, *shape)
+        b = len(x)
+        cur, free = bufs[0, :b], bufs[1, :b]
+        np.subtract(x, x.mean(axis=axes, keepdims=True), out=cur[:, 0])
+        np.square(cur[:, 0], out=cur[:, 1])
+        g = cur[:, 0].reshape(b, -1)
+        dev[block] = np.maximum(g.max(axis=1), -g.min(axis=1))
+        for m in range(1, int(math.log2(grid.N)) + 1):
+            for ax in axes:
+                _shift_add(cur, free, 2 ** (m - 1), ax)
+                cur, free = free, cur
+            np.multiply(cur, 1.0 / float((2**m) ** grid.n), out=free)
+            mean2, osc2 = free[:, 0], free[:, 1]
+            np.square(mean2, out=mean2)
+            np.subtract(osc2, mean2, out=osc2)
+            if comps > 1:  # the parts and components of a sample
+                np.maximum(osc2, 0.0, out=osc2)
+                for c in range(1, comps):
+                    np.add(osc2[:, 0], osc2[:, c], out=osc2[:, 0])
+            level = osc2[:, 0].reshape(b, -1).max(axis=1)
+            np.maximum(best[block], level, out=best[block])  # NaN propagates
+    out = np.sqrt(best)
+    for i in np.flatnonzero((dev > 0) & (dev < SMALL)):
+        g = phys[i] - phys[i].mean(axis=axes, keepdims=True)
+        out[i] = dev[i] * _bmo_norms((g / dev[i])[None], grid)[0]
+    return out
+
+
+def _shift_add(a: np.ndarray, out: np.ndarray, s: int, ax: int) -> None:
+    """out = a + np.roll(a, -s, ax) for contiguous `a` and `out`, `ax` < 0:
+    the part that does not wrap round, then the band that does.  On the last
+    axis the first part is one add over the flattened stack at offset s
+    (its rows of N - s are too short to add one by one) that the band then
+    overwrites; on an outer axis it runs over rows of (N - s) N^(-ax-1)
+    contiguous elements."""
+    N, rest = a.shape[ax], (slice(None),) * (-ax - 1)
+    band, wrap = (..., slice(N - s, None), *rest), (..., slice(s), *rest)
+    if ax == -1:
+        flat = a.reshape(-1)
+        np.add(flat[:-s], flat[s:], out=out.reshape(-1)[:-s])
+    else:
+        lo, hi = (..., slice(N - s), *rest), (..., slice(s, None), *rest)
+        np.add(a[lo], a[hi], out=out[lo])
+    np.add(a[band], a[wrap], out=out[band])

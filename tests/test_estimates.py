@@ -1,6 +1,7 @@
 """Admissibility arithmetic and the ratio harness on fast unit-scale cases."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fracheat import (
     parabolic_ratio,
     synthesize_field,
 )
-from fracheat.grid import RandomBandlimited, geometric_times
+from fracheat.grid import RandomBandlimited, geometric_times, uniform_times
 from fracheat.norms import lp_norm
 import fracheat.grid
 from fracheat import estimates
@@ -497,6 +498,36 @@ class TestDilationSweep:
             drift_tol=0.01,
         )
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("estimate_id, ratio", [
+        ("homogeneous", "semigroup_series"),
+        ("bmo_endpoint", "semigroup_series"),
+        ("inhomogeneous", "inhomogeneous_ratio"),
+    ])
+    def test_level_field_is_released_before_the_ratio(self, monkeypatch, estimate_id, ratio):
+        # these ratios read the level's series and spectrum, so the level's
+        # data Field is freed before the evolution runs
+        g = make_grid(2, 64, 2 * np.pi)
+        params = {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0,
+                  "p": 4.0, "q1": 4.0, "p1": 4.0, "T": 0.05,
+                  "times": uniform_times(0.05, 8), "profile": lambda t: 1.0 + t}
+        fields, alive = [], []
+        synthesize, evolve = estimates.synthesize_field, getattr(estimates, ratio)
+
+        def synthesize_spy(*args):
+            f = synthesize(*args)
+            fields.append(weakref.ref(f))
+            return f
+
+        def evolve_spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in fields))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "synthesize_field", synthesize_spy)
+        monkeypatch.setattr(estimates, ratio, evolve_spy)
+        rep = dilation_sweep(GaussianBump(width=g.L / 21), g, [1, 2], estimate_id, params)
+        assert len(fields) == 2 and alive == [0, 0]
+        assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
 
     def test_report_serialization(self):
         g = make_grid(2, 64, 2 * np.pi)

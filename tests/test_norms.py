@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complex_dft
+from bmo_reference import bmo_norms_reference
 
 from fracheat import (
     DyadicPartition,
@@ -547,6 +548,69 @@ def test_bmo_invariant_under_constants(vector):
         assert err <= 4 * np.finfo(float).eps * (c + 1) * sup / base, c
 
 
+# the blocked, shift-add BMO kernel against the rolled one, bit for bit
+BMO_GRIDS = [(1, 8), (1, 128), (2, 8), (2, 32), (2, 128), (3, 8), (3, 32)]
+# a scalar of two parts has the shape of a 2-vector
+BMO_LAYOUTS = {"scalar": (), "2-vector or parts": (2,), "3-vector": (3,), "parts of a 3-vector": (2, 3)}
+
+
+def _bmo_stack(g, lead, m, seed):
+    """m samples of smooth data plus noise, of varied size; sample 0 sits
+    on a 1e8 offset."""
+    rng = np.random.default_rng(seed)
+    x = sum(np.cos((k + 1) * c) for k, c in enumerate(g.coordinates))
+    data = x + 0.1 * rng.standard_normal((m, *lead, *g.shape))
+    data *= rng.uniform(0.01, 100, (m,) + (1,) * (data.ndim - 1))
+    data[0] += 1e8
+    return data
+
+
+def _same_bits(phys, g):
+    with np.errstate(invalid="ignore"):
+        want = bmo_norms_reference(phys, g)
+    got = norms._bmo_norms(phys, g)
+    return np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, N", BMO_GRIDS)
+@pytest.mark.parametrize("layout", BMO_LAYOUTS)
+@pytest.mark.parametrize("count", ["one", "block", "block + 1"])
+def test_bmo_kernel_matches_rolled_kernel(n, N, layout, count):
+    g = make_grid(n, N, 2 * np.pi)
+    lead = BMO_LAYOUTS[layout]
+    block = sample_chunks(np.empty((1, *lead, *g.shape)), g, copies=4)[0].stop
+    m = {"one": 1, "block": block, "block + 1": block + 1}[count]
+    assert _same_bits(_bmo_stack(g, lead, m, seed=n * N + m), g)
+
+
+@pytest.mark.parametrize("n, N", BMO_GRIDS)
+@pytest.mark.parametrize("layout", BMO_LAYOUTS)
+def test_bmo_kernel_keeps_nan_for_non_finite_samples(n, N, layout):
+    g = make_grid(n, N, 2 * np.pi)
+    data = _bmo_stack(g, BMO_LAYOUTS[layout], 4, seed=n + N)
+    data[1].flat[5] = np.nan
+    data[2].flat[-3] = np.inf
+    assert _same_bits(data, g)
+    assert np.isnan(norms._bmo_norms(data, g)[1:3]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (2, 64), (3, 8), (3, 16)]),
+    lead=st.sampled_from(list(BMO_LAYOUTS.values())),
+    m=st.integers(1, 5),
+    exponent=st.floats(-140, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_bmo_kernel_bits_over_shapes_and_scales(grid, lead, m, exponent, seed):
+    # overflowing samples are measured again scaled, by both kernels alike
+    g = make_grid(*grid, 2 * np.pi)
+    data = np.random.default_rng(seed).standard_normal((m, *lead, *g.shape)) * 10.0**exponent
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = norms._rescaled(bmo_norms_reference)(data, g)
+    assert np.array_equal(norms._bmo_norms(data, g), want)
+
+
 class TestFiniteDataGivesFiniteNorms:
     """Finite data far from 1 in size: a sum of squares or powers that over-
     or underflows is measured again from the data divided by its largest
@@ -569,6 +633,16 @@ class TestFiniteDataGivesFiniteNorms:
         g = make_grid(2, 32, 2 * np.pi)
         f = self.bump(g)
         assert abs(bmo_norm(Field(g, 1e160 * f)) / (1e160 * bmo_norm(Field(g, f))) - 1) < 1e-13
+
+    def test_bmo_of_tiny_data(self):
+        # squares of values below about 1e-146 underflow: such a sample is
+        # measured as its peak deviation times the norm of the scaled one
+        g = make_grid(2, 32, 2 * np.pi)
+        f = self.bump(g)
+        base = bmo_norm(Field(g, f))
+        assert abs(bmo_norm(Field(g, 1e-160 * f)) / (1e-160 * base) - 1) < 1e-13
+        for scale in (1.0, 1e-140):  # no rescue: the rolled kernel's bits
+            assert norms._bmo_norms((scale * f)[None], g) == bmo_norms_reference((scale * f)[None], g)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_besov_band_sum(self, scale):
