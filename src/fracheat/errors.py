@@ -15,8 +15,9 @@ class RepresentationError(PreconditionError):
 
 
 class ContaminationError(PreconditionError):
-    """Whole-space emulation failed: too much |f|-mass outside the
-    central half-box, or spectral content too close to the Nyquist edge."""
+    """Whole-space emulation failed: `grid.require_whole_space` found
+    HALF_BOX_TOL or more of the |f|-mass outside the central half-box.
+    (Spectral content at the Nyquist edge is a plain PreconditionError.)"""
 
 
 class ConvergenceError(FracheatError):

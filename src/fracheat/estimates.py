@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ContaminationError, PreconditionError
+from .errors import PreconditionError
 from .grid import (
+    DilatableRecipe,
     Field,
     GaussianBump,
     GridSpec,
@@ -28,26 +29,13 @@ from .grid import (
     WindowedPowerlaw,
     _half,
     as_series,
-    contamination,
     geometric_times,
+    require_whole_space,
     sample_chunks,
     synthesize_field,
 )
-from .norms import (
-    NormSpec,
-    besov_norm,
-    lp_norm,
-    lp_norms,
-    mixed_norm,
-)
-from .semigroup import (
-    _alpha_value,
-    _rate,
-    duhamel,
-    kernel_data,
-    require_contained_kernel,
-    semigroup_series,
-)
+from .norms import NormSpec, lp_norms, mixed_norm
+from .semigroup import _alpha_value, _rate, duhamel, kernel_data, semigroup_series
 
 INF = float("inf")
 
@@ -229,7 +217,16 @@ def parabolic_ratio(
     bit for bit.  report_truncation adds the head error and tail estimate,
     relative to the integral.
     """
-    g = f.grid
+    u = as_series(f)
+    return _parabolic_ratio(u, u.to_spectral(), p, alpha, form, s_min, s_max, ratio, r, T,
+                            report_truncation)
+
+
+def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_truncation):
+    """`parabolic_ratio` of the data as a one-sample series `u` and its
+    spectral form `uh`, as in `_homogeneous_ratio`: the data norms read u's
+    samples, the flow reads `uh`."""
+    g = u.grid
     alpha = _alpha_value(alpha)
     if form == "b":
         if abs(g.n - 2 * alpha) > 1e-12:
@@ -255,15 +252,15 @@ def parabolic_ratio(
         ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
     else:
         raise PreconditionError(f"unknown parabolic form {form!r}")
-    vals = lp_norms(semigroup_series(f, ss, alpha), p)
+    vals = lp_norms(semigroup_series(uh, ss, alpha), p)
     integrand = ss ** (-e) * vals**k
     # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
-    head_weight, data = ss[0] ** (1 - e) / (1 - e), lp_norm(f, p) ** k
+    head_weight, data = ss[0] ** (1 - e) / (1 - e), float(lp_norms(u, p)[0]) ** k
     total = head_weight * data + float(np.trapezoid(integrand, ss))
     if form == "b":
-        value = math.sqrt(total) / lp_norm(f, 2)
+        value = math.sqrt(total) / float(lp_norms(u, 2)[0])
     else:
-        value = total / (T ** (1 - g.n / (2 * alpha)) * lp_norm(f, r) ** r)
+        value = total / (T ** (1 - g.n / (2 * alpha)) * float(lp_norms(u, r)[0]) ** r)
     if not report_truncation:
         return value
     head_err = head_weight * abs(data - vals[0] ** k)
@@ -299,20 +296,15 @@ def decay_fit(
     """Fit log ||e^(-tL) f||_p (or its gradient variant) against log t.
 
     The predicted exponent is -(n/2a)(1/r - 1/p), minus 1/(2a) for the
-    gradient variant.  The contamination diagnostic is evaluated on the
-    input data; it must be below 1e-6 for the whole-space reading of the
-    fit to be trusted.  Like `parabolic_ratio`, the plain fit equals the
-    per-time norms bit for bit.
+    gradient variant.  The input data must pass the whole-space gate
+    `require_whole_space` for the fit to be trusted.  Like
+    `parabolic_ratio`, the plain fit equals the per-time norms bit for bit.
     """
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
     g = f.grid
     alpha = _alpha_value(alpha)
-    cont = contamination(f)
-    if cont >= 1e-6:
-        raise ContaminationError(
-            f"data mass outside the central half-box is {cont:.3e} >= 1e-6"
-        )
+    cont = require_whole_space(f, "decay fit data")
     times = np.asarray(times, dtype=float)
     u = semigroup_series(f, times, alpha)
     if gradient:  # d_j u of each component, before the grid axes; its L^p is of |grad u|
@@ -339,7 +331,7 @@ class KernelNormFit:
 def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.ndarray:
     """lp_norm(kernel(grid, t, alpha), r) at each t of `ts`, bit for bit: the
     symbols exp(-t * rate) are stacked and go through `kernel_data` a sample
-    chunk at a time.  The whole-space validity check applies at the largest time only:
+    chunk at a time.  The whole-space gate applies at the largest time only:
     small-t kernels are near-deltas whose ringing is harmless to L^r."""
     sym = np.multiply.outer(-ts, _rate(grid, alpha))
     np.exp(sym, out=sym)
@@ -347,7 +339,7 @@ def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.
     for chunk in sample_chunks(sym, grid):
         K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
         vals.append(lp_norms(K, r))
-    require_contained_kernel(Field(grid, K.data[-1]), ts[-1], alpha)
+    require_whole_space(Field(grid, K.data[-1]), f"kernel at t={ts[-1]}, alpha={alpha}")
     return np.concatenate(vals)
 
 
@@ -402,14 +394,21 @@ def kernel_mixed_norm_fit(
 
 def besov_embedding_ratio(f: Field, p: float) -> float:
     """Homogeneous Besov norm at the critical order s = (2-p) n / (2p) over ||f||_2."""
+    u = as_series(f)
+    return _besov_embedding_ratio(u, u.to_spectral(), p)
+
+
+def _besov_embedding_ratio(u, uh, p) -> float:
+    """`besov_embedding_ratio` of the data as a one-sample series `u` (for
+    ||f||_2) and its spectral form `uh` (for the Besov norm)."""
     if not p > 2:
         raise PreconditionError(f"embedding requires p > 2, got p={p}")
-    g = f.grid
+    g = u.grid
     s = (2 - p) * g.n / (2 * p) if p != INF else -g.n / 2
-    denom = lp_norm(f, 2)
+    denom = float(lp_norms(u, 2)[0])
     if denom == 0.0:
         raise PreconditionError("zero data: ratio undefined")
-    return besov_norm(f, s, p, 2.0, homogeneous=True) / denom
+    return float(NormSpec("besov", p=p, s=s).norms(uh)[0]) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +491,12 @@ def dilation_sweep(
 ) -> RatioReport:
     """Evaluate one estimate's ratio across parabolically matched dilations.
 
-    Every dilation level is synthesized analytically from the recipe; its
-    contamination must stay below 1e-6 and its spectral content must stay
-    clear of the Nyquist edge, otherwise the sweep aborts.  max_drift is
-    max over lambda of |ratio(lambda) / ratio(1) - 1|.
+    Every dilation level is synthesized analytically from the recipe; it
+    must pass the whole-space gate `require_whole_space` and its spectral
+    content must stay clear of the Nyquist edge, otherwise the sweep aborts.
+    max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
     """
-    if not hasattr(recipe, "dilated"):
+    if not isinstance(recipe, DilatableRecipe):
         raise PreconditionError(
             f"recipe {type(recipe).__name__} does not support analytic dilation"
         )
@@ -505,21 +504,16 @@ def dilation_sweep(
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))
-        con = contamination(f)
-        if con >= 1e-6:
-            raise ContaminationError(
-                f"dilation lambda={lam}: contamination {con:.3e} >= 1e-6"
-            )
-        # the level's one series and its spectrum, shared by the Nyquist gate,
-        # the ratio's denominator and the evolution
+        con = require_whole_space(f, f"dilation lambda={lam}")
+        # the level's one series and its spectrum: the Nyquist gate and every
+        # ratio read these, and the Field is released before the ratio runs
         u = as_series(f)
+        del f
         uh = u.to_spectral()
         if _nyquist_tail(uh) >= 1e-3:
             raise PreconditionError(
                 f"dilation lambda={lam}: spectral content at the Nyquist edge"
             )
-        if estimate_id not in ("parabolic", "besov_embedding"):
-            del f  # the level lives on in u and uh; the ratio runs without f
         tscale = lam ** (-2 * alpha)
         if estimate_id in ("homogeneous", "bmo_endpoint"):
             kind = params.get("kind", "lebesgue")
@@ -543,16 +537,11 @@ def dilation_sweep(
                 s=params.get("s", 0.0),
             )
         elif estimate_id == "parabolic":
-            val = parabolic_ratio(
-                f,
-                params["p"],
-                alpha,
-                form="b",
-                s_min=params["s_min"] * tscale,
-                s_max=params["s_max"] * tscale,
-            )
+            s_min, s_max = params["s_min"] * tscale, params["s_max"] * tscale
+            val = _parabolic_ratio(u, uh, params["p"], alpha, "b", s_min, s_max,
+                                   ratio=1.25, r=None, T=None, report_truncation=False)
         elif estimate_id == "besov_embedding":
-            val = besov_embedding_ratio(f, params["p"])
+            val = _besov_embedding_ratio(u, uh, params["p"])
         else:
             raise PreconditionError(f"unknown estimate id {estimate_id!r}")
         ratios.append(float(val))

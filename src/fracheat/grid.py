@@ -11,7 +11,8 @@ Parseval identity holds with each side weighted by its own cell volume:
 
 Whole space is emulated by fields concentrated in the central half-box
 [L/4, 3L/4)^n; :func:`contamination` measures the |f|-mass outside it and
-every whole-space experiment is expected to keep it below 1e-6.
+every whole-space experiment passes :func:`require_whole_space`, which
+keeps it below HALF_BOX_TOL = 1e-6.
 
 Odd multiplier symbols (first derivatives, Riesz transforms) are built
 from a Nyquist-zeroed copy of the frequency lattice so that real fields
@@ -45,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, RepresentationError
+from .errors import ContaminationError, PreconditionError, RepresentationError
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -292,6 +293,18 @@ def contamination(f: Field) -> float:
     sl = (slice(N // 4, 3 * N // 4),) * f.grid.n
     inside = float(data[(..., *sl)].sum())
     return max((total - inside) / total, 0.0)
+
+
+def require_whole_space(f: Field, what: str) -> float:
+    """The `contamination` of f, the one whole-space gate: ContaminationError,
+    naming `what`, when it reaches HALF_BOX_TOL."""
+    c = contamination(f)
+    if c >= HALF_BOX_TOL:
+        raise ContaminationError(
+            f"{what}: contamination {c:.3e} >= {HALF_BOX_TOL:g} "
+            "(|f|-mass outside the central half-box)"
+        )
+    return c
 
 
 def require_zero_mean(f: Field, what: str) -> None:
@@ -545,14 +558,10 @@ class WindowedPowerlaw:
         return ((base - m) * win).astype(np.complex128)
 
 
-Recipe = (
-    GaussianBump
-    | PlaneWave
-    | RandomBandlimited
-    | RandomBumps
-    | WavePackets
-    | WindowedPowerlaw
-)
+# the recipes with an analytic `dilated`, the ones a dilation sweep accepts
+DilatableRecipe = GaussianBump | PlaneWave | RandomBumps | WavePackets
+
+Recipe = DilatableRecipe | RandomBandlimited | WindowedPowerlaw
 
 
 def synthesize_field(grid: GridSpec, recipe: Recipe) -> Field:

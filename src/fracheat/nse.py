@@ -39,7 +39,7 @@ from .grid import (
     sample_chunks,
     uniform_times,
 )
-from .norms import lp_norm, lp_norms, mixed_norm
+from .norms import lp_norm, lp_norms, mixed_norm  # noqa: F401  (lp_norm: re-exported)
 from .semigroup import _alpha_value, _duhamel, _march_times, _rate, duhamel, semigroup_series
 
 
@@ -283,10 +283,9 @@ def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None
     iterate's own data (a physical series is its own physical form).  With
     max_factor, gives up from the third iterate on once a contraction ratio
     exceeds it.  Returns the last iterate, the residuals, whether tol was
-    reached and the last iterate's mixed norm.
+    reached and the last iterate's mixed norm.  The solvers check
+    max_iter >= 1 before any work.
     """
-    if max_iter < 1:
-        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
     phys = v0.to_physical() if phys0 is None else phys0
     owned = phys0 is not None or phys is not v0
     del phys0  # the loop's `phys` is the only reference this frame keeps
@@ -348,6 +347,8 @@ def solve_nse_picard(
     grid = g.grid
     n = grid.n
     _require_positive("tol", tol)
+    if max_iter < 1:
+        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
     # the upper endpoint alpha = 1/2 + n/4 is accepted: the measured
     # smallness gate below is what certifies the contraction
     if not (0.5 < alpha <= 0.5 + n / 4):
@@ -486,8 +487,8 @@ def solve_potential_eq(
     each subinterval is <= 1/2; the solution is assembled by restarting
     from the subinterval endpoint.  The integrability pair (r, s) of the
     potential is declared whole or not at all; declared, it must satisfy
-    1/r + n/(2 alpha s) = 1.  V must be real; complex f or F is solved as
-    its (re, im) parts, which V does not couple.
+    1/r + n/(2 alpha s) = 1.  f, F and V must be finite and V real; complex
+    f or F is solved as its (re, im) parts, which V does not couple.
     """
     grid = f.grid
     n = grid.n
@@ -514,9 +515,11 @@ def solve_potential_eq(
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None:
         require_one_part(V, "potential V")
-        if not np.all(np.isfinite(V.data)):
-            raise PreconditionError("potential V holds non-finite values")
     f0 = as_series(f)
+    for name, w in (("data f", f0), ("forcing F", F), ("potential V", V)):
+        if w is not None and not np.all(np.isfinite(w.data)):
+            raise PreconditionError(f"{name} holds non-finite values")
+    data_norm = float(lp_norms(f0, 2)[0])
     parts = max(f0.parts, 1 if F is None else F.parts)
     f_cur = _in_parts(f0, parts).to_spectral()
     F = None if F is None else _in_parts(F, parts)
@@ -572,7 +575,6 @@ def solve_potential_eq(
 
     solution = TimeSeries.from_data(grid, all_times, np.concatenate(all_data), parts=parts)
     num = mixed_norm(solution, q, p)
-    data_norm = lp_norm(f, 2)
     if F is not None:
         data_norm += mixed_norm(F, conjugate(q), conjugate(p))
     report = PotentialReport(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContaminationError, PreconditionError
+from .errors import PreconditionError
 from .grid import (
     Field,
     GridSpec,
@@ -27,9 +27,9 @@ from .grid import (
     TimeSeries,
     _half,
     as_series,
-    contamination,
     is_real,
     on_half_spectrum,
+    require_whole_space,
     require_zero_mean,
 )
 
@@ -86,14 +86,13 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
     Returned in physical representation, translated so its peak sits at
     the box center (the convention for whole-space emulation); its
     cell-volume-weighted sum is 1 because the xi = 0 symbol value is 1.
-    Raises ContaminationError when more than 1e-6 of the |K|-mass sits
-    outside the central half-box.
+    With `check`, it must pass the whole-space gate `require_whole_space`.
     """
     if not t > 0:
         raise PreconditionError(f"kernel time t={t} must be positive")
     out = Field(grid, kernel_data(np.exp(-t * _rate(grid, alpha))[None], grid)[0])
     if check:
-        require_contained_kernel(out, t, alpha)
+        require_whole_space(out, f"kernel at t={t}, alpha={alpha}")
     return out
 
 
@@ -103,17 +102,6 @@ def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
     axes = tuple(range(-grid.n, 0))
     data = np.fft.fftshift(np.fft.irfftn(sym, s=grid.shape, axes=axes), axes=axes)
     return data * grid.N**grid.n / grid.L**grid.n
-
-
-def require_contained_kernel(k: Field, t: float, alpha) -> None:
-    """Raise ContaminationError when 1e-6 or more of the kernel's |K|-mass
-    sits outside the central half-box."""
-    c = contamination(k)
-    if c >= 1e-6:
-        raise ContaminationError(
-            f"kernel mass outside central half-box is {c:.3e} >= 1e-6 "
-            f"(t={t}, alpha={alpha})"
-        )
 
 
 def derivative_symbol(grid: GridSpec, order: float, kind: str = "homogeneous") -> np.ndarray:

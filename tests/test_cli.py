@@ -311,18 +311,38 @@ class TestOneTransformPath:
 
 class TestOneSeriesPerLevel:
     """A dilation sweep builds each level's one-sample series once: the
-    Nyquist gate, the ratio's denominator and the evolution share it and its
-    spectrum."""
+    Nyquist gate and every estimate's ratio share it and its spectrum."""
 
+    @pytest.mark.parametrize(
+        "estimate",
+        ["homogeneous", "bmo_endpoint", "inhomogeneous", "parabolic", "besov_embedding"],
+    )
     def test_verify_scans_and_transforms_each_level_once(
-        self, tmp_path, fft_count, call_count
+        self, tmp_path, monkeypatch, call_count, estimate
     ):
-        (tmp_path / "run.cfg").write_text(BASE_CFG)  # 64^2, lambdas 1, 2
+        cfg = BASE_CFG.replace(  # zero-mean data, for the homogeneous Besov norm
+            "recipe = gaussian_bump\nwidth = 0.29919930034188504",
+            "recipe = random_bumps\nwidth = 0.24\nspread = 0.3",
+        )
+        if estimate == "bmo_endpoint":
+            cfg = cfg.replace("q = 4", "q = 2")
+        (tmp_path / "run.cfg").write_text(cfg)  # 64^2, lambdas 1, 2
         calls = call_count(fracheat.grid, "is_real")
-        argv = ["--out", str(tmp_path / "o"), "verify", "--config", str(tmp_path / "run.cfg")]
+        rfftn, samples = np.fft.rfftn, []
+
+        def counted(a, *args, **kwargs):
+            samples.append(len(a))  # the stacked samples of one forward transform
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        argv = ["--out", str(tmp_path / "o"), "verify", "--estimate", estimate,
+                "--config", str(tmp_path / "run.cfg")]
         assert main(argv) == 0
         assert calls["is_real"] == 2
-        assert fft_count["rfftn"] == 2
+        # one transform of each level's one sample; the inhomogeneous ratio
+        # transforms its forcing stack, every sample of the level's series
+        assert samples.count(1) == 2
+        assert len(samples) == 2 or estimate == "inhomogeneous"
 
 
 class TestPropagate:

@@ -17,6 +17,7 @@ from fracheat import (
     Triplet,
     TimeSeries,
     VectorField,
+    besov_embedding_ratio,
     check_admissible,
     check_scaling_relation,
     conjugate,
@@ -503,13 +504,15 @@ class TestDilationSweep:
         ("homogeneous", "semigroup_series"),
         ("bmo_endpoint", "semigroup_series"),
         ("inhomogeneous", "inhomogeneous_ratio"),
+        ("parabolic", "_parabolic_ratio"),
+        ("besov_embedding", "_besov_embedding_ratio"),
     ])
     def test_level_field_is_released_before_the_ratio(self, monkeypatch, estimate_id, ratio):
-        # these ratios read the level's series and spectrum, so the level's
-        # data Field is freed before the evolution runs
+        # every ratio reads the level's series and spectrum, so the level's
+        # data Field is freed before the ratio runs
         g = make_grid(2, 64, 2 * np.pi)
         params = {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0,
-                  "p": 4.0, "q1": 4.0, "p1": 4.0, "T": 0.05,
+                  "p": 4.0, "q1": 4.0, "p1": 4.0, "T": 0.05, "s_min": 1e-6, "s_max": 6.0,
                   "times": uniform_times(0.05, 8), "profile": lambda t: 1.0 + t}
         fields, alive = [], []
         synthesize, evolve = estimates.synthesize_field, getattr(estimates, ratio)
@@ -525,9 +528,44 @@ class TestDilationSweep:
 
         monkeypatch.setattr(estimates, "synthesize_field", synthesize_spy)
         monkeypatch.setattr(estimates, ratio, evolve_spy)
-        rep = dilation_sweep(GaussianBump(width=g.L / 21), g, [1, 2], estimate_id, params)
+        recipe = RandomBumps(seed=5, width=g.L / 26, spread=g.L / 20, count=2)  # zero mean
+        rep = dilation_sweep(recipe, g, [1, 2], estimate_id, params)
         assert len(fields) == 2 and alive == [0, 0]
         assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
+
+    @pytest.mark.parametrize("estimate_id, params", [
+        ("parabolic", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6, "s_max": 6.0}),
+        ("parabolic", {"alpha": 1.0, "p": INF, "s_min": 1e-6, "s_max": 6.0}),
+        ("besov_embedding", {"alpha": 1.0, "p": 4.0}),
+    ])
+    def test_level_ratio_is_the_standalone_ratio_of_the_level(self, estimate_id, params):
+        # the sweep's ratio on (series, spectrum) has the bits of the public
+        # ratio on the level's Field
+        g = make_grid(2, 64, 2 * np.pi)
+        recipe = RandomBumps(seed=3, width=g.L / 26, spread=g.L / 20, count=2)
+        rep = dilation_sweep(recipe, g, [1, 2], estimate_id, params)
+        for lam, got in zip([1, 2], rep.ratios):
+            f = synthesize_field(g, recipe.dilated(lam))
+            if estimate_id == "besov_embedding":
+                want = besov_embedding_ratio(f, params["p"])
+            else:
+                tscale = lam ** -2.0
+                want = parabolic_ratio(f, params["p"], 1.0, s_min=params["s_min"] * tscale,
+                                       s_max=params["s_max"] * tscale)
+            assert got == want
+
+    @pytest.mark.parametrize("ratio, args", [
+        (parabolic_ratio, (4.0, 1.0)),
+        (besov_embedding_ratio, (4.0,)),
+    ])
+    def test_standalone_ratio_reads_its_field_once(self, fft_count, call_count, ratio, args):
+        # one realness scan and one forward transform of the Field; its norms
+        # and its flow read the series and spectrum they give
+        g = make_grid(2, 64, 2 * np.pi)
+        f = synthesize_field(g, RandomBumps(seed=5, width=g.L / 26, spread=g.L / 20, count=2))
+        calls = call_count(fracheat.grid, "is_real")
+        assert np.isfinite(ratio(f, *args))
+        assert calls["is_real"] == 1 and fft_count["rfftn"] == 1
 
     def test_report_serialization(self):
         g = make_grid(2, 64, 2 * np.pi)

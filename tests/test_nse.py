@@ -664,6 +664,26 @@ def test_potential_max_iter_rejected_before_any_work(call_count):
     assert calls["duhamel"] == 0 and calls["semigroup_series"] == 0
 
 
+def test_picard_max_iter_rejected_before_the_ensemble(call_count):
+    calls = call_count(nse, "estimate_bilinear_constant")
+    call_count(nse, "semigroup_series")
+    with pytest.raises(PreconditionError, match="max_iter=0"):
+        _picard(make_grid(2, 16, 2 * np.pi), max_iter=0)
+    assert calls["estimate_bilinear_constant"] == calls["semigroup_series"] == 0
+
+
+@pytest.mark.parametrize("name", ["data f", "forcing F"])
+def test_potential_non_finite_data_rejected_before_any_work(call_count, name):
+    g = make_grid(2, 16, 2 * np.pi)
+    f, F = np.ones(g.shape), np.full((2, *g.shape), 0.5)
+    (f if name == "data f" else F[1])[3, 5] = np.nan
+    calls = call_count(nse, "semigroup_series")
+    F = TimeSeries.from_data(g, [0.0, 0.2], F, "physical")
+    with pytest.raises(PreconditionError, match=f"{name} holds non-finite values"):
+        solve_potential_eq(Field(g, f), F, None, 1.0, 0.2)
+    assert calls["semigroup_series"] == 0
+
+
 def test_potential_without_forcing_marches_only_the_potential_term(call_count):
     # with F None the first iterate is the free flow itself, and each map
     # marches the Duhamel term of -V v alone; without V there is none
