@@ -2,8 +2,9 @@
 
 Config files are flat ``key = value`` text with bracketed section headers
 (INI style).  Every run writes a JSON report (one object, sorted keys,
-embedding the fully resolved config and a content hash of any input field
-files) and, where a run produces per-sample data, a CSV file.
+embedding the config as written, not the defaults a command applies, and a
+content hash of any input field files) and, where a run produces
+per-sample data, a CSV file.
 
 Exit codes: 0 success, 2 precondition/hypothesis violation (the diagnostic
 names the violated hypothesis), 1 internal error.
@@ -126,6 +127,15 @@ def parse_int(key: str, text) -> int:
         return int(text)
     except ValueError:
         raise PreconditionError(f"{key} = {text}: expected an integer") from None
+
+
+def parse_bool(key: str, text: str) -> bool:
+    """A true/false config flag in any case; anything else is a precondition
+    violation naming the key and the value."""
+    value = str(text).strip().lower()
+    if value not in ("true", "false"):
+        raise PreconditionError(f"{key} = {text}: expected true or false")
+    return value == "true"
 
 
 def _exp_str(x: float) -> str:
@@ -285,7 +295,7 @@ def cmd_norm(cfg: ExperimentConfig, args) -> tuple[dict, list]:
         p=cfg.getfloat("norm", "p", 2.0),
         s=cfg.getfloat("norm", "s", 0.0),
         q=cfg.getfloat("norm", "q", 2.0),
-        homogeneous=cfg.get("norm", "homogeneous", "true").lower() != "false",
+        homogeneous=parse_bool("homogeneous", cfg.get("norm", "homogeneous", "true")),
     )
     return {"kind": spec.kind, "value": spec.compute(f)}, []
 

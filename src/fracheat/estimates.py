@@ -92,7 +92,7 @@ def check_scaling_relation(
 def default_time_grid(T: float) -> np.ndarray:
     """[0] followed by a geometric refinement toward 0 on (0, T], densified
     uniformly to at least 40 nodes."""
-    ts = geometric_times(T * 1e-3, T, include_zero=True)
+    ts = np.concatenate([[0.0], geometric_times(T * 1e-3, T)])
     if len(ts) < 40:  # densify uniformly if the geometric ladder is short
         extra = np.linspace(0, T, 40)
         ts = np.unique(np.concatenate([ts, extra]))
@@ -426,7 +426,7 @@ class RatioReport:
     ratios: list
     max_drift: float
     contamination: list
-    verdict: str = ""
+    verdict: str
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "params": {k: _jsonable(v) for k, v in self.params.items()}}
@@ -473,12 +473,12 @@ def _nyquist_tail(spec: TimeSeries) -> float:
     return float(e[:, mask].sum()) / total
 
 
-def _separable_series(grid, f, profile, times) -> TimeSeries:
-    """profile(t) * f at each time, in the representation of f, a Field or
-    a one-sample series."""
+def _separable_series(f, profile, times) -> TimeSeries:
+    """profile(t) * f at each time, on f's grid and in its representation, f
+    a Field or a one-sample series."""
     u = f if isinstance(f, TimeSeries) else as_series(f)
     amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * (u.data.ndim - 1))
-    return TimeSeries.from_data(grid, times, amp * u.data[0], u.representation, parts=u.parts)
+    return TimeSeries.from_data(u.grid, times, amp * u.data[0], u.representation, parts=u.parts)
 
 
 def dilation_sweep(
@@ -527,7 +527,7 @@ def dilation_sweep(
         elif estimate_id == "inhomogeneous":
             times = params["times"] * tscale
             profile = params["profile"]
-            F = _separable_series(grid, u, lambda t: profile(t / tscale), times)
+            F = _separable_series(u, lambda t: profile(t / tscale), times)
             val = inhomogeneous_ratio(
                 F,
                 (params["q"], params["p"]),

@@ -348,11 +348,9 @@ def _mapped_coords(grid: GridSpec, scale: float) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """Real positive bump amplitude * exp(-|x - center|^2 / (2 width^2))."""
+    """Real positive bump exp(-|x - c|^2 / (2 width^2)) about the box center c."""
 
     width: float
-    center: tuple[float, ...] | None = None
-    amplitude: float = 1.0
     scale: float = 1.0
 
     def __post_init__(self):
@@ -367,10 +365,9 @@ class GaussianBump:
                 f"bump width {self.width} exceeds L/4 = {grid.L / 4}: "
                 "boundary-contamination guard"
             )
-        c = self.center if self.center is not None else grid.center
         ys = _mapped_coords(grid, self.scale)
-        r2 = sum((y - ci) ** 2 for y, ci in zip(ys, c))
-        return self.amplitude * np.exp(-r2 / (2 * self.width**2))
+        r2 = sum((y - ci) ** 2 for y, ci in zip(ys, grid.center))
+        return np.exp(-r2 / (2 * self.width**2))
 
 
 @dataclass(frozen=True)
@@ -530,28 +527,23 @@ class WindowedPowerlaw:
 
     Synthesized as a positive-spectrum radial profile (amplitude
     min(1, |k|^-decay) in lattice units, phases aligned at the box center)
-    multiplied by a smooth plateau window supported in the central
-    half-box, so the contamination is exactly zero.  Used for decay-rate
-    experiments whose extremizing data is not bump-like.
+    multiplied by a smooth plateau window (half-width 0.15 L, support
+    half-width 0.25 L) supported in the central half-box, so the
+    contamination is exactly zero.  Used for decay-rate experiments whose
+    extremizing data is not bump-like.
     """
 
     decay: float
-    plateau: float = 0.15  # plateau half-width as a fraction of L
-    support: float = 0.25  # support half-width as a fraction of L (<= 1/4)
 
     def render(self, grid: GridSpec) -> np.ndarray:
-        if self.support > 0.25 + 1e-12:
-            raise PreconditionError("window support must stay inside the half-box")
         klat = grid.abs_freq * grid.L / (2 * np.pi)  # lattice units
-        prof = np.where(klat > 1.0, np.power(np.maximum(klat, 1e-300), -self.decay), 1.0)
+        prof = np.maximum(klat, 1.0) ** -self.decay  # min(1, |k|^-decay)
         prof[(0,) * grid.n] = 0.0
         base = np.fft.ifftn(prof * _center_phase(grid)).real
         win = np.ones(grid.shape)
         for x in grid.coordinates:
             d = np.abs(x - grid.L / 2)
-            win = win * _plateau_profile(
-                d, self.plateau * grid.L, self.support * grid.L
-            )
+            win = win * _plateau_profile(d, 0.15 * grid.L, 0.25 * grid.L)
         # subtract a window-shaped mean so the field is zero-mean while
         # staying compactly supported inside the half-box
         m = np.sum(base * win) / np.sum(win)
@@ -810,9 +802,7 @@ def uniform_times(T: float, m: int) -> np.ndarray:
     return np.linspace(0.0, T, m + 1)
 
 
-def geometric_times(
-    t_min: float, t_max: float, ratio: float = 1.25, include_zero: bool = False
-) -> np.ndarray:
+def geometric_times(t_min: float, t_max: float, ratio: float = 1.25) -> np.ndarray:
     """Geometric samples anchored at t_min, ending exactly at t_max.
 
     Anchoring at the refined (singular) end means enlarging t_max only
@@ -827,10 +817,7 @@ def geometric_times(
     while ts[-1] * ratio < t_max * (1 - 1e-12):
         ts.append(ts[-1] * ratio)
     ts.append(t_max)
-    ts = np.array(ts)
-    if include_zero:
-        ts = np.concatenate([[0.0], ts])
-    return ts
+    return np.array(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +827,7 @@ def geometric_times(
 _MAGIC = b"FRSF"
 _HEADER = struct.Struct("<4sIIIdB7x")  # magic, version, n, N, L, representation
 _VERSION = 1
+_PAYLOAD = np.dtype("<c16")  # (re, im) little-endian f64 pairs, exactly complex128
 
 
 def write_field(f: Field, path) -> None:
@@ -847,13 +835,9 @@ def write_field(f: Field, path) -> None:
         raise PreconditionError("a field file holds one scalar field")
     rep = 0 if f.representation == PHYSICAL else 1
     header = _HEADER.pack(_MAGIC, _VERSION, f.grid.n, f.grid.N, f.grid.L, rep)
-    flat = np.ascontiguousarray(f.data, dtype=np.complex128).ravel()
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(inter.tobytes())
+        fh.write(np.asarray(f.data, dtype=_PAYLOAD).tobytes())
 
 
 def read_field(path) -> Field:
@@ -880,8 +864,8 @@ def read_field(path) -> Field:
             f"field file {path} holds {payload} payload bytes; its header grid "
             f"(n={n}, N={N}) needs {16 * N**n}"
         )
-    inter = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if not np.all(np.isfinite(inter)):
+    data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size)
+    if not np.all(np.isfinite(data)):
         raise PreconditionError(f"field file {path} holds non-finite values")
-    data = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
+    data = data.astype(np.complex128).reshape(grid.shape)  # a writeable native copy
     return Field(grid, data, PHYSICAL if rep == 0 else SPECTRAL)

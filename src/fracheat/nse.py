@@ -43,7 +43,7 @@ from .norms import lp_norm, lp_norms, mixed_norm  # noqa: F401  (lp_norm: re-exp
 from .semigroup import _alpha_value, _duhamel, _march_times, _rate, duhamel, semigroup_series
 
 
-def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> Field:
+def taylor_green(grid: GridSpec, amplitude: float) -> Field:
     """Classical divergence-free cellular vortex on the periodic box."""
     k0 = 2 * np.pi / grid.L
     X = grid.coordinates
@@ -128,11 +128,9 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def _tensor_divergence(
-    uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec, mask: np.ndarray
-) -> np.ndarray:
-    """P div(u x v) of the half spectra (m, n, ..., N//2 + 1) of real fields;
-    vh None means v = u.
+def _tensor_divergence(uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec) -> np.ndarray:
+    """P div(u x v) of the half spectra (m, n, ..., N//2 + 1) of real fields
+    on `grid`; vh None means v = u.
 
     Component j is sum_k i xi_k (u_k v_j)^: the factors are 2/3-truncated
     and inverse-transformed in one batch, their pointwise products
@@ -143,7 +141,7 @@ def _tensor_divergence(
     2n + n^2 otherwise.  The result is a half spectrum too.
     """
     n = grid.n
-    mask = _half(mask, grid)
+    mask = _half(dealias_mask(grid), grid)
     if vh is None:
         u = v = _dft(uh * mask, grid, "inverse")
         pairs = [(k, j) for k in range(n) for j in range(k, n)]
@@ -171,11 +169,13 @@ def projected_tensor_divergence(u: Field, v: Field) -> Field:
     g = u.grid
     if v.grid != g:
         raise PreconditionError("velocity fields live on different grids")
+    _require_vector(u, "velocity u")
+    _require_vector(v, "velocity v")
     us = as_series(u).to_spectral()
     vs = us if v is u else as_series(v).to_spectral()
     for w, what in ((us, "velocity u"), (vs, "velocity v")):
         require_one_part(w, what)
-    out = _tensor_divergence(us.data, None if v is u else vs.data, g, dealias_mask(g))
+    out = _tensor_divergence(us.data, None if v is u else vs.data, g)
     return TimeSeries.from_data(g, us.times, out, SPECTRAL).snapshots[0]
 
 
@@ -198,13 +198,12 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
             raise PreconditionError(
                 "bilinear form needs n-component velocity series on one grid"
             )
-    mask = dealias_mask(g)
     uh = u.to_spectral().data
     vh = None if v is u else v.to_spectral().data
     data = np.empty(uh.shape, dtype=np.complex128)
     for chunk in sample_chunks(uh, g):
         vc = None if vh is None else vh[chunk]
-        data[chunk] = _tensor_divergence(uh[chunk], vc, g, mask)
+        data[chunk] = _tensor_divergence(uh[chunk], vc, g)
     return _duhamel(TimeSeries.from_data(g, times, data), times, _rate(g, alpha), data)
 
 
@@ -360,6 +359,8 @@ def solve_nse_picard(
         raise PreconditionError(
             f"p={p} must exceed n/(2 alpha - 1) = {n / (2 * alpha - 1)}"
         )
+    if not q >= 1:
+        raise PreconditionError(f"time exponent q={q} must be >= 1")
     rel = (2 * alpha - 1) - (2 * alpha / q + n / p)
     if abs(rel) > 1e-9:
         raise PreconditionError(
@@ -487,8 +488,9 @@ def solve_potential_eq(
     each subinterval is <= 1/2; the solution is assembled by restarting
     from the subinterval endpoint.  The integrability pair (r, s) of the
     potential is declared whole or not at all; declared, it must satisfy
-    1/r + n/(2 alpha s) = 1.  f, F and V must be finite and V real; complex
-    f or F is solved as its (re, im) parts, which V does not couple.
+    r in [1, inf], s > 0 and 1/r + n/(2 alpha s) = 1.  q and p are >= 1.
+    f, F and V must be finite and V real; complex f or F is solved as its
+    (re, im) parts, which V does not couple.
     """
     grid = f.grid
     n = grid.n
@@ -505,7 +507,14 @@ def solve_potential_eq(
         raise PreconditionError(f"nodes={nodes} must be >= 1")
     if max_iter < 1:
         raise PreconditionError(f"max_iter={max_iter} must be >= 1")
+    for name, e in (("time exponent q", q), ("Lebesgue exponent p", p)):
+        if not e >= 1:
+            raise PreconditionError(f"{name}={e} must be >= 1")
     if r is not None:
+        if not r >= 1:
+            raise PreconditionError(f"potential exponent r={r} must lie in [1, inf]")
+        if not s > 0:
+            raise PreconditionError(f"potential exponent s={s} must be positive")
         res = 1.0 / r + n / (2 * alpha * s) - 1.0
         if abs(res) > 1e-9:
             raise PreconditionError(

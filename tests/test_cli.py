@@ -16,6 +16,7 @@ from fracheat import (
     read_field,
     semigroup_series,
     synthesize_field,
+    WindowedPowerlaw,
     write_field,
 )
 import fracheat.grid
@@ -594,15 +595,37 @@ class TestInputValidation:
             ),
             ("verify", BASE_CFG + "kind = sobolev\ns = inf\n",
              "order s=inf"),
+            # exponents outside their ranges, named before any relation divides by them
+            ("nse-solve", NSE + "q = 0\n", "time exponent q=0.0 must be >= 1"),
+            ("potential-solve", TINY + "[solver]\nr = 0\ns = 1\n", "r=0.0 must lie in [1, inf]"),
+            ("potential-solve", TINY + "[solver]\nr = 2\ns = 0\n", "s=0.0 must be positive"),
+            # 1/r + n/(2 alpha s) = -1 + 2 = 1 holds, but r is not an exponent
+            ("potential-solve", TINY + "[solver]\nalpha = 0.5\nr = -1\ns = 0.5\n",
+             "r=-1.0 must lie in [1, inf]"),
+            ("potential-solve", TINY + "[solver]\nq = 0.5\n", "time exponent q=0.5 must be >= 1"),
+            ("potential-solve", TINY + "[solver]\np = 0\n", "Lebesgue exponent p=0.0 must be >= 1"),
+            # a flag is true or false, not whatever is not "false"
+            *(
+                ("norm", BUMP32 + f"[norm]\nkind = sobolev\ns = 1\nhomogeneous = {h}\n",
+                 f"homogeneous = {h}: expected true or false")
+                for h in ("no", "flase")
+            ),
+            # a missing [grid] and names that are not a recipe or an estimate
+            ("norm", BUMP32.split("\n\n", 1)[1], "config is missing a [grid] section"),
+            ("norm", BUMP32.replace("= gaussian_bump", "= gaussian_bumps"),
+             "unknown data recipe 'gaussian_bumps'"),
+            ("verify", BASE_CFG.replace("= homogeneous", "= homogenous"),
+             "unknown estimate id 'homogenous'"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )
     def test_non_finite_or_non_positive_input_exit_2(
         self, tmp_path, capsys, command, text, named
     ):
-        """Times, lengths, tolerances, potentials, recipe parameters and
-        Sobolev/Besov orders that would give NaN, overflow or a misleading
-        convergence failure are rejected by name."""
+        """Times, lengths, tolerances, potentials, recipe parameters,
+        Sobolev/Besov orders, exponents, flags and names that would give
+        NaN, overflow, a misleading convergence failure, an internal error
+        or a silently misread value are rejected by name."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2
@@ -717,3 +740,23 @@ class TestNormsOfLargeData:
         base = self._norm(tmp_path, self._field_file(tmp_path, 1.0, zero_mean), norm)
         value = self._norm(tmp_path, self._field_file(tmp_path, 1e160, zero_mean), norm)
         assert abs(value / (1e160 * base) - 1) < 1e-13
+
+
+class TestNormCommand:
+    """`norm` reads every recipe the config names, and its flag in any case."""
+
+    _norm = TestNormsOfLargeData._norm
+
+    def test_windowed_powerlaw_recipe(self, tmp_path):
+        data = "recipe = windowed_powerlaw\ndecay = 1.5"
+        got = self._norm(tmp_path, data, "kind = lebesgue\np = 4")
+        g = make_grid(2, 32, 6.283185307179586)
+        assert got == lp_norm(synthesize_field(g, WindowedPowerlaw(decay=1.5)), 4.0)
+
+    def test_homogeneous_flag_in_any_case(self, tmp_path):
+        data = "recipe = random_bandlimited\nj_max = 2"
+        values = {
+            h: self._norm(tmp_path, data, f"kind = sobolev\ns = 1\nhomogeneous = {h}")
+            for h in ("true", "True", "false", "FALSE")
+        }
+        assert values["true"] == values["True"] != values["false"] == values["FALSE"]

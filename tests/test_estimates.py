@@ -482,6 +482,16 @@ class TestDilationSweep:
                 {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05},
             )
 
+    def test_nyquist_edge_rejected(self):
+        # half a grid spacing wide: inside the half-box, but its spectrum
+        # reaches the Nyquist edge
+        g = make_grid(2, 64, 2 * np.pi)
+        with pytest.raises(PreconditionError, match="spectral content at the Nyquist edge"):
+            dilation_sweep(
+                GaussianBump(width=0.5 * g.spacing), g, [1], "homogeneous",
+                {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05},
+            )
+
     def test_non_dilatable_recipe_rejected(self):
         g = make_grid(2, 64, 2 * np.pi)
         recipe = RandomBandlimited(seed=0, j_min=1, j_max=2)
@@ -637,7 +647,7 @@ class TestRealPath:
         f, pair = self.complex_bumps()
         times = np.linspace(0, 0.1, 17)
         profile = lambda t: (t / 0.03) * np.exp(-t / 0.03)  # noqa: E731
-        F, Fpair = (estimates._separable_series(f.grid, w, profile, times) for w in (f, pair))
+        F, Fpair = (estimates._separable_series(w, profile, times) for w in (f, pair))
         assert F.parts == 2 and Fpair.parts == 1
         assert np.array_equal(F.data, Fpair.data)
         got, want = (
@@ -656,7 +666,7 @@ class TestRealPath:
     def test_separable_forcing_is_real_and_takes_real_transforms(self, fft_count):
         f = self.bumps()
         times = np.linspace(0, 0.1, 17)
-        F = estimates._separable_series(f.grid, f, lambda t: 1 + t, times)
+        F = estimates._separable_series(f, lambda t: 1 + t, times)
         assert F.parts == 1 and F.representation == "physical"
         assert F.data.dtype == np.float64
         fft_count.clear()
@@ -671,7 +681,7 @@ class TestRealPath:
         fft_count.clear()
         got = homogeneous_ratio(wave, 4.0, 4.0, 1.0, 0.05)
         assert abs(got - want) <= 1e-13 * want
-        F = estimates._separable_series(g, wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
+        F = estimates._separable_series(wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
         assert F.parts == 2
         inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
         assert fft_count["fftn"] == fft_count["ifftn"] == 0 < fft_count["irfftn"]

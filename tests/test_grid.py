@@ -304,6 +304,28 @@ class TestSerialization:
         magic, version, n, N, L, rep = struct.unpack_from("<4sIIIdB", raw, 0)
         assert (version, n, N, L, rep) == (1, 1, 8, 2.0, 0)
 
+    def test_payload_is_little_endian_re_im_pairs(self, tmp_path):
+        # signed zeros and non-finite values are written as they are
+        g = make_grid(2, 16, 3.5)
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        data[0, :4] = [complex(-0.0, -0.0), complex(np.inf, -np.inf), complex(np.nan, 1.0),
+                       complex(-0.0, 2.0)]
+        path = tmp_path / "f.frsf"
+        write_field(Field(g, data), path)
+        pairs = np.stack([data.real, data.imag], axis=-1).astype("<f8")
+        assert path.read_bytes()[32:] == pairs.tobytes()
+
+    def test_spectral_read_is_bitwise_and_writeable(self, tmp_path):
+        g = make_grid(2, 16, 3.5)
+        f = synthesize_field(g, GaussianBump(width=0.3)).to_spectral()
+        f.data[1, 2], f.data[2, 1] = complex(-0.0, 0.5), complex(0.25, -0.0)
+        path = tmp_path / "f.frsf"
+        write_field(f, path)
+        back = read_field(path)
+        assert back.representation == "spectral" and back.data.flags.writeable
+        assert back.data.tobytes() == f.data.tobytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.frsf"
         path.write_bytes(b"NOPE" + bytes(28))

@@ -147,6 +147,17 @@ class TestComplexVectorOperators:
 
 
 class TestBilinear:
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (16, 16)], ids=["3-vector", "scalar"])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_projected_tensor_divergence_rejects_other_shapes(self, shape, which):
+        # as `leray_project`: a 3-vector on a 2-D grid is not dropped to 2
+        # components, and a scalar fails by name, not in numpy broadcasting
+        g = make_grid(2, 16, 2 * np.pi)
+        good, bad = random_vector(g, 3, j_max=1), Field(g, np.ones(shape))
+        u, v = (bad, good) if which == "u" else (good, bad)
+        with pytest.raises(PreconditionError, match=f"velocity {which} of shape .* not a 2-vector"):
+            nse.projected_tensor_divergence(u, v)
+
     def test_dealias_mask_built_once_per_grid(self):
         # GridSpec is frozen, so it keys one shared, read-only mask
         g = make_grid(2, 32, 2 * np.pi)
@@ -327,7 +338,7 @@ class TestRealPath:
             _tensor_divergence_oracle(a, a if same else b)
             for a, b in zip(u.snapshots, v.snapshots)
         ])
-        got = _tensor_divergence(u.data, None if same else v.data, g, dealias_mask(g))
+        got = _tensor_divergence(u.data, None if same else v.data, g)
         assert got.shape == (*want.shape[:-1], N // 2 + 1)
         assert np.max(np.abs(got - want[..., : N // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
 
@@ -465,9 +476,8 @@ class TestRealPath:
         for s in semigroup_series(Field(g, uh[0], SPECTRAL), times, alpha).snapshots:
             assert_hermitian(s.data, n)
         half = uh[..., : N // 2 + 1]
-        mask = dealias_mask(g)
         for vh in (None, half[::-1]):
-            assert_hermitian(_hermitian_fill(_tensor_divergence(half, vh, g, mask), g), n)
+            assert_hermitian(_hermitian_fill(_tensor_divergence(half, vh, g), g), n)
         # the real transforms against the complex ones
         inverse = complex_dft.inverse(uh, g)
         real_inverse = _dft(half, g, "inverse")
@@ -636,6 +646,11 @@ def _picard(g, **kw):
     return solve_nse_picard(perturbed_taylor_green(g, 0.3), None, 1.0, 0.2, 4, 4, **kw)
 
 
+def _picard_with(g, q, p):
+    return solve_nse_picard(perturbed_taylor_green(g, 0.3), None, 1.0, 0.2, q, p,
+                            nodes=8, c_est=0.1)
+
+
 def _potential(g, **kw):
     return solve_potential_eq(Field(g, np.ones(g.shape)), None, None, 1.0, 0.2, **kw)
 
@@ -781,6 +796,40 @@ class TestPicard:
         with pytest.raises(PreconditionError):
             solve_nse_picard(z, None, 1.0, 1.0, 4.0, 8.0)
 
+    def test_real_data_that_is_not_divergence_free_rejected(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        phi = synthesize_field(g, RandomBandlimited(seed=1, j_min=1, j_max=1))
+        grad = VectorField(tuple(axis_derivative(phi, j) for j in range(2)))
+        with pytest.raises(PreconditionError, match="not divergence-free"):
+            solve_nse_picard(grad, None, 1.0, 0.5, 4.0, 4.0, nodes=8, c_est=0.1)
+
+    def test_p_at_the_lower_end_rejected(self):
+        # (q, p) = (inf, 2) meets 2a - 1 = 2a/q + n/p at n = 2, a = 1, but
+        # p must exceed n/(2a - 1) = 2
+        g = make_grid(2, 16, 2 * np.pi)
+        with pytest.raises(PreconditionError, match=r"p=2.0 must exceed n/\(2 alpha - 1\)"):
+            _picard_with(g, q=float("inf"), p=2.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_q_below_one_rejected_before_the_relation(self, q):
+        g = make_grid(2, 16, 2 * np.pi)
+        with pytest.raises(PreconditionError, match=f"time exponent q={q} must be >= 1"):
+            _picard_with(g, q=q, p=4.0)
+
+    def test_smallness_gate(self, call_count):
+        g = make_grid(2, 64, 2 * np.pi)
+        calls = call_count(nse, "_fixed_point")
+        named = r"smallness gate failed: 2 \* C_est \* a = 23.953"
+        with pytest.raises(PreconditionError, match=named):
+            solve_nse_picard(perturbed_taylor_green(g, 10.0), None, 1.0, 0.5, 4.0, 4.0,
+                             nodes=16, c_est=1.0)
+        assert calls["_fixed_point"] == 0
+
+    def test_no_convergence_raises(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        with pytest.raises(ConvergenceError, match="did not reach tol=1e-15 in 1 iterations"):
+            _picard(g, max_iter=1, tol=1e-15, nodes=8, c_est=0.2)
+
     def test_divergence_free_requirement(self):
         g = make_grid(2, 16, 2 * np.pi)
         bump = synthesize_field(g, PlaneWave(k=(1, 0)))
@@ -916,7 +965,7 @@ class TestCallerData:
         before = [u.data.copy(), v.data.copy()]
         got = bilinear_form(u, v, 1.0)
         assert all(np.array_equal(w.data, b) for w, b in zip((u, v), before))
-        W = _tensor_divergence(u.data, v.to_spectral().data, g, dealias_mask(g))
+        W = _tensor_divergence(u.data, v.to_spectral().data, g)
         want = duhamel(TimeSeries.from_data(g, times, W), times, 1.0)
         assert np.array_equal(got.data, want.data)
 
@@ -1097,6 +1146,34 @@ class TestPotential:
         _, rep = solve_potential_eq(f, None, V, 1.0, 1.0, r=4, s=4 / 3, nodes=64, tol=1e-10)
         assert len(inside) > len(rep.subintervals) >= 2  # attempts were halved
         assert inside == [0] * len(inside)
+
+    def test_no_contractive_subinterval(self):
+        # V = 8 needs [0, T] halved, and min_fraction = 1 allows no halving
+        g = make_grid(2, 32, 2 * np.pi)
+        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=2))
+        V = TimeSeries.from_data(g, [0.0, 0.5], np.full((2, *g.shape), 8.0), "physical")
+        _, rep = solve_potential_eq(f, None, V, 1.0, 0.5)
+        assert len(rep.subintervals) > 1
+        with pytest.raises(ConvergenceError, match="could not find a contractive subinterval"):
+            solve_potential_eq(f, None, V, 1.0, 0.5, min_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "n, alpha, kw, named",
+        [
+            (2, 1.0, dict(q=0.5), "time exponent q=0.5 must be >= 1"),
+            (2, 1.0, dict(p=0.0), "Lebesgue exponent p=0.0 must be >= 1"),
+            (2, 1.0, dict(r=0.0, s=1.0), r"r=0.0 must lie in \[1, inf\]"),
+            (2, 1.0, dict(r=2.0, s=0.0), "s=0.0 must be positive"),
+            # meets 1/r + n/(2 alpha s) = 1, with r outside [1, inf]
+            (1, 0.5, dict(r=-1.0, s=0.5), r"r=-1.0 must lie in \[1, inf\]"),
+        ],
+    )
+    def test_exponents_rejected_before_any_work(self, call_count, n, alpha, kw, named):
+        calls = call_count(nse, "semigroup_series")
+        g = make_grid(n, 16, 2 * np.pi)
+        with pytest.raises(PreconditionError, match=named):
+            solve_potential_eq(Field(g, np.ones(g.shape)), None, None, alpha, 0.2, **kw)
+        assert calls["semigroup_series"] == 0
 
     def test_exponent_relation_checked(self):
         g = make_grid(2, 32, 2 * np.pi)
