@@ -1,10 +1,14 @@
 """Command-line surface: bind experiments to config files and emit reports.
 
 Config files are flat ``key = value`` text with bracketed section headers
-(INI style).  Every run writes a JSON report (one object, sorted keys,
-embedding the config as written, not the defaults a command applies, and a
-content hash of any input field files) and, where a run produces
-per-sample data, a CSV file.
+(INI style), read literally: ``%`` is an ordinary character and
+``[DEFAULT]`` an ordinary section.  Each config command declares the sections and keys it reads,
+with one parser per key; a section or key it does not declare exits 2
+naming it.  A key the config leaves out takes the library's default, or the
+CLI's where the library has none or the CLI overrides it.  Every run writes
+a JSON report (one object, sorted keys, embedding the config as written, not
+the defaults a command applies, and a content hash of any input field files)
+and, where a run produces per-sample data, a CSV file.
 
 Exit codes: 0 success, 2 precondition/hypothesis violation (the diagnostic
 names the violated hypothesis), 1 internal error.
@@ -72,7 +76,9 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
+        # values are literal, and no header can name the default section
+        # (a header is at least one character), so [DEFAULT] is a section
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
         cp.optionxform = str  # keep key case
         try:
             cp.read_string(text)
@@ -93,19 +99,37 @@ class ExperimentConfig:
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
 
-    def getfloat(self, section, key, default=None):
-        v = self.get(section, key)
-        return default if v is None else parse_exponent(v, key)
+    def values(self, section: str, keys: dict) -> dict:
+        """The keys [section] holds, each parsed by its parser in `keys`; a
+        key that `keys` does not declare is a precondition violation."""
+        held = self.sections.get(section, {})
+        if unread := [key for key in held if key not in keys]:
+            raise PreconditionError(f"[{section}] {', '.join(unread)}: not read here; "
+                                    f"[{section}] takes {', '.join(keys)}")
+        return {key: keys[key](key, text) for key, text in held.items()}
 
-    def getint(self, section, key, default=None):
-        v = self.get(section, key)
-        return default if v is None else parse_int(key, v)
+    def read(self, **tables: dict) -> dict[str, dict]:
+        """The values of each section named, by section.  The config may hold
+        only these, [grid] and [data], which every config command reads."""
+        sections = dict.fromkeys(["grid", "data", *tables])
+        if unread := [f"[{s}]" for s in self.sections if s not in sections]:
+            raise PreconditionError(f"{', '.join(unread)}: not read here; this command "
+                                    f"reads {', '.join(f'[{s}]' for s in sections)}")
+        return {section: self.values(section, keys) for section, keys in tables.items()}
 
     def as_dict(self) -> dict:
         return {s: dict(kv) for s, kv in self.sections.items()}
 
 
-def parse_exponent(text: str, key: str = "exponent") -> float:
+# key parsers: each takes (key, text) and names both when it rejects the text
+
+
+def parse_text(key: str, text: str) -> str:
+    """A name or a path, as written."""
+    return text
+
+
+def parse_exponent(key: str, text: str) -> float:
     """A real config value or flag, "inf" included; anything else, NaN and
     -inf among it, is a precondition violation naming the key and the value."""
     t = str(text).strip().lower()
@@ -138,68 +162,12 @@ def parse_bool(key: str, text: str) -> bool:
     return value == "true"
 
 
-def _exp_str(x: float) -> str:
-    return "inf" if x == INF else repr(float(x))
+def parse_wavevector(key: str, text: str) -> tuple[int, ...]:
+    """Comma-separated integer components."""
+    return tuple(parse_int(key, x) for x in text.split(","))
 
 
-def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
-    if not cfg.sections.get("grid"):
-        raise PreconditionError("config is missing a [grid] section")
-    return GridSpec(
-        n=cfg.getint("grid", "n", 2),
-        N=cfg.getint("grid", "N", 64),
-        L=cfg.getfloat("grid", "L", 6.283185307179586),
-    )
-
-
-def recipe_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int):
-    name = cfg.get("data", "recipe", "gaussian_bump")
-    get, getint = cfg.getfloat, cfg.getint
-    if name == "gaussian_bump":
-        return GaussianBump(width=get("data", "width", grid.L / 21))
-    if name == "plane_wave":
-        k_text = cfg.get("data", "k", "1" + ",0" * (grid.n - 1))
-        return PlaneWave(k=tuple(parse_int("k", x) for x in k_text.split(",")))
-    if name == "random_bandlimited":
-        return RandomBandlimited(
-            seed=getint("data", "seed", seed),
-            j_min=getint("data", "j_min", 1),
-            j_max=getint("data", "j_max", 3),
-        )
-    if name == "random_bumps":
-        return RandomBumps(
-            seed=getint("data", "seed", seed),
-            width=get("data", "width", grid.L / 26),
-            spread=get("data", "spread", grid.L / 20),
-            count=getint("data", "count", 4),
-        )
-    if name == "wave_packets":
-        return WavePackets(
-            seed=getint("data", "seed", seed),
-            carrier=get("data", "carrier", 20.0),
-            width=get("data", "width", grid.L / 21),
-            count=getint("data", "count", 3),
-            spread=get("data", "spread"),
-        )
-    if name == "windowed_powerlaw":
-        return WindowedPowerlaw(decay=get("data", "decay", 1.0))
-    raise PreconditionError(f"unknown data recipe {name!r}")
-
-
-def field_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int) -> Field:
-    """The [data] field_file (on exactly the config [grid]) or else the recipe."""
-    path = cfg.get("data", "field_file")
-    if not path:
-        return synthesize_field(grid, recipe_from_config(cfg, grid, seed))
-    f = read_field(path)
-    if f.grid != grid:
-        raise PreconditionError(
-            f"field file {path} is on grid {f.grid} but the config [grid] is {grid}"
-        )
-    return f
-
-
-def parse_lambdas(text: str) -> list[int]:
+def parse_lambdas(key: str, text: str) -> list[int]:
     """Comma-separated dilation factors; each must be a positive integer."""
     try:
         lambdas = [int(x) for x in text.split(",")]
@@ -207,7 +175,74 @@ def parse_lambdas(text: str) -> list[int]:
             return lambdas
     except ValueError:
         pass
-    raise PreconditionError(f"lambdas = {text}: dilation factors must be positive integers")
+    raise PreconditionError(f"{key} = {text}: dilation factors must be positive integers")
+
+
+def _exp_str(x: float) -> str:
+    return "inf" if x == INF else repr(float(x))
+
+
+def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
+    if not cfg.sections.get("grid"):
+        raise PreconditionError("config is missing a [grid] section")
+    keys = {"n": parse_int, "N": parse_int, "L": parse_exponent}
+    return GridSpec(**{"n": 2, "N": 64, "L": 2 * math.pi, **cfg.values("grid", keys)})
+
+
+# data recipe -> (its class, its [data] keys besides `recipe`, the defaults
+# the class lacks for a grid and a seed)
+_RECIPES = {
+    "gaussian_bump": (
+        GaussianBump, {"width": parse_exponent}, lambda g, seed: {"width": g.L / 21}
+    ),
+    "plane_wave": (
+        PlaneWave, {"k": parse_wavevector}, lambda g, seed: {"k": (1,) + (0,) * (g.n - 1)}
+    ),
+    "random_bandlimited": (
+        RandomBandlimited,
+        dict.fromkeys(("seed", "j_min", "j_max"), parse_int),
+        lambda g, seed: {"seed": seed, "j_min": 1, "j_max": 3},
+    ),
+    "random_bumps": (
+        RandomBumps,
+        {"seed": parse_int, "width": parse_exponent, "spread": parse_exponent,
+         "count": parse_int},
+        lambda g, seed: {"seed": seed, "width": g.L / 26, "spread": g.L / 20},
+    ),
+    "wave_packets": (
+        WavePackets,
+        {"seed": parse_int, "count": parse_int,
+         **dict.fromkeys(("carrier", "width", "spread"), parse_exponent)},
+        lambda g, seed: {"seed": seed, "carrier": 20.0, "width": g.L / 21},
+    ),
+    "windowed_powerlaw": (
+        WindowedPowerlaw, {"decay": parse_exponent}, lambda g, seed: {"decay": 1.0}
+    ),
+}
+
+
+def recipe_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int):
+    """The [data] recipe; [data] may hold only `recipe` and the recipe's keys."""
+    name = cfg.get("data", "recipe", "gaussian_bump")
+    if name not in _RECIPES:
+        raise PreconditionError(f"unknown data recipe {name!r}")
+    cls, keys, defaults = _RECIPES[name]
+    values = cfg.values("data", {"recipe": parse_text, **keys})
+    values.pop("recipe", None)
+    return cls(**{**defaults(grid, seed), **values})
+
+
+def field_from_config(cfg: ExperimentConfig, grid: GridSpec, seed: int) -> Field:
+    """The [data] field_file, alone and on exactly the config [grid], or else the recipe."""
+    if cfg.get("data", "field_file") is None:
+        return synthesize_field(grid, recipe_from_config(cfg, grid, seed))
+    path = cfg.values("data", {"field_file": parse_text})["field_file"]
+    f = read_field(path)
+    if f.grid != grid:
+        raise PreconditionError(
+            f"field file {path} is on grid {f.grid} but the config [grid] is {grid}"
+        )
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +295,11 @@ def _base_payload(command: str, cfg: ExperimentConfig | None, args) -> dict:
 
 
 def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
+    keys = {"alpha": parse_exponent, "T": parse_exponent, "nodes": parse_int}
+    solver = {"alpha": 1.0, "T": 1.0, "nodes": 32, **cfg.read(solver=keys)["solver"]}
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
-    alpha = cfg.getfloat("solver", "alpha", 1.0)
-    T = cfg.getfloat("solver", "T", 1.0)
-    times = uniform_times(T, cfg.getint("solver", "nodes", 32))
-    series = semigroup_series(f, times, alpha)
+    alpha, T = solver["alpha"], solver["T"]
+    series = semigroup_series(f, uniform_times(T, solver["nodes"]), alpha)
     l2, linf = [], []
     for phys in series.chunks():  # one inverse transform per chunk for both norms
         l2 += _lp(phys, series.grid, 2).tolist()
@@ -289,49 +324,47 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
 
 
 def cmd_norm(cfg: ExperimentConfig, args) -> tuple[dict, list]:
+    keys = {"kind": parse_text, "homogeneous": parse_bool,
+            **dict.fromkeys(("p", "s", "q"), parse_exponent)}
+    norm = cfg.read(norm=keys)["norm"]
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
-    spec = NormSpec(
-        kind=cfg.get("norm", "kind", "lebesgue"),
-        p=cfg.getfloat("norm", "p", 2.0),
-        s=cfg.getfloat("norm", "s", 0.0),
-        q=cfg.getfloat("norm", "q", 2.0),
-        homogeneous=parse_bool("homogeneous", cfg.get("norm", "homogeneous", "true")),
-    )
+    spec = NormSpec(**{"kind": "lebesgue", **norm})
     return {"kind": spec.kind, "value": spec.compute(f)}, []
 
 
+# [sweep] keys of every estimate; estimate -> the keys it alone reads, their defaults
+_SWEEP_KEYS = {"estimate": parse_text, "lambdas": parse_lambdas, "kind": parse_text,
+               **dict.fromkeys(("alpha", "q", "p", "T", "s", "drift_tol"), parse_exponent)}
+_ESTIMATE_KEYS = {
+    "parabolic": (dict.fromkeys(("s_min", "s_max"), parse_exponent),
+                  {"s_min": 1e-6, "s_max": 6.0}),
+    "inhomogeneous": ({"q1": parse_exponent, "p1": parse_exponent, "nodes": parse_int},
+                      {"q1": 4.0, "p1": 4.0, "nodes": 48}),
+}
+
+
 def cmd_verify(cfg: ExperimentConfig, args) -> tuple[dict, list]:
-    grid = grid_from_config(cfg)
-    get = cfg.getfloat
     estimate = args.estimate or cfg.get("sweep", "estimate", "homogeneous")
-    lambdas = parse_lambdas(cfg.get("sweep", "lambdas", "1,2,4"))
-    params = {
-        "alpha": get("sweep", "alpha", 1.0),
-        "q": get("sweep", "q", 4.0),
-        "p": get("sweep", "p", 4.0),
-        "T": get("sweep", "T", 0.05),
-        "kind": cfg.get("sweep", "kind", "lebesgue"),
-        "s": get("sweep", "s", 0.0),
-    }
-    if estimate == "parabolic":
-        params["s_min"] = get("sweep", "s_min", 1e-6)
-        params["s_max"] = get("sweep", "s_max", 6.0)
+    keys, defaults = _ESTIMATE_KEYS.get(estimate, ({}, {}))
+    sweep = cfg.read(sweep={**_SWEEP_KEYS, **keys})["sweep"]
+    grid = grid_from_config(cfg)
+    recipe = recipe_from_config(cfg, grid, args.seed)
+    params = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05, "kind": "lebesgue", "s": 0.0,
+              **defaults, **sweep}
+    params.pop("estimate", None)
+    lambdas, drift_tol = params.pop("lambdas", [1, 2, 4]), params.pop("drift_tol", 0.01)
     if estimate == "inhomogeneous":
-        params["q1"] = get("sweep", "q1", 4.0)
-        params["p1"] = get("sweep", "p1", 4.0)
         T = params["T"]
-        params["times"] = uniform_times(T, cfg.getint("sweep", "nodes", 48))
+        params["times"] = uniform_times(T, params.pop("nodes"))
         tau = T / 3.0
         params["profile"] = lambda t: (t / tau) * np.exp(-t / tau)
-    recipe = recipe_from_config(cfg, grid, args.seed)
-    drift_tol = get("sweep", "drift_tol", 0.01)
     report = dilation_sweep(recipe, grid, lambdas, estimate, params, drift_tol=drift_tol)
     return report.to_json_dict(), report.csv_rows()
 
 
 def cmd_decay_fit(cfg: None, args) -> tuple[dict, list]:
     n, alpha = args.n, args.alpha
-    r, p = parse_exponent(args.r, "--r"), parse_exponent(args.p, "--p")
+    r, p = parse_exponent("--r", args.r), parse_exponent("--p", args.p)
     key = (n, alpha, r, p)
     if key not in DECAY_BATTERY:
         raise PreconditionError(
@@ -359,8 +392,8 @@ def cmd_decay_fit(cfg: None, args) -> tuple[dict, list]:
 def cmd_kernel_norm(cfg: None, args) -> tuple[dict, list]:
     fit = kernel_mixed_norm_fit(
         alpha=args.alpha,
-        h=parse_exponent(args.h, "--h"),
-        r=parse_exponent(args.r, "--r"),
+        h=parse_exponent("--h", args.h),
+        r=parse_exponent("--r", args.r),
         T=args.T,
         n=args.n,
     )
@@ -374,27 +407,19 @@ _NSE_RECIPES = {
 
 
 def cmd_nse_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
-    grid = grid_from_config(cfg)
-    get = cfg.getfloat
-    if cfg.get("data", "field_file"):
-        raise PreconditionError("nse-solve takes no [data] field_file; set a recipe")
-    recipe = cfg.get("data", "recipe", "perturbed_taylor_green")
-    if recipe not in _NSE_RECIPES:
-        raise PreconditionError(
-            f"nse-solve data recipe {recipe!r} is not one of {sorted(_NSE_RECIPES)}"
-        )
-    g0 = _NSE_RECIPES[recipe](grid, get("data", "amplitude", 1.0))
-    v, report = solve_nse_picard(
-        g0,
-        None,
-        get("solver", "alpha", 1.0),
-        get("solver", "T", 1.0),
-        get("solver", "q", 4.0),
-        get("solver", "p", 4.0),
-        tol=get("solver", "tol", 1e-6),
-        max_iter=cfg.getint("solver", "max_iter", 20),
-        nodes=cfg.getint("solver", "nodes", 64),
+    c = cfg.read(
+        data={"recipe": parse_text, "amplitude": parse_exponent},
+        solver={**dict.fromkeys(("alpha", "T", "q", "p", "tol"), parse_exponent),
+                "max_iter": parse_int, "nodes": parse_int},
     )
+    data = {"recipe": "perturbed_taylor_green", "amplitude": 1.0, **c["data"]}
+    if data["recipe"] not in _NSE_RECIPES:
+        raise PreconditionError(
+            f"nse-solve data recipe {data['recipe']!r} is not one of {sorted(_NSE_RECIPES)}"
+        )
+    g0 = _NSE_RECIPES[data["recipe"]](grid_from_config(cfg), data["amplitude"])
+    solver = {"alpha": 1.0, "T": 1.0, "q": 4.0, "p": 4.0, "tol": 1e-6, **c["solver"]}
+    v, report = solve_nse_picard(g0, None, **solver)
     rows = [
         {"t": t, "l2": l2} for t, l2 in zip(v.times.tolist(), lp_norms(v, 2).tolist())
     ]
@@ -402,30 +427,18 @@ def cmd_nse_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
 
 
 def cmd_potential_solve(cfg: ExperimentConfig, args) -> tuple[dict, list]:
+    reals = ("alpha", "T", "q", "p", "r", "s", "tol", "min_fraction")
+    keys = {**dict.fromkeys(reals, parse_exponent), "max_iter": parse_int, "nodes": parse_int}
+    c = cfg.read(solver=keys, potential={"constant": parse_exponent})
+    solver = {"alpha": 1.0, "T": 1.0, **c["solver"]}
     grid = grid_from_config(cfg)
-    get = cfg.getfloat
-    T = get("solver", "T", 1.0)
     f = field_from_config(cfg, grid, args.seed)
     V = None
-    c = get("potential", "constant")
-    if c is not None:
-        times = uniform_times(T, 1)  # [0, T], rejecting a bad T by name
-        V = TimeSeries.from_data(grid, times, np.full((2, *grid.shape), c), PHYSICAL)
-    _, report = solve_potential_eq(
-        f,
-        None,
-        V,
-        alpha=get("solver", "alpha", 1.0),
-        T=T,
-        q=get("solver", "q", 4.0),
-        p=get("solver", "p", 4.0),
-        r=get("solver", "r"),
-        s=get("solver", "s"),
-        tol=get("solver", "tol", 1e-10),
-        max_iter=cfg.getint("solver", "max_iter", 40),
-        nodes=cfg.getint("solver", "nodes", 64),
-        min_fraction=get("solver", "min_fraction", 1.0 / 1024),
-    )
+    if "constant" in c["potential"]:
+        times = uniform_times(solver["T"], 1)  # [0, T], rejecting a bad T by name
+        data = np.full((2, *grid.shape), c["potential"]["constant"])
+        V = TimeSeries.from_data(grid, times, data, PHYSICAL)
+    _, report = solve_potential_eq(f, None, V, **solver)
     rows = [
         {"t0": a, "t1": b, "factor": fac, "iterations": it}
         for a, b, fac, it in report.subintervals

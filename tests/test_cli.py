@@ -64,11 +64,11 @@ class TestConfig:
             ExperimentConfig.parse("not a config\n===")
 
     def test_exponent_parsing(self):
-        assert parse_exponent("inf") == float("inf")
-        assert parse_exponent("2.5") == 2.5
+        assert parse_exponent("x", "inf") == float("inf")
+        assert parse_exponent("x", "2.5") == 2.5
         for text in ("nan", "-inf", "-Infinity"):
             with pytest.raises(PreconditionError, match=f"x = {text}: expected"):
-                parse_exponent(text, "x")
+                parse_exponent("x", text)
 
 
 class TestCommands:
@@ -422,7 +422,7 @@ class TestInputValidation:
         cfg = tmp_path / "field.cfg"
         cfg.write_text(
             f"[grid]\nn = 2\nN = {N}\nL = 6.283185307179586\n\n"
-            f"[data]\nfield_file = {field_path}\n\n[norm]\nkind = lebesgue\np = 2\n"
+            f"[data]\nfield_file = {field_path}\n"
         )
         return cfg
 
@@ -558,8 +558,9 @@ class TestInputValidation:
     )
     def test_non_numeric_value_exit_2(self, tmp_path, capsys, argv, named):
         cfg = tmp_path / "bad.cfg"
-        # the named line sits in [solver] and [data]; each command reads it from one
-        cfg.write_text(TestCommandSkeleton.TINY_GRID + f"[solver]\n{named}\n\n[data]\n{named}\n")
+        # the named line sits in the section its command reads it from
+        section = "data" if named.startswith("width") else "solver"
+        cfg.write_text(TestCommandSkeleton.TINY_GRID + f"[{section}]\n{named}\n")
         argv = [a.format(cfg=cfg) for a in argv]
         assert main(["--out", str(tmp_path / "o"), *argv]) == 2
         assert named in capsys.readouterr().err
@@ -703,6 +704,51 @@ class TestInputValidation:
         rc = main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)])
         assert rc == 2
         assert "N = 32.0" in capsys.readouterr().err
+
+    FIELD = "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n[data]\nfield_file = {dir}/f32.frsf\n"
+
+    @pytest.mark.parametrize(
+        "command, text, named",
+        [
+            # a misspelt key in each config command
+            ("norm", BUMP32.replace("width", "widht"), "[data] widht: not read here"),
+            ("norm", BUMP32.replace("N = 32", "NN = 32"), "[grid] NN: not read here"),
+            ("verify", BASE_CFG.replace("drift_tol", "drift_tl"),
+             "[sweep] drift_tl: not read here"),
+            ("propagate", TINY + "[solver]\nT = 0.1\nnode = 4\n", "[solver] node: not read here"),
+            ("nse-solve", NSE + "tol_ = 1e-6\n", "[solver] tol_: not read here"),
+            ("potential-solve", TINY + "[potential]\nconstnat = 2\n",
+             "[potential] constnat: not read here"),
+            # a section no command reads, or one this command does not read
+            ("propagate", TINY + "[solvr]\nT = 0.1\n", "[solvr]: not read here"),
+            ("norm", BUMP32 + "[solver]\nT = 0.1\n", "[solver]: not read here"),
+            ("potential-solve", TINY + "[sweep]\nalpha = 1\n", "[sweep]: not read here"),
+            # [DEFAULT] is a section like any other, not copied into the rest
+            ("norm", "[DEFAULT]\nwidth = 0.3\n\n" + BUMP32, "[DEFAULT]: not read here"),
+            # verify synthesizes every dilation level, so it reads no field file
+            ("verify", BASE_CFG.replace("recipe = gaussian_bump\n", "field_file = {dir}/f32.frsf\n"),
+             "[data] field_file: not read here"),
+            # a field file is the whole of [data]
+            ("norm", FIELD + "recipe = gaussian_bump\n", "[data] recipe: not read here"),
+            # a key of another recipe, or of another estimate
+            ("norm", BUMP32 + "count = 4\n", "[data] count: not read here"),
+            ("propagate", TINY + "[data]\namplitude = 2\n", "[data] amplitude: not read here"),
+            ("verify", BASE_CFG + "s_min = 0.1\n", "[sweep] s_min: not read here"),
+            ("verify", BASE_CFG.replace("= homogeneous", "= parabolic") + "q1 = 4\n",
+             "[sweep] q1: not read here"),
+            # a value is read as written: a % in a path names the unreadable file
+            ("norm", FIELD.replace("f32", "a%b"), "cannot read field file {dir}/a%b.frsf"),
+        ],
+        ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
+    )
+    def test_undeclared_section_or_key_exit_2(self, tmp_path, capsys, command, text, named):
+        """A section or key the command does not read is rejected by name
+        before any work, where it used to be ignored."""
+        self._field_file(tmp_path, 32)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.format(dir=tmp_path))
+        assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2
+        assert named.format(dir=tmp_path) in capsys.readouterr().err
 
 
 class TestNormsOfLargeData:
