@@ -145,15 +145,21 @@ def mixed_norm(u: TimeSeries, q: float, p: "float | NormSpec") -> float:
         raise PreconditionError("mixed norm needs at least two time samples")
     if not q >= 1:
         raise PreconditionError(f"time exponent q={q} must be >= 1")
-    vals = p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p)
+    return _time_norm(p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p), u.times, q)
+
+
+def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
+    """L^q over the sample grid `times` of the per-sample norms `vals`: the
+    composite trapezoid sum, the max for q = inf, rescaled as in `_root_sums`
+    when the q-th powers over- or underflow."""
     if q == INF:
         return float(vals.max())
     with np.errstate(over="ignore"):
-        total = np.trapezoid(vals**q, u.times)
+        total = np.trapezoid(vals**q, times)
     peak = vals.max()
-    if (total < TINY or total == INF) and 0 < peak < INF:  # rescaled, as in `_root_sums`
+    if (total < TINY or total == INF) and 0 < peak < INF:
         with np.errstate(under="ignore"):
-            total = np.trapezoid((vals / peak) ** q, u.times)
+            total = np.trapezoid((vals / peak) ** q, times)
         return float(peak * total ** (1.0 / q))
     return float(total ** (1.0 / q))
 

@@ -39,8 +39,12 @@ from .grid import (
     sample_chunks,
     uniform_times,
 )
-from .norms import lp_norm, lp_norms, mixed_norm  # noqa: F401  (lp_norm: re-exported)
-from .semigroup import _alpha_value, _duhamel, _march_times, _rate, duhamel, semigroup_series
+from .norms import (  # noqa: F401  (lp_norm: re-exported)
+    _lp, _time_norm, lp_norm, lp_norms, mixed_norm,
+)
+from .semigroup import (
+    _alpha_value, _duhamel, _evolve, _march_times, _rate, duhamel, semigroup_series,
+)
 
 
 def taylor_green(grid: GridSpec, amplitude: float) -> Field:
@@ -179,14 +183,27 @@ def projected_tensor_divergence(u: Field, v: Field) -> Field:
     return TimeSeries.from_data(g, us.times, out, SPECTRAL).snapshots[0]
 
 
+def _bilinear_into(F: TimeSeries, lam: np.ndarray, factors) -> TimeSeries:
+    """B(u, v) in the stack of F, a spectral velocity series on the time grid
+    of u and v: for each `sample_chunks` chunk, P div(u x v) of the half
+    spectra factors(chunk) = (uh, vh), vh None for v = u, is written over
+    F's samples in that chunk, and the Duhamel march at the rate lam then
+    overwrites F's stack with the integral.  A factor may be the chunk of F
+    it replaces."""
+    times = _march_times(F, F.times)
+    for chunk in sample_chunks(F.data, F.grid):
+        F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
+    return _duhamel(F, times, lam, F.data)
+
+
 def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     """B(u, v): Duhamel integral of P div(u x v) at the shared sample times.
 
-    The velocities are real.  The nonlinearity is evaluated on chunks of
-    samples (`sample_chunks`) into one forcing stack, which the Duhamel
-    march then overwrites with the integral, so the forcing and the result
-    are never held at once; u's and v's data are only read.  Passing the
-    same series twice shares its transforms.
+    The velocities are real.  `_bilinear_into` evaluates the nonlinearity a
+    chunk of samples at a time into one new forcing stack, which the march
+    then overwrites with the integral, so the forcing and the result are
+    never held at once; u's and v's data are only read.  Passing the same
+    series twice shares its transforms.
     """
     times = _march_times(u, u.times)
     g = u.grid
@@ -200,17 +217,10 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
             )
     uh = u.to_spectral().data
     vh = None if v is u else v.to_spectral().data
-    data = np.empty(uh.shape, dtype=np.complex128)
-    for chunk in sample_chunks(uh, g):
-        vc = None if vh is None else vh[chunk]
-        data[chunk] = _tensor_divergence(uh[chunk], vc, g)
-    return _duhamel(TimeSeries.from_data(g, times, data), times, _rate(g, alpha), data)
-
-
-# The pairs (i, j), i <= j, of the C_est ensemble, ordered so that consecutive
-# pairs share a member and at most two evolved members are alive at once;
-# only member 0 is evolved twice.
-_ENSEMBLE_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, 2))
+    F = TimeSeries.from_data(g, times, np.empty(uh.shape, dtype=np.complex128))
+    return _bilinear_into(
+        F, _rate(g, alpha), lambda chunk: (uh[chunk], None if vh is None else vh[chunk])
+    )
 
 
 def estimate_bilinear_constant(
@@ -224,9 +234,14 @@ def estimate_bilinear_constant(
     """Measured bound max ||B(u,v)|| / (||u|| ||v||) in L^q_t L^p_x over a
     seeded ensemble of divergence-free free evolutions.
 
-    The three members are kept as their one-sample, Leray-projected seeds
-    and evolved when a pair needs them, in the pair order above, so at most
-    two evolved stacks are alive; each member's norm is measured once.  An
+    The three members are kept as their one-sample, Leray-projected seeds.
+    For each pair (i, j), i <= j, the two members are evolved from their
+    seeds one chunk of samples at a time (`_evolve`, one exp per sample for
+    both), and `_bilinear_into` writes P div(u x v) of each chunk straight
+    into the pair's one stack, which is released before the next pair's; a
+    member's L^p norms are taken from the chunks of the first pair that
+    evolves it.  So no evolved member is ever whole, and at most one stack
+    is alive.  An
     evolution is deterministic and B(a, b) keeps its argument order, so the
     ratios, and their maximum, have the bits of the all-members-at-once
     computation.
@@ -236,26 +251,35 @@ def estimate_bilinear_constant(
     j_max = 3
     while 2.0 ** (j_max + 1) >= grid.nyquist:
         j_max -= 1
-    seeds = []
+    lam = _rate(grid, alpha)
+    seeds = []  # one-sample half spectra
     for seed in (101, 202, 303):
         comps = [
             RandomBandlimited(seed + 7 * c, 1, j_max).render(grid) for c in range(grid.n)
         ]
         w = TimeSeries.from_data(grid, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
-        seeds.append(TimeSeries.from_data(grid, w.times, _leray(w.data, grid)))
-    live: dict[int, TimeSeries] = {}
+        seeds.append(_leray(w.data, grid)[0])
     norms: dict[int, float] = {}
+
+    def ratio(i: int, j: int) -> float:
+        stack = np.empty((len(times), *seeds[0].shape), dtype=np.complex128)
+        F = TimeSeries.from_data(grid, times, stack)
+        members = [i] if i == j else [i, j]
+        vals = {k: np.empty(len(F)) for k in members if k not in norms}  # per-sample norms
+
+        def factors(chunk):
+            evolved = dict(zip(members, _evolve([seeds[k] for k in members], F.times[chunk], lam)))
+            for k in vals:
+                vals[k][chunk] = _lp(_dft(evolved[k], grid, "inverse"), grid, p)
+            return evolved[i], None if i == j else evolved[j]
+
+        num = mixed_norm(_bilinear_into(F, lam, factors), q, p)
+        norms.update({k: _time_norm(v, F.times, q) for k, v in vals.items()})
+        return num / (norms[i] * norms[j])
+
     best = 0.0
-    for pair in _ENSEMBLE_PAIRS:
-        live = {k: live[k] for k in pair if k in live}  # only this pair's members
-        for k in pair:
-            if k not in live:
-                live[k] = semigroup_series(seeds[k], times, alpha)
-                if k not in norms:
-                    norms[k] = mixed_norm(live[k], q, p)
-        i, j = pair
-        val = mixed_norm(bilinear_form(live[i], live[j], alpha), q, p) / (norms[i] * norms[j])
-        best = max(best, float(val))
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        best = max(best, float(ratio(i, j)))
     return best
 
 
@@ -272,31 +296,38 @@ def _factor(residuals: list) -> float:
 def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None):
     """Iterate v -> apply_map(v, phys) from v0, phys being v in physical form,
     until the relative step ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x
-    falls below tol.
+    falls below tol (p a number).
 
-    Each iterate is brought to physical space once: its norm, the step (the
-    difference of the two physical stacks) and the next map evaluation all
-    read the same samples; `phys0`, if given, is v0's and is handed over.
-    The step is written into the previous physical stack once it is dead,
-    if that stack was made here or handed over: never into v0's or an
-    iterate's own data (a physical series is its own physical form).  With
-    max_factor, gives up from the third iterate on once a contraction ratio
-    exceeds it.  Returns the last iterate, the residuals, whether tol was
-    reached and the last iterate's mixed norm.  The solvers check
-    max_iter >= 1 before any work.
+    One physical stack is kept: `phys0`, if given, is v0's and is handed
+    over; else v0 is brought to physical space here, copied once if it is
+    physical.  After each map evaluation, one `sample_chunks` chunk at a
+    time, the new iterate is brought to physical space once, the L^p norms
+    of its samples and of their steps from the samples in `phys` are taken,
+    and the new samples are written over the old; the two time norms are
+    `_time_norm`s of those per-sample norms.  So the norm, the step and the
+    next map evaluation read the same samples.  apply_map may write into
+    its argument's stack, never into phys; v0's and the iterates' stacks are
+    only read here.  With max_factor, gives up from the third iterate on
+    once a contraction ratio exceeds it.  Returns the last iterate, the
+    residuals, whether tol was reached and the last iterate's mixed norm.
+    The solvers check max_iter >= 1 before any work.
     """
+    grid, times = v0.grid, v0.times
     phys = v0.to_physical() if phys0 is None else phys0
-    owned = phys0 is not None or phys is not v0
+    if phys is v0:
+        phys = TimeSeries.from_data(grid, times, v0.data.copy(), PHYSICAL, v0.parts)
     del phys0  # the loop's `phys` is the only reference this frame keeps
     v, norm, residuals = v0, None, []
+    norms, steps = np.empty(len(v0)), np.empty(len(v0))
     for it in range(1, max_iter + 1):
         v = apply_map(v, phys)
-        phys_next = v.to_physical()
-        norm = mixed_norm(phys_next, q, p)
-        step = phys_next._combine(phys, np.subtract, out=phys.data if owned else None)
-        residuals.append(mixed_norm(step, q, p) / (norm or 1.0))
-        del step  # the old stack is dead once `phys` moves on
-        phys, owned = phys_next, phys_next is not v
+        for chunk, new in zip(sample_chunks(v.data, grid), v.chunks()):
+            old = phys.data[chunk]
+            norms[chunk] = _lp(new, grid, p)
+            steps[chunk] = _lp(np.subtract(new, old, out=old), grid, p)
+            old[...] = new
+        norm = _time_norm(norms, times, q)
+        residuals.append(_time_norm(steps, times, q) / (norm or 1.0))
         if residuals[-1] < tol:
             return v, residuals, True, norm
         if max_factor is not None and it >= 3 and _factor(residuals) > max_factor:
@@ -384,30 +415,39 @@ def solve_nse_picard(
     times = uniform_times(T, nodes)
     if c_est is None:  # first, so that the ensemble's memory peak holds no data term
         c_est = estimate_bilinear_constant(grid, alpha, T, q, p, times=times)
-    base = free = semigroup_series(g0, times, alpha)
+    lam = _rate(grid, alpha)
+    # v0 = base = e^(-tL) g (+ the forced term), in the stack of the free
+    # evolution; the map regenerates base a chunk at a time
+    v0 = TimeSeries.from_data(grid, times, *_evolve([g0.data[0]], times, lam))
+    forced = None
     if h is None:  # the physical stack that measures `a` also seeds the fixed
         # point; kept in a list so that it can be handed over with no reference here
-        seed = [free.to_physical()]
+        seed = [v0.to_physical()]
         a_val = mixed_norm(seed[0], q, p)
     else:
         hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
         forced = duhamel(hP, times, alpha)
-        a_val = mixed_norm(free, q, p) + mixed_norm(forced, q, p)
-        base, seed = free + forced, [None]
-        del hP, forced
-    del free
+        del hP
+        a_val = mixed_norm(v0, q, p) + mixed_norm(forced, q, p)
+        np.add(v0.data, forced.data, out=v0.data)
+        seed = [None]
     if not 2 * c_est * a_val < 1:
         raise PreconditionError(
             f"smallness gate failed: 2 * C_est * a = {2 * c_est * a_val:.3f} >= 1 "
             f"(a={a_val:.3e}, C_est={c_est:.3e})"
         )
 
-    def apply_map(v: TimeSeries, _) -> TimeSeries:  # base - B(v, v), in B's stack
-        B = bilinear_form(v, v, alpha)
-        return base._combine(B, np.subtract, out=B.data)
+    def apply_map(v: TimeSeries, _) -> TimeSeries:  # base - B(v, v), in v's stack
+        B = _bilinear_into(v, lam, lambda chunk: (v.data[chunk], None))
+        for chunk in sample_chunks(B.data, grid):
+            (base,) = _evolve([g0.data[0]], times[chunk], lam)
+            if forced is not None:
+                np.add(base, forced.data[chunk], out=base)
+            np.subtract(base, B.data[chunk], out=B.data[chunk])
+        return B
 
     v, residuals, converged, final_norm = _fixed_point(
-        apply_map, base, q, p, tol, max_iter, phys0=seed.pop()
+        apply_map, v0, q, p, tol, max_iter, phys0=seed.pop()
     )
     report = PicardReport(
         residuals=residuals,

@@ -2,8 +2,9 @@
 
 The dissipation generator is the fractional Laplacian with symbol
 |xi|^(2*alpha), built once by `_rate`; the propagator exp(-t |xi|^(2*alpha))
-runs on two stacks, `semigroup_series` and `kernel_data`, and `apply_semigroup`
-and `kernel` are their one-time cases.  All operators here are diagonal in
+runs on two stacks, `_evolve` (the free evolutions of one or more spectra,
+behind `semigroup_series`) and `kernel_data`, and `apply_semigroup` and
+`kernel` are their one-time cases.  All operators here are diagonal in
 frequency, so they are independent of the transform normalization.
 
 The Duhamel integral int_0^t exp(-(t-s) |xi|^(2a)) F(s) ds is evaluated
@@ -72,12 +73,20 @@ def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
     """Free evolution of a scalar or vector Field, or of the one sample of a
     series, sampled on a time grid (spectral, in the layout of the data)."""
     u = (f if isinstance(f, TimeSeries) else as_series(f)).to_spectral()
-    lam = _rate(u.grid, alpha)
-    spec = u.data[0]
-    data = np.empty((len(times), *spec.shape), dtype=np.complex128)
-    for out, t in zip(data, times):
-        np.multiply(spec, np.exp(-t * lam), out=out)
+    (data,) = _evolve([u.data[0]], times, _rate(u.grid, alpha))
     return TimeSeries.from_data(u.grid, times, data, SPECTRAL, u.parts)
+
+
+def _evolve(specs: list, times, lam: np.ndarray) -> list:
+    """The free evolutions spec * exp(-t * lam), t in `times`, of each
+    one-sample half spectrum in `specs`: one new stack per spectrum, and one
+    exp per time, shared by all of them."""
+    outs = [np.empty((len(times), *spec.shape), dtype=np.complex128) for spec in specs]
+    for k, t in enumerate(times):
+        e = np.exp(-t * lam)
+        for spec, out in zip(specs, outs):
+            np.multiply(spec, e, out=out[k])
+    return outs
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -182,6 +191,14 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _etd2(lam: np.ndarray, h: float) -> tuple:
+    """The ETD2 coefficients of a step h: E = exp(z), A = phi1(z) - phi2(z)
+    and B = phi2(z) at z = -lam h."""
+    z = -lam * h
+    p1, p2 = _phi1(z), _phi2(z)
+    return np.exp(z), p1 - p2, p2
+
+
 def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     """int_0^t exp(-(t-s) (-Lap)^alpha) F(s) ds at each requested time.
 
@@ -216,18 +233,26 @@ def _duhamel(F: TimeSeries, t_eval: np.ndarray, lam: np.ndarray, out: np.ndarray
     """The march of `duhamel` for a spectral F, a `_march_times` t_eval and
     the rate lam: one forward pass writing the integral at t_eval[k] to out[k].
     An entry within 1e-15 of a sample is written after the step that leaves
-    the sample has read it, so `out` may be F's stack when t_eval is F.times."""
+    the sample has read it, so `out` may be F's stack when t_eval is F.times.
+    The coefficients of a step size are derived once and dropped after the
+    last whole step of that size; a partial step's are derived and dropped."""
     times, Fhat = F.times, F.data
-    coefficients: dict[float, tuple] = {}  # step h -> ETD2 coefficients
+    steps = np.diff(times)
+    last = {h: seg for seg, h in enumerate(steps)}  # step size -> its last whole step
+    cache: dict[float, tuple] = {}  # step size -> coefficients, up to its last whole step
 
-    def step(I, h, F0, F1):
-        """I -> E I + h (F0 A + F1 B) with E = exp(z), A = phi1(z) - phi2(z),
-        B = phi2(z) at z = -lam h: exact for forcing linear across the step."""
-        if h not in coefficients:
-            z = -lam * h
-            p1, p2 = _phi1(z), _phi2(z)
-            coefficients[h] = np.exp(z), p1 - p2, p2
-        E, A, B = coefficients[h]
+    def whole_step(seg):
+        """The coefficients of whole step seg, kept while a later whole step has its size."""
+        h = steps[seg]
+        block = cache.pop(h, None) or _etd2(lam, h)
+        if last[h] > seg:
+            cache[h] = block
+        return block
+
+    def step(I, h, F0, F1, block):
+        """I -> E I + h (F0 A + F1 B) for the `_etd2` block (E, A, B) of h:
+        exact for forcing linear across the step."""
+        E, A, B = block
         return E * I + h * (F0 * A + F1 * B)
 
     I = np.zeros(Fhat.shape[1:], dtype=np.complex128)
@@ -235,14 +260,15 @@ def _duhamel(F: TimeSeries, t_eval: np.ndarray, lam: np.ndarray, out: np.ndarray
     for k, t in enumerate(t_eval):
         # advance over whole intervals ending before t
         while seg + 1 < len(times) and times[seg + 1] <= t + 1e-15:
-            I_next = step(I, times[seg + 1] - times[seg], Fhat[seg], Fhat[seg + 1])
+            I_next = step(I, steps[seg], Fhat[seg], Fhat[seg + 1], whole_step(seg))
             for j in owed:
                 out[j] = I
             I, owed, seg = I_next, [], seg + 1
         delta = t - times[seg]
-        if delta > 1e-15 and seg + 1 < len(times):
-            w = delta / (times[seg + 1] - times[seg])
-            out[k] = step(I, delta, Fhat[seg], (1 - w) * Fhat[seg] + w * Fhat[seg + 1])
+        if delta > 1e-15 and seg + 1 < len(times):  # a partial step: its block is not kept
+            w = delta / steps[seg]
+            F1 = (1 - w) * Fhat[seg] + w * Fhat[seg + 1]
+            out[k] = step(I, delta, Fhat[seg], F1, _etd2(lam, delta))
         else:
             owed.append(k)
     for j in owed:

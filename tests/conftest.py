@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -44,3 +45,23 @@ def call_count(monkeypatch):
         return count
 
     return wrap
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(call) runs call() under tracemalloc and returns, in bytes,
+    the peak of the traced memory above what was live when it started.
+    tracemalloc traces numpy's array allocations, so the peak repeats
+    exactly from run to run."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -199,6 +199,20 @@ class TestMixedNorm:
             with pytest.raises(PreconditionError, match="zero-mean"):
                 spec.norms(bad)
 
+    @pytest.mark.parametrize("q, scale", [(1, 1.0), (4, 1.0), (INF, 1.0), (4, 1e200)])
+    def test_time_norm_of_chunk_collected_norms(self, q, scale):
+        # the fixed-point loop's path: per-sample L^p norms collected a chunk
+        # at a time, then the one time-norm helper
+        u = self.series(64, 40, vector=True)
+        u = TimeSeries.from_data(u.grid, u.times, scale * u.data)
+        vals = np.empty(len(u))
+        for chunk, phys in zip(sample_chunks(u.data, u.grid), u.chunks()):
+            vals[chunk] = norms._lp(phys, u.grid, 4)
+        if scale > 1:  # the q-th powers overflow: the rescaled branch
+            with np.errstate(over="ignore"):
+                assert np.trapezoid(vals**q, u.times) == INF
+        assert norms._time_norm(vals, u.times, q) == mixed_norm(u, q, 4)
+
     def test_needs_two_samples(self):
         g = make_grid(1, 8, 1.0)
         with pytest.raises(PreconditionError):

@@ -1,7 +1,7 @@
 """Leray projection, bilinear operator, Picard and potential solvers."""
 
 import itertools
-import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ from fracheat.grid import (
     sample_chunks,
     uniform_times,
 )
-from fracheat import nse
+from fracheat import nse, norms
 from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
 
@@ -747,31 +747,42 @@ def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing)
 
 
 class TestPicard:
-    def test_final_norm_is_last_iterate_norm(self, call_count):
+    def test_final_norm_is_last_iterate_norm(self, call_count, fft_count):
         g = make_grid(2, 16, 2 * np.pi)
         g0 = perturbed_taylor_green(g, 0.3)
-        calls = call_count(nse, "mixed_norm")
+        calls = call_count(nse, "_time_norm")
+        call_count(norms, "_time_norm")  # mixed_norm's, in the same count
         v, rep = solve_nse_picard(
             g0, None, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=12, c_est=0.2
         )
-        # one norm of the data, then a step norm and an iterate norm per iteration
-        assert calls["mixed_norm"] == 2 * rep.iterations + 1
+        # one time norm of the data, then a step norm and an iterate norm per iteration
+        assert calls["_time_norm"] == 2 * rep.iterations + 1
+        # one chunk of 13 samples: the divergence check and the seed stack,
+        # then the map's factors and the new iterate, each inverse-transformed once
+        assert fft_count["irfftn"] == 2 + 2 * rep.iterations
         assert rep.final_norm == mixed_norm(v, 4.0, 4.0)
 
     def test_data_functional_reads_the_seed_stack(self, monkeypatch):
-        # with no forcing, the physical stack that seeds the fixed point also
-        # gives `a`: every norm of the solve reads physical samples
+        # with no forcing, the physical stack that gives `a` is handed to the
+        # fixed point as its one physical stack; the loop measures no series
         g = make_grid(2, 16, 2 * np.pi)
         g0 = perturbed_taylor_green(g, 0.3)
-        seen = []
+        measured, handed = [], []
+        fixed_point = nse._fixed_point
 
         def recording(u, *args):
-            seen.append(u.representation)
+            measured.append(u)
             return mixed_norm(u, *args)
 
+        def handing(*args, phys0=None, **kwargs):
+            handed.append(phys0)
+            return fixed_point(*args, phys0=phys0, **kwargs)
+
         monkeypatch.setattr(nse, "mixed_norm", recording)
+        monkeypatch.setattr(nse, "_fixed_point", handing)
         _, rep = solve_nse_picard(g0, None, 1.0, 0.5, 4.0, 4.0, tol=1e-8, nodes=12, c_est=0.2)
-        assert len(seen) == 2 * rep.iterations + 1 and set(seen) == {"physical"}
+        assert len(measured) == 1 and measured[0].representation == "physical"
+        assert len(handed) == 1 and handed[0] is measured[0]
         free = semigroup_series(g0, uniform_times(0.5, 12), 1.0)
         assert rep.data_functional == mixed_norm(free, 4.0, 4.0)
 
@@ -895,9 +906,9 @@ class TestPicardForcing:
 
 
 class TestEnsemble:
-    def test_pair_order_keeps_the_bits(self, call_count):
-        # the all-members-at-once oracle: three evolved members, the six
-        # pairs in lexicographic order
+    def test_chunked_members_keep_the_bits(self, fft_count):
+        # the all-members-at-once oracle: three evolved members, each measured
+        # once, and the six pairs
         g = make_grid(2, 16, 2 * np.pi)
         times = uniform_times(0.5, 8)
         members = []
@@ -906,52 +917,43 @@ class TestEnsemble:
             w = TimeSeries.from_data(g, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
             w0 = TimeSeries.from_data(g, w.times, _leray(w.data, g))
             members.append(semigroup_series(w0, times, 1.0))
-        norms = [mixed_norm(a, 4, 4) for a in members]
+        sizes = [mixed_norm(a, 4, 4) for a in members]
         want = max(
-            mixed_norm(bilinear_form(members[i], members[j], 1.0), 4, 4) / (norms[i] * norms[j])
+            mixed_norm(bilinear_form(members[i], members[j], 1.0), 4, 4) / (sizes[i] * sizes[j])
             for i, j in itertools.combinations_with_replacement(range(3), 2)
         )
-        calls = call_count(nse, "semigroup_series")
+        oracle = Counter(fft_count)
+        fft_count.clear()
         assert nse.estimate_bilinear_constant(g, 1.0, 0.5, 4, 4, times=times) == want
-        assert calls["semigroup_series"] == 4  # member 0 is evolved twice
+        # the oracle's transforms: a member's norms come from one pair's chunks
+        assert fft_count == oracle
 
 
 class TestLiveStacks:
-    """Peak live numpy memory on the benchmark's Picard config (64^2, 65
-    nodes, perturbed Taylor-Green data of amplitude 1.65), in velocity
-    stacks: 65 half spectra of 2 components, 4.39 MB.  tracemalloc traces
-    numpy's allocations, so the peaks repeat exactly."""
+    """Peak live numpy memory (`traced_peak`) on the benchmark's Picard
+    config (64^2, 65 nodes, perturbed Taylor-Green data of amplitude 1.65),
+    in velocity stacks: 65 half spectra of 2 components, 4.39 MB."""
 
     g = make_grid(2, 64, 2 * np.pi)
     times = uniform_times(1.0, 64)
     STACK = 65 * 2 * 64 * 33 * 16
 
-    def peak(self, call):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call()
-            return (tracemalloc.get_traced_memory()[1] - start) / self.STACK
-        finally:
-            tracemalloc.stop()
-
-    def test_ensemble_keeps_two_members(self):
-        # about 5.2 with three evolved members and the forcing stack held
-        # next to its integral; 4.3 with two members and the handover
-        peak = self.peak(
+    def test_ensemble_evolves_members_into_the_pair_stack(self, traced_peak):
+        # 4.3 with two evolved members held next to the pair's stack; about
+        # 2.55 with the members evolved a chunk at a time into that stack
+        peak = traced_peak(
             lambda: nse.estimate_bilinear_constant(self.g, 1.0, 1.0, 4, 4, times=self.times)
         )
-        assert peak < 4.8
+        assert peak / self.STACK < 3.0
 
-    def test_picard_loop_reuses_dead_stacks(self):
-        # about 6.2 with the seed stack pinned and new stacks for B's
-        # integral, base - B and the step; 4.7 with the dead stacks reused
+    def test_picard_loop_keeps_one_physical_stack(self, traced_peak):
+        # 4.7 with base, B, the old iterate and two physical stacks; about
+        # 2.76 with B written over its iterate and one physical stack
         g0 = perturbed_taylor_green(self.g, 1.65)
-        peak = self.peak(lambda: solve_nse_picard(
+        peak = traced_peak(lambda: solve_nse_picard(
             g0, None, 1.0, 1.0, 4, 4, tol=1e-6, nodes=64, c_est=0.0173
         ))
-        assert peak < 5.5
+        assert peak / self.STACK < 3.2
 
 
 class TestCallerData:

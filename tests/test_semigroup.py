@@ -411,6 +411,40 @@ def test_duhamel_reuses_coefficients_per_step():
     assert np.array_equal(got, np.array(expected))
 
 
+@pytest.mark.parametrize("off_sample", [False, True])
+def test_duhamel_derives_coefficients_once_per_step_size(call_count, off_sample):
+    # np.linspace(0, 0.05, 49) has 7 distinct steps in 25 runs: a step
+    # size's coefficients are kept up to its last whole step, and each
+    # off-sample entry derives the coefficients of its partial step
+    g = make_grid(2, 16, 2 * np.pi)
+    times = np.linspace(0, 0.05, 49)
+    F = TimeSeries.from_data(g, times, np.ones((49, 16, 9), complex))
+    t_eval = (times[:-1] + times[1:]) / 2 if off_sample else times
+    calls = call_count(fracheat.semigroup, "_etd2")
+    duhamel(F, t_eval, 1.0)
+    distinct = len(set(np.diff(times)))
+    assert distinct == 7
+    assert calls["_etd2"] == (distinct + len(t_eval) if off_sample else distinct)
+
+
+@pytest.mark.parametrize(
+    "times, t_eval",
+    [
+        (np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 59)]), None),  # 59 distinct steps
+        (np.linspace(0, 1, 17), (np.arange(200) + 0.5) / 200),  # 200 partial steps
+    ],
+    ids=["geometric", "off_sample"],
+)
+def test_duhamel_holds_few_coefficient_blocks(traced_peak, times, t_eval):
+    # an (E, A, B) block is 195 KiB at 128^2; with every block kept for the
+    # whole march the peak sat 12.5 and 14.7 MiB above the output
+    g = make_grid(2, 128, 2 * np.pi)
+    F = TimeSeries.from_data(g, times, np.ones((len(times), 128, 65), complex))
+    t_eval = times if t_eval is None else t_eval
+    output = len(t_eval) * 128 * 65 * 16
+    assert traced_peak(lambda: duhamel(F, t_eval, 1.0)) - output < 2 * 2**20
+
+
 @pytest.mark.parametrize("representation", ["spectral", "physical"])
 def test_duhamel_equals_step_by_step_etd2_at_every_eval_time(representation):
     # a 2-vector forcing on uneven steps, read at 0, at samples, between
