@@ -40,13 +40,14 @@ from .grid import (
     TimeSeries,
     WavePackets,
     WindowedPowerlaw,
+    as_series,
     read_field,
     synthesize_field,
     uniform_times,
     write_field,
 )
 from .norms import NormSpec, _lp, lp_norms
-from .semigroup import semigroup_series
+from .semigroup import _evolved_chunks, _rate
 from .estimates import (
     DECAY_BATTERY,
     dilation_sweep,
@@ -299,20 +300,21 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     solver = {"alpha": 1.0, "T": 1.0, "nodes": 32, **cfg.read(solver=keys)["solver"]}
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
     alpha, T = solver["alpha"], solver["T"]
-    series = semigroup_series(f, uniform_times(T, solver["nodes"]), alpha)
-    l2, linf = [], []
-    for phys in series.chunks():  # one inverse transform per chunk for both norms
-        l2 += _lp(phys, series.grid, 2).tolist()
-        linf += _lp(phys, series.grid, INF).tolist()
-    rows = [
-        {"t": t, "l2": a, "linf": b} for t, a, b in zip(series.times.tolist(), l2, linf)
-    ]
+    times = uniform_times(T, solver["nodes"])
+    uh, l2, linf = as_series(f).to_spectral(), [], []
+    # the flow a few chunks of times at a time, each step done with before
+    # the next is made; one inverse transform per chunk for both norms
+    for u in _evolved_chunks(uh, times, _rate(f.grid, alpha)):
+        for phys in u.chunks():
+            l2 += _lp(phys, f.grid, 2).tolist()
+            linf += _lp(phys, f.grid, INF).tolist()
+        final = phys[-1:].copy()  # the last sample, once the last chunk is in
+        del phys
+    last = TimeSeries.from_data(f.grid, times[-1:], final, PHYSICAL, parts=uh.parts)
+    rows = [{"t": t, "l2": a, "linf": b} for t, a, b in zip(times.tolist(), l2, linf)]
     out = Path(args.out)
     final_path = out / "final_field.frsf"
     out.mkdir(parents=True, exist_ok=True)
-    last = TimeSeries.from_data(
-        series.grid, series.times[-1:], phys[-1:], PHYSICAL, parts=series.parts
-    )
     write_field(last.snapshots[0], final_path)
     results = {
         "alpha": alpha,
@@ -332,25 +334,32 @@ def cmd_norm(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     return {"kind": spec.kind, "value": spec.compute(f)}, []
 
 
-# [sweep] keys of every estimate; estimate -> the keys it alone reads, their defaults
+# [sweep] keys: their parsers, and the defaults of those that have one
 _SWEEP_KEYS = {"estimate": parse_text, "lambdas": parse_lambdas, "kind": parse_text,
-               **dict.fromkeys(("alpha", "q", "p", "T", "s", "drift_tol"), parse_exponent)}
+               "nodes": parse_int, **dict.fromkeys(
+                   ("alpha", "q", "p", "T", "s", "drift_tol", "q1", "p1", "s_min", "s_max"),
+                   parse_exponent)}
+_SWEEP_DEFAULTS = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05, "kind": "lebesgue", "s": 0.0,
+                   "q1": 4.0, "p1": 4.0, "nodes": 48, "s_min": 1e-6, "s_max": 6.0}
+# estimate -> the keys it reads besides estimate, lambdas, alpha, p and drift_tol
 _ESTIMATE_KEYS = {
-    "parabolic": (dict.fromkeys(("s_min", "s_max"), parse_exponent),
-                  {"s_min": 1e-6, "s_max": 6.0}),
-    "inhomogeneous": ({"q1": parse_exponent, "p1": parse_exponent, "nodes": parse_int},
-                      {"q1": 4.0, "p1": 4.0, "nodes": 48}),
+    "homogeneous": ("q", "T", "kind", "s"),
+    "bmo_endpoint": ("q", "T"),
+    "inhomogeneous": ("q", "T", "kind", "s", "q1", "p1", "nodes"),
+    "parabolic": ("s_min", "s_max"),
+    "besov_embedding": (),
 }
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     estimate = args.estimate or cfg.get("sweep", "estimate", "homogeneous")
-    keys, defaults = _ESTIMATE_KEYS.get(estimate, ({}, {}))
-    sweep = cfg.read(sweep={**_SWEEP_KEYS, **keys})["sweep"]
+    if estimate not in _ESTIMATE_KEYS:
+        raise PreconditionError(f"unknown estimate id {estimate!r}")
+    names = ("estimate", "lambdas", "alpha", "p", "drift_tol", *_ESTIMATE_KEYS[estimate])
+    sweep = cfg.read(sweep={k: _SWEEP_KEYS[k] for k in names})["sweep"]
     grid = grid_from_config(cfg)
     recipe = recipe_from_config(cfg, grid, args.seed)
-    params = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05, "kind": "lebesgue", "s": 0.0,
-              **defaults, **sweep}
+    params = {**{k: _SWEEP_DEFAULTS[k] for k in names if k in _SWEEP_DEFAULTS}, **sweep}
     params.pop("estimate", None)
     lambdas, drift_tol = params.pop("lambdas", [1, 2, 4]), params.pop("drift_tol", 0.01)
     if estimate == "inhomogeneous":

@@ -27,6 +27,7 @@ from .grid import (
     SPECTRAL,
     TimeSeries,
     WindowedPowerlaw,
+    _dft,
     _half,
     as_series,
     geometric_times,
@@ -34,8 +35,9 @@ from .grid import (
     sample_chunks,
     synthesize_field,
 )
-from .norms import NormSpec, lp_norms, mixed_norm
-from .semigroup import _alpha_value, _rate, duhamel, kernel_data, semigroup_series
+from .norms import NormSpec, _chunk_norms, _mixed_norm, _time_norm, lp_norms
+from .semigroup import _alpha_value, _duhamel, _evolved_chunks, _march_times, _rate, kernel_data
+from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
 INF = float("inf")
 
@@ -123,7 +125,8 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
     """`homogeneous_ratio` of the data as a one-sample series `u` and its
     spectral form `uh`: the Lebesgue denominator reads u's samples, the
     Sobolev and Besov ones and the evolution read `uh` (the same bits as
-    transforming u again)."""
+    transforming u again).  The evolution is made and measured a
+    `sample_chunks` chunk of times at a time (`_evolved_chunks`)."""
     g = u.grid
     alpha = _alpha_value(alpha)
     if kind == "bmo":
@@ -145,9 +148,8 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    series = semigroup_series(uh, ts, alpha)
     spec = NormSpec(kind, p=p, s=s)
-    num = mixed_norm(series, q, spec)
+    num = _mixed_norm(_evolved_chunks(uh, ts, _rate(g, alpha)), ts, q, spec)
     return num / denom
 
 
@@ -166,11 +168,24 @@ def inhomogeneous_ratio(
     pairing with a Lebesgue numerator and a homogeneous Sobolev (order s)
     denominator; its scale-invariant configurations have residual
     s / (2 alpha) instead of zero.  kind='besov': homogeneous Besov norms
-    (microlocal q = 2) on both sides, residual zero.
+    (microlocal q = 2) on both sides, residual zero.  F runs a
+    `sample_chunks` chunk at a time, as a sweep's forcing does; its data is
+    only read.
     """
+    forcing = (TimeSeries.from_data(F.grid, F.times[c], F.data[c], F.representation, F.parts)
+               for c in sample_chunks(F.data, F.grid))
+    return _inhomogeneous_ratio(forcing, F.grid, F.times, qp, q1p1, alpha, kind, s)
+
+
+def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
+    """`inhomogeneous_ratio` of a forcing on the time grid `times`, handed
+    over as `forcing`: series on consecutive pieces of that grid, in time
+    order.  Each chunk gives its denominator norms, goes to half spectra,
+    is marched (`_duhamel`) into its integral in that stack, gives its
+    numerator norms, and is dropped, so neither the forcing nor its integral
+    is ever whole."""
     q, p = qp
     q1, p1 = q1p1
-    g = F.grid
     alpha = _alpha_value(alpha)
     q1c, p1c = conjugate(q1), conjugate(p1)
     if not (1 <= p1c < p <= INF):
@@ -185,13 +200,27 @@ def inhomogeneous_ratio(
             f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
         )
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
-    den_spec = NormSpec(kind, p=p1c, s=s)
-    denom = mixed_norm(F, q1c, den_spec)
+    den_spec, num_spec = NormSpec(kind, p=p1c, s=s), NormSpec(num_kind, p=p, s=s)
+    times = _march_times(times, times)
+    den, held = [], []  # held: the spectral series of the chunk in the march
+
+    def spectra():
+        for Fc in forcing:
+            den.append(den_spec.norms(Fc))
+            data = Fc.data.copy() if Fc.representation == SPECTRAL else _dft(Fc.data, g, "forward")
+            held.append(TimeSeries.from_data(g, Fc.times, data, SPECTRAL, Fc.parts))
+            del Fc, data
+            yield held[-1].data
+
+    def integrals():  # the march overwrites each held stack with its integral
+        for integral in _duhamel(spectra(), times, _rate(g, alpha)):
+            yield held.pop()
+            del integral
+
+    num = _time_norm(_chunk_norms(integrals(), num_spec.norms), times, q)
+    denom = _time_norm(np.concatenate(den), times, q1c)
     if denom == 0.0:
         raise PreconditionError("zero forcing: ratio undefined")
-    sol = duhamel(F, F.times, alpha)
-    num_spec = NormSpec(num_kind, p=p, s=s)
-    num = mixed_norm(sol, q, num_spec)
     return num / denom
 
 
@@ -225,7 +254,7 @@ def parabolic_ratio(
 def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_truncation):
     """`parabolic_ratio` of the data as a one-sample series `u` and its
     spectral form `uh`, as in `_homogeneous_ratio`: the data norms read u's
-    samples, the flow reads `uh`."""
+    samples, the flow reads `uh` a chunk of times at a time."""
     g = u.grid
     alpha = _alpha_value(alpha)
     if form == "b":
@@ -252,7 +281,7 @@ def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_tr
         ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
     else:
         raise PreconditionError(f"unknown parabolic form {form!r}")
-    vals = lp_norms(semigroup_series(uh, ss, alpha), p)
+    vals = _chunk_norms(_evolved_chunks(uh, ss, _rate(g, alpha)), lambda w: lp_norms(w, p))
     integrand = ss ** (-e) * vals**k
     # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
     head_weight, data = ss[0] ** (1 - e) / (1 - e), float(lp_norms(u, p)[0]) ** k
@@ -298,7 +327,8 @@ def decay_fit(
     The predicted exponent is -(n/2a)(1/r - 1/p), minus 1/(2a) for the
     gradient variant.  The input data must pass the whole-space gate
     `require_whole_space` for the fit to be trusted.  Like
-    `parabolic_ratio`, the plain fit equals the per-time norms bit for bit.
+    `parabolic_ratio`, the plain fit equals the per-time norms bit for bit;
+    the flow is made and measured a chunk of times at a time.
     """
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
@@ -306,13 +336,19 @@ def decay_fit(
     alpha = _alpha_value(alpha)
     cont = require_whole_space(f, "decay fit data")
     times = np.asarray(times, dtype=float)
-    u = semigroup_series(f, times, alpha)
-    if gradient:  # d_j u of each component, before the grid axes; its L^p is of |grad u|
-        xi = [_half(x, g) for x in g.deriv_frequencies]
-        grad = np.stack([u.data * (1j * x) for x in xi], axis=-g.n - 1)
-        grad = grad.reshape(*grad.shape[: u.parts], -1, *grad.shape[-g.n :])  # parts stay on axis 1
-        u = TimeSeries.from_data(g, times, grad, SPECTRAL, parts=u.parts)
-    vals = lp_norms(u, p)
+    xi = [_half(x, g) for x in g.deriv_frequencies]
+
+    def norms(u: TimeSeries) -> np.ndarray:
+        if not gradient:
+            return lp_norms(u, p)
+        vals = []  # d_j u of each component, before the grid axes; its L^p is of |grad u|
+        for c in sample_chunks(u.data, g, copies=g.n):  # a chunk of the gradient's samples
+            grad = np.stack([u.data[c] * (1j * x) for x in xi], axis=-g.n - 1)
+            grad = grad.reshape(*grad.shape[: u.parts], -1, *grad.shape[-g.n :])  # parts on axis 1
+            vals.append(lp_norms(TimeSeries.from_data(g, u.times[c], grad, SPECTRAL, u.parts), p))
+        return np.concatenate(vals)
+
+    vals = _chunk_norms(_evolved_chunks(as_series(f).to_spectral(), times, _rate(g, alpha)), norms)
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
     predicted = -(g.n / (2 * alpha)) * (_inv(r) - _inv(p))
     if gradient:
@@ -330,16 +366,18 @@ class KernelNormFit:
 
 def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.ndarray:
     """lp_norm(kernel(grid, t, alpha), r) at each t of `ts`, bit for bit: the
-    symbols exp(-t * rate) are stacked and go through `kernel_data` a sample
-    chunk at a time.  The whole-space gate applies at the largest time only:
-    small-t kernels are near-deltas whose ringing is harmless to L^r."""
-    sym = np.multiply.outer(-ts, _rate(grid, alpha))
-    np.exp(sym, out=sym)
-    vals = []
-    for chunk in sample_chunks(sym, grid):
-        K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym[chunk], grid), PHYSICAL)
+    symbols exp(-t * rate) are made and go through `kernel_data` a sample
+    chunk at a time, each chunk dropped before the next is made.  The
+    whole-space gate applies at the largest time only: small-t kernels are
+    near-deltas whose ringing is harmless to L^r."""
+    rate, vals = _rate(grid, alpha), []
+    for chunk in sample_chunks(np.broadcast_to(rate, (len(ts), *rate.shape)), grid):
+        sym = np.multiply.outer(-ts[chunk], rate)
+        K = TimeSeries.from_data(grid, ts[chunk], kernel_data(np.exp(sym, out=sym), grid), PHYSICAL)
         vals.append(lp_norms(K, r))
-    require_whole_space(Field(grid, K.data[-1]), f"kernel at t={ts[-1]}, alpha={alpha}")
+        if chunk.stop >= len(ts):
+            require_whole_space(Field(grid, K.data[-1]), f"kernel at t={ts[-1]}, alpha={alpha}")
+        del sym, K  # released before the next chunk is made
     return np.concatenate(vals)
 
 
@@ -475,10 +513,18 @@ def _nyquist_tail(spec: TimeSeries) -> float:
 
 def _separable_series(f, profile, times) -> TimeSeries:
     """profile(t) * f at each time, on f's grid and in its representation, f
-    a Field or a one-sample series."""
+    a Field or a one-sample series.  A sweep builds its forcing this way
+    one chunk of times at a time (`_separable_chunks`)."""
     u = f if isinstance(f, TimeSeries) else as_series(f)
     amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * (u.data.ndim - 1))
     return TimeSeries.from_data(u.grid, times, amp * u.data[0], u.representation, parts=u.parts)
+
+
+def _separable_chunks(u: TimeSeries, profile, times):
+    """`_separable_series` of the one-sample series u on `times`, a chunk at
+    a time: the chunks `sample_chunks` cuts from the whole series."""
+    stack = np.broadcast_to(u.data, (len(times), *u.data.shape[1:]))
+    return (_separable_series(u, profile, times[c]) for c in sample_chunks(stack, u.grid))
 
 
 def dilation_sweep(
@@ -527,14 +573,16 @@ def dilation_sweep(
         elif estimate_id == "inhomogeneous":
             times = params["times"] * tscale
             profile = params["profile"]
-            F = _separable_series(u, lambda t: profile(t / tscale), times)
-            val = inhomogeneous_ratio(
-                F,
+            forcing = _separable_chunks(u, lambda t: profile(t / tscale), times)
+            val = _inhomogeneous_ratio(
+                forcing,
+                grid,
+                times,
                 (params["q"], params["p"]),
                 (params["q1"], params["p1"]),
                 alpha,
-                kind=params.get("kind", "lebesgue"),
-                s=params.get("s", 0.0),
+                params.get("kind", "lebesgue"),
+                params.get("s", 0.0),
             )
         elif estimate_id == "parabolic":
             s_min, s_max = params["s_min"] * tscale, params["s_max"] * tscale

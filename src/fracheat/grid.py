@@ -249,6 +249,17 @@ def require_one_part(u: "TimeSeries", what: str) -> None:
 CHUNK_BYTES = 1 << 20
 
 
+# A streamed time axis (`semigroup._evolved_chunks`) is made this many
+# `sample_chunks` chunks at a time, into one buffer the stream reuses, and
+# measured a chunk at a time.  Made one chunk at a time, the kernels' freed
+# temporaries went back to the operating system after every step and were
+# faulted in again: glibc sets its trim threshold from the largest block
+# freed so far, and one-chunk steps never raised it past those temporaries
+# (about 19,000 minor page faults per 128^2 homogeneous verify op, and 65%
+# more time; a few hundred with steps of four chunks).
+STREAM_CHUNKS = 4
+
+
 def sample_chunks(data: np.ndarray, grid: GridSpec, copies: int = 1):
     """Slices of the leading sample axis of `data`, each about CHUNK_BYTES / copies.
 
@@ -688,12 +699,7 @@ class TimeSeries:
         self.data, self._parts = np.ascontiguousarray(data, dtype=dtype), parts
         if len(self.times) != len(self.data) or self.times.ndim != 1:
             raise PreconditionError("times and snapshots must have equal length")
-        if not np.all(np.isfinite(self.times)):
-            raise PreconditionError("times must be finite")
-        if len(self.times) and self.times[0] < 0:
-            raise PreconditionError("times must be nonnegative")
-        if np.any(np.diff(self.times) <= 0):
-            raise PreconditionError("times must be strictly increasing")
+        _require_times(self.times)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -749,17 +755,29 @@ class TimeSeries:
     def __sub__(self, other: "TimeSeries") -> "TimeSeries":
         return self._combine(other, np.subtract)
 
-    def _combine(self, other: "TimeSeries", op, out=None) -> "TimeSeries":
+    def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
         """Sample-wise op of two series of one layout on one time grid: in
-        physical form if both are physical, else in spectral form.  `out`,
-        if given, is a dead stack of the result's layout to write into."""
+        physical form if both are physical, else in spectral form."""
         if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
             raise PreconditionError("time grids do not match")
         if other.parts != self.parts:
             raise PreconditionError("cannot combine series of 1 and 2 parts")
         rep = PHYSICAL if self.representation == other.representation == PHYSICAL else SPECTRAL
-        data = op(self._as(rep).data, other._as(rep).data, out=out)
+        data = op(self._as(rep).data, other._as(rep).data)
         return TimeSeries.from_data(self.grid, self.times, data, rep, parts=self.parts)
+
+
+def _require_times(times) -> np.ndarray:
+    """times as floats; PreconditionError unless they are finite,
+    nonnegative and strictly increasing, as a series' time grid must be."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise PreconditionError("times must be finite")
+    if len(times) and times[0] < 0:
+        raise PreconditionError("times must be nonnegative")
+    if np.any(np.diff(times) <= 0):
+        raise PreconditionError("times must be strictly increasing")
+    return times
 
 
 def _stored(data: np.ndarray, grid: GridSpec, representation: str):

@@ -185,15 +185,21 @@ def projected_tensor_divergence(u: Field, v: Field) -> Field:
 
 def _bilinear_into(F: TimeSeries, lam: np.ndarray, factors) -> TimeSeries:
     """B(u, v) in the stack of F, a spectral velocity series on the time grid
-    of u and v: for each `sample_chunks` chunk, P div(u x v) of the half
-    spectra factors(chunk) = (uh, vh), vh None for v = u, is written over
-    F's samples in that chunk, and the Duhamel march at the rate lam then
-    overwrites F's stack with the integral.  A factor may be the chunk of F
-    it replaces."""
-    times = _march_times(F, F.times)
-    for chunk in sample_chunks(F.data, F.grid):
-        F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
-    return _duhamel(F, times, lam, F.data)
+    of u and v: for each `sample_chunks` chunk in time order, P div(u x v)
+    of the half spectra factors(chunk) = (uh, vh), vh None for v = u, is
+    written over F's samples in that chunk, which the Duhamel march at the
+    rate lam then overwrites with the integral.  A factor may be the chunk
+    of F it replaces."""
+    times = _march_times(F.times, F.times)
+
+    def forcing():
+        for chunk in sample_chunks(F.data, F.grid):
+            F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
+            yield F.data[chunk]
+
+    for _ in _duhamel(forcing(), times, lam):
+        pass
+    return F
 
 
 def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
@@ -205,7 +211,7 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     never held at once; u's and v's data are only read.  Passing the same
     series twice shares its transforms.
     """
-    times = _march_times(u, u.times)
+    times = _march_times(u.times, u.times)
     g = u.grid
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
         raise PreconditionError("bilinear form needs matching time grids")
@@ -596,8 +602,10 @@ def solve_potential_eq(
                 V_nodes = V_nodes.reshape(*lead, *grid.shape)
 
             def march(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs), in rhs
-                integ = _duhamel(TimeSeries.from_data(grid, loc, rhs, parts=parts), loc, lam, rhs)
-                return base._combine(integ, np.add, out=rhs)
+                chunks = sample_chunks(rhs, grid)
+                for chunk, integ in zip(chunks, _duhamel((rhs[c] for c in chunks), loc, lam)):
+                    np.add(base.data[chunk], integ, out=integ)
+                return TimeSeries.from_data(grid, loc, rhs, parts=parts)
 
             def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
                 if V is None:  # a constant map: v0 is its fixed point

@@ -3,14 +3,17 @@
 The dissipation generator is the fractional Laplacian with symbol
 |xi|^(2*alpha), built once by `_rate`; the propagator exp(-t |xi|^(2*alpha))
 runs on two stacks, `_evolve` (the free evolutions of one or more spectra,
-behind `semigroup_series`) and `kernel_data`, and `apply_semigroup` and
-`kernel` are their one-time cases.  All operators here are diagonal in
-frequency, so they are independent of the transform normalization.
+behind `semigroup_series`, and a chunk of times at a time behind
+`_evolved_chunks`) and `kernel_data`, and `apply_semigroup` and `kernel`
+are their one-time cases.  All operators here are diagonal in frequency,
+so they are independent of the transform normalization.
 
 The Duhamel integral int_0^t exp(-(t-s) |xi|^(2a)) F(s) ds is evaluated
 per mode with an exact integrating factor under a piecewise-linear-in-s
 model for F (second-order exponential time differencing); it is exact for
-forcings that are constant or linear in time between snapshots.
+forcings that are constant or linear in time between snapshots.  One
+forward march, `_duhamel`, takes the forcing a chunk of samples at a time
+and writes each chunk's integral over it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from .grid import (
     Field,
     GridSpec,
     SPECTRAL,
+    STREAM_CHUNKS,
     TimeSeries,
     _half,
+    _require_times,
     as_series,
     is_real,
     on_half_spectrum,
     require_whole_space,
     require_zero_mean,
+    sample_chunks,
 )
 
 
@@ -77,16 +83,33 @@ def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
     return TimeSeries.from_data(u.grid, times, data, SPECTRAL, u.parts)
 
 
-def _evolve(specs: list, times, lam: np.ndarray) -> list:
+def _evolve(specs: list, times, lam: np.ndarray, outs: list | None = None) -> list:
     """The free evolutions spec * exp(-t * lam), t in `times`, of each
-    one-sample half spectrum in `specs`: one new stack per spectrum, and one
-    exp per time, shared by all of them."""
-    outs = [np.empty((len(times), *spec.shape), dtype=np.complex128) for spec in specs]
+    one-sample half spectrum in `specs`: one stack per spectrum, new or the
+    one given in `outs`, and one exp per time, shared by all of them."""
+    if outs is None:
+        outs = [np.empty((len(times), *spec.shape), dtype=np.complex128) for spec in specs]
     for k, t in enumerate(times):
         e = np.exp(-t * lam)
         for spec, out in zip(specs, outs):
             np.multiply(spec, e, out=out[k])
     return outs
+
+
+def _evolved_chunks(uh: TimeSeries, times, lam: np.ndarray):
+    """The free evolution at the rate lam of the one sample of a spectral
+    series, on a time grid, in time order: one spectral series per
+    `STREAM_CHUNKS` `sample_chunks` chunks of the whole evolution, made
+    (`_evolve`, so each sample has the bits of `semigroup_series`) into one
+    buffer when the next is asked for, so a consumer is done with each
+    before it asks for the next."""
+    times, spec = _require_times(times), uh.data[:1]
+    n = STREAM_CHUNKS * sample_chunks(spec, uh.grid)[0].stop  # samples per step
+    buf = np.empty((min(n, len(times)), *spec.shape[1:]), dtype=np.complex128)
+    for i in range(0, len(times), n):
+        step = times[i : i + n]
+        (out,) = _evolve([spec[0]], step, lam, [buf[: len(step)]])
+        yield TimeSeries.from_data(uh.grid, step, out, SPECTRAL, uh.parts)
 
 
 def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
@@ -110,7 +133,9 @@ def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
     one `irfftn` for the stack, each sample centred as in `kernel`."""
     axes = tuple(range(-grid.n, 0))
     data = np.fft.fftshift(np.fft.irfftn(sym, s=grid.shape, axes=axes), axes=axes)
-    return data * grid.N**grid.n / grid.L**grid.n
+    data *= grid.N**grid.n
+    data /= grid.L**grid.n
+    return data
 
 
 def derivative_symbol(grid: GridSpec, order: float, kind: str = "homogeneous") -> np.ndarray:
@@ -204,73 +229,87 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
     F, sampled from 0 on a grid covering the strictly increasing t_eval, is
     treated as piecewise linear in s between snapshots.  The march runs on
-    the whole sample stack, so scalar and vector series share it, on F's
-    half lattice and in F's parts: the propagator's symbol is real and even.
-    The integral goes into a new stack; F's data is only read.
+    a copy of one half-spectral sample of F at a time, so scalar and vector
+    series share it, in F's parts: the propagator's symbol is real and even.
+    An entry within 1e-15 of a sample takes the integral there; any other
+    takes one partial step from the integral at the sample before it.  The
+    integral goes into a new stack; F's data is only read.
     """
-    t_eval = _march_times(F, t_eval)
+    times = F.times
+    t_eval = _march_times(times, t_eval)
     lam = _rate(F.grid, alpha)
-    F = F.to_spectral()
-    return _duhamel(F, t_eval, lam, np.empty((len(t_eval), *F.data.shape[1:]), np.complex128))
+    Fhat = F.to_spectral().data
+    # the sample at or before each entry, and the entries of sample s: first[s]:first[s + 1]
+    at = np.maximum(np.searchsorted(times, t_eval + 1e-15, side="right") - 1, 0)
+    first = np.searchsorted(at, np.arange(at[-1] + 2))
+    out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
+    s = 0  # the sample in hand
+    for integral in _duhamel((Fhat[j : j + 1].copy() for j in range(at[-1] + 1)), times, lam):
+        for k in range(first[s], first[s + 1]):
+            out[k] = integral[0]
+            delta = t_eval[k] - times[s]
+            if delta > 1e-15 and s + 1 < len(times):  # a partial step: its block is not kept
+                w = delta / (times[s + 1] - times[s])
+                F1 = (1 - w) * Fhat[s] + w * Fhat[s + 1]
+                out[k] = _step(out[k], delta, Fhat[s], F1, _etd2(lam, delta))
+        s += 1
+        del integral  # released before the next sample is copied
+    return TimeSeries.from_data(F.grid, t_eval, out, SPECTRAL, parts=F.parts)
 
 
-def _march_times(F: TimeSeries, t_eval) -> np.ndarray:
-    """t_eval as floats; PreconditionError unless F has two or more samples
-    from t = 0 on and t_eval is strictly increasing within F's coverage."""
+def _march_times(times: np.ndarray, t_eval) -> np.ndarray:
+    """t_eval as floats; PreconditionError unless a forcing sampled at
+    `times` has two or more samples from t = 0 on and t_eval is strictly
+    increasing within its coverage."""
     t_eval = np.asarray(t_eval, dtype=float)
-    if len(F) < 2:
+    if len(times) < 2:
         raise PreconditionError("forcing series needs at least two samples")
-    if abs(F.times[0]) > 1e-14:
+    if abs(times[0]) > 1e-14:
         raise PreconditionError("forcing series must start at t = 0")
     if not np.all(np.diff(t_eval) > 0):
         raise PreconditionError("t_eval must be strictly increasing")
-    if t_eval.min() < -1e-14 or t_eval.max() > F.times[-1] + 1e-12:
+    if t_eval.min() < -1e-14 or t_eval.max() > times[-1] + 1e-12:
         raise PreconditionError("t_eval outside the forcing series coverage")
     return t_eval
 
 
-def _duhamel(F: TimeSeries, t_eval: np.ndarray, lam: np.ndarray, out: np.ndarray) -> TimeSeries:
-    """The march of `duhamel` for a spectral F, a `_march_times` t_eval and
-    the rate lam: one forward pass writing the integral at t_eval[k] to out[k].
-    An entry within 1e-15 of a sample is written after the step that leaves
-    the sample has read it, so `out` may be F's stack when t_eval is F.times.
-    The coefficients of a step size are derived once and dropped after the
-    last whole step of that size; a partial step's are derived and dropped."""
-    times, Fhat = F.times, F.data
+def _step(I, h, F0, F1, block):
+    """I -> E I + h (F0 A + F1 B) for the `_etd2` block (E, A, B) of h:
+    exact for forcing linear across the step."""
+    E, A, B = block
+    return E * I + h * (F0 * A + F1 * B)
+
+
+def _duhamel(chunks, times: np.ndarray, lam: np.ndarray):
+    """The Duhamel march at the rate lam of a spectral forcing sampled at
+    `times` (checked by `_march_times`), handed over as its chunks in time
+    order: one forward pass that overwrites each chunk with the integrals at
+    its samples and then yields it.  The running integral and the last
+    forcing sample carry over to the next chunk, so a chunk may be a view of
+    a stack or an array built on the fly, and what the consumer does to a
+    yielded chunk does not reach the march.  The coefficients of a step size
+    are derived once and dropped after the last whole step of that size."""
     steps = np.diff(times)
     last = {h: seg for seg, h in enumerate(steps)}  # step size -> its last whole step
     cache: dict[float, tuple] = {}  # step size -> coefficients, up to its last whole step
 
-    def whole_step(seg):
-        """The coefficients of whole step seg, kept while a later whole step has its size."""
+    def coefficients(seg):
+        """The coefficients of step seg, kept while a later step has its size."""
         h = steps[seg]
         block = cache.pop(h, None) or _etd2(lam, h)
         if last[h] > seg:
             cache[h] = block
         return block
 
-    def step(I, h, F0, F1, block):
-        """I -> E I + h (F0 A + F1 B) for the `_etd2` block (E, A, B) of h:
-        exact for forcing linear across the step."""
-        E, A, B = block
-        return E * I + h * (F0 * A + F1 * B)
-
-    I = np.zeros(Fhat.shape[1:], dtype=np.complex128)
-    seg, owed = 0, []  # I is the integral at sample seg, owed to these entries
-    for k, t in enumerate(t_eval):
-        # advance over whole intervals ending before t
-        while seg + 1 < len(times) and times[seg + 1] <= t + 1e-15:
-            I_next = step(I, steps[seg], Fhat[seg], Fhat[seg + 1], whole_step(seg))
-            for j in owed:
-                out[j] = I
-            I, owed, seg = I_next, [], seg + 1
-        delta = t - times[seg]
-        if delta > 1e-15 and seg + 1 < len(times):  # a partial step: its block is not kept
-            w = delta / steps[seg]
-            F1 = (1 - w) * Fhat[seg] + w * Fhat[seg + 1]
-            out[k] = step(I, delta, Fhat[seg], F1, _etd2(lam, delta))
-        else:
-            owed.append(k)
-    for j in owed:
-        out[j] = I
-    return TimeSeries.from_data(F.grid, t_eval, out, SPECTRAL, parts=F.parts)
+    seg = -1  # the step that ends at the sample in hand
+    for chunk in chunks:
+        for sample in chunk:
+            if seg < 0:
+                I, F0 = np.zeros_like(sample), np.empty_like(sample)
+            else:
+                I = _step(I, steps[seg], F0, sample, coefficients(seg))
+            F0[...] = sample
+            sample[...] = I
+            seg += 1
+        yield chunk
+        chunk = sample = None  # released before the next chunk is built

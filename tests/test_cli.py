@@ -45,6 +45,11 @@ T = 0.05
 drift_tol = 0.05
 """
 
+# BASE_CFG for the parabolic estimate, which reads no q or T
+PARABOLIC_CFG = (
+    BASE_CFG.replace("= homogeneous", "= parabolic").replace("q = 4\n", "").replace("T = 0.05\n", "")
+)
+
 BUMP32 = """\
 [grid]
 n = 2
@@ -327,6 +332,8 @@ class TestOneSeriesPerLevel:
         )
         if estimate == "bmo_endpoint":
             cfg = cfg.replace("q = 4", "q = 2")
+        elif estimate in ("parabolic", "besov_embedding"):  # they read no q or T
+            cfg = cfg.replace("q = 4\n", "").replace("T = 0.05\n", "")
         (tmp_path / "run.cfg").write_text(cfg)  # 64^2, lambdas 1, 2
         calls = call_count(fracheat.grid, "is_real")
         rfftn, samples = np.fft.rfftn, []
@@ -344,6 +351,52 @@ class TestOneSeriesPerLevel:
         # transforms its forcing stack, every sample of the level's series
         assert samples.count(1) == 2
         assert len(samples) == 2 or estimate == "inhomogeneous"
+
+
+class TestSweepKeys:
+    """`verify` declares each [sweep] key only for the estimates that read
+    it: any other exits 2 naming it, and a report's params hold only the
+    keys its estimate reads."""
+
+    CFG = (
+        "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n"
+        "[data]\nrecipe = random_bumps\nwidth = 0.24\nspread = 0.3\n\n"  # zero mean
+        "[sweep]\nestimate = {estimate}\nlambdas = 1,2\nalpha = 1.0\np = 4\n"
+        "drift_tol = 0.05\n{extra}"
+    )
+    READS = {  # besides estimate, lambdas, alpha, p and drift_tol
+        "homogeneous": ("q", "T", "kind", "s"),
+        "bmo_endpoint": ("q", "T"),
+        "inhomogeneous": ("q", "T", "kind", "s", "q1", "p1", "nodes"),
+        "parabolic": ("s_min", "s_max"),
+        "besov_embedding": (),
+    }
+
+    def run(self, tmp_path, estimate, extra):
+        (tmp_path / "run.cfg").write_text(self.CFG.format(estimate=estimate, extra=extra))
+        return main(["--out", str(tmp_path / "o"), "verify", "--config",
+                     str(tmp_path / "run.cfg")])
+
+    @pytest.mark.parametrize("estimate, key", [
+        *((e, k) for e in ("parabolic", "besov_embedding") for k in ("q", "T", "kind", "s")),
+        ("bmo_endpoint", "kind"), ("bmo_endpoint", "s"),
+    ])
+    def test_key_the_estimate_does_not_read_exit_2(self, tmp_path, capsys, estimate, key):
+        value = "sobolev" if key == "kind" else "3"
+        assert self.run(tmp_path, estimate, f"{key} = {value}\n") == 2
+        err = capsys.readouterr().err
+        assert f"[sweep] {key}: not read here" in err
+        assert "takes estimate, lambdas, alpha, p, drift_tol" in err
+
+    @pytest.mark.parametrize("estimate", sorted(READS))
+    def test_params_hold_the_keys_the_estimate_reads(self, tmp_path, estimate):
+        assert self.run(tmp_path, estimate, "q = 2\n" if estimate == "bmo_endpoint" else "") == 0
+        params = json.loads((tmp_path / "o" / "verify.json").read_text())["results"]["params"]
+        # an inhomogeneous sweep turns nodes into its times and adds its profile
+        want = {"alpha", "p", *self.READS[estimate]}
+        if estimate == "inhomogeneous":
+            want = (want - {"nodes"}) | {"profile"}
+        assert set(params) == want
 
 
 class TestPropagate:
@@ -393,6 +446,22 @@ class TestPropagate:
         # the final field reads back as the complex evolution
         want = np.fft.ifftn(np.fft.fftn(wave.data) * np.exp(-0.2 * g.abs_freq**2))
         assert np.max(np.abs(final.data - want)) <= 1e-14
+
+    def test_peak_memory_does_not_grow_with_nodes(self, tmp_path, traced_peak):
+        # 128^2 random bumps: with the whole flow stacked the run peaked at
+        # 6.6 CHUNK_BYTES on 33 nodes and 10.7 on 65; made a few chunks and
+        # measured a chunk at a time, at about 4.8 on both
+        cfg = self.CFG.replace("N = 64", "N = 128").format(data="recipe = random_bumps\nseed = 3")
+
+        def run(nodes):
+            (tmp_path / "run.cfg").write_text(cfg.replace("nodes = 32", f"nodes = {nodes}"))
+            argv = ["--out", str(tmp_path / "o"), "propagate", "--config", str(tmp_path / "run.cfg")]
+            return lambda: main(argv)
+
+        run(32)()  # the first run loads what later runs reuse
+        peaks = [traced_peak(run(nodes)) / fracheat.grid.CHUNK_BYTES for nodes in (32, 64)]
+        assert max(peaks) < 6
+        assert peaks[1] - peaks[0] < 0.1  # less than one sample, 0.125: per-node rows only
 
 
 class TestDeterminism:
@@ -573,8 +642,7 @@ class TestInputValidation:
         [
             ("propagate", "[grid]\nn = 1\nN = 16\nL = inf\n", "L = inf"),
             ("propagate", TINY + "[solver]\nT = inf\n", "T = inf"),
-            ("verify", BASE_CFG.replace("= homogeneous", "= parabolic") + "s_max = inf\n",
-             "s_max = inf"),
+            ("verify", PARABOLIC_CFG + "s_max = inf\n", "s_max = inf"),
             ("potential-solve", TINY + "[solver]\nT = 0\n", "T = 0"),
             ("potential-solve", TINY + "[solver]\nT = -1\n", "T = -1"),
             ("potential-solve", TINY + "[solver]\nT = inf\n", "T = inf"),
@@ -734,8 +802,7 @@ class TestInputValidation:
             ("norm", BUMP32 + "count = 4\n", "[data] count: not read here"),
             ("propagate", TINY + "[data]\namplitude = 2\n", "[data] amplitude: not read here"),
             ("verify", BASE_CFG + "s_min = 0.1\n", "[sweep] s_min: not read here"),
-            ("verify", BASE_CFG.replace("= homogeneous", "= parabolic") + "q1 = 4\n",
-             "[sweep] q1: not read here"),
+            ("verify", PARABOLIC_CFG + "q1 = 4\n", "[sweep] q1: not read here"),
             # a value is read as written: a % in a path names the unreadable file
             ("norm", FIELD.replace("f32", "a%b"), "cannot read field file {dir}/a%b.frsf"),
         ],

@@ -30,7 +30,7 @@ from fracheat import (
     parabolic_ratio,
     synthesize_field,
 )
-from fracheat.grid import RandomBandlimited, geometric_times, uniform_times
+from fracheat.grid import RandomBandlimited, WavePackets, geometric_times, uniform_times
 from fracheat.norms import lp_norm
 import fracheat.grid
 from fracheat import estimates
@@ -511,9 +511,9 @@ class TestDilationSweep:
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("estimate_id, ratio", [
-        ("homogeneous", "semigroup_series"),
-        ("bmo_endpoint", "semigroup_series"),
-        ("inhomogeneous", "inhomogeneous_ratio"),
+        ("homogeneous", "_evolved_chunks"),
+        ("bmo_endpoint", "_evolved_chunks"),
+        ("inhomogeneous", "_inhomogeneous_ratio"),
         ("parabolic", "_parabolic_ratio"),
         ("besov_embedding", "_besov_embedding_ratio"),
     ])
@@ -547,21 +547,42 @@ class TestDilationSweep:
         ("parabolic", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6, "s_max": 6.0}),
         ("parabolic", {"alpha": 1.0, "p": INF, "s_min": 1e-6, "s_max": 6.0}),
         ("besov_embedding", {"alpha": 1.0, "p": 4.0}),
+        ("homogeneous", {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05}),
+        ("homogeneous", {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05, "kind": "besov",
+                         "s": 0.5}),
+        ("bmo_endpoint", {"alpha": 1.0, "q": 2.0, "p": 2.0, "T": 0.05}),
+        ("inhomogeneous", {"alpha": 1.0, "q": 4.0, "p": 4.0, "q1": 4.0, "p1": 4.0,
+                           "times": uniform_times(0.05, 48), "profile": lambda t: 1.0 + t}),
+        ("inhomogeneous", {"alpha": 1.0, "q": 4.0, "p": 4.0, "q1": 4.0, "p1": 4.0,
+                           "kind": "besov", "times": uniform_times(0.05, 48),
+                           "profile": lambda t: 1.0 + t}),
     ])
     def test_level_ratio_is_the_standalone_ratio_of_the_level(self, estimate_id, params):
-        # the sweep's ratio on (series, spectrum) has the bits of the public
-        # ratio on the level's Field
+        # the sweep's ratio on (series, spectrum), its evolution and its
+        # forcing streamed a chunk at a time, has the bits of the public ratio
+        # on the level's Field (on the level's whole forcing series)
         g = make_grid(2, 64, 2 * np.pi)
         recipe = RandomBumps(seed=3, width=g.L / 26, spread=g.L / 20, count=2)
         rep = dilation_sweep(recipe, g, [1, 2], estimate_id, params)
         for lam, got in zip([1, 2], rep.ratios):
             f = synthesize_field(g, recipe.dilated(lam))
+            tscale = lam ** -2.0
+            kind, s = params.get("kind", "lebesgue"), params.get("s", 0.0)
             if estimate_id == "besov_embedding":
                 want = besov_embedding_ratio(f, params["p"])
-            else:
-                tscale = lam ** -2.0
+            elif estimate_id == "parabolic":
                 want = parabolic_ratio(f, params["p"], 1.0, s_min=params["s_min"] * tscale,
                                        s_max=params["s_max"] * tscale)
+            elif estimate_id == "inhomogeneous":
+                profile = params["profile"]
+                F = estimates._separable_series(f, lambda t: profile(t / tscale),
+                                                params["times"] * tscale)
+                assert len(fracheat.grid.sample_chunks(F.data, g)) > 1
+                want = inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0, kind=kind, s=s)
+            else:
+                kind = "bmo" if estimate_id == "bmo_endpoint" else kind
+                want = homogeneous_ratio(f, params["q"], params["p"], 1.0, params["T"] * tscale,
+                                         kind=kind, s=s)
             assert got == want
 
     @pytest.mark.parametrize("ratio, args", [
@@ -590,6 +611,109 @@ class TestDilationSweep:
         assert len(d["ratios"]) == 2
         rows = rep.csv_rows()
         assert rows[0]["lambda"] == 1
+
+
+def _sweep_params(estimate_id: str, nodes: int) -> dict:
+    """Sweep parameters of one estimate whose time axis has `nodes` samples
+    (the parabolic s-grid at ratio 1.25 included)."""
+    return {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0, "p": 4.0,
+            "T": 0.05, "times": uniform_times(0.05, nodes - 1), "q1": 4.0, "p1": 4.0,
+            "profile": lambda t: 1.0 + t, "s_min": 1e-4, "s_max": 1e-4 * 1.25 ** (nodes - 1)}
+
+
+class TestChunkBoundaries:
+    """Streamed estimates have the bits of their one-chunk results with
+    chunks of 1 and of 3 samples (the evolution made STREAM_CHUNKS chunks at
+    a time): every chunk boundary of the evolution, the forcing, the march
+    and the norms reads and writes the samples it would whole."""
+
+    g = make_grid(2, 64, 2 * np.pi)
+    recipe = RandomBumps(seed=3, width=g.L / 26, spread=g.L / 20, count=2)  # zero mean
+    SPECTRAL_SAMPLE = 16 * 64 * 64  # a half spectrum, counted on the full lattice
+    PHYSICAL_SAMPLE = 8 * 64 * 64
+
+    @staticmethod
+    def chunked(monkeypatch, nbytes, call):
+        monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", nbytes)
+        try:
+            return call()
+        finally:
+            monkeypatch.undo()
+
+    def check(self, monkeypatch, sample_bytes, call):
+        whole = self.chunked(monkeypatch, 1 << 40, call)
+        for per_chunk in (1, 3):
+            assert self.chunked(monkeypatch, per_chunk * sample_bytes, call) == whole
+
+    @pytest.mark.parametrize("estimate_id, extra", [
+        ("homogeneous", {}),
+        ("homogeneous", {"kind": "sobolev", "s": 0.5}),
+        ("homogeneous", {"kind": "besov", "s": 0.5}),
+        ("bmo_endpoint", {}),
+        ("parabolic", {}),
+        ("inhomogeneous", {}),
+        ("inhomogeneous", {"kind": "besov"}),
+    ])
+    def test_sweep_ratios(self, monkeypatch, estimate_id, extra):
+        params = {**_sweep_params(estimate_id, 25), **extra}
+        # the inhomogeneous forcing is cut like its physical samples
+        sample = self.PHYSICAL_SAMPLE if estimate_id == "inhomogeneous" else self.SPECTRAL_SAMPLE
+        self.check(monkeypatch, sample, lambda: dilation_sweep(
+            self.recipe, self.g, [1, 2], estimate_id, params).ratios)
+
+    def test_gradient_decay_fit(self, monkeypatch):
+        f = synthesize_field(self.g, GaussianBump(width=2 * self.g.spacing))
+        times = np.geomspace(0.05, 0.5, 25)
+        self.check(monkeypatch, self.SPECTRAL_SAMPLE, lambda: decay_fit(
+            f, 1.0, 2.0, 1.0, times, gradient=True).norms.tolist())
+
+    def test_kernel_norms(self, monkeypatch):
+        ts = np.geomspace(0.01, 0.03, 25)
+        self.check(monkeypatch, self.PHYSICAL_SAMPLE, lambda: estimates._kernel_norms(
+            make_grid(2, 64, 6.0), ts, 1.0, 2.0).tolist())
+
+
+class TestStreamedMemory:
+    """Peak live memory (`traced_peak`) of the streamed estimates at 128^2,
+    in CHUNK_BYTES: each holds a few chunks of its time axis, not the whole
+    stack, so doubling the nodes leaves the peak where it was.  With whole
+    stacks, at 49 and 98 nodes: a homogeneous, parabolic or bmo_endpoint
+    level 8.0-8.2 and 14.2-14.4, an inhomogeneous level 19.9 and 38.5, the
+    gradient decay fit 31.1 and 62.2, the kernel norms 6.1 and 9.3."""
+
+    g = make_grid(2, 128, 2 * np.pi)
+    BOUND = 5  # CHUNK_BYTES; the streamed peaks are 3.6 to 4.1
+
+    def peaks(self, traced_peak, make_call):
+        """The peaks at 49 and 98 nodes, after a run that fills the grid's
+        cached lattices."""
+        make_call(49)()
+        return [traced_peak(make_call(m)) / fracheat.grid.CHUNK_BYTES for m in (49, 98)]
+
+    def check(self, peaks):
+        assert max(peaks) < self.BOUND
+        assert peaks[1] - peaks[0] < 0.1  # less than one sample, 0.125: scalars per node only
+
+    @pytest.mark.parametrize("estimate_id", [
+        "homogeneous", "bmo_endpoint", "parabolic", "inhomogeneous",
+    ])
+    def test_sweep_level(self, traced_peak, estimate_id):
+        g = self.g
+        recipe = (WavePackets(seed=1, carrier=4.0, width=0.2, count=3)
+                  if estimate_id == "bmo_endpoint"
+                  else RandomBumps(seed=3, width=g.L / 26, spread=g.L / 20, count=2))
+        self.check(self.peaks(traced_peak, lambda m: lambda: dilation_sweep(
+            recipe, g, [1], estimate_id, _sweep_params(estimate_id, m))))
+
+    def test_gradient_decay_fit(self, traced_peak):
+        f = synthesize_field(self.g, GaussianBump(width=2 * self.g.spacing))
+        self.check(self.peaks(traced_peak, lambda m: lambda: decay_fit(
+            f, 1.0, 2.0, 1.0, np.geomspace(0.34, 0.48, m), gradient=True)))
+
+    def test_kernel_norms(self, traced_peak):
+        g = make_grid(2, 128, 10.0)
+        self.check(self.peaks(traced_peak, lambda m: lambda: estimates._kernel_norms(
+            g, np.geomspace(0.004, 0.03, m), 1.0, 2.0)))
 
 
 class TestRealPath:

@@ -40,6 +40,7 @@ from fracheat.grid import (
     sample_chunks,
     uniform_times,
 )
+import fracheat.grid
 from fracheat import nse, norms
 from fracheat.nse import _fixed_point, _leray, _tensor_divergence, dealias_mask
 from fracheat.semigroup import axis_derivative, duhamel, semigroup_series
@@ -167,6 +168,21 @@ class TestBilinear:
         assert not mask.flags.writeable
         k = np.abs(np.rint(np.fft.fftfreq(32) * 32))
         assert np.array_equal(mask, (k[:, None] < 32 / 3) & (k[None, :] < 32 / 3))
+
+    @pytest.mark.parametrize("same", [True, False], ids=["B(u, u)", "B(u, v)"])
+    def test_chunked_march_keeps_the_bits(self, monkeypatch, same):
+        # the nonlinearity and the in-place march cut into chunks of 1 and 3
+        # samples give the one-chunk B(u, v)
+        g = make_grid(2, 16, 2 * np.pi)
+        times = uniform_times(0.5, 12)
+        u = real_series(g, 3, times, j_max=1)
+        v = u if same else real_series(g, 4, times, j_max=1)
+        sample = 2 * 16 * g.N * g.N  # a 2-vector half spectrum, counted on the full lattice
+        monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", 1 << 40)
+        whole = bilinear_form(u, v, 1.0).data
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", per_chunk * sample)
+            assert np.array_equal(bilinear_form(u, v, 1.0).data, whole)
 
     def test_zero_input(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -732,10 +748,10 @@ def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing)
     seen = []
     march = nse._duhamel
 
-    def recording(rhs, t_eval, lam, out):
-        result = march(rhs, t_eval, lam, out)
-        seen.append(np.shares_memory(rhs.data, out) and result.data is out)
-        return result
+    def recording(chunks, times, lam):  # each march runs over views of one stack
+        chunks = list(chunks)
+        seen.append(all(c.base is not None and c.base is chunks[0].base for c in chunks))
+        return march(iter(chunks), times, lam)
 
     monkeypatch.setattr(nse, "_duhamel", recording)
     V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import complex_dft
 
+import fracheat.grid
 import fracheat.semigroup
 from fracheat import (
     ContaminationError,
@@ -508,8 +509,8 @@ def test_duhamel_eval_time_within_coverage_past_last_sample():
 
 class TestDuhamelBuffers:
     """The public `duhamel` writes its integral into a new stack and only
-    reads the forcing; the private march `_duhamel` handed the forcing's own
-    stack writes the integral there, with the same bits."""
+    reads the forcing; the private march `_duhamel` handed the chunks of the
+    forcing's own stack writes the integral there, with the same bits."""
 
     def forcing(self, g):
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.75])  # uneven steps
@@ -529,15 +530,32 @@ class TestDuhamelBuffers:
             assert np.array_equal(F.data, before)
             assert not np.shares_memory(out.data, F.data)
 
-    def test_in_place_march_equals_public(self):
+    @pytest.mark.parametrize("per_chunk", [1, 3, 7])
+    def test_in_place_march_equals_public(self, per_chunk):
+        # chunks of 1 and 3 samples cross chunk boundaries; 7 is one chunk
         g = make_grid(2, 16, 2 * np.pi)
         F = self.forcing(g)
         want = duhamel(F, F.times, 0.8)
-        handed = TimeSeries.from_data(g, F.times, F.data.copy())
-        got = _duhamel(handed, F.times, _rate(g, 0.8), handed.data)
-        assert got.data is handed.data
-        assert np.array_equal(got.data, want.data)
-        assert np.array_equal(got.times, want.times)
+        stack = F.data.copy()
+        chunks = [stack[i : i + per_chunk] for i in range(0, len(stack), per_chunk)]
+        marched = list(_duhamel(iter(chunks), F.times, _rate(g, 0.8)))
+        assert all(got is chunk for got, chunk in zip(marched, chunks))
+        assert np.array_equal(stack, want.data)
+
+    @pytest.mark.parametrize("representation", ["spectral", "physical"])
+    def test_chunked_forcing_keeps_the_bits(self, monkeypatch, representation):
+        # F's transform and the march cut into chunks of 1 and 3 samples give
+        # the one-chunk integrals, at the samples and between them
+        g = make_grid(2, 16, 2 * np.pi)
+        F = self.forcing(g)
+        F = F.to_physical() if representation == "physical" else F
+        sample = F.data.itemsize * np.prod(F.data.shape[1:-1]) * g.N  # as `sample_chunks` counts
+        for t_eval in (F.times, [0.0, 0.05, 0.1, 0.2, 0.2000000000000001, 0.3, 0.5, 0.55, 0.75]):
+            monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", 1 << 40)
+            whole = duhamel(F, t_eval, 0.8).data
+            for per_chunk in (1, 3):
+                monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", per_chunk * sample)
+                assert np.array_equal(duhamel(F, t_eval, 0.8).data, whole)
 
 
 class TestComplexDataAsParts:
