@@ -35,8 +35,8 @@ from .grid import (
     sample_chunks,
     synthesize_field,
 )
-from .norms import NormSpec, _chunk_norms, _mixed_norm, _time_norm, lp_norms
-from .semigroup import _alpha_value, _duhamel, _evolved_chunks, _march_times, _rate, kernel_data
+from .norms import NormSpec, _time_norm, lp_norms
+from .semigroup import _alpha_value, _evolved_chunks, _march, _march_times, _rate, kernel_data
 from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
 INF = float("inf")
@@ -149,8 +149,9 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
 
     ts = times if times is not None else default_time_grid(T)
     spec = NormSpec(kind, p=p, s=s)
-    num = _mixed_norm(_evolved_chunks(uh, ts, _rate(g, alpha)), ts, q, spec)
-    return num / denom
+    vals = [spec.norms(w) for w in _evolved_chunks(uh, ts, _rate(g, alpha))]
+    # no times make no chunk: `_time_norm` rejects them by name
+    return _time_norm(np.concatenate(vals or [[]]), ts, q) / denom
 
 
 def inhomogeneous_ratio(
@@ -181,7 +182,7 @@ def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
     """`inhomogeneous_ratio` of a forcing on the time grid `times`, handed
     over as `forcing`: series on consecutive pieces of that grid, in time
     order.  Each chunk gives its denominator norms, goes to half spectra,
-    is marched (`_duhamel`) into its integral in that stack, gives its
+    is marched (`_march`) into its integral in that stack, gives its
     numerator norms, and is dropped, so neither the forcing nor its integral
     is ever whole."""
     q, p = qp
@@ -201,27 +202,20 @@ def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
         )
     num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
     den_spec, num_spec = NormSpec(kind, p=p1c, s=s), NormSpec(num_kind, p=p, s=s)
-    times = _march_times(times, times)
-    den, held = [], []  # held: the spectral series of the chunk in the march
-
-    def spectra():
-        for Fc in forcing:
-            den.append(den_spec.norms(Fc))
-            data = Fc.data.copy() if Fc.representation == SPECTRAL else _dft(Fc.data, g, "forward")
-            held.append(TimeSeries.from_data(g, Fc.times, data, SPECTRAL, Fc.parts))
-            del Fc, data
-            yield held[-1].data
-
-    def integrals():  # the march overwrites each held stack with its integral
-        for integral in _duhamel(spectra(), times, _rate(g, alpha)):
-            yield held.pop()
-            del integral
-
-    num = _time_norm(_chunk_norms(integrals(), num_spec.norms), times, q)
+    march = _march(_march_times(times, times), _rate(g, alpha))
+    den, num = [], []
+    for Fc in forcing:
+        den.append(den_spec.norms(Fc))
+        data = Fc.data.copy() if Fc.representation == SPECTRAL else _dft(Fc.data, g, "forward")
+        integral = TimeSeries.from_data(g, Fc.times, data, SPECTRAL, Fc.parts)
+        del Fc, data
+        march(integral.data)
+        num.append(num_spec.norms(integral))
+        del integral  # released before the next chunk is built
     denom = _time_norm(np.concatenate(den), times, q1c)
     if denom == 0.0:
         raise PreconditionError("zero forcing: ratio undefined")
-    return num / denom
+    return _time_norm(np.concatenate(num), times, q) / denom
 
 
 def parabolic_ratio(
@@ -281,7 +275,7 @@ def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_tr
         ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
     else:
         raise PreconditionError(f"unknown parabolic form {form!r}")
-    vals = _chunk_norms(_evolved_chunks(uh, ss, _rate(g, alpha)), lambda w: lp_norms(w, p))
+    vals = np.concatenate([lp_norms(w, p) for w in _evolved_chunks(uh, ss, _rate(g, alpha))])
     integrand = ss ** (-e) * vals**k
     # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
     head_weight, data = ss[0] ** (1 - e) / (1 - e), float(lp_norms(u, p)[0]) ** k
@@ -332,10 +326,12 @@ def decay_fit(
     """
     if not (1 <= r <= p):
         raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
+    times = np.asarray(times, dtype=float)
+    if len(times) < 2 or not np.all(times > 0):
+        raise PreconditionError("decay fit times must be two or more, all positive")
     g = f.grid
     alpha = _alpha_value(alpha)
     cont = require_whole_space(f, "decay fit data")
-    times = np.asarray(times, dtype=float)
     xi = [_half(x, g) for x in g.deriv_frequencies]
 
     def norms(u: TimeSeries) -> np.ndarray:
@@ -348,7 +344,8 @@ def decay_fit(
             vals.append(lp_norms(TimeSeries.from_data(g, u.times[c], grad, SPECTRAL, u.parts), p))
         return np.concatenate(vals)
 
-    vals = _chunk_norms(_evolved_chunks(as_series(f).to_spectral(), times, _rate(g, alpha)), norms)
+    flow = _evolved_chunks(as_series(f).to_spectral(), times, _rate(g, alpha))
+    vals = np.concatenate([norms(w) for w in flow])
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
     predicted = -(g.n / (2 * alpha)) * (_inv(r) - _inv(p))
     if gradient:
@@ -511,20 +508,15 @@ def _nyquist_tail(spec: TimeSeries) -> float:
     return float(e[:, mask].sum()) / total
 
 
-def _separable_series(f, profile, times) -> TimeSeries:
-    """profile(t) * f at each time, on f's grid and in its representation, f
-    a Field or a one-sample series.  A sweep builds its forcing this way
-    one chunk of times at a time (`_separable_chunks`)."""
-    u = f if isinstance(f, TimeSeries) else as_series(f)
-    amp = np.array([profile(t) for t in times]).reshape((-1,) + (1,) * (u.data.ndim - 1))
-    return TimeSeries.from_data(u.grid, times, amp * u.data[0], u.representation, parts=u.parts)
-
-
 def _separable_chunks(u: TimeSeries, profile, times):
-    """`_separable_series` of the one-sample series u on `times`, a chunk at
-    a time: the chunks `sample_chunks` cuts from the whole series."""
+    """profile(t) * u's one sample at each time of `times`, on u's grid and
+    in its representation and parts, as a series per chunk that
+    `sample_chunks` cuts from the whole series, in time order: a sweep's
+    forcing, never whole."""
     stack = np.broadcast_to(u.data, (len(times), *u.data.shape[1:]))
-    return (_separable_series(u, profile, times[c]) for c in sample_chunks(stack, u.grid))
+    for c in sample_chunks(stack, u.grid):
+        amp = np.array([profile(t) for t in times[c]]).reshape((-1,) + (1,) * (u.data.ndim - 1))
+        yield TimeSeries.from_data(u.grid, times[c], amp * u.data[0], u.representation, u.parts)
 
 
 def dilation_sweep(
@@ -547,6 +539,8 @@ def dilation_sweep(
             f"recipe {type(recipe).__name__} does not support analytic dilation"
         )
     alpha = _alpha_value(params["alpha"])
+    if not len(lambdas):
+        raise PreconditionError("dilation sweep needs at least one level in lambdas")
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))

@@ -141,35 +141,18 @@ def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
 def mixed_norm(u: TimeSeries, q: float, p: "float | NormSpec") -> float:
     """L^q in time over the sample grid of a spatial norm: L^p for a number
     p, or the norm a NormSpec selects."""
-    return _mixed_norm([u], u.times, q, p)
-
-
-def _mixed_norm(chunks, times: np.ndarray, q: float, p: "float | NormSpec") -> float:
-    """`mixed_norm` of a series on the time grid `times` handed over as
-    `chunks`, series on consecutive pieces of that grid in time order."""
-    if len(times) < 2:
-        raise PreconditionError("mixed norm needs at least two time samples")
-    if not q >= 1:
-        raise PreconditionError(f"time exponent q={q} must be >= 1")
-    norms = p.norms if isinstance(p, NormSpec) else lambda u: lp_norms(u, p)
-    return _time_norm(_chunk_norms(chunks, norms), times, q)
-
-
-def _chunk_norms(chunks, norms) -> np.ndarray:
-    """norms(u) of each series u of `chunks`, concatenated; each chunk is
-    released before the next is asked for, so a stream of chunks built on
-    the fly holds one at a time."""
-    vals = []
-    for u in chunks:
-        vals.append(norms(u))
-        del u
-    return np.concatenate(vals)
+    return _time_norm(p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p), u.times, q)
 
 
 def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
     """L^q over the sample grid `times` of the per-sample norms `vals`: the
     composite trapezoid sum, the max for q = inf, rescaled as in `_root_sums`
-    when the q-th powers over- or underflow."""
+    when the q-th powers over- or underflow.  PreconditionError unless there
+    are two or more samples and q >= 1."""
+    if len(times) < 2:
+        raise PreconditionError("mixed norm needs at least two time samples")
+    if not q >= 1:
+        raise PreconditionError(f"time exponent q={q} must be >= 1")
     if q == INF:
         return float(vals.max())
     with np.errstate(over="ignore"):

@@ -43,7 +43,7 @@ from .norms import (  # noqa: F401  (lp_norm: re-exported)
     _lp, _time_norm, lp_norm, lp_norms, mixed_norm,
 )
 from .semigroup import (
-    _alpha_value, _duhamel, _evolve, _march_times, _rate, duhamel, semigroup_series,
+    _alpha_value, _evolve, _march, _march_times, _rate, duhamel, semigroup_series,
 )
 
 
@@ -187,18 +187,13 @@ def _bilinear_into(F: TimeSeries, lam: np.ndarray, factors) -> TimeSeries:
     """B(u, v) in the stack of F, a spectral velocity series on the time grid
     of u and v: for each `sample_chunks` chunk in time order, P div(u x v)
     of the half spectra factors(chunk) = (uh, vh), vh None for v = u, is
-    written over F's samples in that chunk, which the Duhamel march at the
-    rate lam then overwrites with the integral.  A factor may be the chunk
-    of F it replaces."""
-    times = _march_times(F.times, F.times)
-
-    def forcing():
-        for chunk in sample_chunks(F.data, F.grid):
-            F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
-            yield F.data[chunk]
-
-    for _ in _duhamel(forcing(), times, lam):
-        pass
+    written over F's samples in that chunk, and the Duhamel march (`_march`)
+    at the rate lam overwrites them with the integral before the next chunk
+    is formed.  A factor may be the chunk of F it replaces."""
+    march = _march(_march_times(F.times, F.times), lam)
+    for chunk in sample_chunks(F.data, F.grid):
+        F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
+        march(F.data[chunk])
     return F
 
 
@@ -206,9 +201,10 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     """B(u, v): Duhamel integral of P div(u x v) at the shared sample times.
 
     The velocities are real.  `_bilinear_into` evaluates the nonlinearity a
-    chunk of samples at a time into one new forcing stack, which the march
-    then overwrites with the integral, so the forcing and the result are
-    never held at once; u's and v's data are only read.  Passing the same
+    chunk of samples at a time into one new forcing stack, and the march
+    overwrites each chunk with the integral before the next is evaluated, so
+    the forcing and the result are never held at once; u's and v's data are
+    only read.  Passing the same
     series twice shares its transforms.
     """
     times = _march_times(u.times, u.times)
@@ -244,7 +240,8 @@ def estimate_bilinear_constant(
     For each pair (i, j), i <= j, the two members are evolved from their
     seeds one chunk of samples at a time (`_evolve`, one exp per sample for
     both), and `_bilinear_into` writes P div(u x v) of each chunk straight
-    into the pair's one stack, which is released before the next pair's; a
+    into the pair's one stack and marches it there before the next chunk is
+    evolved; the stack is released before the next pair's, and a
     member's L^p norms are taken from the chunks of the first pair that
     evolves it.  So no evolved member is ever whole, and at most one stack
     is alive.  An
@@ -299,30 +296,26 @@ def _factor(residuals: list) -> float:
     return max(_contraction_ratios(residuals), default=0.0)
 
 
-def _fixed_point(apply_map, v0, q, p, tol, max_iter, max_factor=None, phys0=None):
+def _fixed_point(apply_map, v0, phys, q, p, tol, max_iter, max_factor=None):
     """Iterate v -> apply_map(v, phys) from v0, phys being v in physical form,
     until the relative step ||v_next - v|| / (||v_next|| or 1) in L^q_t L^p_x
     falls below tol (p a number).
 
-    One physical stack is kept: `phys0`, if given, is v0's and is handed
-    over; else v0 is brought to physical space here, copied once if it is
-    physical.  After each map evaluation, one `sample_chunks` chunk at a
-    time, the new iterate is brought to physical space once, the L^p norms
-    of its samples and of their steps from the samples in `phys` are taken,
-    and the new samples are written over the old; the two time norms are
-    `_time_norm`s of those per-sample norms.  So the norm, the step and the
-    next map evaluation read the same samples.  apply_map may write into
-    its argument's stack, never into phys; v0's and the iterates' stacks are
-    only read here.  With max_factor, gives up from the third iterate on
-    once a contraction ratio exceeds it.  Returns the last iterate, the
-    residuals, whether tol was reached and the last iterate's mixed norm.
-    The solvers check max_iter >= 1 before any work.
+    `phys` is the one physical stack: v0's samples in a stack of the
+    caller's own, which the loop overwrites.  After each map evaluation,
+    one `sample_chunks` chunk at a time, the new iterate is brought to
+    physical space once, the L^p norms of its samples and of their steps
+    from the samples in `phys` are taken, and the new samples are written
+    over the old; the two time norms are `_time_norm`s of those per-sample
+    norms.  So the norm, the step and the next map evaluation read the same
+    samples.  apply_map may write into its argument's stack, never into
+    phys; v0's and the iterates' stacks are only read here.  With
+    max_factor, gives up from the third iterate on once a contraction ratio
+    exceeds it.  Returns the last iterate, the residuals, whether tol was
+    reached and the last iterate's mixed norm.  The solvers check
+    max_iter >= 1 before any work.
     """
     grid, times = v0.grid, v0.times
-    phys = v0.to_physical() if phys0 is None else phys0
-    if phys is v0:
-        phys = TimeSeries.from_data(grid, times, v0.data.copy(), PHYSICAL, v0.parts)
-    del phys0  # the loop's `phys` is the only reference this frame keeps
     v, norm, residuals = v0, None, []
     norms, steps = np.empty(len(v0)), np.empty(len(v0))
     for it in range(1, max_iter + 1):
@@ -426,17 +419,16 @@ def solve_nse_picard(
     # evolution; the map regenerates base a chunk at a time
     v0 = TimeSeries.from_data(grid, times, *_evolve([g0.data[0]], times, lam))
     forced = None
-    if h is None:  # the physical stack that measures `a` also seeds the fixed
-        # point; kept in a list so that it can be handed over with no reference here
-        seed = [v0.to_physical()]
-        a_val = mixed_norm(seed[0], q, p)
+    if h is None:  # the physical stack that measures `a` is also the fixed point's
+        phys = v0.to_physical()
+        a_val = mixed_norm(phys, q, p)
     else:
         hP = TimeSeries.from_data(grid, h.times, _leray(h.to_spectral().data, grid))
         forced = duhamel(hP, times, alpha)
         del hP
         a_val = mixed_norm(v0, q, p) + mixed_norm(forced, q, p)
         np.add(v0.data, forced.data, out=v0.data)
-        seed = [None]
+        phys = v0.to_physical()
     if not 2 * c_est * a_val < 1:
         raise PreconditionError(
             f"smallness gate failed: 2 * C_est * a = {2 * c_est * a_val:.3f} >= 1 "
@@ -452,9 +444,7 @@ def solve_nse_picard(
             np.subtract(base, B.data[chunk], out=B.data[chunk])
         return B
 
-    v, residuals, converged, final_norm = _fixed_point(
-        apply_map, v0, q, p, tol, max_iter, phys0=seed.pop()
-    )
+    v, residuals, converged, final_norm = _fixed_point(apply_map, v0, phys, q, p, tol, max_iter)
     report = PicardReport(
         residuals=residuals,
         converged=converged,
@@ -602,9 +592,10 @@ def solve_potential_eq(
                 V_nodes = V_nodes.reshape(*lead, *grid.shape)
 
             def march(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs), in rhs
-                chunks = sample_chunks(rhs, grid)
-                for chunk, integ in zip(chunks, _duhamel((rhs[c] for c in chunks), loc, lam)):
-                    np.add(base.data[chunk], integ, out=integ)
+                step = _march(loc, lam)
+                for chunk in sample_chunks(rhs, grid):
+                    step(rhs[chunk])
+                    np.add(base.data[chunk], rhs[chunk], out=rhs[chunk])
                 return TimeSeries.from_data(grid, loc, rhs, parts=parts)
 
             def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
@@ -617,7 +608,7 @@ def solve_potential_eq(
 
             v0 = base if F is None else march(forcing if V is None else forcing.copy())
             v, residuals, converged, _ = _fixed_point(
-                apply_map, v0, q, p, tol, max_iter, max_factor=0.5
+                apply_map, v0, v0.to_physical(), q, p, tol, max_iter, max_factor=0.5
             )
             measured = _factor(residuals)
             if converged and measured <= 0.5 + 1e-9:

@@ -12,8 +12,8 @@ The Duhamel integral int_0^t exp(-(t-s) |xi|^(2a)) F(s) ds is evaluated
 per mode with an exact integrating factor under a piecewise-linear-in-s
 model for F (second-order exponential time differencing); it is exact for
 forcings that are constant or linear in time between snapshots.  One
-forward march, `_duhamel`, takes the forcing a chunk of samples at a time
-and writes each chunk's integral over it.
+forward march, `_march`, is handed the forcing a chunk of samples at a
+time and overwrites each chunk with its integral.
 """
 
 from __future__ import annotations
@@ -243,8 +243,10 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
     at = np.maximum(np.searchsorted(times, t_eval + 1e-15, side="right") - 1, 0)
     first = np.searchsorted(at, np.arange(at[-1] + 2))
     out = np.empty((len(t_eval), *Fhat.shape[1:]), dtype=np.complex128)
-    s = 0  # the sample in hand
-    for integral in _duhamel((Fhat[j : j + 1].copy() for j in range(at[-1] + 1)), times, lam):
+    march = _march(times, lam)
+    for s in range(at[-1] + 1):
+        integral = Fhat[s : s + 1].copy()
+        march(integral)
         for k in range(first[s], first[s + 1]):
             out[k] = integral[0]
             delta = t_eval[k] - times[s]
@@ -252,20 +254,21 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
                 w = delta / (times[s + 1] - times[s])
                 F1 = (1 - w) * Fhat[s] + w * Fhat[s + 1]
                 out[k] = _step(out[k], delta, Fhat[s], F1, _etd2(lam, delta))
-        s += 1
         del integral  # released before the next sample is copied
     return TimeSeries.from_data(F.grid, t_eval, out, SPECTRAL, parts=F.parts)
 
 
 def _march_times(times: np.ndarray, t_eval) -> np.ndarray:
     """t_eval as floats; PreconditionError unless a forcing sampled at
-    `times` has two or more samples from t = 0 on and t_eval is strictly
-    increasing within its coverage."""
+    `times` has two or more samples from t = 0 on and t_eval is nonempty and
+    strictly increasing within its coverage."""
     t_eval = np.asarray(t_eval, dtype=float)
     if len(times) < 2:
         raise PreconditionError("forcing series needs at least two samples")
     if abs(times[0]) > 1e-14:
         raise PreconditionError("forcing series must start at t = 0")
+    if not len(t_eval):
+        raise PreconditionError("t_eval must hold at least one time")
     if not np.all(np.diff(t_eval) > 0):
         raise PreconditionError("t_eval must be strictly increasing")
     if t_eval.min() < -1e-14 or t_eval.max() > times[-1] + 1e-12:
@@ -280,36 +283,33 @@ def _step(I, h, F0, F1, block):
     return E * I + h * (F0 * A + F1 * B)
 
 
-def _duhamel(chunks, times: np.ndarray, lam: np.ndarray):
+def _march(times: np.ndarray, lam: np.ndarray):
     """The Duhamel march at the rate lam of a spectral forcing sampled at
-    `times` (checked by `_march_times`), handed over as its chunks in time
-    order: one forward pass that overwrites each chunk with the integrals at
-    its samples and then yields it.  The running integral and the last
-    forcing sample carry over to the next chunk, so a chunk may be a view of
-    a stack or an array built on the fly, and what the consumer does to a
-    yielded chunk does not reach the march.  The coefficients of a step size
-    are derived once and dropped after the last whole step of that size."""
+    `times` (checked by `_march_times`): a function that overwrites the
+    forcing's next chunk, in time order, with the integrals at its samples.
+    The running integral and the last forcing sample carry over to the next
+    chunk, so a chunk may be a view of a stack or an array built on the fly,
+    and what the caller does to a marched chunk does not reach the march.
+    The coefficients of a step size are derived once and dropped after the
+    last whole step of that size."""
     steps = np.diff(times)
     last = {h: seg for seg, h in enumerate(steps)}  # step size -> its last whole step
     cache: dict[float, tuple] = {}  # step size -> coefficients, up to its last whole step
+    seg, I, F0 = -1, None, None  # the step that ends at the sample in hand, I and F there
 
-    def coefficients(seg):
-        """The coefficients of step seg, kept while a later step has its size."""
-        h = steps[seg]
-        block = cache.pop(h, None) or _etd2(lam, h)
-        if last[h] > seg:
-            cache[h] = block
-        return block
-
-    seg = -1  # the step that ends at the sample in hand
-    for chunk in chunks:
+    def march(chunk: np.ndarray) -> None:
+        nonlocal seg, I, F0
         for sample in chunk:
             if seg < 0:
                 I, F0 = np.zeros_like(sample), np.empty_like(sample)
             else:
-                I = _step(I, steps[seg], F0, sample, coefficients(seg))
+                h = steps[seg]
+                block = cache.pop(h, None) or _etd2(lam, h)
+                if last[h] > seg:  # kept while a later step has its size
+                    cache[h] = block
+                I = _step(I, h, F0, sample, block)
             F0[...] = sample
             sample[...] = I
             seg += 1
-        yield chunk
-        chunk = sample = None  # released before the next chunk is built
+
+    return march

@@ -39,6 +39,14 @@ from fracheat.semigroup import apply_semigroup, axis_derivative, kernel
 INF = float("inf")
 
 
+def separable_series(f, profile, times):
+    """A sweep's separable forcing profile(t) * f on `times`: the series its
+    chunks (`estimates._separable_chunks`) make, joined into one."""
+    u = fracheat.grid.as_series(f)
+    data = np.concatenate([c.data for c in estimates._separable_chunks(u, profile, times)])
+    return TimeSeries.from_data(u.grid, times, data, u.representation, u.parts)
+
+
 class TestAdmissibility:
     def test_endpoint_triplet_high_dimension(self):
         # (2, 2n/(n-2a), 2) is n/2a-admissible when n > 2a
@@ -331,6 +339,17 @@ class TestDecayFit:
         with pytest.raises(PreconditionError):
             decay_fit(f, 4.0, 2.0, 1.0, np.geomspace(0.1, 1.0, 5))
 
+    @pytest.mark.parametrize("times", [[0.1], [0.0, 0.1, 0.2], [-0.1, 0.1]])
+    def test_bad_time_grid_rejected_before_the_flow(self, call_count, times):
+        # one time gave a silent slope (0.045 for [0.1]); a time at 0 raised
+        # numpy's LinAlgError after the whole evolution
+        g = make_grid(1, 64, 2 * np.pi)
+        f = synthesize_field(g, GaussianBump(width=0.2))
+        calls = call_count(estimates, "_evolved_chunks")
+        with pytest.raises(PreconditionError, match="decay fit times must be two or more"):
+            decay_fit(f, 1.0, 2.0, 1.0, times)
+        assert calls["_evolved_chunks"] == 0
+
 
 def _norms_per_time(f, ts, alpha, p):
     """Oracle: propagate, transform and measure one time at a time."""
@@ -460,6 +479,15 @@ class TestKernelNormFit:
 
 
 class TestDilationSweep:
+    def test_no_lambdas_rejected_before_any_level(self, call_count):
+        # an empty family raised IndexError at ratios[0]
+        g = make_grid(2, 64, 2 * np.pi)
+        calls = call_count(estimates, "synthesize_field")
+        with pytest.raises(PreconditionError, match="lambdas"):
+            dilation_sweep(GaussianBump(width=g.L / 21), g, [], "homogeneous",
+                           {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05})
+        assert calls["synthesize_field"] == 0
+
     def test_single_lambda_is_driftless(self):
         g = make_grid(2, 64, 2 * np.pi)
         recipe = GaussianBump(width=g.L / 21)
@@ -575,8 +603,7 @@ class TestDilationSweep:
                                        s_max=params["s_max"] * tscale)
             elif estimate_id == "inhomogeneous":
                 profile = params["profile"]
-                F = estimates._separable_series(f, lambda t: profile(t / tscale),
-                                                params["times"] * tscale)
+                F = separable_series(f, lambda t: profile(t / tscale), params["times"] * tscale)
                 assert len(fracheat.grid.sample_chunks(F.data, g)) > 1
                 want = inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0, kind=kind, s=s)
             else:
@@ -771,7 +798,7 @@ class TestRealPath:
         f, pair = self.complex_bumps()
         times = np.linspace(0, 0.1, 17)
         profile = lambda t: (t / 0.03) * np.exp(-t / 0.03)  # noqa: E731
-        F, Fpair = (estimates._separable_series(w, profile, times) for w in (f, pair))
+        F, Fpair = (separable_series(w, profile, times) for w in (f, pair))
         assert F.parts == 2 and Fpair.parts == 1
         assert np.array_equal(F.data, Fpair.data)
         got, want = (
@@ -790,7 +817,7 @@ class TestRealPath:
     def test_separable_forcing_is_real_and_takes_real_transforms(self, fft_count):
         f = self.bumps()
         times = np.linspace(0, 0.1, 17)
-        F = estimates._separable_series(f, lambda t: 1 + t, times)
+        F = separable_series(f, lambda t: 1 + t, times)
         assert F.parts == 1 and F.representation == "physical"
         assert F.data.dtype == np.float64
         fft_count.clear()
@@ -805,7 +832,7 @@ class TestRealPath:
         fft_count.clear()
         got = homogeneous_ratio(wave, 4.0, 4.0, 1.0, 0.05)
         assert abs(got - want) <= 1e-13 * want
-        F = estimates._separable_series(wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
+        F = separable_series(wave, lambda t: 1 + t, np.linspace(0, 0.1, 9))
         assert F.parts == 2
         inhomogeneous_ratio(F, (4.0, 4.0), (4.0, 4.0), 1.0)
         assert fft_count["fftn"] == fft_count["ifftn"] == 0 < fft_count["irfftn"]

@@ -218,6 +218,25 @@ class TestMixedNorm:
         with pytest.raises(PreconditionError):
             mixed_norm(TimeSeries(np.array([0.0]), [Field(g, np.zeros(8))]), 2, 2)
 
+    def test_time_exponent_below_one_rejected_by_name(self):
+        # both end in the one time norm, which checks q
+        from fracheat.estimates import homogeneous_ratio
+
+        u = self.series(32, 4)
+        f = u.to_physical().snapshots[0]
+        with pytest.raises(PreconditionError, match="time exponent q=0.5 must be >= 1"):
+            mixed_norm(u, 0.5, 4)
+        with pytest.raises(PreconditionError, match="time exponent q=0.5 must be >= 1"):
+            homogeneous_ratio(f, 0.5, 4, 1.0, 0.1)
+
+    @pytest.mark.parametrize("times", [[], [0.05]])
+    def test_homogeneous_ratio_needs_two_times(self, times):
+        from fracheat.estimates import homogeneous_ratio
+
+        f = self.series(32, 4).to_physical().snapshots[0]
+        with pytest.raises(PreconditionError, match="needs at least two time samples"):
+            homogeneous_ratio(f, 4, 4, 1.0, 0.1, times=np.array(times))
+
 
 class TestSobolevNorm:
     def test_plane_wave_homogeneous(self):

@@ -304,6 +304,14 @@ class TestStackedNonlinearity:
         assert np.array_equal(once[zero], uh[zero])
 
 
+def fixed_point(apply_map, v0, *args, **kwargs):
+    """`_fixed_point` from v0, handed a new physical stack of v0 as a solver
+    hands it the stack it made."""
+    data = np.array(v0.to_physical().data)  # a copy, also of a physical v0
+    phys = TimeSeries.from_data(v0.grid, v0.times, data, PHYSICAL, v0.parts)
+    return _fixed_point(apply_map, v0, phys, *args, **kwargs)
+
+
 def real_series(g, seed, times, j_max=2):
     """Free evolution of a projected random real velocity."""
     w = leray_project(random_vector(g, seed, j_max))
@@ -549,7 +557,7 @@ class TestFixedPoint:
     def test_ratios_approach_c(self):
         c = 0.5
         apply_map, zero = self.affine(c)
-        v, residuals, converged, norm = _fixed_point(apply_map, zero, 4, 4, 1e-8, 60)
+        v, residuals, converged, norm = fixed_point(apply_map, zero, 4, 4, 1e-8, 60)
         assert converged
         assert norm == mixed_norm(v, 4, 4)
         k = np.arange(1, len(residuals) + 1)
@@ -563,12 +571,12 @@ class TestFixedPoint:
 
     def test_max_factor_gives_up_at_third_iterate(self):
         apply_map, zero = self.affine(0.8)
-        _, residuals, converged, _ = _fixed_point(
+        _, residuals, converged, _ = fixed_point(
             apply_map, zero, 4, 4, 1e-12, 40, max_factor=0.5
         )
         assert not converged
         assert len(residuals) == 3
-        _, residuals, _, _ = _fixed_point(apply_map, zero, 4, 4, 1e-12, 5)
+        _, residuals, _, _ = fixed_point(apply_map, zero, 4, 4, 1e-12, 5)
         assert len(residuals) == 5  # no max_factor: runs on
 
     def test_zero_step_target_is_not_converged(self):
@@ -578,7 +586,7 @@ class TestFixedPoint:
         def to_zero(v, _phys):
             return TimeSeries.from_data(v.grid, v.times, np.zeros_like(v.data), parts=v.parts)
 
-        _, residuals, converged, norm = _fixed_point(to_zero, v0, 4, 4, 1e-6, 1)
+        _, residuals, converged, norm = fixed_point(to_zero, v0, 4, 4, 1e-6, 1)
         assert not converged
         assert norm == 0.0
         assert residuals == [mixed_norm(v0, 4, 4)]
@@ -601,7 +609,7 @@ class TestOnePhysicalPass:
             iterates.append(base - bilinear_form(v, v, 1.0))
             return iterates[-1]
 
-        _, residuals, _, norm = _fixed_point(apply_map, base, 4, 4, 1e-14, 3)
+        _, residuals, _, norm = fixed_point(apply_map, base, 4, 4, 1e-14, 3)
         assert norm == mixed_norm(iterates[-1], 4, 4)
         for k, r in enumerate(residuals):
             step = mixed_norm(iterates[k + 1] - iterates[k], 4, 4)
@@ -619,7 +627,7 @@ class TestOnePhysicalPass:
             assert np.array_equal(phys.data, v.to_physical().data)
             return base - bilinear_form(v, v, 1.0)
 
-        _fixed_point(apply_map, base, 4, 4, 1e-14, 2)
+        fixed_point(apply_map, base, 4, 4, 1e-14, 2)
 
     def test_potential_iteration_costs_one_transform_pair(self, fft_count):
         g = make_grid(2, 16, 2 * np.pi)
@@ -718,26 +726,26 @@ def test_potential_non_finite_data_rejected_before_any_work(call_count, name):
 def test_potential_without_forcing_marches_only_the_potential_term(call_count):
     # with F None the first iterate is the free flow itself, and each map
     # marches the Duhamel term of -V v alone; without V there is none
-    calls = call_count(nse, "_duhamel")
+    calls = call_count(nse, "_march")
     g = make_grid(2, 16, 2 * np.pi)
     _potential(g)
-    assert calls["_duhamel"] == 0
+    assert calls["_march"] == 0
     V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
     _, rep = solve_potential_eq(Field(g, np.ones(g.shape)), None, V, 1.0, 0.2)
     assert len(rep.subintervals) == 1
-    assert calls["_duhamel"] == rep.subintervals[0][3]
+    assert calls["_march"] == rep.subintervals[0][3]
 
 
 def test_potential_window_without_potential_marches_its_forcing_once(call_count):
     # with no V the map is constant: the first iterate, base + Duhamel(F),
     # is its fixed point, and the forcing is not marched a second time
     g = make_grid(2, 16, 2 * np.pi)
-    calls = call_count(nse, "_duhamel")
+    calls = call_count(nse, "_march")
     call_count(nse, "duhamel")
     F = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
     _, rep = solve_potential_eq(Field(g, np.ones(g.shape)), F, None, 1.0, 0.2)
     assert [sub[3] for sub in rep.subintervals] == [1]
-    assert calls["_duhamel"] + calls["duhamel"] == 1
+    assert calls["_march"] + calls["duhamel"] == 1
 
 
 @pytest.mark.parametrize("with_forcing", [False, True])
@@ -745,21 +753,27 @@ def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing)
     # each map evaluation forms -V v (or F - V v) in the stack of its forward
     # transform, marches that stack, and adds the free flow into it
     g = make_grid(2, 16, 2 * np.pi)
-    seen = []
-    march = nse._duhamel
+    seen = []  # the chunks of each march
+    march = nse._march
 
-    def recording(chunks, times, lam):  # each march runs over views of one stack
-        chunks = list(chunks)
-        seen.append(all(c.base is not None and c.base is chunks[0].base for c in chunks))
-        return march(iter(chunks), times, lam)
+    def recording(times, lam):
+        chunks, step = [], march(times, lam)
+        seen.append(chunks)
 
-    monkeypatch.setattr(nse, "_duhamel", recording)
+        def recorded(chunk):
+            chunks.append(chunk)
+            step(chunk)
+
+        return recorded
+
+    monkeypatch.setattr(nse, "_march", recording)
     V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
     F = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.25), "physical")
     want_rep = solve_potential_eq(Field(g, np.ones(g.shape)), F if with_forcing else None, V,
                                   1.0, 0.2)[1]
     assert len(seen) == sum(sub[3] for sub in want_rep.subintervals) + with_forcing
-    assert all(seen)
+    # each march runs over views of one stack
+    assert all(c.base is not None and c.base is chunks[0].base for chunks in seen for c in chunks)
 
 
 class TestPicard:
@@ -784,15 +798,15 @@ class TestPicard:
         g = make_grid(2, 16, 2 * np.pi)
         g0 = perturbed_taylor_green(g, 0.3)
         measured, handed = [], []
-        fixed_point = nse._fixed_point
+        loop = nse._fixed_point
 
         def recording(u, *args):
             measured.append(u)
             return mixed_norm(u, *args)
 
-        def handing(*args, phys0=None, **kwargs):
-            handed.append(phys0)
-            return fixed_point(*args, phys0=phys0, **kwargs)
+        def handing(apply_map, v0, phys, *args, **kwargs):
+            handed.append(phys)
+            return loop(apply_map, v0, phys, *args, **kwargs)
 
         monkeypatch.setattr(nse, "mixed_norm", recording)
         monkeypatch.setattr(nse, "_fixed_point", handing)
@@ -1005,8 +1019,9 @@ class TestCallerData:
         v0 = real_series(g, 3, times, j_max=1).to_physical()
         target = real_series(g, 4, times, j_max=1).to_physical()
         before = [v0.data.copy(), target.data.copy()]
-        # the map returns a caller's physical series: its own physical form
-        _, residuals, converged, _ = _fixed_point(lambda v, _: target, v0, 4, 4, 1e-12, 3)
+        # the map returns a caller's physical series: its own physical form;
+        # the loop writes only into the physical stack it is handed
+        _, residuals, converged, _ = fixed_point(lambda v, _: target, v0, 4, 4, 1e-12, 3)
         assert converged and len(residuals) == 2
         assert np.array_equal(v0.data, before[0])
         assert np.array_equal(target.data, before[1])

@@ -28,7 +28,7 @@ from fracheat import (
     synthesize_field,
 )
 from fracheat.semigroup import (
-    _duhamel,
+    _march,
     _phi1,
     _phi2,
     _rate,
@@ -498,6 +498,14 @@ def test_duhamel_eval_times_checked_before_any_step(monkeypatch, t_eval):
         duhamel(F, t_eval, 1.0)
 
 
+def test_duhamel_empty_eval_times_rejected_by_name():
+    # numpy's min over no entries raised ValueError in the coverage check
+    g = make_grid(1, 32, 2 * np.pi)
+    F = semigroup_series(random_field(g, 8), [0.0, 0.2, 0.4], 1.0)
+    with pytest.raises(PreconditionError, match="t_eval must hold at least one time"):
+        duhamel(F, [], 1.0)
+
+
 def test_duhamel_eval_time_within_coverage_past_last_sample():
     # the coverage check admits t_eval up to 1e-12 past the last sample,
     # which gets the integral at that sample
@@ -509,7 +517,7 @@ def test_duhamel_eval_time_within_coverage_past_last_sample():
 
 class TestDuhamelBuffers:
     """The public `duhamel` writes its integral into a new stack and only
-    reads the forcing; the private march `_duhamel` handed the chunks of the
+    reads the forcing; the private march `_march` handed the chunks of the
     forcing's own stack writes the integral there, with the same bits."""
 
     def forcing(self, g):
@@ -537,9 +545,9 @@ class TestDuhamelBuffers:
         F = self.forcing(g)
         want = duhamel(F, F.times, 0.8)
         stack = F.data.copy()
-        chunks = [stack[i : i + per_chunk] for i in range(0, len(stack), per_chunk)]
-        marched = list(_duhamel(iter(chunks), F.times, _rate(g, 0.8)))
-        assert all(got is chunk for got, chunk in zip(marched, chunks))
+        march = _march(F.times, _rate(g, 0.8))
+        for i in range(0, len(stack), per_chunk):
+            march(stack[i : i + per_chunk])
         assert np.array_equal(stack, want.data)
 
     @pytest.mark.parametrize("representation", ["spectral", "physical"])
