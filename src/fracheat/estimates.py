@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_exponent, require_positive
 from .grid import (
     DilatableRecipe,
     Field,
@@ -48,8 +48,7 @@ def _inv(x: float) -> float:
 
 def conjugate(p: float) -> float:
     """Hoelder conjugate p' = p / (p - 1)."""
-    if not p >= 1:
-        raise PreconditionError(f"exponent {p} must be >= 1")
+    require_exponent("p", p)
     if p == 1:
         return INF
     if p == INF:
@@ -71,8 +70,9 @@ def check_admissible(t: Triplet) -> float:
     """Signed admissibility defect 1/q - sigma (1/r - 1/p); zero means admissible."""
     if not (1 < t.r <= t.p):
         raise PreconditionError(f"admissibility needs 1 < r <= p, got r={t.r}, p={t.p}")
-    if not (t.q >= 1 and t.sigma > 0):
-        raise PreconditionError("exponents out of range")
+    require_exponent("q", t.q)
+    if not t.sigma > 0:
+        raise PreconditionError(f"scaling weight sigma={t.sigma} must be positive")
     return _inv(t.q) - t.sigma * (_inv(t.r) - _inv(t.p))
 
 
@@ -395,11 +395,9 @@ def kernel_mixed_norm_fit(
     exponent is fitted by evaluating at T and 2T.
     """
     alpha = _alpha_value(alpha)
-    if not 0 < T < INF:
-        raise PreconditionError(f"kernel norm end time T={T} must be positive and finite")
-    for name, e in (("time exponent h", h), ("Lebesgue exponent r", r)):
-        if not e >= 1:
-            raise PreconditionError(f"{name}={e} must be >= 1")
+    require_positive("kernel norm end time T", T)
+    require_exponent("time exponent h", h)
+    require_exponent("Lebesgue exponent r", r)
     w = (n * h / (2 * alpha)) * (1 - _inv(r)) if h != INF else INF
     if not w < 1:
         raise PreconditionError(
@@ -531,16 +529,23 @@ def dilation_sweep(
 
     Every dilation level is synthesized analytically from the recipe; it
     must pass the whole-space gate `require_whole_space` and its spectral
-    content must stay clear of the Nyquist edge, otherwise the sweep aborts.
-    max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
+    content must stay clear of the Nyquist edge, otherwise the sweep aborts;
+    `lambdas` and `estimate_id` are checked before it starts.  max_drift is
+    max over lambda of |ratio(lambda) / ratio(1) - 1|.
     """
     if not isinstance(recipe, DilatableRecipe):
         raise PreconditionError(
             f"recipe {type(recipe).__name__} does not support analytic dilation"
         )
     alpha = _alpha_value(params["alpha"])
-    if not len(lambdas):
+    lambdas = list(lambdas)
+    if not lambdas:
         raise PreconditionError("dilation sweep needs at least one level in lambdas")
+    for i, lam in enumerate(lambdas):
+        require_positive(f"lambdas[{i}]", lam)
+    if estimate_id not in ("homogeneous", "bmo_endpoint", "inhomogeneous", "parabolic",
+                           "besov_embedding"):
+        raise PreconditionError(f"unknown estimate id {estimate_id!r}")
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))
@@ -582,13 +587,11 @@ def dilation_sweep(
             s_min, s_max = params["s_min"] * tscale, params["s_max"] * tscale
             val = _parabolic_ratio(u, uh, params["p"], alpha, "b", s_min, s_max,
                                    ratio=1.25, r=None, T=None, report_truncation=False)
-        elif estimate_id == "besov_embedding":
+        else:  # besov_embedding
             val = _besov_embedding_ratio(u, uh, params["p"])
-        else:
-            raise PreconditionError(f"unknown estimate id {estimate_id!r}")
         ratios.append(float(val))
         contams.append(float(con))
-    base = ratios[lambdas.index(1) if 1 in list(lambdas) else 0]
+    base = ratios[lambdas.index(1) if 1 in lambdas else 0]
     max_drift = max(abs(rho / base - 1.0) for rho in ratios)
     verdict = ""
     if drift_tol is not None:
@@ -596,7 +599,7 @@ def dilation_sweep(
     return RatioReport(
         estimate_id=estimate_id,
         params={k: v for k, v in params.items() if k != "times"},
-        lambdas=list(lambdas),
+        lambdas=lambdas,
         ratios=ratios,
         max_drift=float(max_drift),
         contamination=contams,
@@ -643,7 +646,12 @@ DECAY_BATTERY = {
 
 def run_decay_case(n, alpha, r, p, gradient: bool = False) -> DecayFit:
     """Run one frozen battery configuration of the decay fit."""
-    cfg = DECAY_BATTERY[(n, alpha, r, p)]
+    cfg = DECAY_BATTERY.get((n, alpha, r, p))
+    if cfg is None:
+        raise PreconditionError(
+            f"(n, alpha, r, p) = {(n, alpha, r, p)} is not in the tuned decay battery; "
+            f"available: {sorted(DECAY_BATTERY)}"
+        )
     grid = GridSpec(n=n, N=cfg["N"], L=cfg["L"])
     f = synthesize_field(grid, cfg["recipe"](grid))
     lo, hi, m = cfg["grad_window"] if gradient else cfg["window"]

@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContaminationError, PreconditionError, RepresentationError
+from .errors import require_count, require_positive
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -71,7 +72,7 @@ class GridSpec:
             raise PreconditionError(f"dimension n={self.n} not in {{1, 2, 3}}")
         if not _is_power_of_two(self.N) or self.N < 8:
             raise PreconditionError(f"N={self.N} must be a power of two >= 8")
-        _require_positive("box length L", self.L)
+        require_positive("box length L", self.L)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -307,8 +308,11 @@ def contamination(f: Field) -> float:
 
 
 def require_whole_space(f: Field, what: str) -> float:
-    """The `contamination` of f, the one whole-space gate: ContaminationError,
-    naming `what`, when it reaches HALF_BOX_TOL."""
+    """The `contamination` of f, the one whole-space gate: PreconditionError,
+    naming `what`, when f holds inf or NaN, and ContaminationError when its
+    contamination reaches HALF_BOX_TOL."""
+    if not np.all(np.isfinite(f.data)):
+        raise PreconditionError(f"{what} holds non-finite values")
     c = contamination(f)
     if c >= HALF_BOX_TOL:
         raise ContaminationError(
@@ -341,12 +345,6 @@ def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
 # center so dilated fields stay inside the half-box.
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Reject a value that is not a positive finite number, naming it."""
-    if not 0 < value < math.inf:
-        raise PreconditionError(f"{name} = {value}: must be positive and finite")
-
-
 def _require_spread(spread: float | None) -> None:
     if spread is not None and not 0 <= spread < math.inf:
         raise PreconditionError(f"spread = {spread}: must be nonnegative and finite")
@@ -365,7 +363,7 @@ class GaussianBump:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_positive("width", self.width)
+        require_positive("width", self.width)
 
     def dilated(self, lam: float) -> "GaussianBump":
         return replace(self, scale=self.scale * lam)
@@ -456,7 +454,7 @@ class RandomBumps:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_positive("width", self.width)
+        require_positive("width", self.width)
         _require_spread(self.spread)
 
     def dilated(self, lam: float) -> "RandomBumps":
@@ -498,8 +496,8 @@ class WavePackets:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_positive("width", self.width)
-        _require_positive("carrier", self.carrier)
+        require_positive("width", self.width)
+        require_positive("carrier", self.carrier)
         _require_spread(self.spread)
 
     def dilated(self, lam: float) -> "WavePackets":
@@ -699,7 +697,7 @@ class TimeSeries:
         self.data, self._parts = np.ascontiguousarray(data, dtype=dtype), parts
         if len(self.times) != len(self.data) or self.times.ndim != 1:
             raise PreconditionError("times and snapshots must have equal length")
-        _require_times(self.times)
+        _require_times(self.times, "times")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -767,16 +765,16 @@ class TimeSeries:
         return TimeSeries.from_data(self.grid, self.times, data, rep, parts=self.parts)
 
 
-def _require_times(times) -> np.ndarray:
-    """times as floats; PreconditionError unless they are finite,
-    nonnegative and strictly increasing, as a series' time grid must be."""
+def _require_times(times, what: str) -> np.ndarray:
+    """times as floats; PreconditionError, naming `what`, unless they are
+    finite, nonnegative and strictly increasing, as a series' time grid must be."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
-        raise PreconditionError("times must be finite")
+        raise PreconditionError(f"{what} must be finite")
     if len(times) and times[0] < 0:
-        raise PreconditionError("times must be nonnegative")
+        raise PreconditionError(f"{what} must be nonnegative")
     if np.any(np.diff(times) <= 0):
-        raise PreconditionError("times must be strictly increasing")
+        raise PreconditionError(f"{what} must be strictly increasing")
     return times
 
 
@@ -814,9 +812,8 @@ def on_half_spectrum(f: Field, op) -> Field:
 
 def uniform_times(T: float, m: int) -> np.ndarray:
     """m+1 equispaced samples on [0, T]."""
-    _require_positive("time horizon T", T)
-    if m < 1:
-        raise PreconditionError(f"uniform time grid needs m >= 1 intervals, got m={m}")
+    require_positive("time horizon T", T)
+    require_count("m", m)
     return np.linspace(0.0, T, m + 1)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_exponent
 from .grid import (
     SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series, require_zero_means,
     sample_chunks,
@@ -48,9 +48,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("lebesgue", "sobolev", "besov", "bmo"):
             raise PreconditionError(f"unknown norm kind {self.kind!r}")
-        for e in (self.p, self.q):
-            if not (e >= 1):
-                raise PreconditionError(f"exponent {e} must lie in [1, inf]")
+        require_exponent("p", self.p)
+        require_exponent("q", self.q)
 
     def norms(self, u: TimeSeries) -> np.ndarray:
         """The selected norm of every sample of `u`."""
@@ -91,8 +90,7 @@ def _lp(phys: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     or (m, ..., *grid.shape); the axes between the sample and grid axes (parts
     and components) are measured by their pointwise Euclidean magnitude.
     Returns the m norms, the p-sums of `_root_sums` with weight h^n."""
-    if not p >= 1:
-        raise PreconditionError(f"Lebesgue exponent p={p} must be >= 1")
+    require_exponent("Lebesgue exponent p", p)
     if phys.ndim == grid.n + 1:
         mag = np.abs(phys)
     else:
@@ -151,8 +149,7 @@ def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
     are two or more samples and q >= 1."""
     if len(times) < 2:
         raise PreconditionError("mixed norm needs at least two time samples")
-    if not q >= 1:
-        raise PreconditionError(f"time exponent q={q} must be >= 1")
+    require_exponent("time exponent q", q)
     if q == INF:
         return float(vals.max())
     with np.errstate(over="ignore"):

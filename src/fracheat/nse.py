@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
+from .errors import require_count, require_exponent, require_positive
 from .estimates import conjugate
 from .grid import (
     Field,
@@ -32,7 +33,6 @@ from .grid import (
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
     _half,
-    _require_positive,
     as_series,
     on_half_spectrum,
     require_one_part,
@@ -107,6 +107,17 @@ def _require_vector(u: Field, what: str) -> None:
         raise PreconditionError(f"{what} of shape {u.data.shape} is not a {u.grid.n}-vector")
 
 
+def _require_velocity_series(w: TimeSeries, what: str, grid: GridSpec, owner: str) -> None:
+    """The one velocity rule: reject a series, naming `what`, unless it is a
+    real series of n-vectors on `grid`, the grid of `owner`."""
+    require_one_part(w, what)
+    if w.grid != grid or w.data.ndim != grid.n + 2 or w.data.shape[1] != grid.n:
+        raise PreconditionError(
+            f"{what} of shape {w.data.shape} is not a {grid.n}-vector series "
+            f"on the grid of {owner}"
+        )
+
+
 def leray_project(u: Field) -> Field:
     """Remove the gradient part: per mode, delta_jk - xi_j xi_k / |xi|^2.
 
@@ -171,14 +182,10 @@ def projected_tensor_divergence(u: Field, v: Field) -> Field:
     """P div(u x v): dealiased quadratic term of the mild formulation, for
     one pair of real snapshots (spectral result)."""
     g = u.grid
-    if v.grid != g:
-        raise PreconditionError("velocity fields live on different grids")
-    _require_vector(u, "velocity u")
-    _require_vector(v, "velocity v")
     us = as_series(u).to_spectral()
     vs = us if v is u else as_series(v).to_spectral()
     for w, what in ((us, "velocity u"), (vs, "velocity v")):
-        require_one_part(w, what)
+        _require_velocity_series(w, what, g, "u")
     out = _tensor_divergence(us.data, None if v is u else vs.data, g)
     return TimeSeries.from_data(g, us.times, out, SPECTRAL).snapshots[0]
 
@@ -212,11 +219,7 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     if len(u) != len(v) or np.max(np.abs(u.times - v.times)) > 1e-12:
         raise PreconditionError("bilinear form needs matching time grids")
     for w, what in ((u, "velocity u"), (v, "velocity v")):
-        require_one_part(w, f"bilinear form {what}")
-        if w.grid != g or w.data.ndim != g.n + 2 or w.data.shape[1] != g.n:
-            raise PreconditionError(
-                "bilinear form needs n-component velocity series on one grid"
-            )
+        _require_velocity_series(w, f"bilinear form {what}", g, "u")
     uh = u.to_spectral().data
     vh = None if v is u else v.to_spectral().data
     F = TimeSeries.from_data(g, times, np.empty(uh.shape, dtype=np.complex128))
@@ -371,13 +374,15 @@ def solve_nse_picard(
     Requires real divergence-free data, a forcing h (if any) that is a
     real n-component velocity series on g's grid, alpha in (1/2, 1/2 + n/4),
     the exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
-    measured smallness gate 2 * C_est * a < 1.  g and h are only read.
+    smallness gate 2 * C_est * a < 1, C_est measured or given (positive and
+    finite) as c_est.  g and h are only read.
     """
     grid = g.grid
     n = grid.n
-    _require_positive("tol", tol)
-    if max_iter < 1:
-        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
+    require_positive("tol", tol)
+    require_count("max_iter", max_iter)
+    if c_est is not None:
+        require_positive("c_est", c_est)
     # the upper endpoint alpha = 1/2 + n/4 is accepted: the measured
     # smallness gate below is what certifies the contraction
     if not (0.5 < alpha <= 0.5 + n / 4):
@@ -389,27 +394,20 @@ def solve_nse_picard(
         raise PreconditionError(
             f"p={p} must exceed n/(2 alpha - 1) = {n / (2 * alpha - 1)}"
         )
-    if not q >= 1:
-        raise PreconditionError(f"time exponent q={q} must be >= 1")
+    require_exponent("time exponent q", q)
     rel = (2 * alpha - 1) - (2 * alpha / q + n / p)
     if abs(rel) > 1e-9:
         raise PreconditionError(
             f"exponent relation 2a-1 = 2a/q + n/p violated by {rel:.3e} "
             f"for (q, p) = ({q}, {p})"
         )
-    _require_vector(g, "initial velocity g")
     g0 = as_series(g).to_spectral()
-    require_one_part(g0, "initial velocity g")
+    _require_velocity_series(g0, "initial velocity g", grid, "g")
     div_norm = lp_norms(TimeSeries.from_data(grid, [0.0], _divergence(g0.data, grid)), 2)[0]
     if div_norm > 1e-10:
         raise PreconditionError(f"initial data is not divergence-free: {div_norm:.3e}")
     if h is not None:
-        require_one_part(h, "forcing h")
-        if h.grid != grid or h.data.ndim != n + 2 or h.data.shape[1] != n:
-            raise PreconditionError(
-                f"forcing h of shape {h.data.shape} is not an {n}-component "
-                f"velocity series on the grid of g"
-            )
+        _require_velocity_series(h, "forcing h", grid, "g")
 
     times = uniform_times(T, nodes)
     if c_est is None:  # first, so that the ensemble's memory peak holds no data term
@@ -537,18 +535,14 @@ def solve_potential_eq(
             f"potential integrability pair (r, s) is half-declared: "
             f"{missing} is missing"
         )
-    _require_positive("time horizon T", T)
-    _require_positive("tol", tol)
-    if nodes < 1:
-        raise PreconditionError(f"nodes={nodes} must be >= 1")
-    if max_iter < 1:
-        raise PreconditionError(f"max_iter={max_iter} must be >= 1")
-    for name, e in (("time exponent q", q), ("Lebesgue exponent p", p)):
-        if not e >= 1:
-            raise PreconditionError(f"{name}={e} must be >= 1")
+    require_positive("time horizon T", T)
+    require_positive("tol", tol)
+    require_count("nodes", nodes)
+    require_count("max_iter", max_iter)
+    require_exponent("time exponent q", q)
+    require_exponent("Lebesgue exponent p", p)
     if r is not None:
-        if not r >= 1:
-            raise PreconditionError(f"potential exponent r={r} must lie in [1, inf]")
+        require_exponent("potential exponent r", r)
         if not s > 0:
             raise PreconditionError(f"potential exponent s={s} must be positive")
         res = 1.0 / r + n / (2 * alpha * s) - 1.0

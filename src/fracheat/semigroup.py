@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_positive
 from .grid import (
     Field,
     GridSpec,
@@ -44,8 +44,7 @@ from .grid import (
 def _alpha_value(alpha) -> float:
     """The dissipation order as a float; PreconditionError unless 0 < alpha < inf."""
     a = float(alpha)
-    if not 0 < a < math.inf:
-        raise PreconditionError(f"alpha={a} must be positive and finite")
+    require_positive("alpha", a)
     return a
 
 
@@ -103,7 +102,7 @@ def _evolved_chunks(uh: TimeSeries, times, lam: np.ndarray):
     (`_evolve`, so each sample has the bits of `semigroup_series`) into one
     buffer when the next is asked for, so a consumer is done with each
     before it asks for the next."""
-    times, spec = _require_times(times), uh.data[:1]
+    times, spec = _require_times(times, "times"), uh.data[:1]
     n = STREAM_CHUNKS * sample_chunks(spec, uh.grid)[0].stop  # samples per step
     buf = np.empty((min(n, len(times)), *spec.shape[1:]), dtype=np.complex128)
     for i in range(0, len(times), n):
@@ -120,8 +119,7 @@ def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
     cell-volume-weighted sum is 1 because the xi = 0 symbol value is 1.
     With `check`, it must pass the whole-space gate `require_whole_space`.
     """
-    if not t > 0:
-        raise PreconditionError(f"kernel time t={t} must be positive")
+    require_positive("kernel time t", t)
     out = Field(grid, kernel_data(np.exp(-t * _rate(grid, alpha))[None], grid)[0])
     if check:
         require_whole_space(out, f"kernel at t={t}, alpha={alpha}")
@@ -260,18 +258,16 @@ def duhamel(F: TimeSeries, t_eval: Sequence[float], alpha) -> TimeSeries:
 
 def _march_times(times: np.ndarray, t_eval) -> np.ndarray:
     """t_eval as floats; PreconditionError unless a forcing sampled at
-    `times` has two or more samples from t = 0 on and t_eval is nonempty and
-    strictly increasing within its coverage."""
-    t_eval = np.asarray(t_eval, dtype=float)
+    `times` has two or more samples from t = 0 on and t_eval is a nonempty
+    time grid (`_require_times`) within its coverage."""
     if len(times) < 2:
         raise PreconditionError("forcing series needs at least two samples")
     if abs(times[0]) > 1e-14:
         raise PreconditionError("forcing series must start at t = 0")
     if not len(t_eval):
         raise PreconditionError("t_eval must hold at least one time")
-    if not np.all(np.diff(t_eval) > 0):
-        raise PreconditionError("t_eval must be strictly increasing")
-    if t_eval.min() < -1e-14 or t_eval.max() > times[-1] + 1e-12:
+    t_eval = _require_times(t_eval, "t_eval")
+    if t_eval[-1] > times[-1] + 1e-12:
         raise PreconditionError("t_eval outside the forcing series coverage")
     return t_eval
 

@@ -640,17 +640,17 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "command, text, named",
         [
-            ("propagate", "[grid]\nn = 1\nN = 16\nL = inf\n", "L = inf"),
-            ("propagate", TINY + "[solver]\nT = inf\n", "T = inf"),
+            ("propagate", "[grid]\nn = 1\nN = 16\nL = inf\n", "L=inf"),
+            ("propagate", TINY + "[solver]\nT = inf\n", "T=inf"),
             ("verify", PARABOLIC_CFG + "s_max = inf\n", "s_max = inf"),
-            ("potential-solve", TINY + "[solver]\nT = 0\n", "T = 0"),
-            ("potential-solve", TINY + "[solver]\nT = -1\n", "T = -1"),
-            ("potential-solve", TINY + "[solver]\nT = inf\n", "T = inf"),
+            ("potential-solve", TINY + "[solver]\nT = 0\n", "T=0.0"),
+            ("potential-solve", TINY + "[solver]\nT = -1\n", "T=-1.0"),
+            ("potential-solve", TINY + "[solver]\nT = inf\n", "T=inf"),
             ("potential-solve", TINY + "[solver]\nT = inf\n\n[potential]\nconstant = 1\n",
-             "T = inf"),
+             "T=inf"),
             ("potential-solve", TINY + "[potential]\nconstant = inf\n", "potential V"),
-            ("potential-solve", TINY + "[solver]\ntol = -1\n", "tol = -1"),
-            ("nse-solve", NSE + "tol = -1\n", "tol = -1"),
+            ("potential-solve", TINY + "[solver]\ntol = -1\n", "tol=-1.0"),
+            ("nse-solve", NSE + "tol = -1\n", "tol=-1.0"),
             ("norm", "[grid]\nn = 2\nN = 64\nL = 6.283185307179586\n\n"
              "[data]\nrecipe = random_bandlimited\nj_min = 5\nj_max = 3\n", "j_min = 5"),
             *(
@@ -666,11 +666,11 @@ class TestInputValidation:
              "order s=inf"),
             # exponents outside their ranges, named before any relation divides by them
             ("nse-solve", NSE + "q = 0\n", "time exponent q=0.0 must be >= 1"),
-            ("potential-solve", TINY + "[solver]\nr = 0\ns = 1\n", "r=0.0 must lie in [1, inf]"),
+            ("potential-solve", TINY + "[solver]\nr = 0\ns = 1\n", "r=0.0 must be >= 1"),
             ("potential-solve", TINY + "[solver]\nr = 2\ns = 0\n", "s=0.0 must be positive"),
             # 1/r + n/(2 alpha s) = -1 + 2 = 1 holds, but r is not an exponent
             ("potential-solve", TINY + "[solver]\nalpha = 0.5\nr = -1\ns = 0.5\n",
-             "r=-1.0 must lie in [1, inf]"),
+             "r=-1.0 must be >= 1"),
             ("potential-solve", TINY + "[solver]\nq = 0.5\n", "time exponent q=0.5 must be >= 1"),
             ("potential-solve", TINY + "[solver]\np = 0\n", "Lebesgue exponent p=0.0 must be >= 1"),
             # a flag is true or false, not whatever is not "false"
@@ -685,6 +685,11 @@ class TestInputValidation:
              "unknown data recipe 'gaussian_bumps'"),
             ("verify", BASE_CFG.replace("= homogeneous", "= homogenous"),
              "unknown estimate id 'homogenous'"),
+            # dilation factors are parsed here and ranged by `dilation_sweep`
+            ("verify", BASE_CFG.replace("lambdas = 1,2", "lambdas = 0,1"),
+             "lambdas[0]=0 must be positive and finite"),
+            ("verify", BASE_CFG.replace("lambdas = 1,2", "lambdas = 1,-2"),
+             "lambdas[1]=-2 must be positive and finite"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )

@@ -350,6 +350,25 @@ class TestDecayFit:
             decay_fit(f, 1.0, 2.0, 1.0, times)
         assert calls["_evolved_chunks"] == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_data_rejected_before_the_flow(self, call_count, bad):
+        # one NaN made the contamination NaN, which passed the whole-space
+        # gate, and the fit returned slope NaN
+        g = make_grid(2, 32, 2 * np.pi)
+        data = synthesize_field(g, GaussianBump(width=g.L / 21)).data.copy()
+        data[16, 16] = bad
+        calls = call_count(estimates, "_evolved_chunks")
+        with pytest.raises(PreconditionError, match="decay fit data holds non-finite values"):
+            decay_fit(Field(g, data), 1.0, 2.0, 1.0, np.geomspace(0.01, 0.1, 5))
+        assert calls["_evolved_chunks"] == 0
+
+    @pytest.mark.parametrize("case", [(3, 1.0, 1.0, 2.0), (1, 1.0, 1.0, 3.0), (2, 0.5, 1.0, 2.0)])
+    def test_case_outside_the_battery_rejected_by_name(self, case):
+        # a library caller got KeyError; the CLI alone named the battery
+        named = rf"\(n, alpha, r, p\) = \({', '.join(map(str, case))}\) is not in the tuned"
+        with pytest.raises(PreconditionError, match=named):
+            estimates.run_decay_case(*case)
+
 
 def _norms_per_time(f, ts, alpha, p):
     """Oracle: propagate, transform and measure one time at a time."""
@@ -441,6 +460,11 @@ class TestKernelNormFit:
         with pytest.raises(PreconditionError, match=f"{named} must be >= 1"):
             kernel_mixed_norm_fit(1.0, h, r, 0.03, 2)
 
+    @pytest.mark.parametrize("T", [INF, float("nan"), 0.0, -1.0])
+    def test_end_time_rejected_by_name(self, T):
+        with pytest.raises(PreconditionError, match=f"T={T} must be positive and finite"):
+            kernel_mixed_norm_fit(1.0, 1.0, 2.0, T, 2)
+
     @pytest.mark.parametrize("n, N, L, alpha, r", [
         (1, 256, 10.0, 1, 1.5),
         (2, 128, 10.0, 1.0, 2.0),
@@ -487,6 +511,34 @@ class TestDilationSweep:
             dilation_sweep(GaussianBump(width=g.L / 21), g, [], "homogeneous",
                            {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05})
         assert calls["synthesize_field"] == 0
+
+    @pytest.mark.parametrize("lambdas, alpha, estimate_id, named", [
+        # lambda = -1 mirrored the field: drift 0 at alpha = 1, TypeError at 0.75
+        ([1, -1], 1.0, "homogeneous", r"lambdas\[1\]=-1 must be positive and finite"),
+        ([1, -1], 0.75, "homogeneous", r"lambdas\[1\]=-1 must be positive and finite"),
+        ([0, 1], 1.0, "homogeneous", r"lambdas\[0\]=0 must be positive and finite"),
+        ([1, INF], 1.0, "homogeneous", r"lambdas\[1\]=inf must be positive and finite"),
+        ([1, float("nan")], 1.0, "homogeneous", r"lambdas\[1\]=nan must be positive"),
+        ([1, 2], 1.0, "homogenous", "unknown estimate id 'homogenous'"),
+    ])
+    def test_bad_level_or_estimate_rejected_before_any_level(
+        self, call_count, lambdas, alpha, estimate_id, named
+    ):
+        g = make_grid(2, 64, 2 * np.pi)
+        calls = call_count(estimates, "synthesize_field")
+        with pytest.raises(PreconditionError, match=named):
+            dilation_sweep(GaussianBump(width=g.L / 21), g, lambdas, estimate_id,
+                           {"alpha": alpha, "q": 4.0, "p": 4.0, "T": 0.05})
+        assert calls["synthesize_field"] == 0
+
+    @pytest.mark.parametrize("lambdas", [np.array([1, 2]), (1, 2), range(1, 3)])
+    def test_any_sequence_of_levels(self, lambdas):
+        # an array ran every level, then raised AttributeError at lambdas.index
+        g = make_grid(2, 64, 2 * np.pi)
+        params = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05}
+        got = dilation_sweep(GaussianBump(width=g.L / 21), g, lambdas, "homogeneous", params)
+        want = dilation_sweep(GaussianBump(width=g.L / 21), g, [1, 2], "homogeneous", params)
+        assert got.ratios == want.ratios and got.to_json_dict() == want.to_json_dict()
 
     def test_single_lambda_is_driftless(self):
         g = make_grid(2, 64, 2 * np.pi)

@@ -62,7 +62,7 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize("L", [INF, NAN, 0.0])
     def test_rejects_non_finite_or_non_positive_length(self, L):
-        with pytest.raises(PreconditionError, match=f"box length L = {L}"):
+        with pytest.raises(PreconditionError, match=f"box length L={L}"):
             make_grid(2, 16, L)
 
     def test_lattice_symmetry(self):
@@ -134,7 +134,7 @@ class TestSynthesize:
     def test_recipe_parameters_rejected_by_name(self):
         g = make_grid(2, 64, 2 * np.pi)
         cases = [
-            (lambda: WavePackets(seed=0, carrier=INF, width=0.3), "carrier = inf"),
+            (lambda: WavePackets(seed=0, carrier=INF, width=0.3), "carrier=inf"),
             (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, spread=INF), "spread = inf"),
             (lambda: RandomBumps(seed=0, width=0.3, spread=INF), "spread = inf"),
             (lambda: RandomBumps(seed=0, width=0.3, spread=-1.0), "spread = -1.0"),
@@ -260,7 +260,7 @@ class TestTimeSeries:
 
     @pytest.mark.parametrize("T", [INF, NAN, 0.0, -1.0])
     def test_uniform_times_rejects_bad_horizon(self, T):
-        with pytest.raises(PreconditionError, match=f"time horizon T = {T}"):
+        with pytest.raises(PreconditionError, match=f"time horizon T={T}"):
             uniform_times(T, 4)
 
     @pytest.mark.parametrize(

@@ -688,11 +688,24 @@ def _potential(g, **kw):
         (lambda g: _picard(g, nodes=-3, c_est=0.1), "m=-3"),
         (lambda g: _potential(g, nodes=0), "nodes=0"),
         (lambda g: _potential(g, nodes=-3), "nodes=-3"),
+        # a count is an integer: m = 2.5 and max_iter = 2.5 raised TypeError,
+        # and the potential solver ran with nodes = 2.5
+        (lambda g: uniform_times(1.0, 2.5), "m=2.5 must be an integer"),
+        (lambda g: _picard(g, max_iter=2.5, nodes=8, c_est=0.1), "max_iter=2.5 must be an integer"),
+        (lambda g: _potential(g, max_iter=2.5), "max_iter=2.5 must be an integer"),
+        (lambda g: _potential(g, nodes=2.5), "nodes=2.5 must be an integer"),
     ],
 )
 def test_solver_counts_below_one_rejected(call, named):
     with pytest.raises(PreconditionError, match=named):
         call(make_grid(2, 16, 2 * np.pi))
+
+
+@pytest.mark.parametrize("c_est", [-1.0, 0.0, float("inf"), float("nan")])
+def test_picard_given_c_est_must_be_positive(c_est):
+    # c_est = -1 certified 2 C_est a < 1 and reported a converged solve
+    with pytest.raises(PreconditionError, match=f"c_est={c_est} must be positive and finite"):
+        _picard(make_grid(2, 16, 2 * np.pi), nodes=8, c_est=c_est)
 
 
 def test_potential_max_iter_rejected_before_any_work(call_count):
@@ -1195,10 +1208,10 @@ class TestPotential:
         [
             (2, 1.0, dict(q=0.5), "time exponent q=0.5 must be >= 1"),
             (2, 1.0, dict(p=0.0), "Lebesgue exponent p=0.0 must be >= 1"),
-            (2, 1.0, dict(r=0.0, s=1.0), r"r=0.0 must lie in \[1, inf\]"),
+            (2, 1.0, dict(r=0.0, s=1.0), "r=0.0 must be >= 1"),
             (2, 1.0, dict(r=2.0, s=0.0), "s=0.0 must be positive"),
             # meets 1/r + n/(2 alpha s) = 1, with r outside [1, inf]
-            (1, 0.5, dict(r=-1.0, s=0.5), r"r=-1.0 must lie in \[1, inf\]"),
+            (1, 0.5, dict(r=-1.0, s=0.5), "r=-1.0 must be >= 1"),
         ],
     )
     def test_exponents_rejected_before_any_work(self, call_count, n, alpha, kw, named):

@@ -201,6 +201,12 @@ class TestKernel:
         with pytest.raises(PreconditionError):
             kernel(g, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected_by_name(self, t):
+        # t = inf gave a NaN kernel, which passed the whole-space gate
+        with pytest.raises(PreconditionError, match=f"kernel time t={t} must be positive"):
+            kernel(make_grid(2, 32, 2 * np.pi), t, 1.0)
+
 
 class TestFractionalDerivative:
     def test_plane_wave_scaling(self):
@@ -485,8 +491,8 @@ def test_duhamel_equals_step_by_step_etd2_at_every_eval_time(representation):
 
 @pytest.mark.parametrize("t_eval", [[0.3, 0.1], [0.1, 0.1, 0.3], [0.0, float("nan")]])
 def test_duhamel_eval_times_checked_before_any_step(monkeypatch, t_eval):
-    # an unsorted or repeated t_eval is rejected before the march computes
-    # a single ETD2 coefficient, not by the output series after it
+    # an unsorted, repeated or non-finite t_eval is rejected before the march
+    # computes a single ETD2 coefficient, not by the output series after it
     g = make_grid(1, 32, 2 * np.pi)
     F = semigroup_series(random_field(g, 8), [0.0, 0.2, 0.4], 1.0)
 
@@ -494,7 +500,8 @@ def test_duhamel_eval_times_checked_before_any_step(monkeypatch, t_eval):
         raise AssertionError("ETD2 coefficient computed")
 
     monkeypatch.setattr(fracheat.semigroup, "_phi1", no_step)
-    with pytest.raises(PreconditionError, match="t_eval must be strictly increasing"):
+    named = "must be finite" if np.isnan(t_eval).any() else "must be strictly increasing"
+    with pytest.raises(PreconditionError, match=f"t_eval {named}"):
         duhamel(F, t_eval, 1.0)
 
 
