@@ -19,10 +19,8 @@ from .grid import (
     WavePackets,
     WindowedPowerlaw,
     contamination,
-    dilate_spectrum,
     geometric_times,
     inner_product,
-    l2_spectral,
     make_grid,
     read_field,
     synthesize_field,
@@ -31,11 +29,9 @@ from .grid import (
 )
 from .semigroup import (
     apply_semigroup,
-    axis_derivative,
     duhamel,
     fractional_derivative,
     kernel,
-    riesz_transform,
     semigroup_series,
 )
 from .norms import (
@@ -48,7 +44,6 @@ from .norms import (
     lp_norm,
     lp_norms,
     mixed_norm,
-    sobolev_norm,
 )
 from .estimates import (
     DECAY_BATTERY,

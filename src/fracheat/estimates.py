@@ -71,8 +71,7 @@ def check_admissible(t: Triplet) -> float:
     if not (1 < t.r <= t.p):
         raise PreconditionError(f"admissibility needs 1 < r <= p, got r={t.r}, p={t.p}")
     require_exponent("q", t.q)
-    if not t.sigma > 0:
-        raise PreconditionError(f"scaling weight sigma={t.sigma} must be positive")
+    require_positive("scaling weight sigma", t.sigma)
     return _inv(t.q) - t.sigma * (_inv(t.r) - _inv(t.p))
 
 

@@ -14,9 +14,10 @@ Whole space is emulated by fields concentrated in the central half-box
 every whole-space experiment passes :func:`require_whole_space`, which
 keeps it below HALF_BOX_TOL = 1e-6.
 
-Odd multiplier symbols (first derivatives, Riesz transforms) are built
-from a Nyquist-zeroed copy of the frequency lattice so that real fields
-map to real fields without asymmetric-mode artifacts.
+The symbols with factors of xi_j (gradients and divergences, the Leray
+projector, the nonlinearity and the derivatives of `regularity_check`)
+are built from a Nyquist-zeroed copy of the frequency lattice so that
+real fields map to real fields without asymmetric-mode artifacts.
 
 Parts
 -----
@@ -157,9 +158,6 @@ class Field:
         """Per-component views of a vector field's data."""
         return tuple(Field(self.grid, d, self.representation) for d in self.data)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.representation)
-
     def to_physical(self) -> "Field":
         """This field in physical space, transformed as a one-sample series."""
         if self.representation == PHYSICAL:
@@ -286,13 +284,6 @@ def inner_product(f: Field, g: Field) -> complex:
     """L^2 pairing <f, g> = cellvol * sum f * conj(g) in physical space."""
     a, b = f.to_physical().data, g.to_physical().data
     return complex(np.sum(a * np.conj(b)) * f.grid.cell_volume)
-
-
-def l2_spectral(f: Field) -> float:
-    """Spectral-side L^2 value, sqrt(sum |fhat|^2 * (2*pi/L)^n)."""
-    fh = f.to_spectral()
-    dxi = (2 * np.pi / f.grid.L) ** f.grid.n
-    return float(np.sqrt(np.sum(np.abs(fh.data) ** 2) * dxi))
 
 
 def contamination(f: Field) -> float:
@@ -456,13 +447,14 @@ class RandomBumps:
     def __post_init__(self):
         require_positive("width", self.width)
         _require_spread(self.spread)
+        require_count("count", self.count)
+        if self.count % 2:
+            raise PreconditionError(f"count={self.count} must be even for exact cancellation")
 
     def dilated(self, lam: float) -> "RandomBumps":
         return replace(self, scale=self.scale * lam)
 
     def render(self, grid: GridSpec) -> np.ndarray:
-        if self.count % 2:
-            raise PreconditionError("count must be even for exact cancellation")
         rng = np.random.default_rng(self.seed)
         c = np.array(grid.center)
         ys = _mapped_coords(grid, self.scale)
@@ -499,6 +491,7 @@ class WavePackets:
         require_positive("width", self.width)
         require_positive("carrier", self.carrier)
         _require_spread(self.spread)
+        require_count("count", self.count)
 
     def dilated(self, lam: float) -> "WavePackets":
         if abs(lam - round(lam)) > 1e-12:
@@ -605,30 +598,6 @@ def _plateau_profile(d: np.ndarray, r1: float, r2: float) -> np.ndarray:
     u = (np.asarray(d, dtype=float) - r1) / (r2 - r1)  # 0..1 across the roll
     a, b = _bump(1.0 - u), _bump(u)
     return a / (a + b + 1e-300)
-
-
-def dilate_spectrum(f: Field, factor: int) -> Field:
-    """Exact torus dilation g(x) = f(factor*x): the index map i -> factor*i
-    mod N on the physical samples, which moves mode k to factor*k.
-
-    Wraps around the torus (the result tiles factor^n compressed copies),
-    so Lebesgue norms are preserved rather than rescaled.  Occupied modes
-    must satisfy |factor*k| < N/2 on every axis.
-    """
-    if factor < 1 or int(factor) != factor:
-        raise PreconditionError("dilation factor must be a positive integer")
-    g, factor = f.grid, int(factor)
-    spec = f.to_spectral().data
-    k = np.rint(np.max(np.abs(g.frequencies), axis=0) * g.L / (2 * np.pi))  # max |k_j|
-    total = np.sum(np.abs(spec) ** 2)
-    if total > 0 and np.sum(np.abs(spec[..., factor * k >= g.N / 2]) ** 2) / total > 1e-24:
-        raise PreconditionError("field has spectral content beyond Nyquist/factor")
-    data = f.to_physical().data
-    index = factor * np.arange(g.N) % g.N
-    for axis in range(-g.n, 0):
-        data = np.take(data, index, axis=axis)
-    out = Field(g, data, PHYSICAL)
-    return out if f.representation == PHYSICAL else out.to_spectral()
 
 
 # ---------------------------------------------------------------------------
@@ -746,23 +715,6 @@ class TimeSeries:
         for chunk in sample_chunks(self.data, self.grid, copies):
             d = self.data[chunk]
             yield d if self.representation == representation else _dft(d, self.grid, direction)
-
-    def __add__(self, other: "TimeSeries") -> "TimeSeries":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "TimeSeries") -> "TimeSeries":
-        return self._combine(other, np.subtract)
-
-    def _combine(self, other: "TimeSeries", op) -> "TimeSeries":
-        """Sample-wise op of two series of one layout on one time grid: in
-        physical form if both are physical, else in spectral form."""
-        if len(other) != len(self) or np.max(np.abs(self.times - other.times)) > 1e-12:
-            raise PreconditionError("time grids do not match")
-        if other.parts != self.parts:
-            raise PreconditionError("cannot combine series of 1 and 2 parts")
-        rep = PHYSICAL if self.representation == other.representation == PHYSICAL else SPECTRAL
-        data = op(self._as(rep).data, other._as(rep).data)
-        return TimeSeries.from_data(self.grid, self.times, data, rep, parts=self.parts)
 
 
 def _require_times(times, what: str) -> np.ndarray:

@@ -162,11 +162,6 @@ def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(total ** (1.0 / q))
 
 
-def sobolev_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> float:
-    """L^p norm of the fractional derivative of order s."""
-    return NormSpec("sobolev", p=p, s=s, homogeneous=homogeneous).compute(f)
-
-
 def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow is rejected just below, by name
         sym = derivative_symbol(u.grid, s, "homogeneous" if homogeneous else "inhomogeneous")

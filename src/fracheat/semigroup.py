@@ -155,27 +155,6 @@ def fractional_derivative(f: Field, order: float, kind: str = "homogeneous") -> 
     return apply_symbol(f, derivative_symbol(f.grid, order, kind))
 
 
-def riesz_transform(f: Field, axis: int) -> Field:
-    """Riesz transform along `axis`: symbol i*xi_j/|xi| with Nyquist zeroed."""
-    g = f.grid
-    if not 0 <= axis < g.n:
-        raise PreconditionError(f"axis {axis} out of range for dimension {g.n}")
-    xi = g.deriv_frequencies
-    mag = np.sqrt(sum(x**2 for x in xi))
-    sym = np.zeros(g.shape, dtype=np.complex128)
-    nz = mag > 0
-    sym[nz] = 1j * xi[axis][nz] / mag[nz]
-    return apply_symbol(f, sym)
-
-
-def axis_derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """(i xi_j)^order along one axis, on the Nyquist-zeroed lattice."""
-    g = f.grid
-    if not 0 <= axis < g.n:
-        raise PreconditionError(f"axis {axis} out of range for dimension {g.n}")
-    return apply_symbol(f, (1j * g.deriv_frequencies[axis]) ** order)
-
-
 # ---------------------------------------------------------------------------
 # Duhamel integral
 # ---------------------------------------------------------------------------

@@ -690,6 +690,16 @@ class TestInputValidation:
              "lambdas[0]=0 must be positive and finite"),
             ("verify", BASE_CFG.replace("lambdas = 1,2", "lambdas = 1,-2"),
              "lambdas[1]=-2 must be positive and finite"),
+            # no bumps or packets: the field would be zero and its norm 0
+            *(
+                ("norm", "[grid]\nn = 2\nN = 32\nL = 6.283185307179586\n\n"
+                 f"[data]\nrecipe = {recipe}\ncount = {count}\n", named)
+                for recipe, count, named in (
+                    ("random_bumps", 0, "count=0 must be an integer >= 1"),
+                    ("wave_packets", -2, "count=-2 must be an integer >= 1"),
+                    ("random_bumps", 3, "count=3 must be even"),
+                )
+            ),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import complex_dft
+
 from fracheat import (
     ContaminationError,
     Field,
@@ -34,7 +36,7 @@ from fracheat.grid import RandomBandlimited, WavePackets, geometric_times, unifo
 from fracheat.norms import lp_norm
 import fracheat.grid
 from fracheat import estimates
-from fracheat.semigroup import apply_semigroup, axis_derivative, kernel
+from fracheat.semigroup import apply_semigroup, kernel
 
 INF = float("inf")
 
@@ -67,6 +69,13 @@ class TestAdmissibility:
     def test_r_above_p_rejected(self):
         with pytest.raises(PreconditionError):
             check_admissible(Triplet(2, 2, 4, 1.0))
+
+    @pytest.mark.parametrize("sigma", [INF, float("nan")])
+    @pytest.mark.parametrize("p", [4, 2])
+    def test_non_finite_sigma_rejected(self, sigma, p):
+        # sigma = inf would give a defect of -inf at p = 4 and nan at p = r = 2
+        with pytest.raises(PreconditionError, match=f"scaling weight sigma={sigma}"):
+            check_admissible(Triplet(2, p, 2, sigma))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -424,7 +433,7 @@ class TestOneEvolvedStack:
         fit = decay_fit(f, 1.0, p, 1.0, times, gradient=True)
         for t, got in zip(times, fit.norms):
             u = apply_semigroup(f, t, 1.0)
-            parts = [axis_derivative(u, j).to_physical().data for j in range(n)]
+            parts = [complex_dft.derivative(u.to_physical().data, g, j) for j in range(n)]
             mag = Field(g, np.sqrt(sum(np.abs(d) ** 2 for d in parts)))
             assert abs(got - lp_norm(mag, p)) <= 1e-12 * got
 

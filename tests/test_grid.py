@@ -15,9 +15,7 @@ from fracheat import (
     RandomBumps,
     WavePackets,
     contamination,
-    dilate_spectrum,
     inner_product,
-    l2_spectral,
     lp_norm,
     make_grid,
     read_field,
@@ -138,6 +136,12 @@ class TestSynthesize:
             (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, spread=INF), "spread = inf"),
             (lambda: RandomBumps(seed=0, width=0.3, spread=INF), "spread = inf"),
             (lambda: RandomBumps(seed=0, width=0.3, spread=-1.0), "spread = -1.0"),
+            # below one the field would be zero; an odd count cannot cancel in pairs
+            (lambda: RandomBumps(seed=0, width=0.3, spread=1.0, count=0), "count=0"),
+            (lambda: RandomBumps(seed=0, width=0.3, spread=1.0, count=-2), "count=-2"),
+            (lambda: RandomBumps(seed=0, width=0.3, spread=1.0, count=3), "count=3 must be even"),
+            (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, count=0), "count=0"),
+            (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, count=-2), "count=-2"),
             # an empty band: rendered, it would be 0/0
             (lambda: synthesize_field(g, RandomBandlimited(seed=0, j_min=5, j_max=3)),
              "j_min = 5, j_max = 3"),
@@ -199,7 +203,9 @@ class TestTransform:
         g = make_grid(n, N, L)
         rng = np.random.default_rng(seed)
         f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-        assert abs(lp_norm(f, 2) / l2_spectral(f) - 1) < 1e-13
+        dxi = (2 * np.pi / g.L) ** n
+        spectral = np.sqrt(np.sum(np.abs(f.to_spectral().data) ** 2) * dxi)
+        assert abs(lp_norm(f, 2) / spectral - 1) < 1e-13
 
     def test_translation_covariance(self):
         g = make_grid(1, 64, 2 * np.pi)
@@ -225,19 +231,6 @@ class TestDilation:
         y = [g.L / 2 + 2 * (xi - g.L / 2) for xi in x]
         iy = tuple(int(round(v / g.spacing)) % g.N for v in y)
         assert np.isclose(f2.data[idx].real, f1.data[iy].real, atol=1e-12)
-
-    def test_spectral_remap_preserves_torus_norms(self):
-        g = make_grid(2, 64, 2 * np.pi)
-        f = synthesize_field(g, RandomBandlimited(seed=4, j_min=1, j_max=2))
-        d = dilate_spectrum(f, 2)
-        assert abs(lp_norm(d, 2) - lp_norm(f, 2)) < 1e-10
-        # g(x_i) = f(2 x_i): the sample at 2i mod N, so 2^n tiled copies
-        assert np.array_equal(d.data, np.tile(f.data[::2, ::2], (2, 2)))
-        ds = dilate_spectrum(f.to_spectral(), 2)
-        assert ds.representation == "spectral"
-        assert np.max(np.abs(ds.to_physical().data - d.data)) < 1e-14
-        with pytest.raises(PreconditionError):
-            dilate_spectrum(f, 16)  # band would cross Nyquist
 
 
 class TestTimeSeries:
@@ -431,22 +424,6 @@ class TestRealStorage:
             assert np.array_equal(got.data, d)
         fields = TimeSeries(phys.times, [Field(g, d) for d in data])
         assert [f.data.shape for f in fields.snapshots] == [data.shape[1:]] * 3
-
-    def test_physical_series_combine_in_physical_form(self):
-        g = make_grid(2, 16, 2 * np.pi)
-        f = synthesize_field(g, RandomBandlimited(seed=3, j_min=1, j_max=1)).data
-        a = TimeSeries.from_data(g, [0.0, 1.0], np.stack([f, 3 * f]), "physical")
-        b = TimeSeries.from_data(g, [0.0, 1.0], np.stack([2 * f, f]).real, "physical")
-        for x, y in ((a, a), (a, b), (b, a)):
-            diff = x - y
-            assert diff.representation == "physical" and diff.parts == 1
-            assert np.array_equal(diff.data, x.data - y.data)
-        want = (a.to_spectral() - b.to_spectral()).to_physical().data
-        assert np.max(np.abs((a - b).data - want)) <= 1e-14 * np.max(np.abs(want))
-        wave = np.exp(1j * g.coordinates[0])
-        w = TimeSeries.from_data(g, [0.0, 1.0], np.stack([wave, wave]), "physical")
-        with pytest.raises(PreconditionError, match="series of 1 and 2 parts"):
-            a - w
 
 
 def _series(g, stack, representation):

@@ -24,7 +24,6 @@ from fracheat import (
     kernel,
     lp_norm,
     make_grid,
-    riesz_transform,
     synthesize_field,
 )
 from fracheat.semigroup import (
@@ -242,33 +241,6 @@ class TestFractionalDerivative:
         assert np.max(np.abs(out.data - (1 + 5) ** 0.75 * f.data)) < 1e-12
 
 
-class TestRiesz:
-    def test_plane_wave_symbol(self):
-        g = make_grid(2, 32, 2 * np.pi)
-        f = synthesize_field(g, PlaneWave(k=(3, 4)))
-        out = riesz_transform(f, 0)
-        assert np.max(np.abs(out.data - (3j / 5) * f.data)) < 1e-12
-
-    def test_axis_bound(self):
-        g = make_grid(2, 16, 1.0)
-        with pytest.raises(PreconditionError):
-            riesz_transform(Field(g, np.zeros(g.shape)), 2)
-
-    def test_squares_sum_to_minus_identity(self):
-        g = make_grid(2, 64, 2 * np.pi)
-        f = random_field(g, 11)
-        acc = np.zeros(g.shape, dtype=complex)
-        for j in range(2):
-            acc += riesz_transform(riesz_transform(f, j), j).data
-        assert np.max(np.abs(acc + f.data)) < 1e-12
-
-    def test_real_to_real(self):
-        g = make_grid(2, 32, 2 * np.pi)
-        f = random_field(g, 13)
-        out = riesz_transform(f, 1)
-        assert np.max(np.abs(out.data.imag)) < 1e-12 * np.max(np.abs(out.data))
-
-
 class TestDuhamel:
     def test_zero_forcing(self):
         g = make_grid(1, 16, 2 * np.pi)
@@ -282,7 +254,7 @@ class TestDuhamel:
         g = make_grid(1, 8, 2 * np.pi)
         pw = synthesize_field(g, PlaneWave(k=(2,)))
         times = np.linspace(0, 1, 9)
-        F = TimeSeries(times, [pw.copy() for _ in times])
+        F = TimeSeries(times, [pw] * len(times))
         out = duhamel(F, [0.5, 1.0], 1.0)
         mu = 2.0**2
         for i, t in enumerate((0.5, 1.0)):
@@ -333,7 +305,7 @@ class TestDuhamel:
         g = make_grid(1, 8, 2 * np.pi)
         pw = synthesize_field(g, PlaneWave(k=(1,)))
         times = np.linspace(0, 1, 5)
-        F = TimeSeries(times, [pw.copy() for _ in times])
+        F = TimeSeries(times, [pw] * len(times))
         out = duhamel(F, [0.1, 0.3, 0.625], 0.5)
         for t, s in zip(out.times, out.snapshots):
             expect = 1 - np.exp(-t)
@@ -605,7 +577,6 @@ class TestComplexDataAsParts:
         for op in (
             lambda w: apply_semigroup(w, 0.3, 0.7),
             lambda w: fractional_derivative(w, 0.5),
-            lambda w: riesz_transform(w, 1),
         ):
             got, x, y = (op(w) for w in (f, a, b))
             want = x.data + 1j * y.data
