@@ -85,21 +85,47 @@ def perturbed_taylor_green(grid: GridSpec, amplitude: float) -> Field:
     return Field(grid, np.stack((u, v)))
 
 
+def _sum_into(acc: np.ndarray, terms, t: np.ndarray) -> None:
+    """acc = sum(a * b for a, b in terms), with the bits of that sum from 0
+    (a first term of -0 counts as 0 + -0 = +0); t is scratch of acc's
+    shape.  A complex sum is taken part by part, so the sums run on the
+    float views of the complex128 arrays acc and t, with the same bits."""
+    (a, b), *rest = terms
+    np.multiply(a, b, out=acc)
+    parts = acc.view(np.float64)
+    np.add(0.0, parts, out=parts)
+    for a, b in rest:
+        np.multiply(a, b, out=t)
+        np.add(parts, t.view(np.float64), out=parts)
+
+
+def _project(comps, xi, inv_q2, f: np.ndarray, t: np.ndarray) -> None:
+    """Leray projection in place of the n complex128 component stacks
+    `comps`, per mode c_j - xi_j * (sum_k xi_k c_k) / |xi|^2, through the
+    scratch arrays f and t of one component's shape."""
+    _sum_into(f, zip(xi, comps), t)
+    np.multiply(f, inv_q2, out=f)
+    for x, c in zip(xi, comps):
+        np.multiply(x, f, out=t)
+        np.subtract(c.view(np.float64), t.view(np.float64), out=c.view(np.float64))
+
+
 def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Leray projection of a spectral stack of n-vectors (components on axis
-    -(n+1)), full or half lattice (last wavenumber index k <= N/2)."""
-    xi = [x[..., : uh.shape[-1]] for x in grid.deriv_frequencies]
-    comps = np.moveaxis(uh, -grid.n - 1, 0)
-    q2 = sum(x**2 for x in xi)
-    inv_q2 = np.divide(1.0, q2, out=np.zeros_like(q2), where=q2 > 0)
-    factor = sum(x * c for x, c in zip(xi, comps)) * inv_q2
-    return np.stack([c - x * factor for x, c in zip(xi, comps)], axis=-grid.n - 1)
+    -(n+1)), full or half lattice (last wavenumber index k <= N/2), into a
+    new stack."""
+    _, xi, _, inv_q2 = _factors(grid, uh.shape[-1])
+    out = np.array(uh, dtype=np.complex128)
+    comps = np.moveaxis(out, -grid.n - 1, 0)
+    f, t = np.empty((2, *comps.shape[1:]), dtype=np.complex128)
+    _project(comps, xi, inv_q2, f, t)
+    return out
 
 
 def _divergence(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Divergence sum_j i xi_j u_j of a spectral stack of n-vectors, as `_leray`."""
-    xi = [x[..., : uh.shape[-1]] for x in grid.deriv_frequencies]
-    return sum(1j * x * c for x, c in zip(xi, np.moveaxis(uh, -grid.n - 1, 0)))
+    _, _, ixi, _ = _factors(grid, uh.shape[-1])
+    return sum(x * c for x, c in zip(ixi, np.moveaxis(uh, -grid.n - 1, 0)))
 
 
 def _require_vector(u: Field, what: str) -> None:
@@ -143,39 +169,76 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def _tensor_divergence(uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _factors(grid: GridSpec, width: int) -> tuple:
+    """The spectral factors of the kernels here on the first `width` last
+    wavenumber indices of `grid` (N // 2 + 1 for the half lattice),
+    read-only and built once per grid and width, as `dealias_mask`: the
+    2/3 mask as the complex 1 or 0 that a boolean mask multiplies by, the
+    Nyquist-zeroed xi_k and i xi_k, and 1/|xi|^2 (0 at xi = 0)."""
+    xi = tuple(np.ascontiguousarray(x[..., :width]) for x in grid.deriv_frequencies)
+    q2 = sum(x**2 for x in xi)
+    inv_q2 = np.divide(1.0, q2, out=np.zeros_like(q2), where=q2 > 0)
+    mask = dealias_mask(grid)[..., :width].astype(np.complex128)
+    ixi = tuple(1j * x for x in xi)
+    for a in (mask, inv_q2, *xi, *ixi):
+        a.flags.writeable = False
+    return mask, xi, ixi, inv_q2
+
+
+def _tensor_divergence(
+    uh: np.ndarray, vh: np.ndarray | None, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """P div(u x v) of the half spectra (m, n, ..., N//2 + 1) of real fields
     on `grid`; vh None means v = u.
 
     Component j is sum_k i xi_k (u_k v_j)^: the factors are 2/3-truncated
-    and inverse-transformed in one batch, their pointwise products
-    forward-transformed in one batch and re-truncated, and the divergence
-    and the Leray projection are taken in spectral space.  For v = u the
-    inverse transforms are shared and only the n(n+1)/2 symmetric products
-    are formed: n + n(n+1)/2 transforms per sample (5 for n = 2), against
-    2n + n^2 otherwise.  The result is a half spectrum too.
+    into one stack and inverse-transformed in one batch, their pointwise
+    products written into one stack, forward-transformed in one batch and
+    re-truncated, and the divergence and the Leray projection are taken in
+    spectral space.  For v = u the inverse transforms are shared and only
+    the n(n+1)/2 symmetric products are formed: n + n(n+1)/2 transforms per
+    sample (5 for n = 2), against 2n + n^2 otherwise.
+
+    The result, a half spectrum too, goes into `out` (a new stack if None),
+    which may be the memory of uh or vh: they are read once, into the
+    truncated stack, before anything is written there.  Besides the
+    transforms' own outputs, the only arrays made are that truncated stack,
+    the product stack and one scratch array the size of one component's
+    stack; the physical factors are released before the products' forward
+    transform, the divergence is summed in `out` itself, and the projection
+    takes the spent transformed products as its second scratch array.
     """
     n = grid.n
-    mask = _half(dealias_mask(grid), grid)
+    mask, xi, ixi, inv_q2 = _factors(grid, grid.N // 2 + 1)
+    m = len(uh)
     if vh is None:
-        u = v = _dft(uh * mask, grid, "inverse")
+        u = v = _dft(np.multiply(uh, mask), grid, "inverse")
         pairs = [(k, j) for k in range(n) for j in range(k, n)]
     else:
-        phys = _dft(np.concatenate((uh, vh), axis=1) * mask, grid, "inverse")
-        u, v = phys[:, :n], phys[:, n:]
+        factors = np.empty((m, 2 * n, *mask.shape), dtype=np.complex128)
+        np.multiply(uh, mask, out=factors[:, :n])
+        np.multiply(vh, mask, out=factors[:, n:])
+        u = _dft(factors, grid, "inverse")
+        del factors
+        u, v = u[:, :n], u[:, n:]
         pairs = list(itertools.product(range(n), repeat=2))
-    prods = np.stack([u[:, k] * v[:, j] for k, j in pairs], axis=1)
+    prods = np.empty((m, len(pairs), *grid.shape))
+    for i, (k, j) in enumerate(pairs):
+        np.multiply(u[:, k], v[:, j], out=prods[:, i])
+    del u, v
     prods = _dft(prods, grid, "forward")
-    prods *= mask
+    np.multiply(prods, mask, out=prods)
     slot = {pair: i for i, pair in enumerate(pairs)}
     if vh is None:
         slot.update({(j, k): i for (k, j), i in list(slot.items())})
-    out = np.zeros((len(uh), n, *mask.shape), dtype=np.complex128)
-    for k, x in enumerate(grid.deriv_frequencies):
-        ixi = 1j * _half(x, grid)
-        for j in range(n):
-            out[:, j] += ixi * prods[:, slot[k, j]]
-    return _leray(out, grid)
+    if out is None:
+        out = np.empty((m, n, *mask.shape), dtype=np.complex128)
+    t = np.empty((m, *mask.shape), dtype=np.complex128)
+    for j in range(n):
+        _sum_into(out[:, j], [(ixi[k], prods[:, slot[k, j]]) for k in range(n)], t)
+    _project(np.moveaxis(out, 1, 0), xi, inv_q2, prods[:, 0], t)
+    return out
 
 
 def projected_tensor_divergence(u: Field, v: Field) -> Field:
@@ -194,13 +257,13 @@ def _bilinear_into(F: TimeSeries, lam: np.ndarray, factors) -> TimeSeries:
     """B(u, v) in the stack of F, a spectral velocity series on the time grid
     of u and v: for each `sample_chunks` chunk in time order, P div(u x v)
     of the half spectra factors(chunk) = (uh, vh), vh None for v = u, is
-    written over F's samples in that chunk, and the Duhamel march (`_march`)
-    at the rate lam overwrites them with the integral before the next chunk
-    is formed.  A factor may be the chunk of F it replaces."""
+    written by `_tensor_divergence` straight over F's samples in that chunk,
+    and the Duhamel march (`_march`) at the rate lam overwrites them with
+    the integral before the next chunk is formed.  A factor may be the
+    chunk of F it replaces."""
     march = _march(_march_times(F.times, F.times), lam)
     for chunk in sample_chunks(F.data, F.grid):
-        F.data[chunk] = _tensor_divergence(*factors(chunk), F.grid)
-        march(F.data[chunk])
+        march(_tensor_divergence(*factors(chunk), F.grid, out=F.data[chunk]))
     return F
 
 
@@ -211,8 +274,7 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     chunk of samples at a time into one new forcing stack, and the march
     overwrites each chunk with the integral before the next is evaluated, so
     the forcing and the result are never held at once; u's and v's data are
-    only read.  Passing the same
-    series twice shares its transforms.
+    only read.  Passing the same series twice shares its transforms.
     """
     times = _march_times(u.times, u.times)
     g = u.grid
@@ -244,10 +306,9 @@ def estimate_bilinear_constant(
     seeds one chunk of samples at a time (`_evolve`, one exp per sample for
     both), and `_bilinear_into` writes P div(u x v) of each chunk straight
     into the pair's one stack and marches it there before the next chunk is
-    evolved; the stack is released before the next pair's, and a
-    member's L^p norms are taken from the chunks of the first pair that
-    evolves it.  So no evolved member is ever whole, and at most one stack
-    is alive.  An
+    evolved; the stack is released before the next pair's, and a member's
+    L^p norms are taken from the chunks of the first pair that evolves it.
+    So no evolved member is ever whole, and at most one stack is alive.  An
     evolution is deterministic and B(a, b) keeps its argument order, so the
     ratios, and their maximum, have the bits of the all-members-at-once
     computation.

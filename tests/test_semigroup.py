@@ -1,5 +1,6 @@
 """Propagator algebra, kernel facts, fractional derivatives, Duhamel quadrature."""
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +28,12 @@ from fracheat import (
     synthesize_field,
 )
 from fracheat.semigroup import (
+    _etd2,
     _march,
     _phi1,
     _phi2,
     _rate,
+    _step,
     apply_symbol,
     duhamel,
     kernel_data,
@@ -543,6 +546,84 @@ class TestDuhamelBuffers:
             for per_chunk in (1, 3):
                 monkeypatch.setattr(fracheat.grid, "CHUNK_BYTES", per_chunk * sample)
                 assert np.array_equal(duhamel(F, t_eval, 0.8).data, whole)
+
+
+class TestMarchOverRuns:
+    """`_march` forms each run of equal steps within a chunk at once: on a
+    time grid of many runs, cut into chunks that split them, it must give
+    the bits of the step-by-step `_step` chain."""
+
+    # np.linspace(0, 0.05, 49) has 7 distinct steps in 25 runs; the
+    # geometric tail adds 6 steps of their own sizes
+    times = np.concatenate([np.linspace(0, 0.05, 49), 0.05 * np.geomspace(1.2, 3.0, 6)])
+
+    def forcing(self):
+        g = make_grid(2, 8, 2 * np.pi)
+        rng = np.random.default_rng(12)
+        shape = (len(self.times), 2, g.N, g.N // 2 + 1)
+        return g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def chain(self, Fhat, lam):
+        """The integrals at the samples, one `_step` at a time."""
+        out = [np.zeros_like(Fhat[0])]
+        for i, h in enumerate(np.diff(self.times)):
+            out.append(_step(out[-1], h, Fhat[i], Fhat[i + 1], _etd2(lam, h)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, 7, None], ids=["1", "3", "7", "whole"])
+    @pytest.mark.parametrize("per_run", [1, 3, None], ids=["1", "3", "whole"])
+    def test_equals_step_by_step_chain(self, monkeypatch, per_chunk, per_run):
+        # per_run: the samples `RUN_BYTES` lets a run form at once
+        g, Fhat = self.forcing()
+        if per_run:
+            monkeypatch.setattr(fracheat.semigroup, "RUN_BYTES", per_run * Fhat[0].nbytes)
+        lam = _rate(g, 0.8)
+        want = self.chain(Fhat, lam)
+        stack = Fhat.copy()
+        march = _march(self.times, lam)
+        per_chunk = per_chunk or len(stack)
+        for i in range(0, len(stack), per_chunk):
+            march(stack[i : i + per_chunk])
+        assert np.array_equal(stack, want)
+
+    def test_coefficients_once_per_step_size(self, call_count):
+        g, Fhat = self.forcing()
+        calls = call_count(fracheat.semigroup, "_etd2")
+        march = _march(self.times, _rate(g, 0.8))
+        for i in range(0, len(Fhat), 3):
+            march(Fhat[i : i + 3])
+        assert calls["_etd2"] == len(set(np.diff(self.times))) == 7 + 6
+
+    def test_coefficients_dropped_after_their_last_step(self, monkeypatch):
+        # a step size's block is not alive once the chunk that holds its
+        # last step is marched, while the march itself still is
+        g, Fhat = self.forcing()
+        blocks = {}
+
+        def etd2(lam, h):
+            block = _etd2(lam, h)
+            blocks[h] = weakref.ref(block[0])
+            return block
+
+        monkeypatch.setattr(fracheat.semigroup, "_etd2", etd2)
+        steps = np.diff(self.times)
+        last = {h: i for i, h in enumerate(steps)}
+        march = _march(self.times, _rate(g, 0.8))
+        for i in range(0, len(Fhat), 7):
+            march(Fhat[i : i + 7])
+            done = min(i + 7, len(Fhat)) - 1  # the steps before this sample are marched
+            assert all(blocks[h]() is None for h, k in last.items() if k < done)
+
+    def test_writing_into_a_marched_chunk_leaves_the_next(self):
+        g, Fhat = self.forcing()
+        lam = _rate(g, 0.8)
+        want = self.chain(Fhat, lam)
+        march = _march(self.times, lam)
+        for i in range(0, len(Fhat), 7):
+            chunk = Fhat[i : i + 7].copy()
+            march(chunk)
+            assert np.array_equal(chunk, want[i : i + 7])
+            chunk[...] = np.nan  # the caller reuses the chunk's memory
 
 
 class TestComplexDataAsParts:
