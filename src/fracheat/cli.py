@@ -51,7 +51,7 @@ from .grid import (
 )
 from .norms import NormSpec, _lp, lp_norms
 from .semigroup import _evolved_chunks, _rate
-from .estimates import dilation_sweep, kernel_mixed_norm_fit, run_decay_case
+from .estimates import SWEEP_PARAMS, dilation_sweep, kernel_mixed_norm_fit, run_decay_case
 from .nse import (
     perturbed_taylor_green,
     solve_nse_picard,
@@ -336,28 +336,23 @@ _SWEEP_KEYS = {"estimate": parse_text, "lambdas": parse_lambdas, "kind": parse_t
                    parse_exponent)}
 _SWEEP_DEFAULTS = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05, "kind": "lebesgue", "s": 0.0,
                    "q1": 4.0, "p1": 4.0, "nodes": 48, "s_min": 1e-6, "s_max": 6.0}
-# estimate -> the keys it reads besides estimate, lambdas, alpha, p and drift_tol
-_ESTIMATE_KEYS = {
-    "homogeneous": ("q", "T", "kind", "s"),
-    "bmo_endpoint": ("q", "T"),
-    "inhomogeneous": ("q", "T", "kind", "s", "q1", "p1", "nodes"),
-    "parabolic": ("s_min", "s_max"),
-    "besov_embedding": (),
-}
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> tuple[dict, list]:
-    estimate = args.estimate or cfg.get("sweep", "estimate", "homogeneous")
-    if estimate not in _ESTIMATE_KEYS:
+    estimate = cfg.get("sweep", "estimate", "homogeneous")
+    if estimate not in SWEEP_PARAMS:
         raise PreconditionError(f"unknown estimate id {estimate!r}")
-    names = ("estimate", "lambdas", "alpha", "p", "drift_tol", *_ESTIMATE_KEYS[estimate])
+    # the estimate's sweep params as [sweep] keys: verify makes times and
+    # profile itself, from T and nodes
+    reads = ("nodes" if k == "profile" else k for k in SWEEP_PARAMS[estimate] if k != "times")
+    names = ("estimate", "lambdas", "alpha", "p", "drift_tol", *reads)
     sweep = cfg.read(sweep={k: _SWEEP_KEYS[k] for k in names})["sweep"]
     grid = grid_from_config(cfg)
     recipe = recipe_from_config(cfg, grid, args.seed)
     params = {**{k: _SWEEP_DEFAULTS[k] for k in names if k in _SWEEP_DEFAULTS}, **sweep}
     params.pop("estimate", None)
     lambdas, drift_tol = params.pop("lambdas", [1, 2, 4]), params.pop("drift_tol", 0.01)
-    if estimate == "inhomogeneous":
+    if "profile" in SWEEP_PARAMS[estimate]:  # a forcing on [0, T], made here
         T = params["T"]
         params["times"] = uniform_times(T, params.pop("nodes"))
         tau = T / 3.0
@@ -464,13 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("propagate", "norm", "nse-solve", "potential-solve"):
+    for name in ("propagate", "norm", "verify", "nse-solve", "potential-solve"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-
-    p = sub.add_parser("verify")
-    p.add_argument("--config", required=True)
-    p.add_argument("--estimate", default=None)
 
     p = sub.add_parser("decay-fit")
     p.set_defaults(config=None)

@@ -93,6 +93,7 @@ def check_scaling_relation(
 def default_time_grid(T: float) -> np.ndarray:
     """[0] followed by a geometric refinement toward 0 on (0, T], densified
     uniformly to at least 40 nodes."""
+    require_positive("time horizon T", T)
     ts = np.concatenate([[0.0], geometric_times(T * 1e-3, T)])
     if len(ts) < 40:  # densify uniformly if the geometric ladder is short
         extra = np.linspace(0, T, 40)
@@ -516,6 +517,17 @@ def _separable_chunks(u: TimeSeries, profile, times):
         yield TimeSeries.from_data(u.grid, times[c], amp * u.data[0], u.representation, u.parts)
 
 
+# estimate id -> the params its sweep reads besides alpha and p (an
+# inhomogeneous sweep only records T: its horizon is the end of its times)
+SWEEP_PARAMS = {
+    "homogeneous": ("q", "T", "times", "kind", "s"),
+    "bmo_endpoint": ("q", "T", "times"),
+    "inhomogeneous": ("q", "T", "kind", "s", "q1", "p1", "times", "profile"),
+    "parabolic": ("s_min", "s_max"),
+    "besov_embedding": (),
+}
+
+
 def dilation_sweep(
     recipe,
     grid: GridSpec,
@@ -528,9 +540,11 @@ def dilation_sweep(
 
     Every dilation level is synthesized analytically from the recipe; it
     must pass the whole-space gate `require_whole_space` and its spectral
-    content must stay clear of the Nyquist edge, otherwise the sweep aborts;
-    `lambdas` and `estimate_id` are checked before it starts.  max_drift is
-    max over lambda of |ratio(lambda) / ratio(1) - 1|.
+    content must stay clear of the Nyquist edge, otherwise the sweep aborts.
+    Before any level is made, `lambdas` are ranged, `estimate_id` must be a
+    key of SWEEP_PARAMS, and every `params` key must be one its estimate
+    reads (alpha, p and its SWEEP_PARAMS entry), or the sweep raises naming
+    the key.  max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
     """
     if not isinstance(recipe, DilatableRecipe):
         raise PreconditionError(
@@ -542,9 +556,12 @@ def dilation_sweep(
         raise PreconditionError("dilation sweep needs at least one level in lambdas")
     for i, lam in enumerate(lambdas):
         require_positive(f"lambdas[{i}]", lam)
-    if estimate_id not in ("homogeneous", "bmo_endpoint", "inhomogeneous", "parabolic",
-                           "besov_embedding"):
+    if estimate_id not in SWEEP_PARAMS:
         raise PreconditionError(f"unknown estimate id {estimate_id!r}")
+    reads = ("alpha", "p", *SWEEP_PARAMS[estimate_id])
+    if unread := [key for key in params if key not in reads]:
+        raise PreconditionError(f"params {', '.join(unread)}: not read by the {estimate_id} "
+                                f"sweep, which reads {', '.join(reads)}")
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))
@@ -560,9 +577,7 @@ def dilation_sweep(
             )
         tscale = lam ** (-2 * alpha)
         if estimate_id in ("homogeneous", "bmo_endpoint"):
-            kind = params.get("kind", "lebesgue")
-            if estimate_id == "bmo_endpoint":
-                kind = "bmo"
+            kind = "bmo" if estimate_id == "bmo_endpoint" else params.get("kind", "lebesgue")
             T = params["T"] * tscale
             times = params["times"] * tscale if params.get("times") is not None else None
             val = _homogeneous_ratio(

@@ -41,6 +41,7 @@ operators and norms run as one-sample series (`as_series`,
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -336,6 +337,12 @@ def require_zero_means(spec: np.ndarray, grid: GridSpec, what: str) -> None:
 # center so dilated fields stay inside the half-box.
 
 
+def _require_seed(seed) -> None:
+    """Reject a seed that is not an integer >= 0 (numpy integers are integers)."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise PreconditionError(f"seed={seed} must be an integer >= 0")
+
+
 def _require_spread(spread: float | None) -> None:
     if spread is not None and not 0 <= spread < math.inf:
         raise PreconditionError(f"spread = {spread}: must be nonnegative and finite")
@@ -407,6 +414,9 @@ class RandomBandlimited:
     j_min: int
     j_max: int
 
+    def __post_init__(self):
+        _require_seed(self.seed)
+
     def render(self, grid: GridSpec) -> np.ndarray:
         lo, hi = 2.0**self.j_min, 2.0 ** (self.j_max + 1)
         if hi >= grid.nyquist:
@@ -445,6 +455,7 @@ class RandomBumps:
     scale: float = 1.0
 
     def __post_init__(self):
+        _require_seed(self.seed)
         require_positive("width", self.width)
         _require_spread(self.spread)
         require_count("count", self.count)
@@ -488,6 +499,7 @@ class WavePackets:
     scale: float = 1.0
 
     def __post_init__(self):
+        _require_seed(self.seed)
         require_positive("width", self.width)
         require_positive("carrier", self.carrier)
         _require_spread(self.spread)
@@ -762,11 +774,11 @@ def on_half_spectrum(f: Field, op) -> Field:
     return (out if f.representation == SPECTRAL else out.to_physical()).snapshots[0]
 
 
-def uniform_times(T: float, m: int) -> np.ndarray:
-    """m+1 equispaced samples on [0, T]."""
+def uniform_times(T: float, nodes: int) -> np.ndarray:
+    """nodes+1 equispaced samples on [0, T]."""
     require_positive("time horizon T", T)
-    require_count("m", m)
-    return np.linspace(0.0, T, m + 1)
+    require_count("nodes", nodes)
+    return np.linspace(0.0, T, nodes + 1)
 
 
 def geometric_times(t_min: float, t_max: float, ratio: float = 1.25) -> np.ndarray:

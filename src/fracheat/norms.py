@@ -228,14 +228,6 @@ class DyadicPartition:
             self._cache[j] = self.eta_at_scale(j) - self.eta_at_scale(j - 1)
         return self._cache[j]
 
-    def partition_sum(self) -> np.ndarray:
-        return sum(self.psi(j) for j in self.bands)
-
-    def covered(self) -> np.ndarray:
-        """Mask of lattice points where the partition sums to one."""
-        lo, hi = 2.0**self.j_min, 2.0**self.j_max
-        return (self._absxi >= lo) & (self._absxi <= hi)
-
 
 def default_partition(grid: GridSpec) -> DyadicPartition:
     """Widest partition representable on the grid."""

@@ -81,10 +81,7 @@ class TestCommands:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(BASE_CFG)
         out = tmp_path / "out"
-        rc = main(
-            ["--out", str(out), "verify", "--estimate", "homogeneous",
-             "--config", str(cfg)]
-        )
+        rc = main(["--out", str(out), "verify", "--config", str(cfg)])  # estimate = homogeneous
         assert rc == 0
         report = json.loads((out / "verify.json").read_text())
         assert report["results"]["estimate_id"] == "homogeneous"
@@ -329,7 +326,7 @@ class TestOneSeriesPerLevel:
         cfg = BASE_CFG.replace(  # zero-mean data, for the homogeneous Besov norm
             "recipe = gaussian_bump\nwidth = 0.29919930034188504",
             "recipe = random_bumps\nwidth = 0.24\nspread = 0.3",
-        )
+        ).replace("estimate = homogeneous", f"estimate = {estimate}")
         if estimate == "bmo_endpoint":
             cfg = cfg.replace("q = 4", "q = 2")
         elif estimate in ("parabolic", "besov_embedding"):  # they read no q or T
@@ -343,8 +340,7 @@ class TestOneSeriesPerLevel:
             return rfftn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfftn", counted)
-        argv = ["--out", str(tmp_path / "o"), "verify", "--estimate", estimate,
-                "--config", str(tmp_path / "run.cfg")]
+        argv = ["--out", str(tmp_path / "o"), "verify", "--config", str(tmp_path / "run.cfg")]
         assert main(argv) == 0
         assert calls["is_real"] == 2
         # one transform of each level's one sample; the inhomogeneous ratio
@@ -380,13 +376,15 @@ class TestSweepKeys:
     @pytest.mark.parametrize("estimate, key", [
         *((e, k) for e in ("parabolic", "besov_embedding") for k in ("q", "T", "kind", "s")),
         ("bmo_endpoint", "kind"), ("bmo_endpoint", "s"),
+        ("homogeneous", "q1"), ("inhomogeneous", "s_min"),
     ])
     def test_key_the_estimate_does_not_read_exit_2(self, tmp_path, capsys, estimate, key):
         value = "sobolev" if key == "kind" else "3"
         assert self.run(tmp_path, estimate, f"{key} = {value}\n") == 2
-        err = capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
         assert f"[sweep] {key}: not read here" in err
-        assert "takes estimate, lambdas, alpha, p, drift_tol" in err
+        takes = ("estimate", "lambdas", "alpha", "p", "drift_tol", *self.READS[estimate])
+        assert err.endswith("[sweep] takes " + ", ".join(takes))
 
     @pytest.mark.parametrize("estimate", sorted(READS))
     def test_params_hold_the_keys_the_estimate_reads(self, tmp_path, estimate):
@@ -685,6 +683,22 @@ class TestInputValidation:
              "unknown data recipe 'gaussian_bumps'"),
             ("verify", BASE_CFG.replace("= homogeneous", "= homogenous"),
              "unknown estimate id 'homogenous'"),
+            # a sweep's time horizon and node count, named as the keys they are
+            ("verify", BASE_CFG.replace("= homogeneous", "= inhomogeneous") + "nodes = 0\n",
+             "nodes=0 must be an integer >= 1"),
+            *(
+                ("verify", BASE_CFG.replace("= homogeneous", f"= {estimate}").replace(
+                    "q = 4", f"q = {q}").replace("T = 0.05\n", "") + f"T = {T}\n",
+                 f"time horizon T={named} must be positive and finite")
+                for estimate, q in (("homogeneous", 4), ("bmo_endpoint", 2))
+                for T, named in (("0", "0.0"), ("inf", "inf"))
+            ),
+            # a seed is an integer >= 0: numpy rejected a negative one unnamed, exit 1
+            ("norm", BUMP32.replace("gaussian_bump\nwidth = 0.3", "random_bumps\nseed = -1"),
+             "seed=-1 must be an integer >= 0"),
+            ("norm", BUMP32.replace("gaussian_bump\nwidth = 0.3",
+                                    "random_bandlimited\nj_max = 2\nseed = -2"),
+             "seed=-2 must be an integer >= 0"),
             # dilation factors are parsed here and ranged by `dilation_sweep`
             ("verify", BASE_CFG.replace("lambdas = 1,2", "lambdas = 0,1"),
              "lambdas[0]=0 must be positive and finite"),
@@ -714,6 +728,14 @@ class TestInputValidation:
         cfg.write_text(text)
         assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        # the --seed of a seeded recipe the config gives no seed
+        cfg = tmp_path / "packets.cfg"
+        cfg.write_text(BUMP32.replace("gaussian_bump\nwidth = 0.3", "wave_packets"))
+        argv = ["--seed", "-1", "--out", str(tmp_path / "o"), "norm", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert "seed=-1 must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data, named",
@@ -753,9 +775,10 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "command, old, new, named",
         [
-            ("propagate", "nodes = 4", "nodes = 0", "m=0"),
-            ("propagate", "nodes = 4", "nodes = -3", "m=-3"),
-            ("nse-solve", "nodes = 8", "nodes = -3", "m=-3"),
+            ("propagate", "nodes = 4", "nodes = 0", "nodes=0"),
+            ("propagate", "nodes = 4", "nodes = -3", "nodes=-3"),
+            ("nse-solve", "nodes = 8", "nodes = -3", "nodes=-3"),
+            ("nse-solve", "nodes = 8", "nodes = 0", "nodes=0"),
             ("nse-solve", "nodes = 8", "nodes = 8\nmax_iter = 0", "max_iter=0"),
             ("potential-solve", "nodes = 16", "nodes = -3", "nodes=-3"),
             ("potential-solve", "nodes = 16", "nodes = 0", "nodes=0"),
@@ -796,6 +819,7 @@ class TestInputValidation:
             # a misspelt key in each config command
             ("norm", BUMP32.replace("width", "widht"), "[data] widht: not read here"),
             ("norm", BUMP32.replace("N = 32", "NN = 32"), "[grid] NN: not read here"),
+            ("norm", BUMP32 + "[norm]\nkindd = bmo\n", "[norm] kindd: not read here"),
             ("verify", BASE_CFG.replace("drift_tol", "drift_tl"),
              "[sweep] drift_tl: not read here"),
             ("propagate", TINY + "[solver]\nT = 0.1\nnode = 4\n", "[solver] node: not read here"),

@@ -521,23 +521,37 @@ class TestDilationSweep:
                            {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05})
         assert calls["synthesize_field"] == 0
 
-    @pytest.mark.parametrize("lambdas, alpha, estimate_id, named", [
+    HOM = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05}
+
+    @pytest.mark.parametrize("lambdas, estimate_id, params, named", [
         # lambda = -1 mirrored the field: drift 0 at alpha = 1, TypeError at 0.75
-        ([1, -1], 1.0, "homogeneous", r"lambdas\[1\]=-1 must be positive and finite"),
-        ([1, -1], 0.75, "homogeneous", r"lambdas\[1\]=-1 must be positive and finite"),
-        ([0, 1], 1.0, "homogeneous", r"lambdas\[0\]=0 must be positive and finite"),
-        ([1, INF], 1.0, "homogeneous", r"lambdas\[1\]=inf must be positive and finite"),
-        ([1, float("nan")], 1.0, "homogeneous", r"lambdas\[1\]=nan must be positive"),
-        ([1, 2], 1.0, "homogenous", "unknown estimate id 'homogenous'"),
+        ([1, -1], "homogeneous", HOM, r"lambdas\[1\]=-1 must be positive and finite"),
+        ([1, -1], "homogeneous", {**HOM, "alpha": 0.75},
+         r"lambdas\[1\]=-1 must be positive and finite"),
+        ([0, 1], "homogeneous", HOM, r"lambdas\[0\]=0 must be positive and finite"),
+        ([1, INF], "homogeneous", HOM, r"lambdas\[1\]=inf must be positive and finite"),
+        ([1, float("nan")], "homogeneous", HOM, r"lambdas\[1\]=nan must be positive"),
+        ([1, 2], "homogenous", HOM, "unknown estimate id 'homogenous'"),
+        # a misspelt kind ran the Lebesgue ratio; q1 is the inhomogeneous estimate's
+        ([1, 2], "homogeneous", {**HOM, "kindd": "bmo"},
+         "params kindd: not read by the homogeneous sweep, which reads alpha, p, q, T, times, "
+         "kind, s"),
+        ([1, 2], "homogeneous", {**HOM, "q1": 4.0}, "params q1: not read by the homogeneous"),
+        ([1, 2], "homogeneous", {**HOM, "kindd": "bmo", "q1": 4.0}, "params kindd, q1: not read"),
+        # the bmo endpoint replaced a given kind by bmo
+        ([1, 2], "bmo_endpoint", {**HOM, "q": 2.0, "kind": "sobolev"},
+         "params kind: not read by the bmo_endpoint sweep"),
+        # the Besov embedding has no time axis: s_min was ignored
+        ([1, 2], "besov_embedding", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6},
+         "params s_min: not read by the besov_embedding sweep, which reads alpha, p$"),
     ])
-    def test_bad_level_or_estimate_rejected_before_any_level(
-        self, call_count, lambdas, alpha, estimate_id, named
+    def test_bad_level_estimate_or_param_rejected_before_any_level(
+        self, call_count, lambdas, estimate_id, params, named
     ):
         g = make_grid(2, 64, 2 * np.pi)
         calls = call_count(estimates, "synthesize_field")
         with pytest.raises(PreconditionError, match=named):
-            dilation_sweep(GaussianBump(width=g.L / 21), g, lambdas, estimate_id,
-                           {"alpha": alpha, "q": 4.0, "p": 4.0, "T": 0.05})
+            dilation_sweep(GaussianBump(width=g.L / 21), g, lambdas, estimate_id, params)
         assert calls["synthesize_field"] == 0
 
     @pytest.mark.parametrize("lambdas", [np.array([1, 2]), (1, 2), range(1, 3)])
@@ -610,9 +624,11 @@ class TestDilationSweep:
         # every ratio reads the level's series and spectrum, so the level's
         # data Field is freed before the ratio runs
         g = make_grid(2, 64, 2 * np.pi)
-        params = {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0,
-                  "p": 4.0, "q1": 4.0, "p1": 4.0, "T": 0.05, "s_min": 1e-6, "s_max": 6.0,
-                  "times": uniform_times(0.05, 8), "profile": lambda t: 1.0 + t}
+        every = {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0,
+                 "p": 4.0, "q1": 4.0, "p1": 4.0, "T": 0.05, "s_min": 1e-6, "s_max": 6.0,
+                 "times": uniform_times(0.05, 8), "profile": lambda t: 1.0 + t}
+        params = {k: every[k] for k in ("alpha", "p", *estimates.SWEEP_PARAMS[estimate_id])
+                  if k in every}
         fields, alive = [], []
         synthesize, evolve = estimates.synthesize_field, getattr(estimates, ratio)
 
@@ -703,10 +719,12 @@ class TestDilationSweep:
 
 def _sweep_params(estimate_id: str, nodes: int) -> dict:
     """Sweep parameters of one estimate whose time axis has `nodes` samples
-    (the parabolic s-grid at ratio 1.25 included)."""
-    return {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0, "p": 4.0,
-            "T": 0.05, "times": uniform_times(0.05, nodes - 1), "q1": 4.0, "p1": 4.0,
-            "profile": lambda t: 1.0 + t, "s_min": 1e-4, "s_max": 1e-4 * 1.25 ** (nodes - 1)}
+    (the parabolic s-grid at ratio 1.25 included): the params it reads."""
+    every = {"alpha": 1.0, "q": 2.0 if estimate_id == "bmo_endpoint" else 4.0, "p": 4.0,
+             "T": 0.05, "times": uniform_times(0.05, nodes - 1), "q1": 4.0, "p1": 4.0,
+             "profile": lambda t: 1.0 + t, "s_min": 1e-4, "s_max": 1e-4 * 1.25 ** (nodes - 1)}
+    return {k: every[k] for k in ("alpha", "p", *estimates.SWEEP_PARAMS[estimate_id])
+            if k in every}
 
 
 class TestChunkBoundaries:

@@ -142,6 +142,11 @@ class TestSynthesize:
             (lambda: RandomBumps(seed=0, width=0.3, spread=1.0, count=3), "count=3 must be even"),
             (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, count=0), "count=0"),
             (lambda: WavePackets(seed=0, carrier=5.0, width=0.3, count=-2), "count=-2"),
+            # numpy's generator rejected a negative seed with an unnamed ValueError
+            (lambda: RandomBandlimited(seed=-1, j_min=1, j_max=2), "seed=-1 must be an integer"),
+            (lambda: RandomBumps(seed=-1, width=0.3, spread=1.0), "seed=-1 must be an integer"),
+            (lambda: WavePackets(seed=-1, carrier=5.0, width=0.3), "seed=-1 must be an integer"),
+            (lambda: RandomBumps(seed=1.5, width=0.3, spread=1.0), "seed=1.5 must be an integer"),
             # an empty band: rendered, it would be 0/0
             (lambda: synthesize_field(g, RandomBandlimited(seed=0, j_min=5, j_max=3)),
              "j_min = 5, j_max = 3"),

@@ -806,15 +806,15 @@ def _potential(g, **kw):
 @pytest.mark.parametrize(
     "call, named",
     [
-        (lambda g: uniform_times(1.0, 0), "m=0"),
-        (lambda g: uniform_times(1.0, -3), "m=-3"),
+        (lambda g: uniform_times(1.0, 0), "nodes=0"),
+        (lambda g: uniform_times(1.0, -3), "nodes=-3"),
         (lambda g: _picard(g, max_iter=0, nodes=8, c_est=0.1), "max_iter=0"),
-        (lambda g: _picard(g, nodes=-3, c_est=0.1), "m=-3"),
+        (lambda g: _picard(g, nodes=-3, c_est=0.1), "nodes=-3"),
         (lambda g: _potential(g, nodes=0), "nodes=0"),
         (lambda g: _potential(g, nodes=-3), "nodes=-3"),
-        # a count is an integer: m = 2.5 and max_iter = 2.5 raised TypeError,
-        # and the potential solver ran with nodes = 2.5
-        (lambda g: uniform_times(1.0, 2.5), "m=2.5 must be an integer"),
+        # a count is an integer: uniform_times' nodes = 2.5 and max_iter = 2.5
+        # raised TypeError, and the potential solver ran with nodes = 2.5
+        (lambda g: uniform_times(1.0, 2.5), "nodes=2.5 must be an integer"),
         (lambda g: _picard(g, max_iter=2.5, nodes=8, c_est=0.1), "max_iter=2.5 must be an integer"),
         (lambda g: _potential(g, max_iter=2.5), "max_iter=2.5 must be an integer"),
         (lambda g: _potential(g, nodes=2.5), "nodes=2.5 must be an integer"),
