@@ -49,7 +49,7 @@ from .grid import (
     uniform_times,
     write_field,
 )
-from .norms import NormSpec, _lp, lp_norms
+from .norms import NORM_PARAMS, NormSpec, _lp, lp_norms
 from .semigroup import _evolved_chunks, _rate
 from .estimates import SWEEP_PARAMS, dilation_sweep, kernel_mixed_norm_fit, run_decay_case
 from .nse import (
@@ -320,9 +320,14 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
     return results, rows
 
 
+_NORM_KEYS = {"homogeneous": parse_bool, **dict.fromkeys(("p", "s", "q"), parse_exponent)}
+
+
 def cmd_norm(cfg: ExperimentConfig, args) -> tuple[dict, list]:
-    keys = {"kind": parse_text, "homogeneous": parse_bool,
-            **dict.fromkeys(("p", "s", "q"), parse_exponent)}
+    kind = cfg.get("norm", "kind", "lebesgue")
+    if kind not in NORM_PARAMS:
+        raise PreconditionError(f"unknown norm kind {kind!r}")
+    keys = {"kind": parse_text, **{k: _NORM_KEYS[k] for k in NORM_PARAMS[kind]}}
     norm = cfg.read(norm=keys)["norm"]
     f = field_from_config(cfg, grid_from_config(cfg), args.seed)
     spec = NormSpec(**{"kind": "lebesgue", **norm})

@@ -35,7 +35,7 @@ from .grid import (
     sample_chunks,
     synthesize_field,
 )
-from .norms import NormSpec, _time_norm, lp_norms
+from .norms import NormSpec, _multiplier_norms, _time_norm, lp_norms
 from .semigroup import _alpha_value, _evolved_chunks, _march, _march_times, _rate, kernel_data
 from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
@@ -178,6 +178,13 @@ def inhomogeneous_ratio(
     return _inhomogeneous_ratio(forcing, F.grid, F.times, qp, q1p1, alpha, kind, s)
 
 
+def _require_inhomogeneous_kind(kind: str) -> None:
+    """Reject a kind that the inhomogeneous estimate has no pairing for."""
+    if kind not in ("lebesgue", "sobolev", "besov"):
+        raise PreconditionError(
+            f"inhomogeneous estimate kind {kind!r} is not lebesgue, sobolev or besov")
+
+
 def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
     """`inhomogeneous_ratio` of a forcing on the time grid `times`, handed
     over as `forcing`: series on consecutive pieces of that grid, in time
@@ -185,6 +192,7 @@ def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
     is marched (`_march`) into its integral in that stack, gives its
     numerator norms, and is dropped, so neither the forcing nor its integral
     is ever whole."""
+    _require_inhomogeneous_kind(kind)
     q, p = qp
     q1, p1 = q1p1
     alpha = _alpha_value(alpha)
@@ -332,20 +340,11 @@ def decay_fit(
     g = f.grid
     alpha = _alpha_value(alpha)
     cont = require_whole_space(f, "decay fit data")
-    xi = [_half(x, g) for x in g.deriv_frequencies]
-
-    def norms(u: TimeSeries) -> np.ndarray:
-        if not gradient:
-            return lp_norms(u, p)
-        vals = []  # d_j u of each component, before the grid axes; its L^p is of |grad u|
-        for c in sample_chunks(u.data, g, copies=g.n):  # a chunk of the gradient's samples
-            grad = np.stack([u.data[c] * (1j * x) for x in xi], axis=-g.n - 1)
-            grad = grad.reshape(*grad.shape[: u.parts], -1, *grad.shape[-g.n :])  # parts on axis 1
-            vals.append(lp_norms(TimeSeries.from_data(g, u.times[c], grad, SPECTRAL, u.parts), p))
-        return np.concatenate(vals)
-
+    # the gradient's norm is that of the vector multiplier i xi, on the half lattice
+    grad = [1j * np.stack([_half(x, g) for x in g.deriv_frequencies])] if gradient else None
     flow = _evolved_chunks(as_series(f).to_spectral(), times, _rate(g, alpha))
-    vals = np.concatenate([norms(w) for w in flow])
+    vals = np.concatenate([_multiplier_norms(w, grad, p, None)[:, 0] if gradient
+                           else lp_norms(w, p) for w in flow])
     slope = float(np.polyfit(np.log(times), np.log(vals), 1)[0])
     predicted = -(g.n / (2 * alpha)) * (_inv(r) - _inv(p))
     if gradient:
@@ -517,14 +516,15 @@ def _separable_chunks(u: TimeSeries, profile, times):
         yield TimeSeries.from_data(u.grid, times[c], amp * u.data[0], u.representation, u.parts)
 
 
-# estimate id -> the params its sweep reads besides alpha and p (an
-# inhomogeneous sweep only records T: its horizon is the end of its times)
+# estimate id -> the params its sweep reads besides alpha and p, each mapped to
+# whether the sweep needs it (an inhomogeneous sweep only records T)
 SWEEP_PARAMS = {
-    "homogeneous": ("q", "T", "times", "kind", "s"),
-    "bmo_endpoint": ("q", "T", "times"),
-    "inhomogeneous": ("q", "T", "kind", "s", "q1", "p1", "times", "profile"),
-    "parabolic": ("s_min", "s_max"),
-    "besov_embedding": (),
+    "homogeneous": {"q": True, "T": True, "times": False, "kind": False, "s": False},
+    "bmo_endpoint": {"q": True, "T": True, "times": False},
+    "inhomogeneous": {"q": True, "T": False, "kind": False, "s": False, "q1": True,
+                      "p1": True, "times": True, "profile": True},
+    "parabolic": {"s_min": True, "s_max": True},
+    "besov_embedding": {},
 }
 
 
@@ -542,15 +542,16 @@ def dilation_sweep(
     must pass the whole-space gate `require_whole_space` and its spectral
     content must stay clear of the Nyquist edge, otherwise the sweep aborts.
     Before any level is made, `lambdas` are ranged, `estimate_id` must be a
-    key of SWEEP_PARAMS, and every `params` key must be one its estimate
-    reads (alpha, p and its SWEEP_PARAMS entry), or the sweep raises naming
-    the key.  max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
+    key of SWEEP_PARAMS, every `params` key must be one its estimate reads
+    (alpha, p and its SWEEP_PARAMS entry) and every param it needs must be
+    given, or the sweep raises naming the key; a `T` given with `times`
+    must be their last.  max_drift is max over lambda of |ratio(lambda) /
+    ratio(1) - 1|.
     """
     if not isinstance(recipe, DilatableRecipe):
         raise PreconditionError(
             f"recipe {type(recipe).__name__} does not support analytic dilation"
         )
-    alpha = _alpha_value(params["alpha"])
     lambdas = list(lambdas)
     if not lambdas:
         raise PreconditionError("dilation sweep needs at least one level in lambdas")
@@ -558,10 +559,18 @@ def dilation_sweep(
         require_positive(f"lambdas[{i}]", lam)
     if estimate_id not in SWEEP_PARAMS:
         raise PreconditionError(f"unknown estimate id {estimate_id!r}")
-    reads = ("alpha", "p", *SWEEP_PARAMS[estimate_id])
+    reads = {"alpha": True, "p": True, **SWEEP_PARAMS[estimate_id]}  # key -> needed
     if unread := [key for key in params if key not in reads]:
         raise PreconditionError(f"params {', '.join(unread)}: not read by the {estimate_id} "
                                 f"sweep, which reads {', '.join(reads)}")
+    if missing := [key for key, need in reads.items() if need and key not in params]:
+        raise PreconditionError(f"params {', '.join(missing)}: needed by the {estimate_id} sweep")
+    alpha = _alpha_value(params["alpha"])
+    if params.get("times") is not None and "T" in params and params["T"] != params["times"][-1]:
+        raise PreconditionError(f"params T={params['T']} is not the last of times, "
+                                f"{params['times'][-1]}: a sweep ends at its last time")
+    if estimate_id == "inhomogeneous":
+        _require_inhomogeneous_kind(params.get("kind", "lebesgue"))
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))

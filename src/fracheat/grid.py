@@ -57,10 +57,6 @@ SPECTRAL = "spectral"
 HALF_BOX_TOL = 1e-6
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Discrete periodic box: dimension n, N points per axis, side length L."""
@@ -70,9 +66,11 @@ class GridSpec:
     L: float
 
     def __post_init__(self):
+        require_count("n", self.n)
+        require_count("N", self.N)
         if self.n not in (1, 2, 3):
             raise PreconditionError(f"dimension n={self.n} not in {{1, 2, 3}}")
-        if not _is_power_of_two(self.N) or self.N < 8:
+        if self.N < 8 or self.N & (self.N - 1):  # not a power of two
             raise PreconditionError(f"N={self.N} must be a power of two >= 8")
         require_positive("box length L", self.L)
 
@@ -131,7 +129,7 @@ class GridSpec:
 
 def make_grid(n: int, N: int, L: float) -> GridSpec:
     """Build a validated grid; rejects non-power-of-two N and n outside 1..3."""
-    return GridSpec(n=n, N=int(N), L=float(L))
+    return GridSpec(n=n, N=N, L=float(L))
 
 
 @dataclass

@@ -35,6 +35,11 @@ TINY = np.finfo(np.float64).tiny  # the least normal float64
 SMALL = math.sqrt(TINY / np.finfo(np.float64).eps)  # a square underflows by <= eps^2 SMALL^2 / 2
 
 
+# norm kind -> the NormSpec fields it reads besides its kind
+NORM_PARAMS = {"lebesgue": ("p",), "sobolev": ("p", "s", "homogeneous"),
+               "besov": ("p", "s", "q", "homogeneous"), "bmo": ()}
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Norm selector: lebesgue(p) | sobolev(s, p) | besov(s, p, q) | bmo."""
@@ -46,7 +51,7 @@ class NormSpec:
     homogeneous: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "sobolev", "besov", "bmo"):
+        if self.kind not in NORM_PARAMS:
             raise PreconditionError(f"unknown norm kind {self.kind!r}")
         require_exponent("p", self.p)
         require_exponent("q", self.q)
@@ -136,10 +141,9 @@ def lp_norms(u: TimeSeries, p: float) -> np.ndarray:
     return np.concatenate([_lp(d, u.grid, p) for d in u.chunks()])
 
 
-def mixed_norm(u: TimeSeries, q: float, p: "float | NormSpec") -> float:
-    """L^q in time over the sample grid of a spatial norm: L^p for a number
-    p, or the norm a NormSpec selects."""
-    return _time_norm(p.norms(u) if isinstance(p, NormSpec) else lp_norms(u, p), u.times, q)
+def mixed_norm(u: TimeSeries, q: float, p: float) -> float:
+    """L^q in time over the sample grid of the spatial L^p norm."""
+    return _time_norm(lp_norms(u, p), u.times, q)
 
 
 def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
@@ -174,17 +178,22 @@ def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.n
 def _multiplier_norms(u: TimeSeries, syms: list, p: float, zero_mean_for) -> np.ndarray:
     """L^p norms of every sample of `u` under each multiplier of `syms`, shape
     (samples, multipliers): one inverse transform per chunk of (sample,
-    multiplier) pairs, on the half lattice (the symbols are real and even).
-    `zero_mean_for` names what needs zero-mean samples."""
+    multiplier) pairs, on the half lattice (each symbol maps real fields to
+    real fields).  A symbol may carry leading axes, as i xi does; `_lp`
+    measures them after the parts and components, by the pointwise
+    Euclidean magnitude of all.  `zero_mean_for` names what needs zero-mean
+    samples."""
     grid = u.grid
     sym = np.stack([_half(s, grid) for s in syms])
+    lead = sym.shape[1 : -grid.n]
     sym = np.expand_dims(sym, tuple(range(1, u.data.ndim - grid.n)))
     out = []
-    for spec in u.chunks(SPECTRAL, copies=len(syms)):
+    for spec in u.chunks(SPECTRAL, copies=len(syms) * math.prod(lead)):
         if zero_mean_for:  # a half spectrum holds every |fhat| and the mean
             require_zero_means(spec, grid, zero_mean_for)
-        blocks = _dft(spec[:, None] * sym, grid, "inverse")
-        out.append(_lp(blocks.reshape(-1, *blocks.shape[2:]), grid, p).reshape(len(spec), -1))
+        spec = np.expand_dims(spec[:, None], tuple(range(-grid.n - len(lead), -grid.n)))
+        blocks = _dft(spec * sym, grid, "inverse")
+        out.append(_lp(blocks.reshape(-1, *blocks.shape[2:]), grid, p).reshape(len(blocks), -1))
     return np.concatenate(out)
 
 

@@ -32,7 +32,6 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
-    _half,
     as_series,
     on_half_spectrum,
     require_one_part,
@@ -40,7 +39,7 @@ from .grid import (
     uniform_times,
 )
 from .norms import (  # noqa: F401  (lp_norm: re-exported)
-    _lp, _time_norm, lp_norm, lp_norms, mixed_norm,
+    _lp, _multiplier_norms, _time_norm, lp_norm, lp_norms, mixed_norm,
 )
 from .semigroup import (
     _alpha_value, _evolve, _march, _march_times, _rate, duhamel, semigroup_series,
@@ -296,10 +295,11 @@ def estimate_bilinear_constant(
     T: float,
     q: float,
     p: float,
-    times=None,
+    times,
 ) -> float:
     """Measured bound max ||B(u,v)|| / (||u|| ||v||) in L^q_t L^p_x over a
-    seeded ensemble of divergence-free free evolutions.
+    seeded ensemble of divergence-free free evolutions, on the time grid
+    `times`, which must end at the horizon T.
 
     The three members are kept as their one-sample, Leray-projected seeds.
     For each pair (i, j), i <= j, the two members are evolved from their
@@ -313,8 +313,8 @@ def estimate_bilinear_constant(
     ratios, and their maximum, have the bits of the all-members-at-once
     computation.
     """
-    if times is None:
-        times = uniform_times(T, 32)
+    if not len(times) or times[-1] != T:
+        raise PreconditionError(f"the ensemble's times must end at the horizon T={T}")
     j_max = 3
     while 2.0 ** (j_max + 1) >= grid.nyquist:
         j_max -= 1
@@ -693,38 +693,34 @@ def solve_potential_eq(
 # ---------------------------------------------------------------------------
 
 
-def _multi_indices(n: int, max_order: int):
-    rng = range(max_order + 1)
-    for combo in itertools.product(rng, repeat=n):
-        if sum(combo) <= max_order:
-            yield combo
-
-
 def regularity_check(
     v: TimeSeries, max_order: int, q: float, p: float
 ) -> dict[tuple[int, ...], float]:
     """Mixed norms of all spatial derivatives D^j with |j| <= max_order.
 
     max_order must be an integer in [0, 4].  Raises ConvergenceError if any
-    norm is non-finite.  The derivative series are formed on v's half
-    lattice and in its parts: each symbol (i xi)^j, on the
-    Nyquist-zeroed lattice, maps a real field to a real field.
+    norm is non-finite.  Every symbol (i xi)^j, on the Nyquist-zeroed half
+    lattice, maps a real field to a real field, and all of them go through
+    one `_multiplier_norms` call, a chunk of v's samples at a time.
     """
     if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
         raise PreconditionError(
             f"max_order={max_order!r} must be an integer in [0, 4] (derivative order cap)"
         )
     grid = v.grid
-    xi = grid.deriv_frequencies
-    spec = v.to_spectral().data
-    out: dict[tuple[int, ...], float] = {}
-    for multi in _multi_indices(grid.n, max_order):
-        sym = np.ones(grid.shape, dtype=np.complex128)
-        for ax, m in enumerate(multi):
+    _, _, ixi, _ = _factors(grid, grid.N // 2 + 1)
+    orders = itertools.product(range(max_order + 1), repeat=grid.n)
+    multis = [multi for multi in orders if sum(multi) <= max_order]
+    syms = []
+    for multi in multis:
+        sym = np.ones(ixi[0].shape, dtype=np.complex128)
+        for x, m in zip(ixi, multi):
             if m:
-                sym = sym * (1j * xi[ax]) ** m
-        series = TimeSeries.from_data(grid, v.times, spec * _half(sym, grid), parts=v.parts)
-        val = mixed_norm(series, q, p)
+                sym = sym * x**m
+        syms.append(sym)
+    out: dict[tuple[int, ...], float] = {}
+    for multi, vals in zip(multis, _multiplier_norms(v, syms, p, None).T):
+        val = _time_norm(vals, v.times, q)
         if not np.isfinite(val):
             raise ConvergenceError(f"derivative {multi}: non-finite mixed norm")
         out[multi] = float(val)

@@ -111,18 +111,17 @@ def _evolved_chunks(uh: TimeSeries, times, lam: np.ndarray):
         yield TimeSeries.from_data(uh.grid, step, out, SPECTRAL, uh.parts)
 
 
-def kernel(grid: GridSpec, t: float, alpha, check: bool = True) -> Field:
+def kernel(grid: GridSpec, t: float, alpha) -> Field:
     """Unit-mass propagator kernel at time t > 0, the one-sample `kernel_data`.
 
     Returned in physical representation, translated so its peak sits at
     the box center (the convention for whole-space emulation); its
     cell-volume-weighted sum is 1 because the xi = 0 symbol value is 1.
-    With `check`, it must pass the whole-space gate `require_whole_space`.
+    It must pass the whole-space gate `require_whole_space`.
     """
     require_positive("kernel time t", t)
     out = Field(grid, kernel_data(np.exp(-t * _rate(grid, alpha))[None], grid)[0])
-    if check:
-        require_whole_space(out, f"kernel at t={t}, alpha={alpha}")
+    require_whole_space(out, f"kernel at t={t}, alpha={alpha}")
     return out
 
 
@@ -148,11 +147,12 @@ def derivative_symbol(grid: GridSpec, order: float, kind: str = "homogeneous") -
     raise PreconditionError(f"unknown derivative kind {kind!r}")
 
 
-def fractional_derivative(f: Field, order: float, kind: str = "homogeneous") -> Field:
-    """Multiplier with the `derivative_symbol` of this order and kind."""
-    if kind == "homogeneous" and order < 0:
+def fractional_derivative(f: Field, order: float) -> Field:
+    """Multiplier with the homogeneous `derivative_symbol` |xi|^order; a
+    negative order needs zero-mean f."""
+    if order < 0:
         require_zero_mean(f, "negative-order homogeneous derivative")
-    return apply_symbol(f, derivative_symbol(f.grid, order, kind))
+    return apply_symbol(f, derivative_symbol(f.grid, order))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracheat import (
+    ConvergenceError,
     GaussianBump,
     PlaneWave,
     PreconditionError,
@@ -19,6 +20,7 @@ from fracheat import (
     WindowedPowerlaw,
     write_field,
 )
+import fracheat.cli
 import fracheat.grid
 from fracheat.grid import sample_chunks, uniform_times
 from fracheat.cli import ExperimentConfig, main, parse_exponent
@@ -842,6 +844,15 @@ class TestInputValidation:
             ("propagate", TINY + "[data]\namplitude = 2\n", "[data] amplitude: not read here"),
             ("verify", BASE_CFG + "s_min = 0.1\n", "[sweep] s_min: not read here"),
             ("verify", PARABOLIC_CFG + "q1 = 4\n", "[sweep] q1: not read here"),
+            # a key the norm kind does not read: lebesgue reported its L^2 value
+            # whatever s was, and bmo ignored p, q and homogeneous
+            ("norm", BUMP32 + "[norm]\nkind = lebesgue\ns = 1\n",
+             "[norm] s: not read here; [norm] takes kind, p"),
+            ("norm", BUMP32 + "[norm]\nkind = bmo\np = 7\nq = 3\nhomogeneous = false\n",
+             "[norm] p, q, homogeneous: not read here; [norm] takes kind"),
+            ("norm", BUMP32 + "[norm]\nkind = sobolev\nq = 3\n",
+             "[norm] q: not read here; [norm] takes kind, p, s, homogeneous"),
+            ("norm", BUMP32 + "[norm]\nkind = holder\n", "unknown norm kind 'holder'"),
             # a value is read as written: a % in a path names the unreadable file
             ("norm", FIELD.replace("f32", "a%b"), "cannot read field file {dir}/a%b.frsf"),
         ],
@@ -855,6 +866,26 @@ class TestInputValidation:
         cfg.write_text(text.format(dir=tmp_path))
         assert main(["--out", str(tmp_path / "o"), command, "--config", str(cfg)]) == 2
         assert named.format(dir=tmp_path) in capsys.readouterr().err
+
+
+class TestExitOne:
+    """Exit code 1 is for a failed computation and for a fault inside a
+    command, each with its own prefix."""
+
+    @pytest.mark.parametrize("exc, printed", [
+        (ConvergenceError("no fixed point"), "error: no fixed point"),
+        (ZeroDivisionError("by zero"), "internal error: ZeroDivisionError: by zero"),
+    ])
+    def test_exit_1(self, tmp_path, capsys, monkeypatch, exc, printed):
+        def command(cfg, args):
+            raise exc
+
+        monkeypatch.setitem(fracheat.cli._DISPATCH, "norm", command)
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text(BUMP32)
+        assert main(["--out", str(tmp_path / "o"), "norm", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(printed) and "precondition" not in err
 
 
 class TestNormsOfLargeData:

@@ -36,7 +36,7 @@ from fracheat.grid import RandomBandlimited, WavePackets, geometric_times, unifo
 from fracheat.norms import lp_norm
 import fracheat.grid
 from fracheat import estimates
-from fracheat.semigroup import apply_semigroup, kernel
+from fracheat.semigroup import apply_semigroup, kernel, kernel_data
 
 INF = float("inf")
 
@@ -50,6 +50,10 @@ def separable_series(f, profile, times):
 
 
 class TestAdmissibility:
+    def test_conjugate_endpoints(self):
+        assert conjugate(1) == INF and conjugate(1.0) == INF
+        assert conjugate(INF) == 1.0
+
     def test_endpoint_triplet_high_dimension(self):
         # (2, 2n/(n-2a), 2) is n/2a-admissible when n > 2a
         n, alpha = 2, 0.5
@@ -176,6 +180,15 @@ class TestInhomogeneousRatio:
             times, [Field(g, profile(t) * spatial.data) for t in times]
         )
 
+    def test_kind_without_a_pairing_rejected_before_any_work(self, fft_count):
+        # kind = bmo gave a BMO-over-Besov ratio, no estimate of the paper
+        g = make_grid(2, 16, 2 * np.pi)
+        F = self._forcing(g, synthesize_field(g, PlaneWave(k=(1, 1))), lambda t: 1.0, 1.0, 4)
+        fft_count.clear()
+        with pytest.raises(PreconditionError, match="kind 'bmo' is not lebesgue, sobolev or"):
+            inhomogeneous_ratio(F, (4, 4), (4, 4), 1.0, kind="bmo")
+        assert fft_count["calls"] == 0
+
     def test_zero_forcing_rejected(self):
         g = make_grid(2, 16, 2 * np.pi)
         zero = Field(g, np.zeros(g.shape))
@@ -247,6 +260,18 @@ class TestInhomogeneousRatio:
 
 
 class TestParabolicRatio:
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"form": "a"}, "a-form needs both r and T"),
+        ({"form": "a", "r": 2.0}, "a-form needs both r and T"),
+        ({"form": "a", "r": 5.0, "T": 1.0}, "a-form requires 1 <= r <= p, got r=5.0, p=4.0"),
+        ({"form": "c"}, "unknown parabolic form 'c'"),
+    ])
+    def test_form_arguments_rejected_by_name(self, kwargs, named):
+        g = make_grid(1, 64, 2 * np.pi)  # n = 1 < 2 alpha: the a-form's dimension
+        f = synthesize_field(g, GaussianBump(width=0.3))
+        with pytest.raises(PreconditionError, match=named):
+            parabolic_ratio(f, 4.0, 1.0, **kwargs)
+
     def test_b_form_stable_under_tail_doubling(self):
         g = make_grid(2, 64, 2 * np.pi)
         f = synthesize_field(
@@ -447,7 +472,32 @@ class TestOneEvolvedStack:
         assert forward == [1, 1]  # f itself, once
 
 
+def kernel_norms_per_time(grid, ts, alpha, r):
+    """lp_norm of the kernel at each time of `ts`, one at a time, with the
+    whole-space gate at the last time only: `kernel` there, and before it
+    the one sample of `kernel_data` that `kernel` is without its gate."""
+    lam = grid.abs_freq[..., : grid.N // 2 + 1] ** (2 * alpha)
+    raw = [Field(grid, kernel_data(np.exp(-t * lam)[None], grid)[0]) for t in ts[:-1]]
+    return np.array([lp_norm(K, r) for K in (*raw, kernel(grid, ts[-1], alpha))])
+
+
+@pytest.mark.parametrize("scale, p, named", [
+    (1.0, 2.0, "embedding requires p > 2, got p=2.0"),
+    (1.0, 1.5, "embedding requires p > 2"),
+    (0.0, 4.0, "zero data: ratio undefined"),
+])
+def test_besov_embedding_rejected_by_name(scale, p, named):
+    g = make_grid(2, 64, 2 * np.pi)
+    f = synthesize_field(g, RandomBumps(seed=5, width=g.L / 26, spread=g.L / 20, count=2))
+    with pytest.raises(PreconditionError, match=named):
+        besov_embedding_ratio(Field(g, scale * f.data), p)
+
+
 class TestKernelNormFit:
+    def test_grid_of_another_dimension_rejected(self):
+        with pytest.raises(PreconditionError, match="grid dimension does not match n"):
+            kernel_mixed_norm_fit(1.0, 1.0, 2.0, 0.03, 2, grid=make_grid(1, 64, 10.0))
+
     def test_positive_kernel_r1(self):
         # r=1, alpha=1: ||K_t||_1 = 1, so the norm is T^(1/h) up to quadrature
         fit = kernel_mixed_norm_fit(
@@ -485,20 +535,15 @@ class TestKernelNormFit:
         fft_count.clear()
         got = estimates._kernel_norms(g, ts, alpha, r)
         stacked = fft_count["irfftn"]
-        want = [lp_norm(kernel(g, t, alpha, check=(t == ts[-1])), r) for t in ts]
-        assert got.tolist() == want
+        want = kernel_norms_per_time(g, ts, alpha, r)
+        assert got.tolist() == want.tolist()
         assert 1 <= stacked < len(ts)  # one transform per sample chunk
 
     def test_fit_equals_per_time_oracle(self, monkeypatch):
         args = (1.0, 1.5, 2.0, 0.03, 2)
         got = kernel_mixed_norm_fit(*args)
 
-        def per_time(grid, ts, alpha, r):
-            return np.array(
-                [lp_norm(kernel(grid, t, alpha, check=(t == ts[-1])), r) for t in ts]
-            )
-
-        monkeypatch.setattr(estimates, "_kernel_norms", per_time)
+        monkeypatch.setattr(estimates, "_kernel_norms", kernel_norms_per_time)
         assert got == kernel_mixed_norm_fit(*args)
 
     def test_contamination_checked_at_largest_time(self):
@@ -506,7 +551,6 @@ class TestKernelNormFit:
         ts = geometric_times(0.001, 0.5, ratio=1.25)
         with pytest.raises(ContaminationError):
             kernel(g, ts[-1], 1.0)
-        kernel(g, ts[-2], 1.0, check=False)
         with pytest.raises(ContaminationError):
             estimates._kernel_norms(g, ts, 1.0, 2.0)
 
@@ -522,6 +566,8 @@ class TestDilationSweep:
         assert calls["synthesize_field"] == 0
 
     HOM = {"alpha": 1.0, "q": 4.0, "p": 4.0, "T": 0.05}
+    INH = {"alpha": 1.0, "q": 4.0, "p": 4.0, "q1": 4.0, "p1": 4.0,
+           "times": uniform_times(0.05, 8), "profile": lambda t: 1.0 + t}
 
     @pytest.mark.parametrize("lambdas, estimate_id, params, named", [
         # lambda = -1 mirrored the field: drift 0 at alpha = 1, TypeError at 0.75
@@ -544,6 +590,22 @@ class TestDilationSweep:
         # the Besov embedding has no time axis: s_min was ignored
         ([1, 2], "besov_embedding", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6},
          "params s_min: not read by the besov_embedding sweep, which reads alpha, p$"),
+        # the horizon is the end of times: T = 7.0 gave the ratios of T = 0.05
+        ([1, 2], "inhomogeneous", {**INH, "T": 7.0},
+         "params T=7.0 is not the last of times, 0.05"),
+        ([1, 2], "homogeneous", {**HOM, "times": uniform_times(0.1, 8)},
+         "params T=0.05 is not the last of times, 0.1"),
+        # kind = bmo gave a BMO-over-Besov ratio drifting by 64%
+        ([1, 2], "inhomogeneous", {**INH, "kind": "bmo"},
+         "kind 'bmo' is not lebesgue, sobolev or besov"),
+        # a missing param raised a bare KeyError, which exits 1 from the CLI
+        ([1, 2], "homogeneous", {"alpha": 1.0, "p": 4.0, "T": 0.05},
+         "params q: needed by the homogeneous sweep$"),
+        ([1, 2], "bmo_endpoint", {"alpha": 1.0, "p": 2.0}, "params q, T: needed"),
+        ([1, 2], "inhomogeneous", {k: v for k, v in INH.items() if k != "times"},
+         "params times: needed by the inhomogeneous sweep"),
+        ([1, 2], "parabolic", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6}, "params s_max: needed"),
+        ([1, 2], "besov_embedding", {"p": 4.0}, "params alpha: needed"),
     ])
     def test_bad_level_estimate_or_param_rejected_before_any_level(
         self, call_count, lambdas, estimate_id, params, named

@@ -24,6 +24,7 @@ from fracheat import (
     write_field,
 )
 from fracheat.grid import (
+    GridSpec,
     TimeSeries,
     geometric_times,
     is_real,
@@ -57,6 +58,19 @@ class TestMakeGrid:
             make_grid(4, 16, 1.0)
         with pytest.raises(PreconditionError):
             make_grid(2, 16, -1.0)
+
+    def test_sizes_are_integers_by_name(self):
+        # make_grid truncated N = 64.7 to 64; GridSpec raised TypeError
+        with pytest.raises(PreconditionError, match="N=64.7 must be an integer"):
+            make_grid(2, 64.7, 1.0)
+        with pytest.raises(PreconditionError, match="n=2.0 must be an integer"):
+            GridSpec(2.0, 64, 1.0)
+        with pytest.raises(PreconditionError, match="N=64.0 must be an integer"):
+            GridSpec(2, 64.0, 1.0)
+
+    def test_numpy_integer_sizes(self):
+        g = GridSpec(np.int64(2), np.int32(64), 1.0)
+        assert g == make_grid(2, 64, 1.0) and g.shape == (64, 64)
 
     @pytest.mark.parametrize("L", [INF, NAN, 0.0])
     def test_rejects_non_finite_or_non_positive_length(self, L):
@@ -247,6 +261,19 @@ class TestTimeSeries:
         with pytest.raises(PreconditionError):
             TimeSeries(np.array([-1.0, 0.0]), [f, f])
 
+    def test_snapshots_on_one_grid(self):
+        f8 = Field(make_grid(1, 8, 1.0), np.zeros(8))
+        f16 = Field(make_grid(1, 16, 1.0), np.zeros(16))
+        with pytest.raises(PreconditionError, match="at least one snapshot"):
+            TimeSeries(np.array([]), [])
+        with pytest.raises(PreconditionError, match="snapshots must share one grid"):
+            TimeSeries(np.array([0.0, 1.0]), [f8, f16])
+
+    def test_from_data_needs_a_time_per_sample(self):
+        g = make_grid(1, 8, 1.0)
+        with pytest.raises(PreconditionError, match="equal length"):
+            TimeSeries.from_data(g, [0.0, 1.0, 2.0], np.zeros((2, 8)), "physical")
+
     @pytest.mark.parametrize("times", [[0.0, NAN], [NAN, 1.0], [0.0, INF]])
     def test_rejects_non_finite_times(self, times):
         g = make_grid(1, 8, 1.0)
@@ -323,6 +350,21 @@ class TestSerialization:
         back = read_field(path)
         assert back.representation == "spectral" and back.data.flags.writeable
         assert back.data.tobytes() == f.data.tobytes()
+
+    def test_file_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.frsf"
+        path.write_bytes(b"FRSF" + bytes(20))
+        with pytest.raises(PreconditionError, match="shorter than its header"):
+            read_field(path)
+
+    def test_unknown_version(self, tmp_path):
+        path = tmp_path / "v2.frsf"
+        write_field(Field(make_grid(1, 8, 2.0), np.arange(8, dtype=complex)), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PreconditionError, match="unsupported field file version 2"):
+            read_field(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.frsf"

@@ -96,6 +96,16 @@ class TestDivergence:
         g = make_grid(2, 32, 2 * np.pi)
         assert lp_norm(divergence(taylor_green(g, 1.0)), 2) < 1e-12
 
+    def test_taylor_green_3d(self):
+        g = make_grid(3, 16, 2 * np.pi)
+        tg = taylor_green(g, 1.0)
+        assert tg.data.shape == (3, *g.shape) and lp_norm(tg, 2) > 1.0
+        assert lp_norm(divergence(tg), 2) < 1e-12
+
+    def test_perturbed_taylor_green_is_two_dimensional(self):
+        with pytest.raises(PreconditionError, match="perturbed Taylor-Green data is two-dim"):
+            perturbed_taylor_green(make_grid(3, 16, 2 * np.pi), 1.0)
+
     def test_gradient_gives_laplacian(self):
         g = make_grid(2, 32, 2 * np.pi)
         phi = synthesize_field(g, RandomBandlimited(seed=5, j_min=1, j_max=2))
@@ -543,7 +553,7 @@ class TestRealPath:
         for spec in (NormSpec("sobolev", s=1.0, p=4.0), NormSpec("besov", s=0.5, p=4.0)):
             vals = np.array([spec.compute(s) for s in ur.snapshots])
             want = float(np.trapezoid(vals**4, times) ** 0.25)
-            assert abs(mixed_norm(ur, 4.0, spec) - want) <= 1e-13 * want
+            assert abs(norms._time_norm(spec.norms(ur), times, 4.0) - want) <= 1e-13 * want
 
     def test_picard_rejects_complex_data(self):
         g = make_grid(2, 16, 2 * np.pi)
@@ -650,6 +660,13 @@ class TestBilinearBound:
             val = mixed_norm(bilinear_form(u, v, alpha), q, p)
             bound = c * mixed_norm(u, q, p) * mixed_norm(v, q, p)
             assert val <= 3.0 * bound
+
+    @pytest.mark.parametrize("times", [uniform_times(0.25, 8), []])
+    def test_times_must_end_at_the_horizon(self, times):
+        # T was read only by a default time grid that no caller took
+        g = make_grid(2, 16, 2 * np.pi)
+        with pytest.raises(PreconditionError, match="times must end at the horizon T=0.5"):
+            nse.estimate_bilinear_constant(g, 1.0, 0.5, 4, 4, times=times)
 
 
 class TestFixedPoint:

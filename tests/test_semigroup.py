@@ -35,6 +35,7 @@ from fracheat.semigroup import (
     _rate,
     _step,
     apply_symbol,
+    derivative_symbol,
     duhamel,
     kernel_data,
     semigroup_series,
@@ -45,6 +46,13 @@ from fracheat.grid import uniform_times
 
 def random_field(g, seed, j_max=2):
     return synthesize_field(g, RandomBandlimited(seed=seed, j_min=1, j_max=j_max))
+
+
+def unchecked_kernel(g, t, alpha):
+    """`kernel` without its whole-space gate: one sample of `kernel_data`
+    of the symbol exp(-t |xi|^(2 alpha)) on the half lattice."""
+    lam = g.abs_freq[..., : g.N // 2 + 1] ** (2 * alpha)
+    return Field(g, kernel_data(np.exp(-t * lam)[None], g)[0])
 
 
 class TestPropagator:
@@ -168,13 +176,13 @@ class TestKernel:
 
     def test_scaling_identity(self):
         # K_t(x) = t^(-n/2a) K_1(t^(-1/2a) x): compare on matched lattices
-        for alpha, check in ((1.0, True), (0.75, False)):
+        for alpha, make in ((1.0, kernel), (0.75, unchecked_kernel)):
             t = 4.0
             s = t ** (1 / (2 * alpha))
             gA = make_grid(1, 1024, 60.0)
             gB = make_grid(1, 1024, 60.0 / s)
-            KA = kernel(gA, t, alpha, check=check)
-            KB = kernel(gB, 1.0, alpha, check=check)
+            KA = make(gA, t, alpha)
+            KB = make(gB, 1.0, alpha)
             lhs = KA.data.real
             rhs = t ** (-1 / (2 * alpha)) * KB.data.real
             assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(lhs))
@@ -189,7 +197,9 @@ class TestKernel:
             lam = g.abs_freq ** (2 * alpha)
             stack = kernel_data(np.stack([np.exp(-t * lam)[..., : N // 2 + 1] for t in ts]), g)
             for t, row in zip(ts, stack):
-                K = kernel(g, t, alpha, check=False)
+                # the whole-space gate passes for the 1-D heat kernels only
+                gated = n == 1 and alpha == 1.0
+                K = kernel(g, t, alpha) if gated else unchecked_kernel(g, t, alpha)
                 assert np.array_equal(K.data, row)
                 assert K.representation == "physical"
 
@@ -240,11 +250,17 @@ class TestFractionalDerivative:
     def test_inhomogeneous_symbol(self):
         g = make_grid(2, 32, 2 * np.pi)
         f = synthesize_field(g, PlaneWave(k=(1, 2)))
-        out = fractional_derivative(f, 1.5, kind="inhomogeneous")
+        out = apply_symbol(f, derivative_symbol(g, 1.5, "inhomogeneous"))
         assert np.max(np.abs(out.data - (1 + 5) ** 0.75 * f.data)) < 1e-12
 
 
 class TestDuhamel:
+    def test_one_sample_forcing_rejected(self):
+        g = make_grid(1, 8, 2 * np.pi)
+        F = TimeSeries(np.array([0.0]), [Field(g, np.ones(8))])
+        with pytest.raises(PreconditionError, match="forcing series needs at least two samples"):
+            duhamel(F, [0.0], 1.0)
+
     def test_zero_forcing(self):
         g = make_grid(1, 16, 2 * np.pi)
         times = np.linspace(0, 1, 5)
