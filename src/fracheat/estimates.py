@@ -35,7 +35,7 @@ from .grid import (
     sample_chunks,
     synthesize_field,
 )
-from .norms import NormSpec, _multiplier_norms, _time_norm, lp_norms
+from .norms import NormSpec, _multiplier_norms, _time_integral, _time_norm, lp_norms
 from .semigroup import _alpha_value, _evolved_chunks, _march, _march_times, _rate, kernel_data
 from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
@@ -115,10 +115,19 @@ def homogeneous_ratio(
 
     Numerator: L^q in time on [0, T] of the `kind` spatial norm (at
     integrability p) of the propagated field.  Denominator: the matching
-    data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).
+    data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).  `T` is
+    the last of `times`, when they are given.
     """
+    _require_horizon("T", T, times)
     u = as_series(f)
     return _homogeneous_ratio(u, u.to_spectral(), q, p, alpha, T, times, kind, s)
+
+
+def _require_horizon(name: str, T: float, times) -> None:
+    """Reject a `T` that is not the last of two or more `times`, naming both."""
+    if times is not None and len(times) > 1 and T != times[-1]:
+        raise PreconditionError(f"{name}={T} is not the last of times, {times[-1]}: "
+                                "an estimate ends at its last time")
 
 
 def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
@@ -141,6 +150,7 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
             "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the "
             "homogeneous estimate"
         )
+    spec = NormSpec(kind, p=p, s=s)
     denom_kind = "lebesgue" if kind == "bmo" else kind
     data = u if denom_kind == "lebesgue" else uh
     denom = float(NormSpec(denom_kind, p=2, s=s).norms(data)[0])
@@ -148,7 +158,6 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
         raise PreconditionError("zero data: ratio undefined")
 
     ts = times if times is not None else default_time_grid(T)
-    spec = NormSpec(kind, p=p, s=s)
     vals = [spec.norms(w) for w in _evolved_chunks(uh, ts, _rate(g, alpha))]
     # no times make no chunk: `_time_norm` rejects them by name
     return _time_norm(np.concatenate(vals or [[]]), ts, q) / denom
@@ -208,8 +217,8 @@ def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
             f"scaling relation residual {res:.3e} != {target:.3e} "
             f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
         )
-    num_kind = "lebesgue" if kind in ("lebesgue", "sobolev") else "besov"
-    den_spec, num_spec = NormSpec(kind, p=p1c, s=s), NormSpec(num_kind, p=p, s=s)
+    den_spec = NormSpec(kind, p=p1c, s=s)
+    num_spec = NormSpec("besov", p=p, s=s) if kind == "besov" else NormSpec("lebesgue", p=p)
     march = _march(_march_times(times, times), _rate(g, alpha))
     den, num = [], []
     for Fc in forcing:
@@ -233,27 +242,23 @@ def parabolic_ratio(
     form: str = "b",
     s_min: float = 1e-6,
     s_max: float = 8.0,
-    ratio: float = 1.25,
     r: float | None = None,
     T: float | None = None,
-    report_truncation: bool = False,
-):
+) -> float:
     """Weighted-in-time square (or r-th power) mixed norm of the free flow.
 
     Both forms are one integral int s^(-e) ||e^(-s L) f||_p^k ds on a geometric
-    grid refined toward s = 0, plus an analytic head below it.  form='b' (n =
-    2*alpha, p > 2): e = 2/p, k = 2, to s_max; its root over ||f||_2.  form='a'
-    (n < 2*alpha): e = n r/(2 p alpha), k = r, to T; over T^(1 - n/(2 alpha))
-    ||f||_r^r.  The flow's norms equal lp_norm(apply_semigroup(f, s, alpha), p)
-    bit for bit.  report_truncation adds the head error and tail estimate,
-    relative to the integral.
+    grid refined toward s = 0, plus an analytic head below it, taken by
+    `norms._time_integral`.  form='b' (n = 2*alpha, p > 2): e = 2/p, k = 2, to
+    s_max; its root over ||f||_2.  form='a' (n < 2*alpha): e = n r/(2 p alpha),
+    k = r, to T; over T^(1 - n/(2 alpha)) ||f||_r^r, in the integral's scale.
+    The flow's norms equal lp_norm(apply_semigroup(f, s, alpha), p) bit for bit.
     """
     u = as_series(f)
-    return _parabolic_ratio(u, u.to_spectral(), p, alpha, form, s_min, s_max, ratio, r, T,
-                            report_truncation)
+    return _parabolic_ratio(u, u.to_spectral(), p, alpha, form, s_min, s_max, r, T)
 
 
-def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_truncation):
+def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, r, T) -> float:
     """`parabolic_ratio` of the data as a one-sample series `u` and its
     spectral form `uh`, as in `_homogeneous_ratio`: the data norms read u's
     samples, the flow reads `uh` a chunk of times at a time."""
@@ -269,7 +274,7 @@ def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_tr
         if not s_min < s_max < INF:
             raise PreconditionError(f"s_max = {s_max}: b-form needs s_min < s_max < inf")
         e, k = (2.0 / p if p != INF else 0.0), 2
-        ss = geometric_times(s_min, s_max, ratio=ratio)
+        ss = geometric_times(s_min, s_max)
     elif form == "a":
         if not g.n < 2 * alpha:
             raise PreconditionError(
@@ -280,23 +285,16 @@ def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, ratio, r, T, report_tr
         if not (1 <= r <= p):
             raise PreconditionError(f"a-form requires 1 <= r <= p, got r={r}, p={p}")
         e, k = (g.n * r / (2 * p * alpha) if p != INF else 0.0), r
-        ss = geometric_times(min(s_min, T * 1e-6), T, ratio=ratio)
+        ss = geometric_times(min(s_min, T * 1e-6), T)
     else:
         raise PreconditionError(f"unknown parabolic form {form!r}")
     vals = np.concatenate([lp_norms(w, p) for w in _evolved_chunks(uh, ss, _rate(g, alpha))])
-    integrand = ss ** (-e) * vals**k
     # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
-    head_weight, data = ss[0] ** (1 - e) / (1 - e), float(lp_norms(u, p)[0]) ** k
-    total = head_weight * data + float(np.trapezoid(integrand, ss))
+    head = (lp_norms(u, p)[0], lambda v: ss[0] ** (1 - e) / (1 - e) * v**k)
+    total, scale = _time_integral(vals, ss, k, ss ** (-e), head)
     if form == "b":
-        value = math.sqrt(total) / float(lp_norms(u, 2)[0])
-    else:
-        value = total / (T ** (1 - g.n / (2 * alpha)) * float(lp_norms(u, r)[0]) ** r)
-    if not report_truncation:
-        return value
-    head_err = head_weight * abs(data - vals[0] ** k)
-    tail_est = float(integrand[-1] * ss[-1])
-    return value, head_err / max(total, 1e-300), tail_est / max(total, 1e-300)
+        return float(math.sqrt(total) / (lp_norms(u, 2)[0] / scale))
+    return float(total / (T ** (1 - g.n / (2 * alpha)) * (lp_norms(u, r)[0] / scale) ** r))
 
 
 @dataclass(frozen=True)
@@ -389,9 +387,9 @@ def kernel_mixed_norm_fit(
     """Mixed L^h_t((0,T]; L^r_x) norm of the propagator kernel and its T-exponent.
 
     Requires the integrability window (n h / 2 alpha)(1 - 1/r) < 1.  The
-    quadrature runs on a geometric grid from t_min with a head correction
-    that extrapolates the measured power law of ||K_t||_r below t_min; the
-    exponent is fitted by evaluating at T and 2T.
+    quadrature (`norms._time_integral`) runs on a geometric grid from t_min
+    with a head that extrapolates the measured power law of ||K_t||_r below
+    t_min; the exponent is fitted by evaluating at T and 2T.
     """
     alpha = _alpha_value(alpha)
     require_positive("kernel norm end time T", T)
@@ -415,8 +413,9 @@ def kernel_mixed_norm_fit(
         sig = math.log(vals[1] / vals[0]) / math.log(ts[1] / ts[0])
         if 1 + h * sig <= 0:
             raise PreconditionError("kernel norm head is not integrable")
-        head = vals[0] ** h * ts[0] / (1 + h * sig)
-        return (head + float(np.trapezoid(vals**h, ts))) ** (1.0 / h)
+        head = (vals[0], lambda v: v**h * ts[0] / (1 + h * sig))
+        total, scale = _time_integral(vals, ts, h, head=head)
+        return scale * total ** (1.0 / h)
 
     m1, m2 = mnorm(T), mnorm(2 * T)
     fitted = math.log2(m2 / m1)
@@ -566,9 +565,8 @@ def dilation_sweep(
     if missing := [key for key, need in reads.items() if need and key not in params]:
         raise PreconditionError(f"params {', '.join(missing)}: needed by the {estimate_id} sweep")
     alpha = _alpha_value(params["alpha"])
-    if params.get("times") is not None and "T" in params and params["T"] != params["times"][-1]:
-        raise PreconditionError(f"params T={params['T']} is not the last of times, "
-                                f"{params['times'][-1]}: a sweep ends at its last time")
+    if "T" in params:
+        _require_horizon("params T", params["T"], params.get("times"))
     if estimate_id == "inhomogeneous":
         _require_inhomogeneous_kind(params.get("kind", "lebesgue"))
     ratios, contams = [], []
@@ -608,8 +606,7 @@ def dilation_sweep(
             )
         elif estimate_id == "parabolic":
             s_min, s_max = params["s_min"] * tscale, params["s_max"] * tscale
-            val = _parabolic_ratio(u, uh, params["p"], alpha, "b", s_min, s_max,
-                                   ratio=1.25, r=None, T=None, report_truncation=False)
+            val = _parabolic_ratio(u, uh, params["p"], alpha, "b", s_min, s_max, r=None, T=None)
         else:  # besov_embedding
             val = _besov_embedding_ratio(u, uh, params["p"])
         ratios.append(float(val))

@@ -1,8 +1,8 @@
 """Function-space norms: L^p, mixed L^q_t L^p_x, Sobolev, Besov, and BMO.
 
-Spatial integrals are cell-volume-weighted Riemann sums; time integrals
-are composite trapezoid sums on the (possibly geometric) sample grid;
-p = infinity means the max over grid points / time samples.
+Spatial integrals are cell-volume-weighted Riemann sums; every time integral
+is a composite trapezoid sum on the (possibly geometric) sample grid, taken by
+`_time_integral`; p = infinity means the max over grid points / time samples.
 
 The dyadic machinery follows the smooth-cutoff construction: eta equals 1
 on |xi| <= 1 and 0 on |xi| >= 2, and the band symbols are
@@ -53,6 +53,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in NORM_PARAMS:
             raise PreconditionError(f"unknown norm kind {self.kind!r}")
+        if self.s != 0 and "s" not in NORM_PARAMS[self.kind]:
+            raise PreconditionError(f"s={self.s}: the {self.kind} norm does not read s")
         require_exponent("p", self.p)
         require_exponent("q", self.q)
 
@@ -148,22 +150,34 @@ def mixed_norm(u: TimeSeries, q: float, p: float) -> float:
 
 def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
     """L^q over the sample grid `times` of the per-sample norms `vals`: the
-    composite trapezoid sum, the max for q = inf, rescaled as in `_root_sums`
-    when the q-th powers over- or underflow.  PreconditionError unless there
-    are two or more samples and q >= 1."""
+    root of `_time_integral`, the max for q = inf.  PreconditionError unless
+    there are two or more samples and q >= 1."""
     if len(times) < 2:
         raise PreconditionError("mixed norm needs at least two time samples")
     require_exponent("time exponent q", q)
     if q == INF:
         return float(vals.max())
+    total, scale = _time_integral(vals, times, q)
+    return float(scale * total ** (1.0 / q))
+
+
+def _time_integral(vals, times, k, weight=1.0, head=(0.0, lambda v: 0.0)):
+    """The one time quadrature: (total, scale), where scale^k total is the
+    trapezoid sum over `times` of weight vals^k plus a head (value, formula),
+    formula(value / scale) being the head in units of scale^k.  The scale is 1
+    unless the total over- or underflows; then it is the largest of vals and
+    the head's value (numpy floats, so no power raises), as in `_root_sums`."""
+
+    def total(scale):
+        return head[1](head[0] / scale) + np.trapezoid(weight * (vals / scale) ** k, times)
+
     with np.errstate(over="ignore"):
-        total = np.trapezoid(vals**q, times)
-    peak = vals.max()
-    if (total < TINY or total == INF) and 0 < peak < INF:
+        out = total(1.0)
+    peak = max(vals.max(), head[0])
+    if (out < TINY or out == INF) and 0 < peak < INF:
         with np.errstate(under="ignore"):
-            total = np.trapezoid((vals / peak) ** q, times)
-        return float(peak * total ** (1.0 / q))
-    return float(total ** (1.0 / q))
+            return total(peak), peak
+    return out, 1.0
 
 
 def _sobolev_norms(u: TimeSeries, s: float, p: float, homogeneous: bool) -> np.ndarray:

@@ -716,6 +716,9 @@ class TestInputValidation:
                     ("random_bumps", 3, "count=3 must be even"),
                 )
             ),
+            # a Lebesgue sweep reported the ratios of s = 0 whatever s was
+            ("verify", BASE_CFG + "kind = lebesgue\ns = 1\n",
+             "s=1.0: the lebesgue norm does not read s"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )

@@ -688,9 +688,9 @@ class TestFiniteDataGivesFiniteNorms:
         base = besov_norm(Field(g, f), 0.5, 4, 2)
         assert abs(besov_norm(Field(g, scale * f), 0.5, 4, 2) / (scale * base) - 1) < 1e-13
 
-    @pytest.mark.parametrize("scale", [1e80, 1e-80])
+    @pytest.mark.parametrize("scale", [1e80, 1e-80, 1e200, 1e-200])
     def test_mixed_norm_and_homogeneous_ratio(self, scale):
-        from fracheat.estimates import homogeneous_ratio
+        from fracheat.estimates import homogeneous_ratio, parabolic_ratio
 
         g = make_grid(2, 32, 2 * np.pi)
         f = self.bump(g)
@@ -700,6 +700,14 @@ class TestFiniteDataGivesFiniteNorms:
         assert abs(got / (scale * base) - 1) < 1e-13
         ratio = homogeneous_ratio(Field(g, f), 4, 4, 1.0, 0.1)
         assert abs(homogeneous_ratio(Field(g, scale * f), 4, 4, 1.0, 0.1) / ratio - 1) < 1e-13
+        # the parabolic flow integrals and their heads: at 1e200 and 1e-200 the
+        # b-form read OverflowError and 0.0, the a-form OverflowError and NaN
+        ratio = parabolic_ratio(Field(g, f), 4, 1.0)
+        assert abs(parabolic_ratio(Field(g, scale * f), 4, 1.0) / ratio - 1) < 1e-13
+        g1 = make_grid(1, 64, 2 * np.pi)  # n = 1 < 2 alpha, the a-form's dimension
+        f1, a_form = self.bump(g1), dict(form="a", r=2, T=0.5)
+        ratio = parabolic_ratio(Field(g1, f1), 4, 1.0, **a_form)
+        assert abs(parabolic_ratio(Field(g1, scale * f1), 4, 1.0, **a_form) / ratio - 1) < 1e-13
 
     def test_bmo_of_non_finite_data_stays_nan(self):
         g = make_grid(2, 32, 2 * np.pi)
