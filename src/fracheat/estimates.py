@@ -544,8 +544,8 @@ def dilation_sweep(
     key of SWEEP_PARAMS, every `params` key must be one its estimate reads
     (alpha, p and its SWEEP_PARAMS entry) and every param it needs must be
     given, or the sweep raises naming the key; a `T` given with `times`
-    must be their last.  max_drift is max over lambda of |ratio(lambda) /
-    ratio(1) - 1|.
+    must be their last, and a nonzero `s` needs a `kind` that reads it.
+    max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
     """
     if not isinstance(recipe, DilatableRecipe):
         raise PreconditionError(
@@ -567,8 +567,10 @@ def dilation_sweep(
     alpha = _alpha_value(params["alpha"])
     if "T" in params:
         _require_horizon("params T", params["T"], params.get("times"))
-    if estimate_id == "inhomogeneous":
-        _require_inhomogeneous_kind(params.get("kind", "lebesgue"))
+    if "kind" in reads:  # the norm kind, and an s it must read (NORM_PARAMS)
+        if estimate_id == "inhomogeneous":
+            _require_inhomogeneous_kind(params.get("kind", "lebesgue"))
+        NormSpec(params.get("kind", "lebesgue"), s=params.get("s", 0.0))
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))

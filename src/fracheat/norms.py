@@ -316,6 +316,9 @@ def bmo_norm(f: Field) -> float:
     The all-offsets family is symmetric under whole-cell translations and
     maps into itself under dyadic dilation, which keeps the norm exactly
     translation invariant and dilation-robust.  Non-finite data gives NaN.
+    The levels run from the smallest cubes up and stop at the first that
+    the sample's sum of squares shows cannot raise the sup, with the bits
+    of running them all.
     """
     return NormSpec("bmo").compute(f)
 
@@ -342,6 +345,22 @@ def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     non-finite too.  Negative osc^2 from rounding is clipped by `best`
     starting at 0 (a vector's parts are clipped before they are added).
 
+    The doubling stops once no larger cube can raise any sample's sup in
+    the block: W slack / 2^(m n) < `best`, W a sample's sum of its squares
+    (all cells, parts and components).  It bounds each osc^2 of level m and
+    above: osc^2 <= the box's computed mean square (fl(a - b) <= a for
+    b >= 0; the clip and the component sum are monotone), whose sum of
+    squares, a doubling sum of terms >= 0, is at most the top level's.
+    With K = comps N^n and u = eps / 2, that sum is within (N^n - 1) u of
+    its exact sum and W within (K - 1) u of theirs, the component sum adds
+    (comps - 1) u, the division 2^-1075 per component (<= u W / cells, as
+    d >= SMALL below gives W >= TINY / eps; a smaller d is measured again),
+    the bound's product u: at most K eps to first order, as N >= 8, and
+    slack = 1 + 3 K eps.  So the max, and every bit, is kept, and no
+    skipped level could overflow.  A NaN or inf W compares false and W = 0
+    never drops below `best` = 0: such a sample runs every level, and so
+    does its block.
+
     Squares of values below SMALL = sqrt(TINY / eps), about 1e-146, lose
     digits to underflow, so a finite sample whose peak deviation
     d = max |g| lies in (0, SMALL) is measured as d times the norm of g / d.
@@ -353,6 +372,7 @@ def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     blocks = sample_chunks(phys, grid, copies=4)
     bufs = np.empty((2, len(phys[blocks[0]]) if blocks else 0, 2, comps, *shape))
     best, dev = np.zeros(len(phys)), np.empty(len(phys))
+    slack = 1 + 3 * comps * grid.N**grid.n * np.finfo(np.float64).eps
     for block in blocks:
         x = phys[block].reshape(-1, comps, *shape)
         b = len(x)
@@ -361,7 +381,10 @@ def _bmo_norms(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
         np.square(cur[:, 0], out=cur[:, 1])
         g = cur[:, 0].reshape(b, -1)
         dev[block] = np.maximum(g.max(axis=1), -g.min(axis=1))
+        mass = cur[:, 1].reshape(b, -1).sum(axis=1) * slack
         for m in range(1, int(math.log2(grid.N)) + 1):
+            if np.all(mass / (2**m) ** grid.n < best[block]):
+                break  # no cube of side 2^m or more can raise a sample's sup
             for ax in axes:
                 _shift_add(cur, free, 2 ** (m - 1), ax)
                 cur, free = free, cur

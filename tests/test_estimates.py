@@ -604,6 +604,11 @@ class TestDilationSweep:
         # kind = bmo gave a BMO-over-Besov ratio drifting by 64%
         ([1, 2], "inhomogeneous", {**INH, "kind": "bmo"},
          "kind 'bmo' is not lebesgue, sobolev or besov"),
+        # an s that the kind does not read, or an unknown kind, raised after
+        # the first level was synthesized
+        ([1, 2], "homogeneous", {**HOM, "s": 1.0}, "s=1.0: the lebesgue norm does not read s"),
+        ([1, 2], "inhomogeneous", {**INH, "s": 1.0}, "s=1.0: the lebesgue norm does not read s"),
+        ([1, 2], "homogeneous", {**HOM, "kind": "lebesgu"}, "unknown norm kind 'lebesgu'"),
         # a missing param raised a bare KeyError, which exits 1 from the CLI
         ([1, 2], "homogeneous", {"alpha": 1.0, "p": 4.0, "T": 0.05},
          "params q: needed by the homogeneous sweep$"),

@@ -1,5 +1,7 @@
 """Norm oracles: Lebesgue, mixed, Sobolev, dyadic blocks, Besov, BMO."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from fracheat import (
     RandomBandlimited,
     TimeSeries,
     VectorField,
+    WavePackets,
     besov_norm,
     bmo_norm,
     default_partition,
@@ -630,6 +633,56 @@ def test_bmo_kernel_keeps_nan_for_non_finite_samples(n, N, layout):
     assert np.isnan(norms._bmo_norms(data, g)[1:3]).all()
 
 
+def _localized_stack(g, kind, lead, seed):
+    """Samples that vanish, or nearly, away from a small region: one-cell
+    spikes, a narrow Gaussian, or wave packets evolved to four times; each
+    part and component of a sample is scaled on its own."""
+    rng = np.random.default_rng(seed)
+    if kind == "spike":
+        data = np.zeros((3, math.prod(lead), *g.shape))
+        for cell in data.reshape(-1, *g.shape):
+            cell[tuple(rng.integers(0, g.N, g.n))] = rng.uniform(0.5, 2)
+        return data.reshape(3, *lead, *g.shape)
+    if kind == "gaussian":
+        u = synthesize_field(g, GaussianBump(width=1.5 * g.spacing)).data.real[None]
+    else:
+        f = synthesize_field(g, WavePackets(seed=seed, carrier=g.N / 8, width=g.L / 16, count=2))
+        u = semigroup_series(f, [0.0, 0.002, 0.01, 0.05], 1.0).to_physical().data
+    scales = rng.uniform(0.5, 2, (len(u), *lead) + (1,) * g.n)
+    return scales * u.reshape(len(u), *(1,) * len(lead), *g.shape)
+
+
+@pytest.mark.parametrize("n, N", [(1, 128), (2, 64), (3, 16)])
+@pytest.mark.parametrize("layout", ["scalar", "2-vector or parts", "parts of a 3-vector"])
+@pytest.mark.parametrize("kind", ["spike", "gaussian", "wave packets"])
+def test_bmo_kernel_matches_rolled_kernel_on_localized_data(n, N, layout, kind, call_count):
+    # a localized sample's mass rules out the larger cubes, so the kernel
+    # stops doubling early, with the rolled kernel's bits
+    g = make_grid(n, N, 2 * np.pi)
+    data = _localized_stack(g, kind, BMO_LAYOUTS[layout], seed=n * N)
+    calls = call_count(norms, "_shift_add")
+    assert _same_bits(data, g)
+    every_level = len(sample_chunks(data, g, copies=4)) * n * int(math.log2(N))
+    assert calls["_shift_add"] < every_level
+
+
+def test_bmo_kernel_stops_at_the_first_level_the_mass_rules_out(call_count):
+    # 128^2: 7 levels of 2 doublings.  A unit spike's level-1 osc^2, about
+    # 3/16, beats the level-2 bound of about mass / 16 = 1/16, so one level
+    # is measured.  White noise's sup, at the small cubes, beats the bound
+    # W / 4^6 = 4 of level 6.  cos(x) has its sup, 1/2, on the whole torus
+    # and every half-torus cube falls short of it, so every level runs
+    g = make_grid(2, 128, 2 * np.pi)
+    spike = np.zeros(g.shape)
+    spike[40, 70] = 1.0
+    calls = call_count(norms, "_shift_add")
+    for data, doublings in [(spike, 2), (np.random.default_rng(0).standard_normal(g.shape), 10),
+                            (np.cos(g.coordinates[0]), 14)]:
+        calls.clear()
+        assert bmo_norm(Field(g, data)) > 0
+        assert calls["_shift_add"] == doublings
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     grid=st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (2, 64), (3, 8), (3, 16)]),
@@ -637,11 +690,18 @@ def test_bmo_kernel_keeps_nan_for_non_finite_samples(n, N, layout):
     m=st.integers(1, 5),
     exponent=st.floats(-140, 150),
     seed=st.integers(0, 2**16),
+    localize=st.booleans(),
 )
-def test_bmo_kernel_bits_over_shapes_and_scales(grid, lead, m, exponent, seed):
+def test_bmo_kernel_bits_over_shapes_and_scales(grid, lead, m, exponent, seed, localize):
     # overflowing samples are measured again scaled, by both kernels alike
     g = make_grid(*grid, 2 * np.pi)
-    data = np.random.default_rng(seed).standard_normal((m, *lead, *g.shape)) * 10.0**exponent
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((m, *lead, *g.shape)) * 10.0**exponent
+    if localize:  # zero each sample outside a random periodic sub-box
+        for sample in data:
+            for ax in range(-g.n, 0):
+                start, size = rng.integers(0, g.N), rng.integers(1, g.N + 1)
+                np.moveaxis(sample, ax, 0)[(np.arange(g.N) - start) % g.N >= size] = 0
     with np.errstate(invalid="ignore", over="ignore"):
         want = norms._rescaled(bmo_norms_reference)(data, g)
     assert np.array_equal(norms._bmo_norms(data, g), want)
