@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and its three argument rules:
+"""Exception types shared across the package, and its argument rules:
 `require_positive` (a scale is positive and finite), `require_exponent` (an
 exponent lies in [1, inf]) and `require_count` (a count is an integer >= 1),
-each raising `PreconditionError` as ``f"{name}={value} must be ..."``."""
+each raising `PreconditionError` as ``f"{name}={value} must be ..."``; and
+the two rules of the paper's hypotheses on exponents, `require` (a named
+condition holds) and `require_relation` (an exponent relation holds within
+1e-9), raising it as ``f"{condition}, got {got}"``."""
 
 import math
 import numbers
@@ -46,3 +49,14 @@ def require_count(name: str, value) -> None:
     """Reject a count that is not an integer >= 1 (numpy integers are integers)."""
     if not (isinstance(value, numbers.Integral) and value >= 1):
         raise PreconditionError(f"{name}={value} must be an integer >= 1")
+
+
+def require(holds: bool, condition: str, got: str) -> None:
+    """Reject an input for which the named `condition` does not hold."""
+    if not holds:
+        raise PreconditionError(f"{condition}, got {got}")
+
+
+def require_relation(condition: str, residual: float) -> None:
+    """Reject exponents that miss the relation `condition` by over 1e-9 (or NaN)."""
+    require(abs(residual) <= 1e-9, condition, f"residual {residual:.3e}")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, require_exponent, require_positive
+from .errors import PreconditionError, require, require_exponent, require_positive, require_relation
 from .grid import (
     DilatableRecipe,
     Field,
@@ -68,8 +68,7 @@ class Triplet:
 
 def check_admissible(t: Triplet) -> float:
     """Signed admissibility defect 1/q - sigma (1/r - 1/p); zero means admissible."""
-    if not (1 < t.r <= t.p):
-        raise PreconditionError(f"admissibility needs 1 < r <= p, got r={t.r}, p={t.p}")
+    require(1 < t.r <= t.p, "admissibility needs 1 < r <= p", f"r={t.r}, p={t.p}")
     require_exponent("q", t.q)
     require_positive("scaling weight sigma", t.sigma)
     return _inv(t.q) - t.sigma * (_inv(t.r) - _inv(t.p))
@@ -78,7 +77,10 @@ def check_admissible(t: Triplet) -> float:
 def check_scaling_relation(
     q: float, p: float, q1: float, p1: float, alpha: float, n: int
 ) -> float:
-    """Signed residual of (1/q1' - 1/q) + (n/2a)(1/p1' - 1/p) - 1."""
+    """Signed residual of (1/q1' - 1/q) + (n/2a)(1/p1' - 1/p) - 1, for
+    exponents q, p, q1, p1 in [1, inf]."""
+    for name, value in (("q", q), ("p", p), ("q1", q1), ("p1", p1)):
+        require_exponent(name, value)
     alpha = _alpha_value(alpha)
     inv_q1c = 1.0 - _inv(q1)
     inv_p1c = 1.0 - _inv(p1)
@@ -130,6 +132,24 @@ def _require_horizon(name: str, T: float, times) -> None:
                                 "an estimate ends at its last time")
 
 
+def _require_endpoint(n: int, alpha: float, estimate: str) -> None:
+    """Reject n != 2 alpha for an endpoint estimate (BMO, the parabolic b-form)."""
+    require(abs(n - 2 * alpha) <= 1e-12, f"{estimate} requires n = 2*alpha",
+            f"n={n}, alpha={alpha}")
+
+
+def _homogeneous_hypotheses(n, alpha, q, p, kind) -> None:
+    """The homogeneous estimate's hypotheses: the BMO endpoint (n = 2 alpha,
+    q = 2) for kind 'bmo', and the excluded triplet (q, p, sigma) = (2, inf, 1),
+    sigma = n / (2 alpha) within a relative 1e-12."""
+    if kind == "bmo":
+        _require_endpoint(n, alpha, "bmo endpoint")
+        require(q == 2, "bmo endpoint requires q = 2", f"q={q}")
+    require(not (q == 2 and p == INF and abs(n / (2 * alpha) - 1.0) < 1e-12),
+            "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the homogeneous "
+            "estimate", f"q={q}, p={p}, n={n}, alpha={alpha}")
+
+
 def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
     """`homogeneous_ratio` of the data as a one-sample series `u` and its
     spectral form `uh`: the Lebesgue denominator reads u's samples, the
@@ -138,18 +158,7 @@ def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
     `sample_chunks` chunk of times at a time (`_evolved_chunks`)."""
     g = u.grid
     alpha = _alpha_value(alpha)
-    if kind == "bmo":
-        if abs(g.n - 2 * alpha) > 1e-12:
-            raise PreconditionError(
-                f"bmo endpoint requires n = 2*alpha, got n={g.n}, alpha={alpha}"
-            )
-        if q != 2:
-            raise PreconditionError("bmo endpoint requires q = 2")
-    if q == 2 and p == INF and abs(g.n / (2 * alpha) - 1.0) < 1e-12:
-        raise PreconditionError(
-            "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the "
-            "homogeneous estimate"
-        )
+    _homogeneous_hypotheses(g.n, alpha, q, p, kind)
     spec = NormSpec(kind, p=p, s=s)
     denom_kind = "lebesgue" if kind == "bmo" else kind
     data = u if denom_kind == "lebesgue" else uh
@@ -187,11 +196,23 @@ def inhomogeneous_ratio(
     return _inhomogeneous_ratio(forcing, F.grid, F.times, qp, q1p1, alpha, kind, s)
 
 
-def _require_inhomogeneous_kind(kind: str) -> None:
-    """Reject a kind that the inhomogeneous estimate has no pairing for."""
+def _inhomogeneous_hypotheses(n, alpha, qp, q1p1, kind, s) -> tuple[float, float]:
+    """The inhomogeneous estimate's hypotheses, and its conjugates (q1', p1'):
+    a `kind` it has a pairing for, 1 <= p1' < p <= inf, 1 < q1' < q < inf and
+    the scaling relation, whose residual is s / (2 alpha) for the Sobolev
+    pairing and zero otherwise."""
     if kind not in ("lebesgue", "sobolev", "besov"):
         raise PreconditionError(
             f"inhomogeneous estimate kind {kind!r} is not lebesgue, sobolev or besov")
+    (q, p), (q1, p1) = qp, q1p1
+    q1c, p1c = conjugate(q1), conjugate(p1)
+    require(1 <= p1c < p <= INF, "need 1 <= p1' < p <= inf", f"p1'={p1c}, p={p}")
+    require(1 < q1c < q < INF, "need 1 < q1' < q < inf", f"q1'={q1c}, q={q}")
+    target = s / (2 * alpha) if kind == "sobolev" else 0.0
+    require_relation(f"scaling relation (1/q1' - 1/q) + (n/2a)(1/p1' - 1/p) - 1 = {target:.3e} "
+                     f"for (q,p)=({q},{p}), (q1,p1)=({q1},{p1})",
+                     check_scaling_relation(q, p, q1, p1, alpha, n) - target)
+    return q1c, p1c
 
 
 def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
@@ -201,22 +222,9 @@ def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
     is marched (`_march`) into its integral in that stack, gives its
     numerator norms, and is dropped, so neither the forcing nor its integral
     is ever whole."""
-    _require_inhomogeneous_kind(kind)
-    q, p = qp
-    q1, p1 = q1p1
     alpha = _alpha_value(alpha)
-    q1c, p1c = conjugate(q1), conjugate(p1)
-    if not (1 <= p1c < p <= INF):
-        raise PreconditionError(f"need 1 <= p1' < p <= inf, got p1'={p1c}, p={p}")
-    if not (1 < q1c < q < INF):
-        raise PreconditionError(f"need 1 < q1' < q < inf, got q1'={q1c}, q={q}")
-    target = s / (2 * alpha) if kind == "sobolev" else 0.0
-    res = check_scaling_relation(q, p, q1, p1, alpha, g.n)
-    if abs(res - target) > 1e-9:
-        raise PreconditionError(
-            f"scaling relation residual {res:.3e} != {target:.3e} "
-            f"for exponents (q,p)=({q},{p}), (q1,p1)=({q1},{p1})"
-        )
+    q1c, p1c = _inhomogeneous_hypotheses(g.n, alpha, qp, q1p1, kind, s)
+    q, p = qp
     den_spec = NormSpec(kind, p=p1c, s=s)
     num_spec = NormSpec("besov", p=p, s=s) if kind == "besov" else NormSpec("lebesgue", p=p)
     march = _march(_march_times(times, times), _rate(g, alpha))
@@ -258,36 +266,38 @@ def parabolic_ratio(
     return _parabolic_ratio(u, u.to_spectral(), p, alpha, form, s_min, s_max, r, T)
 
 
+def _parabolic_hypotheses(n, alpha, p, form, s_min, s_max, r, T) -> None:
+    """The parabolic forms' hypotheses: the b-form at the endpoint n = 2 alpha
+    with 2 < p <= inf and s_min < s_max < inf; the a-form below it, n < 2 alpha,
+    with both r and T, a finite r and 1 <= r <= p."""
+    if form == "b":
+        _require_endpoint(n, alpha, "b-form")
+        require(p > 2, "b-form requires 2 < p <= inf", f"p={p}")
+        require(s_min < s_max < INF, "b-form needs s_min < s_max < inf",
+                f"s_min = {s_min}, s_max = {s_max}")
+    elif form == "a":
+        require(n < 2 * alpha, "a-form requires n < 2*alpha", f"n={n}, alpha={alpha}")
+        require(r is not None and T is not None, "a-form needs both r and T", f"r={r}, T={T}")
+        # r = inf leaves no r-th power to take
+        require(r != INF, "a-form requires a finite r", f"r={r}")
+        require(1 <= r <= p, "a-form requires 1 <= r <= p", f"r={r}, p={p}")
+    else:
+        raise PreconditionError(f"unknown parabolic form {form!r}")
+
+
 def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, r, T) -> float:
     """`parabolic_ratio` of the data as a one-sample series `u` and its
     spectral form `uh`, as in `_homogeneous_ratio`: the data norms read u's
     samples, the flow reads `uh` a chunk of times at a time."""
     g = u.grid
     alpha = _alpha_value(alpha)
+    _parabolic_hypotheses(g.n, alpha, p, form, s_min, s_max, r, T)
     if form == "b":
-        if abs(g.n - 2 * alpha) > 1e-12:
-            raise PreconditionError(
-                f"b-form requires n = 2*alpha, got n={g.n}, alpha={alpha}"
-            )
-        if not p > 2:
-            raise PreconditionError(f"b-form requires 2 < p <= inf, got p={p}")
-        if not s_min < s_max < INF:
-            raise PreconditionError(f"s_max = {s_max}: b-form needs s_min < s_max < inf")
         e, k = (2.0 / p if p != INF else 0.0), 2
         ss = geometric_times(s_min, s_max)
-    elif form == "a":
-        if not g.n < 2 * alpha:
-            raise PreconditionError(
-                f"a-form requires n < 2*alpha, got n={g.n}, alpha={alpha}"
-            )
-        if r is None or T is None:
-            raise PreconditionError("a-form needs both r and T")
-        if not (1 <= r <= p):
-            raise PreconditionError(f"a-form requires 1 <= r <= p, got r={r}, p={p}")
+    else:
         e, k = (g.n * r / (2 * p * alpha) if p != INF else 0.0), r
         ss = geometric_times(min(s_min, T * 1e-6), T)
-    else:
-        raise PreconditionError(f"unknown parabolic form {form!r}")
     vals = np.concatenate([lp_norms(w, p) for w in _evolved_chunks(uh, ss, _rate(g, alpha))])
     # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
     head = (lp_norms(u, p)[0], lambda v: ss[0] ** (1 - e) / (1 - e) * v**k)
@@ -330,8 +340,7 @@ def decay_fit(
     `parabolic_ratio`, the plain fit equals the per-time norms bit for bit;
     the flow is made and measured a chunk of times at a time.
     """
-    if not (1 <= r <= p):
-        raise PreconditionError(f"decay fit requires 1 <= r <= p, got r={r}, p={p}")
+    require(1 <= r <= p, "decay fit requires 1 <= r <= p", f"r={r}, p={p}")
     times = np.asarray(times, dtype=float)
     if len(times) < 2 or not np.all(times > 0):
         raise PreconditionError("decay fit times must be two or more, all positive")
@@ -396,10 +405,7 @@ def kernel_mixed_norm_fit(
     require_exponent("time exponent h", h)
     require_exponent("Lebesgue exponent r", r)
     w = (n * h / (2 * alpha)) * (1 - _inv(r)) if h != INF else INF
-    if not w < 1:
-        raise PreconditionError(
-            f"kernel norm window (n h / 2a)(1 - 1/r) = {w} must be < 1"
-        )
+    require(w < 1, "kernel norm window (n h / 2a)(1 - 1/r) must be < 1", f"{w}")
     if grid is None:
         grid = GridSpec(n=n, N=128, L=10.0)
     if grid.n != n:
@@ -429,11 +435,15 @@ def besov_embedding_ratio(f: Field, p: float) -> float:
     return _besov_embedding_ratio(u, u.to_spectral(), p)
 
 
+def _embedding_hypotheses(p) -> None:
+    """The critical Besov embedding's hypothesis, p > 2."""
+    require(p > 2, "embedding requires p > 2", f"p={p}")
+
+
 def _besov_embedding_ratio(u, uh, p) -> float:
     """`besov_embedding_ratio` of the data as a one-sample series `u` (for
     ||f||_2) and its spectral form `uh` (for the Besov norm)."""
-    if not p > 2:
-        raise PreconditionError(f"embedding requires p > 2, got p={p}")
+    _embedding_hypotheses(p)
     g = u.grid
     s = (2 - p) * g.n / (2 * p) if p != INF else -g.n / 2
     denom = float(lp_norms(u, 2)[0])
@@ -567,10 +577,38 @@ def dilation_sweep(
     alpha = _alpha_value(params["alpha"])
     if "T" in params:
         _require_horizon("params T", params["T"], params.get("times"))
+    # the estimate's hypotheses, then its ratio at a level (u, uh) of time scale tscale
+    n, p, kind, s = grid.n, params["p"], params.get("kind", "lebesgue"), params.get("s", 0.0)
+    if estimate_id in ("homogeneous", "bmo_endpoint"):
+        kind = "bmo" if estimate_id == "bmo_endpoint" else kind
+        _homogeneous_hypotheses(n, alpha, params["q"], p, kind)
+
+        def ratio(u, uh, tscale):
+            times = params["times"] * tscale if params.get("times") is not None else None
+            return _homogeneous_ratio(
+                u, uh, params["q"], p, alpha, params["T"] * tscale, times, kind, s)
+    elif estimate_id == "inhomogeneous":
+        qp, q1p1 = (params["q"], p), (params["q1"], params["p1"])
+        _inhomogeneous_hypotheses(n, alpha, qp, q1p1, kind, s)
+
+        def ratio(u, uh, tscale):
+            times, profile = params["times"] * tscale, params["profile"]
+            forcing = _separable_chunks(u, lambda t: profile(t / tscale), times)
+            return _inhomogeneous_ratio(forcing, grid, times, qp, q1p1, alpha, kind, s)
+    elif estimate_id == "parabolic":
+        s_min, s_max = params["s_min"], params["s_max"]
+        _parabolic_hypotheses(n, alpha, p, "b", s_min, s_max, None, None)
+
+        def ratio(u, uh, tscale):
+            return _parabolic_ratio(u, uh, p, alpha, "b", s_min * tscale, s_max * tscale,
+                                    None, None)
+    else:  # besov_embedding
+        _embedding_hypotheses(p)
+
+        def ratio(u, uh, tscale):
+            return _besov_embedding_ratio(u, uh, p)
     if "kind" in reads:  # the norm kind, and an s it must read (NORM_PARAMS)
-        if estimate_id == "inhomogeneous":
-            _require_inhomogeneous_kind(params.get("kind", "lebesgue"))
-        NormSpec(params.get("kind", "lebesgue"), s=params.get("s", 0.0))
+        NormSpec(kind, s=s)
     ratios, contams = [], []
     for lam in lambdas:
         f = synthesize_field(grid, recipe.dilated(lam))
@@ -584,34 +622,7 @@ def dilation_sweep(
             raise PreconditionError(
                 f"dilation lambda={lam}: spectral content at the Nyquist edge"
             )
-        tscale = lam ** (-2 * alpha)
-        if estimate_id in ("homogeneous", "bmo_endpoint"):
-            kind = "bmo" if estimate_id == "bmo_endpoint" else params.get("kind", "lebesgue")
-            T = params["T"] * tscale
-            times = params["times"] * tscale if params.get("times") is not None else None
-            val = _homogeneous_ratio(
-                u, uh, params["q"], params["p"], alpha, T, times, kind, params.get("s", 0.0)
-            )
-        elif estimate_id == "inhomogeneous":
-            times = params["times"] * tscale
-            profile = params["profile"]
-            forcing = _separable_chunks(u, lambda t: profile(t / tscale), times)
-            val = _inhomogeneous_ratio(
-                forcing,
-                grid,
-                times,
-                (params["q"], params["p"]),
-                (params["q1"], params["p1"]),
-                alpha,
-                params.get("kind", "lebesgue"),
-                params.get("s", 0.0),
-            )
-        elif estimate_id == "parabolic":
-            s_min, s_max = params["s_min"] * tscale, params["s_max"] * tscale
-            val = _parabolic_ratio(u, uh, params["p"], alpha, "b", s_min, s_max, r=None, T=None)
-        else:  # besov_embedding
-            val = _besov_embedding_ratio(u, uh, params["p"])
-        ratios.append(float(val))
+        ratios.append(float(ratio(u, uh, lam ** (-2 * alpha))))
         contams.append(float(con))
     base = ratios[lambdas.index(1) if 1 in lambdas else 0]
     max_drift = max(abs(rho / base - 1.0) for rho in ratios)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .errors import require_count, require_exponent, require_positive
+from .errors import require, require_count, require_exponent, require_positive, require_relation
 from .estimates import conjugate
 from .grid import (
     Field,
@@ -446,22 +446,14 @@ def solve_nse_picard(
         require_positive("c_est", c_est)
     # the upper endpoint alpha = 1/2 + n/4 is accepted: the measured
     # smallness gate below is what certifies the contraction
-    if not (0.5 < alpha <= 0.5 + n / 4):
-        raise PreconditionError(
-            f"alpha={alpha} outside the existence window (1/2, 1/2 + n/4) "
-            f"= (0.5, {0.5 + n / 4}) for n={n}"
-        )
-    if not p > n / (2 * alpha - 1):
-        raise PreconditionError(
-            f"p={p} must exceed n/(2 alpha - 1) = {n / (2 * alpha - 1)}"
-        )
+    require(0.5 < alpha <= 0.5 + n / 4,
+            f"alpha must lie in the existence window (1/2, 1/2 + n/4] = (0.5, {0.5 + n / 4}]",
+            f"alpha={alpha}, n={n}")
+    require(p > n / (2 * alpha - 1),
+            f"p={p} must exceed n/(2 alpha - 1) = {n / (2 * alpha - 1)}", f"n={n}, alpha={alpha}")
     require_exponent("time exponent q", q)
-    rel = (2 * alpha - 1) - (2 * alpha / q + n / p)
-    if abs(rel) > 1e-9:
-        raise PreconditionError(
-            f"exponent relation 2a-1 = 2a/q + n/p violated by {rel:.3e} "
-            f"for (q, p) = ({q}, {p})"
-        )
+    require_relation(f"exponent relation 2a-1 = 2a/q + n/p for (q, p) = ({q}, {p})",
+                     (2 * alpha - 1) - (2 * alpha / q + n / p))
     g0 = as_series(g).to_spectral()
     _require_velocity_series(g0, "initial velocity g", grid, "g")
     div_norm = lp_norms(TimeSeries.from_data(grid, [0.0], _divergence(g0.data, grid)), 2)[0]
@@ -606,11 +598,8 @@ def solve_potential_eq(
         require_exponent("potential exponent r", r)
         if not s > 0:
             raise PreconditionError(f"potential exponent s={s} must be positive")
-        res = 1.0 / r + n / (2 * alpha * s) - 1.0
-        if abs(res) > 1e-9:
-            raise PreconditionError(
-                f"potential integrability 1/r + n/(2 alpha s) = 1 violated by {res:.3e}"
-            )
+        require_relation(f"potential integrability 1/r + n/(2 alpha s) = 1 for (r, s) = "
+                         f"({r}, {s})", 1.0 / r + n / (2 * alpha * s) - 1.0)
     if not 0 < min_fraction <= 1:
         raise PreconditionError(f"min_fraction={min_fraction} must lie in (0, 1]")
     if V is not None:

@@ -623,6 +623,9 @@ class TestInputValidation:
                     ("1", "0.5", "r=0.5 must be >= 1"),
                 )
             ),
+            # window (n h / 2a)(1 - 1/r) = 2
+            (["kernel-norm", "--n", "2", "--alpha", "1", "--h", "4", "--r", "2"],
+             "kernel norm window"),
         ],
     )
     def test_non_numeric_value_exit_2(self, tmp_path, capsys, argv, named):
@@ -719,6 +722,20 @@ class TestInputValidation:
             # a Lebesgue sweep reported the ratios of s = 0 whatever s was
             ("verify", BASE_CFG + "kind = lebesgue\ns = 1\n",
              "s=1.0: the lebesgue norm does not read s"),
+            # each of the paper's hypotheses on exponents, named
+            ("nse-solve", NSE + "q = 4\np = 8\n", "exponent relation 2a-1 = 2a/q + n/p"),
+            ("potential-solve", TINY + "[solver]\nr = 4\ns = 2\n",
+             "potential integrability 1/r + n/(2 alpha s) = 1"),
+            ("verify", BASE_CFG.replace("= homogeneous", "= bmo_endpoint").replace(
+                "alpha = 1.0", "alpha = 0.75").replace("q = 4", "q = 2"),
+             "bmo endpoint requires n = 2*alpha"),
+            ("verify", BASE_CFG.replace("q = 4", "q = 2").replace("p = 4", "p = inf"),
+             "the triplet (q, p, sigma) = (2, inf, 1) is excluded"),
+            ("verify", BASE_CFG.replace("= homogeneous", "= inhomogeneous").replace(
+                "p = 4", "p = 8"), "scaling relation"),
+            ("verify", PARABOLIC_CFG.replace("p = 4", "p = 2"), "b-form requires 2 < p <= inf"),
+            ("verify", PARABOLIC_CFG.replace("= parabolic", "= besov_embedding").replace(
+                "p = 4", "p = 2"), "embedding requires p > 2"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )

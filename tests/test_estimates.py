@@ -113,6 +113,13 @@ class TestScalingRelation:
         # and holds at n/2a = 1 (direct arithmetic)
         assert np.isclose(check_scaling_relation(2, INF, 2, INF, 1.0, 2), 0.0)
 
+    @pytest.mark.parametrize("name", ["q", "p", "q1", "p1"])
+    def test_exponents_below_one_rejected_by_name(self, name):
+        # q1 = 0.5 gave a residual of -1.75; check_admissible names its q
+        exponents = {"q": 4, "p": 4, "q1": 4, "p1": 4, name: 0.5}
+        with pytest.raises(PreconditionError, match=f"^{name}=0.5 must be >= 1"):
+            check_scaling_relation(**exponents, alpha=1.0, n=2)
+
 
 class TestHomogeneousRatio:
     def test_plane_wave_closed_form(self):
@@ -287,12 +294,20 @@ class TestParabolicRatio:
         ({"form": "a", "r": 2.0}, "a-form needs both r and T"),
         ({"form": "a", "r": 5.0, "T": 1.0}, "a-form requires 1 <= r <= p, got r=5.0, p=4.0"),
         ({"form": "c"}, "unknown parabolic form 'c'"),
+        ({"form": "a", "r": INF, "T": 1.0}, "a-form requires a finite r, got r=inf"),
     ])
     def test_form_arguments_rejected_by_name(self, kwargs, named):
         g = make_grid(1, 64, 2 * np.pi)  # n = 1 < 2 alpha: the a-form's dimension
         f = synthesize_field(g, GaussianBump(width=0.3))
         with pytest.raises(PreconditionError, match=named):
             parabolic_ratio(f, 4.0, 1.0, **kwargs)
+
+    def test_a_form_infinite_r_rejected_at_infinite_p(self):
+        # r = p = inf meets 1 <= r <= p, and the ratio read 1e-06: no r-th power
+        g = make_grid(1, 64, 2 * np.pi)
+        f = synthesize_field(g, GaussianBump(width=0.3))
+        with pytest.raises(PreconditionError, match="a-form requires a finite r, got r=inf"):
+            parabolic_ratio(f, INF, 1.0, form="a", r=INF, T=1.0)
 
     def test_b_form_stable_under_tail_doubling(self):
         g = make_grid(2, 64, 2 * np.pi)
@@ -617,6 +632,15 @@ class TestDilationSweep:
          "params times: needed by the inhomogeneous sweep"),
         ([1, 2], "parabolic", {"alpha": 1.0, "p": 4.0, "s_min": 1e-6}, "params s_max: needed"),
         ([1, 2], "besov_embedding", {"p": 4.0}, "params alpha: needed"),
+        # the estimate's hypotheses on its exponents were checked at the first level
+        ([1, 2], "parabolic", {"alpha": 1.0, "p": 2.0, "s_min": 1e-6, "s_max": 6.0},
+         r"b-form requires 2 < p <= inf, got p=2.0"),
+        ([1, 2], "besov_embedding", {"alpha": 1.0, "p": 2.0}, "embedding requires p > 2, got p=2.0"),
+        ([1, 2], "bmo_endpoint", {**HOM, "alpha": 0.75, "q": 2.0},
+         r"bmo endpoint requires n = 2\*alpha, got n=2, alpha=0.75"),
+        ([1, 2], "homogeneous", {**HOM, "q": 2.0, "p": INF},
+         r"the triplet \(q, p, sigma\) = \(2, inf, 1\) is excluded"),
+        ([1, 2], "inhomogeneous", {**INH, "p": 8.0}, "scaling relation .*got residual 1.250e-01"),
     ])
     def test_bad_level_estimate_or_param_rejected_before_any_level(
         self, call_count, lambdas, estimate_id, params, named
