@@ -29,13 +29,15 @@ from .grid import (
     WindowedPowerlaw,
     _dft,
     _half,
+    _require_times,
     as_series,
     geometric_times,
     require_whole_space,
     sample_chunks,
     synthesize_field,
 )
-from .norms import NormSpec, _multiplier_norms, _time_integral, _time_norm, lp_norms
+from .norms import (
+    NormSpec, _multiplier_norms, _require_time_grid, _time_integral, _time_norm, lp_norms)
 from .semigroup import _alpha_value, _evolved_chunks, _march, _march_times, _rate, kernel_data
 from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
@@ -120,9 +122,14 @@ def homogeneous_ratio(
     data norm at integrability 2 (plain L^2 for lebesgue/bmo kinds).  `T` is
     the last of `times`, when they are given.
     """
-    _require_horizon("T", T, times)
+    return _of_field(_homogeneous(f.grid, q, p, alpha, T, times, kind, s), f)
+
+
+def _of_field(ratio, f) -> float:
+    """A bound ratio of the data `f`, read once: as a one-sample series u and
+    its spectral form uh, the pair every ratio but the inhomogeneous reads."""
     u = as_series(f)
-    return _homogeneous_ratio(u, u.to_spectral(), q, p, alpha, T, times, kind, s)
+    return ratio(u, u.to_spectral())
 
 
 def _require_horizon(name: str, T: float, times) -> None:
@@ -138,38 +145,34 @@ def _require_endpoint(n: int, alpha: float, estimate: str) -> None:
             f"n={n}, alpha={alpha}")
 
 
-def _homogeneous_hypotheses(n, alpha, q, p, kind) -> None:
-    """The homogeneous estimate's hypotheses: the BMO endpoint (n = 2 alpha,
-    q = 2) for kind 'bmo', and the excluded triplet (q, p, sigma) = (2, inf, 1),
-    sigma = n / (2 alpha) within a relative 1e-12."""
+def _homogeneous(grid, q, p, alpha, T, times, kind, s):
+    """`homogeneous_ratio` on `grid`, checked and bound as a function of the
+    data as a series u and its spectral form uh.  Checked: the horizon, the
+    BMO endpoint (n = 2 alpha, q = 2) for kind 'bmo', the excluded triplet
+    (q, p, n / (2 alpha)) = (2, inf, 1) within a relative 1e-12, the norm
+    specs and the time grid.  The Lebesgue denominator reads u, the others
+    and the evolution read uh, a chunk of times at a time."""
+    _require_horizon("T", T, times)
+    n, alpha = grid.n, _alpha_value(alpha)
     if kind == "bmo":
         _require_endpoint(n, alpha, "bmo endpoint")
         require(q == 2, "bmo endpoint requires q = 2", f"q={q}")
     require(not (q == 2 and p == INF and abs(n / (2 * alpha) - 1.0) < 1e-12),
             "the triplet (q, p, sigma) = (2, inf, 1) is excluded from the homogeneous "
             "estimate", f"q={q}, p={p}, n={n}, alpha={alpha}")
-
-
-def _homogeneous_ratio(u, uh, q, p, alpha, T, times, kind, s) -> float:
-    """`homogeneous_ratio` of the data as a one-sample series `u` and its
-    spectral form `uh`: the Lebesgue denominator reads u's samples, the
-    Sobolev and Besov ones and the evolution read `uh` (the same bits as
-    transforming u again).  The evolution is made and measured a
-    `sample_chunks` chunk of times at a time (`_evolved_chunks`)."""
-    g = u.grid
-    alpha = _alpha_value(alpha)
-    _homogeneous_hypotheses(g.n, alpha, q, p, kind)
     spec = NormSpec(kind, p=p, s=s)
-    denom_kind = "lebesgue" if kind == "bmo" else kind
-    data = u if denom_kind == "lebesgue" else uh
-    denom = float(NormSpec(denom_kind, p=2, s=s).norms(data)[0])
-    if denom == 0.0:
-        raise PreconditionError("zero data: ratio undefined")
+    denom_spec = NormSpec("lebesgue" if kind == "bmo" else kind, p=2, s=s)
+    ts = default_time_grid(T) if times is None else _require_times(times, "times")
+    _require_time_grid(ts, q)
 
-    ts = times if times is not None else default_time_grid(T)
-    vals = [spec.norms(w) for w in _evolved_chunks(uh, ts, _rate(g, alpha))]
-    # no times make no chunk: `_time_norm` rejects them by name
-    return _time_norm(np.concatenate(vals or [[]]), ts, q) / denom
+    def ratio(u, uh):
+        denom = float(denom_spec.norms(u if denom_spec.kind == "lebesgue" else uh)[0])
+        if denom == 0.0:
+            raise PreconditionError("zero data: ratio undefined")
+        vals = [spec.norms(w) for w in _evolved_chunks(uh, ts, _rate(grid, alpha))]
+        return _time_norm(np.concatenate(vals), ts, q) / denom
+
+    return ratio
 
 
 def inhomogeneous_ratio(
@@ -191,56 +194,54 @@ def inhomogeneous_ratio(
     `sample_chunks` chunk at a time, as a sweep's forcing does; its data is
     only read.
     """
-    forcing = (TimeSeries.from_data(F.grid, F.times[c], F.data[c], F.representation, F.parts)
-               for c in sample_chunks(F.data, F.grid))
-    return _inhomogeneous_ratio(forcing, F.grid, F.times, qp, q1p1, alpha, kind, s)
+    ratio = _inhomogeneous(F.grid, F.times, qp, q1p1, alpha, kind, s)
+    return ratio(TimeSeries.from_data(F.grid, F.times[c], F.data[c], F.representation, F.parts)
+                 for c in sample_chunks(F.data, F.grid))
 
 
-def _inhomogeneous_hypotheses(n, alpha, qp, q1p1, kind, s) -> tuple[float, float]:
-    """The inhomogeneous estimate's hypotheses, and its conjugates (q1', p1'):
-    a `kind` it has a pairing for, 1 <= p1' < p <= inf, 1 < q1' < q < inf and
-    the scaling relation, whose residual is s / (2 alpha) for the Sobolev
-    pairing and zero otherwise."""
+def _inhomogeneous(grid, times, qp, q1p1, alpha, kind, s):
+    """`inhomogeneous_ratio` on `grid` and `times`, checked and bound as a
+    function of the forcing: series on consecutive pieces of `times`, in
+    time order.  Checked: a `kind` it has a pairing for, q, p, q1, p1 in
+    [1, inf], 1 <= p1' < p <= inf, 1 < q1' < q < inf, the scaling relation
+    (residual s / (2 alpha) for the Sobolev pairing, else zero), the norm
+    specs and `_march_times`.  Each chunk gives its denominator norms, is
+    marched (`_march`, stateful, so one per call) into its integral in its
+    half spectra, gives its numerator norms and is dropped."""
+    alpha = _alpha_value(alpha)
     if kind not in ("lebesgue", "sobolev", "besov"):
         raise PreconditionError(
             f"inhomogeneous estimate kind {kind!r} is not lebesgue, sobolev or besov")
     (q, p), (q1, p1) = qp, q1p1
+    target = s / (2 * alpha) if kind == "sobolev" else 0.0
+    residual = check_scaling_relation(q, p, q1, p1, alpha, grid.n) - target
     q1c, p1c = conjugate(q1), conjugate(p1)
     require(1 <= p1c < p <= INF, "need 1 <= p1' < p <= inf", f"p1'={p1c}, p={p}")
     require(1 < q1c < q < INF, "need 1 < q1' < q < inf", f"q1'={q1c}, q={q}")
-    target = s / (2 * alpha) if kind == "sobolev" else 0.0
     require_relation(f"scaling relation (1/q1' - 1/q) + (n/2a)(1/p1' - 1/p) - 1 = {target:.3e} "
-                     f"for (q,p)=({q},{p}), (q1,p1)=({q1},{p1})",
-                     check_scaling_relation(q, p, q1, p1, alpha, n) - target)
-    return q1c, p1c
-
-
-def _inhomogeneous_ratio(forcing, g, times, qp, q1p1, alpha, kind, s) -> float:
-    """`inhomogeneous_ratio` of a forcing on the time grid `times`, handed
-    over as `forcing`: series on consecutive pieces of that grid, in time
-    order.  Each chunk gives its denominator norms, goes to half spectra,
-    is marched (`_march`) into its integral in that stack, gives its
-    numerator norms, and is dropped, so neither the forcing nor its integral
-    is ever whole."""
-    alpha = _alpha_value(alpha)
-    q1c, p1c = _inhomogeneous_hypotheses(g.n, alpha, qp, q1p1, kind, s)
-    q, p = qp
+                     f"for (q,p)=({q},{p}), (q1,p1)=({q1},{p1})", residual)
     den_spec = NormSpec(kind, p=p1c, s=s)
     num_spec = NormSpec("besov", p=p, s=s) if kind == "besov" else NormSpec("lebesgue", p=p)
-    march = _march(_march_times(times, times), _rate(g, alpha))
-    den, num = [], []
-    for Fc in forcing:
-        den.append(den_spec.norms(Fc))
-        data = Fc.data.copy() if Fc.representation == SPECTRAL else _dft(Fc.data, g, "forward")
-        integral = TimeSeries.from_data(g, Fc.times, data, SPECTRAL, Fc.parts)
-        del Fc, data
-        march(integral.data)
-        num.append(num_spec.norms(integral))
-        del integral  # released before the next chunk is built
-    denom = _time_norm(np.concatenate(den), times, q1c)
-    if denom == 0.0:
-        raise PreconditionError("zero forcing: ratio undefined")
-    return _time_norm(np.concatenate(num), times, q) / denom
+    t_eval = _march_times(times, times)
+
+    def ratio(forcing):
+        march = _march(t_eval, _rate(grid, alpha))
+        den, num = [], []
+        for Fc in forcing:
+            den.append(den_spec.norms(Fc))
+            data = (Fc.data.copy() if Fc.representation == SPECTRAL
+                    else _dft(Fc.data, grid, "forward"))
+            integral = TimeSeries.from_data(grid, Fc.times, data, SPECTRAL, Fc.parts)
+            del Fc, data
+            march(integral.data)
+            num.append(num_spec.norms(integral))
+            del integral  # released before the next chunk is built
+        denom = _time_norm(np.concatenate(den), times, q1c)
+        if denom == 0.0:
+            raise PreconditionError("zero forcing: ratio undefined")
+        return _time_norm(np.concatenate(num), times, q) / denom
+
+    return ratio
 
 
 def parabolic_ratio(
@@ -262,49 +263,44 @@ def parabolic_ratio(
     k = r, to T; over T^(1 - n/(2 alpha)) ||f||_r^r, in the integral's scale.
     The flow's norms equal lp_norm(apply_semigroup(f, s, alpha), p) bit for bit.
     """
-    u = as_series(f)
-    return _parabolic_ratio(u, u.to_spectral(), p, alpha, form, s_min, s_max, r, T)
+    return _of_field(_parabolic(f.grid, p, alpha, form, s_min, s_max, r, T), f)
 
 
-def _parabolic_hypotheses(n, alpha, p, form, s_min, s_max, r, T) -> None:
-    """The parabolic forms' hypotheses: the b-form at the endpoint n = 2 alpha
-    with 2 < p <= inf and s_min < s_max < inf; the a-form below it, n < 2 alpha,
-    with both r and T, a finite r and 1 <= r <= p."""
+def _parabolic(grid, p, alpha, form, s_min, s_max, r, T):
+    """`parabolic_ratio` on `grid`, checked and bound as in `_homogeneous`:
+    the b-form at n = 2 alpha with 2 < p <= inf and s_min < s_max < inf; the
+    a-form below it, n < 2 alpha, with r and T, a finite r and 1 <= r <= p;
+    and the geometric s grid."""
+    n, alpha = grid.n, _alpha_value(alpha)
     if form == "b":
         _require_endpoint(n, alpha, "b-form")
         require(p > 2, "b-form requires 2 < p <= inf", f"p={p}")
         require(s_min < s_max < INF, "b-form needs s_min < s_max < inf",
                 f"s_min = {s_min}, s_max = {s_max}")
+        e, k = (2.0 / p if p != INF else 0.0), 2
+        ss = geometric_times(s_min, s_max)
     elif form == "a":
         require(n < 2 * alpha, "a-form requires n < 2*alpha", f"n={n}, alpha={alpha}")
         require(r is not None and T is not None, "a-form needs both r and T", f"r={r}, T={T}")
         # r = inf leaves no r-th power to take
         require(r != INF, "a-form requires a finite r", f"r={r}")
         require(1 <= r <= p, "a-form requires 1 <= r <= p", f"r={r}, p={p}")
+        e, k = (n * r / (2 * p * alpha) if p != INF else 0.0), r
+        ss = geometric_times(min(s_min, T * 1e-6), T)
     else:
         raise PreconditionError(f"unknown parabolic form {form!r}")
 
+    def ratio(u, uh):
+        flow = _evolved_chunks(uh, ss, _rate(grid, alpha))
+        vals = np.concatenate([lp_norms(w, p) for w in flow])
+        # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
+        head = (lp_norms(u, p)[0], lambda v: ss[0] ** (1 - e) / (1 - e) * v**k)
+        total, scale = _time_integral(vals, ss, k, ss ** (-e), head)
+        if form == "b":
+            return float(math.sqrt(total) / (lp_norms(u, 2)[0] / scale))
+        return float(total / (T ** (1 - n / (2 * alpha)) * (lp_norms(u, r)[0] / scale) ** r))
 
-def _parabolic_ratio(u, uh, p, alpha, form, s_min, s_max, r, T) -> float:
-    """`parabolic_ratio` of the data as a one-sample series `u` and its
-    spectral form `uh`, as in `_homogeneous_ratio`: the data norms read u's
-    samples, the flow reads `uh` a chunk of times at a time."""
-    g = u.grid
-    alpha = _alpha_value(alpha)
-    _parabolic_hypotheses(g.n, alpha, p, form, s_min, s_max, r, T)
-    if form == "b":
-        e, k = (2.0 / p if p != INF else 0.0), 2
-        ss = geometric_times(s_min, s_max)
-    else:
-        e, k = (g.n * r / (2 * p * alpha) if p != INF else 0.0), r
-        ss = geometric_times(min(s_min, T * 1e-6), T)
-    vals = np.concatenate([lp_norms(w, p) for w in _evolved_chunks(uh, ss, _rate(g, alpha))])
-    # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
-    head = (lp_norms(u, p)[0], lambda v: ss[0] ** (1 - e) / (1 - e) * v**k)
-    total, scale = _time_integral(vals, ss, k, ss ** (-e), head)
-    if form == "b":
-        return float(math.sqrt(total) / (lp_norms(u, 2)[0] / scale))
-    return float(total / (T ** (1 - g.n / (2 * alpha)) * (lp_norms(u, r)[0] / scale) ** r))
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -431,25 +427,22 @@ def kernel_mixed_norm_fit(
 
 def besov_embedding_ratio(f: Field, p: float) -> float:
     """Homogeneous Besov norm at the critical order s = (2-p) n / (2p) over ||f||_2."""
-    u = as_series(f)
-    return _besov_embedding_ratio(u, u.to_spectral(), p)
+    return _of_field(_besov_embedding(f.grid, p), f)
 
 
-def _embedding_hypotheses(p) -> None:
-    """The critical Besov embedding's hypothesis, p > 2."""
+def _besov_embedding(grid, p):
+    """`besov_embedding_ratio` on `grid`, checked (p > 2, the norm spec) and
+    bound as in `_homogeneous`: ||f||_2 reads u, the Besov norm uh."""
     require(p > 2, "embedding requires p > 2", f"p={p}")
+    spec = NormSpec("besov", p=p, s=(2 - p) * grid.n / (2 * p) if p != INF else -grid.n / 2)
 
+    def ratio(u, uh):
+        denom = float(lp_norms(u, 2)[0])
+        if denom == 0.0:
+            raise PreconditionError("zero data: ratio undefined")
+        return float(spec.norms(uh)[0]) / denom
 
-def _besov_embedding_ratio(u, uh, p) -> float:
-    """`besov_embedding_ratio` of the data as a one-sample series `u` (for
-    ||f||_2) and its spectral form `uh` (for the Besov norm)."""
-    _embedding_hypotheses(p)
-    g = u.grid
-    s = (2 - p) * g.n / (2 * p) if p != INF else -g.n / 2
-    denom = float(lp_norms(u, 2)[0])
-    if denom == 0.0:
-        raise PreconditionError("zero data: ratio undefined")
-    return float(NormSpec("besov", p=p, s=s).norms(uh)[0]) / denom
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +530,26 @@ SWEEP_PARAMS = {
 }
 
 
+def _level(estimate_id: str, grid: GridSpec, alpha: float, params: dict, tscale: float):
+    """The ratio of a sweep level of time scale `tscale`, bound from `params`
+    (every check of its estimate made): a function of the level's one-sample
+    series and its spectral form."""
+    p, kind, s = params["p"], params.get("kind", "lebesgue"), params.get("s", 0.0)
+    if estimate_id == "inhomogeneous":
+        times, profile = params["times"] * tscale, params["profile"]
+        ratio = _inhomogeneous(grid, times, (params["q"], p), (params["q1"], params["p1"]),
+                               alpha, kind, s)
+        return lambda u, uh: ratio(_separable_chunks(u, lambda t: profile(t / tscale), times))
+    if estimate_id == "parabolic":
+        return _parabolic(grid, p, alpha, "b", params["s_min"] * tscale,
+                          params["s_max"] * tscale, None, None)
+    if estimate_id == "besov_embedding":
+        return _besov_embedding(grid, p)
+    times = params["times"] * tscale if params.get("times") is not None else None
+    return _homogeneous(grid, params["q"], p, alpha, params["T"] * tscale, times,
+                        "bmo" if estimate_id == "bmo_endpoint" else kind, s)
+
+
 def dilation_sweep(
     recipe,
     grid: GridSpec,
@@ -554,7 +567,9 @@ def dilation_sweep(
     key of SWEEP_PARAMS, every `params` key must be one its estimate reads
     (alpha, p and its SWEEP_PARAMS entry) and every param it needs must be
     given, or the sweep raises naming the key; a `T` given with `times`
-    must be their last, and a nonzero `s` needs a `kind` that reads it.
+    must be their last.  Then every level's ratio is bound (`_level`), and so
+    checked: its estimate's hypotheses, exponents, norm specs (a nonzero `s`
+    needs a `kind` that reads it) and time or s grid.
     max_drift is max over lambda of |ratio(lambda) / ratio(1) - 1|.
     """
     if not isinstance(recipe, DilatableRecipe):
@@ -577,40 +592,10 @@ def dilation_sweep(
     alpha = _alpha_value(params["alpha"])
     if "T" in params:
         _require_horizon("params T", params["T"], params.get("times"))
-    # the estimate's hypotheses, then its ratio at a level (u, uh) of time scale tscale
-    n, p, kind, s = grid.n, params["p"], params.get("kind", "lebesgue"), params.get("s", 0.0)
-    if estimate_id in ("homogeneous", "bmo_endpoint"):
-        kind = "bmo" if estimate_id == "bmo_endpoint" else kind
-        _homogeneous_hypotheses(n, alpha, params["q"], p, kind)
-
-        def ratio(u, uh, tscale):
-            times = params["times"] * tscale if params.get("times") is not None else None
-            return _homogeneous_ratio(
-                u, uh, params["q"], p, alpha, params["T"] * tscale, times, kind, s)
-    elif estimate_id == "inhomogeneous":
-        qp, q1p1 = (params["q"], p), (params["q1"], params["p1"])
-        _inhomogeneous_hypotheses(n, alpha, qp, q1p1, kind, s)
-
-        def ratio(u, uh, tscale):
-            times, profile = params["times"] * tscale, params["profile"]
-            forcing = _separable_chunks(u, lambda t: profile(t / tscale), times)
-            return _inhomogeneous_ratio(forcing, grid, times, qp, q1p1, alpha, kind, s)
-    elif estimate_id == "parabolic":
-        s_min, s_max = params["s_min"], params["s_max"]
-        _parabolic_hypotheses(n, alpha, p, "b", s_min, s_max, None, None)
-
-        def ratio(u, uh, tscale):
-            return _parabolic_ratio(u, uh, p, alpha, "b", s_min * tscale, s_max * tscale,
-                                    None, None)
-    else:  # besov_embedding
-        _embedding_hypotheses(p)
-
-        def ratio(u, uh, tscale):
-            return _besov_embedding_ratio(u, uh, p)
-    if "kind" in reads:  # the norm kind, and an s it must read (NORM_PARAMS)
-        NormSpec(kind, s=s)
+    # every level's ratio, bound and so checked before the first level is made
+    bound = [_level(estimate_id, grid, alpha, params, lam ** (-2 * alpha)) for lam in lambdas]
     ratios, contams = [], []
-    for lam in lambdas:
+    for lam, ratio in zip(lambdas, bound):
         f = synthesize_field(grid, recipe.dilated(lam))
         con = require_whole_space(f, f"dilation lambda={lam}")
         # the level's one series and its spectrum: the Nyquist gate and every
@@ -622,7 +607,7 @@ def dilation_sweep(
             raise PreconditionError(
                 f"dilation lambda={lam}: spectral content at the Nyquist edge"
             )
-        ratios.append(float(ratio(u, uh, lam ** (-2 * alpha))))
+        ratios.append(float(ratio(u, uh)))
         contams.append(float(con))
     base = ratios[lambdas.index(1) if 1 in lambdas else 0]
     max_drift = max(abs(rho / base - 1.0) for rho in ratios)

@@ -150,15 +150,19 @@ def mixed_norm(u: TimeSeries, q: float, p: float) -> float:
 
 def _time_norm(vals: np.ndarray, times: np.ndarray, q: float) -> float:
     """L^q over the sample grid `times` of the per-sample norms `vals`: the
-    root of `_time_integral`, the max for q = inf.  PreconditionError unless
-    there are two or more samples and q >= 1."""
-    if len(times) < 2:
-        raise PreconditionError("mixed norm needs at least two time samples")
-    require_exponent("time exponent q", q)
+    root of `_time_integral`, the max for q = inf (`_require_time_grid`)."""
+    _require_time_grid(times, q)
     if q == INF:
         return float(vals.max())
     total, scale = _time_integral(vals, times, q)
     return float(scale * total ** (1.0 / q))
+
+
+def _require_time_grid(times, q: float) -> None:
+    """PreconditionError unless there are two or more `times` and q >= 1."""
+    if len(times) < 2:
+        raise PreconditionError("mixed norm needs at least two time samples")
+    require_exponent("time exponent q", q)
 
 
 def _time_integral(vals, times, k, weight=1.0, head=(0.0, lambda v: 0.0)):

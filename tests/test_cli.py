@@ -733,6 +733,9 @@ class TestInputValidation:
              "the triplet (q, p, sigma) = (2, inf, 1) is excluded"),
             ("verify", BASE_CFG.replace("= homogeneous", "= inhomogeneous").replace(
                 "p = 4", "p = 8"), "scaling relation"),
+            # q1's conjugate was taken first, which named it p
+            ("verify", BASE_CFG.replace("= homogeneous", "= inhomogeneous") + "q1 = 0.5\n",
+             "q1=0.5 must be >= 1"),
             ("verify", PARABOLIC_CFG.replace("p = 4", "p = 2"), "b-form requires 2 < p <= inf"),
             ("verify", PARABOLIC_CFG.replace("= parabolic", "= besov_embedding").replace(
                 "p = 4", "p = 2"), "embedding requires p > 2"),

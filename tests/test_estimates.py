@@ -253,6 +253,14 @@ class TestInhomogeneousRatio:
         with pytest.raises(PreconditionError):
             inhomogeneous_ratio(F, (4, 8), (4, 4), 1.0)  # relation violated
 
+    @pytest.mark.parametrize("q1p1, named", [((0.5, 4), "q1=0.5"), ((4, 0.5), "p1=0.5")])
+    def test_forcing_exponent_below_one_rejected_by_name(self, q1p1, named):
+        # its conjugate was taken first, which named either exponent p
+        g = make_grid(2, 16, 2 * np.pi)
+        F = self._forcing(g, synthesize_field(g, PlaneWave(k=(1, 0))), lambda t: 1.0, 1.0, 4)
+        with pytest.raises(PreconditionError, match=f"^{named} must be >= 1"):
+            inhomogeneous_ratio(F, (4, 4), q1p1, 1.0)
+
     def test_sobolev_pairing_sweep(self):
         # smoothing pairing at n=2, alpha=1/2: numerator L^2_t L^4_x,
         # denominator L^(q1')_t Hdot^(1/2, p1')_x with (q1', p1') = (1.2, 1.2);
@@ -514,6 +522,24 @@ def test_besov_embedding_rejected_by_name(scale, p, named):
         besov_embedding_ratio(Field(g, scale * f.data), p)
 
 
+@pytest.mark.parametrize("ratio, args, kwargs, named", [
+    (homogeneous_ratio, (0.5, 4.0, 1.0, 0.05), {}, "time exponent q=0.5 must be >= 1"),
+    (parabolic_ratio, (4.0, 1.0), {"s_min": 0.0}, "geometric time grid needs 0 < t_min"),
+    (besov_embedding_ratio, (2.0,), {}, "embedding requires p > 2"),
+])
+def test_public_ratio_rejects_before_reading_the_field(
+    fft_count, call_count, ratio, args, kwargs, named
+):
+    # each scanned and transformed its Field before checking its arguments
+    g = make_grid(2, 64, 2 * np.pi)
+    f = synthesize_field(g, GaussianBump(width=g.L / 21))
+    fft_count.clear()
+    reads = call_count(fracheat.grid, "is_real")
+    with pytest.raises(PreconditionError, match=named):
+        ratio(f, *args, **kwargs)
+    assert fft_count["rfftn"] == 0 and reads["is_real"] == 0
+
+
 class TestKernelNormFit:
     def test_grid_of_another_dimension_rejected(self):
         with pytest.raises(PreconditionError, match="grid dimension does not match n"):
@@ -641,6 +667,15 @@ class TestDilationSweep:
         ([1, 2], "homogeneous", {**HOM, "q": 2.0, "p": INF},
          r"the triplet \(q, p, sigma\) = \(2, inf, 1\) is excluded"),
         ([1, 2], "inhomogeneous", {**INH, "p": 8.0}, "scaling relation .*got residual 1.250e-01"),
+        # exponent ranges and time grids were checked after the first level was made
+        ([1, 2], "homogeneous", {**HOM, "q": 0.5}, "time exponent q=0.5 must be >= 1"),
+        ([1, 2], "homogeneous", {**HOM, "p": 0.5}, "p=0.5 must be >= 1"),
+        ([1, 2], "homogeneous", {**HOM, "T": 0.0}, "time horizon T=0.0 must be positive"),
+        ([1, 2], "bmo_endpoint", {**HOM, "q": 2.0, "T": -1.0},
+         "time horizon T=-1.0 must be positive"),
+        ([1, 2], "parabolic", {"alpha": 1.0, "p": 4.0, "s_min": 0.0, "s_max": 6.0},
+         "geometric time grid needs 0 < t_min"),
+        ([1, 2], "inhomogeneous", {**INH, "q1": 0.5}, "^q1=0.5 must be >= 1"),
     ])
     def test_bad_level_estimate_or_param_rejected_before_any_level(
         self, call_count, lambdas, estimate_id, params, named
@@ -710,14 +745,8 @@ class TestDilationSweep:
         )
         assert rep.verdict == "pass"
 
-    @pytest.mark.parametrize("estimate_id, ratio", [
-        ("homogeneous", "_evolved_chunks"),
-        ("bmo_endpoint", "_evolved_chunks"),
-        ("inhomogeneous", "_inhomogeneous_ratio"),
-        ("parabolic", "_parabolic_ratio"),
-        ("besov_embedding", "_besov_embedding_ratio"),
-    ])
-    def test_level_field_is_released_before_the_ratio(self, monkeypatch, estimate_id, ratio):
+    @pytest.mark.parametrize("estimate_id", list(estimates.SWEEP_PARAMS))
+    def test_level_field_is_released_before_the_ratio(self, monkeypatch, estimate_id):
         # every ratio reads the level's series and spectrum, so the level's
         # data Field is freed before the ratio runs
         g = make_grid(2, 64, 2 * np.pi)
@@ -727,19 +756,24 @@ class TestDilationSweep:
         params = {k: every[k] for k in ("alpha", "p", *estimates.SWEEP_PARAMS[estimate_id])
                   if k in every}
         fields, alive = [], []
-        synthesize, evolve = estimates.synthesize_field, getattr(estimates, ratio)
+        synthesize, level = estimates.synthesize_field, estimates._level
 
         def synthesize_spy(*args):
             f = synthesize(*args)
             fields.append(weakref.ref(f))
             return f
 
-        def evolve_spy(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in fields))
-            return evolve(*args, **kwargs)
+        def level_spy(*args):
+            ratio = level(*args)
+
+            def ratio_spy(*args):
+                alive.append(sum(ref() is not None for ref in fields))
+                return ratio(*args)
+
+            return ratio_spy
 
         monkeypatch.setattr(estimates, "synthesize_field", synthesize_spy)
-        monkeypatch.setattr(estimates, ratio, evolve_spy)
+        monkeypatch.setattr(estimates, "_level", level_spy)
         recipe = RandomBumps(seed=5, width=g.L / 26, spread=g.L / 20, count=2)  # zero mean
         rep = dilation_sweep(recipe, g, [1, 2], estimate_id, params)
         assert len(fields) == 2 and alive == [0, 0]
