@@ -48,7 +48,6 @@ from .norms import (
 from .estimates import (
     DECAY_BATTERY,
     RatioReport,
-    Triplet,
     besov_embedding_ratio,
     check_admissible,
     check_scaling_relation,

@@ -58,22 +58,13 @@ def conjugate(p: float) -> float:
     return p / (p - 1)
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Exponent bundle (q, p, r) with scaling weight sigma = n / (2 alpha)."""
-
-    q: float
-    p: float
-    r: float
-    sigma: float
-
-
-def check_admissible(t: Triplet) -> float:
-    """Signed admissibility defect 1/q - sigma (1/r - 1/p); zero means admissible."""
-    require(1 < t.r <= t.p, "admissibility needs 1 < r <= p", f"r={t.r}, p={t.p}")
-    require_exponent("q", t.q)
-    require_positive("scaling weight sigma", t.sigma)
-    return _inv(t.q) - t.sigma * (_inv(t.r) - _inv(t.p))
+def check_admissible(q: float, p: float, r: float, sigma: float) -> float:
+    """Signed admissibility defect 1/q - sigma (1/r - 1/p) of the exponents
+    (q, p, r) with scaling weight sigma = n / (2 alpha); zero means admissible."""
+    require(1 < r <= p, "admissibility needs 1 < r <= p", f"r={r}, p={p}")
+    require_exponent("q", q)
+    require_positive("scaling weight sigma", sigma)
+    return _inv(q) - sigma * (_inv(r) - _inv(p))
 
 
 def check_scaling_relation(
@@ -95,14 +86,11 @@ def check_scaling_relation(
 
 
 def default_time_grid(T: float) -> np.ndarray:
-    """[0] followed by a geometric refinement toward 0 on (0, T], densified
-    uniformly to at least 40 nodes."""
+    """[0], the 32-node geometric refinement toward 0 on [T 10^-3, T] and 40
+    uniform nodes on [0, T], merged."""
     require_positive("time horizon T", T)
-    ts = np.concatenate([[0.0], geometric_times(T * 1e-3, T)])
-    if len(ts) < 40:  # densify uniformly if the geometric ladder is short
-        extra = np.linspace(0, T, 40)
-        ts = np.unique(np.concatenate([ts, extra]))
-    return ts
+    ladder = geometric_times(T * 1e-3, T)
+    return np.unique(np.concatenate([[0.0], ladder, np.linspace(0, T, 40)]))
 
 
 def homogeneous_ratio(
@@ -127,7 +115,10 @@ def homogeneous_ratio(
 
 def _of_field(ratio, f) -> float:
     """A bound ratio of the data `f`, read once: as a one-sample series u and
-    its spectral form uh, the pair every ratio but the inhomogeneous reads."""
+    its spectral form uh, the pair every ratio but the inhomogeneous reads.
+    Data that holds inf or NaN is rejected before any transform."""
+    if not np.all(np.isfinite(f.data)):
+        raise PreconditionError("data f holds non-finite values")
     u = as_series(f)
     return ratio(u, u.to_spectral())
 
@@ -228,6 +219,8 @@ def _inhomogeneous(grid, times, qp, q1p1, alpha, kind, s):
         march = _march(t_eval, _rate(grid, alpha))
         den, num = [], []
         for Fc in forcing:
+            if not np.all(np.isfinite(Fc.data)):
+                raise PreconditionError("forcing F holds non-finite values")
             den.append(den_spec.norms(Fc))
             data = (Fc.data.copy() if Fc.representation == SPECTRAL
                     else _dft(Fc.data, grid, "forward"))
@@ -291,14 +284,17 @@ def _parabolic(grid, p, alpha, form, s_min, s_max, r, T):
         raise PreconditionError(f"unknown parabolic form {form!r}")
 
     def ratio(u, uh):
+        denom = lp_norms(u, 2 if form == "b" else r)[0]
+        if denom == 0.0:
+            raise PreconditionError("zero data: ratio undefined")
         flow = _evolved_chunks(uh, ss, _rate(grid, alpha))
         vals = np.concatenate([lp_norms(w, p) for w in flow])
         # head: ||e^{-sL}f||_p ~ ||f||_p below ss[0], integrable weight
         head = (lp_norms(u, p)[0], lambda v: ss[0] ** (1 - e) / (1 - e) * v**k)
         total, scale = _time_integral(vals, ss, k, ss ** (-e), head)
         if form == "b":
-            return float(math.sqrt(total) / (lp_norms(u, 2)[0] / scale))
-        return float(total / (T ** (1 - n / (2 * alpha)) * (lp_norms(u, r)[0] / scale) ** r))
+            return float(math.sqrt(total) / (denom / scale))
+        return float(total / (T ** (1 - n / (2 * alpha)) * (denom / scale) ** r))
 
     return ratio
 
@@ -343,6 +339,8 @@ def decay_fit(
     g = f.grid
     alpha = _alpha_value(alpha)
     cont = require_whole_space(f, "decay fit data")
+    if not np.any(f.data):  # every norm would be 0, and its log -inf
+        raise PreconditionError("zero data: decay fit undefined")
     # the gradient's norm is that of the vector multiplier i xi, on the half lattice
     grad = [1j * np.stack([_half(x, g) for x in g.deriv_frequencies])] if gradient else None
     flow = _evolved_chunks(as_series(f).to_spectral(), times, _rate(g, alpha))

@@ -56,6 +56,8 @@ SPECTRAL = "spectral"
 
 HALF_BOX_TOL = 1e-6
 
+TINY = np.finfo(np.float64).tiny  # the least normal float64
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -73,6 +75,15 @@ class GridSpec:
         if self.N < 8 or self.N & (self.N - 1):  # not a power of two
             raise PreconditionError(f"N={self.N} must be a power of two >= 8")
         require_positive("box length L", self.L)
+        with np.errstate(over="ignore", under="ignore"):  # out-of-range scales are named below
+            L = np.float64(self.L)
+            scales = np.array([(L / self.N) ** self.n, (2 * np.pi / L) ** 2,
+                               self.n * (np.pi * self.N / L) ** 2])
+        if not np.all((TINY <= scales) & (scales < np.inf)):
+            raise PreconditionError(
+                f"box length L={self.L}: the cell volume (L/N)^n and the |xi|^2 range "
+                f"(2 pi/L)^2 to n (pi N/L)^2 must be normal floats, got {scales.tolist()}"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -341,6 +352,14 @@ def _require_seed(seed) -> None:
         raise PreconditionError(f"seed={seed} must be an integer >= 0")
 
 
+def _require_width(width: float) -> None:
+    """Reject a width that is not positive and finite, or whose square, the
+    scale of a recipe's Gaussian, is not a normal float."""
+    require_positive("width", width)
+    if not TINY <= float(width) * float(width) < math.inf:
+        raise PreconditionError(f"width={width}: its square must be a normal float")
+
+
 def _require_spread(spread: float | None) -> None:
     if spread is not None and not 0 <= spread < math.inf:
         raise PreconditionError(f"spread = {spread}: must be nonnegative and finite")
@@ -359,7 +378,7 @@ class GaussianBump:
     scale: float = 1.0
 
     def __post_init__(self):
-        require_positive("width", self.width)
+        _require_width(self.width)
 
     def dilated(self, lam: float) -> "GaussianBump":
         return replace(self, scale=self.scale * lam)
@@ -454,7 +473,7 @@ class RandomBumps:
 
     def __post_init__(self):
         _require_seed(self.seed)
-        require_positive("width", self.width)
+        _require_width(self.width)
         _require_spread(self.spread)
         require_count("count", self.count)
         if self.count % 2:
@@ -498,7 +517,7 @@ class WavePackets:
 
     def __post_init__(self):
         _require_seed(self.seed)
-        require_positive("width", self.width)
+        _require_width(self.width)
         require_positive("carrier", self.carrier)
         _require_spread(self.spread)
         require_count("count", self.count)
@@ -779,20 +798,20 @@ def uniform_times(T: float, nodes: int) -> np.ndarray:
     return np.linspace(0.0, T, nodes + 1)
 
 
-def geometric_times(t_min: float, t_max: float, ratio: float = 1.25) -> np.ndarray:
-    """Geometric samples anchored at t_min, ending exactly at t_max.
+def geometric_times(t_min: float, t_max: float) -> np.ndarray:
+    """Geometric samples of ratio 1.25 anchored at t_min, ending exactly at t_max.
 
     Anchoring at the refined (singular) end means enlarging t_max only
     appends nodes, so tail-truncation studies share all interior samples.
     """
-    if not 0 < t_min < t_max < math.inf or not ratio > 1:
+    if not 0 < t_min < t_max < math.inf:
         raise PreconditionError(
-            f"geometric time grid needs 0 < t_min < t_max < inf and ratio > 1: "
-            f"t_min = {t_min}, t_max = {t_max}, ratio = {ratio}"
+            f"geometric time grid needs 0 < t_min < t_max < inf: "
+            f"t_min = {t_min}, t_max = {t_max}"
         )
     ts = [t_min]
-    while ts[-1] * ratio < t_max * (1 - 1e-12):
-        ts.append(ts[-1] * ratio)
+    while ts[-1] * 1.25 < t_max * (1 - 1e-12):
+        ts.append(ts[-1] * 1.25)
     ts.append(t_max)
     return np.array(ts)
 

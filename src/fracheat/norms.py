@@ -25,13 +25,12 @@ import numpy as np
 
 from .errors import PreconditionError, require_exponent
 from .grid import (
-    SPECTRAL, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series, require_zero_means,
-    sample_chunks,
+    SPECTRAL, TINY, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series,
+    require_zero_means, sample_chunks,
 )
 from .semigroup import apply_symbol, derivative_symbol
 
 INF = float("inf")
-TINY = np.finfo(np.float64).tiny  # the least normal float64
 SMALL = math.sqrt(TINY / np.finfo(np.float64).eps)  # a square underflows by <= eps^2 SMALL^2 / 2
 
 
@@ -238,7 +237,6 @@ class DyadicPartition:
         self.j_min = j_min
         self.j_max = j_max
         self._absxi = grid.abs_freq
-        self._cache: dict[int, np.ndarray] = {}
 
     @property
     def bands(self) -> range:
@@ -251,9 +249,7 @@ class DyadicPartition:
         return a / (a + b + 1e-300)
 
     def psi(self, j: int) -> np.ndarray:
-        if j not in self._cache:
-            self._cache[j] = self.eta_at_scale(j) - self.eta_at_scale(j - 1)
-        return self._cache[j]
+        return self.eta_at_scale(j) - self.eta_at_scale(j - 1)
 
 
 def default_partition(grid: GridSpec) -> DyadicPartition:

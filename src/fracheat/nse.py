@@ -7,9 +7,17 @@ The velocity system is evolved in Leray-projected mild form
 
 with L the fractional Laplacian of order alpha in (1/2, 1/2 + n/4); the
 pressure is never formed.  Quadratic products are dealiased with the 2/3
-rule.  The Picard solver measures the bilinear-form bound empirically on a
-seeded ensemble and enforces the smallness gate 2 * C_est * a < 1, where
-`a` is the mixed norm of the data terms.
+rule.  The Picard solver enforces the smallness gate 2 * C_est * a < 1, `a`
+the L^q_t L^p_x norm of the data terms and C_est the bilinear constant
+measured by `estimate_bilinear_constant`: the largest ratio
+||B(u,v)|| / (||u|| ||v||) over six pairs from three band-limited free
+evolutions, a lower bound of the discrete operator's norm.  The usual
+fixed-point lemma (Cannone 1995; Lemarie-Rieusset 2002) puts the unique
+solution of x = y + B(x, x) in the ball of radius 2 ||y|| when
+4 C ||y|| < 1, C the operator's constant.  The gate is that lemma with
+C_est / 2 in place of C, on the ball of radius 2a that the report records
+as `radius`; it certifies no contraction by itself, and the measured
+contraction ratios are the evidence of convergence.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .grid import (
     TimeSeries,
     VectorField,  # noqa: F401  (re-exported: callers import it from here)
     _dft,
+    _half,
     as_series,
     on_half_spectrum,
     require_one_part,
@@ -42,7 +51,7 @@ from .norms import (  # noqa: F401  (lp_norm: re-exported)
     _lp, _multiplier_norms, _time_norm, lp_norm, lp_norms, mixed_norm,
 )
 from .semigroup import (
-    _alpha_value, _evolve, _march, _march_times, _rate, duhamel, semigroup_series,
+    _alpha_value, _evolve, _evolved_chunks, _march, _march_times, _rate, duhamel, semigroup_series,
 )
 
 
@@ -110,10 +119,9 @@ def _project(comps, xi, inv_q2, f: np.ndarray, t: np.ndarray) -> None:
 
 
 def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Leray projection of a spectral stack of n-vectors (components on axis
-    -(n+1)), full or half lattice (last wavenumber index k <= N/2), into a
-    new stack."""
-    _, xi, _, inv_q2 = _factors(grid, uh.shape[-1])
+    """Leray projection of a half-spectral stack of n-vectors (components on
+    axis -(n+1)) into a new stack."""
+    _, xi, _, inv_q2 = _factors(grid)
     out = np.array(uh, dtype=np.complex128)
     comps = np.moveaxis(out, -grid.n - 1, 0)
     f, t = np.empty((2, *comps.shape[1:]), dtype=np.complex128)
@@ -122,8 +130,8 @@ def _leray(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _divergence(uh: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Divergence sum_j i xi_j u_j of a spectral stack of n-vectors, as `_leray`."""
-    _, _, ixi, _ = _factors(grid, uh.shape[-1])
+    """Divergence sum_j i xi_j u_j of a half-spectral stack of n-vectors, as `_leray`."""
+    _, _, ixi, _ = _factors(grid)
     return sum(x * c for x, c in zip(ixi, np.moveaxis(uh, -grid.n - 1, 0)))
 
 
@@ -169,16 +177,15 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _factors(grid: GridSpec, width: int) -> tuple:
-    """The spectral factors of the kernels here on the first `width` last
-    wavenumber indices of `grid` (N // 2 + 1 for the half lattice),
-    read-only and built once per grid and width, as `dealias_mask`: the
-    2/3 mask as the complex 1 or 0 that a boolean mask multiplies by, the
+def _factors(grid: GridSpec) -> tuple:
+    """The spectral factors of the kernels here on the half lattice of
+    `grid`, read-only and built once per grid, as `dealias_mask`: the 2/3
+    mask as the complex 1 or 0 that a boolean mask multiplies by, the
     Nyquist-zeroed xi_k and i xi_k, and 1/|xi|^2 (0 at xi = 0)."""
-    xi = tuple(np.ascontiguousarray(x[..., :width]) for x in grid.deriv_frequencies)
+    xi = tuple(np.ascontiguousarray(_half(x, grid)) for x in grid.deriv_frequencies)
     q2 = sum(x**2 for x in xi)
     inv_q2 = np.divide(1.0, q2, out=np.zeros_like(q2), where=q2 > 0)
-    mask = dealias_mask(grid)[..., :width].astype(np.complex128)
+    mask = _half(dealias_mask(grid), grid).astype(np.complex128)
     ixi = tuple(1j * x for x in xi)
     for a in (mask, inv_q2, *xi, *ixi):
         a.flags.writeable = False
@@ -209,7 +216,7 @@ def _tensor_divergence(
     takes the spent transformed products as its second scratch array.
     """
     n = grid.n
-    mask, xi, ixi, inv_q2 = _factors(grid, grid.N // 2 + 1)
+    mask, xi, ixi, inv_q2 = _factors(grid)
     m = len(uh)
     if vh is None:
         u = v = _dft(np.multiply(uh, mask), grid, "inverse")
@@ -297,24 +304,26 @@ def estimate_bilinear_constant(
     p: float,
     times,
 ) -> float:
-    """Measured bound max ||B(u,v)|| / (||u|| ||v||) in L^q_t L^p_x over a
-    seeded ensemble of divergence-free free evolutions, on the time grid
-    `times`, which must end at the horizon T.
+    """C_est: the largest ratio ||B(u,v)|| / (||u|| ||v||) in L^q_t L^p_x over
+    the six pairs (i, j), i <= j, of three seeded, band-limited,
+    divergence-free free evolutions, on the time grid `times`, which must end
+    at the horizon T.  A maximum over six pairs is a lower bound of the
+    discrete operator's norm.
 
-    The three members are kept as their one-sample, Leray-projected seeds.
-    For each pair (i, j), i <= j, the two members are evolved from their
-    seeds one chunk of samples at a time (`_evolve`, one exp per sample for
-    both), and `_bilinear_into` writes P div(u x v) of each chunk straight
-    into the pair's one stack and marches it there before the next chunk is
-    evolved; the stack is released before the next pair's, and a member's
-    L^p norms are taken from the chunks of the first pair that evolves it.
-    So no evolved member is ever whole, and at most one stack is alive.  An
-    evolution is deterministic and B(a, b) keeps its argument order, so the
-    ratios, and their maximum, have the bits of the all-members-at-once
-    computation.
+    The members are kept as their one-sample, Leray-projected seeds, and
+    each member's norm is measured first, from its own flow (`_evolved_chunks`).
+    Then each pair evolves its members one chunk of samples at a time
+    (`_evolve`, one exp per sample for both), and `_bilinear_into` writes
+    P div(u x v) of each chunk straight into the one pair stack, made once
+    for all pairs, and marches it there before the next chunk is evolved.
+    So no evolved member is ever whole, one stack is alive, and a pair's
+    ratio reads only its members and their norms.  An evolution is
+    deterministic and B(a, b) keeps its argument order, so the ratios have
+    the bits of the all-members-at-once computation.
     """
     if not len(times) or times[-1] != T:
         raise PreconditionError(f"the ensemble's times must end at the horizon T={T}")
+    times = np.asarray(times, dtype=float)
     j_max = 3
     while 2.0 ** (j_max + 1) >= grid.nyquist:
         j_max -= 1
@@ -326,28 +335,20 @@ def estimate_bilinear_constant(
         ]
         w = TimeSeries.from_data(grid, [0.0], np.stack(comps)[None], PHYSICAL).to_spectral()
         seeds.append(_leray(w.data, grid)[0])
-    norms: dict[int, float] = {}
+    sizes = []  # each member's L^q_t L^p_x norm, from its own flow
+    for w in seeds:
+        flow = _evolved_chunks(TimeSeries.from_data(grid, [0.0], w[None]), times, lam)
+        sizes.append(_time_norm(np.concatenate([lp_norms(c, p) for c in flow]), times, q))
+    F = TimeSeries.from_data(grid, times, np.empty((len(times), *seeds[0].shape), np.complex128))
 
     def ratio(i: int, j: int) -> float:
-        stack = np.empty((len(times), *seeds[0].shape), dtype=np.complex128)
-        F = TimeSeries.from_data(grid, times, stack)
-        members = [i] if i == j else [i, j]
-        vals = {k: np.empty(len(F)) for k in members if k not in norms}  # per-sample norms
+        members = [seeds[i]] if i == j else [seeds[i], seeds[j]]
+        # the chunk's (uh, vh), vh None for v = u
+        B = _bilinear_into(F, lam, lambda chunk: (*_evolve(members, times[chunk], lam), None)[:2])
+        return mixed_norm(B, q, p) / (sizes[i] * sizes[j])
 
-        def factors(chunk):
-            evolved = dict(zip(members, _evolve([seeds[k] for k in members], F.times[chunk], lam)))
-            for k in vals:
-                vals[k][chunk] = _lp(_dft(evolved[k], grid, "inverse"), grid, p)
-            return evolved[i], None if i == j else evolved[j]
-
-        num = mixed_norm(_bilinear_into(F, lam, factors), q, p)
-        norms.update({k: _time_norm(v, F.times, q) for k, v in vals.items()})
-        return num / (norms[i] * norms[j])
-
-    best = 0.0
-    for i, j in itertools.combinations_with_replacement(range(3), 2):
-        best = max(best, float(ratio(i, j)))
-    return best
+    pairs = itertools.combinations_with_replacement(range(3), 2)
+    return max(0.0, *(ratio(i, j) for i, j in pairs))
 
 
 def _contraction_ratios(residuals: list) -> list:
@@ -435,8 +436,9 @@ def solve_nse_picard(
     Requires real divergence-free data, a forcing h (if any) that is a
     real n-component velocity series on g's grid, alpha in (1/2, 1/2 + n/4),
     the exponent relation 2a - 1 = 2a/q + n/p with p > n/(2a - 1), and the
-    smallness gate 2 * C_est * a < 1, C_est measured or given (positive and
-    finite) as c_est.  g and h are only read.
+    smallness gate 2 * C_est * a < 1 (the module notes say which lemma it
+    applies), C_est measured or given (positive and finite) as c_est.  g
+    and h are only read.
     """
     grid = g.grid
     n = grid.n
@@ -697,7 +699,7 @@ def regularity_check(
             f"max_order={max_order!r} must be an integer in [0, 4] (derivative order cap)"
         )
     grid = v.grid
-    _, _, ixi, _ = _factors(grid, grid.N // 2 + 1)
+    _, _, ixi, _ = _factors(grid)
     orders = itertools.product(range(max_order + 1), repeat=grid.n)
     multis = [multi for multi in orders if sum(multi) <= max_order]
     syms = []

@@ -61,8 +61,14 @@ def apply_symbol(f: Field, sym: np.ndarray) -> Field:
 
 
 def _rate(grid: GridSpec, alpha) -> np.ndarray:
-    """|xi|^(2 alpha) on the half lattice: every propagator here is exp(-t * rate)."""
-    return _half(grid.abs_freq, grid) ** (2 * _alpha_value(alpha))
+    """|xi|^(2 alpha) on the half lattice: every propagator here is exp(-t * rate).
+    PreconditionError, naming alpha, when the rate overflows: exp(-0 * inf)
+    is NaN."""
+    with np.errstate(over="ignore"):  # an overflow is rejected just below, by name
+        rate = _half(grid.abs_freq, grid) ** (2 * _alpha_value(alpha))
+    if not np.isfinite(rate.max()):
+        raise PreconditionError(f"alpha={alpha}: the rate |xi|^(2 alpha) overflows on {grid}")
+    return rate
 
 
 def apply_semigroup(f: Field, t: float, alpha) -> Field:

@@ -638,6 +638,7 @@ class TestInputValidation:
         assert named in capsys.readouterr().err
 
     TINY = TestCommandSkeleton.TINY_GRID
+    PLANE8 = "[grid]\nn = 1\nN = 8\nL = 6.283185307179586\n\n[data]\nrecipe = plane_wave\n\n"
     NSE = "[grid]\nn = 2\nN = 16\nL = 6.283185307179586\n\n[solver]\nT = 0.2\nnodes = 8\n"
 
     @pytest.mark.parametrize(
@@ -739,6 +740,25 @@ class TestInputValidation:
             ("verify", PARABOLIC_CFG.replace("p = 4", "p = 2"), "b-form requires 2 < p <= inf"),
             ("verify", PARABOLIC_CFG.replace("= parabolic", "= besov_embedding").replace(
                 "p = 4", "p = 2"), "embedding requires p > 2"),
+            # scales that float64 cannot hold: the rate |xi|^(2 alpha) overflowed to inf
+            # (NaN rows, or a misleading convergence failure), the cell volume
+            # (L/N)^n or a squared wavenumber left the normal range (NaN, 0.0 or
+            # OverflowError), and so did width^2
+            ("propagate", PLANE8 + "[solver]\nalpha = 1e6\nnodes = 2\n", "alpha=1000000.0"),
+            ("verify", "[grid]\nn = 1\nN = 64\nL = 6.283185307179586\n\n[sweep]\n"
+             "alpha = 300\nlambdas = 1\nq = 4\np = 4\n", "alpha=300.0"),
+            ("potential-solve", PLANE8 + "[solver]\nalpha = 1e6\nnodes = 8\n",
+             "alpha=1000000.0"),
+            ("propagate", "[grid]\nn = 2\nN = 8\nL = 1e-200\n", "L=1e-200"),
+            *(
+                ("norm", f"[grid]\nn = 3\nN = 8\nL = {L}\n\n[data]\nrecipe = plane_wave\n",
+                 f"L={float(L)}")
+                for L in ("1e300", "1e-300")
+            ),
+            ("norm", "[grid]\nn = 1\nN = 16\nL = 1e300\n", "L=1e+300"),
+            ("norm", BUMP32.replace("width = 0.3", "width = 1e-300"), "width=1e-300"),
+            ("norm", BUMP32.replace("gaussian_bump\nwidth = 0.3",
+                                    "wave_packets\nwidth = 1e300\ncarrier = 2"), "width=1e+300"),
         ],
         ids=lambda v: v.strip().splitlines()[-1] if "\n" in v else None,
     )

@@ -16,7 +16,6 @@ from fracheat import (
     PlaneWave,
     PreconditionError,
     RandomBumps,
-    Triplet,
     TimeSeries,
     VectorField,
     besov_embedding_ratio,
@@ -32,7 +31,9 @@ from fracheat import (
     parabolic_ratio,
     synthesize_field,
 )
-from fracheat.grid import RandomBandlimited, WavePackets, geometric_times, uniform_times
+from fracheat.grid import (
+    PHYSICAL, RandomBandlimited, WavePackets, geometric_times, uniform_times,
+)
 from fracheat.norms import lp_norm
 import fracheat.grid
 from fracheat import estimates
@@ -59,27 +60,27 @@ class TestAdmissibility:
         n, alpha = 2, 0.5
         sigma = n / (2 * alpha)
         p = 2 * n / (n - 2 * alpha)
-        assert abs(check_admissible(Triplet(2, p, 2, sigma))) < 1e-12
+        assert abs(check_admissible(2, p, 2, sigma)) < 1e-12
 
     def test_endpoint_triplet_low_dimension(self):
         # (4a/n, inf, 2) is n/2a-admissible when n < 2a
         n, alpha = 1, 1.0
         sigma = n / (2 * alpha)
-        assert abs(check_admissible(Triplet(4 * alpha / n, INF, 2, sigma))) < 1e-12
+        assert abs(check_admissible(4 * alpha / n, INF, 2, sigma)) < 1e-12
 
     def test_trivial_triplet(self):
-        assert check_admissible(Triplet(INF, 2, 2, 1.7)) == 0.0
+        assert check_admissible(INF, 2, 2, 1.7) == 0.0
 
     def test_r_above_p_rejected(self):
         with pytest.raises(PreconditionError):
-            check_admissible(Triplet(2, 2, 4, 1.0))
+            check_admissible(2, 2, 4, 1.0)
 
     @pytest.mark.parametrize("sigma", [INF, float("nan")])
     @pytest.mark.parametrize("p", [4, 2])
     def test_non_finite_sigma_rejected(self, sigma, p):
         # sigma = inf would give a defect of -inf at p = 4 and nan at p = r = 2
         with pytest.raises(PreconditionError, match=f"scaling weight sigma={sigma}"):
-            check_admissible(Triplet(2, p, 2, sigma))
+            check_admissible(2, p, 2, sigma)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -451,7 +452,7 @@ class TestOneEvolvedStack:
     @pytest.mark.parametrize("p", [4.0, INF])
     def test_b_form_matches_per_time_oracle(self, p):
         f = self.bumps(32)
-        ss = geometric_times(1e-6, 6.0, ratio=1.25)
+        ss = geometric_times(1e-6, 6.0)
         vals = _norms_per_time(f, ss, 1.0, p)
         w = 2.0 / p if p != INF else 0.0
         head = 1e-6 ** (1 - w) / (1 - w) * lp_norm(f, p) ** 2
@@ -464,7 +465,7 @@ class TestOneEvolvedStack:
         f = synthesize_field(g, GaussianBump(width=0.5))
         p, r, alpha, T = 4.0, 2.0, 1.0, 0.5
         e0 = r / (2 * p * alpha)
-        ss = geometric_times(T * 1e-6, T, ratio=1.25)
+        ss = geometric_times(T * 1e-6, T)
         vals = _norms_per_time(f, ss, alpha, p)
         head = ss[0] ** (1 - e0) / (1 - e0) * lp_norm(f, p) ** r
         total = head + float(np.trapezoid(ss ** (-e0) * vals**r, ss))
@@ -540,6 +541,44 @@ def test_public_ratio_rejects_before_reading_the_field(
     assert fft_count["rfftn"] == 0 and reads["is_real"] == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("ratio, args", [
+    (homogeneous_ratio, (4.0, 4.0, 1.0, 0.05)),
+    (parabolic_ratio, (4.0, 1.0)),
+    (besov_embedding_ratio, (4.0,)),
+    (inhomogeneous_ratio, ((4, 4), (4, 4), 1.0)),
+], ids=["homogeneous", "parabolic", "besov_embedding", "inhomogeneous"])
+def test_non_finite_data_rejected_before_any_transform(fft_count, bad, ratio, args):
+    # each returned NaN
+    g = make_grid(2, 32, 2 * np.pi)
+    data = synthesize_field(g, GaussianBump(width=g.L / 21)).data.real.copy()
+    data[16, 16] = bad
+    if ratio is inhomogeneous_ratio:  # the bump as a forcing constant in time
+        stack = np.broadcast_to(data, (5, *g.shape))
+        f = TimeSeries.from_data(g, uniform_times(0.5, 4), stack, PHYSICAL)
+        named = "forcing F holds non-finite values"
+    else:
+        f, named = Field(g, data), "data f holds non-finite values"
+    fft_count.clear()
+    with pytest.raises(PreconditionError, match=named):
+        ratio(f, *args)
+    assert fft_count["calls"] == 0
+
+
+@pytest.mark.parametrize("n, call, named", [
+    (2, lambda f: parabolic_ratio(f, 4.0, 1.0), "zero data: ratio undefined"),
+    (1, lambda f: parabolic_ratio(f, 2.0, 1.0, form="a", r=2.0, T=1.0),
+     "zero data: ratio undefined"),
+    (2, lambda f: decay_fit(f, 1.0, 2.0, 1.0, np.geomspace(0.01, 0.1, 5)),
+     "zero data: decay fit undefined"),
+], ids=["parabolic b-form", "parabolic a-form", "decay_fit"])
+def test_zero_data_rejected_by_name(n, call, named):
+    # each returned NaN, where the other ratios raised
+    g = make_grid(n, 32, 2 * np.pi)
+    with pytest.raises(PreconditionError, match=named):
+        call(Field(g, np.zeros(g.shape)))
+
+
 class TestKernelNormFit:
     def test_grid_of_another_dimension_rejected(self):
         with pytest.raises(PreconditionError, match="grid dimension does not match n"):
@@ -578,7 +617,7 @@ class TestKernelNormFit:
     ])
     def test_stacked_kernel_norms_equal_per_time(self, fft_count, n, N, L, alpha, r):
         g = make_grid(n, N, L)
-        ts = geometric_times(0.002, 0.05, ratio=1.25)
+        ts = geometric_times(0.002, 0.05)
         fft_count.clear()
         got = estimates._kernel_norms(g, ts, alpha, r)
         stacked = fft_count["irfftn"]
@@ -595,7 +634,7 @@ class TestKernelNormFit:
 
     def test_contamination_checked_at_largest_time(self):
         g = make_grid(2, 64, 2.0)
-        ts = geometric_times(0.001, 0.5, ratio=1.25)
+        ts = geometric_times(0.001, 0.5)
         with pytest.raises(ContaminationError):
             kernel(g, ts[-1], 1.0)
         with pytest.raises(ContaminationError):

@@ -336,13 +336,15 @@ def test_alpha_must_be_positive_and_finite():
     g = make_grid(2, 32, 2 * np.pi)
     f = random_field(g, 17)
     F = semigroup_series(f, [0.0, 0.1], 1.0)
-    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+    # an alpha whose rate |xi|^(2 alpha) overflows made exp(-0 * inf) a NaN sample at t = 0
+    bad = [(a, " must be positive") for a in (0.0, -1.0, float("nan"), float("inf"))]
+    for alpha, named in bad + [(300.0, ": the rate"), (1e6, ": the rate")]:
         for call in (
             lambda: semigroup_series(f, [0.0, 0.1], alpha),
             lambda: duhamel(F, [0.1], alpha),
             lambda: apply_semigroup(f, 0.3, alpha),
         ):
-            with pytest.raises(PreconditionError, match=f"alpha={alpha} must be positive"):
+            with pytest.raises(PreconditionError, match=f"alpha={alpha}{named}"):
                 call()
 
 
