@@ -190,18 +190,19 @@ def _dft_scale(grid: GridSpec) -> float:
     return grid.cell_volume / (2 * np.pi) ** (grid.n / 2)
 
 
-def _dft(data: np.ndarray, grid: GridSpec, direction: str) -> np.ndarray:
-    """Unitary real-to-complex DFT over the trailing grid.n axes of `data`.
+def _dft(data: np.ndarray, grid: GridSpec, direction: str, out=None) -> np.ndarray:
+    """Unitary real-to-complex DFT over the trailing grid.n axes of `data`,
+    into `out` if given (numpy's transforms then write there in place).
 
     forward : fhat = rfftn(f) * h^n / (2*pi)^(n/2), real samples to the half spectrum
     inverse : f = irfftn(fhat) * (2*pi)^(n/2) / h^n, a half spectrum to real samples
     """
     axes = tuple(range(-grid.n, 0))
     if direction == "forward":
-        out = np.fft.rfftn(data, axes=axes)
+        out = np.fft.rfftn(data, axes=axes, out=out)
         out *= _dft_scale(grid)
     else:
-        out = np.fft.irfftn(data, s=grid.shape, axes=axes)
+        out = np.fft.irfftn(data, s=grid.shape, axes=axes, out=out)
         out /= _dft_scale(grid)
     return out
 

@@ -259,28 +259,29 @@ def projected_tensor_divergence(u: Field, v: Field) -> Field:
     return TimeSeries.from_data(g, us.times, out, SPECTRAL).snapshots[0]
 
 
-def _bilinear_into(F: TimeSeries, lam: np.ndarray, factors) -> TimeSeries:
-    """B(u, v) in the stack of F, a spectral velocity series on the time grid
-    of u and v: for each `sample_chunks` chunk in time order, P div(u x v)
-    of the half spectra factors(chunk) = (uh, vh), vh None for v = u, is
-    written by `_tensor_divergence` straight over F's samples in that chunk,
-    and the Duhamel march (`_march`) at the rate lam overwrites them with
-    the integral before the next chunk is formed.  A factor may be the
-    chunk of F it replaces."""
-    march = _march(_march_times(F.times, F.times), lam)
-    for chunk in sample_chunks(F.data, F.grid):
-        march(_tensor_divergence(*factors(chunk), F.grid, out=F.data[chunk]))
-    return F
+def _mild_into(out: TimeSeries, lam: np.ndarray, term, base=None) -> TimeSeries:
+    """base - Duhamel(term) at the rate lam in the stack of `out`, a spectral
+    series sampled from t = 0 (the integral alone for base None): for each
+    `sample_chunks` chunk of samples in time order, term(chunk, dest) writes
+    the integrand into dest = out.data[chunk], which it may read first, one
+    `_march` overwrites it with the integral, and base(chunk) - integral
+    takes its place before the next chunk's integrand is formed."""
+    march = _march(_march_times(out.times, out.times), lam)
+    for chunk in sample_chunks(out.data, out.grid):
+        dest = out.data[chunk]
+        term(chunk, dest)
+        march(dest)
+        if base is not None:
+            np.subtract(base(chunk), dest, out=dest)
+    return out
 
 
 def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     """B(u, v): Duhamel integral of P div(u x v) at the shared sample times.
 
-    The velocities are real.  `_bilinear_into` evaluates the nonlinearity a
-    chunk of samples at a time into one new forcing stack, and the march
-    overwrites each chunk with the integral before the next is evaluated, so
-    the forcing and the result are never held at once; u's and v's data are
-    only read.  Passing the same series twice shares its transforms.
+    The velocities are real.  `_mild_into` forms and marches the
+    nonlinearity a chunk of samples at a time in one new stack; u's and v's
+    data are only read.  Passing the same series twice shares its transforms.
     """
     times = _march_times(u.times, u.times)
     g = u.grid
@@ -291,9 +292,11 @@ def bilinear_form(u: TimeSeries, v: TimeSeries, alpha: float) -> TimeSeries:
     uh = u.to_spectral().data
     vh = None if v is u else v.to_spectral().data
     F = TimeSeries.from_data(g, times, np.empty(uh.shape, dtype=np.complex128))
-    return _bilinear_into(
-        F, _rate(g, alpha), lambda chunk: (uh[chunk], None if vh is None else vh[chunk])
-    )
+
+    def term(chunk, dest):
+        _tensor_divergence(uh[chunk], None if vh is None else vh[chunk], g, out=dest)
+
+    return _mild_into(F, _rate(g, alpha), term)
 
 
 def estimate_bilinear_constant(
@@ -313,7 +316,7 @@ def estimate_bilinear_constant(
     The members are kept as their one-sample, Leray-projected seeds, and
     each member's norm is measured first, from its own flow (`_evolved_chunks`).
     Then each pair evolves its members one chunk of samples at a time
-    (`_evolve`, one exp per sample for both), and `_bilinear_into` writes
+    (`_evolve`, one exp per sample for both), and `_mild_into` writes
     P div(u x v) of each chunk straight into the one pair stack, made once
     for all pairs, and marches it there before the next chunk is evolved.
     So no evolved member is ever whole, one stack is alive, and a pair's
@@ -343,9 +346,12 @@ def estimate_bilinear_constant(
 
     def ratio(i: int, j: int) -> float:
         members = [seeds[i]] if i == j else [seeds[i], seeds[j]]
-        # the chunk's (uh, vh), vh None for v = u
-        B = _bilinear_into(F, lam, lambda chunk: (*_evolve(members, times[chunk], lam), None)[:2])
-        return mixed_norm(B, q, p) / (sizes[i] * sizes[j])
+
+        def term(chunk, dest):
+            uh, *vh = _evolve(members, times[chunk], lam)  # no vh for v = u
+            _tensor_divergence(uh, vh[0] if vh else None, grid, out=dest)
+
+        return mixed_norm(_mild_into(F, lam, term), q, p) / (sizes[i] * sizes[j])
 
     pairs = itertools.combinations_with_replacement(range(3), 2)
     return max(0.0, *(ratio(i, j) for i, j in pairs))
@@ -488,14 +494,12 @@ def solve_nse_picard(
             f"(a={a_val:.3e}, C_est={c_est:.3e})"
         )
 
+    def base(chunk):
+        (b,) = _evolve([g0.data[0]], times[chunk], lam)
+        return b if forced is None else np.add(b, forced.data[chunk], out=b)
+
     def apply_map(v: TimeSeries, _) -> TimeSeries:  # base - B(v, v), in v's stack
-        B = _bilinear_into(v, lam, lambda chunk: (v.data[chunk], None))
-        for chunk in sample_chunks(B.data, grid):
-            (base,) = _evolve([g0.data[0]], times[chunk], lam)
-            if forced is not None:
-                np.add(base, forced.data[chunk], out=base)
-            np.subtract(base, B.data[chunk], out=B.data[chunk])
-        return B
+        return _mild_into(v, lam, lambda _, vh: _tensor_divergence(vh, None, grid, out=vh), base)
 
     v, residuals, converged, final_norm = _fixed_point(apply_map, v0, phys, q, p, tol, max_iter)
     report = PicardReport(
@@ -637,22 +641,22 @@ def solve_potential_eq(
                 lead = (len(loc),) + (1,) * (base.data.ndim - V_nodes.ndim)
                 V_nodes = V_nodes.reshape(*lead, *grid.shape)
 
-            def march(rhs: np.ndarray) -> TimeSeries:  # base + Duhamel(rhs), in rhs
-                step = _march(loc, lam)
-                for chunk in sample_chunks(rhs, grid):
-                    step(rhs[chunk])
-                    np.add(base.data[chunk], rhs[chunk], out=rhs[chunk])
-                return TimeSeries.from_data(grid, loc, rhs, parts=parts)
+            def mild(term) -> TimeSeries:  # base - Duhamel(term), in a new stack
+                out = TimeSeries.from_data(grid, loc, np.empty_like(base.data), parts=parts)
+                return _mild_into(out, lam, term, lambda chunk: base.data[chunk])
 
             def apply_map(v: TimeSeries, phys: TimeSeries) -> TimeSeries:
                 if V is None:  # a constant map: v0 is its fixed point
                     return v
-                rhs = _dft(V_nodes * phys.data, grid, "forward")
-                if F is None:
-                    return march(np.negative(rhs, out=rhs))
-                return march(np.subtract(forcing, rhs, out=rhs))
 
-            v0 = base if F is None else march(forcing if V is None else forcing.copy())
+                def term(chunk, dest):  # V v - F, from the iterate's physical samples
+                    _dft(V_nodes[chunk] * phys.data[chunk], grid, "forward", out=dest)
+                    if forcing is not None:
+                        np.subtract(dest, forcing[chunk], out=dest)
+
+                return mild(term)
+
+            v0 = base if F is None else mild(lambda c, dest: np.negative(forcing[c], out=dest))
             v, residuals, converged, _ = _fixed_point(
                 apply_map, v0, v0.to_physical(), q, p, tol, max_iter, max_factor=0.5
             )

@@ -397,7 +397,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("same", [True, False], ids=["B(u, u)", "B(u, v)"])
     def test_one_chunk_of_the_benchmark_grid(self, same):
         # one 1 MiB `sample_chunks` chunk of a 64^2 velocity series, written
-        # into a given stack as `_bilinear_into` writes it into its own
+        # into a given stack as `_mild_into` has it written into its own
         g = make_grid(2, 64, 2 * np.pi)
         u, v = self.velocities(g, 12, False)
         chunk = sample_chunks(u, g)[0]
@@ -905,11 +905,17 @@ def test_potential_window_without_potential_marches_its_forcing_once(call_count)
 
 @pytest.mark.parametrize("with_forcing", [False, True])
 def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing):
-    # each map evaluation forms -V v (or F - V v) in the stack of its forward
-    # transform, marches that stack, and adds the free flow into it
+    # each map evaluation forms V v (or V v - F) a chunk at a time in a new
+    # stack, marches each chunk there and writes base minus the integral over
+    # it, and so does a first iterate with F, of -F; the window's free flow,
+    # base, is only read
     g = make_grid(2, 16, 2 * np.pi)
-    seen = []  # the chunks of each march
-    march = nse._march
+    seen, bases = [], []  # the chunks of each march, the free flows
+    march, free = nse._march, nse.semigroup_series
+
+    def flow(*args):
+        bases.append(free(*args))
+        return bases[-1]
 
     def recording(times, lam):
         chunks, step = [], march(times, lam)
@@ -922,13 +928,16 @@ def test_potential_map_marches_in_its_right_hand_side(monkeypatch, with_forcing)
         return recorded
 
     monkeypatch.setattr(nse, "_march", recording)
+    monkeypatch.setattr(nse, "semigroup_series", flow)
     V = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.5), "physical")
     F = TimeSeries.from_data(g, [0.0, 0.2], np.full((2, *g.shape), 0.25), "physical")
     want_rep = solve_potential_eq(Field(g, np.ones(g.shape)), F if with_forcing else None, V,
                                   1.0, 0.2)[1]
     assert len(seen) == sum(sub[3] for sub in want_rep.subintervals) + with_forcing
-    # each march runs over views of one stack
+    # each march runs over views of one stack, which is no window's free flow
     assert all(c.base is not None and c.base is chunks[0].base for chunks in seen for c in chunks)
+    assert len(bases) == len(want_rep.subintervals)
+    assert all(chunks[0].base is not b.data for chunks in seen for b in bases)
 
 
 class TestPicard:
