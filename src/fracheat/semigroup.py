@@ -185,7 +185,9 @@ _PHI2_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(18)]
 
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2: Taylor series for |z| < 1, where expm1(z) - z
-    cancels (about 2 eps/|z| relative error), the closed form beyond."""
+    cancels (about 2 eps/|z| relative error), the closed form beyond; where
+    z^2 overflows (|z| above about 1.34e154) the numerator is divided by z
+    twice, and phi2(-inf) = 0."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = np.abs(z) < 1.0
@@ -195,14 +197,21 @@ def _phi2(z: np.ndarray) -> np.ndarray:
         acc = acc * zs + c
     out[small] = acc
     zb = z[~small]
-    out[~small] = (np.expm1(zb) - zb) / zb**2
+    # an overflowing z^2 is not divided by, and z = -inf gives inf/inf, replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = zb**2
+        num = np.expm1(zb) - zb
+        out[~small] = np.where(np.isinf(z2), num / zb / zb, num / z2)
+    out[z == -np.inf] = 0.0
     return out
 
 
 def _etd2(lam: np.ndarray, h: float) -> tuple:
     """The ETD2 coefficients of a step h: E = exp(z), A = phi1(z) - phi2(z)
-    and B = phi2(z) at z = -lam h."""
-    z = -lam * h
+    and B = phi2(z) at z = -lam h, which is -inf where lam h overflows (all
+    three are then 0)."""
+    with np.errstate(over="ignore"):
+        z = -lam * h
     p1, p2 = _phi1(z), _phi2(z)
     return np.exp(z), p1 - p2, p2
 

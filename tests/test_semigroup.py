@@ -1,5 +1,6 @@
 """Propagator algebra, kernel facts, fractional derivatives, Duhamel quadrature."""
 
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from fracheat.semigroup import (
 )
 from fracheat import VectorField
 from fracheat.grid import uniform_times
+from fracheat.norms import lp_norms
 
 
 def random_field(g, seed, j_max=2):
@@ -388,6 +390,36 @@ def test_phi2_matches_exact_series():
     got = _phi2(zs)
     ref = np.array([_phi2_exact(float(z)) for z in zs])
     assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_phi2_total_where_z_squared_overflows():
+    # past |z| = 1.34e154 z^2 overflows and expm1(z) = -1, so phi2(z) is
+    # (|z| - 1)/z^2, which long double (64-bit mantissa on x86-64) holds;
+    # phi2(-inf) = 0
+    zs = np.array([-1.4e154, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _phi2(np.append(zs, -np.inf))
+    zl = zs.astype(np.longdouble)
+    want = ((np.abs(zl) - 1) / zl**2).astype(float)
+    assert np.all(np.abs(got[:2] - want) <= 2 * np.spacing(want))
+    assert got[2] == 0.0
+
+
+def test_duhamel_steps_past_the_float_range():
+    # alpha = 100 on 8 points and one step of 1e200: lam h is 1e200 for
+    # |k| = 1, its square overflows for |k| = 2 and lam h itself for |k| = 3;
+    # by t = 1e200 a constant zero-mean forcing has integrated to F/lam
+    g = make_grid(1, 8, 2 * np.pi)
+    spec = np.array([0, 1, 1, 1, 0], dtype=np.complex128)
+    F = TimeSeries.from_data(g, [0.0, 1e200], np.stack([spec, spec]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = duhamel(F, [0.0, 1e200], 100)
+    assert np.all(np.isfinite(lp_norms(out, 2)))
+    lam = _rate(g, 100)
+    steady = np.divide(spec, lam, out=np.zeros_like(spec), where=lam > 0)
+    np.testing.assert_allclose(out.data[1], steady, rtol=1e-12, atol=1e-90)
 
 
 def test_duhamel_reuses_coefficients_per_step():
