@@ -18,6 +18,16 @@ solution of x = y + B(x, x) in the ball of radius 2 ||y|| when
 C_est / 2 in place of C, on the ball of radius 2a that the report records
 as `radius`; it certifies no contraction by itself, and the measured
 contraction ratios are the evidence of convergence.
+
+Every Duhamel integral here is one chunked pass, `_mild_into`, of the mild
+map v -> base - int_0^t e^(-(t-s) L) term(s) ds: a sample chunk at a time,
+the integrand is written into the chunk of the result's stack, marched there
+and replaced by base - integral.  `bilinear_form` and the C_est pairs take
+the integral of P div(u x v) alone; the Picard map's term is P div(v x v),
+written over its iterate's own stack, and its base, e^(-tL) g plus the
+Duhamel term of P h, is regenerated a chunk at a time; the potential map's
+term is V v - F, its base the window's free flow, and a window's first
+iterate with F is the pass of the term -F.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Command-line surface: configs, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracheat
 from fracheat import (
     ConvergenceError,
     GaussianBump,
@@ -63,6 +68,19 @@ recipe = gaussian_bump
 width = 0.3
 
 """
+
+
+def main_at_baseline(argv: list) -> int:
+    """`main(argv)` in a new Python process whose numpy dispatches no SIMD
+    kernels beyond the x86-64-v2 baseline (`NPY_ENABLE_CPU_FEATURES=X86_V2`),
+    with the `fracheat` that this process imported: results pinned to the
+    last bit then hold on every x86-64 CPU, with or without AVX2 or AVX-512,
+    whose last bits differ in some elementwise kernels."""
+    where = str(Path(fracheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [where, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V2", "PYTHONPATH": path}
+    code = "import sys; from fracheat.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env).returncode
 
 
 class TestConfig:
@@ -235,18 +253,19 @@ class TestCommandSkeleton:
 
     def test_nse_solve_golden(self, tmp_path):
         """`nse-solve` results to the last bit, recorded before NSE storage
-        and transform changes: a change that moves them on purpose updates
+        and transform changes, at numpy's x86-64-v2 dispatch level
+        (`main_at_baseline`): a change that moves them on purpose updates
         these digits and says so."""
         (tmp_path / "run.cfg").write_text(self.CONFIGS["nse-solve"])
         out = tmp_path / "o"
         argv = ["--config", str(tmp_path / "run.cfg")]
-        assert main(["--seed", "5", "--out", str(out), "nse-solve", *argv]) == 0
+        assert main_at_baseline(["--seed", "5", "--out", str(out), "nse-solve", *argv]) == 0
         results = json.loads((out / "nse_solve.json").read_text())["results"]
         assert results["final_norm"] == 0.2301868744460132
         assert results["bilinear_constant"] == 0.03440878561698821
         assert results["data_functional"] == 0.23018674378701062
         assert results["residuals"] == [
-            0.003551640856848365, 7.292501473136815e-05, 8.667160965579636e-07
+            0.003551640856848365, 7.292501473136815e-05, 8.667160965579748e-07
         ]
         assert results["iterations"] == 3
 
@@ -257,7 +276,7 @@ class TestCommandSkeleton:
         (tmp_path / "run.cfg").write_text(text)
         out = tmp_path / "o"
         argv = ["--config", str(tmp_path / "run.cfg")]
-        assert main(["--seed", "5", "--out", str(out), "potential-solve", *argv]) == 0
+        assert main_at_baseline(["--seed", "5", "--out", str(out), "potential-solve", *argv]) == 0
         results = json.loads((out / "potential_solve.json").read_text())["results"]
         assert results["bound_constant"] == 0.3878947558154963
         assert results["subintervals"] == [
