@@ -186,8 +186,8 @@ _PHI2_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(18)]
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2: Taylor series for |z| < 1, where expm1(z) - z
     cancels (about 2 eps/|z| relative error), the closed form beyond; where
-    z^2 overflows (|z| above about 1.34e154) the numerator is divided by z
-    twice, and phi2(-inf) = 0."""
+    z^2 overflows (|z| above about 1.34e154), e^z is 0 and phi2 is taken as
+    (-1/z - 1)/z, which is 0 at z = -inf."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = np.abs(z) < 1.0
@@ -197,12 +197,10 @@ def _phi2(z: np.ndarray) -> np.ndarray:
         acc = acc * zs + c
     out[small] = acc
     zb = z[~small]
-    # an overflowing z^2 is not divided by, and z = -inf gives inf/inf, replaced below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # an overflowing z^2 is not divided by
         z2 = zb**2
-        num = np.expm1(zb) - zb
-        out[~small] = np.where(np.isinf(z2), num / zb / zb, num / z2)
-    out[z == -np.inf] = 0.0
+    wide = (-1 / zb - 1) / zb
+    out[~small] = np.divide(np.expm1(zb) - zb, z2, out=wide, where=np.isfinite(z2))
     return out
 
 
