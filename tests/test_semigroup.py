@@ -408,10 +408,10 @@ def test_phi2_total_where_z_squared_overflows():
 
 def test_duhamel_steps_past_the_float_range():
     # alpha = 100 on 8 points and one step of 1e200: lam h is 1e200 for
-    # |k| = 1, its square overflows for |k| = 2 and lam h itself for |k| = 3;
-    # by t = 1e200 a constant zero-mean forcing has integrated to F/lam
+    # |k| = 1, its square overflows for |k| = 2 and 3, and lam h itself for
+    # |k| = 4; by t = 1e200 a constant zero-mean forcing has integrated to F/lam
     g = make_grid(1, 8, 2 * np.pi)
-    spec = np.array([0, 1, 1, 1, 0], dtype=np.complex128)
+    spec = np.array([0, 1, 1, 1, 1], dtype=np.complex128)
     F = TimeSeries.from_data(g, [0.0, 1e200], np.stack([spec, spec]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
