@@ -250,8 +250,17 @@ def _hash_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _report_dir(args) -> Path:
+    """The --out directory, made with its parents once a command has succeeded."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionError(f"--out {out}: {exc.strerror}") from exc
+    return out
+
+
 def write_report(out_dir: Path, name: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
@@ -260,7 +269,6 @@ def write_report(out_dir: Path, name: str, payload: dict) -> Path:
 def write_csv(out_dir: Path, name: str, rows: list[dict]) -> Path | None:
     if not rows:
         return None
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
     keys = list(rows[0].keys())
     lines = [",".join(keys)]
@@ -307,9 +315,7 @@ def cmd_propagate(cfg: ExperimentConfig, args) -> tuple[dict, list]:
         del phys
     last = TimeSeries.from_data(f.grid, times[-1:], final, PHYSICAL, parts=uh.parts)
     rows = [{"t": t, "l2": a, "linf": b} for t, a, b in zip(times.tolist(), l2, linf)]
-    out = Path(args.out)
-    final_path = out / "final_field.frsf"
-    out.mkdir(parents=True, exist_ok=True)
+    final_path = _report_dir(args) / "final_field.frsf"
     write_field(last.snapshots[0], final_path)
     results = {
         "alpha": alpha,
@@ -504,7 +510,7 @@ def main(argv=None) -> int:
         results, rows = _DISPATCH[args.command](cfg, args)
         payload = _base_payload(args.command, cfg, args)
         payload["results"] = results
-        out, stem = Path(args.out), args.command.replace("-", "_")
+        out, stem = _report_dir(args), args.command.replace("-", "_")
         write_report(out, stem, payload)
         write_csv(out, stem, rows)
         return 0

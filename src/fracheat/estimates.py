@@ -38,7 +38,8 @@ from .grid import (
 )
 from .norms import (
     NormSpec, _multiplier_norms, _require_time_grid, _time_integral, _time_norm, lp_norms)
-from .semigroup import _alpha_value, _evolved_chunks, _march, _march_times, _rate, kernel_data
+from .semigroup import _alpha_value, _evolve, _evolved_chunks, _march, _march_times, _rate
+from .semigroup import kernel_data
 from .semigroup import duhamel  # noqa: F401  (re-exported; perfbench's tracer wraps it here)
 
 INF = float("inf")
@@ -363,14 +364,13 @@ class KernelNormFit:
 
 def _kernel_norms(grid: GridSpec, ts: np.ndarray, alpha: float, r: float) -> np.ndarray:
     """lp_norm(kernel(grid, t, alpha), r) at each t of `ts`, bit for bit: the
-    symbols exp(-t * rate) are made and go through `kernel_data` a sample
-    chunk at a time, each chunk dropped before the next is made.  The
-    whole-space gate applies at the largest time only: small-t kernels are
-    near-deltas whose ringing is harmless to L^r."""
+    symbols go through `kernel_data` a chunk of the real rate stack at a time,
+    each dropped before the next is made.  The whole-space gate applies at the
+    largest time only: the ringing of small-t near-deltas is harmless to L^r."""
     rate, vals = _rate(grid, alpha), []
     for chunk in sample_chunks(np.broadcast_to(rate, (len(ts), *rate.shape)), grid):
-        sym = np.multiply.outer(-ts[chunk], rate)
-        K = TimeSeries.from_data(grid, ts[chunk], kernel_data(np.exp(sym, out=sym), grid), PHYSICAL)
+        sym = _evolve(np.ones_like(rate), ts[chunk], rate)
+        K = TimeSeries.from_data(grid, ts[chunk], kernel_data(sym, grid), PHYSICAL)
         vals.append(lp_norms(K, r))
         if chunk.stop >= len(ts):
             require_whole_space(Field(grid, K.data[-1]), f"kernel at t={ts[-1]}, alpha={alpha}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError, require_exponent
 from .grid import (
-    SPECTRAL, TINY, Field, GridSpec, TimeSeries, _bump, _dft, _half, as_series,
+    SPECTRAL, TINY, Field, GridSpec, TimeSeries, _dft, _half, _plateau_profile, as_series,
     require_zero_means, sample_chunks,
 )
 from .semigroup import apply_symbol, derivative_symbol
@@ -236,7 +236,6 @@ class DyadicPartition:
         self.grid = grid
         self.j_min = j_min
         self.j_max = j_max
-        self._absxi = grid.abs_freq
 
     @property
     def bands(self) -> range:
@@ -244,9 +243,7 @@ class DyadicPartition:
 
     def eta_at_scale(self, j: int) -> np.ndarray:
         """eta(xi / 2^j) on the lattice: 1 for |xi| <= 2^j, 0 for |xi| >= 2^(j+1)."""
-        r = self._absxi / 2.0**j
-        a, b = _bump(2.0 - r), _bump(r - 1.0)
-        return a / (a + b + 1e-300)
+        return _plateau_profile(self.grid.abs_freq, 2.0**j, 2.0 ** (j + 1))
 
     def psi(self, j: int) -> np.ndarray:
         return self.eta_at_scale(j) - self.eta_at_scale(j - 1)

@@ -93,14 +93,11 @@ def perturbed_taylor_green(grid: GridSpec, amplitude: float) -> Field:
         raise PreconditionError("perturbed Taylor-Green data is two-dimensional")
     k0 = 2 * np.pi / grid.L
     X, Y = grid.coordinates
-    b = 0.5 * amplitude
-    u = amplitude * np.cos(k0 * X) * np.sin(k0 * Y) + b * np.cos(
-        2 * k0 * X + 0.7
-    ) * np.sin(2 * k0 * Y + 0.3)
-    v = -amplitude * np.sin(k0 * X) * np.cos(k0 * Y) - b * np.sin(
-        2 * k0 * X + 0.7
-    ) * np.cos(2 * k0 * Y + 0.3)
-    return Field(grid, np.stack((u, v)))
+    out = taylor_green(grid, amplitude)
+    u, v = out.data  # views: the second vortex is added in place
+    u += 0.5 * amplitude * np.cos(2 * k0 * X + 0.7) * np.sin(2 * k0 * Y + 0.3)
+    v -= 0.5 * amplitude * np.sin(2 * k0 * X + 0.7) * np.cos(2 * k0 * Y + 0.3)
+    return out
 
 
 def _sum_into(acc: np.ndarray, terms, t: np.ndarray) -> None:
@@ -326,7 +323,7 @@ def estimate_bilinear_constant(
     The members are kept as their one-sample, Leray-projected seeds, and
     each member's norm is measured first, from its own flow (`_evolved_chunks`).
     Then each pair evolves its members one chunk of samples at a time
-    (`_evolve`, one exp per sample for both), and `_mild_into` writes
+    (`_evolve`, once per member), and `_mild_into` writes
     P div(u x v) of each chunk straight into the one pair stack, made once
     for all pairs, and marches it there before the next chunk is evolved.
     So no evolved member is ever whole, one stack is alive, and a pair's
@@ -355,11 +352,10 @@ def estimate_bilinear_constant(
     F = TimeSeries.from_data(grid, times, np.empty((len(times), *seeds[0].shape), np.complex128))
 
     def ratio(i: int, j: int) -> float:
-        members = [seeds[i]] if i == j else [seeds[i], seeds[j]]
-
         def term(chunk, dest):
-            uh, *vh = _evolve(members, times[chunk], lam)  # no vh for v = u
-            _tensor_divergence(uh, vh[0] if vh else None, grid, out=dest)
+            uh = _evolve(seeds[i], times[chunk], lam)
+            vh = None if i == j else _evolve(seeds[j], times[chunk], lam)
+            _tensor_divergence(uh, vh, grid, out=dest)
 
         return mixed_norm(_mild_into(F, lam, term), q, p) / (sizes[i] * sizes[j])
 
@@ -486,7 +482,7 @@ def solve_nse_picard(
     lam = _rate(grid, alpha)
     # v0 = base = e^(-tL) g (+ the forced term), in the stack of the free
     # evolution; the map regenerates base a chunk at a time
-    v0 = TimeSeries.from_data(grid, times, *_evolve([g0.data[0]], times, lam))
+    v0 = TimeSeries.from_data(grid, times, _evolve(g0.data[0], times, lam))
     forced = None
     if h is None:  # the physical stack that measures `a` is also the fixed point's
         phys = v0.to_physical()
@@ -505,7 +501,7 @@ def solve_nse_picard(
         )
 
     def base(chunk):
-        (b,) = _evolve([g0.data[0]], times[chunk], lam)
+        b = _evolve(g0.data[0], times[chunk], lam)
         return b if forced is None else np.add(b, forced.data[chunk], out=b)
 
     def apply_map(v: TimeSeries, _) -> TimeSeries:  # base - B(v, v), in v's stack

@@ -2,11 +2,11 @@
 
 The dissipation generator is the fractional Laplacian with symbol
 |xi|^(2*alpha), built once by `_rate`; the propagator exp(-t |xi|^(2*alpha))
-runs on two stacks, `_evolve` (the free evolutions of one or more spectra,
-behind `semigroup_series`, and a chunk of times at a time behind
-`_evolved_chunks`) and `kernel_data`, and `apply_semigroup` and `kernel`
-are their one-time cases.  All operators here are diagonal in frequency,
-so they are independent of the transform normalization.
+is formed only by `_evolve`, the free evolution of one half spectrum
+(behind `semigroup_series` and `_evolved_chunks`); kernels are the flow of
+the unit half spectrum, and `apply_semigroup` and `kernel` are one-time
+cases.  All operators here are diagonal in frequency, so they are
+independent of the transform normalization.
 
 The Duhamel integral int_0^t exp(-(t-s) |xi|^(2a)) F(s) ds is evaluated
 per mode with an exact integrating factor under a piecewise-linear-in-s
@@ -84,21 +84,21 @@ def semigroup_series(f, times: Sequence[float], alpha) -> TimeSeries:
     """Free evolution of a scalar or vector Field, or of the one sample of a
     series, sampled on a time grid (spectral, in the layout of the data)."""
     u = (f if isinstance(f, TimeSeries) else as_series(f)).to_spectral()
-    (data,) = _evolve([u.data[0]], times, _rate(u.grid, alpha))
+    data = _evolve(u.data[0], times, _rate(u.grid, alpha))
     return TimeSeries.from_data(u.grid, times, data, SPECTRAL, u.parts)
 
 
-def _evolve(specs: list, times, lam: np.ndarray, outs: list | None = None) -> list:
-    """The free evolutions spec * exp(-t * lam), t in `times`, of each
-    one-sample half spectrum in `specs`: one stack per spectrum, new or the
-    one given in `outs`, and one exp per time, shared by all of them."""
-    if outs is None:
-        outs = [np.empty((len(times), *spec.shape), dtype=np.complex128) for spec in specs]
+def _evolve(spec: np.ndarray, times, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The free evolution spec * exp(-t * lam), t in `times`, of a one-sample
+    half spectrum, in a new complex stack or in `out`.  A t * lam past the
+    float range is -inf, so exp gives 0 there, without an overflow warning."""
+    if out is None:
+        out = np.empty((len(times), *spec.shape), dtype=np.complex128)
     for k, t in enumerate(times):
-        e = np.exp(-t * lam)
-        for spec, out in zip(specs, outs):
-            np.multiply(spec, e, out=out[k])
-    return outs
+        with np.errstate(over="ignore"):
+            z = -t * lam
+        np.multiply(spec, np.exp(z), out=out[k])
+    return out
 
 
 def _evolved_chunks(uh: TimeSeries, times, lam: np.ndarray):
@@ -113,7 +113,7 @@ def _evolved_chunks(uh: TimeSeries, times, lam: np.ndarray):
     buf = np.empty((min(n, len(times)), *spec.shape[1:]), dtype=np.complex128)
     for i in range(0, len(times), n):
         step = times[i : i + n]
-        (out,) = _evolve([spec[0]], step, lam, [buf[: len(step)]])
+        out = _evolve(spec[0], step, lam, buf[: len(step)])
         yield TimeSeries.from_data(uh.grid, step, out, SPECTRAL, uh.parts)
 
 
@@ -126,14 +126,15 @@ def kernel(grid: GridSpec, t: float, alpha) -> Field:
     It must pass the whole-space gate `require_whole_space`.
     """
     require_positive("kernel time t", t)
-    out = Field(grid, kernel_data(np.exp(-t * _rate(grid, alpha))[None], grid)[0])
+    rate = _rate(grid, alpha)
+    out = Field(grid, kernel_data(_evolve(np.ones_like(rate), [t], rate), grid)[0])
     require_whole_space(out, f"kernel at t={t}, alpha={alpha}")
     return out
 
 
 def kernel_data(sym: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real physical kernels of a stack of half-lattice symbols exp(-t * rate):
-    one `irfftn` for the stack, each sample centred as in `kernel`."""
+    """Real physical kernels of a stack of half-lattice symbols, `_evolve` of
+    the unit half spectrum: one `irfftn` for the stack, centred as in `kernel`."""
     axes = tuple(range(-grid.n, 0))
     data = np.fft.fftshift(np.fft.irfftn(sym, s=grid.shape, axes=axes), axes=axes)
     data *= grid.N**grid.n

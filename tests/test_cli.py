@@ -801,6 +801,28 @@ class TestInputValidation:
         assert main(argv) == 2
         assert "seed=-1 must be an integer >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["kernel-norm", "propagate"])
+    @pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")])
+    def test_out_that_cannot_be_a_directory_exit_2(
+        self, tmp_path, capsys, command, under, reason
+    ):
+        """An --out that names a file, or a path under one, is rejected by
+        name with the OS reason, once the command's work is done."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = TestCommandSkeleton.FLAGS.get(command, ["--config", str(tmp_path / "run.cfg")])
+        if command == "propagate":
+            (tmp_path / "run.cfg").write_text(TestCommandSkeleton.CONFIGS[command])
+        assert main(["--out", str(taken / under), command, *argv]) == 2
+        assert f"--out {taken / under}: {reason}" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
+    def test_failed_command_creates_no_out_directory(self, tmp_path):
+        # the kernel norm window (n h / 2a)(1 - 1/r) = 2
+        argv = ["kernel-norm", "--n", "2", "--alpha", "1", "--h", "4", "--r", "2"]
+        assert main(["--out", str(tmp_path / "o" / "p"), *argv]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "data, named",
         [

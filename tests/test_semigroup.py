@@ -42,7 +42,7 @@ from fracheat.semigroup import (
     semigroup_series,
 )
 from fracheat import VectorField
-from fracheat.grid import uniform_times
+from fracheat.grid import as_series, uniform_times
 from fracheat.norms import lp_norms
 
 
@@ -420,6 +420,30 @@ def test_duhamel_steps_past_the_float_range():
     lam = _rate(g, 100)
     steady = np.divide(spec, lam, out=np.zeros_like(spec), where=lam > 0)
     np.testing.assert_allclose(out.data[1], steady, rtol=1e-12, atol=1e-90)
+
+
+def test_free_flow_steps_past_the_float_range():
+    # alpha = 100 on 8 points at t = 1e200: t lam overflows for |k| = 4, where
+    # exp(-t lam) is 0, and is finite elsewhere
+    g = make_grid(1, 8, 2 * np.pi)
+    f = synthesize_field(g, PlaneWave(k=(1,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = semigroup_series(f, [0.0, 1e200], 100)
+    assert np.all(np.isfinite(u.data))
+    with np.errstate(over="ignore"):
+        past = ~np.isfinite(1e200 * _rate(g, 100))
+    assert past.any() and np.all(u.data[1][..., past] == 0)
+    assert np.array_equal(u.data[0], as_series(f).to_spectral().data[0])
+
+
+def test_kernel_past_the_float_range_reaches_its_gate():
+    # t lam overflows for |xi| above 6.7, and exp(-t lam) is 0 at every mode
+    # but xi = 0: the kernel is flat, and the whole-space gate rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContaminationError):
+            kernel(make_grid(1, 64, 10.0), 1e300, 5.0)
 
 
 def test_duhamel_reuses_coefficients_per_step():
